@@ -45,7 +45,6 @@ PlacementResult solve_switch_placement(const PlacementProblem& p,
                                        bool& lp_ok) {
     PlacementResult r = solve_placement_lp(p);
     lp_ok = r.ok;
-    if (!lp_ok) r = solve_placement_median(p);
     return r;
 }
 

@@ -1,12 +1,14 @@
 // Switch position computation and floorplan legalization (Section VII).
 //
-// Step 1 — the LP: minimize the bandwidth-weighted Manhattan length of all
-// core-to-switch and switch-to-switch links (Eq. 2-5) over the switch
-// coordinates, the cores being fixed. Solved with the in-repo simplex (the
-// paper uses lp_solve); a weighted-median descent solver cross-checks it in
-// the tests. Coordinates are shared across layers: a vertical link's planar
-// length is the in-plane offset between its endpoints, so stacking
-// communicating switches is exactly what the LP optimizes.
+// Step 1 — the position solve: minimize the bandwidth-weighted Manhattan
+// length of all core-to-switch and switch-to-switch links (Eq. 2-5) over
+// the switch coordinates, the cores being fixed. The paper hands the LP to
+// lp_solve; lp/placement_lp.h solves it exactly with one min-cut per
+// candidate coordinate gap and returns the componentwise-minimal optimum,
+// so positions depend on the instance alone. Coordinates are shared across
+// layers: a vertical link's planar length is the in-plane offset between
+// its endpoints, so stacking communicating switches is exactly what the
+// solve optimizes.
 //
 // Step 2 — legalization: the ideal positions usually overlap the cores;
 // the custom insertion routine (or, for comparison, the constrained
@@ -33,16 +35,14 @@ namespace sunfloor {
 PlacementProblem build_switch_placement_problem(const Topology& topo,
                                                 const DesignSpec& spec);
 
-/// Solve a switch-placement instance: the simplex, falling back to
-/// weighted-median descent when it fails. `lp_ok` reports whether the
-/// simplex reached optimality (the returned positions are the fallback's
-/// otherwise).
+/// Solve a switch-placement instance exactly (solve_placement_lp).
+/// `lp_ok` reports optimality; the exact solver cannot fail, so it is
+/// always true.
 PlacementResult solve_switch_placement(const PlacementProblem& p,
                                        bool& lp_ok);
 
-/// Solve the switch-position LP and write the coordinates into `topo`.
-/// Returns false when the simplex failed (positions fall back to the
-/// weighted-median solution in that case). Composes the two functions
+/// Solve the switch positions and write the coordinates into `topo`.
+/// Returns `lp_ok` of solve_switch_placement. Composes the two functions
 /// above.
 bool place_switches_lp(Topology& topo, const DesignSpec& spec);
 

@@ -515,8 +515,11 @@ std::shared_ptr<const PlacementArtifact> SynthesisSession::place(
     // routing configs that produced the same routed topology share the
     // position LP. No RNG in the key — the whole stage (LP + the custom
     // inserter) is deterministic, enforced below — so points with
-    // diverged generators still share artifacts.
-    const std::string key = "pl|" + topology_fingerprint(routed.topo) + "|" +
+    // diverged generators still share artifacts. The solver tag keeps a
+    // store written by a build whose solver picked other optima from
+    // serving those placements.
+    const std::string key = "pl|" + std::string(kPlacementSolverTag) + "|" +
+                            topology_fingerprint(routed.topo) + "|" +
                             placement_cfg_key(cfg);
     if (opts_.cache_designs) {
         util::MutexLock lock(mu_);

@@ -25,9 +25,11 @@
 //               config, so routing configs that produce the same routed
 //               topology (e.g. neighbouring frequencies) share the
 //               position LP — plus cfg.run_floorplan and, when the
-//               floorplan runs, the switch/TSV area models. No RNG: the
-//               flow's legalizer (the custom inserter) is deterministic,
-//               and the stage enforces that at run time
+//               floorplan runs, the switch/TSV area models, and the
+//               position solver's tag (kPlacementSolverTag), because a
+//               CAS store can outlive a solver that picks other optima.
+//               No RNG: the flow's legalizer (the custom inserter) is
+//               deterministic, and the stage enforces that at run time
 //   evaluation  the placed topology's full content, cfg.eval (frequency +
 //               NoC library, wire and TSV models), cfg.max_ill, and the
 //               placement config (the artifact's per-layer die areas come

@@ -492,6 +492,84 @@ TEST(CasSession, WarmStoreServesAFreshSessionBitIdentically) {
               0);
 }
 
+// Keys of every object in a store directory, read from the key echo each
+// object file carries after its 28-byte header (u32 key length at 8).
+std::vector<std::string> object_keys(const std::string& dir) {
+    std::vector<std::string> keys;
+    DIR* d = ::opendir(dir.c_str());
+    EXPECT_NE(d, nullptr) << dir;
+    if (!d) return keys;
+    while (const dirent* e = ::readdir(d)) {
+        const std::string name(e->d_name);
+        if (name.size() != 16) continue;
+        const std::string blob = read_file(dir + "/" + name);
+        if (blob.size() < 28) continue;
+        std::uint32_t len = 0;
+        for (int i = 0; i < 4; ++i)
+            len |= static_cast<std::uint32_t>(
+                       static_cast<unsigned char>(blob[8 + i]))
+                   << (8 * i);
+        keys.push_back(blob.substr(28, len));
+    }
+    ::closedir(d);
+    return keys;
+}
+
+TEST(CasSession, PlacementsOfAnotherSolverAreNeverServed) {
+    // A store written before the position solver changed holds placements
+    // under "pl|<topology>|<cfg>", without the solver tag. Plant such
+    // objects, with positions the current solver never returns, beside the
+    // cold run's partition, routing and evaluation objects: a fresh
+    // session must recompute every placement, still reuse the other
+    // stages, and match the cold flow bit for bit.
+    TempDir cold_dir;
+    TempDir old_dir;
+    const DesignSpec spec = make_benchmark("D_36_4");
+    const SynthesisConfig cfg = fast_cfg();
+    const SynthesisResult ref = run_synthesis(spec, cfg);
+    {
+        pipeline::SessionOptions so;
+        so.cas = std::make_shared<cas::Store>(
+            cas::StoreOptions{cold_dir.path, 0, 60.0});
+        pipeline::SynthesisSession warmup(spec, so);
+        expect_same_results(warmup.run(cfg), ref);
+    }
+
+    cas::Store cold = open_store(cold_dir.path);
+    cas::Store old = open_store(old_dir.path);
+    const std::string tagged = std::string("pl|") + kPlacementSolverTag + "|";
+    int planted = 0;
+    for (const std::string& key : object_keys(cold_dir.path)) {
+        std::string payload;
+        ASSERT_TRUE(cold.get(key, payload)) << key.substr(0, 40);
+        const std::size_t at = key.find(tagged);
+        if (at == std::string::npos) {
+            ASSERT_TRUE(old.put(key, payload));
+            continue;
+        }
+        auto placed = cas::decode_placement(payload, spec);
+        ASSERT_TRUE(placed.has_value());
+        for (int s = 0; s < placed->topo.num_switches(); ++s)
+            placed->topo.switch_at(s).position.x += 1.0;
+        const std::string old_key =
+            key.substr(0, at) + "pl|" + key.substr(at + tagged.size());
+        ASSERT_TRUE(old.put(old_key, cas::encode_placement(*placed)));
+        ++planted;
+    }
+    ASSERT_GT(planted, 0);
+
+    pipeline::SessionOptions so;
+    so.cas = std::make_shared<cas::Store>(
+        cas::StoreOptions{old_dir.path, 0, 60.0});
+    pipeline::SynthesisSession fresh(spec, so);
+    expect_same_results(fresh.run(cfg), ref);
+    const pipeline::SessionStats st = fresh.stats();
+    EXPECT_EQ(st.placement.hits, 0);
+    EXPECT_EQ(st.placement.misses, planted);
+    EXPECT_GT(st.partition.hits, 0);
+    EXPECT_GT(st.routing.hits, 0);
+}
+
 TEST(CasSession, CorruptedObjectsAreRecomputedNeverServed) {
     TempDir dir;
     const DesignSpec spec = make_benchmark("D_36_4");

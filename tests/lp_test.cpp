@@ -1,9 +1,10 @@
-// Tests for the dense two-phase simplex solver against hand-solved LPs.
+// Tests for the dense two-phase simplex (the position solver's test
+// oracle) against hand-solved LPs.
 #include <gtest/gtest.h>
 
-#include "sunfloor/lp/simplex.h"
+#include "oracle/simplex.h"
 
-namespace sunfloor {
+namespace sunfloor::oracle {
 namespace {
 
 TEST(Simplex, SimpleMaximizationAsMinimization) {
@@ -136,4 +137,4 @@ TEST(LpModel, FeasibilityCheck) {
 }
 
 }  // namespace
-}  // namespace sunfloor
+}  // namespace sunfloor::oracle

@@ -1,9 +1,9 @@
-#include "sunfloor/lp/model.h"
+#include "oracle/model.h"
 
 #include <cmath>
 #include <stdexcept>
 
-namespace sunfloor {
+namespace sunfloor::oracle {
 
 int LpProblem::add_variable(double objective_coeff, std::string name) {
     obj_.push_back(objective_coeff);
@@ -52,4 +52,4 @@ bool LpProblem::is_feasible(const std::vector<double>& x, double tol) const {
     return true;
 }
 
-}  // namespace sunfloor
+}  // namespace sunfloor::oracle

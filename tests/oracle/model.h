@@ -1,17 +1,18 @@
-// Linear-program model builder.
+// Linear-program model builder for the test oracle.
 //
 // The paper solves the switch-position problem of Section VII with the
-// external lp_solve package; we carry our own solver. This header is the
-// problem description: variables (all constrained to be >= 0, which is what
-// the placement formulation needs), linear constraints with <=, =, or >=
-// relations, and a linear objective to minimize.
+// external lp_solve package. The library solves it combinatorially; the
+// tests keep this general LP description (variables all constrained to be
+// >= 0, linear constraints with <=, =, or >= relations, and a linear
+// objective to minimize) plus a dense simplex as the reference the exact
+// solver is compared against.
 #pragma once
 
 #include <string>
 #include <utility>
 #include <vector>
 
-namespace sunfloor {
+namespace sunfloor::oracle {
 
 enum class Relation { LessEq, Equal, GreaterEq };
 
@@ -63,4 +64,4 @@ class LpProblem {
     std::vector<Row> rows_;
 };
 
-}  // namespace sunfloor
+}  // namespace sunfloor::oracle

@@ -1,13 +1,10 @@
-#include "sunfloor/lp/simplex.h"
+#include "oracle/simplex.h"
 
 #include <cmath>
 #include <limits>
 #include <vector>
 
-#include "sunfloor/obs/metrics.h"
-#include "sunfloor/obs/trace.h"
-
-namespace sunfloor {
+namespace sunfloor::oracle {
 namespace {
 
 // Tableau layout: rows 0..m-1 are constraints (equality form, rhs >= 0),
@@ -115,7 +112,9 @@ PhaseOutcome run_phase(Tableau& t, const std::vector<double>& cost,
     }
 }
 
-LpResult solve_lp_impl(const LpProblem& problem, const SimplexOptions& opts) {
+}  // namespace
+
+LpResult solve_lp(const LpProblem& problem, const SimplexOptions& opts) {
     const int n = problem.num_variables();
     const int m = problem.num_constraints();
 
@@ -245,15 +244,4 @@ LpResult solve_lp_impl(const LpProblem& problem, const SimplexOptions& opts) {
     return res;
 }
 
-}  // namespace
-
-LpResult solve_lp(const LpProblem& problem, const SimplexOptions& opts) {
-    obs::ScopedSpan span("lp.solve");
-    LpResult res = solve_lp_impl(problem, opts);
-    auto& reg = obs::Registry::global();
-    reg.counter("lp.solves").add(1);
-    reg.counter("lp.iterations").add(res.iterations);
-    return res;
-}
-
-}  // namespace sunfloor
+}  // namespace sunfloor::oracle

@@ -1,15 +1,16 @@
-// Dense two-phase primal simplex.
+// Dense two-phase primal simplex: the test oracle for the switch-position
+// solver.
 //
-// This is the in-repo replacement for lp_solve [37] used by the paper's
-// switch-position step. Problem sizes in this tool are modest (a few
-// hundred variables and constraints for 65-core designs), so a dense
-// tableau with Dantzig pricing and a Bland anti-cycling fallback is both
-// fast enough (milliseconds) and easy to audit.
+// It stands in for lp_solve [37], which the paper uses for the
+// switch-position step. A dense tableau with Dantzig pricing and a Bland
+// anti-cycling fallback is slow (milliseconds per placement instance) but
+// easy to audit, and it solves the Eq. 2-5 LP as written, independently of
+// the library's combinatorial solver.
 #pragma once
 
-#include "sunfloor/lp/model.h"
+#include "oracle/model.h"
 
-namespace sunfloor {
+namespace sunfloor::oracle {
 
 struct SimplexOptions {
     /// Hard cap on pivot steps per phase.
@@ -25,4 +26,4 @@ struct SimplexOptions {
 /// per LpProblem variable.
 LpResult solve_lp(const LpProblem& problem, const SimplexOptions& opts = {});
 
-}  // namespace sunfloor
+}  // namespace sunfloor::oracle

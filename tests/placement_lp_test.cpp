@@ -1,6 +1,11 @@
-// Tests for the switch-position LP (Section VII) and its cross-check
+// Tests for the switch-position solver (Section VII) and its cross-check
 // against the weighted-median coordinate-descent solver.
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sunfloor/lp/placement_lp.h"
 #include "sunfloor/util/rng.h"
@@ -95,6 +100,49 @@ TEST(PlacementLp, ValidationErrors) {
     p.fixed_conns.clear();
     p.movable_conns = {{0, 3, 1.0}};  // bad movable index
     EXPECT_THROW(solve_placement_median(p), std::out_of_range);
+
+    // Non-finite input, which a `< 0` test lets through, and a box with no
+    // part in x,y >= 0. Both solvers reject each case.
+    const auto valid = [] {
+        PlacementProblem q;
+        q.num_movable = 2;
+        q.fixed_points = {{1, 1}, {3, 2}, {5, 5}};
+        q.fixed_conns = {{0, 0, 1.0}, {1, 1, 2.0}};
+        q.movable_conns = {{0, 1, 1.0}};
+        return q;
+    };
+    ASSERT_NO_THROW(solve_placement_lp(valid()));
+    std::vector<std::pair<std::string, PlacementProblem>> bad;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double v : {nan, inf, -inf}) {
+        const std::string s = std::to_string(v);
+        PlacementProblem q = valid();
+        q.fixed_conns[1].weight = v;
+        bad.emplace_back("fixed weight " + s, q);
+        q = valid();
+        q.movable_conns[0].weight = v;
+        bad.emplace_back("movable weight " + s, q);
+        q = valid();
+        q.fixed_points[0].x = v;
+        bad.emplace_back("fixed x " + s, q);
+        q = valid();
+        q.fixed_points[2].y = v;  // referenced by no connection
+        bad.emplace_back("unused fixed y " + s, q);
+        q = valid();
+        q.bounds = {v, 0, 10, 10};
+        bad.emplace_back("bounds x " + s, q);
+        q = valid();
+        q.bounds = {0, 0, 10, v};
+        bad.emplace_back("bounds h " + s, q);
+    }
+    PlacementProblem outside = valid();
+    outside.bounds = {-10, 1, 5, 5};
+    bad.emplace_back("box left of x = 0", outside);
+    for (const auto& [what, q] : bad) {
+        EXPECT_THROW(solve_placement_lp(q), std::invalid_argument) << what;
+        EXPECT_THROW(solve_placement_median(q), std::invalid_argument) << what;
+    }
 }
 
 TEST(PlacementLp, ZeroWeightConnectionsAllowed) {

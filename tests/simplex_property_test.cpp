@@ -1,15 +1,21 @@
-// Property tests for the simplex: random feasible-by-construction LPs are
-// solved to optimality-certified solutions (feasible, and no better
-// solution among a large random sample), and random placement instances
-// cross-check the LP against coordinate descent.
+// Property tests for the simplex oracle: random feasible-by-construction
+// LPs are solved to optimality-certified solutions (feasible, and no
+// better solution among a large random sample), and random placement
+// instances cross-check the exact position solver against coordinate
+// descent.
 #include <gtest/gtest.h>
 
+#include "oracle/simplex.h"
 #include "sunfloor/lp/placement_lp.h"
-#include "sunfloor/lp/simplex.h"
 #include "sunfloor/util/rng.h"
 
 namespace sunfloor {
 namespace {
+
+using oracle::LpProblem;
+using oracle::LpStatus;
+using oracle::Relation;
+using oracle::solve_lp;
 
 class SimplexRandom : public ::testing::TestWithParam<int> {};
 
