@@ -3,10 +3,10 @@
 //
 //   BM_dist_shards/N - the same fixed grid over D_36_4 distributed across
 //     N in-process workers (one shard per worker, one thread per shard,
-//     point and stage caches off so every point does identical full work
-//     in every configuration). The wall-time ratio to N=1 is the shard
-//     speedup; results are byte-identical regardless of N
-//     (tests/dist_test.cpp pins that), so the speedup is pure profit.
+//     each shard on its own fresh session, so points sharing (phase,
+//     theta) share partitions within a shard, as in every production
+//     run). The wall-time ratio to N=1 is the shard speedup; results are
+//     byte-identical regardless of N (tests/dist_test.cpp pins that).
 //   BM_dist_cas_cold / BM_dist_cas_warm - one worker, two shards, sharing
 //     a content-addressed artifact store. Cold opens a fresh empty store
 //     every iteration (all misses, plus the store-write overhead); warm
@@ -46,8 +46,7 @@ struct TempDir {
     TempDir& operator=(const TempDir&) = delete;
 };
 
-// 4 x 2 x 2 = 16 architectural points; every key is distinct, so neither
-// the point cache nor key-dedup can shrink the work.
+// 4 x 2 x 2 = 16 architectural points, every key distinct.
 ParamGrid dist_grid() {
     ParamGrid grid;
     grid.set_axis(ParamAxis::frequencies_hz({300e6, 400e6, 500e6, 600e6}));
@@ -70,9 +69,7 @@ void BM_dist_shards(benchmark::State& state) {
     cfg.max_switches = 6;  // bound the per-point switch-count sweep
 
     ExploreOptions opts;
-    opts.num_threads = 1;       // parallelism comes from the workers only
-    opts.use_cache = false;     // every point does full work in every run
-    opts.reuse_stages = false;  // ... independent of how the grid is sliced
+    opts.num_threads = 1;  // parallelism comes from the workers only
 
     const int n = static_cast<int>(state.range(0));
     const std::vector<GridPoint> points = dist_grid().enumerate();
@@ -102,8 +99,8 @@ BENCHMARK(BM_dist_shards)
     ->MeasureProcessCPUTime();
 
 // Shared setup of the two CAS benchmarks: one worker, two shards (so the
-// run exercises the job queue), default caching — the configuration a
-// real `explore --shards N --cas DIR` uses.
+// run exercises the job queue) — the configuration a real
+// `explore --shards N --cas DIR` uses.
 ExploreResult run_with_cas(const DesignSpec& spec, const SynthesisConfig& cfg,
                            const std::vector<GridPoint>& points,
                            const std::string& cas_dir) {

@@ -1,9 +1,10 @@
 // Thread-scaling of the parallel design-space exploration engine.
 //
 // A fixed >=64-point architectural grid (frequency x TSV budget x link
-// width x theta) over D_36_4 is explored with 1/2/4/8 worker threads; the
-// per-point synthesis work is identical in every configuration (the cache
-// is disabled), so the ratio of wall times is the parallel speedup.
+// width x theta) over D_36_4 is explored with 1/2/4/8 worker threads on a
+// fresh Explorer (and so a fresh session) per iteration; the work is the
+// same in every configuration up to which thread computes a shared
+// partition first, so the ratio of wall times is the parallel speedup.
 // run_benches.sh parses the JSON output into BENCH_explore.json.
 #include <benchmark/benchmark.h>
 
@@ -35,14 +36,14 @@ void BM_explore(benchmark::State& state) {
 
     ExploreOptions opts;
     opts.num_threads = static_cast<int>(state.range(0));
-    opts.use_cache = false;     // every point does full work in every run
-    opts.reuse_stages = false;  // ... including every pipeline stage
 
+    // A fresh Explorer per iteration keeps warm-cache effects out. Points
+    // sharing (phase, theta) share partitions within the run, as in every
+    // production run.
     const ParamGrid grid = scaling_grid();
-    const Explorer explorer(spec, cfg, opts);
     std::size_t points = 0;
     for (auto _ : state) {
-        const ExploreResult res = explorer.run(grid);
+        const ExploreResult res = Explorer(spec, cfg, opts).run(grid);
         points += static_cast<std::size_t>(res.stats.total_points);
         benchmark::DoNotOptimize(res.stats.valid_designs);
     }
@@ -64,11 +65,11 @@ BENCHMARK(BM_explore)
 // width only, so every point shares the partition inputs (phase, theta)
 // and the shared SynthesisSession serves partition artifacts — plus any
 // coinciding routed topologies' LP placements — from its cache. Arg(0)
-// recomputes every stage per point, Arg(1) reuses; both use the same
-// partition-key seeding, so the wall-clock ratio isolates the reuse win.
-// Serial on purpose: the thread-scaling win is measured by BM_explore
-// above and composes with this one. A fresh Explorer per iteration keeps
-// warm-cache effects out.
+// runs the stateless run_synthesis per point, Arg(1) a fresh Explorer;
+// both seed each point from its partition key as the Explorer does, so
+// the wall-clock ratio isolates the reuse win. Serial on purpose: the
+// thread-scaling win is measured by BM_explore above and composes with
+// this one.
 void BM_explore_freq_width(benchmark::State& state) {
     static const DesignSpec spec = prepared_benchmark("D_36_4");
     SynthesisConfig cfg = paper_cfg();
@@ -77,26 +78,35 @@ void BM_explore_freq_width(benchmark::State& state) {
 
     ExploreOptions opts;
     opts.num_threads = 1;
-    opts.use_cache = false;  // all points are distinct anyway
-    opts.reuse_stages = state.range(0) != 0;
+    const bool reuse = state.range(0) != 0;
 
     ParamGrid grid;
     grid.set_axis(
         ParamAxis::frequencies_hz({300e6, 350e6, 400e6, 450e6, 500e6,
                                    550e6, 600e6, 650e6}));
     grid.set_axis(ParamAxis::link_widths_bits({32, 64}));
+    const std::vector<GridPoint> points = grid.enumerate();
 
     long long hits = 0;
     long long calls = 0;
     for (auto _ : state) {
-        const Explorer explorer(spec, cfg, opts);
-        const ExploreResult res = explorer.run(grid);
-        const auto& sg = res.stats.stage;
-        hits += sg.partition.hits + sg.routing.hits + sg.placement.hits +
-                sg.evaluation.hits;
-        calls += sg.partition.calls() + sg.routing.calls() +
-                 sg.placement.calls() + sg.evaluation.calls();
-        benchmark::DoNotOptimize(res.stats.valid_designs);
+        if (reuse) {
+            const ExploreResult res = Explorer(spec, cfg, opts).run(points);
+            const auto& sg = res.stats.stage;
+            hits += sg.partition.hits + sg.routing.hits +
+                    sg.placement.hits + sg.evaluation.hits;
+            calls += sg.partition.calls() + sg.routing.calls() +
+                     sg.placement.calls() + sg.evaluation.calls();
+            benchmark::DoNotOptimize(res.stats.valid_designs);
+        } else {
+            for (const GridPoint& p : points) {
+                SynthesisConfig pcfg = p.apply(cfg);
+                pcfg.seed =
+                    explore_point_seed(opts.base_seed, p.partition_key());
+                benchmark::DoNotOptimize(
+                    run_synthesis(spec, pcfg, p.phase).num_valid());
+            }
+        }
     }
     state.counters["stage_hits"] =
         static_cast<double>(hits / state.iterations());
@@ -126,7 +136,6 @@ void BM_explore_routing(benchmark::State& state) {
         static_cast<routing::RoutingPolicyId>(state.range(0));
     ExploreOptions opts;
     opts.num_threads = 1;
-    opts.use_cache = false;
 
     ParamGrid grid;
     grid.set_axis(ParamAxis::frequencies_hz({300e6, 400e6, 500e6, 600e6}));

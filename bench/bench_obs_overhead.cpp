@@ -85,15 +85,16 @@ void BM_explore(benchmark::State& state) {
 
     ExploreOptions opts;
     opts.num_threads = 1;
-    opts.use_cache = false;     // full work every iteration
-    opts.reuse_stages = false;  // ... including every pipeline stage
     const ParamGrid grid = obs_grid();
-    const Explorer explorer(spec, obs_cfg(), opts);
 
+    // A fresh Explorer (and session) per iteration: the same work every
+    // iteration, with points sharing (phase, theta) sharing partitions as
+    // in every production run.
     std::size_t events = 0;
     for (auto _ : state) {
         if (traced) obs::start_tracing();
-        const ExploreResult res = explorer.run(grid);
+        const ExploreResult res =
+            Explorer(spec, obs_cfg(), opts).run(grid);
         benchmark::DoNotOptimize(res.stats.valid_designs);
         if (traced) {
             state.PauseTiming();

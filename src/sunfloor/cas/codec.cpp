@@ -85,8 +85,8 @@ std::optional<Topology> dec_topology(Dec& d, const DesignSpec& spec) {
         int layer;
         Point pos;
     };
+    // Untrusted counts: grow with the decoded records, never reserve them.
     std::vector<SwitchRec> switches;
-    switches.reserve(static_cast<std::size_t>(num_switches));
     for (int s = 0; s < num_switches; ++s) {
         SwitchRec r;
         r.name = d.str();
@@ -104,7 +104,6 @@ std::optional<Topology> dec_topology(Dec& d, const DesignSpec& spec) {
         double bw;
     };
     std::vector<LinkRec> links;
-    links.reserve(static_cast<std::size_t>(num_links));
     for (int l = 0; l < num_links; ++l) {
         LinkRec r;
         const std::uint8_t sk = d.u8();

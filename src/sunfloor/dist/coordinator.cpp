@@ -229,7 +229,6 @@ ExploreResult distribute_explore(
     const std::size_t n = points.size();
     out.points.resize(n);
     std::vector<std::string> keys(n);
-    std::unordered_map<std::string, std::size_t> first_of_key;
     for (std::size_t i = 0; i < n; ++i) {
         auto& pr = out.points[i];
         pr.point = points[i];
@@ -237,10 +236,6 @@ ExploreResult distribute_explore(
         pr.seed = explore_point_seed(opts.base_seed, keys[i]);
         pr.synth_seed =
             explore_point_seed(opts.base_seed, points[i].partition_key());
-        const bool inserted = first_of_key.emplace(keys[i], i).second;
-        // A fresh single-process explorer has an empty cross-run cache,
-        // so its hit flags are exactly "not the first of my key".
-        pr.cache_hit = opts.use_cache && !inserted;
     }
 
     std::vector<std::vector<ParetoEntry>> fronts(njobs);
@@ -276,9 +271,6 @@ ExploreResult distribute_explore(
 
     auto& st = out.stats;
     st.total_points = static_cast<int>(n);
-    st.evaluated_points = static_cast<int>(
-        opts.use_cache ? first_of_key.size() : n);
-    st.cache_hits = st.total_points - st.evaluated_points;
     std::unordered_map<std::string, char> counted;
     for (std::size_t i = 0; i < n; ++i) {
         const auto& pr = out.points[i];
@@ -295,12 +287,11 @@ ExploreResult distribute_explore(
     st.pareto_size = static_cast<int>(out.pareto.size());
     st.dominated_designs = st.unique_valid_designs - st.pareto_size;
     // The thread clamp the single-process run reports: never more workers
-    // than points to evaluate, 1 when the work ran inline, 0 on none.
+    // than points, 1 when the work ran inline, 0 for an empty grid.
     int threads_stat = opts.num_threads;
     if (threads_stat <= 0) threads_stat = ThreadPool::default_thread_count();
-    if (threads_stat > st.evaluated_points)
-        threads_stat = st.evaluated_points;
-    if (threads_stat <= 1) threads_stat = st.evaluated_points > 0 ? 1 : 0;
+    if (threads_stat > st.total_points) threads_stat = st.total_points;
+    if (threads_stat <= 1) threads_stat = st.total_points > 0 ? 1 : 0;
     st.num_threads = threads_stat;
     st.backend = opts.backend;
     st.elapsed_ms = std::chrono::duration<double, std::milli>(

@@ -6,15 +6,12 @@
 // ExploreResult a single-process Explorer::run() would have produced —
 // byte-identical CSV/JSON exports (property-tested in dist_test.cpp over
 // {inproc, socket} x {1, 2, 4} workers x {analytic, sim} backends x
-// {cold, warm} CAS). Exactness rests on three properties the explorer
+// {cold, warm} CAS). Exactness rests on two properties the explorer
 // already guarantees:
 //
 //   * per-point determinism: every design, seed and simulator report
 //     depends only on that point's key (never a thread or worker id), so
 //     a slice computes the same bits the full run computes;
-//   * key-keyed caching: cache_hit flags and the evaluated/hit counters
-//     follow from which points are globally-first of their key — pure
-//     bookkeeping the coordinator replays without recomputation;
 //   * associative Pareto merging: strict dominance is transitive, so
 //     re-filtering the union of slice fronts (deduplicated to
 //     globally-first key occurrences) equals the global front.

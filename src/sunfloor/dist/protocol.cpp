@@ -187,8 +187,6 @@ bool dec_config(Dec& d, SynthesisConfig& c) {
 
 void enc_explore_opts(Enc& e, const ExploreOptions& o) {
     e.i32(o.num_threads);
-    e.u8(o.use_cache ? 1 : 0);
-    e.u8(o.reuse_stages ? 1 : 0);
     e.u64(o.base_seed);
     e.str(backend_to_string(o.backend));
     const sim::InjectionParams& ip = o.sim.inject;
@@ -209,8 +207,6 @@ void enc_explore_opts(Enc& e, const ExploreOptions& o) {
 
 bool dec_explore_opts(Dec& d, ExploreOptions& o) {
     o.num_threads = d.i32();
-    o.use_cache = d.u8() != 0;
-    o.reuse_stages = d.u8() != 0;
     o.base_seed = d.u64();
     if (!backend_from_string(d.str(), o.backend)) return false;
     sim::InjectionParams& ip = o.sim.inject;
@@ -346,9 +342,9 @@ bool decode_shard_request(std::string_view payload, ShardRequest& out,
         error = "shard request: malformed config";
         return false;
     }
+    // Untrusted count: grow with the decoded points, never reserve it.
     const std::uint32_t n = d.u32();
     out.points.clear();
-    out.points.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         GridPoint p;
         if (!dec_point(d, p)) {
@@ -398,9 +394,9 @@ bool decode_shard_response(std::string_view payload, ShardResponse& out,
         error = "shard response: bad version or tag";
         return false;
     }
+    // Untrusted count: grow with the decoded points, never reserve it.
     const std::uint32_t n = d.u32();
     out.points.clear();
-    out.points.reserve(n);
     for (std::uint32_t i = 0; i < n && d.ok(); ++i) {
         ShardPointResult pr;
         pr.phase_used = d.str();

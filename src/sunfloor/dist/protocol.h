@@ -39,7 +39,7 @@ namespace sunfloor::dist {
 /// Protocol version; bumped on any payload layout change. A version
 /// mismatch is a decode error (the coordinator retries elsewhere rather
 /// than mis-reading bytes).
-inline constexpr std::uint32_t kWireVersion = 1;
+inline constexpr std::uint32_t kWireVersion = 2;
 
 /// Everything a worker needs to run one slice — self-contained, so a
 /// worker holds no per-coordinator state and any worker can take any job.

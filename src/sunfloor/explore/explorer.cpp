@@ -4,11 +4,13 @@
 #include <chrono>
 #include <deque>
 #include <memory>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "sunfloor/obs/metrics.h"
 #include "sunfloor/obs/trace.h"
 #include "sunfloor/util/enum_names.h"
+#include "sunfloor/util/mutex.h"
 #include "sunfloor/util/thread_pool.h"
 
 namespace sunfloor {
@@ -229,11 +231,6 @@ Explorer::Explorer(std::shared_ptr<pipeline::SynthesisSession> session,
     : spec_(session->spec()), base_cfg_(std::move(base_cfg)), opts_(opts),
       session_(std::move(session)) {}
 
-std::size_t Explorer::cache_size() const {
-    util::MutexLock lock(cache_mu_);
-    return cache_.size();
-}
-
 ExploreResult Explorer::run(const ParamGrid& grid) const {
     return run(grid.enumerate());
 }
@@ -243,19 +240,10 @@ ExploreResult Explorer::run(const std::vector<GridPoint>& points) const {
 
     ExploreResult out;
     out.points.resize(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i)
-        out.points[i].point = points[i];
-
-    // Resolve each point to either a cached result or an evaluation slot.
-    // Duplicate architectural points (identical keys) share one evaluation;
-    // because the seed derives from the key, sharing is unobservable in the
-    // results, so hit accounting stays deterministic under any thread count.
-    std::vector<std::size_t> to_eval;            // indices into out.points
-    std::unordered_map<std::string, std::size_t> first_of_key;
     std::vector<std::string> keys(points.size());
-    std::vector<char> intra_run_dup(points.size(), 0);
     const pipeline::SessionStats stage_before = session_->stats();
     for (std::size_t i = 0; i < points.size(); ++i) {
+        out.points[i].point = points[i];
         keys[i] = points[i].key();
         out.points[i].seed = explore_point_seed(opts_.base_seed, keys[i]);
         // The synthesis seed mixes only the partition-stage fields, so
@@ -263,72 +251,33 @@ ExploreResult Explorer::run(const std::vector<GridPoint>& points) const {
         // their partition RNG streams — the precondition for stage reuse.
         out.points[i].synth_seed =
             explore_point_seed(opts_.base_seed, points[i].partition_key());
-        if (!opts_.use_cache) {
-            to_eval.push_back(i);
-            continue;
-        }
-        bool cached = false;
-        {
-            util::MutexLock lock(cache_mu_);
-            auto it = cache_.find(keys[i]);
-            if (it != cache_.end()) {
-                out.points[i].result = it->second;
-                out.points[i].cache_hit = true;
-                cached = true;
-            }
-        }
-        if (cached) continue;
-        auto [it, inserted] = first_of_key.emplace(keys[i], i);
-        if (inserted) {
-            to_eval.push_back(i);
-        } else {
-            out.points[i].cache_hit = true;  // filled after evaluation
-            intra_run_dup[i] = 1;
-        }
     }
 
-    const auto evaluate = [&](std::size_t slot) {
-        const std::size_t i = to_eval[slot];
+    // Every point runs through the shared session. A repeated point (same
+    // key, so same seed) is served from its stage caches, bit-identical
+    // to a fresh synthesis (see pipeline/session.h).
+    const auto evaluate = [&](std::size_t i) {
         obs::ScopedSpan span("explore.point", "index",
                              static_cast<long long>(i));
         const GridPoint& p = points[i];
         SynthesisConfig cfg = p.apply(base_cfg_);
         cfg.seed = out.points[i].synth_seed;
-        // The shared session is bit-identical to the stateless call (its
-        // artifact caches are keyed on everything a stage consumes), so
-        // the reuse toggle only changes how much work is recomputed.
-        out.points[i].result = opts_.reuse_stages
-                                   ? session_->run(cfg, p.phase)
-                                   : run_synthesis(spec_, cfg, p.phase);
+        out.points[i].result = session_->run(cfg, p.phase);
     };
 
     int threads = opts_.num_threads;
     if (threads <= 0) threads = ThreadPool::default_thread_count();
-    // Never spawn more workers than there is work; num_threads in the
+    // Never spawn more workers than there are points; num_threads in the
     // stats reports what actually ran.
-    if (threads > static_cast<int>(to_eval.size()))
-        threads = static_cast<int>(to_eval.size());  // 0 when fully cached
+    if (threads > static_cast<int>(points.size()))
+        threads = static_cast<int>(points.size());  // 0 for an empty grid
     if (threads <= 1) {
-        for (std::size_t s = 0; s < to_eval.size(); ++s) evaluate(s);
-        threads = to_eval.empty() ? 0 : 1;
+        for (std::size_t i = 0; i < points.size(); ++i) evaluate(i);
+        threads = points.empty() ? 0 : 1;
     } else {
         ThreadPool pool(threads);
-        pool.parallel_for(to_eval.size(), evaluate);
+        pool.parallel_for(points.size(), evaluate);
         threads = pool.num_threads();
-    }
-
-    if (opts_.use_cache) {
-        // Publish fresh evaluations, then serve the intra-run duplicates.
-        {
-            util::MutexLock lock(cache_mu_);
-            for (std::size_t i : to_eval)
-                cache_.emplace(keys[i], out.points[i].result);
-        }
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (intra_run_dup[i])
-                out.points[i].result =
-                    out.points[first_of_key.at(keys[i])].result;
-        }
     }
 
     int simulated_designs = 0;
@@ -425,8 +374,6 @@ ExploreResult Explorer::run(const std::vector<GridPoint>& points) const {
 
     auto& st = out.stats;
     st.total_points = static_cast<int>(points.size());
-    st.evaluated_points = static_cast<int>(to_eval.size());
-    st.cache_hits = st.total_points - st.evaluated_points;
     std::unordered_set<std::string> counted_keys;
     for (std::size_t i = 0; i < out.points.size(); ++i) {
         const auto& pr = out.points[i];
@@ -444,8 +391,6 @@ ExploreResult Explorer::run(const std::vector<GridPoint>& points) const {
 
     auto& reg = obs::Registry::global();
     reg.counter("explore.points.total").add(st.total_points);
-    reg.counter("explore.points.evaluated").add(st.evaluated_points);
-    reg.counter("explore.points.cache_hits").add(st.cache_hits);
     reg.counter("explore.designs.simulated").add(st.simulated_designs);
     st.elapsed_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)

@@ -5,25 +5,23 @@
 // and merges the per-point tradeoff sets into one global Pareto front
 // over (power, latency, area).
 //
-// Determinism: each point's synthesis is seeded from
-// mix(base_seed, hash(point.key())), never from a thread or worker id,
-// so N-thread runs are bit-identical to 1-thread runs. Points whose
-// architectural parameters coincide (duplicate axis values, repeated
-// runs on one Explorer) share a seed and therefore a result, which is
-// what makes the evaluation cache transparent.
+// Determinism: each point's seeds are mixed from base_seed and the
+// point's own keys, never from a thread or worker id, so N-thread runs
+// are bit-identical to 1-thread runs. Every point runs through the shared
+// SynthesisSession, whose stage caches are keyed on everything a stage
+// consumed, so a repeated point (a duplicate axis value, a rerun on one
+// Explorer) is served from those caches.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sunfloor/core/synthesizer.h"
 #include "sunfloor/explore/param_grid.h"
 #include "sunfloor/pipeline/session.h"
 #include "sunfloor/sim/simulator.h"
-#include "sunfloor/util/mutex.h"
 
 namespace sunfloor {
 
@@ -49,18 +47,6 @@ struct ExploreOptions {
     /// path), 0 picks the hardware concurrency.
     int num_threads = 1;
 
-    /// Reuse results for repeated architectural points, both within one
-    /// run and across runs on the same Explorer.
-    bool use_cache = true;
-
-    /// Drive the shared staged-pipeline session so points that agree on
-    /// the partition inputs (phase, theta) reuse partition/assignment
-    /// artifacts across frequency / TSV / link-width variations. Reuse is
-    /// bit-transparent (see pipeline/session.h); disabling it only
-    /// recomputes every stage per point under the same seeding, kept for
-    /// benchmarking the reuse win.
-    bool reuse_stages = true;
-
     /// Base RNG seed mixed into every point's seed.
     std::uint64_t base_seed = Rng::kDefaultSeed;
 
@@ -84,7 +70,6 @@ struct ExplorePointResult {
     /// so points differing in frequency / TSV budget / link width share
     /// partition streams (and therefore partition artifacts).
     std::uint64_t synth_seed = 0;
-    bool cache_hit = false;   ///< result reused rather than recomputed
     int pareto_survivors = 0; ///< this point's designs on the global front
 
     /// Simulated backend only: one report per design of `result.points`
@@ -110,8 +95,6 @@ struct ParetoEntry {
 
 struct ExploreStats {
     int total_points = 0;      ///< grid points explored
-    int evaluated_points = 0;  ///< synthesis runs actually executed
-    int cache_hits = 0;        ///< points served from the cache
     int total_designs = 0;     ///< design points over all grid points
     int valid_designs = 0;     ///< ... that met every constraint
     /// Valid designs over distinct architectural points only (repeated
@@ -119,14 +102,13 @@ struct ExploreStats {
     int unique_valid_designs = 0;
     int pareto_size = 0;       ///< global front size
     int dominated_designs = 0; ///< unique valid designs beaten by another
-    int num_threads = 0;       ///< workers that evaluated points (0 when
-                               ///< every point was served from the cache)
+    int num_threads = 0;       ///< workers that evaluated points (at most
+                               ///< one per point; 0 for an empty grid)
     double elapsed_ms = 0.0;   ///< wall-clock for the whole run
     EvalBackend backend = EvalBackend::Analytic;
     int simulated_designs = 0; ///< simulator runs (Simulated backend only)
     /// Per-stage cache accounting of the shared pipeline session for this
-    /// run (hits are artifacts reused across points; all zero when
-    /// reuse_stages is off or every point came from the point cache).
+    /// run (hits are artifacts reused across points or earlier runs).
     /// Counts are exact for serial runs, a close lower bound on reuse
     /// under concurrency (see pipeline/session.h).
     pipeline::SessionStats stage;
@@ -174,8 +156,8 @@ class Explorer {
     const SynthesisConfig& base_config() const { return base_cfg_; }
     const ExploreOptions& options() const { return opts_; }
 
-    /// Evaluate every point of `grid`. Thread-safe; the cache is shared
-    /// across concurrent and successive runs.
+    /// Evaluate every point of `grid`. Thread-safe; the session's stage
+    /// caches are shared across concurrent and successive runs.
     ExploreResult run(const ParamGrid& grid) const;
 
     /// Evaluate an explicit point list (what a distribution shard runs: a
@@ -185,21 +167,14 @@ class Explorer {
     /// which is what makes slice results mergeable bit-exactly.
     ExploreResult run(const std::vector<GridPoint>& points) const;
 
-    /// Entries in the cross-run evaluation cache.
-    std::size_t cache_size() const SF_EXCLUDES(cache_mu_);
-
     /// The shared staged-pipeline session (cumulative stats, artifact
-    /// counts) driving every synthesis when reuse_stages is on.
+    /// counts) driving every synthesis.
     const pipeline::SynthesisSession& session() const { return *session_; }
 
   private:
     DesignSpec spec_;
     SynthesisConfig base_cfg_;
     ExploreOptions opts_;
-
-    mutable util::Mutex cache_mu_;
-    mutable std::unordered_map<std::string, SynthesisResult> cache_
-        SF_GUARDED_BY(cache_mu_);
     std::shared_ptr<pipeline::SynthesisSession> session_;
 };
 

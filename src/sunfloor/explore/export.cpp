@@ -32,7 +32,7 @@ Table explore_table(const ExploreResult& result) {
     Table t({"point", "freq_mhz", "max_tsvs", "link_width_bits", "phase",
              "theta", "routing", "switches", "valid", "power_mw",
              "latency_cycles", "sim_latency_cycles", "area_mm2", "tsvs",
-             "pareto", "cache_hit", "fail_reason"});
+             "pareto", "fail_reason"});
     std::set<std::pair<int, int>> on_front;
     for (const auto& e : result.pareto)
         on_front.insert({e.point_index, e.design_index});
@@ -60,7 +60,6 @@ Table explore_table(const ExploreResult& result) {
                        static_cast<long long>(dp.report.total_tsvs),
                        static_cast<long long>(
                            on_front.count({pi, di}) ? 1 : 0),
-                       static_cast<long long>(pr.cache_hit ? 1 : 0),
                        dp.fail_reason});
         }
     }
@@ -78,8 +77,6 @@ void write_explore_json(std::ostream& os, const ExploreResult& result,
     os << "  \"design\": " << json_quote(design_name) << ",\n";
     os << "  \"stats\": {\n";
     os << "    \"total_points\": " << st.total_points << ",\n";
-    os << "    \"evaluated_points\": " << st.evaluated_points << ",\n";
-    os << "    \"cache_hits\": " << st.cache_hits << ",\n";
     os << "    \"total_designs\": " << st.total_designs << ",\n";
     os << "    \"valid_designs\": " << st.valid_designs << ",\n";
     os << "    \"unique_valid_designs\": " << st.unique_valid_designs
@@ -125,7 +122,6 @@ void write_explore_json(std::ostream& os, const ExploreResult& result,
            << ", \"routing\": "
            << json_quote(routing::routing_to_string(gp.routing))
            << ", \"phase_used\": " << json_quote(pr.result.phase_used)
-           << ", \"cache_hit\": " << (pr.cache_hit ? "true" : "false")
            << ", \"designs\": "
            << static_cast<int>(pr.result.points.size())
            << ", \"valid\": " << pr.result.num_valid()

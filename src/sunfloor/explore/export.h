@@ -15,9 +15,9 @@ namespace sunfloor {
 /// Columns: point, freq_mhz, max_tsvs, link_width_bits, phase, theta,
 /// routing, switches, valid, power_mw, latency_cycles, sim_latency_cycles
 /// (-1 unless the design was simulated), area_mm2, tsvs, pareto,
-/// cache_hit, fail_reason. The exact format (column order, escaping,
-/// float rendering) is pinned by tests/export_golden_test.cpp — extend
-/// that golden data when changing anything here.
+/// fail_reason. The exact format (column order, escaping, float
+/// rendering) is pinned by tests/export_golden_test.cpp — extend that
+/// golden data when changing anything here.
 Table explore_table(const ExploreResult& result);
 
 /// explore_table written as CSV. Returns false on I/O error.

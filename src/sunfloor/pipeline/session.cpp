@@ -423,7 +423,7 @@ std::shared_ptr<const PartitionArtifact> SynthesisSession::partition(
     const std::string key =
         format("pt|%s|%s|k=%d|r=%s", graph.key().c_str(),
                partition_cfg_key(cfg, opts).c_str(), k, rng_in.key().c_str());
-    if (opts_.cache_partitions) {
+    {
         util::MutexLock lock(mu_);
         auto it = partitions_.find(key);
         if (it != partitions_.end()) {
@@ -439,7 +439,6 @@ std::shared_ptr<const PartitionArtifact> SynthesisSession::partition(
                 auto sp = std::make_shared<const PartitionArtifact>(
                     std::move(*art));
                 util::MutexLock lock(mu_);
-                if (!opts_.cache_partitions) return sp;
                 return partitions_.emplace(key, std::move(sp)).first->second;
             }
         }
@@ -464,7 +463,6 @@ std::shared_ptr<const PartitionArtifact> SynthesisSession::partition(
         opts_.cas->put(cas_prefix_ + key, cas::encode_partition(*artifact));
 
     util::MutexLock lock(mu_);
-    if (!opts_.cache_partitions) return artifact;
     // Two threads may have raced on the same key; both values are
     // bit-identical, keep the first inserted.
     return partitions_.emplace(key, std::move(artifact)).first->second;
@@ -473,7 +471,7 @@ std::shared_ptr<const PartitionArtifact> SynthesisSession::partition(
 std::shared_ptr<const RoutingArtifact> SynthesisSession::route(
     const AssignmentArtifact& assign, const SynthesisConfig& cfg) {
     const std::string key = "rt|" + assign.key + "|" + routing_cfg_key(cfg);
-    if (opts_.cache_designs) {
+    {
         util::MutexLock lock(mu_);
         auto it = routings_.find(key);
         if (it != routings_.end()) {
@@ -489,7 +487,6 @@ std::shared_ptr<const RoutingArtifact> SynthesisSession::route(
                 auto sp = std::make_shared<const RoutingArtifact>(
                     std::move(*art));
                 util::MutexLock lock(mu_);
-                if (!opts_.cache_designs) return sp;
                 return routings_.emplace(key, std::move(sp)).first->second;
             }
         }
@@ -505,7 +502,6 @@ std::shared_ptr<const RoutingArtifact> SynthesisSession::route(
         opts_.cas->put(cas_prefix_ + key, cas::encode_routing(*artifact));
 
     util::MutexLock lock(mu_);
-    if (!opts_.cache_designs) return artifact;
     return routings_.emplace(key, std::move(artifact)).first->second;
 }
 
@@ -521,7 +517,7 @@ std::shared_ptr<const PlacementArtifact> SynthesisSession::place(
     const std::string key = "pl|" + std::string(kPlacementSolverTag) + "|" +
                             topology_fingerprint(routed.topo) + "|" +
                             placement_cfg_key(cfg);
-    if (opts_.cache_designs) {
+    {
         util::MutexLock lock(mu_);
         auto it = placements_.find(key);
         if (it != placements_.end()) {
@@ -537,7 +533,6 @@ std::shared_ptr<const PlacementArtifact> SynthesisSession::place(
                 auto sp = std::make_shared<const PlacementArtifact>(
                     std::move(*art));
                 util::MutexLock lock(mu_);
-                if (!opts_.cache_designs) return sp;
                 return placements_.emplace(key, std::move(sp)).first->second;
             }
         }
@@ -557,7 +552,7 @@ std::shared_ptr<const PlacementArtifact> SynthesisSession::place(
             build_switch_placement_problem(artifact->topo, spec_);
         const std::string lp_key = placement_problem_key(problem);
         std::shared_ptr<const PlacementResult> solution;
-        if (opts_.cache_designs) {
+        {
             util::MutexLock lock(mu_);
             auto it = lp_solutions_.find(lp_key);
             if (it != lp_solutions_.end()) {
@@ -574,11 +569,8 @@ std::shared_ptr<const PlacementArtifact> SynthesisSession::place(
             m_position_lp_.misses->add();
             m_position_lp_.compute_ms->add(ms_since(lp_t0));
             util::MutexLock lock(mu_);
-            solution =
-                opts_.cache_designs
-                    ? lp_solutions_.emplace(lp_key, std::move(computed))
-                          .first->second
-                    : std::move(computed);
+            solution = lp_solutions_.emplace(lp_key, std::move(computed))
+                           .first->second;
         }
         for (int s = 0; s < artifact->topo.num_switches(); ++s)
             artifact->topo.switch_at(s).position =
@@ -603,7 +595,6 @@ std::shared_ptr<const PlacementArtifact> SynthesisSession::place(
         opts_.cas->put(cas_prefix_ + key, cas::encode_placement(*artifact));
 
     util::MutexLock lock(mu_);
-    if (!opts_.cache_designs) return artifact;
     return placements_.emplace(key, std::move(artifact)).first->second;
 }
 
@@ -616,7 +607,7 @@ std::shared_ptr<const EvaluatedDesign> SynthesisSession::evaluate(
     // content.
     const std::string key = "ev|" + topology_fingerprint(placed.topo) + "|" +
                             placement_cfg_key(cfg) + "|" + eval_cfg_key(cfg);
-    if (opts_.cache_designs) {
+    {
         util::MutexLock lock(mu_);
         auto it = evaluations_.find(key);
         if (it != evaluations_.end()) {
@@ -632,7 +623,6 @@ std::shared_ptr<const EvaluatedDesign> SynthesisSession::evaluate(
                 auto sp = std::make_shared<const EvaluatedDesign>(
                     std::move(*art));
                 util::MutexLock lock(mu_);
-                if (!opts_.cache_designs) return sp;
                 return evaluations_.emplace(key, std::move(sp)).first->second;
             }
         }
@@ -648,7 +638,6 @@ std::shared_ptr<const EvaluatedDesign> SynthesisSession::evaluate(
         opts_.cas->put(cas_prefix_ + key, cas::encode_evaluation(*artifact));
 
     util::MutexLock lock(mu_);
-    if (!opts_.cache_designs) return artifact;
     return evaluations_.emplace(key, std::move(artifact)).first->second;
 }
 

@@ -480,8 +480,8 @@ JobResult execute_explore(
     opts.base_seed = static_cast<std::uint64_t>(p.seed);
 
     // A fresh Explorer per job on the *shared* session: stage artifacts
-    // stay warm across jobs, while the per-point cache starts cold so the
-    // exported cache_hit column matches a one-shot run byte for byte.
+    // stay warm across jobs, and the exported CSV matches a one-shot run
+    // byte for byte because reuse is bit-transparent.
     const Explorer explorer(session, cfg, opts);
     const ExploreResult res = explorer.run(grid);
 

@@ -36,9 +36,6 @@
 //   --routing <p>[,...]       routing-policy axis        (default up-down)
 //   --alpha <0..1>            PG bandwidth/latency blend (default 1.0)
 //   --threads <n>             worker threads; 0 = all cores (default 0)
-//   --no-cache                disable the evaluation cache
-//   --no-stage-reuse          recompute every pipeline stage per point
-//                             (disables cross-point artifact reuse)
 //   --backend <analytic|sim>  Pareto ranking backend     (default analytic)
 //   --rate <scale>            sim backend: injection scale (default 1.0)
 //   --traffic <kind>          sim backend: uniform|bursty|hotspot
@@ -160,8 +157,8 @@ int usage(const char* argv0) {
                  "[--freq MHz[,...]] [--max-tsvs N[,...]] [--width B[,...]] "
                  "[--phase auto|1|2[,...]] [--theta V[,...]] "
                  "[--routing P[,...]] [--alpha A] "
-                 "[--threads N] [--seed N] [--no-floorplan] [--no-cache] "
-                 "[--no-stage-reuse] [--backend analytic|sim] [--rate S] "
+                 "[--threads N] [--seed N] [--no-floorplan] "
+                 "[--backend analytic|sim] [--rate S] "
                  "[--traffic uniform|bursty|hotspot] [--packet-len N] "
                  "[--shards N] [--shard-transport inproc|socket] "
                  "[--shard-addrs A[,A...]] [--cas dir] [--cas-max-bytes N] "
@@ -541,10 +538,6 @@ int run_explore(int argc, char** argv) {
             opts.base_seed = static_cast<std::uint64_t>(seed);
         } else if (arg == "--no-floorplan") {
             cfg.run_floorplan = false;
-        } else if (arg == "--no-cache") {
-            opts.use_cache = false;
-        } else if (arg == "--no-stage-reuse") {
-            opts.reuse_stages = false;
         } else if (arg == "--backend") {
             const char* v = next();
             if (!v) return usage(argv[0]);
@@ -727,26 +720,21 @@ int run_explore(int argc, char** argv) {
     if (!sinks.finish()) return 1;
 
     const auto& st = res.stats;
-    std::printf(
-        "\nexplored %d points on %d thread(s) in %.0f ms "
-        "(%d evaluated, %d cache hits)\n",
-        st.total_points, st.num_threads, st.elapsed_ms, st.evaluated_points,
-        st.cache_hits);
+    std::printf("\nexplored %d points on %d thread(s) in %.0f ms\n",
+                st.total_points, st.num_threads, st.elapsed_ms);
     std::printf("%d/%d valid designs, global Pareto front: %d points\n",
                 st.valid_designs, st.total_designs, st.pareto_size);
     const auto& sg = st.stage;
-    if (sg.partition.calls() + sg.routing.calls() > 0)
-        std::printf(
-            "stage reuse: partition %lld/%lld hits (%.0f ms computing), "
-            "routing %lld/%lld (%.0f ms), placement %lld/%lld (%.0f ms, "
-            "LP %lld/%lld, %.0f ms), evaluation %lld/%lld (%.0f ms)\n",
-            sg.partition.hits, sg.partition.calls(),
-            sg.partition.compute_ms, sg.routing.hits, sg.routing.calls(),
-            sg.routing.compute_ms, sg.placement.hits, sg.placement.calls(),
-            sg.placement.compute_ms, sg.position_lp.hits,
-            sg.position_lp.calls(), sg.position_lp.compute_ms,
-            sg.evaluation.hits, sg.evaluation.calls(),
-            sg.evaluation.compute_ms);
+    std::printf(
+        "stage reuse: partition %lld/%lld hits (%.0f ms computing), "
+        "routing %lld/%lld (%.0f ms), placement %lld/%lld (%.0f ms, "
+        "LP %lld/%lld, %.0f ms), evaluation %lld/%lld (%.0f ms)\n",
+        sg.partition.hits, sg.partition.calls(), sg.partition.compute_ms,
+        sg.routing.hits, sg.routing.calls(), sg.routing.compute_ms,
+        sg.placement.hits, sg.placement.calls(), sg.placement.compute_ms,
+        sg.position_lp.hits, sg.position_lp.calls(),
+        sg.position_lp.compute_ms, sg.evaluation.hits, sg.evaluation.calls(),
+        sg.evaluation.compute_ms);
     const bool simulated = st.backend == EvalBackend::Simulated;
     if (simulated)
         std::printf("simulated %d designs (%s traffic, rate %.2f, "

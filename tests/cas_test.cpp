@@ -9,14 +9,18 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "sunfloor/cas/bincode.h"
 #include "sunfloor/cas/codec.h"
 #include "sunfloor/cas/store.h"
 #include "sunfloor/core/synthesizer.h"
@@ -419,6 +423,7 @@ TEST(CasCodec, MalformedBlobsDecodeToNullopt) {
         cas::encode_partition(*part),
         cas::encode_assignment(assign),
         cas::encode_routing(routed),
+        cas::encode_placement(pipeline::PlacementArtifact(routed.topo)),
         cas::encode_evaluation(evaluated),
     };
     for (const std::string& blob : blobs) {
@@ -439,6 +444,41 @@ TEST(CasCodec, MalformedBlobsDecodeToNullopt) {
         EXPECT_FALSE(cas::decode_routing(noisy, spec).has_value());
         EXPECT_FALSE(cas::decode_placement(noisy, spec).has_value());
         EXPECT_FALSE(cas::decode_evaluation(noisy, spec).has_value());
+    }
+
+    // A topology's switch or link count raised to INT_MAX is a clean miss,
+    // never an allocation sized by the untrusted count. The topology
+    // follows the tag byte of a routing or placement blob, and the tag,
+    // phase string, switch count and theta of an evaluation blob.
+    const Topology& topo = routed.topo;
+    const std::size_t switches_at =
+        4 + 20 * static_cast<std::size_t>(topo.num_cores());
+    std::size_t links_at = switches_at + 4;
+    for (int sw = 0; sw < topo.num_switches(); ++sw)
+        links_at += 4 + topo.switch_at(sw).name.size() + 20;
+    const std::pair<std::string, std::size_t> carriers[] = {
+        {blobs[2], 1},
+        {blobs[3], 1},
+        {blobs[4], 1 + 4 + evaluated.point.phase.size() + 12},
+    };
+    const std::pair<std::size_t, int> counts[] = {
+        {switches_at, topo.num_switches()},
+        {links_at, topo.num_links()},
+    };
+    cas::Enc int_max;
+    int_max.i32(INT_MAX);
+    const std::string inflated_count = int_max.take();
+    for (const auto& [blob, topo_at] : carriers) {
+        for (const auto& [count_at, count] : counts) {
+            const std::size_t at = topo_at + count_at;
+            ASSERT_EQ(cas::Dec(std::string_view(blob).substr(at, 4)).i32(),
+                      count);
+            std::string inflated = blob;
+            inflated.replace(at, 4, inflated_count);
+            EXPECT_FALSE(cas::decode_routing(inflated, spec).has_value());
+            EXPECT_FALSE(cas::decode_placement(inflated, spec).has_value());
+            EXPECT_FALSE(cas::decode_evaluation(inflated, spec).has_value());
+        }
     }
 }
 

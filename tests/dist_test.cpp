@@ -5,6 +5,7 @@
 // (retry, worker retirement, typed failures).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "sunfloor/cas/bincode.h"
 #include "sunfloor/dist/coordinator.h"
 #include "sunfloor/dist/protocol.h"
 #include "sunfloor/dist/shard.h"
@@ -96,6 +98,13 @@ std::string normalized_json(const ExploreResult& r, const std::string& name) {
 
 long long counter(const char* name) {
     return obs::Registry::global().counter(name).value();
+}
+
+/// Overwrite the little-endian u32 at byte `at` of a payload.
+void patch_u32(std::string& bytes, std::size_t at, std::uint32_t v) {
+    cas::Enc e;
+    e.u32(v);
+    bytes.replace(at, 4, e.take());
 }
 
 /// Throws a Transport DistError for the first `fail_first` run() calls,
@@ -207,17 +216,53 @@ TEST(DistProtocol, ShardRequestRoundTripsCompletely) {
     // byte — the same fixed-point property the CAS codec holds.
     EXPECT_EQ(dist::encode_shard_request(out), payload);
 
-    // A tampered version word (first payload byte) is a clean decode
-    // error, not a misread.
-    std::string wrong = payload;
-    wrong[0] = static_cast<char>(wrong[0] ^ 0x7f);
-    EXPECT_FALSE(dist::decode_shard_request(wrong, out, err));
+    // A version-1 payload (before the point-cache option bytes were
+    // dropped) is a clean decode error, not a misread of shifted fields.
+    std::string v1 = payload;
+    patch_u32(v1, 0, 1);
+    EXPECT_FALSE(dist::decode_shard_request(v1, out, err));
+    EXPECT_NE(err.find("bad version"), std::string::npos) << err;
     // Truncations too.
     for (const std::size_t cut :
          {std::size_t{0}, std::size_t{3}, payload.size() / 2,
           payload.size() - 1})
         EXPECT_FALSE(
             dist::decode_shard_request(payload.substr(0, cut), out, err));
+
+    // An inflated point count fails in the point loop, never on an
+    // allocation sized by the untrusted count. With no points encoded the
+    // count sits just before the cas_dir string and cas_max_bytes.
+    dist::ShardRequest no_points = req;
+    no_points.points.clear();
+    std::string inflated = dist::encode_shard_request(no_points);
+    patch_u32(inflated, inflated.size() - 8 - (4 + req.cas_dir.size()) - 4,
+              0xFFFFFFFFu);
+    EXPECT_FALSE(dist::decode_shard_request(inflated, out, err));
+    EXPECT_NE(err.find("grid point"), std::string::npos) << err;
+}
+
+TEST(DistProtocol, ShardResponseRejectsVersionOneAndInflatedCounts) {
+    // An empty response: version, tag, the point and front counts, and
+    // five stage-counter triples.
+    dist::ShardResponse resp;
+    resp.stage.partition = {3, 2, 1.5};
+    const std::string payload = dist::encode_shard_response(resp);
+    ASSERT_EQ(payload.size(), 133u);
+    dist::ShardResponse out;
+    std::string err;
+    ASSERT_TRUE(dist::decode_shard_response(payload, out, err)) << err;
+    EXPECT_EQ(out.stage.partition.hits, 3);
+
+    std::string v1 = payload;
+    patch_u32(v1, 0, 1);
+    EXPECT_FALSE(dist::decode_shard_response(v1, out, err));
+    EXPECT_NE(err.find("bad version"), std::string::npos) << err;
+    // The point count (after the 5-byte header), then the front count.
+    for (const std::size_t at : {std::size_t{5}, std::size_t{9}}) {
+        std::string inflated = payload;
+        patch_u32(inflated, at, 0xFFFFFFFFu);
+        EXPECT_FALSE(dist::decode_shard_response(inflated, out, err)) << at;
+    }
 }
 
 TEST(DistProtocol, FramesParseBothDirections) {

@@ -1,10 +1,15 @@
-// Exploration engine: determinism across thread counts, cache accounting,
+// Exploration engine: determinism across thread counts, repeated points,
 // Pareto merge and exporters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <sstream>
+#include <vector>
 
+#include "sunfloor/cas/codec.h"
+#include "sunfloor/dist/coordinator.h"
 #include "sunfloor/explore/explorer.h"
 #include "sunfloor/explore/export.h"
 #include "sunfloor/spec/benchmarks.h"
@@ -34,8 +39,7 @@ bool bitwise_equal(double a, double b) {
 }
 
 /// Bit-exact equality of the synthesis outcomes and the merged Pareto
-/// front (but not of provenance flags like cache_hit, which legitimately
-/// differ between cold and warm runs).
+/// front.
 void expect_same_results(const ExploreResult& a, const ExploreResult& b) {
     ASSERT_EQ(a.points.size(), b.points.size());
     for (std::size_t i = 0; i < a.points.size(); ++i) {
@@ -67,14 +71,26 @@ void expect_same_results(const ExploreResult& a, const ExploreResult& b) {
 }
 
 /// expect_same_results plus byte-identical exported artifacts (the CSV
-/// carries no timing or thread-count information, so two runs with the
-/// same cache behaviour must serialize identically).
+/// carries no timing or thread-count information, so two runs of the
+/// same points must serialize identically).
 void expect_identical(const ExploreResult& a, const ExploreResult& b) {
     expect_same_results(a, b);
     std::ostringstream ca, cb;
     explore_table(a).write_csv(ca);
     explore_table(b).write_csv(cb);
     EXPECT_EQ(ca.str(), cb.str());
+}
+
+/// Every byte of every design (cas::encode_evaluation serializes the
+/// complete DesignPoint, doubles as bit patterns).
+void expect_bit_identical(const SynthesisResult& a, const SynthesisResult& b) {
+    const auto bytes = [](const DesignPoint& dp) {
+        return cas::encode_evaluation(pipeline::EvaluatedDesign(dp));
+    };
+    EXPECT_EQ(a.phase_used, b.phase_used);
+    ASSERT_EQ(a.points.size(), b.points.size());
+    for (std::size_t d = 0; d < a.points.size(); ++d)
+        EXPECT_EQ(bytes(a.points[d]), bytes(b.points[d])) << "design " << d;
 }
 
 TEST(Explorer, ParallelRunsBitIdenticalToSerial) {
@@ -94,6 +110,8 @@ TEST(Explorer, ParallelRunsBitIdenticalToSerial) {
             const ExploreResult got =
                 Explorer(spec, fast_cfg(), par).run(grid);
             expect_identical(ref, got);
+            // Never more workers than the grid's 4 points.
+            EXPECT_EQ(got.stats.num_threads, std::min(threads, 4));
         }
     }
 }
@@ -114,85 +132,76 @@ TEST(Explorer, SeedChangesResultsDeterministically) {
     EXPECT_NE(ra1.points[0].seed, rb.points[0].seed);
 }
 
-TEST(Explorer, DuplicateAxisValuesHitTheCache) {
+TEST(Explorer, DuplicateAxisValuesYieldIdenticalCopies) {
+    // Three copies of one architectural point. Each copy runs through the
+    // shared session, which serves the later ones from its stage caches.
     const DesignSpec spec = make_benchmark("D_36_4");
+    constexpr int kCopies = 3;
     ParamGrid grid;
     grid.set_axis(ParamAxis::max_tsvs({25, 25, 25}));
     grid.set_axis(ParamAxis::thetas({4.0}));
 
-    const Explorer explorer(spec, fast_cfg());
+    ExploreOptions serial;
+    serial.num_threads = 1;
+    const Explorer explorer(spec, fast_cfg(), serial);
     const ExploreResult res = explorer.run(grid);
-    EXPECT_EQ(res.stats.total_points, 3);
-    EXPECT_EQ(res.stats.evaluated_points, 1);
-    EXPECT_EQ(res.stats.cache_hits, 2);
-    EXPECT_FALSE(res.points[0].cache_hit);
-    EXPECT_TRUE(res.points[1].cache_hit);
-    EXPECT_TRUE(res.points[2].cache_hit);
-    // Duplicates carry the evaluated result.
-    EXPECT_EQ(res.points[1].result.points.size(),
-              res.points[0].result.points.size());
-    EXPECT_EQ(explorer.cache_size(), 1u);
+    ASSERT_EQ(res.stats.total_points, kCopies);
+    ASSERT_GT(res.stats.unique_valid_designs, 0);
+    // Every copy, in every run below, carries the first copy's bytes.
+    const auto expect_copies = [&](const ExploreResult& r) {
+        ASSERT_EQ(r.points.size(), res.points.size());
+        for (const ExplorePointResult& pr : r.points) {
+            EXPECT_EQ(pr.seed, res.points[0].seed);
+            expect_bit_identical(res.points[0].result, pr.result);
+        }
+    };
+    expect_copies(res);
 
-    // Duplicate points must not inflate the global front with tied
-    // copies: the front only references the first occurrence.
+    // Copies must not inflate the global front with tied designs: it
+    // names only the first occurrence, and is the single point's front.
     ParamGrid single;
     single.set_axis(ParamAxis::thetas({4.0}));
-    const ExploreResult one = explorer.run(single);
+    const ExploreResult one = Explorer(spec, fast_cfg(), serial).run(single);
     EXPECT_EQ(res.pareto.size(), one.pareto.size());
     for (const auto& e : res.pareto) EXPECT_EQ(e.point_index, 0);
-    EXPECT_EQ(res.points[1].pareto_survivors, 0);
+    EXPECT_EQ(res.points[0].pareto_survivors, res.stats.pareto_size);
     // Dominance stats count unique architectures, not the copies.
-    EXPECT_EQ(res.stats.valid_designs, 3 * res.stats.unique_valid_designs);
+    EXPECT_EQ(res.stats.valid_designs,
+              kCopies * res.stats.unique_valid_designs);
     EXPECT_EQ(res.stats.dominated_designs,
               res.stats.unique_valid_designs - res.stats.pareto_size);
-}
 
-TEST(Explorer, CachePersistsAcrossRuns) {
-    const DesignSpec spec = make_benchmark("D_36_4");
-    ParamGrid grid;
-    grid.set_axis(ParamAxis::thetas({4.0}));
+    // Four threads race on the copies (one worker per point at most) ...
+    ExploreOptions par;
+    par.num_threads = 4;
+    const ExploreResult threaded = Explorer(spec, fast_cfg(), par).run(grid);
+    EXPECT_EQ(threaded.stats.num_threads, kCopies);
+    expect_copies(threaded);
+    expect_identical(res, threaded);
 
-    const Explorer explorer(spec, fast_cfg());
-    const ExploreResult first = explorer.run(grid);
-    EXPECT_EQ(first.stats.evaluated_points, 1);
-    EXPECT_EQ(first.stats.cache_hits, 0);
+    // ... and two shards split them (copies 0-1 and copy 2).
+    const std::vector<std::shared_ptr<dist::ShardTransport>> workers = {
+        std::make_shared<dist::InprocTransport>(),
+        std::make_shared<dist::InprocTransport>(),
+    };
+    dist::DistOptions dopts;
+    dopts.shards = 2;
+    const ExploreResult sharded = dist::distribute_explore(
+        spec, fast_cfg(), serial, grid.enumerate(), workers, dopts);
+    expect_copies(sharded);
+    expect_identical(res, sharded);
 
-    const ExploreResult second = explorer.run(grid);
-    EXPECT_EQ(second.stats.evaluated_points, 0);
-    EXPECT_EQ(second.stats.cache_hits, 1);
-    EXPECT_TRUE(second.points[0].cache_hit);
-    expect_same_results(first, second);
-}
-
-TEST(Explorer, NoCacheEvaluatesEverything) {
-    const DesignSpec spec = make_benchmark("D_36_4");
-    ParamGrid grid;
-    grid.set_axis(ParamAxis::max_tsvs({25, 25}));
-    grid.set_axis(ParamAxis::thetas({4.0}));
-
-    ExploreOptions opts;
-    opts.use_cache = false;
-    const Explorer explorer(spec, fast_cfg(), opts);
-    const ExploreResult res = explorer.run(grid);
-    EXPECT_EQ(res.stats.evaluated_points, 2);
-    EXPECT_EQ(res.stats.cache_hits, 0);
-    EXPECT_EQ(explorer.cache_size(), 0u);
-    // The two independent evaluations of the identical architectural
-    // point must agree bit for bit — the seed comes from the point key,
-    // not from the cache or the worker.
-    EXPECT_EQ(res.points[0].seed, res.points[1].seed);
-    const auto& r0 = res.points[0].result;
-    const auto& r1 = res.points[1].result;
-    EXPECT_EQ(r0.phase_used, r1.phase_used);
-    ASSERT_EQ(r0.points.size(), r1.points.size());
-    for (std::size_t d = 0; d < r0.points.size(); ++d) {
-        EXPECT_EQ(r0.points[d].valid, r1.points[d].valid);
-        EXPECT_TRUE(bitwise_equal(r0.points[d].report.power.total_mw(),
-                                  r1.points[d].report.power.total_mw()));
-        EXPECT_TRUE(
-            bitwise_equal(r0.points[d].report.avg_latency_cycles,
-                          r1.points[d].report.avg_latency_cycles));
-    }
+    // A rerun on the same Explorer recomputes no stage at all.
+    const ExploreResult rerun = explorer.run(grid);
+    expect_copies(rerun);
+    expect_identical(res, rerun);
+    const pipeline::SessionStats& sg = rerun.stats.stage;
+    EXPECT_GT(sg.partition.hits, 0);
+    EXPECT_EQ(sg.partition.misses, 0);
+    EXPECT_EQ(sg.routing.misses, 0);
+    EXPECT_EQ(sg.placement.misses, 0);
+    EXPECT_EQ(sg.position_lp.misses, 0);
+    EXPECT_EQ(sg.evaluation.misses, 0);
 }
 
 TEST(Explorer, StatsAndDominanceAreConsistent) {
@@ -202,7 +211,6 @@ TEST(Explorer, StatsAndDominanceAreConsistent) {
 
     const auto& st = res.stats;
     EXPECT_EQ(st.total_points, 4);
-    EXPECT_EQ(st.evaluated_points + st.cache_hits, st.total_points);
     EXPECT_GE(st.total_designs, st.valid_designs);
     EXPECT_EQ(st.unique_valid_designs, st.valid_designs);  // no duplicates
     EXPECT_EQ(st.pareto_size, static_cast<int>(res.pareto.size()));
@@ -242,7 +250,7 @@ TEST(ExploreExport, TableHasOneRowPerDesign) {
 
     const Table t = explore_table(res);
     EXPECT_EQ(t.num_rows(), static_cast<std::size_t>(res.stats.total_designs));
-    EXPECT_EQ(t.num_cols(), 17u);
+    EXPECT_EQ(t.num_cols(), 16u);
     std::ostringstream os;
     t.write_csv(os);
     EXPECT_NE(os.str().find("freq_mhz"), std::string::npos);

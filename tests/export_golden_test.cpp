@@ -8,6 +8,13 @@
 // `capacity_violations` JSON point fields; the ModuloAddedFields tests
 // prove the default-policy documents are still byte-identical to the
 // pre-redesign goldens once those additions are stripped back out.
+//
+// Removing the Explorer's point cache later dropped the per-point
+// cache-hit flag (the CSV column before fail_reason and the JSON point
+// field) and the two point-cache counters from the JSON stats. Every
+// golden below, the pre-redesign ones included, was re-pinned without
+// them; nothing else moved. The explore exports carry no schema version,
+// so these strings are the format's version record.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -67,7 +74,6 @@ ExploreResult golden_result(bool with_sim) {
     pr.result.points.push_back(failed);
     pr.result.phase_used = "phase1";
     pr.seed = 1;
-    pr.cache_hit = false;
     pr.pareto_survivors = 1;
     if (with_sim) {
         pr.sim_reports.resize(2);
@@ -82,8 +88,6 @@ ExploreResult golden_result(bool with_sim) {
     res.points.push_back(std::move(pr));
     res.pareto.push_back({0, 0});
     res.stats.total_points = 1;
-    res.stats.evaluated_points = 1;
-    res.stats.cache_hits = 0;
     res.stats.total_designs = 2;
     res.stats.valid_designs = 1;
     res.stats.unique_valid_designs = 1;
@@ -141,9 +145,9 @@ std::string strip_json_field(std::string json, const std::string& name) {
 const char* const kCsvGolden =
     "point,freq_mhz,max_tsvs,link_width_bits,phase,theta,routing,switches,"
     "valid,power_mw,latency_cycles,sim_latency_cycles,area_mm2,tsvs,"
-    "pareto,cache_hit,fail_reason\n"
-    "0,400,25,32,auto,4,up-down,3,1,13,2.125,-1,0.8125,12,1,0,\n"
-    "0,400,25,32,auto,4,up-down,4,0,0,0,-1,0,0,0,0,"
+    "pareto,fail_reason\n"
+    "0,400,25,32,auto,4,up-down,3,1,13,2.125,-1,0.8125,12,1,\n"
+    "0,400,25,32,auto,4,up-down,4,0,0,0,-1,0,0,0,"
     "\"routing failed, \"\"req\"\" class\"\n";
 
 TEST(ExportGolden, CsvByteExact) {
@@ -159,23 +163,23 @@ TEST(ExportGolden, CsvSimLatencyColumn) {
         "point,freq_mhz,max_tsvs,link_width_bits,phase,theta,routing,"
         "switches,"
         "valid,power_mw,latency_cycles,sim_latency_cycles,area_mm2,tsvs,"
-        "pareto,cache_hit,fail_reason\n"
-        "0,400,25,32,auto,4,up-down,3,1,13,2.125,3.25,0.8125,12,1,0,\n"
-        "0,400,25,32,auto,4,up-down,4,0,0,0,-1,0,0,0,0,"
+        "pareto,fail_reason\n"
+        "0,400,25,32,auto,4,up-down,3,1,13,2.125,3.25,0.8125,12,1,\n"
+        "0,400,25,32,auto,4,up-down,4,0,0,0,-1,0,0,0,"
         "\"routing failed, \"\"req\"\" class\"\n";
     EXPECT_EQ(os.str(), expected);
 }
 
 TEST(ExportGolden, CsvModuloAddedFieldMatchesPreRedesignGolden) {
-    // The pre-redesign CSV golden, verbatim: dropping the added `routing`
-    // column (index 6) from today's default-policy document must
-    // reproduce it byte for byte.
+    // The pre-redesign CSV golden, minus the removed cache-hit column:
+    // dropping the added `routing` column (index 6) from today's
+    // default-policy document must reproduce it byte for byte.
     const std::string pre_redesign =
         "point,freq_mhz,max_tsvs,link_width_bits,phase,theta,switches,"
         "valid,power_mw,latency_cycles,sim_latency_cycles,area_mm2,tsvs,"
-        "pareto,cache_hit,fail_reason\n"
-        "0,400,25,32,auto,4,3,1,13,2.125,-1,0.8125,12,1,0,\n"
-        "0,400,25,32,auto,4,4,0,0,0,-1,0,0,0,0,"
+        "pareto,fail_reason\n"
+        "0,400,25,32,auto,4,3,1,13,2.125,-1,0.8125,12,1,\n"
+        "0,400,25,32,auto,4,4,0,0,0,-1,0,0,0,"
         "\"routing failed, \"\"req\"\" class\"\n";
     std::ostringstream os;
     explore_table(golden_result(false)).write_csv(os);
@@ -196,8 +200,6 @@ const char* const kJsonGolden =
         "  \"design\": \"D \\\"golden\\\"\",\n"
         "  \"stats\": {\n"
         "    \"total_points\": 1,\n"
-        "    \"evaluated_points\": 1,\n"
-        "    \"cache_hits\": 0,\n"
         "    \"total_designs\": 2,\n"
         "    \"valid_designs\": 1,\n"
         "    \"unique_valid_designs\": 1,\n"
@@ -225,7 +227,7 @@ const char* const kJsonGolden =
     " theta=4\", \"freq_hz\": 400000000, \"max_tsvs\": 25,"
     " \"link_width_bits\": 32, \"phase\": \"auto\", \"theta\": 4,"
     " \"routing\": \"up-down\","
-    " \"phase_used\": \"phase1\", \"cache_hit\": false,"
+    " \"phase_used\": \"phase1\","
     " \"designs\": 2, \"valid\": 1, \"capacity_violations\": 2,"
     " \"pareto_survivors\": 1}\n"
     "  ],\n"
@@ -243,18 +245,16 @@ TEST(ExportGolden, JsonByteExact) {
 }
 
 TEST(ExportGolden, JsonModuloAddedFieldsMatchesPreRedesignGolden) {
-    // The pre-redesign JSON golden, verbatim: stripping the two added
-    // point fields (`routing`, `capacity_violations`) from today's
-    // default-policy document must reproduce it byte for byte. The
-    // default-policy label in particular is unchanged (non-default
-    // policies append " routing=<name>").
+    // The pre-redesign JSON golden, minus the removed point-cache fields:
+    // stripping the two added point fields (`routing`,
+    // `capacity_violations`) from today's default-policy document must
+    // reproduce it byte for byte. The default-policy label in particular
+    // is unchanged (non-default policies append " routing=<name>").
     const std::string pre_redesign =
         "{\n"
         "  \"design\": \"D \\\"golden\\\"\",\n"
         "  \"stats\": {\n"
         "    \"total_points\": 1,\n"
-        "    \"evaluated_points\": 1,\n"
-        "    \"cache_hits\": 0,\n"
         "    \"total_designs\": 2,\n"
         "    \"valid_designs\": 1,\n"
         "    \"unique_valid_designs\": 1,\n"
@@ -281,7 +281,7 @@ TEST(ExportGolden, JsonModuloAddedFieldsMatchesPreRedesignGolden) {
         "    {\"point\": 0, \"label\": \"f=400MHz tsv=25 w=32 phase=auto"
         " theta=4\", \"freq_hz\": 400000000, \"max_tsvs\": 25,"
         " \"link_width_bits\": 32, \"phase\": \"auto\", \"theta\": 4,"
-        " \"phase_used\": \"phase1\", \"cache_hit\": false,"
+        " \"phase_used\": \"phase1\","
         " \"designs\": 2, \"valid\": 1, \"pareto_survivors\": 1}\n"
         "  ],\n"
         "  \"pareto\": [\n"

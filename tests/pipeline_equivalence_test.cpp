@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <sstream>
+#include <vector>
 
 #include "sunfloor/explore/explorer.h"
 #include "sunfloor/explore/export.h"
@@ -60,8 +61,7 @@ void expect_same_results(const SynthesisResult& a, const SynthesisResult& b) {
 }
 
 /// Explorer results (synthesis outcomes, sim reports, merged front) must
-/// be bit-identical between two runs, whatever their thread count or
-/// reuse mode.
+/// be bit-identical between two runs, whatever their thread count.
 void expect_same_explore(const ExploreResult& a, const ExploreResult& b) {
     ASSERT_EQ(a.points.size(), b.points.size());
     for (std::size_t i = 0; i < a.points.size(); ++i) {
@@ -94,22 +94,26 @@ void expect_same_explore(const ExploreResult& a, const ExploreResult& b) {
 
 TEST(PipelineEquivalence, SessionMatchesFromScratchAtEveryGridPoint) {
     const DesignSpec spec = make_benchmark("D_36_4");
-    ExploreOptions opts;
-    opts.num_threads = 1;
-    const Explorer explorer(spec, fast_cfg(), opts);
-    const ExploreResult res = explorer.run(full_grid());
-    EXPECT_GT(res.stats.valid_designs, 0);
-
-    for (const auto& pr : res.points) {
-        SynthesisConfig cfg = pr.point.apply(fast_cfg());
-        cfg.seed = pr.synth_seed;
-        const SynthesisResult scratch =
-            run_synthesis(spec, cfg, pr.point.phase);
-        expect_same_results(pr.result, scratch);
+    std::vector<SynthesisResult> scratch;
+    for (const GridPoint& p : full_grid().enumerate()) {
+        SynthesisConfig cfg = p.apply(fast_cfg());
+        cfg.seed = explore_point_seed(ExploreOptions{}.base_seed,
+                                      p.partition_key());
+        scratch.push_back(run_synthesis(spec, cfg, p.phase));
+    }
+    for (int threads : {1, 4}) {
+        ExploreOptions opts;
+        opts.num_threads = threads;
+        const ExploreResult res =
+            Explorer(spec, fast_cfg(), opts).run(full_grid());
+        EXPECT_GT(res.stats.valid_designs, 0);
+        ASSERT_EQ(res.points.size(), scratch.size());
+        for (std::size_t i = 0; i < scratch.size(); ++i)
+            expect_same_results(res.points[i].result, scratch[i]);
     }
 }
 
-TEST(PipelineEquivalence, ThreadCountsAndReuseModesAgreeAnalytic) {
+TEST(PipelineEquivalence, ThreadCountsAgreeAnalytic) {
     const DesignSpec spec = make_benchmark("D_36_4");
     ExploreOptions serial;
     serial.num_threads = 1;
@@ -122,22 +126,13 @@ TEST(PipelineEquivalence, ThreadCountsAndReuseModesAgreeAnalytic) {
         expect_same_explore(
             ref, Explorer(spec, fast_cfg(), par).run(full_grid()));
     }
-    ExploreOptions no_reuse;
-    no_reuse.num_threads = 2;
-    no_reuse.reuse_stages = false;
-    const ExploreResult cold =
-        Explorer(spec, fast_cfg(), no_reuse).run(full_grid());
-    expect_same_explore(ref, cold);
-    // Without the shared session there is no stage traffic at all.
-    EXPECT_EQ(cold.stats.stage.partition.calls(), 0);
 }
 
-TEST(PipelineEquivalence, ThreadCountsAndReuseModesAgreeSimulated) {
+TEST(PipelineEquivalence, ThreadCountsAgreeSimulated) {
     const DesignSpec spec = make_benchmark("D_36_4");
-    auto opts = [](int threads, bool reuse) {
+    auto opts = [](int threads) {
         ExploreOptions o;
         o.num_threads = threads;
-        o.reuse_stages = reuse;
         o.backend = EvalBackend::Simulated;
         o.sim.warmup_cycles = 200;
         o.sim.measure_cycles = 1000;
@@ -147,13 +142,11 @@ TEST(PipelineEquivalence, ThreadCountsAndReuseModesAgreeSimulated) {
     grid.set_axis(ParamAxis::frequencies_hz({350e6, 450e6}));
     grid.set_axis(ParamAxis::thetas({4.0}));
 
-    const ExploreResult ref =
-        Explorer(spec, fast_cfg(), opts(1, true)).run(grid);
+    const ExploreResult ref = Explorer(spec, fast_cfg(), opts(1)).run(grid);
     EXPECT_GT(ref.stats.simulated_designs, 0);
-    expect_same_explore(ref,
-                        Explorer(spec, fast_cfg(), opts(4, true)).run(grid));
-    expect_same_explore(ref,
-                        Explorer(spec, fast_cfg(), opts(2, false)).run(grid));
+    for (int threads : {2, 4})
+        expect_same_explore(
+            ref, Explorer(spec, fast_cfg(), opts(threads)).run(grid));
 }
 
 TEST(PipelineEquivalence, FrequencyOnlyGridReusesStages) {
@@ -184,21 +177,6 @@ TEST(PipelineEquivalence, FrequencyOnlyGridReusesStages) {
         Explorer(spec, fast_cfg(), par).run(grid);
     expect_same_explore(res, par_res);
     EXPECT_GT(par_res.stats.stage.partition.hits, 0);
-}
-
-TEST(PipelineEquivalence, PointCacheHitsCauseNoStageTraffic) {
-    const DesignSpec spec = make_benchmark("D_36_4");
-    ParamGrid grid;
-    grid.set_axis(ParamAxis::thetas({4.0}));
-    ExploreOptions serial;
-    serial.num_threads = 1;
-    const Explorer explorer(spec, fast_cfg(), serial);
-    const ExploreResult first = explorer.run(grid);
-    EXPECT_GT(first.stats.stage.partition.calls(), 0);
-    const ExploreResult second = explorer.run(grid);
-    EXPECT_EQ(second.stats.cache_hits, 1);
-    EXPECT_EQ(second.stats.stage.partition.calls(), 0);
-    EXPECT_EQ(second.stats.stage.evaluation.calls(), 0);
 }
 
 }  // namespace

@@ -186,23 +186,18 @@ TEST(Pipeline, FloorplanRunsAreDeterministicAndReusableAcrossSeeds) {
     for (const auto& p : ra.points)
         any_area = any_area || !p.layer_die_area_mm2.empty();
     EXPECT_TRUE(any_area);
-}
 
-TEST(Pipeline, DisabledCachesStillProduceIdenticalResults) {
-    const DesignSpec spec = make_benchmark("D_36_4");
-    const SynthesisConfig cfg = fast_cfg();
-
-    pipeline::SessionOptions off;
-    off.cache_partitions = false;
-    off.cache_designs = false;
-    pipeline::SynthesisSession session(spec, off);
-    const SynthesisResult a = session.run(cfg);
-    const SynthesisResult b = session.run(cfg);
-    expect_same_results(a, b);
-    expect_same_results(a, run_synthesis(spec, cfg));
-    EXPECT_EQ(session.artifact_count(), 0u);
-    EXPECT_EQ(session.stats().partition.hits, 0);
-    EXPECT_GT(session.stats().partition.misses, 0);
+    // The same config with the floorplan off: the placement key changes
+    // with the floorplan flag, the position-LP instance does not, so the
+    // session's LP sub-cache serves the rerun's solves.
+    SynthesisConfig off = a;
+    off.run_floorplan = false;
+    const auto floorplanned = session.stats();
+    const SynthesisResult roff = session.run(off, SynthesisPhase::Phase1);
+    EXPECT_GT(session.stats().position_lp.hits - floorplanned.position_lp.hits,
+              0);
+    expect_same_results(roff,
+                        run_synthesis(spec, off, SynthesisPhase::Phase1));
 }
 
 TEST(Pipeline, ClearDropsArtifactsAndCounters) {

@@ -205,8 +205,8 @@ TEST(ServiceEngine, ExploreResultMatchesFreshExplorerRun) {
     opts.workers = 2;
     JobEngine engine(opts);
     const JobRequest req = make_request(spec, JobKind::Explore, p);
-    // Twice: the second run rides a warm session but a fresh per-point
-    // cache, so the exported cache_hit column stays identical.
+    // Twice: the second run rides a warm session, which must not change
+    // a byte of the export.
     for (int round = 0; round < 2; ++round) {
         const JobResult r = run_to_result(engine, req);
         ASSERT_FALSE(r.failed) << r.error;
