@@ -18,7 +18,7 @@ void BM_alpha(benchmark::State& state) {
     cfg.run_floorplan = false;
     cfg.max_switches = 12;
     for (auto _ : state) {
-        auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+        auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
         benchmark::DoNotOptimize(res.num_valid());
     }
 }
@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
             const DesignSpec spec = prepared_benchmark(name);
             SynthesisConfig cfg = paper_cfg();
             cfg.alpha = alpha;
-            const auto res =
-                Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+            const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
             const auto* bp = best(res);
             if (bp)
                 t.add_row({alpha, std::string(name),

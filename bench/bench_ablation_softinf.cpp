@@ -20,7 +20,7 @@ void BM_softinf(benchmark::State& state) {
     cfg.run_floorplan = false;
     cfg.max_switches = 12;
     for (auto _ : state) {
-        auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+        auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
         benchmark::DoNotOptimize(res.num_valid());
     }
 }
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
                 cfg.max_ill = ill;
                 cfg.use_soft_thresholds = soft;
                 const auto res =
-                    Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+                    run_synthesis(spec, cfg, SynthesisPhase::Phase1);
                 const auto* bp = best(res);
                 t.add_row({std::string(name), static_cast<long long>(ill),
                            std::string(soft ? "on" : "off"),

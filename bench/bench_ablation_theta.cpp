@@ -20,7 +20,7 @@ void BM_theta_sweep(benchmark::State& state) {
     cfg.max_switches = 12;
     cfg.theta_step = static_cast<double>(state.range(0));
     for (auto _ : state) {
-        auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+        auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
         benchmark::DoNotOptimize(res.num_valid());
     }
 }
@@ -43,8 +43,7 @@ int main(int argc, char** argv) {
             cfg.max_switches = 12;
             cfg.theta_max = theta_max;  // 0 disables the sweep entirely
             cfg.theta_step = step;
-            const auto res =
-                Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+            const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
             int rescued = 0;
             for (const auto& p : res.points)
                 if (p.valid && p.theta > 0.0) ++rescued;

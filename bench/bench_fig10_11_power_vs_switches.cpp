@@ -14,7 +14,7 @@ namespace {
 
 void run_series(const char* tag, const DesignSpec& spec) {
     SynthesisConfig cfg = paper_cfg();
-    const auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+    const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
     Table t({"switches", "switch_mW", "s2s_link_mW", "c2s_link_mW",
              "total_mW", "valid"});
     for (const auto& p : res.points)
@@ -36,7 +36,7 @@ void BM_synthesize_d26_3d(benchmark::State& state) {
     cfg.max_switches = static_cast<int>(state.range(0));
     cfg.run_floorplan = false;
     for (auto _ : state) {
-        auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+        auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
         benchmark::DoNotOptimize(res.num_valid());
     }
 }

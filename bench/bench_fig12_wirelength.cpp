@@ -12,7 +12,7 @@ namespace {
 
 std::vector<double> best_lengths(const DesignSpec& spec) {
     SynthesisConfig cfg = paper_cfg();
-    const auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+    const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
     const auto* bp = best(res);
     return bp ? bp->report.wire_lengths_mm : std::vector<double>{};
 }
@@ -20,7 +20,7 @@ std::vector<double> best_lengths(const DesignSpec& spec) {
 void BM_evaluate_best_point(benchmark::State& state) {
     const DesignSpec spec = prepared_benchmark("D_26_media");
     SynthesisConfig cfg = paper_cfg();
-    const auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+    const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
     const auto* bp = best(res);
     for (auto _ : state) {
         auto rep = evaluate_topology(bp->topo, spec, cfg.eval);

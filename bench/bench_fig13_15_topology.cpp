@@ -33,7 +33,7 @@ void BM_phase2_run(benchmark::State& state) {
     SynthesisConfig cfg = paper_cfg();
     cfg.run_floorplan = false;
     for (auto _ : state) {
-        auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase2);
+        auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase2);
         benchmark::DoNotOptimize(res.num_valid());
     }
 }
@@ -47,8 +47,8 @@ int main(int argc, char** argv) {
     const DesignSpec spec = prepared_benchmark("D_26_media");
     SynthesisConfig cfg = paper_cfg();
 
-    const auto p1 = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
-    const auto p2 = Synthesizer(spec, cfg).run(SynthesisPhase::Phase2);
+    const auto p1 = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
+    const auto p2 = run_synthesis(spec, cfg, SynthesisPhase::Phase2);
     const auto* b1 = best(p1);
     const auto* b2 = best(p2);
     if (!b1 || !b2) {

@@ -17,7 +17,7 @@ void BM_phase1_vs_phase2_d36_4(benchmark::State& state) {
     cfg.run_floorplan = false;
     cfg.max_switches = 12;
     for (auto _ : state) {
-        auto r = Synthesizer(spec, cfg).run(SynthesisPhase::Phase2);
+        auto r = run_synthesis(spec, cfg, SynthesisPhase::Phase2);
         benchmark::DoNotOptimize(r.num_valid());
     }
 }
@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
     for (const auto& name : benchmark_names()) {
         const DesignSpec spec = prepared_benchmark(name);
         SynthesisConfig cfg = paper_cfg();
-        const auto r1 = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
-        const auto r2 = Synthesizer(spec, cfg).run(SynthesisPhase::Phase2);
+        const auto r1 = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
+        const auto r2 = run_synthesis(spec, cfg, SynthesisPhase::Phase2);
         const auto* b1 = best(r1);
         const auto* b2 = best(r2);
         if (!b1 || !b2) {

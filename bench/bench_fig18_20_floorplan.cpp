@@ -39,7 +39,7 @@ void BM_custom_insertion(benchmark::State& state) {
     const DesignSpec spec = prepared_benchmark("D_26_media");
     SynthesisConfig cfg = paper_cfg();
     cfg.run_floorplan = false;
-    const auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+    const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
     const auto* bp = best(res);
     for (auto _ : state) {
         Topology topo = bp->topo;
@@ -54,7 +54,7 @@ void BM_standard_insertion(benchmark::State& state) {
     const DesignSpec spec = prepared_benchmark("D_26_media");
     SynthesisConfig cfg = paper_cfg();
     cfg.run_floorplan = false;
-    const auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+    const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
     const auto* bp = best(res);
     for (auto _ : state) {
         Topology topo = bp->topo;
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
         const DesignSpec spec = prepared_benchmark("D_26_media");
         SynthesisConfig cfg = paper_cfg();
         cfg.run_floorplan = false;
-        const auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+        const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
         Table t({"switches", "custom_mm2", "standard_mm2", "custom_core_move",
                  "standard_core_move"});
         for (const auto& p : res.points) {
@@ -99,8 +99,7 @@ int main(int argc, char** argv) {
             const DesignSpec spec = prepared_benchmark(name);
             SynthesisConfig cfg = paper_cfg();
             cfg.run_floorplan = false;
-            const auto res =
-                Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+            const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
             const auto* bp = best(res);
             if (!bp) continue;
             const auto c = legalize(*bp, spec, cfg, false, 7);

@@ -18,7 +18,7 @@ void BM_sweep_one_ill(benchmark::State& state) {
     cfg.run_floorplan = false;
     cfg.max_switches = 12;
     for (auto _ : state) {
-        auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Auto);
+        auto res = run_synthesis(spec, cfg, SynthesisPhase::Auto);
         benchmark::DoNotOptimize(res.num_valid());
     }
 }
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     for (int ill = 6; ill <= 28; ill += 2) {
         SynthesisConfig cfg = paper_cfg();
         cfg.max_ill = ill;
-        const auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Auto);
+        const auto res = run_synthesis(spec, cfg, SynthesisPhase::Auto);
         const auto* bp = best(res);
         if (bp)
             t.add_row({static_cast<long long>(ill), bp->report.power.noc_mw(),

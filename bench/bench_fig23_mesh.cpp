@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     for (const auto& name : benchmark_names()) {
         const DesignSpec spec = prepared_benchmark(name);
         SynthesisConfig cfg = paper_cfg();
-        const auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Auto);
+        const auto res = run_synthesis(spec, cfg, SynthesisPhase::Auto);
         const auto* bp = best(res);
         if (!bp) continue;
         Rng rng(1);

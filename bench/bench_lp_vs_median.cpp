@@ -19,7 +19,7 @@ PlacementProblem make_case(const char* name, int max_switches) {
     SynthesisConfig cfg = paper_cfg();
     cfg.run_floorplan = false;
     cfg.max_switches = max_switches;
-    const auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+    const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
     const auto* bp = best(res);
     return build_switch_placement_problem(bp->topo, spec);
 }
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
         const DesignSpec spec = prepared_benchmark(name);
         SynthesisConfig cfg = paper_cfg();
         cfg.run_floorplan = false;
-        const auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+        const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
         const auto* bp = best(res);
         if (!bp) continue;
         const auto p = build_switch_placement_problem(bp->topo, spec);

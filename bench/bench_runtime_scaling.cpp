@@ -6,8 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common.h"
-#include "sunfloor/core/partition_graphs.h"
-#include "sunfloor/core/path_compute.h"
+#include "sunfloor/pipeline/session.h"
 
 using namespace sunfloor;
 using namespace sunfloor::bench;
@@ -15,31 +14,21 @@ using namespace sunfloor::bench;
 namespace {
 
 // Build exactly one topology (partition + paths + placement) at a fixed
-// switch count.
+// switch count: a cold session's PG cut, Step 7 of Algorithm 1, then the
+// routing, placement and evaluation stages.
 void BM_one_topology(benchmark::State& state) {
     static const DesignSpec spec = prepared_benchmark("D_65_pipe");
     const int k = static_cast<int>(state.range(0));
     SynthesisConfig cfg = paper_cfg();
     cfg.run_floorplan = false;
-    const Digraph pg =
-        build_partition_graph(spec.comm, spec.cores.num_cores(), cfg.alpha);
     for (auto _ : state) {
-        Rng rng(cfg.seed);
-        const auto part = partition_kway(pg, k, rng, cfg.partition);
-        CoreAssignment assign;
-        assign.core_switch = part.block;
-        for (int s = 0; s < k; ++s) assign.switch_layer.push_back(0);
-        // Layer = rounded average of the member cores' layers.
-        std::vector<double> sum(k, 0.0);
-        std::vector<int> cnt(k, 0);
-        for (int c = 0; c < spec.cores.num_cores(); ++c) {
-            sum[part.block[c]] += spec.cores.core(c).layer;
-            ++cnt[part.block[c]];
-        }
-        for (int s = 0; s < k; ++s)
-            assign.switch_layer[s] =
-                cnt[s] ? static_cast<int>(sum[s] / cnt[s] + 0.5) : 0;
-        auto dp = synthesize_design_point(spec, cfg, assign, "bench", 0.0, rng);
+        pipeline::SynthesisSession session(spec);
+        const auto part =
+            session.partition(pipeline::PartitionGraphId::pg(), k, cfg,
+                              cfg.partition, Rng(cfg.seed).state());
+        const pipeline::AssignmentArtifact assign =
+            pipeline::phase1_assignment(*part, spec.cores);
+        auto dp = session.synthesize(assign, cfg, "bench", 0.0);
         benchmark::DoNotOptimize(dp.valid);
     }
 }
@@ -57,7 +46,7 @@ void BM_full_sweep(benchmark::State& state) {
     cfg.run_floorplan = false;
     cfg.max_switches = static_cast<int>(state.range(0));
     for (auto _ : state) {
-        auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+        auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
         benchmark::DoNotOptimize(res.num_valid());
     }
 }

@@ -21,7 +21,7 @@ void BM_full_2d_vs_3d_d36_4(benchmark::State& state) {
     cfg.run_floorplan = false;
     cfg.max_switches = 12;
     for (auto _ : state) {
-        auto r3 = Synthesizer(spec, cfg).run(SynthesisPhase::Auto);
+        auto r3 = run_synthesis(spec, cfg, SynthesisPhase::Auto);
         benchmark::DoNotOptimize(r3.num_valid());
     }
 }
@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
         const DesignSpec spec3d = prepared_benchmark(name);
         const DesignSpec spec2d = prepared_2d(spec3d);
         SynthesisConfig cfg = paper_cfg();
-        const auto r3 = Synthesizer(spec3d, cfg).run(SynthesisPhase::Auto);
-        const auto r2 = Synthesizer(spec2d, cfg).run(SynthesisPhase::Auto);
+        const auto r3 = run_synthesis(spec3d, cfg, SynthesisPhase::Auto);
+        const auto r2 = run_synthesis(spec2d, cfg, SynthesisPhase::Auto);
         const auto* b3 = best(r3);
         const auto* b2 = best(r2);
         if (!b3 || !b2) {

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
         std::cerr << "bad max_ill argument\n";
         return 1;
     }
-    const auto res = Synthesizer(spec, cfg).run();
+    const auto res = run_synthesis(spec, cfg);
     write_synthesis_report(std::cout, res);
     const int bp = res.best_power_index();
     if (bp < 0) return 1;

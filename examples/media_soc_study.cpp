@@ -33,11 +33,11 @@ int main() {
     cfg.max_ill = 25;
 
     std::cout << "=== D_26_media, 3-D (3 layers) ===\n";
-    const auto r3 = Synthesizer(spec3d, cfg).run(SynthesisPhase::Phase1);
+    const auto r3 = run_synthesis(spec3d, cfg, SynthesisPhase::Phase1);
     write_synthesis_report(std::cout, r3);
 
     std::cout << "\n=== D_26_media, 2-D ===\n";
-    const auto r2 = Synthesizer(spec2d, cfg).run(SynthesisPhase::Phase1);
+    const auto r2 = run_synthesis(spec2d, cfg, SynthesisPhase::Phase1);
     write_synthesis_report(std::cout, r2);
 
     const int b3 = r3.best_power_index();

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     floorplan_design_layers(spec.cores, spec.comm, fopts, frng);
 
     SynthesisConfig cfg;
-    const auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+    const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
     const int bp = res.best_power_index();
     if (bp < 0) {
         std::cerr << "custom synthesis found no valid point\n";

@@ -61,8 +61,7 @@ int main() {
     cfg.eval.freq_hz = 400e6;
     cfg.max_ill = 10;
 
-    Synthesizer synth(spec, cfg);
-    const SynthesisResult result = synth.run();
+    const SynthesisResult result = run_synthesis(spec, cfg);
     write_synthesis_report(std::cout, result);
 
     // --- export the best point ----------------------------------------------

@@ -24,7 +24,7 @@ int main() {
     for (int ill = 8; ill <= 28; ill += 4) {
         SynthesisConfig cfg;
         cfg.max_ill = ill;
-        const auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+        const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
         const int bp = res.best_power_index();
         if (bp < 0) {
             t.add_row({static_cast<long long>(ill), std::string("-"),

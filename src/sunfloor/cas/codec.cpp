@@ -13,7 +13,6 @@ namespace {
 
 // One-byte artifact tags so a blob can never be decoded as the wrong kind.
 constexpr std::uint8_t kTagPartition = 'P';
-constexpr std::uint8_t kTagAssignment = 'A';
 constexpr std::uint8_t kTagRouting = 'R';
 constexpr std::uint8_t kTagPlacement = 'L';
 constexpr std::uint8_t kTagEvaluation = 'E';
@@ -207,31 +206,6 @@ std::optional<pipeline::PartitionArtifact> decode_partition(
     a.cut_weight = d.f64();
     a.k = d.i32();
     a.rng_after = dec_rng(d);
-    if (!d.done()) return std::nullopt;
-    return a;
-}
-
-// ------------------------------------------------------------- assignment
-
-std::string encode_assignment(const pipeline::AssignmentArtifact& a) {
-    Enc e;
-    e.u8(kTagAssignment);
-    e.ints(a.assign.core_switch);
-    e.ints(a.assign.switch_layer);
-    enc_rng(e, a.rng_after);
-    e.str(a.key);
-    return e.take();
-}
-
-std::optional<pipeline::AssignmentArtifact> decode_assignment(
-    std::string_view blob) {
-    Dec d(blob);
-    if (d.u8() != kTagAssignment) return std::nullopt;
-    pipeline::AssignmentArtifact a;
-    a.assign.core_switch = d.ints();
-    a.assign.switch_layer = d.ints();
-    a.rng_after = dec_rng(d);
-    a.key = d.str();
     if (!d.done()) return std::nullopt;
     return a;
 }

@@ -26,10 +26,6 @@ std::string encode_partition(const pipeline::PartitionArtifact& a);
 std::optional<pipeline::PartitionArtifact> decode_partition(
     std::string_view blob);
 
-std::string encode_assignment(const pipeline::AssignmentArtifact& a);
-std::optional<pipeline::AssignmentArtifact> decode_assignment(
-    std::string_view blob);
-
 std::string encode_routing(const pipeline::RoutingArtifact& a);
 std::optional<pipeline::RoutingArtifact> decode_routing(
     std::string_view blob, const DesignSpec& spec);

@@ -27,40 +27,20 @@ std::string phase_choices() {
     return enum_choices<SynthesisPhase>(kPhaseNames);
 }
 
-DesignPoint synthesize_design_point(const DesignSpec& spec,
-                                    const SynthesisConfig& cfg,
-                                    const CoreAssignment& assign,
-                                    const std::string& phase, double theta,
-                                    Rng& rng) {
-    // One uncached pass through the pipeline stages (pipeline/session.h) —
-    // the session runs exactly this code behind its artifact caches.
-    const pipeline::RoutingArtifact routed =
-        pipeline::route_assignment(spec, cfg, assign);
-    DesignPoint dp = [&] {
-        if (!routed.ok) return pipeline::failed_design(routed);
-        const pipeline::PlacementArtifact placed =
-            pipeline::place_design(routed, spec, cfg, rng);
-        return pipeline::evaluate_design(placed, spec, cfg);
-    }();
-    dp.phase = phase;
-    dp.theta = theta;
-    dp.switch_count = assign.num_switches();
-    return dp;
-}
-
-std::vector<FrequencyPoint> Synthesizer::run_frequency_sweep(
-    const std::vector<double>& freqs_hz, SynthesisPhase phase) const {
+std::vector<FrequencyPoint> run_frequency_sweep(
+    const DesignSpec& spec, const SynthesisConfig& cfg,
+    const std::vector<double>& freqs_hz, SynthesisPhase phase) {
     // One shared session across the sweep: operating points that agree on
     // the partition inputs reuse those artifacts; results stay
     // bit-identical to per-point run_synthesis calls.
-    pipeline::SynthesisSession session(spec_);
+    pipeline::SynthesisSession session(spec);
     std::vector<FrequencyPoint> sweep;
     for (double f : freqs_hz) {
         FrequencyPoint fp;
         fp.freq_hz = f;
-        SynthesisConfig cfg = cfg_;
-        cfg.eval.freq_hz = f;
-        fp.result = session.run(cfg, phase);
+        SynthesisConfig point_cfg = cfg;
+        point_cfg.eval.freq_hz = f;
+        fp.result = session.run(point_cfg, phase);
         sweep.push_back(std::move(fp));
     }
     return sweep;
@@ -91,10 +71,6 @@ SynthesisResult run_synthesis(const DesignSpec& spec,
                               const SynthesisConfig& cfg,
                               SynthesisPhase phase) {
     return pipeline::SynthesisSession(spec).run(cfg, phase);
-}
-
-SynthesisResult Synthesizer::run(SynthesisPhase phase) const {
-    return run_synthesis(spec_, cfg_, phase);
 }
 
 }  // namespace sunfloor

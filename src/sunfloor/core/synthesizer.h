@@ -6,6 +6,9 @@
 // solves the switch-position LP, legalizes the floorplan and evaluates the
 // result. Every design point that meets the constraints is saved; the
 // designer picks from the resulting power/latency/area tradeoff set.
+//
+// The flow itself is pipeline::SynthesisSession (pipeline/session.h);
+// this header holds its result types and the stateless entry points.
 #pragma once
 
 #include <string>
@@ -61,27 +64,6 @@ struct SynthesisResult {
     }
 };
 
-/// Build, route, place and evaluate one design point from a core-to-switch
-/// assignment. This is the inner body of both phases, also exposed for the
-/// ablation benches.
-DesignPoint synthesize_design_point(const DesignSpec& spec,
-                                    const SynthesisConfig& cfg,
-                                    const CoreAssignment& assign,
-                                    const std::string& phase, double theta,
-                                    Rng& rng);
-
-/// Algorithm 1 — Phase 1: sweep the switch count over min-cut partitions of
-/// the PG; switch counts that fail the constraints are retried with the SPG
-/// over the theta sweep.
-std::vector<DesignPoint> run_phase1(const DesignSpec& spec,
-                                    const SynthesisConfig& cfg, Rng& rng);
-
-/// Algorithm 2 — Phase 2: per-layer partitioning of the LPGs, cores only
-/// connect to same-layer switches, vertical links only between adjacent
-/// layers.
-std::vector<DesignPoint> run_phase2(const DesignSpec& spec,
-                                    const SynthesisConfig& cfg, Rng& rng);
-
 /// One operating point of the frequency sweep.
 struct FrequencyPoint {
     double freq_hz = 0.0;
@@ -92,40 +74,26 @@ struct FrequencyPoint {
 /// config) pair. Safe to call concurrently from many threads — all state
 /// (including the Rng, seeded from cfg.seed) is local to the call.
 ///
-/// This is the compatibility wrapper around the staged pipeline: it runs
-/// a cold pipeline::SynthesisSession, and a warm session produces
-/// bit-identical results (see pipeline/session.h). Callers that evaluate
-/// many related configurations — the explore engine, frequency sweeps —
-/// share a session instead to reuse per-stage artifacts.
+/// Runs a cold pipeline::SynthesisSession, the one implementation of the
+/// flow; a warm session produces bit-identical results (see
+/// pipeline/session.h). Callers that evaluate many related
+/// configurations — the explore engine, frequency sweeps — share a
+/// session instead to reuse per-stage artifacts.
 SynthesisResult run_synthesis(const DesignSpec& spec,
                               const SynthesisConfig& cfg,
                               SynthesisPhase phase = SynthesisPhase::Auto);
 
-/// Convenience driver around the two phases.
-class Synthesizer {
-  public:
-    Synthesizer(DesignSpec spec, SynthesisConfig cfg)
-        : spec_(std::move(spec)), cfg_(std::move(cfg)) {}
-
-    const DesignSpec& spec() const { return spec_; }
-    const SynthesisConfig& config() const { return cfg_; }
-
-    SynthesisResult run(SynthesisPhase phase = SynthesisPhase::Auto) const;
-
-    /// The outer loop of Fig. 3: "the NoC architectural parameters, such
-    /// as frequency of operation, are varied and the topology design
-    /// process is repeated for each architectural point". Frequencies at
-    /// which a core's aggregate traffic exceeds the link capacity are
-    /// reported with an empty result. Typical usage sweeps a few points
-    /// and lets the designer pick from the union of tradeoff sets.
-    std::vector<FrequencyPoint> run_frequency_sweep(
-        const std::vector<double>& freqs_hz,
-        SynthesisPhase phase = SynthesisPhase::Auto) const;
-
-  private:
-    DesignSpec spec_;
-    SynthesisConfig cfg_;
-};
+/// The outer loop of Fig. 3: "the NoC architectural parameters, such as
+/// frequency of operation, are varied and the topology design process is
+/// repeated for each architectural point". Runs the full flow at every
+/// frequency through one shared session; a frequency at which nothing
+/// is feasible yields a result with no valid point. Typical usage sweeps
+/// a few points and lets the designer pick from the union of tradeoff
+/// sets.
+std::vector<FrequencyPoint> run_frequency_sweep(
+    const DesignSpec& spec, const SynthesisConfig& cfg,
+    const std::vector<double>& freqs_hz,
+    SynthesisPhase phase = SynthesisPhase::Auto);
 
 /// Index (into the sweep) and point index of the lowest-power valid design
 /// over all frequencies; {-1, -1} when none.

@@ -86,7 +86,7 @@ void write_text(std::ostream& os, const std::vector<Finding>& findings);
 /// JSON report:
 ///   {"schema_version": 1, "count": N,
 ///    "findings": [{"file": ..., "line": N, "rule": ..., "message": ...}]}
-/// Valid under obs::validate_json (pinned by lint_test).
+/// Parses with parse_json (pinned by lint_test).
 std::string to_json(const std::vector<Finding>& findings);
 
 }  // namespace sunfloor::lint

@@ -168,155 +168,4 @@ std::size_t trace_buffered_events() {
     return n;
 }
 
-// --------------------------------------------------------- JSON checker
-
-namespace {
-
-struct JsonScanner {
-    std::string_view s;
-    std::size_t i = 0;
-
-    bool fail(std::string* error, const char* what) const {
-        if (error)
-            *error = format("%s at byte %zu", what, i);
-        return false;
-    }
-    void ws() {
-        while (i < s.size() && (s[i] == ' ' || s[i] == '\t' ||
-                                s[i] == '\n' || s[i] == '\r'))
-            ++i;
-    }
-    bool literal(std::string_view lit) {
-        if (s.substr(i, lit.size()) != lit) return false;
-        i += lit.size();
-        return true;
-    }
-    bool string(std::string* error) {
-        if (i >= s.size() || s[i] != '"') return fail(error, "expected '\"'");
-        ++i;
-        while (i < s.size()) {
-            const char c = s[i];
-            if (c == '"') {
-                ++i;
-                return true;
-            }
-            if (c == '\\') {
-                ++i;
-                if (i >= s.size()) break;
-                const char e = s[i];
-                if (e == 'u') {
-                    for (int k = 1; k <= 4; ++k)
-                        if (i + static_cast<std::size_t>(k) >= s.size() ||
-                            !std::isxdigit(static_cast<unsigned char>(
-                                s[i + static_cast<std::size_t>(k)])))
-                            return fail(error, "bad \\u escape");
-                    i += 4;
-                } else if (!std::strchr("\"\\/bfnrt", e)) {
-                    return fail(error, "bad escape");
-                }
-            } else if (static_cast<unsigned char>(c) < 0x20) {
-                return fail(error, "control character in string");
-            }
-            ++i;
-        }
-        return fail(error, "unterminated string");
-    }
-    bool number(std::string* error) {
-        const std::size_t start = i;
-        if (i < s.size() && s[i] == '-') ++i;
-        if (i >= s.size() || !std::isdigit(static_cast<unsigned char>(s[i])))
-            return fail(error, "bad number");
-        while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i])))
-            ++i;
-        if (i < s.size() && s[i] == '.') {
-            ++i;
-            if (i >= s.size() ||
-                !std::isdigit(static_cast<unsigned char>(s[i])))
-                return fail(error, "bad fraction");
-            while (i < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[i])))
-                ++i;
-        }
-        if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
-            ++i;
-            if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
-            if (i >= s.size() ||
-                !std::isdigit(static_cast<unsigned char>(s[i])))
-                return fail(error, "bad exponent");
-            while (i < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[i])))
-                ++i;
-        }
-        return i > start;
-    }
-    bool value(std::string* error, int depth) {
-        if (depth > 256) return fail(error, "nesting too deep");
-        ws();
-        if (i >= s.size()) return fail(error, "unexpected end");
-        const char c = s[i];
-        if (c == '{') {
-            ++i;
-            ws();
-            if (i < s.size() && s[i] == '}') {
-                ++i;
-                return true;
-            }
-            for (;;) {
-                ws();
-                if (!string(error)) return false;
-                ws();
-                if (i >= s.size() || s[i] != ':')
-                    return fail(error, "expected ':'");
-                ++i;
-                if (!value(error, depth + 1)) return false;
-                ws();
-                if (i < s.size() && s[i] == ',') {
-                    ++i;
-                    continue;
-                }
-                if (i < s.size() && s[i] == '}') {
-                    ++i;
-                    return true;
-                }
-                return fail(error, "expected ',' or '}'");
-            }
-        }
-        if (c == '[') {
-            ++i;
-            ws();
-            if (i < s.size() && s[i] == ']') {
-                ++i;
-                return true;
-            }
-            for (;;) {
-                if (!value(error, depth + 1)) return false;
-                ws();
-                if (i < s.size() && s[i] == ',') {
-                    ++i;
-                    continue;
-                }
-                if (i < s.size() && s[i] == ']') {
-                    ++i;
-                    return true;
-                }
-                return fail(error, "expected ',' or ']'");
-            }
-        }
-        if (c == '"') return string(error);
-        if (literal("true") || literal("false") || literal("null"))
-            return true;
-        return number(error);
-    }
-};
-
-}  // namespace
-
-bool validate_json(std::string_view text, std::string* error) {
-    JsonScanner sc{text};
-    if (!sc.value(error, 0)) return false;
-    sc.ws();
-    if (sc.i != text.size()) return sc.fail(error, "trailing content");
-    return true;
-}
-
 }  // namespace sunfloor::obs

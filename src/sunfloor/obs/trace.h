@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 
 namespace sunfloor::obs {
 
@@ -44,7 +43,8 @@ inline bool tracing_enabled() {
 }
 
 /// RAII begin/end span pair on the calling thread. The optional integer
-/// arg lands in the event's "args" object (e.g. the grid-point index).
+/// arg lands in the event's "args" object (e.g. the grid-point index); a
+/// null `arg_name` records no arg.
 class ScopedSpan {
   public:
     explicit ScopedSpan(const char* name) {
@@ -83,11 +83,5 @@ void discard_trace();
 /// Events currently buffered over all threads (diagnostics and the
 /// overhead bench's spans-per-run estimate).
 std::size_t trace_buffered_events();
-
-/// Minimal JSON syntax checker (objects, arrays, strings, numbers, the
-/// three literals; UTF-8 passed through). Used by the trace/metrics tests
-/// and cheap enough to run over multi-megabyte traces. On failure returns
-/// false and names the byte offset in `error` when non-null.
-bool validate_json(std::string_view text, std::string* error = nullptr);
 
 }  // namespace sunfloor::obs

@@ -5,8 +5,9 @@
 //   core partitioning -> switch-layer assignment -> path computation
 //     -> position LP + floorplan -> evaluation
 //
-// Each stage's output is one of the value types below, cached by a
-// SynthesisSession under a key string that serializes *exactly* the
+// Each stage's output is one of the value types below. A SynthesisSession
+// caches every one but the assignment (rebuilt on each call from its
+// cached partitions) under a key string that serializes *exactly* the
 // (spec, cfg, RNG) inputs the stage consumed (see the stage key builders
 // in session.h). Two stage calls with equal keys produce bit-identical
 // artifacts, which is what lets the session reuse them across
@@ -64,10 +65,10 @@ struct PartitionArtifact {
 
 /// Output of the switch-layer assignment stage: a full core-to-switch and
 /// switch-to-layer mapping (phase 1: Step 7 of Algorithm 1 over one
-/// partition; phase 2: the per-layer composition of Algorithm 2).
+/// partition; phase 2: the per-layer composition of Algorithm 2). Never
+/// cached or stored: the drivers rebuild it from the partitions.
 struct AssignmentArtifact {
     CoreAssignment assign;
-    RngState rng_after;  ///< after every partition feeding this assignment
     /// Content key over the assignment vectors (assignment_key), computed
     /// once here and consumed by the routing stage's cache key.
     std::string key;

@@ -4,9 +4,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "sunfloor/cas/codec.h"
 #include "sunfloor/cas/store.h"
@@ -244,20 +246,6 @@ RoutingArtifact route_assignment(const DesignSpec& spec,
     return ra;
 }
 
-PlacementArtifact place_design(const RoutingArtifact& routed,
-                               const DesignSpec& spec,
-                               const SynthesisConfig& cfg, Rng& rng) {
-    PlacementArtifact pa(routed.topo);
-    place_switches_lp(pa.topo, spec);
-    if (cfg.run_floorplan) {
-        const FloorplanOutcome fp =
-            legalize_floorplan(pa.topo, spec, cfg, /*use_standard=*/false,
-                               rng);
-        pa.layer_die_area_mm2 = fp.layer_area_mm2;
-    }
-    return pa;
-}
-
 DesignPoint evaluate_design(const PlacementArtifact& placed,
                             const DesignSpec& spec,
                             const SynthesisConfig& cfg) {
@@ -310,7 +298,6 @@ AssignmentArtifact phase1_assignment(const PartitionArtifact& part,
                       layer_sum[static_cast<std::size_t>(s)] /
                       count[static_cast<std::size_t>(s)]))
                 : 0;
-    aa.rng_after = part.rng_after;
     aa.key = assignment_key(aa.assign);
     return aa;
 }
@@ -354,15 +341,6 @@ struct SynthesisSession::GraphEntry {
     LayerGraph layer;  ///< LPG
 };
 
-SynthesisSession::StageMetrics SynthesisSession::stage_metrics(
-    const char* stage) {
-    StageMetrics m;
-    m.hits = &registry_.counter(format("pipeline.%s.hits", stage));
-    m.misses = &registry_.counter(format("pipeline.%s.misses", stage));
-    m.compute_ms = &registry_.gauge(format("pipeline.%s.compute_ms", stage));
-    return m;
-}
-
 SynthesisSession::SynthesisSession(DesignSpec spec, SessionOptions opts)
     : spec_(std::move(spec)), opts_(std::move(opts)) {
     if (opts_.cas) {
@@ -375,11 +353,6 @@ SynthesisSession::SynthesisSession(DesignSpec spec, SessionOptions opts)
             "s%016llx|",
             static_cast<unsigned long long>(cas::fnv1a64(ss.str())));
     }
-    m_partition_ = stage_metrics("partition");
-    m_routing_ = stage_metrics("routing");
-    m_placement_ = stage_metrics("placement");
-    m_position_lp_ = stage_metrics("position_lp");
-    m_evaluation_ = stage_metrics("evaluation");
 }
 
 std::shared_ptr<const SynthesisSession::GraphEntry>
@@ -417,92 +390,75 @@ SynthesisSession::graph_for(const PartitionGraphId& graph, double alpha) {
     return graphs_.emplace(key, std::move(entry)).first->second;
 }
 
-std::shared_ptr<const PartitionArtifact> SynthesisSession::partition(
-    const PartitionGraphId& graph, int k, const SynthesisConfig& cfg,
-    const PartitionOptions& opts, const RngState& rng_in) {
-    const std::string key =
-        format("pt|%s|%s|k=%d|r=%s", graph.key().c_str(),
-               partition_cfg_key(cfg, opts).c_str(), k, rng_in.key().c_str());
-    {
-        util::MutexLock lock(mu_);
-        auto it = partitions_.find(key);
-        if (it != partitions_.end()) {
-            m_partition_.hits->add();
-            return it->second;
-        }
+template <typename Artifact>
+struct SynthesisSession::StageCodec {
+    std::string (*encode)(const Artifact&);
+    std::optional<Artifact> (*decode)(std::string_view, const DesignSpec&);
+};
+
+template <typename Artifact, typename Compute>
+std::shared_ptr<const Artifact> SynthesisSession::cached(
+    StageCache<Artifact>& cache, const std::string& key,
+    const std::type_identity_t<StageCodec<Artifact>>* codec,
+    Compute&& compute, const char* span_arg, long long span_value) {
+    if (auto hit = cache.find(key)) {
+        cache.hits.add();
+        return hit;
     }
-    if (opts_.cas) {
+    const bool spill = codec != nullptr && opts_.cas != nullptr;
+    if (spill) {
         std::string blob;
         if (opts_.cas->get(cas_prefix_ + key, blob)) {
-            if (auto art = cas::decode_partition(blob)) {
-                m_partition_.hits->add();
-                auto sp = std::make_shared<const PartitionArtifact>(
-                    std::move(*art));
-                util::MutexLock lock(mu_);
-                return partitions_.emplace(key, std::move(sp)).first->second;
+            if (auto art = codec->decode(blob, spec_)) {
+                cache.hits.add();
+                return cache.insert(
+                    key, std::make_shared<const Artifact>(std::move(*art)));
             }
         }
     }
 
-    obs::ScopedSpan span("pipeline.partition", "k", k);
+    obs::ScopedSpan span(cache.name, span_arg, span_value);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto entry = graph_for(graph, cfg.alpha);
-    const Digraph& g = graph.kind == PartitionGraphId::Kind::LPG
-                           ? entry->layer.g
-                           : entry->g;
-    Rng rng(rng_in);
-    const PartitionResult res = partition_kway(g, k, rng, opts);
-    auto artifact = std::make_shared<PartitionArtifact>();
-    artifact->block = res.block;
-    artifact->cut_weight = res.cut_weight;
-    artifact->k = k;
-    artifact->rng_after = rng.state();
-    m_partition_.misses->add();
-    m_partition_.compute_ms->add(ms_since(t0));
-    if (opts_.cas)
-        opts_.cas->put(cas_prefix_ + key, cas::encode_partition(*artifact));
+    auto artifact = std::make_shared<const Artifact>(compute());
+    cache.misses.add();
+    cache.compute_ms.add(ms_since(t0));
+    if (spill) opts_.cas->put(cas_prefix_ + key, codec->encode(*artifact));
+    return cache.insert(key, std::move(artifact));
+}
 
-    util::MutexLock lock(mu_);
-    // Two threads may have raced on the same key; both values are
-    // bit-identical, keep the first inserted.
-    return partitions_.emplace(key, std::move(artifact)).first->second;
+std::shared_ptr<const PartitionArtifact> SynthesisSession::partition(
+    const PartitionGraphId& graph, int k, const SynthesisConfig& cfg,
+    const PartitionOptions& opts, const RngState& rng_in) {
+    static constexpr StageCodec<PartitionArtifact> kCodec{
+        cas::encode_partition, [](std::string_view blob, const DesignSpec&) {
+            return cas::decode_partition(blob);
+        }};
+    const std::string key =
+        format("pt|%s|%s|k=%d|r=%s", graph.key().c_str(),
+               partition_cfg_key(cfg, opts).c_str(), k, rng_in.key().c_str());
+    return cached(
+        partitions_, key, &kCodec,
+        [&] {
+            const auto entry = graph_for(graph, cfg.alpha);
+            const Digraph& g = graph.kind == PartitionGraphId::Kind::LPG
+                                   ? entry->layer.g
+                                   : entry->g;
+            Rng rng(rng_in);
+            const PartitionResult res = partition_kway(g, k, rng, opts);
+            return PartitionArtifact{res.block, res.cut_weight, k,
+                                     rng.state()};
+        },
+        "k", k);
 }
 
 std::shared_ptr<const RoutingArtifact> SynthesisSession::route(
     const AssignmentArtifact& assign, const SynthesisConfig& cfg) {
-    const std::string key = "rt|" + assign.key + "|" + routing_cfg_key(cfg);
-    {
-        util::MutexLock lock(mu_);
-        auto it = routings_.find(key);
-        if (it != routings_.end()) {
-            m_routing_.hits->add();
-            return it->second;
-        }
-    }
-    if (opts_.cas) {
-        std::string blob;
-        if (opts_.cas->get(cas_prefix_ + key, blob)) {
-            if (auto art = cas::decode_routing(blob, spec_)) {
-                m_routing_.hits->add();
-                auto sp = std::make_shared<const RoutingArtifact>(
-                    std::move(*art));
-                util::MutexLock lock(mu_);
-                return routings_.emplace(key, std::move(sp)).first->second;
-            }
-        }
-    }
-
-    obs::ScopedSpan span("pipeline.routing");
-    const auto t0 = std::chrono::steady_clock::now();
-    auto artifact = std::make_shared<RoutingArtifact>(
-        route_assignment(spec_, cfg, assign.assign));
-    m_routing_.misses->add();
-    m_routing_.compute_ms->add(ms_since(t0));
-    if (opts_.cas)
-        opts_.cas->put(cas_prefix_ + key, cas::encode_routing(*artifact));
-
-    util::MutexLock lock(mu_);
-    return routings_.emplace(key, std::move(artifact)).first->second;
+    static constexpr StageCodec<RoutingArtifact> kCodec{cas::encode_routing,
+                                                        cas::decode_routing};
+    return cached(routings_, "rt|" + assign.key + "|" + routing_cfg_key(cfg),
+                  &kCodec, [&] {
+                      return route_assignment(spec_, cfg, assign.assign);
+                  });
 }
 
 std::shared_ptr<const PlacementArtifact> SynthesisSession::place(
@@ -514,88 +470,48 @@ std::shared_ptr<const PlacementArtifact> SynthesisSession::place(
     // diverged generators still share artifacts. The solver tag keeps a
     // store written by a build whose solver picked other optima from
     // serving those placements.
+    static constexpr StageCodec<PlacementArtifact> kCodec{
+        cas::encode_placement, cas::decode_placement};
     const std::string key = "pl|" + std::string(kPlacementSolverTag) + "|" +
                             topology_fingerprint(routed.topo) + "|" +
                             placement_cfg_key(cfg);
-    {
-        util::MutexLock lock(mu_);
-        auto it = placements_.find(key);
-        if (it != placements_.end()) {
-            m_placement_.hits->add();
-            return it->second;
+    return cached(placements_, key, &kCodec, [&] {
+        Rng rng(Rng::kDefaultSeed);
+        const RngState rng_before = rng.state();
+        PlacementArtifact artifact(routed.topo);
+        if (artifact.topo.num_switches() > 0) {
+            // The position solve consumes only the merged connection
+            // graph (build_switch_placement_problem), which routed
+            // topologies with different flow paths can share — so its
+            // solutions get their own content-keyed cache, in memory
+            // only (no codec: the store keeps whole placements).
+            const PlacementProblem problem =
+                build_switch_placement_problem(artifact.topo, spec_);
+            const auto solution = cached(
+                lp_solutions_, placement_problem_key(problem), nullptr, [&] {
+                    bool lp_ok = false;
+                    return solve_switch_placement(problem, lp_ok);
+                });
+            for (int s = 0; s < artifact.topo.num_switches(); ++s)
+                artifact.topo.switch_at(s).position =
+                    solution->positions[static_cast<std::size_t>(s)];
         }
-    }
-    if (opts_.cas) {
-        std::string blob;
-        if (opts_.cas->get(cas_prefix_ + key, blob)) {
-            if (auto art = cas::decode_placement(blob, spec_)) {
-                m_placement_.hits->add();
-                auto sp = std::make_shared<const PlacementArtifact>(
-                    std::move(*art));
-                util::MutexLock lock(mu_);
-                return placements_.emplace(key, std::move(sp)).first->second;
-            }
+        if (cfg.run_floorplan) {
+            obs::ScopedSpan fp_span("pipeline.floorplan");
+            const FloorplanOutcome fp = legalize_floorplan(
+                artifact.topo, spec_, cfg, /*use_standard=*/false, rng);
+            artifact.layer_die_area_mm2 = fp.layer_area_mm2;
         }
-    }
-
-    obs::ScopedSpan span("pipeline.placement");
-    const auto t0 = std::chrono::steady_clock::now();
-    Rng rng(Rng::kDefaultSeed);
-    const RngState rng_before = rng.state();
-    auto artifact = std::make_shared<PlacementArtifact>(routed.topo);
-    if (artifact->topo.num_switches() > 0) {
-        // The position solve consumes only the merged connection graph
-        // (build_switch_placement_problem), which routed topologies with
-        // different flow paths can share — so its solutions get their own
-        // content-keyed cache inside the stage.
-        const PlacementProblem problem =
-            build_switch_placement_problem(artifact->topo, spec_);
-        const std::string lp_key = placement_problem_key(problem);
-        std::shared_ptr<const PlacementResult> solution;
-        {
-            util::MutexLock lock(mu_);
-            auto it = lp_solutions_.find(lp_key);
-            if (it != lp_solutions_.end()) {
-                m_position_lp_.hits->add();
-                solution = it->second;
-            }
-        }
-        if (!solution) {
-            obs::ScopedSpan lp_span("pipeline.position_lp");
-            const auto lp_t0 = std::chrono::steady_clock::now();
-            bool lp_ok = false;
-            auto computed = std::make_shared<PlacementResult>(
-                solve_switch_placement(problem, lp_ok));
-            m_position_lp_.misses->add();
-            m_position_lp_.compute_ms->add(ms_since(lp_t0));
-            util::MutexLock lock(mu_);
-            solution = lp_solutions_.emplace(lp_key, std::move(computed))
-                           .first->second;
-        }
-        for (int s = 0; s < artifact->topo.num_switches(); ++s)
-            artifact->topo.switch_at(s).position =
-                solution->positions[static_cast<std::size_t>(s)];
-    }
-    if (cfg.run_floorplan) {
-        obs::ScopedSpan fp_span("pipeline.floorplan");
-        const FloorplanOutcome fp = legalize_floorplan(
-            artifact->topo, spec_, cfg, /*use_standard=*/false, rng);
-        artifact->layer_die_area_mm2 = fp.layer_area_mm2;
-    }
-    // The cache key assumes the stage is pure. The custom inserter is; if
-    // a stochastic legalizer is ever wired in here, the key must gain the
-    // generator state back (and the drivers must thread it).
-    if (!(rng.state() == rng_before))
-        throw std::logic_error(
-            "pipeline placement stage consumed the RNG; its cache key "
-            "must include the generator state");
-    m_placement_.misses->add();
-    m_placement_.compute_ms->add(ms_since(t0));
-    if (opts_.cas)
-        opts_.cas->put(cas_prefix_ + key, cas::encode_placement(*artifact));
-
-    util::MutexLock lock(mu_);
-    return placements_.emplace(key, std::move(artifact)).first->second;
+        // The cache key assumes the stage is pure. The custom inserter
+        // is; if a stochastic legalizer is ever wired in here, the key
+        // must gain the generator state back (and the drivers must
+        // thread it).
+        if (!(rng.state() == rng_before))
+            throw std::logic_error(
+                "pipeline placement stage consumed the RNG; its cache key "
+                "must include the generator state");
+        return artifact;
+    });
 }
 
 std::shared_ptr<const EvaluatedDesign> SynthesisSession::evaluate(
@@ -605,40 +521,13 @@ std::shared_ptr<const EvaluatedDesign> SynthesisSession::evaluate(
     // along because the artifact's die-area vector (copied into the
     // design point) comes from the floorplan side, not the topology
     // content.
+    static constexpr StageCodec<EvaluatedDesign> kCodec{
+        cas::encode_evaluation, cas::decode_evaluation};
     const std::string key = "ev|" + topology_fingerprint(placed.topo) + "|" +
                             placement_cfg_key(cfg) + "|" + eval_cfg_key(cfg);
-    {
-        util::MutexLock lock(mu_);
-        auto it = evaluations_.find(key);
-        if (it != evaluations_.end()) {
-            m_evaluation_.hits->add();
-            return it->second;
-        }
-    }
-    if (opts_.cas) {
-        std::string blob;
-        if (opts_.cas->get(cas_prefix_ + key, blob)) {
-            if (auto art = cas::decode_evaluation(blob, spec_)) {
-                m_evaluation_.hits->add();
-                auto sp = std::make_shared<const EvaluatedDesign>(
-                    std::move(*art));
-                util::MutexLock lock(mu_);
-                return evaluations_.emplace(key, std::move(sp)).first->second;
-            }
-        }
-    }
-
-    obs::ScopedSpan span("pipeline.evaluation");
-    const auto t0 = std::chrono::steady_clock::now();
-    auto artifact = std::make_shared<EvaluatedDesign>(
-        evaluate_design(placed, spec_, cfg));
-    m_evaluation_.misses->add();
-    m_evaluation_.compute_ms->add(ms_since(t0));
-    if (opts_.cas)
-        opts_.cas->put(cas_prefix_ + key, cas::encode_evaluation(*artifact));
-
-    util::MutexLock lock(mu_);
-    return evaluations_.emplace(key, std::move(artifact)).first->second;
+    return cached(evaluations_, key, &kCodec, [&] {
+        return EvaluatedDesign(evaluate_design(placed, spec_, cfg));
+    });
 }
 
 DesignPoint SynthesisSession::synthesize(const AssignmentArtifact& assign,
@@ -697,8 +586,7 @@ std::vector<DesignPoint> SynthesisSession::phase1(const SynthesisConfig& cfg,
 
     // Steps 11-20: theta sweep over the SPG for the unmet switch counts.
     for (double theta = cfg.theta_min;
-         !unmet.empty() && theta <= cfg.theta_max + 1e-9;
-         theta += cfg.theta_step) {
+         !unmet.empty() && theta <= cfg.theta_max + 1e-9;) {
         const PartitionGraphId spg =
             PartitionGraphId::spg(theta, cfg.theta_max);
         for (auto it = unmet.begin(); it != unmet.end();) {
@@ -720,6 +608,11 @@ std::vector<DesignPoint> SynthesisSession::phase1(const SynthesisConfig& cfg,
                 ++it;
             }
         }
+        // The sweep also ends once theta stops increasing: a theta pinned
+        // at or above 2^53 absorbs its step of 1, and runs one pass.
+        const double next = theta + cfg.theta_step;
+        if (!(next > theta)) break;
+        theta = next;
     }
     return points;
 }
@@ -788,7 +681,6 @@ std::vector<DesignPoint> SynthesisSession::phase2(const SynthesisConfig& cfg,
                         lg.core_ids[static_cast<std::size_t>(v)])] =
                         base + part->block[static_cast<std::size_t>(v)];
             }
-            aa.rng_after = rng;
             aa.key = assignment_key(aa.assign);
         }
         DesignPoint dp = synthesize(aa, cfg2, "phase2", 0.0, timing);
@@ -799,6 +691,13 @@ std::vector<DesignPoint> SynthesisSession::phase2(const SynthesisConfig& cfg,
 
 SynthesisResult SynthesisSession::run(const SynthesisConfig& cfg,
                                       SynthesisPhase phase) {
+    if (!std::isfinite(cfg.theta_step) || cfg.theta_step <= 0.0)
+        throw std::invalid_argument(
+            "SynthesisConfig.theta_step must be finite and positive");
+    if (!std::isfinite(cfg.theta_min))
+        throw std::invalid_argument("SynthesisConfig.theta_min must be finite");
+    if (!std::isfinite(cfg.theta_max))
+        throw std::invalid_argument("SynthesisConfig.theta_max must be finite");
     RngState rng = Rng(cfg.seed).state();
     SynthesisResult result;
     switch (phase) {
@@ -826,24 +725,16 @@ SynthesisResult SynthesisSession::run(const SynthesisConfig& cfg,
 }
 
 SessionStats SynthesisSession::stats() const {
-    auto read = [](const StageMetrics& m) {
-        StageCounters c;
-        c.hits = m.hits->value();
-        c.misses = m.misses->value();
-        c.compute_ms = m.compute_ms->value();
-        return c;
-    };
     SessionStats s;
-    s.partition = read(m_partition_);
-    s.routing = read(m_routing_);
-    s.placement = read(m_placement_);
-    s.position_lp = read(m_position_lp_);
-    s.evaluation = read(m_evaluation_);
+    s.partition = partitions_.counters();
+    s.routing = routings_.counters();
+    s.placement = placements_.counters();
+    s.position_lp = lp_solutions_.counters();
+    s.evaluation = evaluations_.counters();
     return s;
 }
 
 std::size_t SynthesisSession::artifact_count() const {
-    util::MutexLock lock(mu_);
     return partitions_.size() + routings_.size() + placements_.size() +
            lp_solutions_.size() + evaluations_.size();
 }
@@ -852,12 +743,12 @@ void SynthesisSession::clear() {
     {
         util::MutexLock lock(mu_);
         graphs_.clear();
-        partitions_.clear();
-        routings_.clear();
-        placements_.clear();
-        lp_solutions_.clear();
-        evaluations_.clear();
     }
+    partitions_.clear();
+    routings_.clear();
+    placements_.clear();
+    lp_solutions_.clear();
+    evaluations_.clear();
     // Local instruments restart from zero; the global registry keeps its
     // process-wide totals (reset() never touches the parent).
     registry_.reset();

@@ -1,19 +1,21 @@
 // Staged synthesis pipeline with cross-point artifact reuse.
 //
-// SynthesisSession owns one DesignSpec and a thread-safe per-stage
-// artifact cache. Running a synthesis through a session is bit-identical
-// to the stateless run_synthesis() for the same (cfg, phase) — cold or
-// warm, serial or from many threads — because every cached artifact is
-// keyed on the complete set of inputs its stage consumed, including the
-// RNG state handed to stochastic stages. Reuse is therefore unobservable
-// in the results; it only shows up in the stage counters and wall clock.
+// SynthesisSession is the one implementation of the Fig. 3 flow. It owns
+// one DesignSpec and a thread-safe per-stage artifact cache; the
+// stateless run_synthesis() runs a cold session. A warm session is
+// bit-identical to a cold one for the same (cfg, phase) — serial or from
+// many threads — because every cached artifact is keyed on the complete
+// set of inputs its stage consumed, including the RNG state handed to
+// stochastic stages. Reuse is therefore unobservable in the results; it
+// only shows up in the stage counters and wall clock.
 //
 // What each stage consumes (the contract behind the cache keys):
 //
 //   partition   graph identity (PG / SPG(theta, theta_max) / LPG(layer)),
 //               cfg.alpha, k, the effective PartitionOptions, RNG state in
 //   assignment  a partition + the cores' layer map (pure; phase 2 composes
-//               several per-layer partitions)
+//               several per-layer partitions). Rebuilt on every call
+//               from the cached partitions; never cached or stored
 //   routing     the assignment, cfg.eval (frequency + NoC library, wire
 //               and TSV parameters — link width lives in the library's
 //               flit width), cfg.max_ill, cfg.allow_multilayer_links, the
@@ -36,11 +38,14 @@
 //               from the floorplan side, not the topology content)
 //
 // Frequency and link width first appear in the *routing* stage, so
-// architectural points that differ only there share partition and
-// assignment artifacts — the redundancy the explorer exploits.
+// architectural points that differ only there share partition artifacts
+// (and so rebuild the same assignments) — the redundancy the explorer
+// exploits.
 #pragma once
 
 #include <memory>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
 
 #include "sunfloor/util/mutex.h"
@@ -91,21 +96,15 @@ std::string placement_problem_key(const PlacementProblem& p);
 
 // ----------------------------------------------------- stage computation
 //
-// The pure stage functions are the single implementation of the flow;
-// synthesize_design_point() and the session both run exactly this code.
+// The pure bodies of the routing, evaluation and phase-1 assignment
+// stages. SynthesisSession runs them behind its caches; the session's
+// place() is the position stage itself.
 
 /// Path-computation stage: initial topology, pruning rules 1 and 3
 /// (Section V-C), then Algorithm 3.
 RoutingArtifact route_assignment(const DesignSpec& spec,
                                  const SynthesisConfig& cfg,
                                  const CoreAssignment& assign);
-
-/// Position stage: switch-position LP, then floorplan legalization when
-/// `cfg.run_floorplan`. `rng` is handed to the legalizer for signature
-/// compatibility; the flow's custom inserter never consumes it.
-PlacementArtifact place_design(const RoutingArtifact& routed,
-                               const DesignSpec& spec,
-                               const SynthesisConfig& cfg, Rng& rng);
 
 /// Evaluation stage: power/latency/area report plus the validity chain
 /// (max_ill, latency constraints, the three deadlock-freedom checks).
@@ -193,32 +192,30 @@ class SynthesisSession {
 
     /// Path-computation stage for one assignment.
     std::shared_ptr<const RoutingArtifact> route(
-        const AssignmentArtifact& assign, const SynthesisConfig& cfg)
-        SF_EXCLUDES(mu_);
+        const AssignmentArtifact& assign, const SynthesisConfig& cfg);
 
-    /// Position stage (LP + optional floorplan legalization) for a routed
-    /// design. Pure: throws std::logic_error if a (future) legalizer
-    /// consumes the generator, since the cache key assumes it cannot.
+    /// Position stage for a routed design: the switch-position LP
+    /// (Eq. 2-5), then floorplan legalization when `cfg.run_floorplan`.
+    /// Pure: throws std::logic_error if a (future) legalizer consumes the
+    /// generator, since the cache key assumes it cannot.
     std::shared_ptr<const PlacementArtifact> place(
-        const RoutingArtifact& routed, const SynthesisConfig& cfg)
-        SF_EXCLUDES(mu_);
+        const RoutingArtifact& routed, const SynthesisConfig& cfg);
 
     /// Evaluation stage for a placed design.
     std::shared_ptr<const EvaluatedDesign> evaluate(
-        const PlacementArtifact& placed, const SynthesisConfig& cfg)
-        SF_EXCLUDES(mu_);
+        const PlacementArtifact& placed, const SynthesisConfig& cfg);
 
     /// The composed routing -> placement -> evaluation flow of one
-    /// assignment — synthesize_design_point() through the caches (none of
-    /// these stages consumes the generator). Stamps the sweep labels and
-    /// accumulates into `timing` when given.
+    /// assignment (none of these stages consumes the generator). Stamps
+    /// the sweep labels and accumulates into `timing` when given.
     DesignPoint synthesize(const AssignmentArtifact& assign,
                            const SynthesisConfig& cfg,
                            const std::string& phase, double theta,
                            StageTiming* timing = nullptr);
 
-    /// Algorithm 1 / Algorithm 2 drivers, bit-identical to run_phase1 /
-    /// run_phase2 with an Rng at `rng`'s state.
+    /// Algorithm 1 / Algorithm 2 drivers. `rng` is the generator state in
+    /// and out: every partition advances it, computed or replayed from a
+    /// cache alike, and run() chains Phase 2 onto the state Phase 1 left.
     std::vector<DesignPoint> phase1(const SynthesisConfig& cfg,
                                     RngState& rng,
                                     StageTiming* timing = nullptr);
@@ -227,7 +224,10 @@ class SynthesisSession {
                                     StageTiming* timing = nullptr);
 
     /// The full flow — bit-identical to run_synthesis(spec(), cfg, phase)
-    /// regardless of what is cached or which threads ran before.
+    /// regardless of what is cached or which threads ran before. Throws
+    /// std::invalid_argument when Algorithm 1's theta sweep cannot
+    /// advance: a theta_step that is not finite and positive, or a
+    /// non-finite theta_min or theta_max.
     SynthesisResult run(const SynthesisConfig& cfg,
                         SynthesisPhase phase = SynthesisPhase::Auto);
 
@@ -239,7 +239,7 @@ class SynthesisSession {
     obs::Registry& registry() { return registry_; }
 
     /// Cached artifacts over all stages (graphs excluded).
-    std::size_t artifact_count() const SF_EXCLUDES(mu_);
+    std::size_t artifact_count() const;
 
     /// Drop every cached artifact and reset the counters.
     void clear() SF_EXCLUDES(mu_);
@@ -247,15 +247,79 @@ class SynthesisSession {
   private:
     struct GraphEntry;
 
-    /// Resolved instrument handles for one stage's hit/miss/compute-time
-    /// accounting ("pipeline.<stage>.hits" and friends). Resolved once at
-    /// construction; stage hot paths bump them with single atomic adds.
-    struct StageMetrics {
-        obs::Counter* hits = nullptr;
-        obs::Counter* misses = nullptr;
-        obs::Gauge* compute_ms = nullptr;
+    /// One stage's artifact cache: a key -> artifact map under its own
+    /// lock, plus the stage's "<name>.hits" / ".misses" / ".compute_ms"
+    /// instruments. The lock is held only for a find or an insert, never
+    /// across a stage computation or a CAS round trip, so concurrent
+    /// misses on one key race benignly. Artifacts are immutable once
+    /// published, which is why handing out shared_ptrs of them needs no
+    /// further guarding. Only the stage routine cached() looks up and
+    /// fills one, so it is the one place a memory bound would evict.
+    template <typename Artifact>
+    class StageCache {
+      public:
+        using Ptr = std::shared_ptr<const Artifact>;
+
+        /// `name` is the stage's span name ("pipeline.<stage>"), a string
+        /// literal: the tracer stores the pointer.
+        StageCache(obs::Registry& registry, const char* name)
+            : name(name),
+              hits(registry.counter(std::string(name) + ".hits")),
+              misses(registry.counter(std::string(name) + ".misses")),
+              compute_ms(registry.gauge(std::string(name) + ".compute_ms")) {}
+
+        Ptr find(const std::string& key) const SF_EXCLUDES(mu_) {
+            util::MutexLock lock(mu_);
+            auto it = map_.find(key);
+            return it == map_.end() ? nullptr : it->second;
+        }
+
+        /// First insert wins: threads that raced on one key computed
+        /// bit-identical artifacts, and every one of them gets the kept one.
+        Ptr insert(const std::string& key, Ptr artifact) SF_EXCLUDES(mu_) {
+            util::MutexLock lock(mu_);
+            return map_.emplace(key, std::move(artifact)).first->second;
+        }
+
+        std::size_t size() const SF_EXCLUDES(mu_) {
+            util::MutexLock lock(mu_);
+            return map_.size();
+        }
+
+        void clear() SF_EXCLUDES(mu_) {
+            util::MutexLock lock(mu_);
+            map_.clear();
+        }
+
+        StageCounters counters() const {
+            return {hits.value(), misses.value(), compute_ms.value()};
+        }
+
+        const char* const name;
+        obs::Counter& hits;
+        obs::Counter& misses;
+        obs::Gauge& compute_ms;  ///< wall clock spent computing misses
+
+      private:
+        mutable util::Mutex mu_;
+        std::unordered_map<std::string, Ptr> map_ SF_GUARDED_BY(mu_);
     };
-    StageMetrics stage_metrics(const char* stage);
+
+    /// The CAS codec of an artifact kind the store spills (session.cpp).
+    template <typename Artifact>
+    struct StageCodec;
+
+    /// The stage routine every cached stage call runs: memory lookup,
+    /// then (when `codec` is given and a store is attached) a store
+    /// lookup, then `compute()` under the stage's span and timer, the
+    /// write-back to the store and the first-insert-wins publish.
+    /// `span_arg` names an integer arg of the span (nullptr: none).
+    template <typename Artifact, typename Compute>
+    std::shared_ptr<const Artifact> cached(
+        StageCache<Artifact>& cache, const std::string& key,
+        const std::type_identity_t<StageCodec<Artifact>>* codec,
+        Compute&& compute,
+        const char* span_arg = nullptr, long long span_value = 0);
 
     /// Build-or-fetch the partition graph named by `graph` for this
     /// spec + alpha (graph construction is deterministic and cheap; the
@@ -271,31 +335,20 @@ class SynthesisSession {
     std::string cas_prefix_;
 
     obs::Registry registry_{&obs::Registry::global()};
-    StageMetrics m_partition_;
-    StageMetrics m_routing_;
-    StageMetrics m_placement_;
-    StageMetrics m_position_lp_;
-    StageMetrics m_evaluation_;
+    StageCache<PartitionArtifact> partitions_{registry_,
+                                              "pipeline.partition"};
+    StageCache<RoutingArtifact> routings_{registry_, "pipeline.routing"};
+    StageCache<PlacementArtifact> placements_{registry_,
+                                              "pipeline.placement"};
+    StageCache<PlacementResult> lp_solutions_{registry_,
+                                              "pipeline.position_lp"};
+    StageCache<EvaluatedDesign> evaluations_{registry_,
+                                             "pipeline.evaluation"};
 
-    /// One lock over all six stage caches. Stage methods hold it only for
-    /// the find/emplace around a compute — never across a stage
-    /// computation or a CAS round-trip — so concurrent misses on the same
-    /// key race benignly (first emplace wins; results are bit-identical).
-    /// The artifacts themselves are immutable once published, which is
-    /// why handing out shared_ptrs of them needs no further guarding.
+    /// Guards the partition-graph cache; the stage caches lock their own.
     mutable util::Mutex mu_;
     std::unordered_map<std::string, std::shared_ptr<const GraphEntry>>
         graphs_ SF_GUARDED_BY(mu_);
-    std::unordered_map<std::string, std::shared_ptr<const PartitionArtifact>>
-        partitions_ SF_GUARDED_BY(mu_);
-    std::unordered_map<std::string, std::shared_ptr<const RoutingArtifact>>
-        routings_ SF_GUARDED_BY(mu_);
-    std::unordered_map<std::string, std::shared_ptr<const PlacementArtifact>>
-        placements_ SF_GUARDED_BY(mu_);
-    std::unordered_map<std::string, std::shared_ptr<const PlacementResult>>
-        lp_solutions_ SF_GUARDED_BY(mu_);
-    std::unordered_map<std::string, std::shared_ptr<const EvaluatedDesign>>
-        evaluations_ SF_GUARDED_BY(mu_);
 };
 
 }  // namespace sunfloor::pipeline

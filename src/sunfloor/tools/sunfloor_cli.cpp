@@ -20,7 +20,8 @@
 //   --phase <auto|1|2>        synthesis phase            (default auto)
 //   --routing <policy>        routing policy: up-down|west-first|odd-even
 //                             (default up-down, the paper's discipline)
-//   --seed <n>                RNG seed                   (default fixed)
+//   --seed <n>                RNG seed, 0..2^63-1        (default fixed)
+//                             (every subcommand's --seed takes this range)
 //   --no-floorplan            skip NoC insertion legalization
 //   --out <prefix>            write <prefix>_topology.dot,
 //                             <prefix>_layer<k>.svg, <prefix>_points.csv
@@ -261,6 +262,12 @@ bool parse_int_list(const char* arg, std::vector<int>& out) {
     return !out.empty();
 }
 
+/// Every `--seed` and `--gen-seed`: a 64-bit integer >= 0, read the same
+/// way by each subcommand, so a one-shot run reproduces a served job.
+bool parse_seed(const char* arg, long long& out) {
+    return arg != nullptr && parse_int64(arg, out) && out >= 0;
+}
+
 /// Generator knobs shared by `generate` and `explore --family`. Returns
 /// 1 when `arg` (plus its value) was consumed, 0 when it is not a
 /// generator flag, -1 on a bad value (message printed). Range checks live
@@ -315,9 +322,7 @@ int run_generate(int argc, char** argv) {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
         if (arg == "--seed") {
-            const char* v = next();
-            if (!v || !parse_int64(v, seed) || seed < 0)
-                return usage(argv[0]);
+            if (!parse_seed(next(), seed)) return usage(argv[0]);
         } else if (arg == "--out") {
             const char* v = next();
             if (!v) return usage(argv[0]);
@@ -532,9 +537,8 @@ int run_explore(int argc, char** argv) {
             const char* v = next();
             if (!v || !parse_int(v, opts.num_threads)) return usage(argv[0]);
         } else if (arg == "--seed") {
-            const char* v = next();
-            int seed = 0;
-            if (!v || !parse_int(v, seed)) return usage(argv[0]);
+            long long seed = 0;
+            if (!parse_seed(next(), seed)) return usage(argv[0]);
             opts.base_seed = static_cast<std::uint64_t>(seed);
         } else if (arg == "--no-floorplan") {
             cfg.run_floorplan = false;
@@ -602,9 +606,7 @@ int run_explore(int argc, char** argv) {
                 return usage(argv[0]);
             family_only_flag = "--instances";
         } else if (arg == "--gen-seed") {
-            const char* v = next();
-            if (!v || !parse_int64(v, gen_seed) || gen_seed < 0)
-                return usage(argv[0]);
+            if (!parse_seed(next(), gen_seed)) return usage(argv[0]);
             family_only_flag = "--gen-seed";
         } else {
             const int ob = sinks.parse_flag(arg, next);
@@ -848,9 +850,8 @@ int run_simulate(int argc, char** argv) {
                 return bad_enum_value("--routing", v,
                                       routing::routing_choices());
         } else if (arg == "--seed") {
-            const char* v = next();
-            int seed = 0;
-            if (!v || !parse_int(v, seed)) return usage(argv[0]);
+            long long seed = 0;
+            if (!parse_seed(next(), seed)) return usage(argv[0]);
             cfg.seed = static_cast<std::uint64_t>(seed);
             sp.seed = cfg.seed;
         } else if (arg == "--no-floorplan") {
@@ -1000,9 +1001,8 @@ int run_synthesize(int argc, char** argv) {
                 return bad_enum_value("--routing", v,
                                       routing::routing_choices());
         } else if (arg == "--seed") {
-            const char* v = next();
-            int seed = 0;
-            if (!v || !parse_int(v, seed)) return usage(argv[0]);
+            long long seed = 0;
+            if (!parse_seed(next(), seed)) return usage(argv[0]);
             cfg.seed = static_cast<std::uint64_t>(seed);
         } else if (arg == "--no-floorplan") {
             cfg.run_floorplan = false;
@@ -1027,8 +1027,7 @@ int run_synthesize(int argc, char** argv) {
                 spec.name.c_str(), spec.cores.num_cores(),
                 spec.cores.num_layers(), spec.comm.num_flows());
 
-    Synthesizer synth(spec, cfg);
-    const auto sweep = synth.run_frequency_sweep(freqs_hz, phase);
+    const auto sweep = run_frequency_sweep(spec, cfg, freqs_hz, phase);
     if (!sinks.finish()) return 1;
     for (const auto& fp : sweep) {
         std::printf("\n=== %.0f MHz ===\n", fp.freq_hz / 1e6);
@@ -1188,9 +1187,7 @@ int run_submit(int argc, char** argv) {
             if (!v || !parse_double(v, sr.params.alpha))
                 return usage(argv[0]);
         } else if (arg == "--seed") {
-            const char* v = next();
-            if (!v || !parse_int64(v, sr.params.seed) || sr.params.seed < 0)
-                return usage(argv[0]);
+            if (!parse_seed(next(), sr.params.seed)) return usage(argv[0]);
         } else if (arg == "--no-floorplan") {
             sr.params.floorplan = false;
         } else if (arg == "--wait") {

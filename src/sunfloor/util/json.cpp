@@ -92,27 +92,41 @@ class JsonParser {
         return true;
     }
 
+    /// Consume the digits at the cursor; returns how many.
+    std::size_t skip_digits() {
+        const std::size_t from = pos_;
+        while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
+            ++pos_;
+        return pos_ - from;
+    }
+
     bool parse_number(JsonValue& out) {
+        // The JSON grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
         const std::size_t start = pos_;
         if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+        const std::size_t int_at = pos_;
+        const std::size_t int_digits = skip_digits();
+        bool ok = int_digits == 1 || (int_digits > 1 && text_[int_at] != '0');
         bool integral = true;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c >= '0' && c <= '9') {
+        if (ok && pos_ < text_.size() && text_[pos_] == '.') {
+            ++pos_;
+            integral = false;
+            ok = skip_digits() > 0;
+        }
+        if (ok && pos_ < text_.size() &&
+            (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+            ++pos_;
+            integral = false;
+            if (pos_ < text_.size() &&
+                (text_[pos_] == '+' || text_[pos_] == '-'))
                 ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
-                       c == '-') {
-                integral = false;
-                ++pos_;
-            } else {
-                break;
-            }
+            ok = skip_digits() > 0;
         }
         const std::string_view lexeme = text_.substr(start, pos_ - start);
         double d = 0.0;
-        // parse_double is finite-only: "1e999" (overflow to inf) and any
-        // nan/inf/hex spelling fail here rather than poisoning a knob.
-        if (lexeme.empty() || !parse_double(lexeme, d)) {
+        // parse_double is finite-only: "1e999" (overflow to inf) fails
+        // here rather than poisoning a knob.
+        if (!ok || !parse_double(lexeme, d)) {
             pos_ = start;
             fail("malformed or non-finite number");
             return false;

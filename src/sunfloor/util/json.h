@@ -1,14 +1,14 @@
-// Minimal strict JSON document parser for the service wire protocol.
+// Minimal strict JSON document parser: the reader for the service and
+// shard wire protocols, and the one check the tests run over traces,
+// metrics snapshots and lint reports.
 //
-// Deliberately stricter than the grammar where leniency would let bad
-// input through the same way the spec parser used to (PR 5): numbers must
-// be *finite* ("1e999" is rejected, inf/nan are not JSON at all), object
-// keys must be unique, nesting depth is bounded, and every parse error
-// names the byte offset of the problem. Text inside strings is passed
-// through verbatim (UTF-8 agnostic) with the standard escapes decoded.
-//
-// obs::validate_json stays the cheap syntax *checker* for multi-megabyte
-// traces; this is the *reader* for small protocol frames.
+// Numbers follow the JSON grammar ("+1", "1." and "01" are rejected) and
+// must be *finite* ("1e999" is rejected, inf/nan are not JSON at all),
+// so leniency cannot let bad input through the way the spec parser once
+// did. Object keys must be unique, nesting is bounded at 64 levels, and
+// every parse error names the byte offset of the problem. Text inside
+// strings is passed through verbatim (UTF-8 agnostic) with the standard
+// escapes decoded.
 #pragma once
 
 #include <cstdint>

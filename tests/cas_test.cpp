@@ -318,25 +318,18 @@ TEST(CasCodec, ArtifactsRoundTripBitExactly) {
     // Find a switch count whose assignment routes (the sweep's job); the
     // codec must handle whichever artifacts fall out.
     std::shared_ptr<const pipeline::PartitionArtifact> part;
-    std::unique_ptr<pipeline::AssignmentArtifact> assign_holder;
-    std::unique_ptr<pipeline::RoutingArtifact> routed_holder;
+    std::shared_ptr<const pipeline::RoutingArtifact> routed_holder;
     for (int k = 2; k <= cfg.max_switches && !routed_holder; ++k) {
         part = session.partition(pipeline::PartitionGraphId::pg(), k, cfg,
                                  cfg.partition, rng_in);
-        auto a = std::make_unique<pipeline::AssignmentArtifact>(
-            pipeline::phase1_assignment(*part, spec.cores));
-        auto r = std::make_unique<pipeline::RoutingArtifact>(
-            pipeline::route_assignment(spec, cfg, a->assign));
-        if (!r->ok) continue;
-        assign_holder = std::move(a);
-        routed_holder = std::move(r);
+        auto r = session.route(pipeline::phase1_assignment(*part, spec.cores),
+                               cfg);
+        if (r->ok) routed_holder = std::move(r);
     }
     ASSERT_TRUE(routed_holder) << "no switch count routed";
-    const pipeline::AssignmentArtifact& assign = *assign_holder;
     const pipeline::RoutingArtifact& routed = *routed_holder;
-    Rng prng(cfg.seed);
-    const pipeline::PlacementArtifact placed =
-        pipeline::place_design(routed, spec, cfg, prng);
+    const auto placed_holder = session.place(routed, cfg);
+    const pipeline::PlacementArtifact& placed = *placed_holder;
     const pipeline::EvaluatedDesign evaluated(
         pipeline::evaluate_design(placed, spec, cfg));
 
@@ -351,13 +344,6 @@ TEST(CasCodec, ArtifactsRoundTripBitExactly) {
         EXPECT_EQ(back->block, part->block);
         EXPECT_EQ(back->k, part->k);
         EXPECT_EQ(back->rng_after, part->rng_after);
-    }
-    {
-        const std::string blob = cas::encode_assignment(assign);
-        const auto back = cas::decode_assignment(blob);
-        ASSERT_TRUE(back.has_value());
-        EXPECT_EQ(cas::encode_assignment(*back), blob);
-        EXPECT_EQ(back->key, assign.key);
     }
     {
         const std::string blob = cas::encode_routing(routed);
@@ -421,7 +407,6 @@ TEST(CasCodec, MalformedBlobsDecodeToNullopt) {
 
     const std::string blobs[] = {
         cas::encode_partition(*part),
-        cas::encode_assignment(assign),
         cas::encode_routing(routed),
         cas::encode_placement(pipeline::PlacementArtifact(routed.topo)),
         cas::encode_evaluation(evaluated),
@@ -433,14 +418,12 @@ TEST(CasCodec, MalformedBlobsDecodeToNullopt) {
         for (const std::size_t cut : cuts) {
             const std::string t = blob.substr(0, cut);
             EXPECT_FALSE(cas::decode_partition(t).has_value());
-            EXPECT_FALSE(cas::decode_assignment(t).has_value());
             EXPECT_FALSE(cas::decode_routing(t, spec).has_value());
             EXPECT_FALSE(cas::decode_placement(t, spec).has_value());
             EXPECT_FALSE(cas::decode_evaluation(t, spec).has_value());
         }
         const std::string noisy = blob + "x";
         EXPECT_FALSE(cas::decode_partition(noisy).has_value());
-        EXPECT_FALSE(cas::decode_assignment(noisy).has_value());
         EXPECT_FALSE(cas::decode_routing(noisy, spec).has_value());
         EXPECT_FALSE(cas::decode_placement(noisy, spec).has_value());
         EXPECT_FALSE(cas::decode_evaluation(noisy, spec).has_value());
@@ -457,9 +440,9 @@ TEST(CasCodec, MalformedBlobsDecodeToNullopt) {
     for (int sw = 0; sw < topo.num_switches(); ++sw)
         links_at += 4 + topo.switch_at(sw).name.size() + 20;
     const std::pair<std::string, std::size_t> carriers[] = {
+        {blobs[1], 1},
         {blobs[2], 1},
-        {blobs[3], 1},
-        {blobs[4], 1 + 4 + evaluated.point.phase.size() + 12},
+        {blobs[3], 1 + 4 + evaluated.point.phase.size() + 12},
     };
     const std::pair<std::size_t, int> counts[] = {
         {switches_at, topo.num_switches()},
@@ -506,30 +489,56 @@ TEST(CasSession, WarmStoreServesAFreshSessionBitIdentically) {
     const SynthesisConfig cfg = fast_cfg();
     const SynthesisResult ref = run_synthesis(spec, cfg);
 
+    // The cold run writes back every artifact each stage computed.
+    pipeline::SessionStats cold;
+    long long written = 0;
     {
         pipeline::SessionOptions so;
         so.cas = std::make_shared<cas::Store>(
             cas::StoreOptions{dir.path, 0, 60.0});
+        const long long stores_before = counter("cas.stores");
         pipeline::SynthesisSession warmup(spec, so);
         expect_same_results(warmup.run(cfg), ref);
+        cold = warmup.stats();
+        written = counter("cas.stores") - stores_before;
+        EXPECT_EQ(written, cold.partition.misses + cold.routing.misses +
+                               cold.placement.misses +
+                               cold.evaluation.misses);
     }
 
     // A brand-new process would start exactly here: empty in-memory
-    // caches, a populated store. Every artifact must come back from disk
-    // (stage hits without stage misses' compute) and the results must be
-    // bit-identical to the cold flow.
+    // caches, a populated store. Every stage must serve each of its calls
+    // from disk or from what it already read — no stage computes, so the
+    // position LP never runs and nothing is written back — and the
+    // results must be bit-identical to the cold flow.
     pipeline::SessionOptions so;
     so.cas = std::make_shared<cas::Store>(
         cas::StoreOptions{dir.path, 0, 60.0});
     const long long hits_before = counter("cas.hits");
+    const long long stores_before = counter("cas.stores");
     pipeline::SynthesisSession fresh(spec, so);
     const SynthesisResult got = fresh.run(cfg);
     expect_same_results(got, ref);
-    EXPECT_GT(counter("cas.hits"), hits_before);
     const pipeline::SessionStats st = fresh.stats();
-    EXPECT_GT(st.partition.hits + st.routing.hits + st.placement.hits +
-                  st.evaluation.hits,
-              0);
+    struct Stage {
+        const char* name;
+        pipeline::StageCounters warm;
+        pipeline::StageCounters cold;
+    };
+    const Stage stages[] = {
+        {"partition", st.partition, cold.partition},
+        {"routing", st.routing, cold.routing},
+        {"placement", st.placement, cold.placement},
+        {"evaluation", st.evaluation, cold.evaluation},
+    };
+    for (const Stage& stage : stages) {
+        EXPECT_GT(stage.cold.misses, 0) << stage.name;
+        EXPECT_EQ(stage.warm.misses, 0) << stage.name;
+        EXPECT_EQ(stage.warm.hits, stage.cold.calls()) << stage.name;
+    }
+    EXPECT_EQ(st.position_lp.calls(), 0);
+    EXPECT_EQ(counter("cas.stores"), stores_before);
+    EXPECT_EQ(counter("cas.hits") - hits_before, written);
 }
 
 // Keys of every object in a store directory, read from the key echo each

@@ -562,6 +562,28 @@ TEST(DistFaults, ConfigErrorsAreTyped) {
     }
 }
 
+TEST(DistFaults, ThetaSweepThatCannotAdvanceFailsTheShard) {
+    // The sweep axis keeps the base config's theta_step, which a shard
+    // frame carries verbatim: a step of 0 must fail the shard, not hang
+    // its worker.
+    dist::ShardRequest req;
+    req.spec = make_benchmark("D_36_4");
+    req.base_cfg = fast_cfg();
+    req.base_cfg.theta_step = 0.0;
+    req.opts = backend_opts(EvalBackend::Analytic);
+    req.points = ParamGrid().enumerate();
+    ASSERT_EQ(req.points.size(), 1u);
+    dist::InprocTransport transport;
+    try {
+        transport.run(req);
+        FAIL() << "expected DistError";
+    } catch (const dist::DistError& e) {
+        EXPECT_NE(std::string(e.what()).find("theta_step"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(DistFaults, UnreachableSocketWorkerFailsAsTransport) {
     const DesignSpec spec = make_benchmark("D_36_4");
     ParamGrid grid;

@@ -204,6 +204,32 @@ TEST(Explorer, DuplicateAxisValuesYieldIdenticalCopies) {
     EXPECT_EQ(sg.evaluation.misses, 0);
 }
 
+TEST(Explorer, ThetaPinnedBeyondTwoToThe53RunsOneSweepPass) {
+    // A pinned theta steps by 1, which a theta >= 2^53 absorbs: the
+    // sweep must still end after its one pass, exactly as it does at
+    // 1e15 — one SPG cut per switch count the PG sweep left unmet.
+    const DesignSpec spec = make_benchmark("D_36_4");
+    SynthesisConfig cfg;
+    cfg.run_floorplan = false;
+    ExploreOptions serial;
+    serial.num_threads = 1;
+    for (double theta : {1e15, 1e16}) {
+        GridPoint p;
+        p.max_tsvs = 1;
+        p.phase = SynthesisPhase::Phase1;
+        p.theta = theta;
+        const ExploreResult r =
+            Explorer(spec, cfg, serial).run(std::vector<GridPoint>{p});
+        const auto& points = r.points[0].result.points;
+        ASSERT_EQ(points.size(), 36u) << theta;
+        long long unmet = 0;
+        for (const auto& dp : points)
+            if (!dp.valid || dp.theta > 0.0) ++unmet;
+        EXPECT_EQ(unmet, 36) << theta;
+        EXPECT_EQ(r.stats.stage.partition.misses, 36 + unmet) << theta;
+    }
+}
+
 TEST(Explorer, StatsAndDominanceAreConsistent) {
     const DesignSpec spec = make_benchmark("D_36_4");
     const Explorer explorer(spec, fast_cfg());

@@ -17,9 +17,9 @@ SynthesisConfig fast_cfg() {
 
 TEST(FrequencySweep, EachPointUsesItsFrequency) {
     DesignSpec spec = make_d38_tvopd();
-    Synthesizer synth(spec, fast_cfg());
     const auto sweep =
-        synth.run_frequency_sweep({400e6, 600e6}, SynthesisPhase::Phase1);
+        run_frequency_sweep(spec, fast_cfg(), {400e6, 600e6},
+                            SynthesisPhase::Phase1);
     ASSERT_EQ(sweep.size(), 2u);
     EXPECT_DOUBLE_EQ(sweep[0].freq_hz, 400e6);
     EXPECT_DOUBLE_EQ(sweep[1].freq_hz, 600e6);
@@ -33,9 +33,9 @@ TEST(FrequencySweep, HigherFrequencyShrinksMaxSwitch) {
     DesignSpec spec = make_d26_media();
     SynthesisConfig cfg = fast_cfg();
     cfg.max_switches = 12;
-    Synthesizer synth(spec, cfg);
     const auto sweep =
-        synth.run_frequency_sweep({300e6, 700e6}, SynthesisPhase::Phase1);
+        run_frequency_sweep(spec, cfg, {300e6, 700e6},
+                            SynthesisPhase::Phase1);
     auto min_valid_switches = [](const SynthesisResult& r) {
         int m = 1 << 20;
         for (const auto& p : r.points)
@@ -49,9 +49,9 @@ TEST(FrequencySweep, HigherFrequencyShrinksMaxSwitch) {
 
 TEST(FrequencySweep, BestOverSweepPicksGlobalMinimum) {
     DesignSpec spec = make_d38_tvopd();
-    Synthesizer synth(spec, fast_cfg());
     const auto sweep =
-        synth.run_frequency_sweep({400e6, 500e6}, SynthesisPhase::Phase1);
+        run_frequency_sweep(spec, fast_cfg(), {400e6, 500e6},
+                            SynthesisPhase::Phase1);
     const auto [fi, pi] = best_power_over_sweep(sweep);
     ASSERT_GE(fi, 0);
     const double best =
@@ -71,9 +71,9 @@ TEST(FrequencySweep, LowerFrequencyUsuallyCheaper) {
     DesignSpec spec = make_d26_media();
     SynthesisConfig cfg = fast_cfg();
     cfg.max_switches = 12;
-    Synthesizer synth(spec, cfg);
     const auto sweep =
-        synth.run_frequency_sweep({400e6, 800e6}, SynthesisPhase::Phase1);
+        run_frequency_sweep(spec, cfg, {400e6, 800e6},
+                            SynthesisPhase::Phase1);
     const int b0 = sweep[0].result.best_power_index();
     const int b1 = sweep[1].result.best_power_index();
     ASSERT_GE(b0, 0);
@@ -90,18 +90,8 @@ TEST(FrequencySweep, LowerFrequencyUsuallyCheaper) {
 
 TEST(FrequencySweep, EmptySweep) {
     DesignSpec spec = make_d38_tvopd();
-    Synthesizer synth(spec, fast_cfg());
-    EXPECT_TRUE(synth.run_frequency_sweep({}).empty());
+    EXPECT_TRUE(run_frequency_sweep(spec, fast_cfg(), {}).empty());
     EXPECT_EQ(best_power_over_sweep({}).first, -1);
-}
-
-TEST(FrequencySweep, ConfigRestoredAfterSweep) {
-    DesignSpec spec = make_d38_tvopd();
-    SynthesisConfig cfg = fast_cfg();
-    cfg.eval.freq_hz = 450e6;
-    Synthesizer synth(spec, cfg);
-    synth.run_frequency_sweep({300e6});
-    EXPECT_DOUBLE_EQ(synth.config().eval.freq_hz, 450e6);
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ TEST_P(BenchmarkSynthesis, Phase1ValidPointsMeetEveryConstraint) {
     SynthesisConfig cfg = fast_cfg();
     // Limit the sweep on the big designs to keep test time reasonable.
     cfg.max_switches = std::min(spec.cores.num_cores(), 14);
-    const auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+    const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
     ASSERT_GT(res.num_valid(), 0) << GetParam();
     for (const auto& p : res.points)
         if (p.valid) verify_point(p, spec, cfg);
@@ -54,7 +54,7 @@ TEST_P(BenchmarkSynthesis, Phase1ValidPointsMeetEveryConstraint) {
 TEST_P(BenchmarkSynthesis, Phase2ValidPointsMeetEveryConstraint) {
     const DesignSpec spec = make_benchmark(GetParam());
     SynthesisConfig cfg = fast_cfg();
-    const auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase2);
+    const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase2);
     ASSERT_GT(res.num_valid(), 0) << GetParam();
     for (const auto& p : res.points) {
         if (!p.valid) continue;
@@ -73,8 +73,8 @@ TEST(Headline, ThreeDBeats2DOnD26Media) {
     const DesignSpec spec2d = to_2d(spec3d);
     SynthesisConfig cfg = fast_cfg();
     cfg.max_switches = 14;
-    const auto r3 = Synthesizer(spec3d, cfg).run(SynthesisPhase::Phase1);
-    const auto r2 = Synthesizer(spec2d, cfg).run(SynthesisPhase::Phase1);
+    const auto r3 = run_synthesis(spec3d, cfg, SynthesisPhase::Phase1);
+    const auto r2 = run_synthesis(spec2d, cfg, SynthesisPhase::Phase1);
     const int b3 = r3.best_power_index();
     const int b2 = r2.best_power_index();
     ASSERT_GE(b3, 0);
@@ -92,7 +92,7 @@ TEST(Headline, CustomTopologyBeatsOptimizedMesh) {
     const DesignSpec spec = make_d26_media();
     SynthesisConfig cfg = fast_cfg();
     cfg.max_switches = 14;
-    const auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+    const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
     const int bp = res.best_power_index();
     ASSERT_GE(bp, 0);
     Rng rng(7);
@@ -114,8 +114,8 @@ TEST(Headline, Phase1BeatsPhase2OnPower) {
     const DesignSpec spec = make_d36(4);
     SynthesisConfig cfg = fast_cfg();
     cfg.max_switches = 14;
-    const auto p1 = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
-    const auto p2 = Synthesizer(spec, cfg).run(SynthesisPhase::Phase2);
+    const auto p1 = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
+    const auto p2 = run_synthesis(spec, cfg, SynthesisPhase::Phase2);
     const int b1 = p1.best_power_index();
     const int b2 = p2.best_power_index();
     ASSERT_GE(b1, 0);
@@ -132,8 +132,8 @@ TEST(Headline, TighterIllBudgetCostsPowerOrFails) {
     loose.max_switches = 12;
     SynthesisConfig tight = loose;
     tight.max_ill = 12;
-    const auto rl = Synthesizer(spec, loose).run(SynthesisPhase::Phase1);
-    const auto rt = Synthesizer(spec, tight).run(SynthesisPhase::Phase1);
+    const auto rl = run_synthesis(spec, loose, SynthesisPhase::Phase1);
+    const auto rt = run_synthesis(spec, tight, SynthesisPhase::Phase1);
     const int bl = rl.best_power_index();
     ASSERT_GE(bl, 0);
     if (rt.best_power_index() >= 0) {
@@ -152,9 +152,9 @@ TEST(Headline, PipelineBenchmarkGainsLeastFrom3D) {
     SynthesisConfig cfg = fast_cfg();
     cfg.max_switches = 12;
     auto saving = [&](const DesignSpec& spec3d) {
-        const auto r3 = Synthesizer(spec3d, cfg).run(SynthesisPhase::Phase1);
+        const auto r3 = run_synthesis(spec3d, cfg, SynthesisPhase::Phase1);
         const auto r2 =
-            Synthesizer(to_2d(spec3d), cfg).run(SynthesisPhase::Phase1);
+            run_synthesis(to_2d(spec3d), cfg, SynthesisPhase::Phase1);
         const int b3 = r3.best_power_index();
         const int b2 = r2.best_power_index();
         if (b3 < 0 || b2 < 0) return 0.0;

@@ -18,7 +18,7 @@ SynthesisResult small_result() {
     cfg.partition.num_starts = 2;
     cfg.run_floorplan = false;
     cfg.max_switches = 5;
-    return Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+    return run_synthesis(spec, cfg, SynthesisPhase::Phase1);
 }
 
 TEST(IoDot, TopologyDotWellFormed) {

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "sunfloor/lint/lint.h"
-#include "sunfloor/obs/trace.h"
+#include "sunfloor/util/json.h"
 
 #ifndef _WIN32
 #include <sys/wait.h>
@@ -167,13 +167,13 @@ TEST(LintTest, JsonReportValidates) {
                               fixture("spec/writer.cpp")});
     ASSERT_FALSE(fs.empty());
     const std::string json = sunfloor::lint::to_json(fs);
-    std::string error;
-    EXPECT_TRUE(sunfloor::obs::validate_json(json, &error)) << error;
+    const sunfloor::JsonParseResult parsed = sunfloor::parse_json(json);
+    EXPECT_TRUE(parsed.ok) << parsed.error;
     EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"count\": "), std::string::npos);
     // Empty reports are valid JSON too.
     const std::string empty = sunfloor::lint::to_json({});
-    EXPECT_TRUE(sunfloor::obs::validate_json(empty, &error)) << error;
+    EXPECT_TRUE(sunfloor::parse_json(empty).ok);
     EXPECT_NE(empty.find("\"count\": 0"), std::string::npos);
 }
 

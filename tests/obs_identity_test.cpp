@@ -16,6 +16,7 @@
 #include "sunfloor/explore/export.h"
 #include "sunfloor/obs/trace.h"
 #include "sunfloor/spec/benchmarks.h"
+#include "sunfloor/util/json.h"
 
 namespace sunfloor {
 namespace {
@@ -142,8 +143,8 @@ TEST(ObsIdentityTrace, MultithreadedExploreTraceIsWellFormed) {
     ASSERT_TRUE(obs::stop_tracing(os));
     const std::string trace = os.str();
 
-    std::string err;
-    EXPECT_TRUE(obs::validate_json(trace, &err)) << err;
+    const JsonParseResult parsed = parse_json(trace);
+    EXPECT_TRUE(parsed.ok) << parsed.error;
 
     // Balanced begin/end pairs per (thread, span name), and the span
     // taxonomy the README documents actually shows up.

@@ -1,7 +1,7 @@
 // Observability layer units: metrics registry semantics (delegation,
-// histogram bucketing, reset, JSON schema), the span tracer (balanced
-// begin/end pairs, per-thread buffers, disabled-path no-ops) and the
-// validate_json checker the other obs tests lean on.
+// histogram bucketing, reset, JSON schema) and the span tracer (balanced
+// begin/end pairs, per-thread buffers, disabled-path no-ops). Every
+// snapshot and trace must parse with the protocol's parse_json.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -14,6 +14,7 @@
 
 #include "sunfloor/obs/metrics.h"
 #include "sunfloor/obs/trace.h"
+#include "sunfloor/util/json.h"
 
 namespace sunfloor::obs {
 namespace {
@@ -107,8 +108,8 @@ TEST(Metrics, JsonSnapshotHasStableSchemaAndSortedNames) {
     reg.histogram("h.occ", {1.0, 2.0}).observe(1.5);
     const std::string json = reg.to_json();
 
-    std::string err;
-    EXPECT_TRUE(validate_json(json, &err)) << err;
+    const JsonParseResult parsed = parse_json(json);
+    EXPECT_TRUE(parsed.ok) << parsed.error;
     EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
     EXPECT_NE(json.find("\"gauges\""), std::string::npos);
@@ -204,8 +205,8 @@ TEST(Trace, SpansProduceBalancedValidJson) {
     ASSERT_TRUE(stop_tracing(os));
     const std::string trace = os.str();
 
-    std::string err;
-    EXPECT_TRUE(validate_json(trace, &err)) << err;
+    const JsonParseResult parsed = parse_json(trace);
+    EXPECT_TRUE(parsed.ok) << parsed.error;
     EXPECT_NE(trace.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
     // The span-name prefix before the first '.' is the category.
     EXPECT_NE(trace.find("\"name\": \"test.outer\", \"cat\": \"test\""),
@@ -237,8 +238,8 @@ TEST(Trace, PerThreadBuffersGetDistinctTids) {
     std::ostringstream os;
     ASSERT_TRUE(stop_tracing(os));
     const std::string trace = os.str();
-    std::string err;
-    EXPECT_TRUE(validate_json(trace, &err)) << err;
+    const JsonParseResult parsed = parse_json(trace);
+    EXPECT_TRUE(parsed.ok) << parsed.error;
 
     const auto events = parse_events(trace);
     EXPECT_EQ(events.size(),
@@ -274,39 +275,6 @@ TEST(Trace, RestartAfterStopYieldsFreshTrace) {
     // The first trace's events must not leak into the second.
     EXPECT_EQ(second.str().find("test.first"), std::string::npos);
     EXPECT_NE(second.str().find("test.second"), std::string::npos);
-}
-
-// ------------------------------------------------------- validate_json
-
-TEST(ValidateJson, AcceptsWellFormedDocuments) {
-    for (const char* text :
-         {"{}", "[]", "null", "true", "false", "42", "-0.5", "1e9",
-          "\"str\"", "{\"a\": [1, 2.5, -3e-2], \"b\": {\"c\": null}}",
-          "\"esc \\\" \\\\ \\n \\u00e9\"", "[[[[1]]]]"}) {
-        std::string err;
-        EXPECT_TRUE(validate_json(text, &err)) << text << ": " << err;
-    }
-}
-
-TEST(ValidateJson, RejectsMalformedDocuments) {
-    for (const char* text :
-         {"", "{", "}", "{\"a\": }", "{\"a\" 1}", "[1, ]", "[1 2]",
-          "{} extra", "nul", "+1", "-", "1.", "\"unterminated",
-          "\"bad \\x escape\"", "\"ctrl \n char\"", "{'a': 1}",
-          "{\"a\": 1,}"}) {
-        std::string err;
-        EXPECT_FALSE(validate_json(text, &err)) << text;
-        EXPECT_FALSE(err.empty()) << text;
-    }
-}
-
-TEST(ValidateJson, RejectsExcessiveNesting) {
-    std::string deep(300, '[');
-    deep += std::string(300, ']');
-    EXPECT_FALSE(validate_json(deep));
-    std::string ok(200, '[');
-    ok += std::string(200, ']');
-    EXPECT_TRUE(validate_json(ok));
 }
 
 }  // namespace

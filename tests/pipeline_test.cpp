@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "sunfloor/core/synthesizer.h"
 #include "sunfloor/pipeline/session.h"
@@ -64,37 +65,43 @@ TEST(RngState, SnapshotResumesTheExactStream) {
     EXPECT_NE(st.key(), a.state().key());
 }
 
-TEST(Pipeline, ColdSessionMatchesRunPhase1IncludingRngThreading) {
+TEST(Pipeline, WarmPhase1RerunMatchesColdIncludingRngThreading) {
     const DesignSpec spec = make_benchmark("D_36_4");
     SynthesisConfig cfg = fast_cfg();
     cfg.max_ill = 12;  // force part of the theta sweep
 
-    Rng ref_rng(cfg.seed);
-    const auto ref = run_phase1(spec, cfg, ref_rng);
-
     pipeline::SynthesisSession session(spec);
-    RngState state = Rng(cfg.seed).state();
-    const auto got = session.phase1(cfg, state);
+    RngState cold_state = Rng(cfg.seed).state();
+    const auto cold = session.phase1(cfg, cold_state);
+    const long long misses = session.stats().partition.misses;
 
-    expect_same_points(ref, got);
-    // The session must leave the generator exactly where the stateless
-    // flow left it (Auto chains Phase 2 onto this state).
-    EXPECT_EQ(state, ref_rng.state());
+    RngState warm_state = Rng(cfg.seed).state();
+    const auto warm = session.phase1(cfg, warm_state);
+
+    expect_same_points(cold, warm);
+    // Replayed partitions must leave the generator exactly where computing
+    // them did (Auto chains Phase 2 onto this state).
+    EXPECT_EQ(warm_state, cold_state);
+    EXPECT_NE(warm_state, Rng(cfg.seed).state());
+    EXPECT_EQ(session.stats().partition.misses, misses);
 }
 
-TEST(Pipeline, ColdSessionMatchesRunPhase2IncludingRngThreading) {
+TEST(Pipeline, WarmPhase2RerunMatchesColdIncludingRngThreading) {
     const DesignSpec spec = make_benchmark("D_35_bot");
     const SynthesisConfig cfg = fast_cfg();
 
-    Rng ref_rng(cfg.seed);
-    const auto ref = run_phase2(spec, cfg, ref_rng);
-
     pipeline::SynthesisSession session(spec);
-    RngState state = Rng(cfg.seed).state();
-    const auto got = session.phase2(cfg, state);
+    RngState cold_state = Rng(cfg.seed).state();
+    const auto cold = session.phase2(cfg, cold_state);
+    const long long misses = session.stats().partition.misses;
 
-    expect_same_points(ref, got);
-    EXPECT_EQ(state, ref_rng.state());
+    RngState warm_state = Rng(cfg.seed).state();
+    const auto warm = session.phase2(cfg, warm_state);
+
+    expect_same_points(cold, warm);
+    EXPECT_EQ(warm_state, cold_state);
+    EXPECT_NE(warm_state, Rng(cfg.seed).state());
+    EXPECT_EQ(session.stats().partition.misses, misses);
 }
 
 TEST(Pipeline, WarmSessionIsBitIdenticalAndServesFromCache) {
@@ -202,14 +209,35 @@ TEST(Pipeline, FloorplanRunsAreDeterministicAndReusableAcrossSeeds) {
 
 TEST(Pipeline, ClearDropsArtifactsAndCounters) {
     const DesignSpec spec = make_benchmark("D_36_4");
+    const auto stages = [](const pipeline::SessionStats& s) {
+        return std::vector<pipeline::StageCounters>{
+            s.partition, s.routing, s.placement, s.position_lp,
+            s.evaluation};
+    };
     pipeline::SynthesisSession session(spec);
     session.run(fast_cfg());
-    EXPECT_GT(session.artifact_count(), 0u);
+    // A serial run publishes one artifact per miss, in every stage cache.
+    const pipeline::SessionStats cold = session.stats();
+    long long misses = 0;
+    for (const auto& c : stages(cold)) {
+        EXPECT_GT(c.misses, 0);
+        misses += c.misses;
+    }
+    EXPECT_EQ(session.artifact_count(), static_cast<std::size_t>(misses));
+
     session.clear();
     EXPECT_EQ(session.artifact_count(), 0u);
-    EXPECT_EQ(session.stats().partition.calls(), 0);
+    for (const auto& c : stages(session.stats())) EXPECT_EQ(c.calls(), 0);
+
+    // Nothing survived: the rerun recomputes every artifact.
     const SynthesisResult after = session.run(fast_cfg());
     expect_same_results(after, run_synthesis(spec, fast_cfg()));
+    const auto again = stages(session.stats());
+    const auto first = stages(cold);
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        EXPECT_EQ(again[i].hits, first[i].hits) << "stage " << i;
+        EXPECT_EQ(again[i].misses, first[i].misses) << "stage " << i;
+    }
 }
 
 TEST(Pipeline, RunReportsStageTiming) {

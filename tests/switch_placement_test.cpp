@@ -38,8 +38,8 @@ struct RoutedFixture {
         cfg.partition.num_starts = 4;
         cfg.run_floorplan = false;
         cfg.max_switches = 8;
-        Rng rng(cfg.seed);
-        auto points = run_phase1(spec, cfg, rng);
+        auto points =
+            run_synthesis(spec, cfg, SynthesisPhase::Phase1).points;
         const int bp = best_power_point(points);
         EXPECT_GE(bp, 0);
         topo = points[static_cast<std::size_t>(bp)].topo;

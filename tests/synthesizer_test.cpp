@@ -2,6 +2,9 @@
 // bookkeeping and Pareto filtering.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "sunfloor/core/synthesizer.h"
 #include "sunfloor/spec/benchmarks.h"
 
@@ -19,8 +22,8 @@ TEST(Synthesizer, Phase1ProducesValidPointsOnQuickstartScale) {
     DesignSpec spec = make_d26_media();
     SynthesisConfig cfg = fast_cfg();
     cfg.max_switches = 10;
-    Rng rng(cfg.seed);
-    const auto points = run_phase1(spec, cfg, rng);
+    const auto points =
+        run_synthesis(spec, cfg, SynthesisPhase::Phase1).points;
     EXPECT_EQ(points.size(), 10u);
     int valid = 0;
     for (const auto& p : points)
@@ -37,8 +40,8 @@ TEST(Synthesizer, ValidPointsMeetAllConstraints) {
     DesignSpec spec = make_d26_media();
     SynthesisConfig cfg = fast_cfg();
     cfg.max_switches = 8;
-    Rng rng(cfg.seed);
-    const auto points = run_phase1(spec, cfg, rng);
+    const auto points =
+        run_synthesis(spec, cfg, SynthesisPhase::Phase1).points;
     const int max_sw = cfg.eval.lib.max_switch_size(cfg.eval.freq_hz);
     for (const auto& p : points) {
         if (!p.valid) continue;
@@ -55,8 +58,8 @@ TEST(Synthesizer, ValidPointsMeetAllConstraints) {
 TEST(Synthesizer, Phase2RestrictsToAdjacentLayersAndSameLayerCores) {
     DesignSpec spec = make_d26_media();
     SynthesisConfig cfg = fast_cfg();
-    Rng rng(cfg.seed);
-    const auto points = run_phase2(spec, cfg, rng);
+    const auto points =
+        run_synthesis(spec, cfg, SynthesisPhase::Phase2).points;
     ASSERT_FALSE(points.empty());
     for (const auto& p : points) {
         if (!p.valid) continue;
@@ -78,8 +81,7 @@ TEST(Synthesizer, AutoFallsBackToPhase2) {
     DesignSpec spec = to_2d(make_d38_tvopd());
     SynthesisConfig cfg = fast_cfg();
     cfg.max_switches = 6;
-    Synthesizer synth(spec, cfg);
-    const auto res = synth.run(SynthesisPhase::Auto);
+    const auto res = run_synthesis(spec, cfg, SynthesisPhase::Auto);
     EXPECT_EQ(res.phase_used, "phase1");
     EXPECT_GT(res.num_valid(), 0);
 }
@@ -92,20 +94,42 @@ TEST(Synthesizer, ThetaSweepRescuesTightIllBudget) {
     SynthesisConfig cfg = fast_cfg();
     cfg.max_ill = 12;
     cfg.max_switches = 12;
-    Rng rng(cfg.seed);
-    const auto points = run_phase1(spec, cfg, rng);
+    const auto points =
+        run_synthesis(spec, cfg, SynthesisPhase::Phase1).points;
     int rescued = 0;
     for (const auto& p : points)
         if (p.valid && p.theta > 0.0) ++rescued;
     EXPECT_GT(rescued, 0);
 }
 
+TEST(Synthesizer, ThetaSweepThatCannotAdvanceIsRejected) {
+    const DesignSpec spec = make_d38_tvopd();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double step : {0.0, -1.0, nan, inf}) {
+        SynthesisConfig cfg = fast_cfg();
+        cfg.theta_step = step;
+        EXPECT_THROW(run_synthesis(spec, cfg, SynthesisPhase::Phase1),
+                     std::invalid_argument)
+            << "theta_step " << step;
+    }
+    for (double bound : {nan, inf, -inf}) {
+        SynthesisConfig lo = fast_cfg();
+        lo.theta_min = bound;
+        EXPECT_THROW(run_synthesis(spec, lo), std::invalid_argument)
+            << "theta_min " << bound;
+        SynthesisConfig hi = fast_cfg();
+        hi.theta_max = bound;
+        EXPECT_THROW(run_synthesis(spec, hi), std::invalid_argument)
+            << "theta_max " << bound;
+    }
+}
+
 TEST(Synthesizer, DesignPointHelpers) {
     DesignSpec spec = make_d26_media();
     SynthesisConfig cfg = fast_cfg();
     cfg.max_switches = 8;
-    Synthesizer synth(spec, cfg);
-    const auto res = synth.run(SynthesisPhase::Phase1);
+    const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
     const int bp = res.best_power_index();
     const int bl = res.best_latency_index();
     ASSERT_GE(bp, 0);
@@ -126,8 +150,8 @@ TEST(Synthesizer, DeterministicAcrossRuns) {
     DesignSpec spec = make_d38_tvopd();
     SynthesisConfig cfg = fast_cfg();
     cfg.max_switches = 6;
-    const auto a = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
-    const auto b = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+    const auto a = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
+    const auto b = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
     ASSERT_EQ(a.points.size(), b.points.size());
     for (std::size_t i = 0; i < a.points.size(); ++i) {
         EXPECT_EQ(a.points[i].valid, b.points[i].valid);
@@ -142,7 +166,7 @@ TEST(Synthesizer, ParetoFrontFiltersDominatedPoints) {
     DesignSpec spec = make_d26_media();
     SynthesisConfig cfg = fast_cfg();
     cfg.max_switches = 12;
-    const auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+    const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
     const auto front = res.pareto_indices();
     for (int i : front) {
         const auto& a = res.points[i];
@@ -164,7 +188,7 @@ TEST(Synthesizer, FloorplanRunUpdatesAreas) {
     cfg.partition.num_starts = 4;
     cfg.run_floorplan = true;
     cfg.max_switches = 6;
-    const auto res = Synthesizer(spec, cfg).run(SynthesisPhase::Phase1);
+    const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);
     for (const auto& p : res.points) {
         if (!p.valid) continue;
         EXPECT_EQ(p.layer_die_area_mm2.size(),

@@ -5,6 +5,7 @@
 
 #include "sunfloor/util/csv.h"
 #include "sunfloor/util/geometry.h"
+#include "sunfloor/util/json.h"
 #include "sunfloor/util/rng.h"
 #include "sunfloor/util/strings.h"
 
@@ -217,6 +218,40 @@ TEST(Strings, ParseInt64RejectsOutOfRange) {
     EXPECT_EQ(v, 5);
     EXPECT_TRUE(parse_int64("9223372036854775807", v));
     EXPECT_EQ(v, 9223372036854775807LL);
+}
+
+TEST(ParseJson, AcceptsWellFormedDocuments) {
+    for (const char* text :
+         {"{}", "[]", "null", "true", "false", "42", "-0.5", "1e9", "0",
+          "-0", "2.5E+3", "\"str\"",
+          "{\"a\": [1, 2.5, -3e-2], \"b\": {\"c\": null}}",
+          "\"esc \\\" \\\\ \\n \\u00e9\"", "[[[[1]]]]", " [ 1 ,2 ] "}) {
+        const JsonParseResult r = parse_json(text);
+        EXPECT_TRUE(r.ok) << text << ": " << r.error;
+    }
+}
+
+TEST(ParseJson, RejectsMalformedDocuments) {
+    for (const char* text :
+         {"", "{", "}", "{\"a\": }", "{\"a\" 1}", "[1, ]", "[1 2]",
+          "{} extra", "nul", "+1", "-", "1.", ".5", "01", "1e", "1e+",
+          "\"unterminated", "\"bad \\x escape\"", "\"ctrl \n char\"",
+          "{'a': 1}", "{\"a\": 1,}", "{\"a\": 1, \"a\": 2}", "1e999",
+          "NaN"}) {
+        const JsonParseResult r = parse_json(text);
+        EXPECT_FALSE(r.ok) << text;
+        EXPECT_FALSE(r.error.empty()) << text;
+    }
+}
+
+TEST(ParseJson, RejectsExcessiveNesting) {
+    // Nesting is bounded at 64 levels.
+    std::string deep(80, '[');
+    deep += std::string(80, ']');
+    EXPECT_FALSE(parse_json(deep).ok);
+    std::string ok(64, '[');
+    ok += std::string(64, ']');
+    EXPECT_TRUE(parse_json(ok).ok);
 }
 
 TEST(Table, ArityChecked) {
