@@ -110,15 +110,30 @@ Topology build_initial_topology(const DesignSpec& spec,
     }
 
     // Core links only where flows demand them; request and response
-    // traffic get separate physical channels (see deadlock.h).
+    // traffic get separate physical channels (see deadlock.h). A core
+    // hangs off one switch, so (core, class) names each link: indexing
+    // that replaces add_link's scan over every link.
+    std::vector<char> have_up(2 * static_cast<std::size_t>(num_cores), 0);
+    std::vector<char> have_down(2 * static_cast<std::size_t>(num_cores), 0);
     for (const auto& f : spec.comm.flows()) {
         const int ss = assign.core_switch[static_cast<std::size_t>(f.src)];
         const int sd = assign.core_switch[static_cast<std::size_t>(f.dst)];
         if (ss < 0 || sd < 0)
             throw std::invalid_argument(
                 "build_initial_topology: flow endpoint has no switch");
-        topo.add_link(NodeRef::core(f.src), NodeRef::sw(ss), f.type);
-        topo.add_link(NodeRef::sw(sd), NodeRef::core(f.dst), f.type);
+        const int cls = static_cast<int>(f.type);
+        char& up = have_up[2 * static_cast<std::size_t>(f.src) + cls];
+        if (!up) {
+            topo.add_parallel_link(NodeRef::core(f.src), NodeRef::sw(ss),
+                                   f.type);
+            up = 1;
+        }
+        char& down = have_down[2 * static_cast<std::size_t>(f.dst) + cls];
+        if (!down) {
+            topo.add_parallel_link(NodeRef::sw(sd), NodeRef::core(f.dst),
+                                   f.type);
+            down = 1;
+        }
     }
     return topo;
 }

@@ -1,8 +1,7 @@
 #include "sunfloor/core/path_compute.h"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
+#include <functional>
 
 #include "sunfloor/routing/cost_model.h"
 #include "sunfloor/routing/policy.h"
@@ -12,7 +11,7 @@ namespace sunfloor {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kInf = routing::LinkCostModel::kInfCost;
 
 class PathComputer {
   public:
@@ -22,6 +21,8 @@ class PathComputer {
         : topo_(topo), spec_(spec), policy_(policy),
           cost_(topo, spec, cfg) {
         num_layers_ = std::max(1, spec.cores.num_layers());
+        index_core_links();
+        build_successors();
     }
 
     PathComputeResult run() {
@@ -39,6 +40,7 @@ class PathComputer {
             // failed flow, used as extra intermediate hops.
             res.indirect_switches_added = add_indirect_switches(failed);
             cost_.rebuild();
+            build_successors();
             std::vector<int> still_failed;
             for (int f : failed)
                 if (!route_flow(f)) still_failed.push_back(f);
@@ -55,96 +57,145 @@ class PathComputer {
     }
 
   private:
-    routing::SwitchView view(int sw) const {
-        return {sw, topo_.switch_at(sw).layer};
+    /// One admissible hop out of a product state: to switch `v`, arriving
+    /// in product state `next`.
+    struct Successor {
+        int v;
+        int next;
+    };
+
+    // The first core->switch and switch->core link of each (core, class),
+    // by lowest id. Routing opens only switch->switch links, so the index
+    // stays valid for the whole run.
+    void index_core_links() {
+        const std::size_t slots =
+            2 * static_cast<std::size_t>(topo_.num_cores());
+        first_link_.assign(slots, -1);
+        last_link_.assign(slots, -1);
+        for (int l = 0; l < topo_.num_links(); ++l) {
+            const auto& lk = topo_.link(l);
+            const int cls = static_cast<int>(lk.cls);
+            if (lk.src.is_core()) {
+                int& slot = first_link_[core_slot(lk.src.index, cls)];
+                if (slot < 0) slot = l;
+            }
+            if (lk.dst.is_core()) {
+                int& slot = last_link_[core_slot(lk.dst.index, cls)];
+                if (slot < 0) slot = l;
+            }
+        }
+    }
+    static std::size_t core_slot(int core, int cls) {
+        return 2 * static_cast<std::size_t>(core) + cls;
+    }
+    int core_link(const std::vector<int>& index, int core, FlowType cls) const {
+        if (core < 0 || core >= topo_.num_cores()) return -1;
+        return index[core_slot(core, static_cast<int>(cls))];
     }
 
-    // First (core->switch) link of a flow; -1 when missing.
-    int first_link(const Flow& f) const {
-        for (int l = 0; l < topo_.num_links(); ++l) {
-            const auto& lk = topo_.link(l);
-            if (lk.src == NodeRef::core(f.src) && lk.cls == f.type) return l;
+    // The policy's admissible hops out of every (switch, state) product
+    // node, in increasing target switch order — the order in which a
+    // search over all switches would relax them. The policies are pure
+    // functions of switch index and layer, so the lists hold until
+    // switches are added.
+    void build_successors() {
+        const int nsw = topo_.num_switches();
+        const int S = policy_.num_states();
+        const std::size_t nstates = static_cast<std::size_t>(S) * nsw;
+        succ_begin_.assign(nstates + 1, 0);
+        succ_.clear();
+        for (int u = 0; u < nsw; ++u) {
+            const routing::SwitchView vu{u, topo_.switch_at(u).layer};
+            for (int state = 0; state < S; ++state) {
+                for (int v = 0; v < nsw; ++v) {
+                    if (v == u) continue;
+                    const routing::SwitchView vv{v, topo_.switch_at(v).layer};
+                    const int nstate = policy_.next_state(vu, vv, state);
+                    if (nstate >= 0) succ_.push_back({v, S * v + nstate});
+                }
+                succ_begin_[static_cast<std::size_t>(S * u + state) + 1] =
+                    static_cast<int>(succ_.size());
+            }
         }
-        return -1;
-    }
-    int last_link(const Flow& f) const {
-        for (int l = 0; l < topo_.num_links(); ++l) {
-            const auto& lk = topo_.link(l);
-            if (lk.dst == NodeRef::core(f.dst) && lk.cls == f.type) return l;
-        }
-        return -1;
+        dist_.resize(nstates);
+        prev_.resize(nstates);
     }
 
     // Dijkstra over the policy's (switch, state) product graph: only hops
     // the route-set automaton admits are expanded, so any returned path is
     // in the policy's route set by construction (e.g. up*/down* under the
     // default policy: an ascending segment followed by a descending one).
-    // Returns the switch sequence, empty on failure.
-    std::vector<int> find_route(int sw_s, int sw_d, const Flow& f) const {
-        const int nsw = topo_.num_switches();
+    // States pop in (distance, state id) order and relax their successors
+    // in target order, so ties resolve exactly as in a full scan. Leaves
+    // the switch sequence in route_, empty on failure.
+    void find_route(int sw_s, int sw_d) {
         const int S = policy_.num_states();
-        const int nstates = S * nsw;
-        std::vector<double> dist(static_cast<std::size_t>(nstates), kInf);
-        std::vector<int> prev(static_cast<std::size_t>(nstates), -1);
-        using Item = std::pair<double, int>;
-        std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+        // prev_ is read only along a chain of states reached in this
+        // search, each of which it sets; only the start needs a reset.
+        std::fill(dist_.begin(), dist_.end(), kInf);
+        heap_.clear();
+        route_.clear();
+        const auto push = [this](double d, int st) {
+            heap_.emplace_back(d, st);
+            std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        };
         const int start = S * sw_s + policy_.initial_state();
-        dist[static_cast<std::size_t>(start)] = 0.0;
-        pq.push({0.0, start});
-        while (!pq.empty()) {
-            const auto [d, st] = pq.top();
-            pq.pop();
-            if (d > dist[static_cast<std::size_t>(st)]) continue;
+        dist_[static_cast<std::size_t>(start)] = 0.0;
+        prev_[static_cast<std::size_t>(start)] = -1;
+        push(0.0, start);
+        while (!heap_.empty()) {
+            std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+            const auto [d, st] = heap_.back();
+            heap_.pop_back();
+            if (d > dist_[static_cast<std::size_t>(st)]) continue;
             const int u = st / S;
-            const int state = st % S;
             if (u == sw_d) break;
-            for (int v = 0; v < nsw; ++v) {
-                if (v == u) continue;
-                const int nstate = policy_.next_state(view(u), view(v), state);
-                if (nstate < 0) continue;  // outside the route set
-                const double c = cost_.edge_cost(u, v, f);
-                if (c == kInf) continue;
-                const int nst = S * v + nstate;
-                if (d + c < dist[static_cast<std::size_t>(nst)]) {
-                    dist[static_cast<std::size_t>(nst)] = d + c;
-                    prev[static_cast<std::size_t>(nst)] = st;
-                    pq.push({d + c, nst});
+            const int end = succ_begin_[static_cast<std::size_t>(st) + 1];
+            for (int k = succ_begin_[static_cast<std::size_t>(st)]; k < end;
+                 ++k) {
+                const Successor s = succ_[static_cast<std::size_t>(k)];
+                // A forbidden hop costs +inf, which never relaxes.
+                const double c = cost_.hop_cost(u, s.v);
+                const std::size_t nst = static_cast<std::size_t>(s.next);
+                if (d + c < dist_[nst]) {
+                    dist_[nst] = d + c;
+                    prev_[nst] = st;
+                    push(d + c, s.next);
                 }
             }
         }
         int goal = -1;
         for (int state = 0; state < S; ++state) {
             const int st = S * sw_d + state;
-            if (dist[static_cast<std::size_t>(st)] < kInf &&
-                (goal < 0 || dist[static_cast<std::size_t>(st)] <
-                                 dist[static_cast<std::size_t>(goal)]))
+            if (dist_[static_cast<std::size_t>(st)] < kInf &&
+                (goal < 0 || dist_[static_cast<std::size_t>(st)] <
+                                 dist_[static_cast<std::size_t>(goal)]))
                 goal = st;
         }
-        if (goal < 0) return {};
-        std::vector<int> seq;
-        for (int st = goal; st >= 0; st = prev[static_cast<std::size_t>(st)])
-            seq.push_back(st / S);
-        std::reverse(seq.begin(), seq.end());
-        return seq;
+        if (goal < 0) return;
+        for (int st = goal; st >= 0; st = prev_[static_cast<std::size_t>(st)])
+            route_.push_back(st / S);
+        std::reverse(route_.begin(), route_.end());
     }
 
     bool route_flow(int flow_id) {
         if (topo_.has_path(flow_id)) return true;
         const Flow& f = spec_.comm.flow(flow_id);
-        const int lf = first_link(f);
-        const int ll = last_link(f);
+        const int lf = core_link(first_link_, f.src, f.type);
+        const int ll = core_link(last_link_, f.dst, f.type);
         if (lf < 0 || ll < 0) return false;
         const int sw_s = topo_.link(lf).dst.index;
         const int sw_d = topo_.link(ll).src.index;
 
         std::vector<int> links{lf};
         if (sw_s != sw_d) {
-            const auto seq = find_route(sw_s, sw_d, f);
-            if (seq.empty()) return false;
+            cost_.prepare_flow(f);
+            find_route(sw_s, sw_d);
+            if (route_.empty()) return false;
             const int cls = static_cast<int>(f.type);
-            for (std::size_t i = 0; i + 1 < seq.size(); ++i) {
-                const int a = seq[i];
-                const int b = seq[i + 1];
+            for (std::size_t i = 0; i + 1 < route_.size(); ++i) {
+                const int a = route_[i];
+                const int b = route_[i + 1];
                 int id = cost_.usable_link(a, b, cls, f.bw_mbps);
                 if (id < 0) {
                     id = topo_.add_parallel_link(NodeRef::sw(a),
@@ -181,6 +232,16 @@ class PathComputer {
     const routing::RoutingPolicy& policy_;
     routing::LinkCostModel cost_;
     int num_layers_ = 1;
+
+    std::vector<int> first_link_;  ///< per (core, class); -1 when missing
+    std::vector<int> last_link_;
+    std::vector<int> succ_begin_;  ///< per product state, into succ_
+    std::vector<Successor> succ_;
+    // Search buffers, reused across flows.
+    std::vector<double> dist_;
+    std::vector<int> prev_;
+    std::vector<std::pair<double, int>> heap_;
+    std::vector<int> route_;  ///< switch sequence of the last search
 };
 
 }  // namespace

@@ -11,6 +11,25 @@
 // policy's admissible route set are ever considered. With the default
 // `up-down` policy this is the paper's flow, bit for bit.
 //
+// The search kernel. Each flow runs one binary-heap Dijkstra, and a cold
+// synthesis of the seven paper specs runs ~1.4 x 10^5 of them, so
+// everything a search reads that outlives it is prepared beforehand:
+//   * per compute_paths call, and again after indirect switches are
+//     added: the policy's admissible successors of every (switch, state)
+//     node — RoutingPolicy::next_state evaluated once per pair instead of
+//     once per relaxation — the cost model's per-pair terms, and each
+//     (core, class)'s first and last link;
+//   * per flow: the cost model's per-flow terms (routing/cost_model.h);
+//   * the distance, predecessor and heap buffers are reused across flows.
+// States leave the heap in (distance, state id) order, lazily skipping
+// stale entries, and a popped state relaxes its successors with the strict
+// `<` test; the search stops when the destination switch pops. A pop's
+// relaxations touch distinct states, so their order cannot matter, and
+// every hop cost is bit-equal to Algorithm 3's unsplit expression (see
+// cost_model.h). Routes, links and bandwidths are therefore identical to
+// the unprepared search kept in tests/oracle/path_compute_reference.h,
+// which tests/path_compute_equivalence_test.cpp compares it against.
+//
 // Deadlock freedom:
 //   * routing deadlock  — every shipped policy's route set is a two-phase
 //     discipline over a strict total switch order (routing/policy.h),

@@ -208,9 +208,13 @@ std::string placement_problem_key(const PlacementProblem& p) {
 
 RoutingArtifact route_assignment(const DesignSpec& spec,
                                  const SynthesisConfig& cfg,
-                                 const CoreAssignment& assign) {
+                                 const CoreAssignment& assign,
+                                 RoutingOutcome* outcome) {
     RoutingArtifact ra(build_initial_topology(spec, assign));
     const int layers = spec.cores.num_layers();
+    auto ended = [&](RoutingOutcome o) {
+        if (outcome) *outcome = o;
+    };
 
     // Pruning rule 3 (Section V-C): reject before path computation when the
     // core-to-switch links alone blow the inter-layer budget.
@@ -218,16 +222,28 @@ RoutingArtifact route_assignment(const DesignSpec& spec,
         ra.fail_reason =
             format("core links need %d inter-layer links > max_ill %d",
                    ra.topo.max_ill_used(layers), cfg.max_ill);
+        ended(RoutingOutcome::PrunedIll);
         return ra;
     }
     // Pruning rule 1: cores attached to one switch may not already exceed
     // the size usable at this frequency (ports are one per incident link).
     const int max_sw = cfg.eval.lib.max_switch_size(cfg.eval.freq_hz);
-    for (int s = 0; s < ra.topo.num_switches(); ++s) {
-        if (ra.topo.switch_in_degree(s) > max_sw ||
-            ra.topo.switch_out_degree(s) > max_sw) {
-            ra.fail_reason = format("switch %d exceeds max size %d at %.0f MHz",
-                                    s, max_sw, cfg.eval.freq_hz / 1e6);
+    const std::size_t nsw = static_cast<std::size_t>(ra.topo.num_switches());
+    std::vector<int> in_deg(nsw, 0);
+    std::vector<int> out_deg(nsw, 0);
+    for (int l = 0; l < ra.topo.num_links(); ++l) {
+        const NocLink& lk = ra.topo.link(l);
+        if (lk.dst.is_switch())
+            ++in_deg[static_cast<std::size_t>(lk.dst.index)];
+        if (lk.src.is_switch())
+            ++out_deg[static_cast<std::size_t>(lk.src.index)];
+    }
+    for (std::size_t s = 0; s < nsw; ++s) {
+        if (in_deg[s] > max_sw || out_deg[s] > max_sw) {
+            ra.fail_reason =
+                format("switch %zu exceeds max size %d at %.0f MHz", s,
+                       max_sw, cfg.eval.freq_hz / 1e6);
+            ended(RoutingOutcome::PrunedSwitchSize);
             return ra;
         }
     }
@@ -240,9 +256,11 @@ RoutingArtifact route_assignment(const DesignSpec& spec,
         ra.fail_reason =
             format("path computation failed (%zu flows, %zu capacity)",
                    paths.failed_flows.size(), paths.capacity_violations.size());
+        ended(RoutingOutcome::PathsFailed);
         return ra;
     }
     ra.ok = true;
+    ended(RoutingOutcome::Routed);
     return ra;
 }
 
@@ -457,7 +475,11 @@ std::shared_ptr<const RoutingArtifact> SynthesisSession::route(
                                                         cas::decode_routing};
     return cached(routings_, "rt|" + assign.key + "|" + routing_cfg_key(cfg),
                   &kCodec, [&] {
-                      return route_assignment(spec_, cfg, assign.assign);
+                      RoutingOutcome outcome{};
+                      RoutingArtifact ra = route_assignment(
+                          spec_, cfg, assign.assign, &outcome);
+                      routing_outcomes_[static_cast<int>(outcome)]->add();
+                      return ra;
                   });
 }
 
@@ -698,6 +720,20 @@ SynthesisResult SynthesisSession::run(const SynthesisConfig& cfg,
         throw std::invalid_argument("SynthesisConfig.theta_min must be finite");
     if (!std::isfinite(cfg.theta_max))
         throw std::invalid_argument("SynthesisConfig.theta_max must be finite");
+    // The switch-size bound divides by the frequency and converts the
+    // quotient to int, and the hop cost subtracts the soft margins from
+    // the hard limits: values outside these ranges are undefined there.
+    if (!std::isfinite(cfg.eval.freq_hz) || cfg.eval.freq_hz <= 0.0)
+        throw std::invalid_argument(
+            "SynthesisConfig.eval.freq_hz must be finite and positive");
+    if (cfg.max_ill < 0)
+        throw std::invalid_argument("SynthesisConfig.max_ill must be >= 0");
+    if (cfg.soft_ill_margin < 0)
+        throw std::invalid_argument(
+            "SynthesisConfig.soft_ill_margin must be >= 0");
+    if (cfg.soft_switch_margin < 0)
+        throw std::invalid_argument(
+            "SynthesisConfig.soft_switch_margin must be >= 0");
     RngState rng = Rng(cfg.seed).state();
     SynthesisResult result;
     switch (phase) {

@@ -100,11 +100,24 @@ std::string placement_problem_key(const PlacementProblem& p);
 // stages. SynthesisSession runs them behind its caches; the session's
 // place() is the position stage itself.
 
+/// Where the routing stage ended for one assignment. The session counts
+/// every computed routing under pipeline.routing.<name>, so the four
+/// counters sum to pipeline.routing.misses.
+enum class RoutingOutcome {
+    Routed,            ///< "routed": every flow routed within capacity
+    PrunedIll,         ///< "pruned_ill": pruning rule 3 (max_ill)
+    PrunedSwitchSize,  ///< "pruned_switch_size": pruning rule 1
+    PathsFailed,       ///< "paths_failed": Algorithm 3 left flows unrouted
+                       ///< or links oversubscribed
+};
+
 /// Path-computation stage: initial topology, pruning rules 1 and 3
-/// (Section V-C), then Algorithm 3.
+/// (Section V-C), then Algorithm 3. Writes where it ended to `outcome`
+/// when given.
 RoutingArtifact route_assignment(const DesignSpec& spec,
                                  const SynthesisConfig& cfg,
-                                 const CoreAssignment& assign);
+                                 const CoreAssignment& assign,
+                                 RoutingOutcome* outcome = nullptr);
 
 /// Evaluation stage: power/latency/area report plus the validity chain
 /// (max_ill, latency constraints, the three deadlock-freedom checks).
@@ -225,9 +238,11 @@ class SynthesisSession {
 
     /// The full flow — bit-identical to run_synthesis(spec(), cfg, phase)
     /// regardless of what is cached or which threads ran before. Throws
-    /// std::invalid_argument when Algorithm 1's theta sweep cannot
-    /// advance: a theta_step that is not finite and positive, or a
-    /// non-finite theta_min or theta_max.
+    /// std::invalid_argument, naming the field, when Algorithm 1's theta
+    /// sweep cannot advance (a theta_step that is not finite and
+    /// positive, or a non-finite theta_min or theta_max) or when a hop
+    /// cost input is out of range: an eval.freq_hz that is not finite
+    /// and positive, a negative max_ill, or a negative soft margin.
     SynthesisResult run(const SynthesisConfig& cfg,
                         SynthesisPhase phase = SynthesisPhase::Auto);
 
@@ -344,6 +359,13 @@ class SynthesisSession {
                                               "pipeline.position_lp"};
     StageCache<EvaluatedDesign> evaluations_{registry_,
                                              "pipeline.evaluation"};
+    /// Why computed routings ended, indexed by RoutingOutcome.
+    obs::Counter* routing_outcomes_[4] = {
+        &registry_.counter("pipeline.routing.routed"),
+        &registry_.counter("pipeline.routing.pruned_ill"),
+        &registry_.counter("pipeline.routing.pruned_switch_size"),
+        &registry_.counter("pipeline.routing.paths_failed"),
+    };
 
     /// Guards the partition-graph cache; the stage caches lock their own.
     mutable util::Mutex mu_;

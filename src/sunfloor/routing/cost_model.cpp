@@ -2,13 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace sunfloor::routing {
-
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
 
 LinkCostModel::LinkCostModel(const Topology& topo, const DesignSpec& spec,
                              const SynthesisConfig& cfg)
@@ -19,6 +14,10 @@ LinkCostModel::LinkCostModel(const Topology& topo, const DesignSpec& spec,
     max_sw_size_ = cfg.eval.lib.max_switch_size(cfg.eval.freq_hz);
     soft_inf_ = compute_soft_inf();
     num_layers_ = std::max(1, spec.cores.num_layers());
+    soft_max_ill_ = static_cast<long long>(cfg.max_ill) - cfg.soft_ill_margin;
+    soft_max_sw_ =
+        static_cast<long long>(max_sw_size_) - cfg.soft_switch_margin;
+    switch_idle_mw_ = cfg.eval.lib.switch_idle_power_mw(1, 1, cfg.eval.freq_hz);
     rebuild();
 }
 
@@ -45,6 +44,32 @@ void LinkCostModel::rebuild() {
         for (int b = std::min(la, lb); b < std::max(la, lb); ++b)
             ++ill_[static_cast<std::size_t>(b)];
     }
+
+    const double freq = cfg_.eval.freq_hz;
+    const double idle_per_mm = cfg_.eval.wire.params().idle_mw_per_mm_ghz;
+    pairs_.assign(cells, {});
+    max_span_ = 0;
+    for (int i = 0; i < nsw_; ++i) {
+        const NocSwitch& si = topo_.switch_at(i);
+        for (int j = 0; j < nsw_; ++j) {
+            const NocSwitch& sj = topo_.switch_at(j);
+            PairTerms& p = pairs_[cell(i, j)];
+            p.len = manhattan(si.position, sj.position);
+            p.idle_mw = idle_per_mm * p.len * freq / 1e9;
+            if (cfg_.latency_weight > 0.0) {
+                const int stages = cfg_.eval.wire.pipeline_stages(p.len, freq);
+                p.latency = cfg_.latency_weight * (1.0 + (stages - 1));
+            }
+            p.lo = std::min(si.layer, sj.layer);
+            p.span = std::abs(si.layer - sj.layer);
+            p.forbidden = p.span >= 2 && !cfg_.allow_multilayer_links;
+            for (int cls = 0; cls < 2; ++cls)
+                p.has_channel[cls] = !sw_links_[cls][cell(i, j)].empty();
+            max_span_ = std::max(max_span_, p.span);
+        }
+    }
+    dst_mw_.assign(static_cast<std::size_t>(nsw_), 0.0);
+    tsv_mw_.assign(static_cast<std::size_t>(max_span_) + 1, 0.0);
 }
 
 double LinkCostModel::compute_soft_inf() const {
@@ -73,66 +98,25 @@ int LinkCostModel::usable_link(int i, int j, int cls, double bw) const {
     return -1;
 }
 
-double LinkCostModel::edge_cost(int i, int j, const Flow& f) const {
-    const int li = topo_.switch_at(i).layer;
-    const int lj = topo_.switch_at(j).layer;
-    const int span = std::abs(li - lj);
-    const int cls = static_cast<int>(f.type);
-    // Reuse an existing parallel channel with spare capacity if any;
-    // otherwise a fresh physical link must be opened.
-    const int existing = usable_link(i, j, cls, f.bw_mbps);
-
-    double cost = 0.0;
-    if (existing >= 0) {
-        // Reuse: only the marginal dynamic cost below applies.
-    } else {
-        // Hard constraints for opening a new physical link.
-        if (span >= 2 && !cfg_.allow_multilayer_links) return kInf;
-        for (int b = std::min(li, lj); b < std::max(li, lj); ++b) {
-            const int used = ill_[static_cast<std::size_t>(b)];
-            if (used + 1 > cfg_.max_ill) return kInf;
-            if (cfg_.use_soft_thresholds &&
-                used + 1 > cfg_.max_ill - cfg_.soft_ill_margin)
-                cost += soft_inf_;
-        }
-        const int out_i = out_deg_[static_cast<std::size_t>(i)];
-        const int in_j = in_deg_[static_cast<std::size_t>(j)];
-        if (out_i + 1 > max_sw_size_ || in_j + 1 > max_sw_size_)
-            return kInf;
-        if (cfg_.use_soft_thresholds &&
-            (out_i + 1 > max_sw_size_ - cfg_.soft_switch_margin ||
-             in_j + 1 > max_sw_size_ - cfg_.soft_switch_margin))
-            cost += soft_inf_;
-    }
-
+void LinkCostModel::prepare_flow(const Flow& f) {
+    cls_ = static_cast<int>(f.type);
+    bw_ = f.bw_mbps;
     const double flits = cfg_.eval.lib.flits_per_second(f.bw_mbps);
-    const double len = manhattan(topo_.switch_at(i).position,
-                                 topo_.switch_at(j).position);
-    // Marginal dynamic power of the wire and the destination switch.
-    cost += flits * cfg_.eval.wire.params().energy_pj_per_flit_mm * len *
-            1e-9;
-    cost += cfg_.eval.tsv.power_mw(flits, span);
-    cost += flits *
+    flit_wire_pj_ = flits * cfg_.eval.wire.params().energy_pj_per_flit_mm;
+    for (int s = 0; s <= max_span_; ++s)
+        tsv_mw_[static_cast<std::size_t>(s)] = cfg_.eval.tsv.power_mw(flits, s);
+    for (int j = 0; j < nsw_; ++j)
+        dst_mw_[static_cast<std::size_t>(j)] =
+            flits *
             cfg_.eval.lib.switch_energy_per_flit_pj(
                 in_deg_[static_cast<std::size_t>(j)] + 1,
                 out_deg_[static_cast<std::size_t>(j)] + 1) *
             1e-9;
-    if (existing < 0) {
-        // Opening the link adds its idle power and grows two crossbars.
-        cost += cfg_.eval.wire.params().idle_mw_per_mm_ghz * len *
-                cfg_.eval.freq_hz / 1e9;
-        cost += cfg_.eval.lib.switch_idle_power_mw(1, 1, cfg_.eval.freq_hz);
-    }
-    if (cfg_.latency_weight > 0.0) {
-        const int stages =
-            cfg_.eval.wire.pipeline_stages(len, cfg_.eval.freq_hz);
-        cost += cfg_.latency_weight * (1.0 + (stages - 1));
-    }
-    return cost;
 }
 
 void LinkCostModel::note_link_opened(int link_id, int i, int j, int cls) {
     sw_links_[cls][cell(i, j)].push_back(link_id);
+    pairs_[cell(i, j)].has_channel[cls] = true;
     ++out_deg_[static_cast<std::size_t>(i)];
     ++in_deg_[static_cast<std::size_t>(j)];
     const int la = topo_.switch_at(i).layer;

@@ -40,6 +40,11 @@ class ObsSinks {
         return 0;
     }
 
+    /// Where the human-readable report goes: stderr when `--metrics -`
+    /// claims stdout for the snapshot, so stdout holds only the JSON;
+    /// stdout otherwise. Valid once the flags are parsed.
+    FILE* report() const { return metrics_path_ == "-" ? stderr : stdout; }
+
     /// Open both sinks and start recording. False (message printed) when
     /// a path cannot be written.
     bool open() {
@@ -76,7 +81,7 @@ class ObsSinks {
                              trace_path_.c_str());
                 ok = false;
             } else {
-                std::printf("wrote %s\n", trace_path_.c_str());
+                std::fprintf(report(), "wrote %s\n", trace_path_.c_str());
             }
         }
         if (!metrics_path_.empty()) {
@@ -90,7 +95,8 @@ class ObsSinks {
                                  metrics_path_.c_str());
                     ok = false;
                 } else {
-                    std::printf("wrote %s\n", metrics_path_.c_str());
+                    std::fprintf(report(), "wrote %s\n",
+                                 metrics_path_.c_str());
                 }
             }
         }

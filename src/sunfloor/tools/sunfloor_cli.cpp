@@ -109,10 +109,11 @@
 //   --trace <file>            span trace of the run, Chrome/Perfetto
 //                             trace-event JSON (open in ui.perfetto.dev)
 //   --metrics <file|->        metrics-registry snapshot JSON; '-' writes
-//                             to stdout for scripting
+//                             it to stdout for scripting and moves the
+//                             human-readable report to stderr, so stdout
+//                             holds only the JSON
 #include <cstdio>
 #include <fstream>
-#include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -384,19 +385,27 @@ int run_generate(int argc, char** argv) {
     return 0;
 }
 
+/// Render `t` as the aligned report table into `out`.
+void print_table(FILE* out, const Table& t) {
+    std::ostringstream ss;
+    t.write_pretty(ss);
+    std::fputs(ss.str().c_str(), out);
+}
+
 /// explore --family: the same architectural grid swept over every
 /// generated member of a spec family (explore/family_sweep.h).
 int run_explore_family(const specgen::GenParams& gp, int instances,
                        long long gen_seed, const SynthesisConfig& cfg,
                        const ParamGrid& grid, const ExploreOptions& opts,
-                       const std::string& out_prefix) {
-    std::printf("family %s: %d member(s), seeds %lld..%lld, %d cores, "
-                "%d layers, skew %g\n",
-                specgen::family_to_string(gp.family), instances, gen_seed,
-                gen_seed + instances - 1, gp.num_cores, gp.num_layers,
-                gp.bw_skew);
-    std::printf("grid: %zu architectural points per member\n",
-                grid.cartesian_size());
+                       const std::string& out_prefix, FILE* out) {
+    std::fprintf(out,
+                 "family %s: %d member(s), seeds %lld..%lld, %d cores, "
+                 "%d layers, skew %g\n",
+                 specgen::family_to_string(gp.family), instances, gen_seed,
+                 gen_seed + instances - 1, gp.num_cores, gp.num_layers,
+                 gp.bw_skew);
+    std::fprintf(out, "grid: %zu architectural points per member\n",
+                 grid.cartesian_size());
 
     FamilySweepResult fam;
     try {
@@ -427,13 +436,14 @@ int run_explore_family(const specgen::GenParams& gp, int instances,
                    static_cast<long long>(m.result.stats.pareto_size), mw,
                    lat});
     }
-    std::printf("\n");
-    t.write_pretty(std::cout);
-    std::printf("\n%d/%zu member(s) feasible, %d valid designs, "
-                "%d Pareto designs in %.0f ms\n",
-                fam.feasible_members, fam.members.size(),
-                fam.total_valid_designs, fam.total_pareto_designs,
-                fam.elapsed_ms);
+    std::fprintf(out, "\n");
+    print_table(out, t);
+    std::fprintf(out,
+                 "\n%d/%zu member(s) feasible, %d valid designs, "
+                 "%d Pareto designs in %.0f ms\n",
+                 fam.feasible_members, fam.members.size(),
+                 fam.total_valid_designs, fam.total_pareto_designs,
+                 fam.elapsed_ms);
 
     if (!out_prefix.empty()) {
         if (!t.save_csv(out_prefix + "_family.csv")) {
@@ -441,7 +451,7 @@ int run_explore_family(const specgen::GenParams& gp, int instances,
                          out_prefix.c_str());
             return 1;
         }
-        std::printf("wrote %s_family.csv\n", out_prefix.c_str());
+        std::fprintf(out, "wrote %s_family.csv\n", out_prefix.c_str());
     }
     if (fam.total_valid_designs == 0) {
         std::fprintf(stderr, "\nno valid design in any family member\n");
@@ -661,20 +671,22 @@ int run_explore(int argc, char** argv) {
     }
 
     if (!sinks.open()) return 1;
+    FILE* const out = sinks.report();
 
     if (have_family) {
         const int rc = run_explore_family(gp, instances, gen_seed, cfg,
-                                          grid, opts, out_prefix);
+                                          grid, opts, out_prefix, out);
         if (!sinks.finish() && rc == 0) return 1;
         return rc;
     }
 
     DesignSpec spec;
     if (!load_spec(design_file, benchmark, spec)) return 1;
-    std::printf("design '%s': %d cores, %d layers, %d flows\n",
-                spec.name.c_str(), spec.cores.num_cores(),
-                spec.cores.num_layers(), spec.comm.num_flows());
-    std::printf("grid: %zu architectural points\n", grid.cartesian_size());
+    std::fprintf(out, "design '%s': %d cores, %d layers, %d flows\n",
+                 spec.name.c_str(), spec.cores.num_cores(),
+                 spec.cores.num_layers(), spec.comm.num_flows());
+    std::fprintf(out, "grid: %zu architectural points\n",
+                 grid.cartesian_size());
 
     ExploreResult res;
     if (shards > 0) {
@@ -690,9 +702,10 @@ int run_explore(int argc, char** argv) {
         dopts.shards = shards;
         dopts.cas_dir = cas_dir;
         dopts.cas_max_bytes = static_cast<std::uint64_t>(cas_max_bytes);
-        std::printf("distributing %d shard job(s) over %zu %s worker(s)\n",
-                    shards, workers.size(),
-                    shard_socket ? "socket" : "inproc");
+        std::fprintf(out,
+                     "distributing %d shard job(s) over %zu %s worker(s)\n",
+                     shards, workers.size(),
+                     shard_socket ? "socket" : "inproc");
         try {
             res = dist::distribute_explore(spec, cfg, opts,
                                            grid.enumerate(), workers, dopts);
@@ -722,12 +735,14 @@ int run_explore(int argc, char** argv) {
     if (!sinks.finish()) return 1;
 
     const auto& st = res.stats;
-    std::printf("\nexplored %d points on %d thread(s) in %.0f ms\n",
-                st.total_points, st.num_threads, st.elapsed_ms);
-    std::printf("%d/%d valid designs, global Pareto front: %d points\n",
-                st.valid_designs, st.total_designs, st.pareto_size);
+    std::fprintf(out, "\nexplored %d points on %d thread(s) in %.0f ms\n",
+                 st.total_points, st.num_threads, st.elapsed_ms);
+    std::fprintf(out,
+                 "%d/%d valid designs, global Pareto front: %d points\n",
+                 st.valid_designs, st.total_designs, st.pareto_size);
     const auto& sg = st.stage;
-    std::printf(
+    std::fprintf(
+        out,
         "stage reuse: partition %lld/%lld hits (%.0f ms computing), "
         "routing %lld/%lld (%.0f ms), placement %lld/%lld (%.0f ms, "
         "LP %lld/%lld, %.0f ms), evaluation %lld/%lld (%.0f ms)\n",
@@ -739,12 +754,13 @@ int run_explore(int argc, char** argv) {
         sg.evaluation.compute_ms);
     const bool simulated = st.backend == EvalBackend::Simulated;
     if (simulated)
-        std::printf("simulated %d designs (%s traffic, rate %.2f, "
-                    "%d-flit packets); front ranked by measured latency\n",
-                    st.simulated_designs,
-                    sim::traffic_to_string(opts.sim.inject.traffic),
-                    opts.sim.inject.injection_scale,
-                    opts.sim.inject.packet_length_flits);
+        std::fprintf(out,
+                     "simulated %d designs (%s traffic, rate %.2f, "
+                     "%d-flit packets); front ranked by measured latency\n",
+                     st.simulated_designs,
+                     sim::traffic_to_string(opts.sim.inject.traffic),
+                     opts.sim.inject.injection_scale,
+                     opts.sim.inject.packet_length_flits);
 
     std::vector<std::string> cols{"label", "switches", "power_mw",
                                   "latency_cycles", "area_mm2"};
@@ -765,8 +781,8 @@ int run_explore(int argc, char** argv) {
         }
         front.add_row(std::move(row));
     }
-    std::printf("\n");
-    front.write_pretty(std::cout);
+    std::fprintf(out, "\n");
+    print_table(out, front);
 
     // Export before the validity check: the fail_reason column is most
     // useful exactly when nothing in the grid was feasible.
@@ -778,8 +794,8 @@ int run_explore(int argc, char** argv) {
                          out_prefix.c_str());
             return 1;
         }
-        std::printf("wrote %s_explore.csv, %s_explore.json\n",
-                    out_prefix.c_str(), out_prefix.c_str());
+        std::fprintf(out, "wrote %s_explore.csv, %s_explore.json\n",
+                     out_prefix.c_str(), out_prefix.c_str());
     }
 
     const ParetoEntry bp = res.best_power();
@@ -790,10 +806,11 @@ int run_explore(int argc, char** argv) {
     const auto& bpr =
         res.points[static_cast<std::size_t>(bp.point_index)];
     const DesignPoint& bdp = res.design(bp);
-    std::printf("\noverall best: %s, %d switches, %.2f mW NoC power, "
-                "%.2f cycles\n",
-                bpr.point.label().c_str(), bdp.switch_count,
-                bdp.report.power.noc_mw(), bdp.report.avg_latency_cycles);
+    std::fprintf(out,
+                 "\noverall best: %s, %d switches, %.2f mW NoC power, "
+                 "%.2f cycles\n",
+                 bpr.point.label().c_str(), bdp.switch_count,
+                 bdp.report.power.noc_mw(), bdp.report.avg_latency_cycles);
     return 0;
 }
 
@@ -896,14 +913,15 @@ int run_simulate(int argc, char** argv) {
     }
     if (design_file.empty() == benchmark.empty()) return usage(argv[0]);
     if (!sinks.open()) return 1;
+    FILE* const out = sinks.report();
 
     DesignSpec spec;
     if (!load_spec(design_file, benchmark, spec)) return 1;
     cfg.eval.freq_hz = freq_mhz * 1e6;
     sp.routing = cfg.routing;  // measure under the synthesis discipline
-    std::printf("design '%s': %d cores, %d layers, %d flows\n",
-                spec.name.c_str(), spec.cores.num_cores(),
-                spec.cores.num_layers(), spec.comm.num_flows());
+    std::fprintf(out, "design '%s': %d cores, %d layers, %d flows\n",
+                 spec.name.c_str(), spec.cores.num_cores(),
+                 spec.cores.num_layers(), spec.comm.num_flows());
 
     const SynthesisResult res = run_synthesis(spec, cfg, phase);
     const int best = res.best_power_index();
@@ -912,16 +930,18 @@ int run_simulate(int argc, char** argv) {
         return 1;
     }
     const DesignPoint& dp = res.points[static_cast<std::size_t>(best)];
-    std::printf("simulating best design: %d switches, %.2f mW total, "
-                "zero-load %.2f cycles, at %.0f MHz\n",
-                dp.switch_count, dp.report.power.total_mw(),
-                dp.report.avg_latency_cycles, freq_mhz);
-    std::printf("traffic %s, routing %s, %d-flit packets, %d-flit buffers, "
-                "%lld warmup + %lld measured cycles\n\n",
-                sim::traffic_to_string(sp.inject.traffic),
-                routing::routing_to_string(sp.routing),
-                sp.inject.packet_length_flits, sp.buffer_depth_flits,
-                sp.warmup_cycles, sp.measure_cycles);
+    std::fprintf(out,
+                 "simulating best design: %d switches, %.2f mW total, "
+                 "zero-load %.2f cycles, at %.0f MHz\n",
+                 dp.switch_count, dp.report.power.total_mw(),
+                 dp.report.avg_latency_cycles, freq_mhz);
+    std::fprintf(out,
+                 "traffic %s, routing %s, %d-flit packets, %d-flit buffers, "
+                 "%lld warmup + %lld measured cycles\n\n",
+                 sim::traffic_to_string(sp.inject.traffic),
+                 routing::routing_to_string(sp.routing),
+                 sp.inject.packet_length_flits, sp.buffer_depth_flits,
+                 sp.warmup_cycles, sp.measure_cycles);
 
     Table t({"rate", "offered_fpc", "accepted_fpc", "avg_latency",
              "p99_latency", "max_latency", "packets", "drained"});
@@ -940,7 +960,7 @@ int run_simulate(int argc, char** argv) {
                    static_cast<long long>(rep.drained ? 1 : 0)});
     }
     if (!sinks.finish()) return 1;
-    t.write_pretty(std::cout);
+    print_table(out, t);
 
     if (!out_prefix.empty()) {
         if (!t.save_csv(out_prefix + "_sim.csv")) {
@@ -948,7 +968,7 @@ int run_simulate(int argc, char** argv) {
                          out_prefix.c_str());
             return 1;
         }
-        std::printf("\nwrote %s_sim.csv\n", out_prefix.c_str());
+        std::fprintf(out, "\nwrote %s_sim.csv\n", out_prefix.c_str());
     }
     return 0;
 }
@@ -1020,18 +1040,21 @@ int run_synthesize(int argc, char** argv) {
     }
     if (design_file.empty() == benchmark.empty()) return usage(argv[0]);
     if (!sinks.open()) return 1;
+    FILE* const out = sinks.report();
 
     DesignSpec spec;
     if (!load_spec(design_file, benchmark, spec)) return 1;
-    std::printf("design '%s': %d cores, %d layers, %d flows\n",
-                spec.name.c_str(), spec.cores.num_cores(),
-                spec.cores.num_layers(), spec.comm.num_flows());
+    std::fprintf(out, "design '%s': %d cores, %d layers, %d flows\n",
+                 spec.name.c_str(), spec.cores.num_cores(),
+                 spec.cores.num_layers(), spec.comm.num_flows());
 
     const auto sweep = run_frequency_sweep(spec, cfg, freqs_hz, phase);
     if (!sinks.finish()) return 1;
     for (const auto& fp : sweep) {
-        std::printf("\n=== %.0f MHz ===\n", fp.freq_hz / 1e6);
-        write_synthesis_report(std::cout, fp.result);
+        std::fprintf(out, "\n=== %.0f MHz ===\n", fp.freq_hz / 1e6);
+        std::ostringstream report;
+        write_synthesis_report(report, fp.result);
+        std::fputs(report.str().c_str(), out);
     }
     const auto [fi, pi] = best_power_over_sweep(sweep);
     if (fi < 0) {
@@ -1040,7 +1063,8 @@ int run_synthesize(int argc, char** argv) {
     }
     const auto& bp = sweep[static_cast<std::size_t>(fi)]
                          .result.points[static_cast<std::size_t>(pi)];
-    std::printf(
+    std::fprintf(
+        out,
         "\noverall best: %.0f MHz, %d switches, %.2f mW NoC power, "
         "%.2f cycles\n",
         sweep[static_cast<std::size_t>(fi)].freq_hz / 1e6, bp.switch_count,
@@ -1053,9 +1077,10 @@ int run_synthesize(int argc, char** argv) {
                            bp.topo, spec, ly);
         design_points_table(sweep[static_cast<std::size_t>(fi)].result.points)
             .save_csv(out_prefix + "_points.csv");
-        std::printf("wrote %s_topology.dot, %s_layer*.svg, %s_points.csv\n",
-                    out_prefix.c_str(), out_prefix.c_str(),
-                    out_prefix.c_str());
+        std::fprintf(out,
+                     "wrote %s_topology.dot, %s_layer*.svg, %s_points.csv\n",
+                     out_prefix.c_str(), out_prefix.c_str(),
+                     out_prefix.c_str());
     }
     return 0;
 }
@@ -1349,9 +1374,7 @@ int run_cas(int argc, char** argv) {
     return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_command(int argc, char** argv) {
     if (argc > 1 && std::string(argv[1]) == "cas")
         return run_cas(argc, argv);
     if (argc > 1 && std::string(argv[1]) == "explore")
@@ -1367,4 +1390,17 @@ int main(int argc, char** argv) {
     if (argc > 1 && std::string(argv[1]) == "result")
         return run_job_query(argc, argv, /*result_op=*/true);
     return run_synthesize(argc, argv);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+    // A configuration the synthesis flow rejects (e.g. a non-finite
+    // frequency or a negative max_ill) is a usage error, not a crash.
+    try {
+        return run_command(argc, argv);
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
 }

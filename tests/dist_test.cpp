@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -579,6 +580,27 @@ TEST(DistFaults, ThetaSweepThatCannotAdvanceFailsTheShard) {
         FAIL() << "expected DistError";
     } catch (const dist::DistError& e) {
         EXPECT_NE(std::string(e.what()).find("theta_step"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(DistFaults, HopCostInputOutOfRangeFailsTheShard) {
+    // Shard frames decode the soft margins without range checks; the
+    // session must reject one that would overflow the hop cost's
+    // threshold arithmetic, and the shard fail with it.
+    dist::ShardRequest req;
+    req.spec = make_benchmark("D_36_4");
+    req.base_cfg = fast_cfg();
+    req.base_cfg.soft_switch_margin = std::numeric_limits<int>::min();
+    req.opts = backend_opts(EvalBackend::Analytic);
+    req.points = ParamGrid().enumerate();
+    dist::InprocTransport transport;
+    try {
+        transport.run(req);
+        FAIL() << "expected DistError";
+    } catch (const dist::DistError& e) {
+        EXPECT_NE(std::string(e.what()).find("soft_switch_margin"),
                   std::string::npos)
             << e.what();
     }

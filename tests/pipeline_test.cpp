@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "sunfloor/core/synthesizer.h"
@@ -237,6 +238,53 @@ TEST(Pipeline, ClearDropsArtifactsAndCounters) {
     for (std::size_t i = 0; i < first.size(); ++i) {
         EXPECT_EQ(again[i].hits, first[i].hits) << "stage " << i;
         EXPECT_EQ(again[i].misses, first[i].misses) << "stage " << i;
+    }
+}
+
+struct RoutingSplit {
+    long long routed, paths_failed, pruned_switch_size, pruned_ill;
+};
+
+RoutingSplit routing_split(pipeline::SynthesisSession& s) {
+    obs::Registry& r = s.registry();
+    return {r.counter("pipeline.routing.routed").value(),
+            r.counter("pipeline.routing.paths_failed").value(),
+            r.counter("pipeline.routing.pruned_switch_size").value(),
+            r.counter("pipeline.routing.pruned_ill").value()};
+}
+
+TEST(Pipeline, RoutingOutcomesPartitionTheMisses) {
+    SynthesisConfig cfg;
+    cfg.run_floorplan = false;
+    // D_26_media ends in every outcome but rule 3; D_38_tvopd reaches
+    // rule 3 once.
+    for (const char* name : {"D_26_media", "D_38_tvopd"}) {
+        pipeline::SynthesisSession s(make_benchmark(name));
+        s.run(cfg);
+        const RoutingSplit split = routing_split(s);
+        EXPECT_EQ(split.routed + split.paths_failed +
+                      split.pruned_switch_size + split.pruned_ill,
+                  s.stats().routing.misses)
+            << name;
+        if (std::string(name) == "D_26_media") {
+            EXPECT_EQ(split.routed, 23);
+            EXPECT_EQ(split.paths_failed, 7);
+            EXPECT_EQ(split.pruned_switch_size, 7);
+            EXPECT_EQ(split.pruned_ill, 0);
+        } else {
+            EXPECT_EQ(split.routed, 34);
+            EXPECT_EQ(split.paths_failed, 0);
+            EXPECT_EQ(split.pruned_switch_size, 18);
+            EXPECT_EQ(split.pruned_ill, 1);
+        }
+        // A warm rerun hits every routing and counts no outcome.
+        s.run(cfg);
+        const RoutingSplit again = routing_split(s);
+        EXPECT_EQ(again.routed, split.routed) << name;
+        EXPECT_EQ(again.paths_failed, split.paths_failed) << name;
+        EXPECT_EQ(again.pruned_switch_size, split.pruned_switch_size)
+            << name;
+        EXPECT_EQ(again.pruned_ill, split.pruned_ill) << name;
     }
 }
 

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "sunfloor/core/synthesizer.h"
 #include "sunfloor/spec/benchmarks.h"
@@ -123,6 +124,52 @@ TEST(Synthesizer, ThetaSweepThatCannotAdvanceIsRejected) {
         EXPECT_THROW(run_synthesis(spec, hi), std::invalid_argument)
             << "theta_max " << bound;
     }
+}
+
+TEST(Synthesizer, HopCostInputsOutOfRangeAreRejected) {
+    // Each of these reaches undefined behaviour in the path computation:
+    // a float-to-int conversion of inf or NaN in the switch-size bound,
+    // or a signed overflow subtracting a soft margin from a hard limit.
+    const DesignSpec spec = make_d38_tvopd();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double freq : {0.0, -400e6, nan, inf}) {
+        SynthesisConfig cfg = fast_cfg();
+        cfg.eval.freq_hz = freq;
+        EXPECT_THROW(run_synthesis(spec, cfg), std::invalid_argument)
+            << "freq_hz " << freq;
+    }
+    for (int bad : {-1, std::numeric_limits<int>::min()}) {
+        SynthesisConfig ill = fast_cfg();
+        ill.max_ill = bad;
+        EXPECT_THROW(run_synthesis(spec, ill), std::invalid_argument)
+            << "max_ill " << bad;
+        SynthesisConfig ill_margin = fast_cfg();
+        ill_margin.soft_ill_margin = bad;
+        EXPECT_THROW(run_synthesis(spec, ill_margin), std::invalid_argument)
+            << "soft_ill_margin " << bad;
+        SynthesisConfig sw_margin = fast_cfg();
+        sw_margin.soft_switch_margin = bad;
+        EXPECT_THROW(run_synthesis(spec, sw_margin), std::invalid_argument)
+            << "soft_switch_margin " << bad;
+    }
+    try {
+        SynthesisConfig cfg = fast_cfg();
+        cfg.soft_switch_margin = -1;
+        run_synthesis(spec, cfg);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("soft_switch_margin"),
+                  std::string::npos)
+            << e.what();
+    }
+    // The bounds themselves are fine: no budget and no soft band.
+    SynthesisConfig edge = fast_cfg();
+    edge.max_ill = 0;
+    edge.soft_ill_margin = 0;
+    edge.soft_switch_margin = 0;
+    edge.max_switches = 3;
+    EXPECT_NO_THROW(run_synthesis(spec, edge, SynthesisPhase::Phase1));
 }
 
 TEST(Synthesizer, DesignPointHelpers) {
