@@ -6,10 +6,23 @@
 // refinement over a greedily grown initial assignment, with deterministic
 // multi-start; the best cut over all starts is returned.
 //
-// Graph sizes in this domain are tens of vertices (<= 65 cores in the
-// paper's largest benchmark), so the simple O(passes * n^2 * k)
-// implementation is more than fast enough and much easier to validate than
-// a bucket-based FM.
+// The kernel works on the symmetric weights stored as sparse rows (nonzero
+// entries only, ascending neighbour id):
+//  * growth attaches vertices in RNG-shuffled order, each to the non-full
+//    block it is most connected to (ties: the emptier block, then the
+//    lower index), in O(degree + k) per attach;
+//  * each FM step scans the unlocked vertices against the blocks below
+//    max_block and moves the pair with the largest gain conn[v][b] -
+//    conn[v][from], then the lowest v, then the lowest b; a vertex never
+//    leaves a singleton block. Each pass keeps its best prefix of moves.
+//
+// Bit-equality rule: every floating-point sum adds the same terms in the
+// same order as a dense scan over all vertices would (ascending vertex id,
+// edge order within a vertex pair), so cuts, gains and hence every pick
+// are bit-for-bit those of the reference transcription in
+// tests/oracle/partition_reference.h. Skipped zero entries only add +0.0.
+// A change here must keep partition_equivalence_test green: partition
+// artifacts are cached and stored by their inputs, not by the code.
 #pragma once
 
 #include <vector>
@@ -46,7 +59,9 @@ double cut_weight(const Digraph& g, const std::vector<int>& block);
 /// Partition the vertices of `g` into `k` balanced blocks minimizing the
 /// cut. Edge direction is ignored for the cut objective (communication cost
 /// is symmetric for partitioning purposes). Throws std::invalid_argument
-/// when k < 1 or k > num_vertices.
+/// when k < 1 or k > num_vertices, when max_block_size cannot fit every
+/// vertex, or when an edge weight is NaN, infinite or negative. Adds its
+/// work to the global counters partition.{starts,passes,moves}.
 PartitionResult partition_kway(const Digraph& g, int k, Rng& rng,
                                const PartitionOptions& opts = {});
 

@@ -716,10 +716,16 @@ SynthesisResult SynthesisSession::run(const SynthesisConfig& cfg,
     if (!std::isfinite(cfg.theta_step) || cfg.theta_step <= 0.0)
         throw std::invalid_argument(
             "SynthesisConfig.theta_step must be finite and positive");
-    if (!std::isfinite(cfg.theta_min))
-        throw std::invalid_argument("SynthesisConfig.theta_min must be finite");
+    // theta divides the SPG's inter-layer weights, and an alpha outside
+    // [0, 1] gives one PG term a negative factor: either way some
+    // partition graph gets weights the partitioner cannot order.
+    if (!std::isfinite(cfg.theta_min) || cfg.theta_min <= 0.0)
+        throw std::invalid_argument(
+            "SynthesisConfig.theta_min must be finite and positive");
     if (!std::isfinite(cfg.theta_max))
         throw std::invalid_argument("SynthesisConfig.theta_max must be finite");
+    if (!(cfg.alpha >= 0.0 && cfg.alpha <= 1.0))
+        throw std::invalid_argument("SynthesisConfig.alpha must be in [0, 1]");
     // The switch-size bound divides by the frequency and converts the
     // quotient to int, and the hop cost subtracts the soft margins from
     // the hard limits: values outside these ranges are undefined there.

@@ -606,6 +606,26 @@ TEST(DistFaults, HopCostInputOutOfRangeFailsTheShard) {
     }
 }
 
+TEST(DistFaults, ZeroThetaFailsTheShard) {
+    // Shard frames decode theta_min without a range check; theta 0 would
+    // make the SPG's inter-layer weights infinite, so the session must
+    // reject it and the shard fail with it.
+    dist::ShardRequest req;
+    req.spec = make_benchmark("D_36_4");
+    req.base_cfg = fast_cfg();
+    req.base_cfg.theta_min = 0.0;
+    req.opts = backend_opts(EvalBackend::Analytic);
+    req.points = ParamGrid().enumerate();
+    dist::InprocTransport transport;
+    try {
+        transport.run(req);
+        FAIL() << "expected DistError";
+    } catch (const dist::DistError& e) {
+        EXPECT_NE(std::string(e.what()).find("theta_min"), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(DistFaults, UnreachableSocketWorkerFailsAsTransport) {
     const DesignSpec spec = make_benchmark("D_36_4");
     ParamGrid grid;

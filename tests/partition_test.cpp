@@ -1,6 +1,7 @@
 // Tests for the balanced k-way min-cut partitioner (Algorithm 1/2 substrate).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "sunfloor/graph/partition.h"
@@ -84,6 +85,37 @@ TEST(Partition, InvalidArguments) {
     PartitionOptions opts;
     opts.max_block_size = 1;
     EXPECT_THROW(partition_kway(g, 2, rng, opts), std::invalid_argument);
+}
+
+TEST(Partition, WeightsItCannotOrderAreRejected) {
+    // A NaN or negative weight leaves growth with no block to pick, and
+    // an infinite one makes every start's cut infinite.
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(), -1.0}) {
+        for (const bool self_loop : {false, true}) {
+            Digraph g = two_clusters(1.0);
+            g.add_edge(2, self_loop ? 2 : 5, bad);
+            Rng rng(5);
+            EXPECT_THROW(partition_kway(g, 2, rng), std::invalid_argument)
+                << bad << (self_loop ? " on a self-loop" : "");
+        }
+    }
+}
+
+TEST(Partition, HugeCutStillAssignsEveryVertex) {
+    // Every cut here is at least 1e306, above any sentinel a "best so
+    // far" could start from; the result must still cover every vertex.
+    Digraph g(4);
+    for (int u = 0; u < 4; ++u)
+        for (int v = u + 1; v < 4; ++v) g.add_edge(u, v, 1e306);
+    Rng rng(6);
+    const auto res = partition_kway(g, 2, rng);
+    ASSERT_EQ(res.block.size(), 4u);
+    std::vector<int> sizes(2, 0);
+    for (int b : res.block) ++sizes.at(static_cast<std::size_t>(b));
+    EXPECT_EQ(sizes, (std::vector<int>{2, 2}));
+    EXPECT_EQ(res.cut_weight, cut_weight(g, res.block));
+    EXPECT_GT(res.cut_weight, 3e306);
 }
 
 TEST(Partition, CutWeightConsistent) {

@@ -288,6 +288,46 @@ TEST(Pipeline, RoutingOutcomesPartitionTheMisses) {
     }
 }
 
+struct PartitionWork {
+    long long starts, passes, moves;
+
+    friend bool operator==(const PartitionWork&,
+                           const PartitionWork&) = default;
+};
+
+// partition_kway counts into the process-wide registry.
+PartitionWork partition_work() {
+    obs::Registry& r = obs::Registry::global();
+    return {r.counter("partition.starts").value(),
+            r.counter("partition.passes").value(),
+            r.counter("partition.moves").value()};
+}
+
+TEST(Pipeline, PartitionWorkIsCountedPerComputedPartition) {
+    SynthesisConfig cfg;
+    cfg.run_floorplan = false;
+    const DesignSpec spec = make_benchmark("D_26_media");
+    std::vector<PartitionWork> cold;
+    for (int i = 0; i < 2; ++i) {
+        pipeline::SynthesisSession s(spec);
+        const PartitionWork before = partition_work();
+        s.run(cfg);
+        const PartitionWork after = partition_work();
+        const PartitionWork work{after.starts - before.starts,
+                                 after.passes - before.passes,
+                                 after.moves - before.moves};
+        EXPECT_EQ(work.starts,
+                  s.stats().partition.misses * cfg.partition.num_starts);
+        EXPECT_GE(work.passes, work.starts);  // refinement is on
+        EXPECT_GT(work.moves, 0);
+        cold.push_back(work);
+        // A warm rerun hits every partition and does no partition work.
+        s.run(cfg);
+        EXPECT_EQ(partition_work(), after);
+    }
+    EXPECT_EQ(cold[0], cold[1]);
+}
+
 TEST(Pipeline, RunReportsStageTiming) {
     const DesignSpec spec = make_benchmark("D_36_4");
     pipeline::SynthesisSession session(spec);

@@ -126,6 +126,44 @@ TEST(Synthesizer, ThetaSweepThatCannotAdvanceIsRejected) {
     }
 }
 
+TEST(Synthesizer, PartitionGraphInputsOutOfRangeAreRejected) {
+    // An alpha outside [0, 1] makes PG weights negative; theta 0 makes
+    // the SPG's inter-layer weights infinite and a negative theta makes
+    // them negative. The partitioner cannot order either.
+    const DesignSpec spec = make_benchmark("D_36_8");
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double alpha : {5.0, -0.5, 1.0 + 1e-9, nan, inf}) {
+        SynthesisConfig cfg = fast_cfg();
+        cfg.alpha = alpha;
+        EXPECT_THROW(run_synthesis(spec, cfg), std::invalid_argument)
+            << "alpha " << alpha;
+    }
+    for (double theta : {0.0, -0.0, -0.5}) {
+        SynthesisConfig cfg = fast_cfg();
+        cfg.theta_min = theta;
+        EXPECT_THROW(run_synthesis(spec, cfg), std::invalid_argument)
+            << "theta_min " << theta;
+    }
+    try {
+        SynthesisConfig cfg = fast_cfg();
+        cfg.alpha = 5.0;
+        run_synthesis(spec, cfg);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("alpha"), std::string::npos)
+            << e.what();
+    }
+    // The ends of the alpha range are fine.
+    for (double alpha : {0.0, 1.0}) {
+        SynthesisConfig cfg = fast_cfg();
+        cfg.alpha = alpha;
+        cfg.max_switches = 3;
+        EXPECT_NO_THROW(run_synthesis(spec, cfg, SynthesisPhase::Phase1))
+            << "alpha " << alpha;
+    }
+}
+
 TEST(Synthesizer, HopCostInputsOutOfRangeAreRejected) {
     // Each of these reaches undefined behaviour in the path computation:
     // a float-to-int conversion of inf or NaN in the switch-size bound,
