@@ -43,7 +43,7 @@ DesignSpec service_spec() {
 }
 
 // The request stream: one spec, a sweep of operating frequencies. All
-// requests share a batch_key bucket, so the warm engine reuses the
+// requests share the spec's warm session, whose stage caches serve the
 // partition artifacts across the whole stream.
 std::vector<JobRequest> service_requests() {
     const DesignSpec spec = service_spec();

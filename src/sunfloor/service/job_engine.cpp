@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -42,34 +41,7 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
         .count();
 }
 
-std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
 }  // namespace
-
-std::string JobEngine::batch_key(const JobRequest& req) {
-    // Exactly the inputs the partition/assignment stages consume (see
-    // pipeline/session.h): the spec, alpha, the synthesis seed and the
-    // phase/theta axes. Frequency, TSV budget, link width and routing
-    // first matter at the routing stage, so jobs differing only there
-    // land in one bucket and share partition artifacts.
-    std::uint64_t h = 1469598103934665603ULL;
-    h = fnv1a(h, req.spec_text);
-    h = fnv1a(h, double_bits(req.params.alpha));
-    h = fnv1a(h, format("s%lld", req.params.seed));
-    for (const SynthesisPhase p : req.params.phases)
-        h = fnv1a(h, format("p%s", phase_to_string(p)));
-    for (const double t : req.params.thetas) {
-        h = fnv1a(h, "t");
-        h = fnv1a(h, double_bits(t));
-    }
-    return format("%016llx", static_cast<unsigned long long>(h));
-}
 
 std::string JobEngine::coalesce_key(const JobRequest& req) {
     const JobParams& p = req.params;
@@ -149,11 +121,12 @@ Submission JobEngine::submit(JobRequest req) {
     }
     const std::string ckey = coalesce_key(req);
     const auto inflight = inflight_.find(ckey);
-    if (inflight == inflight_.end() && queued_ >= opts_.queue_capacity) {
+    const int queued = static_cast<int>(queue_.size());
+    if (inflight == inflight_.end() && queued >= opts_.queue_capacity) {
         // Attaching to in-flight work consumes no queue slot, so only
         // fresh computations are bounced on capacity.
         out.reason = RejectReason::QueueFull;
-        out.error = format("queue is full (%d jobs queued)", queued_);
+        out.error = format("queue is full (%d jobs queued)", queued);
         ++n_rejected_;
         m_rej_queue_full_->add();
         return out;
@@ -170,8 +143,6 @@ Submission JobEngine::submit(JobRequest req) {
 
     auto job = std::make_shared<Job>();
     job->id = next_id_++;
-    job->seq = next_seq_++;
-    job->batch = batch_key(req);
     job->req = std::move(req);
     job->submitted_at = std::chrono::steady_clock::now();
     ++active_per_client_[job->req.client];
@@ -192,9 +163,8 @@ Submission JobEngine::submit(JobRequest req) {
     }
     job->ckey = ckey;
     inflight_.emplace(ckey, job);
-    queue_[job->batch].push_back(std::move(job));
-    ++queued_;
-    m_queue_depth_->observe(queued_);
+    queue_.push_back(std::move(job));
+    m_queue_depth_->observe(static_cast<double>(queue_.size()));
     work_cv_.notify_one();
     return out;
 }
@@ -256,7 +226,7 @@ bool JobEngine::result(std::uint64_t id, JobResult& out) const {
 
 int JobEngine::queue_depth() const {
     util::MutexLock lk(mu_);
-    return queued_;
+    return static_cast<int>(queue_.size());
 }
 
 EngineStats JobEngine::stats() const {
@@ -267,7 +237,7 @@ EngineStats JobEngine::stats() const {
     st.failed = n_failed_;
     st.rejected = n_rejected_;
     st.coalesced = n_coalesced_;
-    st.queued = queued_;
+    st.queued = static_cast<int>(queue_.size());
     st.running = running_;
     st.workers = opts_.workers;
     st.sessions = static_cast<int>(sessions_.size());
@@ -281,37 +251,13 @@ void JobEngine::begin_drain() {
 
 void JobEngine::drain() {
     util::UniqueLock lk(mu_);
-    while (queued_ != 0 || running_ != 0) done_cv_.wait(lk);
+    while (!queue_.empty() || running_ != 0) done_cv_.wait(lk);
 }
 
 void JobEngine::release_client(const std::string& name) {
     auto client = active_per_client_.find(name);
     if (client != active_per_client_.end() && --client->second <= 0)
         active_per_client_.erase(client);
-}
-
-std::shared_ptr<JobEngine::Job> JobEngine::pop_job(
-    const std::string& last_batch) {
-    auto it = queue_.find(last_batch);
-    if (it == queue_.end() || it->second.empty()) {
-        // Oldest job overall; each bucket is FIFO so its front is its
-        // oldest, and the bucket count is small (it is bounded by the
-        // number of distinct in-flight workloads).
-        it = queue_.end();
-        std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-        for (auto b = queue_.begin(); b != queue_.end(); ++b) {
-            if (b->second.empty()) continue;
-            if (b->second.front()->seq < best) {
-                best = b->second.front()->seq;
-                it = b;
-            }
-        }
-        if (it == queue_.end()) return nullptr;
-    }
-    std::shared_ptr<Job> job = it->second.front();
-    it->second.pop_front();
-    if (it->second.empty()) queue_.erase(it);
-    return job;
 }
 
 std::shared_ptr<pipeline::SynthesisSession> JobEngine::acquire_session(
@@ -337,25 +283,19 @@ std::shared_ptr<pipeline::SynthesisSession> JobEngine::acquire_session(
 }
 
 void JobEngine::worker_loop() {
-    std::string last_batch;
     for (;;) {
         std::shared_ptr<Job> job;
         std::shared_ptr<pipeline::SynthesisSession> session;
         {
             util::UniqueLock lk(mu_);
-            while (!stop_ && queued_ == 0) work_cv_.wait(lk);
-            if (queued_ == 0) {
-                if (stop_) return;
-                continue;
-            }
-            job = pop_job(last_batch);
-            if (!job) continue;
-            --queued_;
+            while (!stop_ && queue_.empty()) work_cv_.wait(lk);
+            if (queue_.empty()) return;  // stopping
+            job = std::move(queue_.front());
+            queue_.pop_front();
             ++running_;
             job->state = JobState::Running;
             job->wait_ms = ms_since(job->submitted_at);
             m_wait_ms_->observe(job->wait_ms);
-            last_batch = job->batch;
             session = acquire_session(job->req);
         }
 
@@ -416,19 +356,8 @@ namespace {
 
 JobResult execute_synth(const JobRequest& req,
                         pipeline::SynthesisSession& session) {
-    const JobParams& p = req.params;
-    SynthesisConfig cfg;
-    cfg.eval.freq_hz =
-        (p.freq_mhz.empty() ? 400.0 : p.freq_mhz.front()) * 1e6;
-    if (!p.max_tsvs.empty()) cfg.max_ill = p.max_tsvs.front();
-    if (!p.routings.empty()) cfg.routing = p.routings.front();
-    cfg.alpha = p.alpha;
-    cfg.seed = static_cast<std::uint64_t>(p.seed);
-    cfg.run_floorplan = p.floorplan;
-    const SynthesisPhase phase =
-        p.phases.empty() ? SynthesisPhase::Auto : p.phases.front();
-
-    const SynthesisResult res = session.run(cfg, phase);
+    const SynthSetup setup = synth_setup(req.params);
+    const SynthesisResult res = session.run(setup.cfg, setup.phase);
 
     JobResult out;
     // The same bytes the one-shot CLI writes as <prefix>_points.csv
@@ -454,36 +383,16 @@ JobResult execute_explore(
     const JobRequest& req,
     const std::shared_ptr<pipeline::SynthesisSession>& session,
     int explore_threads) {
-    const JobParams& p = req.params;
-    SynthesisConfig cfg;
-    cfg.alpha = p.alpha;
-    cfg.run_floorplan = p.floorplan;
-
-    ParamGrid grid;
-    if (!p.freq_mhz.empty()) {
-        std::vector<double> hz;
-        hz.reserve(p.freq_mhz.size());
-        for (const double mhz : p.freq_mhz) hz.push_back(mhz * 1e6);
-        grid.set_axis(ParamAxis::frequencies_hz(hz));
-    }
-    if (!p.max_tsvs.empty())
-        grid.set_axis(ParamAxis::max_tsvs(p.max_tsvs));
-    if (!p.width_bits.empty())
-        grid.set_axis(ParamAxis::link_widths_bits(p.width_bits));
-    if (!p.phases.empty()) grid.set_axis(ParamAxis::phases(p.phases));
-    if (!p.thetas.empty()) grid.set_axis(ParamAxis::thetas(p.thetas));
-    if (!p.routings.empty())
-        grid.set_axis(ParamAxis::routing_policies(p.routings));
-
+    const ExploreSetup setup = explore_setup(req.params);
     ExploreOptions opts;
     opts.num_threads = explore_threads;
-    opts.base_seed = static_cast<std::uint64_t>(p.seed);
+    opts.base_seed = setup.base_seed;
 
     // A fresh Explorer per job on the *shared* session: stage artifacts
     // stay warm across jobs, and the exported CSV matches a one-shot run
     // byte for byte because reuse is bit-transparent.
-    const Explorer explorer(session, cfg, opts);
-    const ExploreResult res = explorer.run(grid);
+    const Explorer explorer(session, setup.cfg, opts);
+    const ExploreResult res = explorer.run(setup.grid);
 
     JobResult out;
     std::ostringstream os;

@@ -10,13 +10,9 @@
 // the property tests/service_test.cpp pins against the one-shot
 // run_synthesis()/Explorer paths.
 //
-// Batching: queued jobs are bucketed by batch_key() — a hash of the spec
-// text plus the partition-relevant config fields (alpha, seed, phase,
-// theta). A worker that just finished a job prefers its bucket's next
-// job, so runs that share partition/assignment artifacts execute
-// back-to-back on a warm session instead of interleaving with unrelated
-// specs; across buckets the globally oldest job goes first (no
-// starvation).
+// Queueing: jobs run in submission order (FIFO). The warm sessions'
+// stage caches are keyed on content, so the order never changes a
+// result.
 //
 // Coalescing: a submission whose *entire* request content (coalesce_key()
 // — spec text plus every config field; the client name deliberately
@@ -40,7 +36,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -164,12 +159,6 @@ class JobEngine {
     /// first or this may never return under a steady submit stream.
     void drain() SF_EXCLUDES(mu_);
 
-    /// Artifact-affinity bucket of a request: spec text plus the config
-    /// fields the partition/assignment stages consume (alpha, seed,
-    /// phase, theta). Jobs sharing a key reuse each other's most
-    /// expensive artifacts on a warm session.
-    static std::string batch_key(const JobRequest& req);
-
     /// Full-content identity of a request — every field a job's result
     /// depends on (kind, spec text, all params), excluding the client.
     /// Equal keys => byte-identical results, which is what licenses
@@ -181,9 +170,7 @@ class JobEngine {
   private:
     struct Job {
         std::uint64_t id = 0;
-        std::uint64_t seq = 0;  ///< global FIFO order for anti-starvation
         JobRequest req;
-        std::string batch;
         std::string ckey;  ///< coalesce_key(); primaries only
         JobState state = JobState::Queued;
         JobResult result;
@@ -197,10 +184,6 @@ class JobEngine {
     };
 
     void worker_loop() SF_EXCLUDES(mu_);
-    /// Pop the next job: `last_batch`'s bucket when non-empty, else the
-    /// bucket holding the globally oldest job. Caller holds mu_.
-    std::shared_ptr<Job> pop_job(const std::string& last_batch)
-        SF_REQUIRES(mu_);
     /// Decrement (and clean up) a client's active-job count when one of
     /// its jobs reaches a terminal state. Caller holds mu_.
     void release_client(const std::string& name) SF_REQUIRES(mu_);
@@ -234,13 +217,11 @@ class JobEngine {
     bool draining_ SF_GUARDED_BY(mu_) = false;
     bool stop_ SF_GUARDED_BY(mu_) = false;
     std::uint64_t next_id_ SF_GUARDED_BY(mu_) = 1;
-    std::uint64_t next_seq_ SF_GUARDED_BY(mu_) = 0;
-    int queued_ SF_GUARDED_BY(mu_) = 0;
     int running_ SF_GUARDED_BY(mu_) = 0;
     std::unordered_map<std::uint64_t, std::shared_ptr<Job>> jobs_
         SF_GUARDED_BY(mu_);
-    std::map<std::string, std::deque<std::shared_ptr<Job>>> queue_
-        SF_GUARDED_BY(mu_);
+    /// Queued primaries, oldest first.
+    std::deque<std::shared_ptr<Job>> queue_ SF_GUARDED_BY(mu_);
     std::unordered_map<std::string, int> active_per_client_
         SF_GUARDED_BY(mu_);
     /// Non-terminal primaries by coalesce_key(); entries are erased in

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "sunfloor/core/synthesizer.h"
+#include "sunfloor/explore/param_grid.h"
 #include "sunfloor/routing/policy.h"
 #include "sunfloor/spec/parser.h"
 #include "sunfloor/util/rng.h"
@@ -70,6 +71,27 @@ struct JobParams {
     long long seed = static_cast<long long>(Rng::kDefaultSeed);
     bool floorplan = true;
 };
+
+/// The one mapping from a synth job's knobs to its run, shared by the
+/// one-shot CLI (synth, simulate) and the job engine: empty axes keep
+/// SynthesisConfig's defaults at 400 MHz and the auto phase.
+struct SynthSetup {
+    SynthesisConfig cfg;
+    SynthesisPhase phase = SynthesisPhase::Auto;
+};
+SynthSetup synth_setup(const JobParams& p);
+
+/// The one mapping from an explore job's knobs to its run, shared by
+/// `sunfloor_cli explore` and the job engine: the base config, a grid
+/// over the given axes (empty axes keep ParamGrid's defaults) and the
+/// explorer's base seed. Throws std::invalid_argument on an
+/// out-of-domain axis value.
+struct ExploreSetup {
+    SynthesisConfig cfg;
+    ParamGrid grid;
+    std::uint64_t base_seed = 0;
+};
+ExploreSetup explore_setup(const JobParams& p);
 
 /// Deserialized "submit" payload, before the spec text is parsed.
 struct SubmitRequest {

@@ -1,5 +1,5 @@
 // `--trace <file>` / `--metrics <file|->` handling shared by the
-// sunfloor_cli subcommands and the sunfloord daemon. Sinks are opened
+// sunfloor_cli subcommands and both daemons. Sinks are opened
 // before the run, so a bad path fails fast with a named-path error
 // instead of after minutes of work; finish() writes both files once the
 // run is quiescent. An early error return drops a started trace in the
@@ -10,9 +10,11 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "sunfloor/obs/metrics.h"
 #include "sunfloor/obs/trace.h"
+#include "sunfloor/tools/flags.h"
 
 namespace sunfloor::tools {
 
@@ -22,22 +24,10 @@ class ObsSinks {
         if (tracing_) obs::discard_trace();
     }
 
-    /// 1 = consumed, 0 = not an obs flag, -1 = missing value.
-    template <typename NextFn>
-    int parse_flag(const std::string& arg, NextFn&& next) {
-        if (arg == "--trace") {
-            const char* v = next();
-            if (!v) return -1;
-            trace_path_ = v;
-            return 1;
-        }
-        if (arg == "--metrics") {
-            const char* v = next();
-            if (!v) return -1;
-            metrics_path_ = v;
-            return 1;
-        }
-        return 0;
+    /// The --trace and --metrics rows; the paths are read by open().
+    std::vector<Flag> flags() {
+        return {flag("--trace", trace_path_, a_string("file")),
+                flag("--metrics", metrics_path_, a_string("file|-"))};
     }
 
     /// Where the human-readable report goes: stderr when `--metrics -`

@@ -13,9 +13,14 @@
 //   sunfloor_cli result --connect <addr> --id <n> [--wait]
 //   sunfloor_cli cas (stats | gc) --cas <dir> [--max-bytes <n>]
 //
-// Synthesis options:
+// Every subcommand parses through one flag table (tools/flags.h). A
+// parse error prints `missing value for --x`, `bad --x value 'v'
+// (expected ...)` or `unknown option '--x'` plus the subcommand's usage
+// line and exits 2; so does a rejected combination of flags (below).
+//
+// Synthesis options (synth; simulate takes one --freq):
 //   --freq <MHz>[,<MHz>...]   operating points to sweep  (default 400)
-//   --max-ill <n>             inter-layer link budget    (default 25)
+//   --max-ill <n>             inter-layer link budget, >= 0 (default 25)
 //   --alpha <0..1>            PG bandwidth/latency blend (default 1.0)
 //   --phase <auto|1|2>        synthesis phase            (default auto)
 //   --routing <policy>        routing policy: up-down|west-first|odd-even
@@ -30,13 +35,14 @@
 // Explore options (each *-list axis expands the parameter grid):
 //   --freq <MHz>[,...]        frequency axis             (default 400)
 //   --max-tsvs <n>[,...]      TSV budget axis, in inter-layer links
-//                             (the paper's max_ill)      (default 25)
+//                             (the paper's max_ill), >= 1 (default 25)
 //   --width <bits>[,...]      link width axis            (default 32)
 //   --phase <auto|1|2>[,...]  synthesis phase axis       (default auto)
-//   --theta <v>[,...]         fixed-theta axis           (default sweep)
+//   --theta <v>[,...]         fixed-theta axis, > 0      (default sweep)
 //   --routing <p>[,...]       routing-policy axis        (default up-down)
 //   --alpha <0..1>            PG bandwidth/latency blend (default 1.0)
-//   --threads <n>             worker threads; 0 = all cores (default 0)
+//   --threads <n>             worker threads, >= 0; 0 = all cores
+//                             (default 0)
 //   --backend <analytic|sim>  Pareto ranking backend     (default analytic)
 //   --rate <scale>            sim backend: injection scale (default 1.0)
 //   --traffic <kind>          sim backend: uniform|bursty|hotspot
@@ -48,13 +54,21 @@
 //   --shards <n>              split the grid into n contiguous shard jobs
 //   --shard-transport <t>     inproc|socket (default inproc; socket ships
 //                             jobs to sunfloor_shard_worker processes)
-//   --shard-addrs <a>[,...]   worker addresses (socket transport); one
-//                             transport per address, jobs re-queue on
-//                             worker failure
+//   --shard-addrs <a>[,...]   worker addresses (socket transport, which
+//                             they imply); one transport per address,
+//                             jobs re-queue on worker failure
 //   --cas <dir>               content-addressed artifact store shared by
 //                             all shards (also usable without --shards);
 //                             warm stages are loaded instead of recomputed
-//   --cas-max-bytes <n>       size bound handed to the shards' stores
+//   --cas-max-bytes <n>       size bound handed to the store(s)
+//
+// Explore's dependent flags are checked after the parse, on the parsed
+// values: exactly one of --design, --benchmark and --family; --rate,
+// --traffic and --packet-len need --backend sim; generator knobs,
+// --instances and --gen-seed need --family; --shard-transport needs
+// --shards (or --shard-addrs); --cas-max-bytes needs --cas; --shards
+// and --cas do not apply to --family; --shard-addrs needs the socket
+// transport and the socket transport needs --shard-addrs.
 //
 // CAS maintenance (cas stats | cas gc):
 //   --cas <dir>               the store directory      (required)
@@ -97,8 +111,8 @@
 //   --client <name>           client name for quota accounting
 //   --explore                 submit an explore job (axes may be lists)
 //   --freq, --max-tsvs, --width, --phase, --theta, --routing, --alpha,
-//   --seed, --no-floorplan    job config; synth jobs take single values,
-//                             explore jobs accept comma lists per axis
+//   --seed, --no-floorplan    job config, read by explore's rows; synth
+//                             jobs take single values (the server checks)
 //   --wait                    block until done; result CSV on stdout
 //                             (byte-identical to the one-shot CLI's
 //                             _points.csv / _explore.csv for the same
@@ -115,6 +129,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -137,211 +152,143 @@
 #include "sunfloor/service/protocol.h"
 #include "sunfloor/spec/benchmarks.h"
 #include "sunfloor/specgen/specgen.h"
+#include "sunfloor/tools/flags.h"
 #include "sunfloor/tools/obs_sinks.h"
+#include "sunfloor/util/enum_names.h"
 #include "sunfloor/util/json.h"
 #include "sunfloor/util/strings.h"
 
 using namespace sunfloor;
+using namespace sunfloor::tools;
 
 namespace {
 
-int usage(const char* argv0) {
-    std::fprintf(stderr,
-                 "usage: %s (--design <file> | --benchmark <name>) "
-                 "[--freq MHz[,MHz...]] [--max-ill N] [--alpha A] "
-                 "[--phase auto|1|2] [--routing up-down|west-first|odd-even] "
-                 "[--seed N] [--no-floorplan] "
-                 "[--out prefix] [--trace file] [--metrics file|-] "
-                 "[--list-benchmarks]\n"
-                 "       %s explore (--design <file> | --benchmark <name> | "
-                 "--family pipeline|hub|layered-dag [generator knobs] "
-                 "[--instances N] [--gen-seed N]) "
-                 "[--freq MHz[,...]] [--max-tsvs N[,...]] [--width B[,...]] "
-                 "[--phase auto|1|2[,...]] [--theta V[,...]] "
-                 "[--routing P[,...]] [--alpha A] "
-                 "[--threads N] [--seed N] [--no-floorplan] "
-                 "[--backend analytic|sim] [--rate S] "
-                 "[--traffic uniform|bursty|hotspot] [--packet-len N] "
-                 "[--shards N] [--shard-transport inproc|socket] "
-                 "[--shard-addrs A[,A...]] [--cas dir] [--cas-max-bytes N] "
-                 "[--out prefix] [--trace file] [--metrics file|-]\n"
-                 "       %s simulate (--design <file> | --benchmark <name>) "
-                 "[--freq MHz] [--max-ill N] [--alpha A] [--phase auto|1|2] "
-                 "[--routing up-down|west-first|odd-even] "
-                 "[--seed N] [--no-floorplan] [--rate S[,S...]] "
-                 "[--traffic uniform|bursty|hotspot] [--packet-len N] "
-                 "[--buffers N] [--warmup N] [--measure N] [--out prefix] "
-                 "[--trace file] [--metrics file|-]\n"
-                 "       %s generate --family pipeline|hub|layered-dag "
-                 "[--cores N] [--layers N] [--peak-bw MBPS] [--skew S] "
-                 "[--lat-slack S] [--resp F] [--hubs K] [--hotspot F] "
-                 "[--stages N] [--fanout N] [--seed N] [--out file]\n"
-                 "       %s submit --connect <addr> (--design <file> | "
-                 "--benchmark <name>) [--client NAME] [--explore] "
-                 "[--freq MHz[,...]] [--max-tsvs N[,...]] [--width B[,...]] "
-                 "[--phase auto|1|2[,...]] [--theta V[,...]] "
-                 "[--routing P[,...]] [--alpha A] [--seed N] "
-                 "[--no-floorplan] [--wait]\n"
-                 "       %s status --connect <addr> --id <n>\n"
-                 "       %s result --connect <addr> --id <n> [--wait]\n"
-                 "       %s cas (stats | gc) --cas <dir> [--max-bytes N]\n",
-                 argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0);
-    return 2;
-}
+/// --design / --benchmark: where the spec comes from.
+struct Source {
+    std::string design_file;
+    std::string benchmark;
 
-/// Load a design file, or a benchmark with the annealed placement the
-/// benches use. Returns false (with a message on stderr) on failure.
-bool load_spec(const std::string& design_file, const std::string& benchmark,
-               DesignSpec& spec) {
-    if (!design_file.empty()) {
-        const ParseResult parsed = parse_design_file(design_file);
-        if (!parsed.ok) {
-            std::fprintf(stderr, "parse error: %s\n", parsed.error.c_str());
+    std::vector<Flag> flags() {
+        return {flag("--design", design_file, a_string("file")),
+                flag("--benchmark", benchmark, a_string("name"))};
+    }
+
+    /// How many of the two were given (a non-empty value).
+    int count() const {
+        return static_cast<int>(!design_file.empty()) +
+               static_cast<int>(!benchmark.empty());
+    }
+
+    /// Load the design file, or the benchmark with the annealed placement
+    /// the benches use. False (with a message on stderr) on failure.
+    bool load(DesignSpec& spec) const {
+        if (!design_file.empty()) {
+            const ParseResult parsed = parse_design_file(design_file);
+            if (!parsed.ok) {
+                std::fprintf(stderr, "parse error: %s\n",
+                             parsed.error.c_str());
+                return false;
+            }
+            spec = parsed.spec;
+            return true;
+        }
+        try {
+            spec = make_benchmark(benchmark);
+        } catch (const std::exception& e) {
+            std::fprintf(stderr, "%s\n", e.what());
             return false;
         }
-        spec = parsed.spec;
+        AnnealOptions fopts;
+        fopts.wirelength_weight = 5e-4;
+        Rng rng(42);
+        floorplan_design_layers(spec.cores, spec.comm, fopts, rng);
         return true;
     }
-    try {
-        spec = make_benchmark(benchmark);
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return false;
-    }
-    AnnealOptions fopts;
-    fopts.wirelength_weight = 5e-4;
-    Rng rng(42);
-    floorplan_design_layers(spec.cores, spec.comm, fopts, rng);
-    return true;
-}
+};
 
-/// Uniform parse-failure report for enum-valued flags (--phase, --backend,
-/// --traffic). All of them parse case-insensitively through one
-/// enum_names table per enum; this prints the matching canonical choices.
-int bad_enum_value(const char* flag, const char* value,
-                   const std::string& choices) {
-    std::fprintf(stderr, "bad %s value '%s' (expected %s)\n", flag,
-                 value ? value : "", choices.c_str());
-    return 2;
-}
+constexpr const char* kOneSource =
+    "give exactly one of --design and --benchmark";
 
-using tools::ObsSinks;
+/// How a subcommand takes the synthesis knobs of service::JobParams:
+/// synth sweeps --freq and runs one value of every other knob, simulate
+/// runs one value of each, explore and submit take a comma list per grid
+/// axis.
+enum class Knobs { Synth, Simulate, Grid };
 
-/// Parse a "400,600" MHz list into Hz, shared by both subcommands; prints
-/// the offending token and returns false on a malformed or non-positive
-/// entry.
-bool parse_freq_list_hz(const char* arg, std::vector<double>& out) {
-    out.clear();
-    for (const auto& part : split(arg, ',')) {
-        double mhz = 0.0;
-        if (!parse_double(part, mhz) || mhz <= 0.0) {
-            std::fprintf(stderr, "bad --freq value '%s'\n", part.c_str());
-            return false;
-        }
-        out.push_back(mhz * 1e6);
-    }
-    return !out.empty();
-}
-
-bool parse_double_list(const char* arg, std::vector<double>& out) {
-    out.clear();
-    for (const auto& part : split(arg, ',')) {
-        double v = 0.0;
-        if (!parse_double(part, v)) return false;
-        out.push_back(v);
-    }
-    return !out.empty();
-}
-
-bool parse_int_list(const char* arg, std::vector<int>& out) {
-    out.clear();
-    for (const auto& part : split(arg, ',')) {
-        int v = 0;
-        if (!parse_int(part, v)) return false;
-        out.push_back(v);
-    }
-    return !out.empty();
-}
-
-/// Every `--seed` and `--gen-seed`: a 64-bit integer >= 0, read the same
-/// way by each subcommand, so a one-shot run reproduces a served job.
-bool parse_seed(const char* arg, long long& out) {
-    return arg != nullptr && parse_int64(arg, out) && out >= 0;
-}
-
-/// Generator knobs shared by `generate` and `explore --family`. Returns
-/// 1 when `arg` (plus its value) was consumed, 0 when it is not a
-/// generator flag, -1 on a bad value (message printed). Range checks live
-/// in GenParams::validate(); here only the parse can fail.
-template <typename NextFn>
-int parse_gen_flag(const std::string& arg, NextFn&& next,
-                   specgen::GenParams& gp, bool& have_family) {
-    const auto bad = [&](const char* v) {
-        std::fprintf(stderr, "bad %s value '%s'\n", arg.c_str(),
-                     v ? v : "");
-        return -1;
+std::vector<Flag> knob_flags(service::JobParams& p, Knobs mode) {
+    const bool grid = mode == Knobs::Grid;
+    const auto axis = [grid](std::string name, auto& out, auto kind) {
+        return grid ? list_flag(std::move(name), out, std::move(kind))
+                    : one_flag(std::move(name), out, std::move(kind));
     };
-    const auto int_knob = [&](int& out) {
-        const char* v = next();
-        return (v && parse_int(v, out)) ? 1 : bad(v);
-    };
-    const auto double_knob = [&](double& out) {
-        const char* v = next();
-        return (v && parse_double(v, out)) ? 1 : bad(v);
-    };
-    if (arg == "--family") {
-        const char* v = next();
-        if (!v || !specgen::family_from_string(v, gp.family)) {
-            bad_enum_value("--family", v, specgen::family_choices());
-            return -1;
-        }
-        have_family = true;
-        return 1;
+    std::vector<Flag> rows{
+        mode == Knobs::Simulate
+            ? one_flag("--freq", p.freq_mhz, a_positive("MHz"))
+            : list_flag("--freq", p.freq_mhz, a_positive("MHz")),
+        // The inter-layer link budget: a grid axis of budgets >= 1, or one
+        // run's max_ill, where a one-layer spec may use 0.
+        grid ? list_flag("--max-tsvs", p.max_tsvs, an_int(1))
+             : one_flag("--max-ill", p.max_tsvs, an_int(0)),
+        axis("--phase", p.phases, a_choice(phase_from_string, phase_choices())),
+        axis("--routing", p.routings,
+             a_choice(routing::routing_from_string,
+                      routing::routing_choices())),
+        flag("--alpha", p.alpha, a_number("A")),
+        flag("--seed", p.seed, a_seed()),
+        switch_flag("--no-floorplan", p.floorplan, false)};
+    if (grid) {
+        rows.push_back(list_flag("--width", p.width_bits, an_int(1, "B")));
+        rows.push_back(list_flag("--theta", p.thetas, a_positive("V")));
     }
-    if (arg == "--cores") return int_knob(gp.num_cores);
-    if (arg == "--layers") return int_knob(gp.num_layers);
-    if (arg == "--peak-bw") return double_knob(gp.peak_core_bw_mbps);
-    if (arg == "--skew") return double_knob(gp.bw_skew);
-    if (arg == "--lat-slack") return double_knob(gp.latency_slack);
-    if (arg == "--resp") return double_knob(gp.response_fraction);
-    if (arg == "--hubs") return int_knob(gp.num_hubs);
-    if (arg == "--hotspot") return double_knob(gp.hotspot_fraction);
-    if (arg == "--stages") return int_knob(gp.stages);
-    if (arg == "--fanout") return int_knob(gp.max_fanout);
-    return 0;
+    return rows;
+}
+
+Flag family_flag(specgen::GenParams& gp) {
+    return flag("--family", gp.family,
+                a_choice(specgen::family_from_string,
+                         specgen::family_choices()));
+}
+
+/// Generator knobs shared by `generate` and `explore --family`. Range
+/// checks live in GenParams::validate(); here only the parse can fail.
+std::vector<Flag> gen_flags(specgen::GenParams& gp) {
+    return {flag("--cores", gp.num_cores, an_int()),
+            flag("--layers", gp.num_layers, an_int()),
+            flag("--peak-bw", gp.peak_core_bw_mbps, a_number("MBPS")),
+            flag("--skew", gp.bw_skew, a_number("S")),
+            flag("--lat-slack", gp.latency_slack, a_number("S")),
+            flag("--resp", gp.response_fraction, a_number("F")),
+            flag("--hubs", gp.num_hubs, an_int()),
+            flag("--hotspot", gp.hotspot_fraction, a_number("F")),
+            flag("--stages", gp.stages, an_int()),
+            flag("--fanout", gp.max_fanout, an_int())};
+}
+
+/// How `explore --shards` reaches its workers.
+enum class ShardTransport { Inproc, Socket };
+
+constexpr EnumName<ShardTransport> kShardTransportNames[] = {
+    {ShardTransport::Inproc, "inproc"},
+    {ShardTransport::Socket, "socket"},
+};
+
+bool shard_transport_from_string(const std::string& s, ShardTransport& out) {
+    return enum_from_string<ShardTransport>(kShardTransportNames, s, out);
 }
 
 int run_generate(int argc, char** argv) {
     specgen::GenParams gp;
-    bool have_family = false;
     long long seed = 1;
     std::string out_path;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--seed") {
-            if (!parse_seed(next(), seed)) return usage(argv[0]);
-        } else if (arg == "--out") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            out_path = v;
-        } else {
-            const int r = parse_gen_flag(arg, next, gp, have_family);
-            if (r < 0) return 2;
-            if (r == 0) {
-                std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-                return usage(argv[0]);
-            }
-        }
-    }
-    if (!have_family) {
-        std::fprintf(stderr, "generate requires --family (expected %s)\n",
-                     specgen::family_choices().c_str());
-        return 2;
-    }
+    Flags flags(std::string(argv[0]) + " generate");
+    flags.add({family_flag(gp)})
+        .add(gen_flags(gp))
+        .add({flag("--seed", seed, a_seed()),
+              flag("--out", out_path, a_string("file"))});
+    if (!flags.parse(argc, argv, 2)) return 2;
+    if (!flags.seen("--family"))
+        return flags.error(format("generate requires --family (expected %s)",
+                                  specgen::family_choices().c_str()));
 
     DesignSpec spec;
     try {
@@ -461,214 +408,86 @@ int run_explore_family(const specgen::GenParams& gp, int instances,
 }
 
 int run_explore(int argc, char** argv) {
-    std::string design_file;
-    std::string benchmark;
+    Source src;
     std::string out_prefix;
-    SynthesisConfig cfg;
+    service::JobParams params;
     ExploreOptions opts;
     opts.num_threads = 0;  // all cores
-    ParamGrid grid;
-    const char* sim_only_flag = nullptr;  // sim flag seen, for validation
     specgen::GenParams gp;
-    bool have_family = false;
     int instances = 4;
     long long gen_seed = 1;
-    std::string family_only_flag;  // generator flag seen, for validation
-    int shards = 0;                // 0 = single-process explore
-    bool shard_socket = false;
+    int shards = 0;  // 0 = single-process explore
+    ShardTransport transport = ShardTransport::Inproc;
     std::vector<std::string> shard_addrs;
-    std::string dist_only_flag;    // shard flag seen, for validation
     std::string cas_dir;
     long long cas_max_bytes = 0;
     ObsSinks sinks;
 
-    for (int i = 2; i < argc; ++i) try {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--design") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            design_file = v;
-        } else if (arg == "--benchmark") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            benchmark = v;
-        } else if (arg == "--freq") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            std::vector<double> hz;
-            if (!parse_freq_list_hz(v, hz)) return 2;
-            grid.set_axis(ParamAxis::frequencies_hz(hz));
-        } else if (arg == "--max-tsvs") {
-            const char* v = next();
-            std::vector<int> tsvs;
-            if (!v || !parse_int_list(v, tsvs)) return usage(argv[0]);
-            grid.set_axis(ParamAxis::max_tsvs(tsvs));
-        } else if (arg == "--width") {
-            const char* v = next();
-            std::vector<int> widths;
-            if (!v || !parse_int_list(v, widths)) return usage(argv[0]);
-            grid.set_axis(ParamAxis::link_widths_bits(widths));
-        } else if (arg == "--phase") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            std::vector<SynthesisPhase> phases;
-            for (const auto& part : split(v, ',')) {
-                SynthesisPhase p;
-                if (!phase_from_string(part, p))
-                    return bad_enum_value("--phase", part.c_str(),
-                                          phase_choices());
-                phases.push_back(p);
-            }
-            grid.set_axis(ParamAxis::phases(phases));
-        } else if (arg == "--theta") {
-            const char* v = next();
-            std::vector<double> thetas;
-            if (!v || !parse_double_list(v, thetas)) return usage(argv[0]);
-            grid.set_axis(ParamAxis::thetas(thetas));
-        } else if (arg == "--routing") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            std::vector<routing::RoutingPolicyId> policies;
-            for (const auto& part : split(v, ',')) {
-                routing::RoutingPolicyId p;
-                if (!routing::routing_from_string(part, p))
-                    return bad_enum_value("--routing", part.c_str(),
-                                          routing::routing_choices());
-                policies.push_back(p);
-            }
-            grid.set_axis(ParamAxis::routing_policies(policies));
-        } else if (arg == "--alpha") {
-            const char* v = next();
-            if (!v || !parse_double(v, cfg.alpha)) return usage(argv[0]);
-        } else if (arg == "--threads") {
-            const char* v = next();
-            if (!v || !parse_int(v, opts.num_threads)) return usage(argv[0]);
-        } else if (arg == "--seed") {
-            long long seed = 0;
-            if (!parse_seed(next(), seed)) return usage(argv[0]);
-            opts.base_seed = static_cast<std::uint64_t>(seed);
-        } else if (arg == "--no-floorplan") {
-            cfg.run_floorplan = false;
-        } else if (arg == "--backend") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!backend_from_string(v, opts.backend))
-                return bad_enum_value("--backend", v, backend_choices());
-        } else if (arg == "--rate") {
-            const char* v = next();
-            if (!v || !parse_double(v, opts.sim.inject.injection_scale) ||
-                opts.sim.inject.injection_scale < 0.0)
-                return usage(argv[0]);
-            sim_only_flag = "--rate";
-        } else if (arg == "--traffic") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!sim::traffic_from_string(v, opts.sim.inject.traffic))
-                return bad_enum_value("--traffic", v,
-                                      sim::traffic_choices());
-            sim_only_flag = "--traffic";
-        } else if (arg == "--packet-len") {
-            const char* v = next();
-            if (!v || !parse_int(v, opts.sim.inject.packet_length_flits) ||
-                opts.sim.inject.packet_length_flits < 1)
-                return usage(argv[0]);
-            sim_only_flag = "--packet-len";
-        } else if (arg == "--shards") {
-            const char* v = next();
-            if (!v || !parse_int(v, shards) || shards < 1)
-                return usage(argv[0]);
-        } else if (arg == "--shard-transport") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            const std::string t = v;
-            if (t == "inproc")
-                shard_socket = false;
-            else if (t == "socket")
-                shard_socket = true;
-            else
-                return bad_enum_value("--shard-transport", v,
-                                      "inproc|socket");
-            dist_only_flag = "--shard-transport";
-        } else if (arg == "--shard-addrs") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            shard_addrs = split(v, ',');
-            if (shard_addrs.empty()) return usage(argv[0]);
-            shard_socket = true;
-        } else if (arg == "--cas") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            cas_dir = v;
-        } else if (arg == "--cas-max-bytes") {
-            const char* v = next();
-            if (!v || !parse_int64(v, cas_max_bytes) || cas_max_bytes < 0)
-                return usage(argv[0]);
-        } else if (arg == "--out") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            out_prefix = v;
-        } else if (arg == "--instances") {
-            const char* v = next();
-            if (!v || !parse_int(v, instances) || instances < 1)
-                return usage(argv[0]);
-            family_only_flag = "--instances";
-        } else if (arg == "--gen-seed") {
-            if (!parse_seed(next(), gen_seed)) return usage(argv[0]);
-            family_only_flag = "--gen-seed";
-        } else {
-            const int ob = sinks.parse_flag(arg, next);
-            if (ob < 0) return usage(argv[0]);
-            if (ob == 1) continue;
-            const int r = parse_gen_flag(arg, next, gp, have_family);
-            if (r < 0) return 2;
-            if (r == 0) {
-                std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-                return usage(argv[0]);
-            }
-            if (arg != "--family") family_only_flag = arg;
-        }
-    } catch (const std::invalid_argument& e) {  // out-of-domain axis value
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-    }
-    const int sources = static_cast<int>(!design_file.empty()) +
-                        static_cast<int>(!benchmark.empty()) +
-                        static_cast<int>(have_family);
-    if (sources != 1) return usage(argv[0]);
-    if (sim_only_flag && opts.backend != EvalBackend::Simulated) {
-        std::fprintf(stderr,
-                     "%s only affects the simulated backend; add "
-                     "--backend sim\n",
-                     sim_only_flag);
-        return 2;
-    }
-    if (!family_only_flag.empty() && !have_family) {
-        std::fprintf(stderr,
-                     "%s only affects generated families; add --family\n",
-                     family_only_flag.c_str());
-        return 2;
-    }
-    if (shards == 0 && !shard_addrs.empty())
-        shards = static_cast<int>(shard_addrs.size());
-    if (shards == 0 && !dist_only_flag.empty()) {
-        std::fprintf(stderr,
-                     "%s only affects distributed runs; add --shards\n",
-                     dist_only_flag.c_str());
-        return 2;
-    }
-    if (have_family && (shards > 0 || !cas_dir.empty())) {
-        std::fprintf(stderr,
-                     "--shards/--cas do not apply to generated families\n");
-        return 2;
-    }
-    if (shard_socket && shard_addrs.empty()) {
-        std::fprintf(stderr,
-                     "--shard-transport socket requires --shard-addrs\n");
-        return 2;
-    }
+    // Rows that only take effect together with another flag.
+    const std::vector<Flag> sim_only{
+        flag("--rate", opts.sim.inject.injection_scale, a_non_negative("S")),
+        flag("--traffic", opts.sim.inject.traffic,
+             a_choice(sim::traffic_from_string, sim::traffic_choices())),
+        flag("--packet-len", opts.sim.inject.packet_length_flits,
+             an_int(1))};
+    std::vector<Flag> family_only = gen_flags(gp);
+    family_only.push_back(flag("--instances", instances, an_int(1)));
+    family_only.push_back(flag("--gen-seed", gen_seed, a_seed()));
+
+    Flags flags(std::string(argv[0]) + " explore");
+    flags.add(src.flags())
+        .add({family_flag(gp)})
+        .add(knob_flags(params, Knobs::Grid))
+        .add({flag("--threads", opts.num_threads, an_int(0)),
+              flag("--backend", opts.backend,
+                   a_choice(backend_from_string, backend_choices()))})
+        .add(sim_only)
+        .add(family_only)
+        .add({flag("--shards", shards, an_int(1)),
+              flag("--shard-transport", transport,
+                   a_choice(shard_transport_from_string,
+                            enum_choices<ShardTransport>(
+                                kShardTransportNames))),
+              list_flag("--shard-addrs", shard_addrs, a_string("A")),
+              flag("--cas", cas_dir, a_string("dir")),
+              flag("--cas-max-bytes", cas_max_bytes, an_int64(0)),
+              flag("--out", out_prefix, a_string("prefix"))})
+        .add(sinks.flags());
+    if (!flags.parse(argc, argv, 2)) return 2;
+
+    const bool have_family = flags.seen("--family");
+    if (src.count() + static_cast<int>(have_family) != 1)
+        return flags.error(
+            "give exactly one of --design, --benchmark and --family");
+    const std::string sim_flag = flags.first_seen(sim_only);
+    if (!sim_flag.empty() && opts.backend != EvalBackend::Simulated)
+        return flags.error(sim_flag +
+                           " only affects the simulated backend; add "
+                           "--backend sim");
+    const std::string gen_flag = flags.first_seen(family_only);
+    if (!gen_flag.empty() && !have_family)
+        return flags.error(gen_flag +
+                           " only affects generated families; add --family");
+    if (shards == 0) shards = static_cast<int>(shard_addrs.size());
+    if (shards == 0 && flags.seen("--shard-transport"))
+        return flags.error(
+            "--shard-transport only affects distributed runs; add --shards");
+    if (cas_dir.empty() && flags.seen("--cas-max-bytes"))
+        return flags.error(
+            "--cas-max-bytes only affects the artifact store; add --cas");
+    if (have_family && (shards > 0 || !cas_dir.empty()))
+        return flags.error(
+            "--shards/--cas do not apply to generated families");
+    if (transport == ShardTransport::Socket && shard_addrs.empty())
+        return flags.error("--shard-transport socket requires --shard-addrs");
+    if (transport == ShardTransport::Inproc &&
+        flags.seen("--shard-transport") && !shard_addrs.empty())
+        return flags.error(
+            "--shard-addrs only applies to --shard-transport socket");
+    const bool shard_socket = !shard_addrs.empty();  // addresses imply it
+
+    auto [cfg, grid, base_seed] = service::explore_setup(params);
+    opts.base_seed = base_seed;
 
     if (!sinks.open()) return 1;
     FILE* const out = sinks.report();
@@ -681,7 +500,7 @@ int run_explore(int argc, char** argv) {
     }
 
     DesignSpec spec;
-    if (!load_spec(design_file, benchmark, spec)) return 1;
+    if (!src.load(spec)) return 1;
     std::fprintf(out, "design '%s': %d cores, %d layers, %d flows\n",
                  spec.name.c_str(), spec.cores.num_cores(),
                  spec.cores.num_layers(), spec.comm.num_flows());
@@ -815,109 +634,36 @@ int run_explore(int argc, char** argv) {
 }
 
 int run_simulate(int argc, char** argv) {
-    std::string design_file;
-    std::string benchmark;
+    Source src;
     std::string out_prefix;
-    double freq_mhz = 400.0;
-    SynthesisConfig cfg;
-    SynthesisPhase phase = SynthesisPhase::Auto;
+    service::JobParams params;
+    params.freq_mhz = {400.0};  // the default operating point
     sim::SimParams sp;
     std::vector<double> rates{0.25, 0.5, 0.75, 1.0};
     ObsSinks sinks;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        auto next_ll = [&](long long& out) {
-            const char* v = next();
-            long long n = 0;
-            if (!v || !parse_int64(v, n) || n < 0) return false;
-            out = n;
-            return true;
-        };
-        if (arg == "--design") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            design_file = v;
-        } else if (arg == "--benchmark") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            benchmark = v;
-        } else if (arg == "--freq") {
-            const char* v = next();
-            if (!v || !parse_double(v, freq_mhz) || freq_mhz <= 0.0)
-                return usage(argv[0]);
-        } else if (arg == "--max-ill") {
-            const char* v = next();
-            if (!v || !parse_int(v, cfg.max_ill)) return usage(argv[0]);
-        } else if (arg == "--alpha") {
-            const char* v = next();
-            if (!v || !parse_double(v, cfg.alpha)) return usage(argv[0]);
-        } else if (arg == "--phase") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!phase_from_string(v, phase))
-                return bad_enum_value("--phase", v, phase_choices());
-        } else if (arg == "--routing") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!routing::routing_from_string(v, cfg.routing))
-                return bad_enum_value("--routing", v,
-                                      routing::routing_choices());
-        } else if (arg == "--seed") {
-            long long seed = 0;
-            if (!parse_seed(next(), seed)) return usage(argv[0]);
-            cfg.seed = static_cast<std::uint64_t>(seed);
-            sp.seed = cfg.seed;
-        } else if (arg == "--no-floorplan") {
-            cfg.run_floorplan = false;
-        } else if (arg == "--rate") {
-            const char* v = next();
-            if (!v || !parse_double_list(v, rates)) return usage(argv[0]);
-            for (double r : rates)
-                if (r < 0.0) return usage(argv[0]);
-        } else if (arg == "--traffic") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!sim::traffic_from_string(v, sp.inject.traffic))
-                return bad_enum_value("--traffic", v,
-                                      sim::traffic_choices());
-        } else if (arg == "--packet-len") {
-            const char* v = next();
-            if (!v || !parse_int(v, sp.inject.packet_length_flits) ||
-                sp.inject.packet_length_flits < 1)
-                return usage(argv[0]);
-        } else if (arg == "--buffers") {
-            const char* v = next();
-            if (!v || !parse_int(v, sp.buffer_depth_flits) ||
-                sp.buffer_depth_flits < 1)
-                return usage(argv[0]);
-        } else if (arg == "--warmup") {
-            if (!next_ll(sp.warmup_cycles)) return usage(argv[0]);
-        } else if (arg == "--measure") {
-            if (!next_ll(sp.measure_cycles) || sp.measure_cycles < 1)
-                return usage(argv[0]);
-        } else if (arg == "--out") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            out_prefix = v;
-        } else {
-            const int ob = sinks.parse_flag(arg, next);
-            if (ob < 0) return usage(argv[0]);
-            if (ob == 1) continue;
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
-    }
-    if (design_file.empty() == benchmark.empty()) return usage(argv[0]);
+    Flags flags(std::string(argv[0]) + " simulate");
+    flags.add(src.flags())
+        .add(knob_flags(params, Knobs::Simulate))
+        .add({list_flag("--rate", rates, a_non_negative("S")),
+              flag("--traffic", sp.inject.traffic,
+                   a_choice(sim::traffic_from_string,
+                            sim::traffic_choices())),
+              flag("--packet-len", sp.inject.packet_length_flits, an_int(1)),
+              flag("--buffers", sp.buffer_depth_flits, an_int(1)),
+              flag("--warmup", sp.warmup_cycles, an_int64(0)),
+              flag("--measure", sp.measure_cycles, an_int64(1)),
+              flag("--out", out_prefix, a_string("prefix"))})
+        .add(sinks.flags());
+    if (!flags.parse(argc, argv, 2)) return 2;
+    if (src.count() != 1) return flags.error(kOneSource);
     if (!sinks.open()) return 1;
     FILE* const out = sinks.report();
 
     DesignSpec spec;
-    if (!load_spec(design_file, benchmark, spec)) return 1;
-    cfg.eval.freq_hz = freq_mhz * 1e6;
+    if (!src.load(spec)) return 1;
+    const auto [cfg, phase] = service::synth_setup(params);
+    const double freq_mhz = params.freq_mhz.front();
+    sp.seed = cfg.seed;
     sp.routing = cfg.routing;  // measure under the synthesis discipline
     std::fprintf(out, "design '%s': %d cores, %d layers, %d flows\n",
                  spec.name.c_str(), spec.cores.num_cores(),
@@ -974,76 +720,35 @@ int run_simulate(int argc, char** argv) {
 }
 
 int run_synthesize(int argc, char** argv) {
-    std::string design_file;
-    std::string benchmark;
+    Source src;
     std::string out_prefix;
-    std::vector<double> freqs_hz{400e6};
-    SynthesisConfig cfg;
-    SynthesisPhase phase = SynthesisPhase::Auto;
+    service::JobParams params;
+    params.freq_mhz = {400.0};  // the default operating point
+    bool list_benchmarks = false;
     ObsSinks sinks;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--list-benchmarks") {
-            for (const auto& n : benchmark_names()) std::puts(n.c_str());
-            return 0;
-        }
-        if (arg == "--design") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            design_file = v;
-        } else if (arg == "--benchmark") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            benchmark = v;
-        } else if (arg == "--freq") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!parse_freq_list_hz(v, freqs_hz)) return 2;
-        } else if (arg == "--max-ill") {
-            const char* v = next();
-            if (!v || !parse_int(v, cfg.max_ill)) return usage(argv[0]);
-        } else if (arg == "--alpha") {
-            const char* v = next();
-            if (!v || !parse_double(v, cfg.alpha)) return usage(argv[0]);
-        } else if (arg == "--phase") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!phase_from_string(v, phase))
-                return bad_enum_value("--phase", v, phase_choices());
-        } else if (arg == "--routing") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!routing::routing_from_string(v, cfg.routing))
-                return bad_enum_value("--routing", v,
-                                      routing::routing_choices());
-        } else if (arg == "--seed") {
-            long long seed = 0;
-            if (!parse_seed(next(), seed)) return usage(argv[0]);
-            cfg.seed = static_cast<std::uint64_t>(seed);
-        } else if (arg == "--no-floorplan") {
-            cfg.run_floorplan = false;
-        } else if (arg == "--out") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            out_prefix = v;
-        } else {
-            const int ob = sinks.parse_flag(arg, next);
-            if (ob < 0) return usage(argv[0]);
-            if (ob == 1) continue;
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
+    Flag list_row = switch_flag("--list-benchmarks", list_benchmarks);
+    list_row.stop = true;  // list and exit, whatever follows
+    Flags flags(argv[0]);
+    flags.add({list_row})
+        .add(src.flags())
+        .add(knob_flags(params, Knobs::Synth))
+        .add({flag("--out", out_prefix, a_string("prefix"))})
+        .add(sinks.flags());
+    if (!flags.parse(argc, argv, 1)) return 2;
+    if (list_benchmarks) {
+        for (const auto& n : benchmark_names()) std::puts(n.c_str());
+        return 0;
     }
-    if (design_file.empty() == benchmark.empty()) return usage(argv[0]);
+    if (src.count() != 1) return flags.error(kOneSource);
     if (!sinks.open()) return 1;
     FILE* const out = sinks.report();
 
+    const auto [cfg, phase] = service::synth_setup(params);
+    std::vector<double> freqs_hz;
+    for (const double mhz : params.freq_mhz) freqs_hz.push_back(mhz * 1e6);
+
     DesignSpec spec;
-    if (!load_spec(design_file, benchmark, spec)) return 1;
+    if (!src.load(spec)) return 1;
     std::fprintf(out, "design '%s': %d cores, %d layers, %d flows\n",
                  spec.name.c_str(), spec.cores.num_cores(),
                  spec.cores.num_layers(), spec.comm.num_flows());
@@ -1143,94 +848,23 @@ int print_result_payload(const JsonValue& resp) {
 
 int run_submit(int argc, char** argv) {
     std::string connect;
-    std::string design_file;
-    std::string benchmark;
+    Source src;
     service::SubmitRequest sr;
     bool explore = false;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--connect") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            connect = v;
-        } else if (arg == "--design") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            design_file = v;
-        } else if (arg == "--benchmark") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            benchmark = v;
-        } else if (arg == "--client") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            sr.client = v;
-        } else if (arg == "--explore") {
-            explore = true;
-        } else if (arg == "--freq") {
-            const char* v = next();
-            if (!v || !parse_double_list(v, sr.params.freq_mhz))
-                return usage(argv[0]);
-        } else if (arg == "--max-tsvs") {
-            const char* v = next();
-            if (!v || !parse_int_list(v, sr.params.max_tsvs))
-                return usage(argv[0]);
-        } else if (arg == "--width") {
-            const char* v = next();
-            if (!v || !parse_int_list(v, sr.params.width_bits))
-                return usage(argv[0]);
-        } else if (arg == "--theta") {
-            const char* v = next();
-            if (!v || !parse_double_list(v, sr.params.thetas))
-                return usage(argv[0]);
-        } else if (arg == "--phase") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            for (const auto& part : split(v, ',')) {
-                SynthesisPhase p;
-                if (!phase_from_string(part, p))
-                    return bad_enum_value("--phase", part.c_str(),
-                                          phase_choices());
-                sr.params.phases.push_back(p);
-            }
-        } else if (arg == "--routing") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            for (const auto& part : split(v, ',')) {
-                routing::RoutingPolicyId p;
-                if (!routing::routing_from_string(part, p))
-                    return bad_enum_value("--routing", part.c_str(),
-                                          routing::routing_choices());
-                sr.params.routings.push_back(p);
-            }
-        } else if (arg == "--alpha") {
-            const char* v = next();
-            if (!v || !parse_double(v, sr.params.alpha))
-                return usage(argv[0]);
-        } else if (arg == "--seed") {
-            if (!parse_seed(next(), sr.params.seed)) return usage(argv[0]);
-        } else if (arg == "--no-floorplan") {
-            sr.params.floorplan = false;
-        } else if (arg == "--wait") {
-            sr.wait = true;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
-    }
-    if (connect.empty()) {
-        std::fprintf(stderr, "submit requires --connect\n");
-        return 2;
-    }
-    if (design_file.empty() == benchmark.empty()) return usage(argv[0]);
+    Flags flags(std::string(argv[0]) + " submit");
+    flags.add({flag("--connect", connect, a_string("addr"))})
+        .add(src.flags())
+        .add({flag("--client", sr.client, a_string("name")),
+              switch_flag("--explore", explore)})
+        .add(knob_flags(sr.params, Knobs::Grid))
+        .add({switch_flag("--wait", sr.wait)});
+    if (!flags.parse(argc, argv, 2)) return 2;
+    if (connect.empty()) return flags.error("submit requires --connect");
+    if (src.count() != 1) return flags.error(kOneSource);
     sr.kind = explore ? service::JobKind::Explore : service::JobKind::Synth;
 
     DesignSpec spec;
-    if (!load_spec(design_file, benchmark, spec)) return 1;
+    if (!src.load(spec)) return 1;
     std::ostringstream os;
     write_design(os, spec);
     sr.spec_text = os.str();
@@ -1254,33 +888,17 @@ int run_submit(int argc, char** argv) {
 /// status and result share the flag surface; `result_op` selects the op
 /// and the output (human status line vs the raw result CSV).
 int run_job_query(int argc, char** argv, bool result_op) {
+    const char* const op = result_op ? "result" : "status";
     std::string connect;
     long long id = -1;
     bool wait = false;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--connect") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            connect = v;
-        } else if (arg == "--id") {
-            const char* v = next();
-            if (!v || !parse_int64(v, id) || id < 0) return usage(argv[0]);
-        } else if (result_op && arg == "--wait") {
-            wait = true;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
-    }
-    if (connect.empty() || id < 0) {
-        std::fprintf(stderr, "%s requires --connect and --id\n",
-                     result_op ? "result" : "status");
-        return 2;
-    }
+    Flags flags(std::string(argv[0]) + " " + op);
+    flags.add({flag("--connect", connect, a_string("addr")),
+               flag("--id", id, an_int64(0))});
+    if (result_op) flags.add({switch_flag("--wait", wait)});
+    if (!flags.parse(argc, argv, 2)) return 2;
+    if (connect.empty() || id < 0)
+        return flags.error(format("%s requires --connect and --id", op));
     const std::string frame =
         result_op
             ? service::make_result_frame(static_cast<std::uint64_t>(id),
@@ -1312,36 +930,17 @@ int run_job_query(int argc, char** argv, bool result_op) {
 /// artifact store (see cas/store.h). stats scans; gc reaps stale .tmp
 /// debris and evicts LRU objects down to --max-bytes.
 int run_cas(int argc, char** argv) {
-    if (argc < 3) return usage(argv[0]);
-    const std::string op = argv[2];
-    if (op != "stats" && op != "gc") {
-        std::fprintf(stderr, "unknown cas operation '%s'\n", op.c_str());
-        return usage(argv[0]);
-    }
+    const std::string op = argc > 2 ? argv[2] : "";
     std::string dir;
     long long max_bytes = 0;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--cas") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            dir = v;
-        } else if (arg == "--max-bytes") {
-            const char* v = next();
-            if (!v || !parse_int64(v, max_bytes) || max_bytes < 0)
-                return usage(argv[0]);
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
-    }
-    if (dir.empty()) {
-        std::fprintf(stderr, "cas %s requires --cas <dir>\n", op.c_str());
-        return 2;
-    }
+    Flags flags(std::string(argv[0]) + " cas stats|gc");
+    flags.add({flag("--cas", dir, a_string("dir")),
+               flag("--max-bytes", max_bytes, an_int64(0))});
+    if (op != "stats" && op != "gc")
+        return flags.error(format("unknown cas operation '%s'", op.c_str()));
+    if (!flags.parse(argc, argv, 3)) return 2;
+    if (dir.empty())
+        return flags.error(format("cas %s requires --cas <dir>", op.c_str()));
     try {
         cas::Store store(cas::StoreOptions{
             dir, static_cast<std::uint64_t>(max_bytes), 60.0});

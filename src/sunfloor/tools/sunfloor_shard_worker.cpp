@@ -20,78 +20,27 @@
 //
 // SIGINT/SIGTERM shut down gracefully: stop accepting, finish the
 // connection being served, flush the --trace/--metrics sinks, exit 0.
-#include <csignal>
 #include <cstdio>
 #include <string>
 
-#include <unistd.h>
-
 #include "sunfloor/dist/shard.h"
+#include "sunfloor/tools/flags.h"
 #include "sunfloor/tools/obs_sinks.h"
-#include "sunfloor/util/strings.h"
+#include "sunfloor/tools/shutdown_signal.h"
 
 using namespace sunfloor;
-
-namespace {
-
-int usage() {
-    std::fprintf(stderr,
-                 "usage: sunfloor_shard_worker --listen <path|host:port> "
-                 "[--conn-threads N] [--max-frame-bytes N] [--trace file] "
-                 "[--metrics file|-]\n");
-    return 2;
-}
-
-// Signal handling: the handler may only touch async-signal-safe state,
-// so it writes one byte to the worker's shutdown pipe and nothing else.
-volatile sig_atomic_t g_signal_seen = 0;
-int g_shutdown_fd = -1;
-
-extern "C" void on_shutdown_signal(int) {
-    g_signal_seen = 1;
-    if (g_shutdown_fd >= 0) {
-        const char b = 1;
-        [[maybe_unused]] const ssize_t n = ::write(g_shutdown_fd, &b, 1);
-    }
-}
-
-}  // namespace
+using namespace sunfloor::tools;
 
 int main(int argc, char** argv) {
     dist::WorkerOptions opts;
-    tools::ObsSinks sinks;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--listen") {
-            const char* v = next();
-            if (!v) return usage();
-            opts.listen = v;
-        } else if (arg == "--conn-threads") {
-            const char* v = next();
-            if (!v || !parse_int(v, opts.conn_threads) ||
-                opts.conn_threads < 1)
-                return usage();
-        } else if (arg == "--max-frame-bytes") {
-            const char* v = next();
-            if (!v || !parse_int64(v, opts.max_frame_bytes) ||
-                opts.max_frame_bytes < 1024)
-                return usage();
-        } else {
-            const int ob = sinks.parse_flag(arg, next);
-            if (ob < 0) return usage();
-            if (ob == 1) continue;
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage();
-        }
-    }
-    if (opts.listen.empty()) {
-        std::fprintf(stderr, "sunfloor_shard_worker requires --listen\n");
-        return usage();
-    }
+    ObsSinks sinks;
+    Flags flags("sunfloor_shard_worker");
+    flags.add(listener_flags(opts.listen, opts.conn_threads,
+                             opts.max_frame_bytes))
+        .add(sinks.flags());
+    if (!flags.parse(argc, argv, 1)) return 2;
+    if (opts.listen.empty())
+        return flags.error("sunfloor_shard_worker requires --listen");
 
     if (!sinks.open()) return 1;
 
@@ -102,11 +51,7 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    g_shutdown_fd = worker.shutdown_fd();
-    struct sigaction sa {};
-    sa.sa_handler = on_shutdown_signal;
-    ::sigaction(SIGINT, &sa, nullptr);
-    ::sigaction(SIGTERM, &sa, nullptr);
+    forward_shutdown_signals(worker.shutdown_fd());
 
     std::printf("sunfloor_shard_worker listening on %s (%d connections)\n",
                 opts.listen.c_str(), opts.conn_threads);

@@ -24,91 +24,33 @@
 // SIGINT/SIGTERM shut down gracefully: stop accepting, reject new
 // submissions ("shutting-down"), finish every accepted job, flush the
 // --trace/--metrics sinks, exit 0.
-#include <csignal>
 #include <cstdio>
 #include <string>
 
-#include <unistd.h>
-
 #include "sunfloor/service/server.h"
+#include "sunfloor/tools/flags.h"
 #include "sunfloor/tools/obs_sinks.h"
-#include "sunfloor/util/strings.h"
+#include "sunfloor/tools/shutdown_signal.h"
 
 using namespace sunfloor;
-
-namespace {
-
-int usage() {
-    std::fprintf(
-        stderr,
-        "usage: sunfloord --listen <path|host:port> [--workers N] "
-        "[--queue-depth N] [--quota N] [--sessions N] "
-        "[--explore-threads N] [--conn-threads N] [--max-frame-bytes N] "
-        "[--trace file] [--metrics file|-]\n");
-    return 2;
-}
-
-// Signal handling: the handler may only touch async-signal-safe state,
-// so it writes one byte to the server's shutdown pipe and nothing else.
-volatile sig_atomic_t g_signal_seen = 0;
-int g_shutdown_fd = -1;
-
-extern "C" void on_shutdown_signal(int) {
-    g_signal_seen = 1;
-    if (g_shutdown_fd >= 0) {
-        const char b = 1;
-        [[maybe_unused]] const ssize_t n = ::write(g_shutdown_fd, &b, 1);
-    }
-}
-
-}  // namespace
+using namespace sunfloor::tools;
 
 int main(int argc, char** argv) {
     service::ServerOptions opts;
-    tools::ObsSinks sinks;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        auto int_flag = [&](int& out, int min_value) {
-            const char* v = next();
-            return v && parse_int(v, out) && out >= min_value;
-        };
-        if (arg == "--listen") {
-            const char* v = next();
-            if (!v) return usage();
-            opts.listen = v;
-        } else if (arg == "--workers") {
-            if (!int_flag(opts.engine.workers, 0)) return usage();
-        } else if (arg == "--queue-depth") {
-            if (!int_flag(opts.engine.queue_capacity, 1)) return usage();
-        } else if (arg == "--quota") {
-            if (!int_flag(opts.engine.per_client_quota, 1)) return usage();
-        } else if (arg == "--sessions") {
-            if (!int_flag(opts.engine.max_sessions, 1)) return usage();
-        } else if (arg == "--explore-threads") {
-            if (!int_flag(opts.engine.explore_threads, 1)) return usage();
-        } else if (arg == "--conn-threads") {
-            if (!int_flag(opts.conn_threads, 1)) return usage();
-        } else if (arg == "--max-frame-bytes") {
-            const char* v = next();
-            if (!v || !parse_int64(v, opts.max_frame_bytes) ||
-                opts.max_frame_bytes < 1024)
-                return usage();
-        } else {
-            const int ob = sinks.parse_flag(arg, next);
-            if (ob < 0) return usage();
-            if (ob == 1) continue;
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage();
-        }
-    }
-    if (opts.listen.empty()) {
-        std::fprintf(stderr, "sunfloord requires --listen\n");
-        return usage();
-    }
+    ObsSinks sinks;
+    Flags flags("sunfloord");
+    flags.add(listener_flags(opts.listen, opts.conn_threads,
+                             opts.max_frame_bytes))
+        .add({flag("--workers", opts.engine.workers, an_int(0)),
+              flag("--queue-depth", opts.engine.queue_capacity, an_int(1)),
+              flag("--quota", opts.engine.per_client_quota, an_int(1)),
+              flag("--sessions", opts.engine.max_sessions, an_int(1)),
+              flag("--explore-threads", opts.engine.explore_threads,
+                   an_int(1))})
+        .add(sinks.flags());
+    if (!flags.parse(argc, argv, 1)) return 2;
+    if (opts.listen.empty())
+        return flags.error("sunfloord requires --listen");
 
     if (!sinks.open()) return 1;
 
@@ -119,11 +61,7 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    g_shutdown_fd = server.shutdown_fd();
-    struct sigaction sa {};
-    sa.sa_handler = on_shutdown_signal;
-    ::sigaction(SIGINT, &sa, nullptr);
-    ::sigaction(SIGTERM, &sa, nullptr);
+    forward_shutdown_signals(server.shutdown_fd());
 
     std::printf("sunfloord listening on %s (%d workers, queue %d, "
                 "quota %d, %d sessions)\n",

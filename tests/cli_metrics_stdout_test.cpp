@@ -5,34 +5,18 @@
 // stderr.
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-
-#include <cstdio>
 #include <string>
 
+#include "cli_run.h"
 #include "sunfloor/util/json.h"
 
 namespace sunfloor {
 namespace {
 
-struct CliRun {
-    int exit_code = -1;
-    std::string out;  ///< stdout only; stderr is discarded
-};
+using cli::CliRun;
 
 CliRun run_cli(const std::string& args) {
-    const std::string cmd =
-        std::string(SUNFLOOR_CLI_BIN) + " " + args + " 2>/dev/null";
-    CliRun run;
-    FILE* pipe = popen(cmd.c_str(), "r");
-    if (!pipe) return run;
-    char buf[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0)
-        run.out.append(buf, n);
-    const int status = pclose(pipe);
-    run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-    return run;
+    return cli::run_tool(SUNFLOOR_CLI_BIN, args);
 }
 
 long long counter(const JsonValue& doc, const char* name) {

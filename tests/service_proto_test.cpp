@@ -2,13 +2,11 @@
 // with an error naming the offending field, byte, or limit — these
 // strings are part of the protocol surface, so the tests pin them.
 // Also covers the client frame builders (round-trip through
-// parse_request), build_job_request's spec-error passthrough, and the
-// batch_key artifact-affinity contract.
+// parse_request) and build_job_request's spec-error passthrough.
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "sunfloor/service/job_engine.h"
 #include "sunfloor/service/protocol.h"
 #include "sunfloor/service/transport.h"
 #include "sunfloor/spec/benchmarks.h"
@@ -294,41 +292,6 @@ TEST(ServiceProto, BuildJobRequestPassesSpecErrorsThroughPrefixed) {
     EXPECT_FALSE(build_job_request(sr, jr, error));
     EXPECT_EQ(error.rfind("spec: ", 0), 0u) << error;
     EXPECT_NE(error.find("line 2"), std::string::npos) << error;
-}
-
-// ------------------------------------------------------------- batch_key
-
-TEST(ServiceProto, BatchKeyGroupsByPartitionInputsOnly) {
-    SubmitRequest sr;
-    sr.spec_text = kTinySpec;
-    JobRequest base;
-    std::string error;
-    ASSERT_TRUE(build_job_request(sr, base, error)) << error;
-    const std::string key = JobEngine::batch_key(base);
-
-    // Routing-stage knobs do not split the bucket.
-    JobRequest same = base;
-    same.params.freq_mhz = {612.0};
-    same.params.max_tsvs = {10};
-    same.params.width_bits = {16};
-    EXPECT_EQ(JobEngine::batch_key(same), key);
-
-    // Partition-stage inputs do.
-    JobRequest other = base;
-    other.params.alpha = 0.5;
-    EXPECT_NE(JobEngine::batch_key(other), key);
-    other = base;
-    other.params.seed = 99;
-    EXPECT_NE(JobEngine::batch_key(other), key);
-    other = base;
-    other.params.thetas = {0.5};
-    EXPECT_NE(JobEngine::batch_key(other), key);
-    other = base;
-    other.params.phases = {SynthesisPhase::Phase2};
-    EXPECT_NE(JobEngine::batch_key(other), key);
-    other = base;
-    other.spec_text += "# different spec text\n";
-    EXPECT_NE(JobEngine::batch_key(other), key);
 }
 
 // ------------------------------------------------------- address parsing

@@ -28,6 +28,7 @@
 #include "sunfloor/service/protocol.h"
 #include "sunfloor/spec/parser.h"
 #include "sunfloor/specgen/specgen.h"
+#include "sunfloor/util/json.h"
 
 namespace sunfloor::service {
 namespace {
@@ -68,8 +69,21 @@ JobParams fast_params() {
     return p;
 }
 
-// The one-shot reference for a synth request: the same config mapping
-// execute_synth() applies, run through the stateless entry point.
+// Every knob a synth job takes, each away from its default.
+JobParams non_default_params() {
+    JobParams p = fast_params();
+    p.freq_mhz = {450.0};
+    p.max_tsvs = {20};
+    p.phases = {SynthesisPhase::Phase2};
+    p.routings = {routing::RoutingPolicyId::WestFirst};
+    p.alpha = 0.5;
+    p.seed = 7;
+    return p;
+}
+
+// The one-shot reference for a synth request: the knobs mapped by hand
+// (an oracle for service::synth_setup, which the engine and the CLI
+// share), run through the stateless entry point.
 std::string reference_synth_csv(const DesignSpec& spec,
                                 const JobParams& p) {
     SynthesisConfig cfg;
@@ -89,7 +103,8 @@ std::string reference_synth_csv(const DesignSpec& spec,
 }
 
 // The one-shot reference for an explore request: a fresh Explorer on a
-// cold session, exactly as the CLI's --explore path builds one.
+// cold session. Like reference_synth_csv, it maps the knobs by hand, so
+// it checks service::explore_setup instead of sharing it.
 std::string reference_explore_csv(const DesignSpec& spec,
                                   const JobParams& p) {
     SynthesisConfig cfg;
@@ -103,7 +118,12 @@ std::string reference_explore_csv(const DesignSpec& spec,
     }
     if (!p.max_tsvs.empty())
         grid.set_axis(ParamAxis::max_tsvs(p.max_tsvs));
+    if (!p.width_bits.empty())
+        grid.set_axis(ParamAxis::link_widths_bits(p.width_bits));
+    if (!p.phases.empty()) grid.set_axis(ParamAxis::phases(p.phases));
     if (!p.thetas.empty()) grid.set_axis(ParamAxis::thetas(p.thetas));
+    if (!p.routings.empty())
+        grid.set_axis(ParamAxis::routing_policies(p.routings));
     ExploreOptions opts;
     opts.num_threads = 1;
     opts.base_seed = static_cast<std::uint64_t>(p.seed);
@@ -150,6 +170,7 @@ TEST(ServiceEngine, SynthResultsByteIdenticalAcrossWorkersOrderWarmth) {
         p.phases = {SynthesisPhase::Phase1};
         jobs.push_back(make_request(pipe, JobKind::Synth, p));
     }
+    jobs.push_back(make_request(hub, JobKind::Synth, non_default_params()));
 
     std::vector<std::string> want;
     want.reserve(jobs.size());
@@ -198,22 +219,31 @@ TEST(ServiceEngine, ExploreResultMatchesFreshExplorerRun) {
     JobParams p = fast_params();
     p.freq_mhz = {400.0, 600.0};
     p.max_tsvs = {10, 25};
-    const std::string want = reference_explore_csv(spec, p);
-    EXPECT_FALSE(want.empty());
+    // Every explore knob away from its default.
+    JobParams knobs = non_default_params();
+    knobs.width_bits = {16, 32};
+    knobs.phases = {SynthesisPhase::Phase1};
+    knobs.thetas = {3.0};
+    knobs.routings = {routing::RoutingPolicyId::UpDown,
+                      routing::RoutingPolicyId::WestFirst};
 
     EngineOptions opts;
     opts.workers = 2;
     JobEngine engine(opts);
-    const JobRequest req = make_request(spec, JobKind::Explore, p);
-    // Twice: the second run rides a warm session, which must not change
-    // a byte of the export.
-    for (int round = 0; round < 2; ++round) {
-        const JobResult r = run_to_result(engine, req);
-        ASSERT_FALSE(r.failed) << r.error;
-        EXPECT_EQ(r.csv, want) << "round " << round;
-        // stats.total_designs counts evaluated designs, several per
-        // grid point — 4 grid cells produce at least 4.
-        EXPECT_GE(r.num_points, 4);
+    for (const JobParams& params : {p, knobs}) {
+        const std::string want = reference_explore_csv(spec, params);
+        EXPECT_FALSE(want.empty());
+        const JobRequest req = make_request(spec, JobKind::Explore, params);
+        // Twice: the second run rides a warm session, which must not
+        // change a byte of the export.
+        for (int round = 0; round < 2; ++round) {
+            const JobResult r = run_to_result(engine, req);
+            ASSERT_FALSE(r.failed) << r.error;
+            EXPECT_EQ(r.csv, want) << "round " << round;
+            // stats.total_designs counts evaluated designs, several per
+            // grid point — 4 grid cells produce at least 4.
+            EXPECT_GE(r.num_points, 4);
+        }
     }
 }
 
@@ -439,6 +469,52 @@ TEST(ServiceEngine, ConcurrentIdenticalSubmitsCoalesceToOneComputation) {
     EXPECT_EQ(st.coalesced, kClients - 1);
     EXPECT_EQ(st.completed, kClients + 1);  // followers complete too
     EXPECT_EQ(st.failed, 0);
+}
+
+// ---------------------------------------------------------------- order
+
+// The queue is FIFO: with one worker busy, jobs for specs A, B, A run in
+// that order. The second A job (another frequency, so not a coalesced
+// duplicate) may not jump ahead of B to reuse A's warm session.
+TEST(ServiceEngine, QueuedJobsRunInSubmissionOrder) {
+    EngineOptions opts;
+    opts.workers = 1;
+    JobEngine engine(opts);
+    ASSERT_TRUE(obs::start_tracing());
+    const Submission blocker = engine.submit(make_request(
+        small_spec(specgen::GenFamily::Pipeline, 20, 71), JobKind::Synth,
+        JobParams{}));  // floorplan on: tens of milliseconds
+    ASSERT_TRUE(blocker.accepted) << blocker.error;
+
+    const DesignSpec a = small_spec(specgen::GenFamily::Pipeline, 8, 8);
+    const DesignSpec b = small_spec(specgen::GenFamily::HubAndSpoke, 8, 9);
+    std::vector<long long> submitted{static_cast<long long>(blocker.id)};
+    for (const auto& [spec, mhz] :
+         std::vector<std::pair<const DesignSpec*, double>>{
+             {&a, 400.0}, {&b, 400.0}, {&a, 500.0}}) {
+        JobParams p = fast_params();
+        p.freq_mhz = {mhz};
+        const Submission sub =
+            engine.submit(make_request(*spec, JobKind::Synth, p));
+        ASSERT_TRUE(sub.accepted) << sub.error;
+        submitted.push_back(static_cast<long long>(sub.id));
+    }
+    engine.begin_drain();
+    engine.drain();
+    std::ostringstream trace;
+    ASSERT_TRUE(obs::stop_tracing(trace));
+
+    // The trace lists events by start time: the service.job begins give
+    // the run order.
+    const JsonParseResult doc = parse_json(trace.str());
+    ASSERT_TRUE(doc.ok) << doc.error;
+    std::vector<long long> ran;
+    for (const JsonValue& ev : doc.value.find("traceEvents")->items()) {
+        if (ev.find("name")->as_string() == "service.job" &&
+            ev.find("ph")->as_string() == "B")
+            ran.push_back(ev.find("args")->find("id")->as_int64());
+    }
+    EXPECT_EQ(ran, submitted);
 }
 
 TEST(ServiceEngine, ThrowingJobReportsFailedWithTheException) {
