@@ -235,6 +235,7 @@ std::optional<pipeline::RoutingArtifact> decode_routing(
     a.failed_flows = d.i32();
     a.capacity_violations = d.i32();
     if (!d.done()) return std::nullopt;
+    a.topo_hash = a.topo.content_hash();
     return a;
 }
 
@@ -257,6 +258,7 @@ std::optional<pipeline::PlacementArtifact> decode_placement(
     pipeline::PlacementArtifact a(std::move(*topo));
     a.layer_die_area_mm2 = d.doubles();
     if (!d.done()) return std::nullopt;
+    a.topo_hash = a.topo.content_hash();
     return a;
 }
 

@@ -9,8 +9,10 @@
 // flows, so decoding re-runs the same invariants construction did.
 //
 // decode_* returns nullopt on any malformed input (truncation, trailing
-// garbage, out-of-range indices, invariant violations) — the CAS layer
-// treats that exactly like a store miss and recomputes.
+// garbage, out-of-range indices, invariant violations) — the session
+// treats that like a store miss: it recomputes, replaces the object and
+// counts it in cas.undecodable. The routing and placement decoders set
+// the artifact's topo_hash, as the stages that create them do.
 #pragma once
 
 #include <optional>

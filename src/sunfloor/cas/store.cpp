@@ -151,8 +151,9 @@ Store::Store(StoreOptions opts) : opts_(std::move(opts)) {
 }
 
 std::string Store::object_name(std::string_view key) {
-    return format("%016llx",
-                  static_cast<unsigned long long>(fnv1a64(key)));
+    std::string name;
+    append_hex64(name, fnv1a64(key));
+    return name;
 }
 
 std::string Store::object_path(std::string_view key) const {

@@ -1,9 +1,9 @@
 // Content-addressed on-disk artifact store.
 //
-// Objects are keyed by strings — in practice the pipeline's stage-key
-// strings (which already serialize *exactly* the inputs a stage consumed;
-// see the key builders in pipeline/session.h) prefixed with a fingerprint
-// of the owning spec — and live as single files under one directory:
+// Objects are keyed by strings — in practice the text form of the
+// pipeline's stage keys (which serialize *exactly* the inputs a stage
+// consumed; see pipeline/session.h) prefixed with a fingerprint of the
+// owning spec — and live as single files under one directory:
 //
 //   <dir>/<16-hex fnv1a64 of key>
 //

@@ -1,9 +1,46 @@
 #include "sunfloor/noc/topology.h"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <stdexcept>
 
+#include "sunfloor/util/rng.h"
+
 namespace sunfloor {
+
+namespace {
+
+bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_point(const Point& a, const Point& b) {
+    return same_bits(a.x, b.x) && same_bits(a.y, b.y);
+}
+
+/// Word-at-a-time hash (a multiply per word, splitmix64 to finish): the
+/// hash only picks a bucket, and every hit is verified by same_content.
+class ContentHasher {
+  public:
+    void add(std::uint64_t w) {
+        h_ = ((h_ << 5 | h_ >> 59) ^ w) * 0x517cc1b727220a95ULL;
+    }
+    void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+    void add(int v) {
+        add(static_cast<std::uint64_t>(static_cast<unsigned>(v)));
+    }
+    void add(const Point& p) {
+        add(p.x);
+        add(p.y);
+    }
+    std::uint64_t done() const { return splitmix64(h_); }
+
+  private:
+    std::uint64_t h_ = 0;
+};
+
+}  // namespace
 
 Topology::Topology(const CoreSpec& cores, int num_flows)
     : flow_paths_(static_cast<std::size_t>(num_flows)) {
@@ -160,6 +197,60 @@ double Topology::switch_through_bw(int sw) const {
 void Topology::set_core_geometry(int core, Point center, int layer) {
     core_centers_.at(static_cast<std::size_t>(core)) = center;
     core_layers_.at(static_cast<std::size_t>(core)) = layer;
+}
+
+bool Topology::same_content(const Topology& other) const {
+    if (core_layers_ != other.core_layers_ ||
+        switches_.size() != other.switches_.size() ||
+        links_.size() != other.links_.size() ||
+        flow_paths_ != other.flow_paths_)
+        return false;
+    for (std::size_t c = 0; c < core_centers_.size(); ++c)
+        if (!same_point(core_centers_[c], other.core_centers_[c]))
+            return false;
+    for (std::size_t i = 0; i < switches_.size(); ++i) {
+        const NocSwitch& a = switches_[i];
+        const NocSwitch& b = other.switches_[i];
+        if (a.layer != b.layer || !same_point(a.position, b.position) ||
+            a.name != b.name)
+            return false;
+    }
+    for (std::size_t l = 0; l < links_.size(); ++l) {
+        const NocLink& a = links_[l];
+        const NocLink& b = other.links_[l];
+        if (!(a.src == b.src) || !(a.dst == b.dst) || a.cls != b.cls ||
+            !same_bits(a.bw_mbps, b.bw_mbps))
+            return false;
+    }
+    return true;
+}
+
+std::uint64_t Topology::content_hash() const {
+    ContentHasher h;
+    h.add(num_cores());
+    for (std::size_t c = 0; c < core_centers_.size(); ++c) {
+        h.add(core_layers_[c]);
+        h.add(core_centers_[c]);
+    }
+    h.add(num_switches());
+    for (const NocSwitch& sw : switches_) {
+        h.add(static_cast<std::uint64_t>(std::hash<std::string>{}(sw.name)));
+        h.add(sw.layer);
+        h.add(sw.position);
+    }
+    h.add(num_links());
+    for (const NocLink& l : links_) {
+        h.add(l.src.is_core() ? l.src.index : ~l.src.index);
+        h.add(l.dst.is_core() ? l.dst.index : ~l.dst.index);
+        h.add(static_cast<int>(l.cls));
+        h.add(l.bw_mbps);
+    }
+    h.add(num_flows());
+    for (const std::vector<int>& path : flow_paths_) {
+        h.add(static_cast<int>(path.size()));
+        for (const int id : path) h.add(id);
+    }
+    return h.done();
 }
 
 }  // namespace sunfloor

@@ -9,6 +9,7 @@
 // positions.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -131,6 +132,21 @@ class Topology {
 
     /// Update a core position snapshot (after re-floorplanning).
     void set_core_geometry(int core, Point center, int layer);
+
+    // --- content identity -----------------------------------------------------
+    /// Bitwise content equality over everything a topology holds: the core
+    /// snapshots, the switches (name, layer, position), the links (ends,
+    /// class, bandwidth) and the flow paths — exactly the fields
+    /// pipeline::topology_fingerprint renders. Doubles compare by bit
+    /// pattern, so -0.0 and +0.0 differ (Point's == calls them equal) and
+    /// a NaN equals only the same payload. The pipeline's placement and
+    /// evaluation caches verify every hit with this.
+    bool same_content(const Topology& other) const;
+
+    /// 64-bit hash over the same fields: topologies with same_content()
+    /// hash alike. Not stable across builds or platforms; in-memory
+    /// probes only.
+    std::uint64_t content_hash() const;
 
   private:
     std::vector<Point> core_centers_;

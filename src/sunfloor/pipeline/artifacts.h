@@ -7,12 +7,18 @@
 //
 // Each stage's output is one of the value types below. A SynthesisSession
 // caches every one but the assignment (rebuilt on each call from its
-// cached partitions) under a key string that serializes *exactly* the
-// (spec, cfg, RNG) inputs the stage consumed (see the stage key builders
-// in session.h). Two stage calls with equal keys produce bit-identical
-// artifacts, which is what lets the session reuse them across
-// architectural points that agree on the consumed fields — e.g. partition
-// artifacts across points that differ only in frequency or link width.
+// cached partitions) under a key that holds *exactly* the (spec, cfg,
+// RNG) inputs the stage consumed (see session.h): a string serializing
+// them for partitions and routings, and for placements and evaluations
+// the input artifact itself plus a config string, compared by content.
+// Two stage calls with equal keys produce bit-identical artifacts, which
+// is what lets the session reuse them across architectural points that
+// agree on the consumed fields — e.g. partition artifacts across points
+// that differ only in frequency or link width.
+//
+// The routing and placement artifacts carry their topology's content
+// hash (Topology::content_hash), taken once when the artifact is created
+// or decoded: it is how the next stage's cache finds them.
 //
 // The one stochastic stage (partitioning; the flow's floorplan legalizer
 // is the deterministic custom inserter) threads the RNG explicitly: it
@@ -22,6 +28,7 @@
 // makes cache hits unobservable in the results, by construction.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -86,6 +93,9 @@ struct RoutingArtifact {
     std::string fail_reason;  ///< set when !ok
     int failed_flows = 0;         ///< flows Algorithm 3 left unrouted
     int capacity_violations = 0;  ///< links left oversubscribed
+    /// topo.content_hash() of the final topology, set by route_assignment
+    /// and decode_routing; the placement cache probes with it.
+    std::uint64_t topo_hash = 0;
 };
 
 /// Output of the position stage: switch coordinates from the LP (Eq. 2-5)
@@ -99,6 +109,9 @@ struct PlacementArtifact {
 
     Topology topo;
     std::vector<double> layer_die_area_mm2;  ///< empty without floorplan
+    /// topo.content_hash() of the placed topology, set by the position
+    /// stage and decode_placement; the evaluation cache probes with it.
+    std::uint64_t topo_hash = 0;
 };
 
 /// Output of the evaluation stage: a fully evaluated design point. The

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
+#include <functional>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -17,20 +17,18 @@
 #include "sunfloor/core/switch_placement.h"
 #include "sunfloor/noc/deadlock.h"
 #include "sunfloor/obs/trace.h"
+#include "sunfloor/util/rng.h"
 #include "sunfloor/util/strings.h"
 
 namespace sunfloor::pipeline {
 
 namespace {
 
-std::string int_list_key(const std::vector<int>& v) {
-    std::string out;
-    out.reserve(v.size() * 3);
-    for (int x : v) {
-        if (!out.empty()) out += ',';
-        out += std::to_string(x);
+void append_int_list(std::string& out, const std::vector<int>& v) {
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        if (i > 0) out += ',';
+        out += std::to_string(v[i]);
     }
-    return out;
 }
 
 /// The full cfg.eval model — frequency plus every NoC-library, wire and
@@ -40,9 +38,10 @@ std::string eval_params_key(const EvalParams& p) {
     const NocTechParams& lp = p.lib.params();
     const WireParams& wp = p.wire.params();
     const TsvParams& tp = p.tsv.params();
-    std::string key =
-        format("f=%s;w=%d", double_bits(p.freq_hz).c_str(),
-               lp.flit_width_bits);
+    std::string key = "f=";
+    append_double_bits(key, p.freq_hz);
+    key += ";w=";
+    key += std::to_string(lp.flit_width_bits);
     for (double v :
          {lp.switch_t0_ns, lp.switch_t1_ns_per_port, lp.switch_e0_pj,
           lp.switch_e1_pj_per_port, lp.switch_idle_c0_mw,
@@ -53,7 +52,7 @@ std::string eval_params_key(const EvalParams& p) {
           wp.max_unrepeated_mm, tp.delay_ps, tp.energy_pj_per_flit_layer,
           tp.tsv_pitch_um, tp.tsv_diameter_um}) {
         key += ';';
-        key += double_bits(v);
+        append_double_bits(key, v);
     }
     key += format(";ow=%d;rd=%d", tp.overhead_wires_per_link,
                   tp.redundant_tsvs_per_link);
@@ -89,19 +88,27 @@ class ScopedStageTime {
 std::string PartitionGraphId::key() const {
     switch (kind) {
         case Kind::PG: return "pg";
-        case Kind::SPG:
-            return format("spg;th=%s;tm=%s", double_bits(theta).c_str(),
-                          double_bits(theta_max).c_str());
-        case Kind::LPG: return format("lpg;ly=%d", layer);
+        case Kind::SPG: {
+            std::string key = "spg;th=";
+            append_double_bits(key, theta);
+            key += ";tm=";
+            append_double_bits(key, theta_max);
+            return key;
+        }
+        case Kind::LPG: return "lpg;ly=" + std::to_string(layer);
     }
     return "pg";
 }
 
 std::string partition_cfg_key(const SynthesisConfig& cfg,
                               const PartitionOptions& opts) {
-    return format("a=%s;ns=%d;rf=%d;mb=%d;mp=%d", double_bits(cfg.alpha).c_str(),
-                  opts.num_starts, opts.refine ? 1 : 0, opts.max_block_size,
-                  opts.max_passes);
+    std::string key = "a=";
+    append_double_bits(key, cfg.alpha);
+    key += ";ns=" + std::to_string(opts.num_starts);
+    key += opts.refine ? ";rf=1" : ";rf=0";
+    key += ";mb=" + std::to_string(opts.max_block_size);
+    key += ";mp=" + std::to_string(opts.max_passes);
+    return key;
 }
 
 std::string routing_cfg_key(const SynthesisConfig& cfg) {
@@ -135,23 +142,31 @@ std::string placement_cfg_key(const SynthesisConfig& cfg) {
 }
 
 std::string eval_cfg_key(const SynthesisConfig& cfg) {
-    return eval_params_key(cfg.eval) + format(";ill=%d", cfg.max_ill);
+    return eval_params_key(cfg.eval) + ";ill=" + std::to_string(cfg.max_ill);
 }
 
 std::string assignment_key(const CoreAssignment& assign) {
-    return "cs=" + int_list_key(assign.core_switch) +
-           ";sl=" + int_list_key(assign.switch_layer);
+    std::string key = "cs=";
+    append_int_list(key, assign.core_switch);
+    key += ";sl=";
+    append_int_list(key, assign.switch_layer);
+    return key;
 }
 
 std::string topology_fingerprint(const Topology& topo) {
     std::string s;
-    s.reserve(static_cast<std::size_t>(64 * topo.num_cores() +
-                                       64 * topo.num_links() +
+    s.reserve(static_cast<std::size_t>(40 * topo.num_cores() +
+                                       48 * topo.num_switches() +
+                                       40 * topo.num_links() +
                                        8 * topo.num_flows()));
     auto add_point = [&](const Point& p) {
-        s += double_bits(p.x);
+        append_double_bits(s, p.x);
         s += ',';
-        s += double_bits(p.y);
+        append_double_bits(s, p.y);
+    };
+    auto add_node = [&](NodeRef n) {
+        s += n.is_core() ? 'c' : 's';
+        s += std::to_string(n.index);
     };
     s += "co:";
     for (int c = 0; c < topo.num_cores(); ++c) {
@@ -174,35 +189,51 @@ std::string topology_fingerprint(const Topology& topo) {
     s += "lk:";
     for (int l = 0; l < topo.num_links(); ++l) {
         const NocLink& lk = topo.link(l);
-        s += format("%c%d>%c%d/%d=%s;", lk.src.is_core() ? 'c' : 's',
-                    lk.src.index, lk.dst.is_core() ? 'c' : 's', lk.dst.index,
-                    static_cast<int>(lk.cls), double_bits(lk.bw_mbps).c_str());
+        add_node(lk.src);
+        s += '>';
+        add_node(lk.dst);
+        s += '/';
+        s += std::to_string(static_cast<int>(lk.cls));
+        s += '=';
+        append_double_bits(s, lk.bw_mbps);
+        s += ';';
     }
     s += "fl:";
     for (int f = 0; f < topo.num_flows(); ++f) {
-        s += int_list_key(topo.flow_path(f));
+        append_int_list(s, topo.flow_path(f));
         s += ';';
     }
     return s;
 }
 
 std::string placement_problem_key(const PlacementProblem& p) {
-    std::string s = format("n=%d;b=%s,%s,%s,%s;fp:", p.num_movable,
-                           double_bits(p.bounds.x).c_str(), double_bits(p.bounds.y).c_str(),
-                           double_bits(p.bounds.w).c_str(),
-                           double_bits(p.bounds.h).c_str());
+    std::string s = "n=" + std::to_string(p.num_movable) + ";b=";
+    append_double_bits(s, p.bounds.x);
+    s += ',';
+    append_double_bits(s, p.bounds.y);
+    s += ',';
+    append_double_bits(s, p.bounds.w);
+    s += ',';
+    append_double_bits(s, p.bounds.h);
+    s += ";fp:";
     for (const Point& pt : p.fixed_points) {
-        s += double_bits(pt.x);
+        append_double_bits(s, pt.x);
         s += ',';
-        s += double_bits(pt.y);
+        append_double_bits(s, pt.y);
         s += ';';
     }
     s += "fc:";
-    for (const auto& c : p.fixed_conns)
-        s += format("%d>%d=%s;", c.movable, c.fixed, double_bits(c.weight).c_str());
+    for (const auto& c : p.fixed_conns) {
+        s += std::to_string(c.movable) + '>' + std::to_string(c.fixed) + '=';
+        append_double_bits(s, c.weight);
+        s += ';';
+    }
     s += "mc:";
-    for (const auto& c : p.movable_conns)
-        s += format("%d-%d=%s;", c.a, c.b, double_bits(c.weight).c_str());
+    for (const auto& c : p.movable_conns) {
+        s += std::to_string(c.a) + '-' + std::to_string(c.b) + '=';
+        append_double_bits(s, c.weight);
+        s += ';';
+    }
     return s;
 }
 
@@ -212,7 +243,9 @@ RoutingArtifact route_assignment(const DesignSpec& spec,
                                  RoutingOutcome* outcome) {
     RoutingArtifact ra(build_initial_topology(spec, assign));
     const int layers = spec.cores.num_layers();
+    // Every return passes through here, once the topology is final.
     auto ended = [&](RoutingOutcome o) {
+        ra.topo_hash = ra.topo.content_hash();
         if (outcome) *outcome = o;
     };
 
@@ -414,34 +447,73 @@ struct SynthesisSession::StageCodec {
     std::optional<Artifact> (*decode)(std::string_view, const DesignSpec&);
 };
 
-template <typename Artifact, typename Compute>
+SynthesisSession::StageConfig::StageConfig(std::string head_text,
+                                           std::string tail_text)
+    : head(std::move(head_text)), tail(std::move(tail_text)),
+      hash(splitmix64(std::hash<std::string>{}(head) ^
+                      std::hash<std::string>{}(tail))) {}
+
+SynthesisSession::RunKeys::RunKeys(const SynthesisConfig& cfg)
+    : routing("|" + routing_cfg_key(cfg)) {
+    const std::string fp = "|" + placement_cfg_key(cfg);
+    placement = std::make_shared<const StageConfig>(
+        "pl|" + std::string(kPlacementSolverTag) + "|", fp);
+    evaluation = std::make_shared<const StageConfig>(
+        "ev|", fp + "|" + eval_cfg_key(cfg));
+}
+
+namespace {
+
+/// The text a stage key is stored under in a CAS (after the spec prefix).
+const std::string& cas_text(const std::string& key) { return key; }
+
+template <typename Key>
+std::string cas_text(const Key& key) {
+    return key.text();
+}
+
+}  // namespace
+
+template <typename Key, typename Artifact, typename Hash, typename Compute>
 std::shared_ptr<const Artifact> SynthesisSession::cached(
-    StageCache<Artifact>& cache, const std::string& key,
+    StageCache<Key, Artifact, Hash>& cache, const Key& key,
     const std::type_identity_t<StageCodec<Artifact>>* codec,
     Compute&& compute, const char* span_arg, long long span_value) {
-    if (auto hit = cache.find(key)) {
+    std::shared_ptr<typename StageCache<Key, Artifact, Hash>::Flight> claim;
+    if (auto hit = cache.find_or_claim(key, claim)) {
         cache.hits.add();
         return hit;
     }
-    const bool spill = codec != nullptr && opts_.cas != nullptr;
-    if (spill) {
-        std::string blob;
-        if (opts_.cas->get(cas_prefix_ + key, blob)) {
-            if (auto art = codec->decode(blob, spec_)) {
-                cache.hits.add();
-                return cache.insert(
-                    key, std::make_shared<const Artifact>(std::move(*art)));
+    try {
+        const bool spill = codec != nullptr && opts_.cas != nullptr;
+        std::string cas_key;
+        if (spill) {
+            cas_key = cas_prefix_ + cas_text(key);
+            std::string blob;
+            if (opts_.cas->get(cas_key, blob)) {
+                if (auto art = codec->decode(blob, spec_)) {
+                    cache.hits.add();
+                    return cache.publish(
+                        key, claim,
+                        std::make_shared<const Artifact>(std::move(*art)));
+                }
+                // The checksum held but the codec rejected the payload:
+                // recompute, and the put below replaces the object.
+                cas_undecodable_.add();
             }
         }
-    }
 
-    obs::ScopedSpan span(cache.name, span_arg, span_value);
-    const auto t0 = std::chrono::steady_clock::now();
-    auto artifact = std::make_shared<const Artifact>(compute());
-    cache.misses.add();
-    cache.compute_ms.add(ms_since(t0));
-    if (spill) opts_.cas->put(cas_prefix_ + key, codec->encode(*artifact));
-    return cache.insert(key, std::move(artifact));
+        obs::ScopedSpan span(cache.name, span_arg, span_value);
+        const auto t0 = std::chrono::steady_clock::now();
+        auto artifact = std::make_shared<const Artifact>(compute());
+        cache.misses.add();
+        cache.compute_ms.add(ms_since(t0));
+        if (spill) opts_.cas->put(cas_key, codec->encode(*artifact));
+        return cache.publish(key, claim, std::move(artifact));
+    } catch (...) {
+        cache.abandon(key, claim, std::current_exception());
+        throw;
+    }
 }
 
 std::shared_ptr<const PartitionArtifact> SynthesisSession::partition(
@@ -451,9 +523,9 @@ std::shared_ptr<const PartitionArtifact> SynthesisSession::partition(
         cas::encode_partition, [](std::string_view blob, const DesignSpec&) {
             return cas::decode_partition(blob);
         }};
-    const std::string key =
-        format("pt|%s|%s|k=%d|r=%s", graph.key().c_str(),
-               partition_cfg_key(cfg, opts).c_str(), k, rng_in.key().c_str());
+    const std::string key = "pt|" + graph.key() + "|" +
+                            partition_cfg_key(cfg, opts) + "|k=" +
+                            std::to_string(k) + "|r=" + rng_in.key();
     return cached(
         partitions_, key, &kCodec,
         [&] {
@@ -471,10 +543,35 @@ std::shared_ptr<const PartitionArtifact> SynthesisSession::partition(
 
 std::shared_ptr<const RoutingArtifact> SynthesisSession::route(
     const AssignmentArtifact& assign, const SynthesisConfig& cfg) {
+    return route(assign, cfg, RunKeys(cfg));
+}
+
+std::shared_ptr<const PlacementArtifact> SynthesisSession::place(
+    std::shared_ptr<const RoutingArtifact> routed,
+    const SynthesisConfig& cfg) {
+    return place(std::move(routed), cfg, RunKeys(cfg));
+}
+
+std::shared_ptr<const EvaluatedDesign> SynthesisSession::evaluate(
+    std::shared_ptr<const PlacementArtifact> placed,
+    const SynthesisConfig& cfg) {
+    return evaluate(std::move(placed), cfg, RunKeys(cfg));
+}
+
+DesignPoint SynthesisSession::synthesize(const AssignmentArtifact& assign,
+                                         const SynthesisConfig& cfg,
+                                         const std::string& phase,
+                                         double theta, StageTiming* timing) {
+    return synthesize(assign, cfg, RunKeys(cfg), phase, theta, timing);
+}
+
+std::shared_ptr<const RoutingArtifact> SynthesisSession::route(
+    const AssignmentArtifact& assign, const SynthesisConfig& cfg,
+    const RunKeys& keys) {
     static constexpr StageCodec<RoutingArtifact> kCodec{cas::encode_routing,
                                                         cas::decode_routing};
-    return cached(routings_, "rt|" + assign.key + "|" + routing_cfg_key(cfg),
-                  &kCodec, [&] {
+    return cached(routings_, "rt|" + assign.key + keys.routing, &kCodec,
+                  [&] {
                       RoutingOutcome outcome{};
                       RoutingArtifact ra = route_assignment(
                           spec_, cfg, assign.assign, &outcome);
@@ -484,7 +581,8 @@ std::shared_ptr<const RoutingArtifact> SynthesisSession::route(
 }
 
 std::shared_ptr<const PlacementArtifact> SynthesisSession::place(
-    const RoutingArtifact& routed, const SynthesisConfig& cfg) {
+    std::shared_ptr<const RoutingArtifact> routed,
+    const SynthesisConfig& cfg, const RunKeys& keys) {
     // Keyed on the routed topology's *content*, not the routing config:
     // routing configs that produced the same routed topology share the
     // position LP. No RNG in the key — the whole stage (LP + the custom
@@ -494,13 +592,12 @@ std::shared_ptr<const PlacementArtifact> SynthesisSession::place(
     // serving those placements.
     static constexpr StageCodec<PlacementArtifact> kCodec{
         cas::encode_placement, cas::decode_placement};
-    const std::string key = "pl|" + std::string(kPlacementSolverTag) + "|" +
-                            topology_fingerprint(routed.topo) + "|" +
-                            placement_cfg_key(cfg);
-    return cached(placements_, key, &kCodec, [&] {
+    const Topology& routed_topo = routed->topo;
+    return cached(placements_, PlacementKey{std::move(routed), keys.placement},
+                  &kCodec, [&] {
         Rng rng(Rng::kDefaultSeed);
         const RngState rng_before = rng.state();
-        PlacementArtifact artifact(routed.topo);
+        PlacementArtifact artifact(routed_topo);
         if (artifact.topo.num_switches() > 0) {
             // The position solve consumes only the merged connection
             // graph (build_switch_placement_problem), which routed
@@ -532,12 +629,14 @@ std::shared_ptr<const PlacementArtifact> SynthesisSession::place(
             throw std::logic_error(
                 "pipeline placement stage consumed the RNG; its cache key "
                 "must include the generator state");
+        artifact.topo_hash = artifact.topo.content_hash();
         return artifact;
     });
 }
 
 std::shared_ptr<const EvaluatedDesign> SynthesisSession::evaluate(
-    const PlacementArtifact& placed, const SynthesisConfig& cfg) {
+    std::shared_ptr<const PlacementArtifact> placed,
+    const SynthesisConfig& cfg, const RunKeys& keys) {
     // Content-keyed like placement: identical placed topologies share the
     // evaluation whatever path produced them. The placement config rides
     // along because the artifact's die-area vector (copied into the
@@ -545,31 +644,34 @@ std::shared_ptr<const EvaluatedDesign> SynthesisSession::evaluate(
     // content.
     static constexpr StageCodec<EvaluatedDesign> kCodec{
         cas::encode_evaluation, cas::decode_evaluation};
-    const std::string key = "ev|" + topology_fingerprint(placed.topo) + "|" +
-                            placement_cfg_key(cfg) + "|" + eval_cfg_key(cfg);
-    return cached(evaluations_, key, &kCodec, [&] {
-        return EvaluatedDesign(evaluate_design(placed, spec_, cfg));
-    });
+    const PlacementArtifact& input = *placed;
+    return cached(evaluations_,
+                  EvaluationKey{std::move(placed), keys.evaluation}, &kCodec,
+                  [&] {
+                      return EvaluatedDesign(
+                          evaluate_design(input, spec_, cfg));
+                  });
 }
 
 DesignPoint SynthesisSession::synthesize(const AssignmentArtifact& assign,
                                          const SynthesisConfig& cfg,
+                                         const RunKeys& keys,
                                          const std::string& phase,
                                          double theta, StageTiming* timing) {
     std::shared_ptr<const RoutingArtifact> routed;
     {
         ScopedStageTime st(timing, &StageTiming::routing_ms);
-        routed = route(assign, cfg);
+        routed = route(assign, cfg, keys);
     }
     DesignPoint dp = [&] {
         if (!routed->ok) return failed_design(*routed);
         std::shared_ptr<const PlacementArtifact> placed;
         {
             ScopedStageTime st(timing, &StageTiming::placement_ms);
-            placed = place(*routed, cfg);
+            placed = place(routed, cfg, keys);
         }
         ScopedStageTime st(timing, &StageTiming::evaluation_ms);
-        return evaluate(*placed, cfg)->point;
+        return evaluate(std::move(placed), cfg, keys)->point;
     }();
     dp.phase = phase;
     dp.theta = theta;
@@ -583,6 +685,7 @@ std::vector<DesignPoint> SynthesisSession::phase1(const SynthesisConfig& cfg,
     const int n = spec_.cores.num_cores();
     const int lo = cfg.min_switches > 0 ? cfg.min_switches : 1;
     const int hi = cfg.max_switches > 0 ? std::min(cfg.max_switches, n) : n;
+    const RunKeys keys(cfg);
 
     auto cut = [&](const PartitionGraphId& graph, int k) {
         ScopedStageTime st(timing, &StageTiming::partition_ms);
@@ -601,7 +704,8 @@ std::vector<DesignPoint> SynthesisSession::phase1(const SynthesisConfig& cfg,
             obs::ScopedSpan span("pipeline.assignment");
             return phase1_assignment(*part, spec_.cores);
         }();
-        DesignPoint dp = synthesize(assign, cfg, "phase1", 0.0, timing);
+        DesignPoint dp =
+            synthesize(assign, cfg, keys, "phase1", 0.0, timing);
         if (!dp.valid) unmet.insert(i);
         points.push_back(std::move(dp));
     }
@@ -619,7 +723,7 @@ std::vector<DesignPoint> SynthesisSession::phase1(const SynthesisConfig& cfg,
                 return phase1_assignment(*part, spec_.cores);
             }();
             DesignPoint dp =
-                synthesize(assign, cfg, "phase1", theta, timing);
+                synthesize(assign, cfg, keys, "phase1", theta, timing);
             if (dp.valid) {
                 // Replace the failed entry for this switch count.
                 for (auto& existing : points)
@@ -644,6 +748,7 @@ std::vector<DesignPoint> SynthesisSession::phase2(const SynthesisConfig& cfg,
                                                   StageTiming* timing) {
     SynthesisConfig cfg2 = cfg;
     cfg2.allow_multilayer_links = false;  // adjacent layers only
+    const RunKeys keys(cfg2);
 
     const int layers = std::max(1, spec_.cores.num_layers());
     const int max_sw_size = cfg.eval.lib.max_switch_size(cfg.eval.freq_hz);
@@ -705,7 +810,7 @@ std::vector<DesignPoint> SynthesisSession::phase2(const SynthesisConfig& cfg,
             }
             aa.key = assignment_key(aa.assign);
         }
-        DesignPoint dp = synthesize(aa, cfg2, "phase2", 0.0, timing);
+        DesignPoint dp = synthesize(aa, cfg2, keys, "phase2", 0.0, timing);
         points.push_back(std::move(dp));
     }
     return points;

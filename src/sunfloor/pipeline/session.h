@@ -37,12 +37,33 @@
 //               placement config (the artifact's per-layer die areas come
 //               from the floorplan side, not the topology content)
 //
+// How the caches hold those inputs. Partition and routing keys are
+// strings that serialize them (doubles as the hex of their bits). The
+// placement and evaluation caches key on their input artifact itself —
+// the routed or placed topology, shared with the cache upstream — plus
+// the stage's config string (a ContentKey): a probe hashes the
+// artifact's stored topo_hash, and a hit is verified by bitwise content
+// equality (Topology::same_content), so a warm lookup is one hash probe
+// and one equality check, and a hash collision can never serve another
+// topology's artifact. The config strings are built once per phase1 /
+// phase2 call. The text form of a placement or evaluation key, with the
+// topology_fingerprint in it, is rendered only as a CAS address, when a
+// store is attached.
+//
+// Misses are single-flight: a thread that misses on a key another thread
+// is computing waits for that computation and counts a hit, and a
+// computation that throws hands its exception to every waiter and leaves
+// no entry behind. Each distinct key is therefore computed once, and the
+// stage counters are exact at any thread count.
+//
 // Frequency and link width first appear in the *routing* stage, so
 // architectural points that differ only there share partition artifacts
 // (and so rebuild the same assignments) — the redundancy the explorer
 // exploits.
 #pragma once
 
+#include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -85,9 +106,9 @@ std::string assignment_key(const CoreAssignment& assign);
 
 /// Exact content serialization of a topology — core geometry snapshots,
 /// switches, links and flow paths, with doubles rendered from their bit
-/// patterns. Placement and evaluation artifacts are keyed on this, so two
-/// routing configs that happen to produce the same routed topology (e.g.
-/// neighbouring frequencies) share the position LP and its output.
+/// patterns. The CAS addresses of placement and evaluation artifacts
+/// embed it; the in-memory caches compare the same fields directly
+/// (Topology::same_content), so it is rendered only for a store.
 std::string topology_fingerprint(const Topology& topo);
 
 /// Exact content serialization of a switch-placement instance — the
@@ -113,7 +134,7 @@ enum class RoutingOutcome {
 
 /// Path-computation stage: initial topology, pruning rules 1 and 3
 /// (Section V-C), then Algorithm 3. Writes where it ended to `outcome`
-/// when given.
+/// when given. The artifact carries its topology's content hash.
 RoutingArtifact route_assignment(const DesignSpec& spec,
                                  const SynthesisConfig& cfg,
                                  const CoreAssignment& assign,
@@ -138,20 +159,24 @@ AssignmentArtifact phase1_assignment(const PartitionArtifact& part,
 
 struct SessionOptions {
     /// Optional content-addressed spill store behind the in-memory caches:
-    /// a stage miss consults the store (keyed on the stage key prefixed
-    /// with a spec fingerprint) before computing, and every computed
-    /// artifact is written back — so warm artifacts survive restarts and
-    /// are shared across processes. A store hit counts as a stage hit in
-    /// the pipeline.<stage>.* instruments (plus cas.hits in the store's
-    /// own); results are bit-identical with or without the store, which is
-    /// what lets distributed shards reuse each other's work safely.
+    /// a stage miss consults the store (keyed on the stage key's text
+    /// form prefixed with a spec fingerprint) before computing, and every
+    /// computed artifact is written back — so warm artifacts survive
+    /// restarts and are shared across processes. A store hit counts as a
+    /// stage hit in the pipeline.<stage>.* instruments (plus cas.hits in
+    /// the store's own); an intact object the codec rejects is recomputed
+    /// and replaced, and counted in cas.undecodable. Results are
+    /// bit-identical with or without the store, which is what lets
+    /// distributed shards reuse each other's work safely.
     std::shared_ptr<cas::Store> cas;
 };
 
-/// Cache accounting for one stage. Under concurrent runs two threads may
-/// race to compute the same key — both count as misses and the results
-/// are bitwise identical either way, so the counters are exact for serial
-/// runs and a close lower bound on reuse for parallel ones.
+/// Cache accounting for one stage. A miss is one computation of a
+/// distinct key (including a store lookup that found nothing usable); a
+/// hit is a call served from memory, from the store, or by waiting on
+/// another thread's computation of the same key. Misses are
+/// single-flight, so both counts are exact at any thread count: a
+/// parallel run counts what a serial run of the same calls would.
 struct StageCounters {
     long long hits = 0;
     long long misses = 0;
@@ -163,6 +188,8 @@ struct StageCounters {
 /// Snapshot view over the session's metrics registry (stats() builds one
 /// from the "pipeline.<stage>.*" instruments). The same adds flow into
 /// obs::Registry::global(), so `--metrics` sees process-wide totals.
+/// Exact per stage (see StageCounters), so the explore JSON's `stages`
+/// block does not depend on the thread count.
 struct SessionStats {
     StageCounters partition;
     StageCounters routing;
@@ -209,14 +236,17 @@ class SynthesisSession {
 
     /// Position stage for a routed design: the switch-position LP
     /// (Eq. 2-5), then floorplan legalization when `cfg.run_floorplan`.
-    /// Pure: throws std::logic_error if a (future) legalizer consumes the
-    /// generator, since the cache key assumes it cannot.
+    /// Keyed on `routed` itself (its topo_hash and content), which the
+    /// cache holds on to. Pure: throws std::logic_error if a (future)
+    /// legalizer consumes the generator, since the key assumes it cannot.
     std::shared_ptr<const PlacementArtifact> place(
-        const RoutingArtifact& routed, const SynthesisConfig& cfg);
+        std::shared_ptr<const RoutingArtifact> routed,
+        const SynthesisConfig& cfg);
 
-    /// Evaluation stage for a placed design.
+    /// Evaluation stage for a placed design, keyed on `placed` itself.
     std::shared_ptr<const EvaluatedDesign> evaluate(
-        const PlacementArtifact& placed, const SynthesisConfig& cfg);
+        std::shared_ptr<const PlacementArtifact> placed,
+        const SynthesisConfig& cfg);
 
     /// The composed routing -> placement -> evaluation flow of one
     /// assignment (none of these stages consumes the generator). Stamps
@@ -253,7 +283,8 @@ class SynthesisSession {
     /// This session's metrics registry (parented to Registry::global()).
     obs::Registry& registry() { return registry_; }
 
-    /// Cached artifacts over all stages (graphs excluded).
+    /// Cached artifacts over all stages, plus keys being computed
+    /// (graphs excluded).
     std::size_t artifact_count() const;
 
     /// Drop every cached artifact and reset the counters.
@@ -262,18 +293,108 @@ class SynthesisSession {
   private:
     struct GraphEntry;
 
-    /// One stage's artifact cache: a key -> artifact map under its own
-    /// lock, plus the stage's "<name>.hits" / ".misses" / ".compute_ms"
-    /// instruments. The lock is held only for a find or an insert, never
-    /// across a stage computation or a CAS round trip, so concurrent
-    /// misses on one key race benignly. Artifacts are immutable once
-    /// published, which is why handing out shared_ptrs of them needs no
-    /// further guarding. Only the stage routine cached() looks up and
-    /// fills one, so it is the one place a memory bound would evict.
-    template <typename Artifact>
+    /// The config half of a placement or evaluation key, built once per
+    /// run and shared by every key the run makes: the CAS key text that
+    /// goes before and after the topology fingerprint, and its hash.
+    struct StageConfig {
+        StageConfig(std::string head, std::string tail);
+
+        std::string head;  ///< "pl|<solver tag>|" or "ev|"
+        std::string tail;  ///< "|" + placement_cfg_key [+ "|" + eval_cfg_key]
+        std::uint64_t hash;
+
+        friend bool operator==(const StageConfig& a, const StageConfig& b) {
+            return a.hash == b.hash && a.tail == b.tail && a.head == b.head;
+        }
+    };
+
+    /// A placement or evaluation key: the stage's input artifact (a
+    /// RoutingArtifact or a PlacementArtifact) plus the run's StageConfig,
+    /// both held by shared_ptr, so a key owns no copy of the topology. It
+    /// hashes the input's stored topo_hash with the config's hash; two
+    /// keys are equal when their configs are and their topologies have
+    /// Topology::same_content — the same artifact object, as on every
+    /// warm rerun, short-cuts both. text() is the CAS address, with the
+    /// topology_fingerprint in it.
+    template <typename Input>
+    struct ContentKey {
+        std::shared_ptr<const Input> input;
+        std::shared_ptr<const StageConfig> cfg;
+
+        struct Hash {
+            std::size_t operator()(const ContentKey& k) const {
+                return static_cast<std::size_t>(k.input->topo_hash ^
+                                                k.cfg->hash);
+            }
+        };
+        friend bool operator==(const ContentKey& a, const ContentKey& b) {
+            return (a.cfg == b.cfg || *a.cfg == *b.cfg) &&
+                   (a.input == b.input ||
+                    a.input->topo.same_content(b.input->topo));
+        }
+        std::string text() const {
+            return cfg->head + topology_fingerprint(input->topo) + cfg->tail;
+        }
+    };
+    using PlacementKey = ContentKey<RoutingArtifact>;
+    using EvaluationKey = ContentKey<PlacementArtifact>;
+
+    /// The routing, placement and evaluation config keys of one run,
+    /// built once per phase1 / phase2 call rather than per assignment.
+    struct RunKeys {
+        explicit RunKeys(const SynthesisConfig& cfg);
+
+        std::string routing;  ///< "|" + routing_cfg_key(cfg)
+        std::shared_ptr<const StageConfig> placement;
+        std::shared_ptr<const StageConfig> evaluation;
+    };
+
+    /// One stage's artifact cache: a key -> slot map under its own lock,
+    /// plus the stage's "<name>.hits" / ".misses" / ".compute_ms"
+    /// instruments. A slot holds the published artifact, or the Flight
+    /// of the one thread computing it. The lock is held only to find or
+    /// change a slot, never across a stage computation or a CAS round
+    /// trip. Artifacts are immutable once published, which is why handing
+    /// out shared_ptrs of them needs no further guarding. Only the stage
+    /// routine cached() looks up and fills one, so it is the one place a
+    /// memory bound would evict.
+    template <typename Key, typename Artifact,
+              typename Hash = std::hash<Key>>
     class StageCache {
       public:
         using Ptr = std::shared_ptr<const Artifact>;
+
+        /// One key's computation in progress. Threads that miss on the
+        /// key meanwhile wait() on it; the computing thread land()s it.
+        class Flight {
+          public:
+            /// Block until landed: the artifact, or the computing
+            /// thread's exception rethrown.
+            Ptr wait() SF_EXCLUDES(mu_) {
+                util::UniqueLock lock(mu_);
+                while (!landed_) landed_cv_.wait(lock);
+                if (error_) std::rethrow_exception(error_);
+                return artifact_;
+            }
+
+            void land(Ptr artifact, std::exception_ptr error)
+                SF_EXCLUDES(mu_) {
+                {
+                    util::MutexLock lock(mu_);
+                    landed_ = true;
+                    artifact_ = std::move(artifact);
+                    error_ = std::move(error);
+                }
+                landed_cv_.notify_all();
+            }
+
+          private:
+            util::Mutex mu_;
+            util::CondVar landed_cv_;
+            bool landed_ SF_GUARDED_BY(mu_) = false;
+            Ptr artifact_ SF_GUARDED_BY(mu_);
+            std::exception_ptr error_ SF_GUARDED_BY(mu_);
+        };
 
         /// `name` is the stage's span name ("pipeline.<stage>"), a string
         /// literal: the tracer stores the pointer.
@@ -283,19 +404,55 @@ class SynthesisSession {
               misses(registry.counter(std::string(name) + ".misses")),
               compute_ms(registry.gauge(std::string(name) + ".compute_ms")) {}
 
-        Ptr find(const std::string& key) const SF_EXCLUDES(mu_) {
-            util::MutexLock lock(mu_);
-            auto it = map_.find(key);
-            return it == map_.end() ? nullptr : it->second;
+        /// The artifact published under `key`, or — when another thread
+        /// is computing it — that thread's result (its exception is
+        /// rethrown here). Otherwise registers `claim` as the key's
+        /// flight and returns nullptr: the caller computes, then calls
+        /// publish() or abandon().
+        Ptr find_or_claim(const Key& key, std::shared_ptr<Flight>& claim)
+            SF_EXCLUDES(mu_) {
+            std::shared_ptr<Flight> running;
+            {
+                util::MutexLock lock(mu_);
+                auto it = map_.find(key);
+                if (it == map_.end()) {
+                    claim = std::make_shared<Flight>();
+                    map_.emplace(key, Slot{nullptr, claim});
+                    return nullptr;
+                }
+                if (it->second.artifact) return it->second.artifact;
+                running = it->second.flight;
+            }
+            return running->wait();
         }
 
-        /// First insert wins: threads that raced on one key computed
-        /// bit-identical artifacts, and every one of them gets the kept one.
-        Ptr insert(const std::string& key, Ptr artifact) SF_EXCLUDES(mu_) {
-            util::MutexLock lock(mu_);
-            return map_.emplace(key, std::move(artifact)).first->second;
+        /// Publish the claimed key's artifact and wake its waiters.
+        Ptr publish(const Key& key, const std::shared_ptr<Flight>& claim,
+                    Ptr artifact) SF_EXCLUDES(mu_) {
+            {
+                util::MutexLock lock(mu_);
+                auto it = map_.find(key);
+                // clear() may have dropped the slot meanwhile.
+                if (it != map_.end() && it->second.flight == claim)
+                    it->second = Slot{artifact, nullptr};
+            }
+            claim->land(artifact, nullptr);
+            return artifact;
         }
 
+        /// Drop the claimed key's slot and hand `error` to its waiters.
+        void abandon(const Key& key, const std::shared_ptr<Flight>& claim,
+                     std::exception_ptr error) SF_EXCLUDES(mu_) {
+            {
+                util::MutexLock lock(mu_);
+                auto it = map_.find(key);
+                if (it != map_.end() && it->second.flight == claim)
+                    map_.erase(it);
+            }
+            claim->land(nullptr, std::move(error));
+        }
+
+        /// Published artifacts plus keys in flight.
         std::size_t size() const SF_EXCLUDES(mu_) {
             util::MutexLock lock(mu_);
             return map_.size();
@@ -316,25 +473,48 @@ class SynthesisSession {
         obs::Gauge& compute_ms;  ///< wall clock spent computing misses
 
       private:
+        struct Slot {
+            Ptr artifact;                    ///< null while in flight
+            std::shared_ptr<Flight> flight;  ///< null once published
+        };
+
         mutable util::Mutex mu_;
-        std::unordered_map<std::string, Ptr> map_ SF_GUARDED_BY(mu_);
+        std::unordered_map<Key, Slot, Hash> map_ SF_GUARDED_BY(mu_);
     };
 
     /// The CAS codec of an artifact kind the store spills (session.cpp).
     template <typename Artifact>
     struct StageCodec;
 
-    /// The stage routine every cached stage call runs: memory lookup,
-    /// then (when `codec` is given and a store is attached) a store
-    /// lookup, then `compute()` under the stage's span and timer, the
-    /// write-back to the store and the first-insert-wins publish.
+    /// The stage routine every cached stage call runs: memory lookup
+    /// (a hit, or a wait on the thread computing the key), then — for
+    /// the one thread that claimed the key — a store lookup when `codec`
+    /// is given and a store is attached, `compute()` under the stage's
+    /// span and timer, the write-back to the store and the publish. A
+    /// compute that throws leaves no entry and reaches every waiter.
     /// `span_arg` names an integer arg of the span (nullptr: none).
-    template <typename Artifact, typename Compute>
+    template <typename Key, typename Artifact, typename Hash,
+              typename Compute>
     std::shared_ptr<const Artifact> cached(
-        StageCache<Artifact>& cache, const std::string& key,
+        StageCache<Key, Artifact, Hash>& cache, const Key& key,
         const std::type_identity_t<StageCodec<Artifact>>* codec,
-        Compute&& compute,
-        const char* span_arg = nullptr, long long span_value = 0);
+        Compute&& compute, const char* span_arg = nullptr,
+        long long span_value = 0);
+
+    // The stage calls above, on a run's prebuilt config keys.
+    DesignPoint synthesize(const AssignmentArtifact& assign,
+                           const SynthesisConfig& cfg, const RunKeys& keys,
+                           const std::string& phase, double theta,
+                           StageTiming* timing);
+    std::shared_ptr<const RoutingArtifact> route(
+        const AssignmentArtifact& assign, const SynthesisConfig& cfg,
+        const RunKeys& keys);
+    std::shared_ptr<const PlacementArtifact> place(
+        std::shared_ptr<const RoutingArtifact> routed,
+        const SynthesisConfig& cfg, const RunKeys& keys);
+    std::shared_ptr<const EvaluatedDesign> evaluate(
+        std::shared_ptr<const PlacementArtifact> placed,
+        const SynthesisConfig& cfg, const RunKeys& keys);
 
     /// Build-or-fetch the partition graph named by `graph` for this
     /// spec + alpha (graph construction is deterministic and cheap; the
@@ -348,17 +528,22 @@ class SynthesisSession {
     /// CAS key namespace for this spec ("s<16-hex of spec text>|"); empty
     /// when no store is attached.
     std::string cas_prefix_;
+    /// Store objects whose checksum held but whose payload the stage
+    /// codec rejected (global "cas.undecodable"; recomputed and replaced).
+    obs::Counter& cas_undecodable_{
+        obs::Registry::global().counter("cas.undecodable")};
 
     obs::Registry registry_{&obs::Registry::global()};
-    StageCache<PartitionArtifact> partitions_{registry_,
-                                              "pipeline.partition"};
-    StageCache<RoutingArtifact> routings_{registry_, "pipeline.routing"};
-    StageCache<PlacementArtifact> placements_{registry_,
-                                              "pipeline.placement"};
-    StageCache<PlacementResult> lp_solutions_{registry_,
-                                              "pipeline.position_lp"};
-    StageCache<EvaluatedDesign> evaluations_{registry_,
-                                             "pipeline.evaluation"};
+    StageCache<std::string, PartitionArtifact> partitions_{
+        registry_, "pipeline.partition"};
+    StageCache<std::string, RoutingArtifact> routings_{registry_,
+                                                       "pipeline.routing"};
+    StageCache<PlacementKey, PlacementArtifact, PlacementKey::Hash>
+        placements_{registry_, "pipeline.placement"};
+    StageCache<std::string, PlacementResult> lp_solutions_{
+        registry_, "pipeline.position_lp"};
+    StageCache<EvaluationKey, EvaluatedDesign, EvaluationKey::Hash>
+        evaluations_{registry_, "pipeline.evaluation"};
     /// Why computed routings ended, indexed by RoutingOutcome.
     obs::Counter* routing_outcomes_[4] = {
         &registry_.counter("pipeline.routing.routed"),

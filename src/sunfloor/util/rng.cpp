@@ -1,6 +1,6 @@
 #include "sunfloor/util/rng.h"
 
-#include <cstdio>
+#include "sunfloor/util/strings.h"
 
 namespace sunfloor {
 
@@ -12,13 +12,10 @@ std::uint64_t splitmix64(std::uint64_t x) {
 }
 
 std::string RngState::key() const {
-    char buf[4 * 16 + 1];
-    std::snprintf(buf, sizeof(buf), "%016llx%016llx%016llx%016llx",
-                  static_cast<unsigned long long>(s[0]),
-                  static_cast<unsigned long long>(s[1]),
-                  static_cast<unsigned long long>(s[2]),
-                  static_cast<unsigned long long>(s[3]));
-    return buf;
+    std::string out;
+    out.reserve(4 * 16);
+    for (const std::uint64_t w : s) append_hex64(out, w);
+    return out;
 }
 
 Rng::Rng(const RngState& state) { set_state(state); }

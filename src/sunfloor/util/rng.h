@@ -25,7 +25,8 @@ struct RngState {
 
     friend bool operator==(const RngState&, const RngState&) = default;
 
-    /// Stable 32-hex-digit rendering for cache keys.
+    /// Stable 64-hex-digit rendering for cache keys (the four words in
+    /// order, each as "%016llx" prints it).
     std::string key() const;
 };
 

@@ -1,5 +1,6 @@
 #include "sunfloor/util/strings.h"
 
+#include <bit>
 #include <cctype>
 #include <cerrno>
 #include <climits>
@@ -8,7 +9,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace sunfloor {
 
@@ -51,10 +51,23 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 }
 
 std::string double_bits(double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    return format("%016llx", static_cast<unsigned long long>(bits));
+    std::string out;
+    append_double_bits(out, v);
+    return out;
+}
+
+void append_hex64(std::string& out, std::uint64_t v) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    char buf[16];
+    for (int i = 15; i >= 0; --i) {
+        buf[i] = kDigits[v & 0xf];
+        v >>= 4;
+    }
+    out.append(buf, sizeof buf);
+}
+
+void append_double_bits(std::string& out, double v) {
+    append_hex64(out, std::bit_cast<std::uint64_t>(v));
 }
 
 bool iequals(std::string_view a, std::string_view b) {

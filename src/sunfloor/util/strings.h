@@ -1,6 +1,7 @@
 // Small string helpers used by the spec parsers and report writers.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,14 @@ bool iequals(std::string_view a, std::string_view b);
 /// pipeline cache keys use this so values differing in the last ulp stay
 /// distinct.
 std::string double_bits(double v);
+
+/// Append the 16 lowercase hex digits of `v`, zero-padded (the bytes
+/// "%016llx" prints), written directly rather than through vsnprintf:
+/// the stage keys render thousands of these per synthesis.
+void append_hex64(std::string& out, std::uint64_t v);
+
+/// Append double_bits(v) to `out`.
+void append_double_bits(std::string& out, double v);
 
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

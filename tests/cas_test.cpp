@@ -9,12 +9,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -328,7 +330,7 @@ TEST(CasCodec, ArtifactsRoundTripBitExactly) {
     }
     ASSERT_TRUE(routed_holder) << "no switch count routed";
     const pipeline::RoutingArtifact& routed = *routed_holder;
-    const auto placed_holder = session.place(routed, cfg);
+    const auto placed_holder = session.place(routed_holder, cfg);
     const pipeline::PlacementArtifact& placed = *placed_holder;
     const pipeline::EvaluatedDesign evaluated(
         pipeline::evaluate_design(placed, spec, cfg));
@@ -354,6 +356,10 @@ TEST(CasCodec, ArtifactsRoundTripBitExactly) {
         EXPECT_EQ(back->topo.num_links(), routed.topo.num_links());
         EXPECT_EQ(pipeline::topology_fingerprint(back->topo),
                   pipeline::topology_fingerprint(routed.topo));
+        // Decoding takes the content hash the stage took.
+        EXPECT_NE(routed.topo_hash, 0u);
+        EXPECT_EQ(back->topo_hash, routed.topo_hash);
+        EXPECT_TRUE(back->topo.same_content(routed.topo));
     }
     {
         // The failure side of a routing artifact round-trips too.
@@ -377,6 +383,8 @@ TEST(CasCodec, ArtifactsRoundTripBitExactly) {
                   placed.layer_die_area_mm2.size());
         EXPECT_EQ(pipeline::topology_fingerprint(back->topo),
                   pipeline::topology_fingerprint(placed.topo));
+        EXPECT_NE(placed.topo_hash, 0u);
+        EXPECT_EQ(back->topo_hash, placed.topo_hash);
     }
     {
         const std::string blob = cas::encode_evaluation(evaluated);
@@ -617,6 +625,87 @@ TEST(CasSession, PlacementsOfAnotherSolverAreNeverServed) {
     EXPECT_EQ(st.placement.misses, planted);
     EXPECT_GT(st.partition.hits, 0);
     EXPECT_GT(st.routing.hits, 0);
+}
+
+TEST(CasSession, StageKeyBytesArePinned) {
+    // A CAS address is the fnv1a64 of the stage key text, so a byte moved
+    // in any stage key orphans every store written before it. This fixed
+    // synthesis must write exactly the objects the format-based key
+    // renderers wrote: the count and a hash of the sorted object names
+    // were taken from that build and must only change with a stated
+    // reason, like a CAS format bump.
+    TempDir dir;
+    const DesignSpec spec = make_benchmark("D_26_media");
+    SynthesisConfig cfg;
+    cfg.run_floorplan = false;
+    pipeline::SessionOptions so;
+    so.cas = std::make_shared<cas::Store>(
+        cas::StoreOptions{dir.path, 0, 60.0});
+    pipeline::SynthesisSession session(spec, so);
+    for (const auto policy : {routing::RoutingPolicyId::UpDown,
+                              routing::RoutingPolicyId::WestFirst,
+                              routing::RoutingPolicyId::OddEven}) {
+        cfg.routing = policy;
+        session.run(cfg);
+    }
+    std::vector<std::string> names;
+    DIR* d = ::opendir(dir.path.c_str());
+    ASSERT_NE(d, nullptr);
+    while (const dirent* e = ::readdir(d)) {
+        const std::string name(e->d_name);
+        if (name.size() == 16) names.push_back(name);
+    }
+    ::closedir(d);
+    std::sort(names.begin(), names.end());
+    std::string joined;
+    for (const std::string& name : names) joined += name + '\n';
+    EXPECT_EQ(names.size(), 267u);
+    EXPECT_EQ(cas::fnv1a64(joined), 0x3c49c8cbec287d9eULL);
+}
+
+TEST(CasSession, UndecodableObjectsAreCountedAndReplaced) {
+    // An object whose checksum holds but whose payload the stage codec
+    // rejects (here a partition's bytes filed under a real routing key —
+    // what a codec change would leave behind) is no hit: the session
+    // recomputes it, counts cas.undecodable and overwrites the object.
+    TempDir dir;
+    const DesignSpec spec = make_benchmark("D_36_4");
+    const SynthesisConfig cfg = fast_cfg();
+    const SynthesisResult ref = run_synthesis(spec, cfg);
+
+    // The first routing key a run looks up: phase 1's first switch count
+    // cut from the seed's generator state.
+    pipeline::SynthesisSession probe(spec);
+    const int k = cfg.min_switches > 0 ? cfg.min_switches : 1;
+    const auto part = probe.partition(pipeline::PartitionGraphId::pg(), k,
+                                      cfg, cfg.partition,
+                                      Rng(cfg.seed).state());
+    const pipeline::AssignmentArtifact assign =
+        pipeline::phase1_assignment(*part, spec.cores);
+    std::ostringstream design;
+    write_design(design, spec);
+    char prefix[32];
+    std::snprintf(prefix, sizeof prefix, "s%016llx|",
+                  static_cast<unsigned long long>(cas::fnv1a64(design.str())));
+    const std::string key = std::string(prefix) + "rt|" + assign.key + "|" +
+                            pipeline::routing_cfg_key(cfg);
+    cas::Store store = open_store(dir.path);
+    ASSERT_TRUE(store.put(key, cas::encode_partition(*part)));
+
+    const long long undecodable_before = counter("cas.undecodable");
+    pipeline::SessionOptions so;
+    so.cas = std::make_shared<cas::Store>(
+        cas::StoreOptions{dir.path, 0, 60.0});
+    pipeline::SynthesisSession session(spec, so);
+    expect_same_results(session.run(cfg), ref);
+    EXPECT_EQ(counter("cas.undecodable") - undecodable_before, 1);
+
+    std::string blob;
+    ASSERT_TRUE(store.get(key, blob));
+    const auto replaced = cas::decode_routing(blob, spec);
+    ASSERT_TRUE(replaced.has_value());
+    EXPECT_EQ(blob, cas::encode_routing(pipeline::route_assignment(
+                        spec, cfg, assign.assign)));
 }
 
 TEST(CasSession, CorruptedObjectsAreRecomputedNeverServed) {

@@ -3,8 +3,14 @@
 // stateless entry points.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <cstring>
+#include <latch>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sunfloor/core/synthesizer.h"
@@ -396,6 +402,172 @@ TEST(Pipeline, TopologyFingerprintTracksContent) {
     u.add_switch("sw0", 0, {1.0, 2.0});
     u.add_link(NodeRef::core(0), NodeRef::sw(0));
     EXPECT_EQ(linked, pipeline::topology_fingerprint(u));
+}
+
+TEST(Pipeline, TopologyContentEqualityIsBitwise) {
+    const DesignSpec spec = make_benchmark("D_36_4");
+    Topology plus(spec.cores, spec.comm.num_flows());
+    plus.add_switch("sw0", 0, {0.0, 1.0});
+    plus.add_link(NodeRef::core(0), NodeRef::sw(0));
+    Topology minus = plus;
+    minus.switch_at(0).position.x = -0.0;
+    // Point's defaulted == calls the coordinates equal; the fingerprint
+    // (the CAS address) does not, and neither does content equality.
+    EXPECT_TRUE(plus.switch_at(0).position == minus.switch_at(0).position);
+    EXPECT_NE(pipeline::topology_fingerprint(plus),
+              pipeline::topology_fingerprint(minus));
+    EXPECT_FALSE(plus.same_content(minus));
+    EXPECT_FALSE(minus.same_content(plus));
+    // A copy is the same content with the same hash; a NaN bandwidth
+    // equals itself bit for bit.
+    plus.link(0).bw_mbps = std::numeric_limits<double>::quiet_NaN();
+    const Topology copy = plus;
+    EXPECT_TRUE(plus.same_content(copy));
+    EXPECT_EQ(plus.content_hash(), copy.content_hash());
+    Topology renamed = plus;
+    renamed.switch_at(0).name = "sw1";
+    EXPECT_FALSE(plus.same_content(renamed));
+}
+
+TEST(Pipeline, ContentKeysWithEqualHashesStaySeparate) {
+    // Forge hash collisions: inputs with different content carry the same
+    // topo_hash. The placement and evaluation caches must keep them apart
+    // (their equality compares content, bit for bit), and an input with
+    // an earlier one's content at another address must hit.
+    const DesignSpec spec = make_benchmark("D_36_4");
+    const SynthesisConfig cfg = fast_cfg();
+    pipeline::SynthesisSession session(spec);
+    std::vector<std::shared_ptr<const pipeline::RoutingArtifact>> routed;
+    for (int k = 2; k <= spec.cores.num_cores() && routed.size() < 2; ++k) {
+        const auto part =
+            session.partition(pipeline::PartitionGraphId::pg(), k, cfg,
+                              cfg.partition, Rng(cfg.seed).state());
+        auto ra = session.route(
+            pipeline::phase1_assignment(*part, spec.cores), cfg);
+        if (ra->ok) routed.push_back(std::move(ra));
+    }
+    ASSERT_EQ(routed.size(), 2u);
+    ASSERT_FALSE(routed[0]->topo.same_content(routed[1]->topo));
+    const auto forge_routed = [](const pipeline::RoutingArtifact& r) {
+        auto f = std::make_shared<pipeline::RoutingArtifact>(r);
+        f->topo_hash = 42;
+        return f;
+    };
+    const auto before = session.stats();
+    const auto a = session.place(forge_routed(*routed[0]), cfg);
+    const auto b = session.place(forge_routed(*routed[1]), cfg);
+    EXPECT_EQ(session.place(forge_routed(*routed[0]), cfg), a);
+    const auto placed = session.stats() - before;
+    EXPECT_EQ(placed.placement.misses, 2);
+    EXPECT_EQ(placed.placement.hits, 1);
+    // Each placement equals its own, unforged placement on a cold session.
+    pipeline::SynthesisSession cold(spec);
+    EXPECT_TRUE(a->topo.same_content(cold.place(routed[0], cfg)->topo));
+    EXPECT_TRUE(b->topo.same_content(cold.place(routed[1], cfg)->topo));
+
+    // Evaluation: two placed topologies that differ only in the sign of
+    // a zero switch coordinate, which Point's == would call equal.
+    const auto forge_placed = [&](double x) {
+        auto f = std::make_shared<pipeline::PlacementArtifact>(*a);
+        f->topo.switch_at(0).position.x = x;
+        f->topo_hash = 7;
+        return f;
+    };
+    const auto mid = session.stats();
+    const auto plus = session.evaluate(forge_placed(0.0), cfg);
+    const auto minus = session.evaluate(forge_placed(-0.0), cfg);
+    EXPECT_EQ(session.evaluate(forge_placed(-0.0), cfg), minus);
+    const auto evaluated = session.stats() - mid;
+    EXPECT_EQ(evaluated.evaluation.misses, 2);
+    EXPECT_EQ(evaluated.evaluation.hits, 1);
+    EXPECT_NE(plus, minus);
+}
+
+TEST(Pipeline, ConcurrentRunsOnOneSessionCountExactlyAsSerial) {
+    // Four threads run one config on one session. Misses are
+    // single-flight, so every stage computes each distinct key once — as
+    // many misses as a serial cold run — and every other call is a hit.
+    const DesignSpec spec = make_benchmark("D_36_4");
+    SynthesisConfig cfg = fast_cfg();
+    cfg.run_floorplan = true;
+    const auto stages = [](const pipeline::SessionStats& s) {
+        return std::vector<pipeline::StageCounters>{
+            s.partition, s.routing, s.placement, s.position_lp,
+            s.evaluation};
+    };
+    pipeline::SynthesisSession serial(spec);
+    const SynthesisResult want = serial.run(cfg);
+    const auto serial_stages = stages(serial.stats());
+
+    constexpr int kThreads = 4;
+    for (int round = 0; round < 3; ++round) {
+        pipeline::SynthesisSession shared(spec);
+        std::vector<SynthesisResult> got(kThreads);
+        std::latch start(kThreads);
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                start.arrive_and_wait();
+                got[static_cast<std::size_t>(t)] = shared.run(cfg);
+            });
+        for (auto& th : threads) th.join();
+        for (const SynthesisResult& r : got) expect_same_results(r, want);
+        const auto shared_stages = stages(shared.stats());
+        for (std::size_t i = 0; i < serial_stages.size(); ++i) {
+            // The position-LP cache is only consulted by placement
+            // misses, so it sees the serial run's calls exactly once.
+            const long long runs = i == 3 ? 1 : kThreads;
+            const long long calls = runs * serial_stages[i].calls();
+            EXPECT_EQ(shared_stages[i].misses, serial_stages[i].misses)
+                << "stage " << i << " round " << round;
+            EXPECT_EQ(shared_stages[i].hits, calls - serial_stages[i].misses)
+                << "stage " << i << " round " << round;
+        }
+        EXPECT_EQ(shared.artifact_count(), serial.artifact_count());
+    }
+}
+
+TEST(Pipeline, ConcurrentFailingComputeReachesEveryThread) {
+    // A partition the partitioner rejects (k > |V|, or the NaN weights a
+    // NaN alpha gives the PG) throws inside the stage computation. Every
+    // thread that asked for the key — the one computing it and any that
+    // waited on it — gets the exception, none hangs, and the failed key
+    // leaves no cache entry.
+    const DesignSpec spec = make_benchmark("D_36_4");
+    const int n = spec.cores.num_cores();
+    SynthesisConfig nan_alpha = fast_cfg();
+    nan_alpha.alpha = std::numeric_limits<double>::quiet_NaN();
+    const struct {
+        SynthesisConfig cfg;
+        int k;
+    } cases[] = {{fast_cfg(), n + 1}, {nan_alpha, 2}};
+
+    constexpr int kThreads = 4;
+    for (const auto& c : cases) {
+        pipeline::SynthesisSession session(spec);
+        for (int round = 0; round < 5; ++round) {
+            std::atomic<int> threw{0};
+            std::latch start(kThreads);
+            std::vector<std::thread> threads;
+            for (int t = 0; t < kThreads; ++t)
+                threads.emplace_back([&] {
+                    start.arrive_and_wait();
+                    try {
+                        session.partition(pipeline::PartitionGraphId::pg(),
+                                          c.k, c.cfg, c.cfg.partition,
+                                          Rng(c.cfg.seed).state());
+                    } catch (const std::invalid_argument&) {
+                        threw.fetch_add(1);
+                    }
+                });
+            for (auto& th : threads) th.join();
+            EXPECT_EQ(threw.load(), kThreads) << "k=" << c.k;
+            EXPECT_EQ(session.artifact_count(), 0u);
+        }
+        const pipeline::StageCounters p = session.stats().partition;
+        EXPECT_EQ(p.misses, 0);
+        EXPECT_EQ(p.hits, 0);
+    }
 }
 
 }  // namespace
