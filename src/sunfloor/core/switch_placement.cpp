@@ -6,7 +6,6 @@
 
 #include "sunfloor/floorplan/standard_inserter.h"
 #include "sunfloor/lp/placement_lp.h"
-#include "sunfloor/util/strings.h"
 
 namespace sunfloor {
 
@@ -74,7 +73,7 @@ std::vector<TsvMacro> collect_tsv_macros(const Topology& topo,
         if (la == lb) continue;
         const auto macros = tsv_macros_for_link(
             la, topo.node_position(lk.src), lb, topo.node_position(lk.dst),
-            area, format("tsv_l%d", l));
+            area);
         for (const auto& m : macros)
             if (!m.embedded) all.push_back(m);  // embedded live inside ports
     }
@@ -83,70 +82,79 @@ std::vector<TsvMacro> collect_tsv_macros(const Topology& topo,
 
 }  // namespace
 
+std::vector<LayerInsertion> layer_insertions(const Topology& topo,
+                                             const DesignSpec& spec,
+                                             const SynthesisConfig& cfg) {
+    const int layers = std::max(1, spec.cores.num_layers());
+    std::vector<LayerInsertion> out(static_cast<std::size_t>(layers));
+    const auto macros = collect_tsv_macros(topo, cfg);
+    for (int ly = 0; ly < layers; ++ly) {
+        LayerInsertion& in = out[static_cast<std::size_t>(ly)];
+        in.core_ids = spec.cores.cores_in_layer(ly);
+        in.fixed.reserve(in.core_ids.size());
+        for (int id : in.core_ids)
+            in.fixed.push_back(spec.cores.core(id).rect());
+
+        // Switches of this layer (skip unused ones) then TSV macros.
+        for (int s = 0; s < topo.num_switches(); ++s) {
+            if (topo.switch_at(s).layer != ly) continue;
+            const int deg_in = topo.switch_in_degree(s);
+            const int deg_out = topo.switch_out_degree(s);
+            if (deg_in + deg_out == 0) continue;
+            const double area = cfg.eval.lib.switch_area_mm2(deg_in, deg_out);
+            const double side = std::sqrt(std::max(area, 1e-6));
+            in.blocks.push_back({side, side, topo.switch_at(s).position});
+            in.block_switch.push_back(s);
+        }
+        for (const auto& m : macros) {
+            if (m.layer != ly) continue;
+            const double side = std::sqrt(std::max(m.area_mm2, 1e-8));
+            in.blocks.push_back({side, side, m.preferred});
+            in.block_switch.push_back(-1);
+        }
+    }
+    return out;
+}
+
 FloorplanOutcome legalize_floorplan(Topology& topo, const DesignSpec& spec,
                                     const SynthesisConfig& cfg,
                                     bool use_standard, Rng& rng) {
     FloorplanOutcome out;
     out.used_standard_inserter = use_standard;
-    const int layers = std::max(1, spec.cores.num_layers());
+    const auto inputs = layer_insertions(topo, spec, cfg);
+    const int layers = static_cast<int>(inputs.size());
     out.layer_area_mm2.assign(static_cast<std::size_t>(layers), 0.0);
     out.layer_core_displacement.assign(static_cast<std::size_t>(layers), 0.0);
 
-    const auto macros = collect_tsv_macros(topo, cfg);
-
     for (int ly = 0; ly < layers; ++ly) {
-        const auto core_ids = spec.cores.cores_in_layer(ly);
-        std::vector<Rect> fixed;
-        fixed.reserve(core_ids.size());
-        for (int id : core_ids) fixed.push_back(spec.cores.core(id).rect());
-
-        // Switches of this layer (skip unused ones) then TSV macros.
-        std::vector<InsertBlock> blocks;
-        std::vector<int> block_switch;  // switch id per block, -1 for macros
-        for (int s = 0; s < topo.num_switches(); ++s) {
-            if (topo.switch_at(s).layer != ly) continue;
-            const int in = topo.switch_in_degree(s);
-            const int on = topo.switch_out_degree(s);
-            if (in + on == 0) continue;
-            const double area = cfg.eval.lib.switch_area_mm2(in, on);
-            const double side = std::sqrt(std::max(area, 1e-6));
-            blocks.push_back(
-                {side, side, topo.switch_at(s).position,
-                 topo.switch_at(s).name});
-            block_switch.push_back(s);
-        }
-        for (const auto& m : macros) {
-            if (m.layer != ly) continue;
-            const double side = std::sqrt(std::max(m.area_mm2, 1e-8));
-            blocks.push_back({side, side, m.preferred, m.label});
-            block_switch.push_back(-1);
-            ++out.tsv_macros_placed;
-        }
+        const LayerInsertion& in = inputs[static_cast<std::size_t>(ly)];
+        out.tsv_macros_placed += static_cast<int>(
+            std::count(in.block_switch.begin(), in.block_switch.end(), -1));
 
         InsertionResult ins;
-        if (blocks.empty()) {
-            ins.fixed_rects = fixed;
-            const Rect bb = bounding_box(fixed);
+        if (in.blocks.empty()) {
+            ins.fixed_rects = in.fixed;
+            const Rect bb = bounding_box(in.fixed);
             ins.die_width = bb.right();
             ins.die_height = bb.top();
         } else if (use_standard) {
             StandardInsertOptions sopts;
-            ins = insert_blocks_standard(fixed, blocks, sopts, rng);
+            ins = insert_blocks_standard(in.fixed, in.blocks, sopts, rng);
         } else {
-            ins = insert_blocks_custom(fixed, blocks);
+            ins = insert_blocks_custom(in.fixed, in.blocks);
         }
 
         // Write back displaced core geometry and legalized switch centers.
-        for (std::size_t i = 0; i < core_ids.size(); ++i) {
+        for (std::size_t i = 0; i < in.core_ids.size(); ++i) {
             const double d = manhattan(
                 ins.fixed_rects[i].center(),
-                spec.cores.core(core_ids[i]).center());
+                spec.cores.core(in.core_ids[i]).center());
             out.layer_core_displacement[static_cast<std::size_t>(ly)] += d;
-            topo.set_core_geometry(core_ids[i], ins.fixed_rects[i].center(),
+            topo.set_core_geometry(in.core_ids[i], ins.fixed_rects[i].center(),
                                    ly);
         }
-        for (std::size_t b = 0; b < blocks.size(); ++b) {
-            const int s = block_switch[b];
+        for (std::size_t b = 0; b < in.blocks.size(); ++b) {
+            const int s = in.block_switch[b];
             if (s >= 0)
                 topo.switch_at(s).position = ins.inserted_rects[b].center();
         }

@@ -56,6 +56,22 @@ struct FloorplanOutcome {
     bool used_standard_inserter = false;
 };
 
+/// What legalization hands the inserter for one layer.
+struct LayerInsertion {
+    std::vector<int> core_ids;  ///< the layer's cores (cores_in_layer order)
+    std::vector<Rect> fixed;    ///< their rects, parallel to core_ids
+    /// The layer's switches with links (in switch order), then its
+    /// free-standing TSV macros (in link order), centered at their ideals.
+    std::vector<InsertBlock> blocks;
+    std::vector<int> block_switch;  ///< switch id per block, -1 for a macro
+};
+
+/// The per-layer inputs legalize_floorplan inserts, one entry per layer
+/// (at least one).
+std::vector<LayerInsertion> layer_insertions(const Topology& topo,
+                                             const DesignSpec& spec,
+                                             const SynthesisConfig& cfg);
+
 /// Legalize the NoC components of `topo` into the floorplan of `spec`.
 /// `use_standard` selects the constrained-annealer baseline of Section
 /// VIII-D instead of the custom routine. Updates switch positions and core

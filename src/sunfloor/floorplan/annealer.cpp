@@ -1,11 +1,28 @@
 #include "sunfloor/floorplan/annealer.h"
 
 #include <cmath>
+#include <utility>
 
 #include "sunfloor/obs/metrics.h"
 #include "sunfloor/obs/trace.h"
 
 namespace sunfloor {
+
+namespace {
+
+// An unconstrained annealing move; applying it twice restores `sp`. Kind
+// 0 and 1 swap G+ or G- indices i and j, kind 2 swaps blocks i and j in
+// both sequences.
+void apply_swap(SequencePair& sp, int kind, int i, int j) {
+    if (kind == 0)
+        sp.swap_pos(i, j);
+    else if (kind == 1)
+        sp.swap_neg(i, j);
+    else
+        sp.swap_both(i, j);
+}
+
+}  // namespace
 
 double floorplan_cost(const Packing& packing, const std::vector<BlockDim>& dims,
                       const std::vector<FloorplanNet>& nets,
@@ -66,7 +83,12 @@ AnnealResult anneal_floorplan(const std::vector<BlockDim>& dims,
         return result;
     }
 
-    Packing packing = sp.pack(dims);
+    // Moves apply to `sp` in place and are undone on rejection; candidates
+    // pack into `cand`, which trades places with `packing` on acceptance.
+    SequencePair::PackBuffers buffers;
+    Packing packing;
+    Packing cand;
+    sp.pack(dims, packing, buffers);
     double cost = floorplan_cost(packing, dims, nets, opts, targets, target_weights);
     SequencePair best_sp = sp;
     double best_cost = cost;
@@ -79,41 +101,53 @@ AnnealResult anneal_floorplan(const std::vector<BlockDim>& dims,
     const bool constrained = movable != nullptr;
     while (temp > t_final) {
         for (int m = 0; m < moves_per_temp; ++m) {
-            SequencePair cand = sp;
+            // The move, kept to undo it: block b reinserted from indices
+            // `was` (constrained), or swap `kind` of i and j.
+            int b = -1;
+            std::pair<int, int> was{};
+            int kind = 0;
+            int i = 0;
+            int j = 0;
             if (constrained) {
                 // Only reposition movable blocks; the relative order of
                 // everything else is untouched (Section VIII-D baseline).
-                const int b = movable_ids[static_cast<std::size_t>(
+                // The G- index is drawn before the G+ one; results
+                // depend on the order.
+                b = movable_ids[static_cast<std::size_t>(
                     rng.next_below(movable_ids.size()))];
-                cand.reinsert(b, rng.next_int(0, n - 1),
-                              rng.next_int(0, n - 1));
+                const int to_gn = rng.next_int(0, n - 1);
+                const int to_gp = rng.next_int(0, n - 1);
+                was = sp.reinsert(b, to_gp, to_gn);
             } else {
-                const int kind = rng.next_int(0, 2);
-                const int i = rng.next_int(0, n - 1);
-                int j = rng.next_int(0, n - 2);
+                kind = rng.next_int(0, 2);
+                i = rng.next_int(0, n - 1);
+                j = rng.next_int(0, n - 2);
                 if (j >= i) ++j;
-                if (kind == 0)
-                    cand.swap_pos(i, j);
-                else if (kind == 1)
-                    cand.swap_neg(i, j);
-                else
-                    cand.swap_both(cand.gamma_pos()[static_cast<std::size_t>(i)],
-                                   cand.gamma_pos()[static_cast<std::size_t>(j)]);
+                if (kind == 2) {
+                    // The blocks at G+ indices i and j, named before the
+                    // swap so that applying it again undoes it.
+                    i = sp.gamma_pos()[static_cast<std::size_t>(i)];
+                    j = sp.gamma_pos()[static_cast<std::size_t>(j)];
+                }
+                apply_swap(sp, kind, i, j);
             }
-            const Packing cand_packing = cand.pack(dims);
+            sp.pack(dims, cand, buffers);
             const double cand_cost =
-                floorplan_cost(cand_packing, dims, nets, opts, targets, target_weights);
+                floorplan_cost(cand, dims, nets, opts, targets, target_weights);
             ++result.total_moves;
             const double delta = cand_cost - cost;
             if (delta <= 0.0 || rng.next_double() < std::exp(-delta / temp)) {
-                sp = std::move(cand);
-                packing = cand_packing;
+                std::swap(packing, cand);
                 cost = cand_cost;
                 ++result.accepted_moves;
                 if (cost < best_cost) {
                     best_cost = cost;
                     best_sp = sp;
                 }
+            } else if (constrained) {
+                sp.reinsert(b, was.first, was.second);
+            } else {
+                apply_swap(sp, kind, i, j);
             }
         }
         temp *= opts.cooling;

@@ -9,9 +9,22 @@ namespace sunfloor {
 
 namespace {
 
-bool overlaps_any(const Rect& r, const std::vector<Rect>& placed) {
-    for (const auto& p : placed)
-        if (r.overlaps(p)) return true;
+constexpr std::size_t kNoBlocker = static_cast<std::size_t>(-1);
+
+// True when `r` overlaps a rect of `placed`. `blocker` (an index into
+// `placed`, or kNoBlocker) is tested first and left at the rect found to
+// overlap: consecutive candidates of one spiral lane mostly hit the same
+// block, so a blocked candidate usually costs one test. The answer does
+// not depend on the order of the tests.
+bool overlaps_any(const Rect& r, const std::vector<Rect>& placed,
+                  std::size_t& blocker) {
+    if (blocker < placed.size() && r.overlaps(placed[blocker])) return true;
+    for (std::size_t k = 0; k < placed.size(); ++k) {
+        if (r.overlaps(placed[k])) {
+            blocker = k;
+            return true;
+        }
+    }
     return false;
 }
 
@@ -34,13 +47,16 @@ bool find_free_space(const InsertBlock& b, const std::vector<Rect>& placed,
         std::max(opts.min_search_radius_ratio * std::max(b.w, b.h),
                  opts.max_search_radius_die_ratio * die_half_perimeter) +
         step;
+    // The block that stopped each lane's (ring side's) last candidate.
+    std::size_t blocker[4] = {kNoBlocker, kNoBlocker, kNoBlocker, kNoBlocker};
     for (double r = 0.0; r <= rmax; r += step) {
         if (r == 0.0) {
             const Rect cand = centered_rect(b.ideal.x, b.ideal.y, b.w, b.h);
-            if (!overlaps_any(cand, placed)) {
+            if (!overlaps_any(cand, placed, blocker[0])) {
                 *out = cand;
                 return true;
             }
+            blocker[1] = blocker[2] = blocker[3] = blocker[0];
             continue;
         }
         // Walk the square ring of radius r.
@@ -49,10 +65,11 @@ bool find_free_space(const InsertBlock& b, const std::vector<Rect>& placed,
                                         {b.ideal.x + t, b.ideal.y + r},
                                         {b.ideal.x - r, b.ideal.y + t},
                                         {b.ideal.x + r, b.ideal.y + t}};
-            for (const auto& c : candidates) {
+            for (int lane = 0; lane < 4; ++lane) {
+                const Point& c = candidates[lane];
                 if (c.x < 0.0 && c.y < 0.0) continue;
                 const Rect cand = centered_rect(c.x, c.y, b.w, b.h);
-                if (!overlaps_any(cand, placed)) {
+                if (!overlaps_any(cand, placed, blocker[lane])) {
                     *out = cand;
                     return true;
                 }
@@ -125,22 +142,26 @@ InsertionResult insert_blocks_custom(const std::vector<Rect>& fixed,
     res.fixed_rects = fixed;
 
     // `placed` = fixed blocks followed by already inserted components.
+    // try_x and try_y hold the two displacement trials.
     std::vector<Rect> placed = fixed;
+    std::vector<Rect> try_x;
+    std::vector<Rect> try_y;
     const Rect die0 = bounding_box(fixed);
     const double die_half_perimeter = die0.w + die0.h;
     for (const auto& b : blocks) {
         // Candidate 1: nearest free space — zero displacement, possibly
         // some deviation from the ideal and some die growth when the spot
-        // lies outside the current outline.
+        // lies outside the current outline. bounding_box folds united()
+        // left to right, so uniting the spot last is the box of `placed`
+        // plus the spot.
         Rect free_spot;
         const bool have_free =
             find_free_space(b, placed, opts, die_half_perimeter, &free_spot);
-        const double area_before = bbox_area(placed);
+        const Rect box_before = bounding_box(placed);
+        const double area_before = box_before.area();
         double free_cost = kNoCandidate;
         if (have_free) {
-            std::vector<Rect> with_free = placed;
-            with_free.push_back(free_spot);
-            free_cost = (bbox_area(with_free) - area_before) +
+            free_cost = (box_before.united(free_spot).area() - area_before) +
                         opts.deviation_cost_mm2_per_mm *
                             manhattan(free_spot.center(),
                                       {b.ideal.x, b.ideal.y});
@@ -163,17 +184,19 @@ InsertionResult insert_blocks_custom(const std::vector<Rect>& fixed,
                 break;
             }
         }
-        std::vector<Rect> try_x = placed;
+        try_x = placed;
         const double moved_x = displace(try_x, seam_x, true);
-        std::vector<Rect> try_y = placed;
+        try_y = placed;
         const double moved_y = displace(try_y, seam_y, false);
         try_x.push_back(seam_x);
         try_y.push_back(seam_y);
-        const bool x_wins = bbox_area(try_x) <= bbox_area(try_y);
+        const double area_x = bbox_area(try_x);
+        const double area_y = bbox_area(try_y);
+        const bool x_wins = area_x <= area_y;
         auto& displaced = x_wins ? try_x : try_y;
         const Rect at_seam = x_wins ? seam_x : seam_y;
         const double displace_cost =
-            (bbox_area(displaced) - area_before) +
+            ((x_wins ? area_x : area_y) - area_before) +
             opts.deviation_cost_mm2_per_mm *
                 manhattan(at_seam.center(), {b.ideal.x, b.ideal.y});
 
@@ -182,7 +205,7 @@ InsertionResult insert_blocks_custom(const std::vector<Rect>& fixed,
             placed.push_back(free_spot);
             where = free_spot;
         } else {
-            placed = std::move(displaced);
+            placed.swap(displaced);
             res.total_displacement += x_wins ? moved_x : moved_y;
             where = at_seam;
         }

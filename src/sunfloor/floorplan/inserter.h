@@ -9,7 +9,6 @@
 // direction. Later components re-use gaps created by earlier ones.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "sunfloor/util/geometry.h"
@@ -21,7 +20,6 @@ struct InsertBlock {
     double w = 0.0;
     double h = 0.0;
     Point ideal{};  ///< desired center (from the switch-position LP)
-    std::string label;
 };
 
 struct InsertionOptions {

@@ -5,9 +5,11 @@
 // A sequence pair (G+, G-) encodes the relative position of every block
 // pair: a before b in both sequences means a is left of b; a before b in
 // G+ only means a is above b. Packing evaluates the induced horizontal and
-// vertical constraint graphs by longest path.
+// vertical constraint graphs by longest path, in O(n log n) (FAST-SP, Tang
+// and Wong, ASP-DAC 2001).
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "sunfloor/util/geometry.h"
@@ -54,24 +56,45 @@ class SequencePair {
     const std::vector<int>& gamma_pos() const { return gp_; }
     const std::vector<int>& gamma_neg() const { return gn_; }
 
-    /// Evaluate: longest-path packing of the constraint graphs. O(n^2).
+    /// Reusable working storage for pack().
+    struct PackBuffers {
+        std::vector<double> left;   ///< Fenwick maxima of x + w by G+ index
+        std::vector<double> below;  ///< the same of y + h, indices reversed
+    };
+
+    /// Evaluate: longest-path packing of the constraint graphs. Blocks are
+    /// placed in G- order, each at the largest x + w of its left-of
+    /// predecessors (lower G+ rank) and the largest y + h of its below
+    /// predecessors (higher G+ rank), both read from Fenwick trees of
+    /// running maxima over G+ rank: O(n log n). A maximum does not depend
+    /// on the order its operands are taken in, so every coordinate equals
+    /// the pairwise scan's bit for bit.
     Packing pack(const std::vector<BlockDim>& dims) const;
+    /// The same into `out`, reusing the storage of `out` and `buffers`.
+    void pack(const std::vector<BlockDim>& dims, Packing& out,
+              PackBuffers& buffers) const;
 
     // --- annealing moves -------------------------------------------------
-    /// Swap two blocks in G+ only.
+    // Each move is undone in place: a swap by applying it again, a
+    // reinsert by reinserting the block at the indices it returned. Swaps
+    // take O(1), a reinsert O(distance moved).
+    /// Swap the blocks at G+ indices i and j.
     void swap_pos(int i, int j);
-    /// Swap two blocks in G- only.
+    /// Swap the blocks at G- indices i and j.
     void swap_neg(int i, int j);
     /// Swap two blocks in both sequences.
     void swap_both(int block_a, int block_b);
     /// Remove `block` from both sequences and reinsert at the given
     /// positions (0..n-1). Used by the constrained standard inserter, which
-    /// may only reposition NoC blocks.
-    void reinsert(int block, int pos_in_gp, int pos_in_gn);
+    /// may only reposition NoC blocks. Returns the block's previous
+    /// (G+, G-) indices.
+    std::pair<int, int> reinsert(int block, int pos_in_gp, int pos_in_gn);
 
   private:
-    std::vector<int> gp_;  ///< gamma plus
-    std::vector<int> gn_;  ///< gamma minus
+    std::vector<int> gp_;    ///< gamma plus
+    std::vector<int> gn_;    ///< gamma minus
+    std::vector<int> at_p_;  ///< index in G+ of each block
+    std::vector<int> at_n_;  ///< index in G- of each block
 };
 
 }  // namespace sunfloor

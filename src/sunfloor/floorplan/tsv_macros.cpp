@@ -2,14 +2,11 @@
 
 #include <algorithm>
 
-#include "sunfloor/util/strings.h"
-
 namespace sunfloor {
 
 std::vector<TsvMacro> tsv_macros_for_link(int layer_a, Point pos_a,
                                           int layer_b, Point pos_b,
-                                          double macro_area_mm2,
-                                          const std::string& label) {
+                                          double macro_area_mm2) {
     std::vector<TsvMacro> out;
     if (layer_a == layer_b) return out;
     if (layer_a > layer_b) {
@@ -25,8 +22,7 @@ std::vector<TsvMacro> tsv_macros_for_link(int layer_a, Point pos_a,
                        pos_a.y + t * (pos_b.y - pos_a.y)};
         m.area_mm2 = macro_area_mm2;
         m.embedded = (ly == layer_b);
-        m.label = format("%s@L%d", label.c_str(), ly);
-        out.push_back(std::move(m));
+        out.push_back(m);
     }
     return out;
 }

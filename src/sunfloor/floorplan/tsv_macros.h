@@ -10,7 +10,6 @@
 // interpolates between the endpoints.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "sunfloor/util/geometry.h"
@@ -24,7 +23,6 @@ struct TsvMacro {
     /// True when the macro is embedded in a switch/NI port on this layer
     /// (the link's top end) rather than free-standing.
     bool embedded = false;
-    std::string label;
 };
 
 /// Macros needed by one vertical link between (layer_a, pos_a) and
@@ -33,7 +31,6 @@ struct TsvMacro {
 /// TsvModel::macro_area_mm2.
 std::vector<TsvMacro> tsv_macros_for_link(int layer_a, Point pos_a,
                                           int layer_b, Point pos_b,
-                                          double macro_area_mm2,
-                                          const std::string& label);
+                                          double macro_area_mm2);
 
 }  // namespace sunfloor

@@ -15,6 +15,11 @@ int CoreSpec::add_core(Core core) {
             "CoreSpec: core geometry must be finite");
     if (core.width <= 0.0 || core.height <= 0.0)
         throw std::invalid_argument("CoreSpec: core size must be positive");
+    // Floorplans live in the first quadrant: the position solve keeps
+    // switches at x, y >= 0 and the NoC inserter clamps to it.
+    if (core.position.x < 0.0 || core.position.y < 0.0)
+        throw std::invalid_argument(
+            "CoreSpec: core position must be non-negative");
     if (core.layer < 0)
         throw std::invalid_argument("CoreSpec: negative layer");
     if (find(core.name) >= 0)

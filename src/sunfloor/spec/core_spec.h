@@ -27,7 +27,8 @@ struct Core {
 class CoreSpec {
   public:
     /// Add a core; returns its id. Throws std::invalid_argument on
-    /// duplicate name, non-positive size or non-finite geometry.
+    /// duplicate name, non-positive size, non-finite geometry or a
+    /// negative x or y.
     int add_core(Core core);
 
     int num_cores() const { return static_cast<int>(cores_.size()); }

@@ -6,6 +6,9 @@
 //   core <name> <width_mm> <height_mm> <x_mm> <y_mm> <layer>
 //   flow <src_core> <dst_core> <bw_mbps> <max_latency_cycles> <req|rsp>
 //
+// Sizes are positive, x and y (the lower-left corner) non-negative: a
+// floorplan lives in the first quadrant.
+//
 // Example:
 //   core arm0 1.2 1.0  0.0 0.0  0
 //   core mem0 0.8 0.8  1.3 0.0  1
@@ -29,8 +32,9 @@ struct DesignSpec {
 };
 
 /// Outcome of a parse; on failure `error` names the line and problem
-/// (malformed or non-finite numbers, undeclared cores, out-of-range
-/// layers, duplicate core or flow declarations).
+/// (malformed or non-finite numbers, negative core coordinates,
+/// undeclared cores, out-of-range layers, duplicate core or flow
+/// declarations).
 struct ParseResult {
     bool ok = false;
     DesignSpec spec;

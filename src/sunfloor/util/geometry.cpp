@@ -2,16 +2,8 @@
 
 namespace sunfloor {
 
-double manhattan(const Point& a, const Point& b) {
-    return std::abs(a.x - b.x) + std::abs(a.y - b.y);
-}
-
 double euclidean(const Point& a, const Point& b) {
     return std::hypot(a.x - b.x, a.y - b.y);
-}
-
-bool Rect::overlaps(const Rect& o) const {
-    return x < o.right() && o.x < right() && y < o.top() && o.y < top();
 }
 
 double Rect::overlap_area(const Rect& o) const {

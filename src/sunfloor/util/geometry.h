@@ -20,8 +20,11 @@ struct Point {
 };
 
 /// Manhattan (L1) distance between two points, the metric used by the
-/// switch-position LP of the paper (Section VII, Eq. 2-3).
-double manhattan(const Point& a, const Point& b);
+/// switch-position LP of the paper (Section VII, Eq. 2-3). Inline: the
+/// annealer's cost takes one per net per move.
+inline double manhattan(const Point& a, const Point& b) {
+    return std::abs(a.x - b.x) + std::abs(a.y - b.y);
+}
 
 /// Euclidean distance; used only for reporting.
 double euclidean(const Point& a, const Point& b);
@@ -40,8 +43,11 @@ struct Rect {
     Point center() const { return {x + w / 2.0, y + h / 2.0}; }
 
     /// True when the two rectangles share interior area (touching edges do
-    /// not count as overlap; floorplans may abut blocks).
-    bool overlaps(const Rect& o) const;
+    /// not count as overlap; floorplans may abut blocks). Inline: the NoC
+    /// inserter tests millions of candidates per synthesis.
+    bool overlaps(const Rect& o) const {
+        return x < o.right() && o.x < right() && y < o.top() && o.y < top();
+    }
 
     /// Area of the intersection (0 when disjoint).
     double overlap_area(const Rect& o) const;

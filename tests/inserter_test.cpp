@@ -16,7 +16,7 @@ double overlap_of(const InsertionResult& r) {
 TEST(Inserter, PlacesIntoFreeSpaceAtIdeal) {
     // Empty floorplan around the ideal: block goes exactly there.
     const std::vector<Rect> fixed{{0, 0, 2, 2}};
-    const std::vector<InsertBlock> blocks{{0.5, 0.5, {5.0, 5.0}, "sw"}};
+    const std::vector<InsertBlock> blocks{{0.5, 0.5, {5.0, 5.0}}};
     const auto r = insert_blocks_custom(fixed, blocks);
     EXPECT_NEAR(r.inserted_rects[0].center().x, 5.0, 1e-9);
     EXPECT_NEAR(r.inserted_rects[0].center().y, 5.0, 1e-9);
@@ -27,7 +27,7 @@ TEST(Inserter, PlacesIntoFreeSpaceAtIdeal) {
 TEST(Inserter, FindsNearbyGap) {
     // Ideal sits on a core; a gap exists just right of it.
     const std::vector<Rect> fixed{{0, 0, 2, 2}, {3, 0, 2, 2}};
-    const std::vector<InsertBlock> blocks{{0.8, 0.8, {1.0, 1.0}, "sw"}};
+    const std::vector<InsertBlock> blocks{{0.8, 0.8, {1.0, 1.0}}};
     const auto r = insert_blocks_custom(fixed, blocks);
     EXPECT_DOUBLE_EQ(overlap_of(r), 0.0);
     // Should use the gap (2..3) x or space above, not displace anything.
@@ -42,7 +42,7 @@ TEST(Inserter, DisplacesWhenDenseAndStaysLegal) {
     for (int i = 0; i < 3; ++i)
         for (int j = 0; j < 3; ++j)
             fixed.push_back({i * 2.0, j * 2.0, 2.0, 2.0});
-    const std::vector<InsertBlock> blocks{{1.0, 1.0, {3.0, 3.0}, "sw"}};
+    const std::vector<InsertBlock> blocks{{1.0, 1.0, {3.0, 3.0}}};
     InsertionOptions opts;
     opts.max_search_radius_die_ratio = 0.01;  // force displacement
     opts.min_search_radius_ratio = 0.1;
@@ -58,7 +58,7 @@ TEST(Inserter, ManyInsertionsReuseGaps) {
     for (int i = 0; i < 4; ++i) fixed.push_back({i * 2.0, 0.0, 2.0, 2.0});
     std::vector<InsertBlock> blocks;
     for (int b = 0; b < 6; ++b)
-        blocks.push_back({0.4, 0.4, {1.0 + b * 1.0, 1.0}, "sw"});
+        blocks.push_back({0.4, 0.4, {1.0 + b * 1.0, 1.0}});
     const auto r = insert_blocks_custom(fixed, blocks);
     EXPECT_DOUBLE_EQ(overlap_of(r), 0.0);
     EXPECT_EQ(r.inserted_rects.size(), 6u);
@@ -72,8 +72,8 @@ TEST(Inserter, EmptyBlocksListKeepsFloorplan) {
 }
 
 TEST(Inserter, EmptyFloorplanAcceptsBlocks) {
-    const std::vector<InsertBlock> blocks{{1.0, 1.0, {2.0, 2.0}, "a"},
-                                          {1.0, 1.0, {2.0, 2.0}, "b"}};
+    const std::vector<InsertBlock> blocks{{1.0, 1.0, {2.0, 2.0}},
+                                          {1.0, 1.0, {2.0, 2.0}}};
     const auto r = insert_blocks_custom({}, blocks);
     EXPECT_DOUBLE_EQ(overlap_of(r), 0.0);
     EXPECT_EQ(r.inserted_rects.size(), 2u);
@@ -84,8 +84,8 @@ TEST(StandardInserter, ProducesLegalFloorplan) {
     for (int i = 0; i < 3; ++i)
         for (int j = 0; j < 3; ++j)
             fixed.push_back({i * 2.0, j * 2.0, 2.0, 2.0});
-    std::vector<InsertBlock> blocks{{0.5, 0.5, {3.0, 3.0}, "s0"},
-                                    {0.5, 0.5, {1.0, 5.0}, "s1"}};
+    std::vector<InsertBlock> blocks{{0.5, 0.5, {3.0, 3.0}},
+                                    {0.5, 0.5, {1.0, 5.0}}};
     StandardInsertOptions opts;
     Rng rng(11);
     const auto r = insert_blocks_standard(fixed, blocks, opts, rng);
@@ -98,7 +98,7 @@ TEST(StandardInserter, CoreRelativeOrderMaintained) {
     // Cores in a strict left-to-right row: the constrained annealer may
     // not swap them (the paper's "maintaining the relative positions").
     std::vector<Rect> fixed{{0, 0, 1, 1}, {2, 0, 1, 1}, {4, 0, 1, 1}};
-    std::vector<InsertBlock> blocks{{0.4, 0.4, {2.5, 0.5}, "sw"}};
+    std::vector<InsertBlock> blocks{{0.4, 0.4, {2.5, 0.5}}};
     StandardInsertOptions opts;
     Rng rng(12);
     const auto r = insert_blocks_standard(fixed, blocks, opts, rng);
@@ -115,7 +115,7 @@ TEST(InserterComparison, CustomTracksIdealsBetter) {
             fixed.push_back({i * 2.5, j * 2.5, 2.0, 2.0});  // 0.5 mm streets
     std::vector<InsertBlock> blocks;
     for (int b = 0; b < 4; ++b)
-        blocks.push_back({0.4, 0.4, {2.2 + b * 0.8, 2.2}, "sw"});
+        blocks.push_back({0.4, 0.4, {2.2 + b * 0.8, 2.2}});
     const auto custom = insert_blocks_custom(fixed, blocks);
     EXPECT_DOUBLE_EQ(overlap_of(custom), 0.0);
     EXPECT_LT(custom.total_deviation / 4.0, 1.5);  // avg < 1.5 mm

@@ -292,6 +292,12 @@ TEST(ServiceProto, BuildJobRequestPassesSpecErrorsThroughPrefixed) {
     EXPECT_FALSE(build_job_request(sr, jr, error));
     EXPECT_EQ(error.rfind("spec: ", 0), 0u) << error;
     EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+
+    // A core outside the first quadrant is a spec error too.
+    sr.spec_text = "core a 1 1 0 0 0\ncore b 1 1 -2 0 0\n";
+    EXPECT_FALSE(build_job_request(sr, jr, error));
+    EXPECT_EQ(error.rfind("spec: line 2: ", 0), 0u) << error;
+    EXPECT_NE(error.find("non-negative"), std::string::npos) << error;
 }
 
 // ------------------------------------------------------- address parsing

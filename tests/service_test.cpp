@@ -416,8 +416,8 @@ TEST(ServiceEngine, ConcurrentIdenticalSubmitsCoalesceToOneComputation) {
     // queued — and therefore coalescable — for the whole submit burst,
     // however unfairly the submitter threads get scheduled.
     const DesignSpec blocker_spec =
-        small_spec(specgen::GenFamily::Pipeline, 20, 70);
-    JobParams blocker_params;  // floorplan on: tens of milliseconds
+        small_spec(specgen::GenFamily::Pipeline, 64, 70);
+    JobParams blocker_params;  // floorplan on: ~150 ms on a 4-vCPU host
     const Submission blocker = engine.submit(
         make_request(blocker_spec, JobKind::Synth, blocker_params));
     ASSERT_TRUE(blocker.accepted) << blocker.error;

@@ -34,6 +34,14 @@ TEST(CoreSpec, RejectsDuplicatesAndBadSizes) {
     EXPECT_THROW(cs.add_core(make_core("a", 1, 1, 0)), std::invalid_argument);
     EXPECT_THROW(cs.add_core(make_core("b", 0, 1, 0)), std::invalid_argument);
     EXPECT_THROW(cs.add_core(make_core("c", 1, 1, -1)), std::invalid_argument);
+    // Floorplans live in the first quadrant.
+    Core neg_x = make_core("d", 1, 1, 0);
+    neg_x.position = {-0.5, 2.0};
+    EXPECT_THROW(cs.add_core(neg_x), std::invalid_argument);
+    Core neg_y = make_core("e", 1, 1, 0);
+    neg_y.position = {2.0, -1e-9};
+    EXPECT_THROW(cs.add_core(neg_y), std::invalid_argument);
+    EXPECT_EQ(cs.num_cores(), 1);
 }
 
 TEST(CoreSpec, LayerQueries) {
@@ -224,6 +232,14 @@ TEST(Parser, ErrorsNameTheOffendingLine) {
     const std::string layer = error_of("core a 1 1 0 0 2000000\n");
     EXPECT_NE(layer.find("line 1"), std::string::npos) << layer;
     EXPECT_NE(layer.find("out of range"), std::string::npos) << layer;
+
+    // A negative coordinate is rejected naming the line.
+    for (const char* text : {"core a 1 1 0 0 0\ncore b 1 1 -5 2 0\n",
+                             "core a 1 1 0 0 0\ncore b 1 1 2 -0.1 0\n"}) {
+        const std::string err = error_of(text);
+        EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+        EXPECT_NE(err.find("non-negative"), std::string::npos) << err;
+    }
 
     // Non-finite numbers anywhere are malformed fields, with the line.
     for (const char* text :

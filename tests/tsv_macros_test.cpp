@@ -7,11 +7,11 @@ namespace sunfloor {
 namespace {
 
 TEST(TsvMacros, IntraLayerLinkNeedsNoMacros) {
-    EXPECT_TRUE(tsv_macros_for_link(1, {0, 0}, 1, {3, 3}, 0.01, "l").empty());
+    EXPECT_TRUE(tsv_macros_for_link(1, {0, 0}, 1, {3, 3}, 0.01).empty());
 }
 
 TEST(TsvMacros, AdjacentLayersOneEmbeddedMacro) {
-    const auto m = tsv_macros_for_link(0, {0, 0}, 1, {2, 2}, 0.01, "l");
+    const auto m = tsv_macros_for_link(0, {0, 0}, 1, {2, 2}, 0.01);
     ASSERT_EQ(m.size(), 1u);
     EXPECT_EQ(m[0].layer, 1);
     EXPECT_TRUE(m[0].embedded);  // lives in the destination port
@@ -22,7 +22,7 @@ TEST(TsvMacros, AdjacentLayersOneEmbeddedMacro) {
 TEST(TsvMacros, MultiLayerLinkGetsIntermediateMacros) {
     // Layer 0 to layer 3: macros on layers 1, 2 (free-standing) and 3
     // (embedded), positions interpolated along the span (Fig. 2).
-    const auto m = tsv_macros_for_link(0, {0, 0}, 3, {6, 3}, 0.02, "v");
+    const auto m = tsv_macros_for_link(0, {0, 0}, 3, {6, 3}, 0.02);
     ASSERT_EQ(m.size(), 3u);
     EXPECT_EQ(m[0].layer, 1);
     EXPECT_FALSE(m[0].embedded);
@@ -37,20 +37,13 @@ TEST(TsvMacros, MultiLayerLinkGetsIntermediateMacros) {
 }
 
 TEST(TsvMacros, EndpointOrderIrrelevant) {
-    const auto up = tsv_macros_for_link(0, {0, 0}, 2, {4, 0}, 0.01, "a");
-    const auto down = tsv_macros_for_link(2, {4, 0}, 0, {0, 0}, 0.01, "a");
+    const auto up = tsv_macros_for_link(0, {0, 0}, 2, {4, 0}, 0.01);
+    const auto down = tsv_macros_for_link(2, {4, 0}, 0, {0, 0}, 0.01);
     ASSERT_EQ(up.size(), down.size());
     for (std::size_t i = 0; i < up.size(); ++i) {
         EXPECT_EQ(up[i].layer, down[i].layer);
         EXPECT_NEAR(up[i].preferred.x, down[i].preferred.x, 1e-12);
     }
-}
-
-TEST(TsvMacros, LabelsIdentifyLayer) {
-    const auto m = tsv_macros_for_link(0, {0, 0}, 2, {0, 0}, 0.01, "link7");
-    ASSERT_EQ(m.size(), 2u);
-    EXPECT_EQ(m[0].label, "link7@L1");
-    EXPECT_EQ(m[1].label, "link7@L2");
 }
 
 }  // namespace
