@@ -19,7 +19,7 @@ void describe(const char* tag, const DesignPoint& p, const DesignSpec& spec) {
         "%s: %d switches, %.2f mW NoC power, %.2f cycles avg latency, "
         "%d inter-layer links (max boundary %d)\n",
         tag, p.switch_count, p.report.power.noc_mw(),
-        p.report.avg_latency_cycles, p.topo.total_inter_layer_links(),
+        p.report.avg_latency_cycles, p.topo->total_inter_layer_links(),
         p.report.max_ill_used);
     save_topology_dot(std::string(tag) + "_topology.dot", p.topo, spec);
     for (int ly = 0; ly < spec.cores.num_layers(); ++ly)
@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
     std::printf(
         "\nexpected shape: Phase 2 uses far fewer inter-layer links (%d vs "
         "%d) but has higher zero-load latency (%.2f vs %.2f cycles).\n",
-        b2->topo.total_inter_layer_links(),
-        b1->topo.total_inter_layer_links(), b2->report.avg_latency_cycles,
+        b2->topo->total_inter_layer_links(),
+        b1->topo->total_inter_layer_links(), b2->report.avg_latency_cycles,
         b1->report.avg_latency_cycles);
     std::printf("artefacts: fig13_phase1_*.dot/svg, fig14_phase2_*.dot/svg "
                 "(Fig. 15 = the *_layer*.svg floorplans)\n");

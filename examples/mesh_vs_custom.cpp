@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
         if (mesh.topo.switch_in_degree(s) + mesh.topo.switch_out_degree(s) > 0)
             ++mesh_switch_count;
     line("custom", custom.report.power.noc_mw(),
-         custom.report.avg_latency_cycles, custom.topo.num_switches(),
-         custom.topo.num_links());
+         custom.report.avg_latency_cycles, custom.topo->num_switches(),
+         custom.topo->num_links());
     line("mesh", mesh_rep.power.noc_mw(), mesh_rep.avg_latency_cycles,
          mesh_switch_count, mesh.topo.num_links());
     std::printf("\ncustom saves %.1f%% power and %.1f%% latency\n",

@@ -11,6 +11,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,7 +36,7 @@ class Enc {
         u32(static_cast<std::uint32_t>(s.size()));
         out_.append(s);
     }
-    void ints(const std::vector<int>& v) {
+    void ints(std::span<const int> v) {
         u32(static_cast<std::uint32_t>(v.size()));
         for (int x : v) i32(x);
     }

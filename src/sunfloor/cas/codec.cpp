@@ -61,9 +61,10 @@ void enc_topology(Enc& e, const Topology& t) {
 /// Rebuild a Topology through its public mutators: construct from the
 /// spec's cores, restore per-core geometry snapshots, append switches and
 /// links *in serialized order* (add_parallel_link never dedups, so ids are
-/// preserved), replay the flow paths (which re-runs set_flow_path's
-/// contiguity/class invariants), then patch each link's accumulated
-/// bandwidth to the exact serialized bits.
+/// preserved), replay the flow paths in flow order (which re-runs
+/// set_flow_path's id/contiguity/class invariants), then patch each
+/// link's accumulated bandwidth to the exact serialized bits. The caller
+/// publishes the result as its artifact's shared topology.
 std::optional<Topology> dec_topology(Dec& d, const DesignSpec& spec) {
     const int num_cores = d.i32();
     if (!d.ok() || num_cores != spec.cores.num_cores()) return std::nullopt;
@@ -215,7 +216,7 @@ std::optional<pipeline::PartitionArtifact> decode_partition(
 std::string encode_routing(const pipeline::RoutingArtifact& a) {
     Enc e;
     e.u8(kTagRouting);
-    enc_topology(e, a.topo);
+    enc_topology(e, *a.topo);
     e.u8(a.ok ? 1 : 0);
     e.str(a.fail_reason);
     e.i32(a.failed_flows);
@@ -235,7 +236,7 @@ std::optional<pipeline::RoutingArtifact> decode_routing(
     a.failed_flows = d.i32();
     a.capacity_violations = d.i32();
     if (!d.done()) return std::nullopt;
-    a.topo_hash = a.topo.content_hash();
+    a.topo_hash = a.topo->content_hash();
     return a;
 }
 
@@ -244,7 +245,7 @@ std::optional<pipeline::RoutingArtifact> decode_routing(
 std::string encode_placement(const pipeline::PlacementArtifact& a) {
     Enc e;
     e.u8(kTagPlacement);
-    enc_topology(e, a.topo);
+    enc_topology(e, *a.topo);
     e.doubles(a.layer_die_area_mm2);
     return e.take();
 }
@@ -258,7 +259,7 @@ std::optional<pipeline::PlacementArtifact> decode_placement(
     pipeline::PlacementArtifact a(std::move(*topo));
     a.layer_die_area_mm2 = d.doubles();
     if (!d.done()) return std::nullopt;
-    a.topo_hash = a.topo.content_hash();
+    a.topo_hash = a.topo->content_hash();
     return a;
 }
 
@@ -270,7 +271,7 @@ std::string encode_evaluation(const pipeline::EvaluatedDesign& a) {
     e.str(a.point.phase);
     e.i32(a.point.switch_count);
     e.f64(a.point.theta);
-    enc_topology(e, a.point.topo);
+    enc_topology(e, *a.point.topo);
     enc_report(e, a.point.report);
     e.doubles(a.point.layer_die_area_mm2);
     e.u8(a.point.valid ? 1 : 0);

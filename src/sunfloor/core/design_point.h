@@ -91,11 +91,15 @@ struct CoreAssignment {
 /// One synthesized and evaluated topology.
 struct DesignPoint {
     explicit DesignPoint(Topology t) : topo(std::move(t)) {}
+    /// Share a published topology (the pipeline's artifacts).
+    explicit DesignPoint(SharedTopology t) : topo(std::move(t)) {}
 
     std::string phase;     ///< "phase1" or "phase2"
     int switch_count = 0;  ///< switches in the topology (before pruning)
     double theta = 0.0;    ///< theta used (0 = plain PG)
-    Topology topo;
+    /// Shared with the session's artifacts and with every copy of this
+    /// point: a copy of a DesignPoint copies no topology.
+    SharedTopology topo;
     EvalReport report;
     /// Die area per layer after NoC insertion (empty when run_floorplan is
     /// false).

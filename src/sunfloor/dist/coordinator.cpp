@@ -280,7 +280,7 @@ ExploreResult distribute_explore(
             st.unique_valid_designs += pr.result.num_valid();
             if (opts.backend == EvalBackend::Simulated)
                 for (const DesignPoint& dp : pr.result.points)
-                    if (dp.valid && dp.topo.all_flows_routed())
+                    if (dp.valid && dp.topo->all_flows_routed())
                         ++st.simulated_designs;
         }
     }

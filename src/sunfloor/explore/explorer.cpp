@@ -301,7 +301,7 @@ ExploreResult Explorer::run(const std::vector<GridPoint>& points) const {
                  d < static_cast<int>(pr.result.points.size()); ++d) {
                 const DesignPoint& dp =
                     pr.result.points[static_cast<std::size_t>(d)];
-                if (dp.valid && dp.topo.all_flows_routed())
+                if (dp.valid && dp.topo->all_flows_routed())
                     jobs.push_back({i, d});
             }
         }

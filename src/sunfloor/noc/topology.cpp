@@ -43,7 +43,7 @@ class ContentHasher {
 }  // namespace
 
 Topology::Topology(const CoreSpec& cores, int num_flows)
-    : flow_paths_(static_cast<std::size_t>(num_flows)) {
+    : paths_(static_cast<std::size_t>(num_flows)) {
     core_centers_.reserve(static_cast<std::size_t>(cores.num_cores()));
     core_layers_.reserve(static_cast<std::size_t>(cores.num_cores()));
     for (const auto& c : cores.cores()) {
@@ -104,8 +104,8 @@ int Topology::switch_out_degree(int sw) const {
 
 void Topology::set_flow_path(int flow_id, const Flow& flow,
                              const std::vector<int>& links) {
-    auto& path = flow_paths_.at(static_cast<std::size_t>(flow_id));
-    if (!path.empty())
+    PathRef& path = paths_.at(static_cast<std::size_t>(flow_id));
+    if (path.length > 0)
         throw std::invalid_argument("Topology: flow already routed");
     if (links.empty())
         throw std::invalid_argument("Topology: empty path");
@@ -124,13 +124,17 @@ void Topology::set_flow_path(int flow_id, const Flow& flow,
         if (link(l).cls != flow.type)
             throw std::invalid_argument(
                 "Topology: flow routed over a link of the other message class");
+    // Every check passed: only now append, so a rejected path leaves
+    // nothing behind.
     for (int l : links) link(l).bw_mbps += flow.bw_mbps;
-    path = links;
+    path.offset = static_cast<int>(path_links_.size());
+    path.length = static_cast<int>(links.size());
+    path_links_.insert(path_links_.end(), links.begin(), links.end());
 }
 
 bool Topology::all_flows_routed() const {
-    for (const auto& p : flow_paths_)
-        if (p.empty()) return false;
+    for (const PathRef& p : paths_)
+        if (p.length == 0) return false;
     return true;
 }
 
@@ -203,8 +207,14 @@ bool Topology::same_content(const Topology& other) const {
     if (core_layers_ != other.core_layers_ ||
         switches_.size() != other.switches_.size() ||
         links_.size() != other.links_.size() ||
-        flow_paths_ != other.flow_paths_)
+        path_links_.size() != other.path_links_.size() ||
+        paths_.size() != other.paths_.size())
         return false;
+    for (int f = 0; f < num_flows(); ++f) {
+        const std::span<const int> a = flow_path(f);
+        const std::span<const int> b = other.flow_path(f);
+        if (!std::equal(a.begin(), a.end(), b.begin(), b.end())) return false;
+    }
     for (std::size_t c = 0; c < core_centers_.size(); ++c)
         if (!same_point(core_centers_[c], other.core_centers_[c]))
             return false;
@@ -246,7 +256,8 @@ std::uint64_t Topology::content_hash() const {
         h.add(l.bw_mbps);
     }
     h.add(num_flows());
-    for (const std::vector<int>& path : flow_paths_) {
+    for (int f = 0; f < num_flows(); ++f) {
+        const std::span<const int> path = flow_path(f);
         h.add(static_cast<int>(path.size()));
         for (const int id : path) h.add(id);
     }

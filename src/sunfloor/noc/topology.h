@@ -7,10 +7,16 @@
 // snapshotted from the CoreSpec at construction so the structure can be
 // evaluated before and after floorplan legalization updates the switch
 // positions.
+//
+// A finished topology is immutable and shared: the pipeline publishes each
+// one once, as a SharedTopology, and every artifact and design point that
+// holds it shares that one object.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,7 +63,7 @@ class Topology {
     Topology(const CoreSpec& cores, int num_flows);
 
     int num_cores() const { return static_cast<int>(core_centers_.size()); }
-    int num_flows() const { return static_cast<int>(flow_paths_.size()); }
+    int num_flows() const { return static_cast<int>(paths_.size()); }
 
     // --- switches ---------------------------------------------------------
     int add_switch(std::string name, int layer, Point position = {});
@@ -96,16 +102,22 @@ class Topology {
     // --- flow paths ---------------------------------------------------------
     /// Assign `links` (a contiguous src->dst chain) as the path of `flow`,
     /// accumulating its bandwidth and message class onto the links.
-    /// Throws std::invalid_argument when the chain is not contiguous or the
-    /// flow already has a path.
+    /// Throws std::invalid_argument when the chain is not contiguous, does
+    /// not join the flow's endpoints, crosses a link of the other message
+    /// class, or the flow already has a path (std::out_of_range for a bad
+    /// id); a rejected path changes nothing.
     void set_flow_path(int flow_id, const Flow& flow,
                        const std::vector<int>& links);
 
     bool has_path(int flow_id) const {
-        return !flow_paths_.at(static_cast<std::size_t>(flow_id)).empty();
+        return paths_.at(static_cast<std::size_t>(flow_id)).length > 0;
     }
-    const std::vector<int>& flow_path(int flow_id) const {
-        return flow_paths_.at(static_cast<std::size_t>(flow_id));
+    /// The link ids of a flow's path, src to dst; empty while unrouted.
+    /// Valid until the next set_flow_path on this topology.
+    std::span<const int> flow_path(int flow_id) const {
+        const PathRef& p = paths_.at(static_cast<std::size_t>(flow_id));
+        return {path_links_.data() + p.offset,
+                static_cast<std::size_t>(p.length)};
     }
     bool all_flows_routed() const;
 
@@ -136,7 +148,8 @@ class Topology {
     // --- content identity -----------------------------------------------------
     /// Bitwise content equality over everything a topology holds: the core
     /// snapshots, the switches (name, layer, position), the links (ends,
-    /// class, bandwidth) and the flow paths — exactly the fields
+    /// class, bandwidth) and the flow paths by flow id (the order they
+    /// were set in does not matter) — exactly the fields
     /// pipeline::topology_fingerprint renders. Doubles compare by bit
     /// pattern, so -0.0 and +0.0 differ (Point's == calls them equal) and
     /// a NaN equals only the same payload. The pipeline's placement and
@@ -149,11 +162,39 @@ class Topology {
     std::uint64_t content_hash() const;
 
   private:
+    /// Where one flow's path sits in path_links_.
+    struct PathRef {
+        int offset = 0;
+        int length = 0;  ///< 0: unrouted
+    };
+
     std::vector<Point> core_centers_;
     std::vector<int> core_layers_;
     std::vector<NocSwitch> switches_;
     std::vector<NocLink> links_;
-    std::vector<std::vector<int>> flow_paths_;
+    /// Flow paths in CSR form: every path's link ids, in the order the
+    /// paths were set, indexed per flow by paths_.
+    std::vector<int> path_links_;
+    std::vector<PathRef> paths_;
+};
+
+/// A finished, immutable Topology shared by every holder: copying the
+/// handle copies a pointer. Reads go through `->` and `*`, and the handle
+/// converts to `const Topology&` so it passes wherever one is taken.
+/// Never null. To change a design's topology, copy it out first
+/// (`Topology t = *dp.topo;`).
+class SharedTopology {
+  public:
+    /// Publish `topo`: move it into a new shared object.
+    explicit SharedTopology(Topology topo)
+        : ptr_(std::make_shared<const Topology>(std::move(topo))) {}
+
+    const Topology& operator*() const { return *ptr_; }
+    const Topology* operator->() const { return ptr_.get(); }
+    operator const Topology&() const { return *ptr_; }
+
+  private:
+    std::shared_ptr<const Topology> ptr_;
 };
 
 }  // namespace sunfloor

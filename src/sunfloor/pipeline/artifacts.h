@@ -16,6 +16,12 @@
 // agree on the consumed fields — e.g. partition artifacts across points
 // that differ only in frequency or link width.
 //
+// Topologies are immutable and shared (SharedTopology). The routing
+// artifact publishes the routed topology and the placement artifact a
+// copy with the switches moved; the evaluated design and every
+// DesignPoint returned for it share the placed one, and a failed design
+// shares the routed one. A warm rerun therefore copies no topology.
+//
 // The routing and placement artifacts carry their topology's content
 // hash (Topology::content_hash), taken once when the artifact is created
 // or decoded: it is how the next stage's cache finds them.
@@ -86,14 +92,15 @@ struct AssignmentArtifact {
 /// rule or the path computation rejected it — the topology as far as
 /// routing got, plus the failure.
 struct RoutingArtifact {
+    /// Publish the finished topology `t`.
     explicit RoutingArtifact(Topology t) : topo(std::move(t)) {}
 
-    Topology topo;
+    SharedTopology topo;
     bool ok = false;
     std::string fail_reason;  ///< set when !ok
     int failed_flows = 0;         ///< flows Algorithm 3 left unrouted
     int capacity_violations = 0;  ///< links left oversubscribed
-    /// topo.content_hash() of the final topology, set by route_assignment
+    /// topo->content_hash() of the final topology, set by route_assignment
     /// and decode_routing; the placement cache probes with it.
     std::uint64_t topo_hash = 0;
 };
@@ -105,11 +112,12 @@ struct RoutingArtifact {
 /// legalizer (the custom inserter) is deterministic, which the session
 /// enforces at run time (see SynthesisSession::place).
 struct PlacementArtifact {
+    /// Publish the finished topology `t`.
     explicit PlacementArtifact(Topology t) : topo(std::move(t)) {}
 
-    Topology topo;
+    SharedTopology topo;
     std::vector<double> layer_die_area_mm2;  ///< empty without floorplan
-    /// topo.content_hash() of the placed topology, set by the position
+    /// topo->content_hash() of the placed topology, set by the position
     /// stage and decode_placement; the evaluation cache probes with it.
     std::uint64_t topo_hash = 0;
 };

@@ -6,6 +6,7 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -24,7 +25,7 @@ namespace sunfloor::pipeline {
 
 namespace {
 
-void append_int_list(std::string& out, const std::vector<int>& v) {
+void append_int_list(std::string& out, std::span<const int> v) {
     for (std::size_t i = 0; i < v.size(); ++i) {
         if (i > 0) out += ',';
         out += std::to_string(v[i]);
@@ -241,83 +242,96 @@ RoutingArtifact route_assignment(const DesignSpec& spec,
                                  const SynthesisConfig& cfg,
                                  const CoreAssignment& assign,
                                  RoutingOutcome* outcome) {
-    RoutingArtifact ra(build_initial_topology(spec, assign));
+    // Routed in this local; every return publishes it once, as the
+    // artifact's topology.
+    Topology topo = build_initial_topology(spec, assign);
     const int layers = spec.cores.num_layers();
-    // Every return passes through here, once the topology is final.
-    auto ended = [&](RoutingOutcome o) {
-        ra.topo_hash = ra.topo.content_hash();
+    auto ended = [&](RoutingOutcome o, std::string fail_reason) {
+        const std::uint64_t topo_hash = topo.content_hash();
+        RoutingArtifact ra(std::move(topo));
+        ra.ok = o == RoutingOutcome::Routed;
+        ra.fail_reason = std::move(fail_reason);
+        ra.topo_hash = topo_hash;
         if (outcome) *outcome = o;
+        return ra;
     };
 
     // Pruning rule 3 (Section V-C): reject before path computation when the
     // core-to-switch links alone blow the inter-layer budget.
-    if (ra.topo.max_ill_used(layers) > cfg.max_ill) {
-        ra.fail_reason =
+    if (topo.max_ill_used(layers) > cfg.max_ill)
+        return ended(
+            RoutingOutcome::PrunedIll,
             format("core links need %d inter-layer links > max_ill %d",
-                   ra.topo.max_ill_used(layers), cfg.max_ill);
-        ended(RoutingOutcome::PrunedIll);
-        return ra;
-    }
+                   topo.max_ill_used(layers), cfg.max_ill));
     // Pruning rule 1: cores attached to one switch may not already exceed
     // the size usable at this frequency (ports are one per incident link).
     const int max_sw = cfg.eval.lib.max_switch_size(cfg.eval.freq_hz);
-    const std::size_t nsw = static_cast<std::size_t>(ra.topo.num_switches());
+    const std::size_t nsw = static_cast<std::size_t>(topo.num_switches());
     std::vector<int> in_deg(nsw, 0);
     std::vector<int> out_deg(nsw, 0);
-    for (int l = 0; l < ra.topo.num_links(); ++l) {
-        const NocLink& lk = ra.topo.link(l);
+    for (int l = 0; l < topo.num_links(); ++l) {
+        const NocLink& lk = topo.link(l);
         if (lk.dst.is_switch())
             ++in_deg[static_cast<std::size_t>(lk.dst.index)];
         if (lk.src.is_switch())
             ++out_deg[static_cast<std::size_t>(lk.src.index)];
     }
     for (std::size_t s = 0; s < nsw; ++s) {
-        if (in_deg[s] > max_sw || out_deg[s] > max_sw) {
-            ra.fail_reason =
-                format("switch %zu exceeds max size %d at %.0f MHz", s,
-                       max_sw, cfg.eval.freq_hz / 1e6);
-            ended(RoutingOutcome::PrunedSwitchSize);
-            return ra;
-        }
+        if (in_deg[s] > max_sw || out_deg[s] > max_sw)
+            return ended(RoutingOutcome::PrunedSwitchSize,
+                         format("switch %zu exceeds max size %d at %.0f MHz",
+                                s, max_sw, cfg.eval.freq_hz / 1e6));
     }
 
-    const PathComputeResult paths = compute_paths(ra.topo, spec, cfg);
+    const PathComputeResult paths = compute_paths(topo, spec, cfg);
+    RoutingArtifact ra = ended(
+        paths.ok ? RoutingOutcome::Routed : RoutingOutcome::PathsFailed,
+        paths.ok ? std::string()
+                 : format("path computation failed (%zu flows, %zu capacity)",
+                          paths.failed_flows.size(),
+                          paths.capacity_violations.size()));
     ra.failed_flows = static_cast<int>(paths.failed_flows.size());
     ra.capacity_violations =
         static_cast<int>(paths.capacity_violations.size());
-    if (!paths.ok) {
-        ra.fail_reason =
-            format("path computation failed (%zu flows, %zu capacity)",
-                   paths.failed_flows.size(), paths.capacity_violations.size());
-        ended(RoutingOutcome::PathsFailed);
-        return ra;
-    }
-    ra.ok = true;
-    ended(RoutingOutcome::Routed);
     return ra;
 }
 
 DesignPoint evaluate_design(const PlacementArtifact& placed,
                             const DesignSpec& spec,
-                            const SynthesisConfig& cfg) {
+                            const SynthesisConfig& cfg,
+                            EvaluationOutcome* outcome) {
     DesignPoint dp(placed.topo);
     dp.layer_die_area_mm2 = placed.layer_die_area_mm2;
-    dp.report = evaluate_topology(dp.topo, spec, cfg.eval);
+    const Topology& topo = *dp.topo;
+    dp.report = evaluate_topology(topo, spec, cfg.eval);
 
     const int layers = spec.cores.num_layers();
-    if (dp.topo.max_ill_used(layers) > cfg.max_ill)
-        dp.fail_reason = "max_ill violated";
-    else if (dp.report.latency_violations > 0)
-        dp.fail_reason =
-            format("%d latency violations", dp.report.latency_violations);
-    else if (!is_routing_deadlock_free(dp.topo))
-        dp.fail_reason = "routing deadlock";
-    else if (!is_message_dependent_deadlock_free(dp.topo, spec.comm))
-        dp.fail_reason = "message-dependent deadlock";
-    else if (!classes_are_separated(dp.topo, spec.comm))
-        dp.fail_reason = "message classes share a channel";
-    else
-        dp.valid = true;
+    const EvaluationOutcome ended = [&] {
+        if (topo.max_ill_used(layers) > cfg.max_ill) {
+            dp.fail_reason = "max_ill violated";
+            return EvaluationOutcome::MaxIll;
+        }
+        if (dp.report.latency_violations > 0) {
+            dp.fail_reason =
+                format("%d latency violations", dp.report.latency_violations);
+            return EvaluationOutcome::Latency;
+        }
+        if (!is_routing_deadlock_free(topo)) {
+            dp.fail_reason = "routing deadlock";
+            return EvaluationOutcome::RoutingDeadlock;
+        }
+        if (!is_message_dependent_deadlock_free(topo, spec.comm)) {
+            dp.fail_reason = "message-dependent deadlock";
+            return EvaluationOutcome::MessageDeadlock;
+        }
+        if (!classes_are_separated(topo, spec.comm)) {
+            dp.fail_reason = "message classes share a channel";
+            return EvaluationOutcome::SharedChannel;
+        }
+        return EvaluationOutcome::Valid;
+    }();
+    dp.valid = ended == EvaluationOutcome::Valid;
+    if (outcome) *outcome = ended;
     return dp;
 }
 
@@ -592,34 +606,37 @@ std::shared_ptr<const PlacementArtifact> SynthesisSession::place(
     // serving those placements.
     static constexpr StageCodec<PlacementArtifact> kCodec{
         cas::encode_placement, cas::decode_placement};
-    const Topology& routed_topo = routed->topo;
+    const Topology& routed_topo = *routed->topo;
     return cached(placements_, PlacementKey{std::move(routed), keys.placement},
                   &kCodec, [&] {
         Rng rng(Rng::kDefaultSeed);
         const RngState rng_before = rng.state();
-        PlacementArtifact artifact(routed_topo);
-        if (artifact.topo.num_switches() > 0) {
+        // A placement miss's one topology copy: the stage moves switches,
+        // and the routed topology stays shared and unchanged.
+        Topology topo = routed_topo;
+        if (topo.num_switches() > 0) {
             // The position solve consumes only the merged connection
             // graph (build_switch_placement_problem), which routed
             // topologies with different flow paths can share — so its
             // solutions get their own content-keyed cache, in memory
             // only (no codec: the store keeps whole placements).
             const PlacementProblem problem =
-                build_switch_placement_problem(artifact.topo, spec_);
+                build_switch_placement_problem(topo, spec_);
             const auto solution = cached(
                 lp_solutions_, placement_problem_key(problem), nullptr, [&] {
                     bool lp_ok = false;
                     return solve_switch_placement(problem, lp_ok);
                 });
-            for (int s = 0; s < artifact.topo.num_switches(); ++s)
-                artifact.topo.switch_at(s).position =
+            for (int s = 0; s < topo.num_switches(); ++s)
+                topo.switch_at(s).position =
                     solution->positions[static_cast<std::size_t>(s)];
         }
+        std::vector<double> layer_die_area_mm2;
         if (cfg.run_floorplan) {
             obs::ScopedSpan fp_span("pipeline.floorplan");
-            const FloorplanOutcome fp = legalize_floorplan(
-                artifact.topo, spec_, cfg, /*use_standard=*/false, rng);
-            artifact.layer_die_area_mm2 = fp.layer_area_mm2;
+            FloorplanOutcome fp = legalize_floorplan(
+                topo, spec_, cfg, /*use_standard=*/false, rng);
+            layer_die_area_mm2 = std::move(fp.layer_area_mm2);
         }
         // The cache key assumes the stage is pure. The custom inserter
         // is; if a stochastic legalizer is ever wired in here, the key
@@ -629,7 +646,10 @@ std::shared_ptr<const PlacementArtifact> SynthesisSession::place(
             throw std::logic_error(
                 "pipeline placement stage consumed the RNG; its cache key "
                 "must include the generator state");
-        artifact.topo_hash = artifact.topo.content_hash();
+        const std::uint64_t topo_hash = topo.content_hash();
+        PlacementArtifact artifact(std::move(topo));
+        artifact.layer_die_area_mm2 = std::move(layer_die_area_mm2);
+        artifact.topo_hash = topo_hash;
         return artifact;
     });
 }
@@ -648,8 +668,11 @@ std::shared_ptr<const EvaluatedDesign> SynthesisSession::evaluate(
     return cached(evaluations_,
                   EvaluationKey{std::move(placed), keys.evaluation}, &kCodec,
                   [&] {
-                      return EvaluatedDesign(
-                          evaluate_design(input, spec_, cfg));
+                      EvaluationOutcome outcome{};
+                      EvaluatedDesign design(
+                          evaluate_design(input, spec_, cfg, &outcome));
+                      evaluation_outcomes_[static_cast<int>(outcome)]->add();
+                      return design;
                   });
 }
 

@@ -134,20 +134,39 @@ enum class RoutingOutcome {
 
 /// Path-computation stage: initial topology, pruning rules 1 and 3
 /// (Section V-C), then Algorithm 3. Writes where it ended to `outcome`
-/// when given. The artifact carries its topology's content hash.
+/// when given. The artifact publishes the topology and carries its
+/// content hash.
 RoutingArtifact route_assignment(const DesignSpec& spec,
                                  const SynthesisConfig& cfg,
                                  const CoreAssignment& assign,
                                  RoutingOutcome* outcome = nullptr);
 
+/// Where the evaluation stage's validity chain ended for one placed
+/// design. The session counts every computed evaluation under
+/// pipeline.evaluation.<name>, so the six counters sum to
+/// pipeline.evaluation.misses.
+enum class EvaluationOutcome {
+    Valid,            ///< "valid": every check passed
+    MaxIll,           ///< "max_ill": more inter-layer links than max_ill
+    Latency,          ///< "latency": flows over their latency constraint
+    RoutingDeadlock,  ///< "routing_deadlock": a channel dependency cycle
+    MessageDeadlock,  ///< "message_deadlock": message-dependent deadlock
+    SharedChannel,    ///< "shared_channel": the two message classes share
+                      ///< a channel
+};
+
 /// Evaluation stage: power/latency/area report plus the validity chain
 /// (max_ill, latency constraints, the three deadlock-freedom checks).
+/// The point shares the placed topology. Writes where the chain ended to
+/// `outcome` when given.
 DesignPoint evaluate_design(const PlacementArtifact& placed,
                             const DesignSpec& spec,
-                            const SynthesisConfig& cfg);
+                            const SynthesisConfig& cfg,
+                            EvaluationOutcome* outcome = nullptr);
 
 /// The design point of an assignment whose routing stage failed: the
-/// as-far-as-routed topology and the failure, never evaluated.
+/// as-far-as-routed topology (shared with `routed`) and the failure,
+/// never evaluated.
 DesignPoint failed_design(const RoutingArtifact& routed);
 
 /// Assignment stage, phase 1: a switch per block at the rounded average
@@ -330,10 +349,10 @@ class SynthesisSession {
         friend bool operator==(const ContentKey& a, const ContentKey& b) {
             return (a.cfg == b.cfg || *a.cfg == *b.cfg) &&
                    (a.input == b.input ||
-                    a.input->topo.same_content(b.input->topo));
+                    a.input->topo->same_content(*b.input->topo));
         }
         std::string text() const {
-            return cfg->head + topology_fingerprint(input->topo) + cfg->tail;
+            return cfg->head + topology_fingerprint(*input->topo) + cfg->tail;
         }
     };
     using PlacementKey = ContentKey<RoutingArtifact>;
@@ -550,6 +569,15 @@ class SynthesisSession {
         &registry_.counter("pipeline.routing.pruned_ill"),
         &registry_.counter("pipeline.routing.pruned_switch_size"),
         &registry_.counter("pipeline.routing.paths_failed"),
+    };
+    /// Why computed evaluations ended, indexed by EvaluationOutcome.
+    obs::Counter* evaluation_outcomes_[6] = {
+        &registry_.counter("pipeline.evaluation.valid"),
+        &registry_.counter("pipeline.evaluation.max_ill"),
+        &registry_.counter("pipeline.evaluation.latency"),
+        &registry_.counter("pipeline.evaluation.routing_deadlock"),
+        &registry_.counter("pipeline.evaluation.message_deadlock"),
+        &registry_.counter("pipeline.evaluation.shared_channel"),
     };
 
     /// Guards the partition-graph cache; the stage caches lock their own.

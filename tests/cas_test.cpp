@@ -16,6 +16,7 @@
 #include <cstring>
 #include <ctime>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -98,7 +99,7 @@ void expect_same_results(const SynthesisResult& a, const SynthesisResult& b) {
         EXPECT_EQ(a.points[i].valid, b.points[i].valid);
         EXPECT_EQ(a.points[i].fail_reason, b.points[i].fail_reason);
         EXPECT_EQ(a.points[i].switch_count, b.points[i].switch_count);
-        EXPECT_EQ(a.points[i].topo.num_links(), b.points[i].topo.num_links());
+        EXPECT_EQ(a.points[i].topo->num_links(), b.points[i].topo->num_links());
         EXPECT_EQ(std::memcmp(&a.points[i].report.avg_latency_cycles,
                               &b.points[i].report.avg_latency_cycles,
                               sizeof(double)),
@@ -353,13 +354,13 @@ TEST(CasCodec, ArtifactsRoundTripBitExactly) {
         ASSERT_TRUE(back.has_value());
         EXPECT_EQ(cas::encode_routing(*back), blob);
         EXPECT_EQ(back->ok, routed.ok);
-        EXPECT_EQ(back->topo.num_links(), routed.topo.num_links());
+        EXPECT_EQ(back->topo->num_links(), routed.topo->num_links());
         EXPECT_EQ(pipeline::topology_fingerprint(back->topo),
                   pipeline::topology_fingerprint(routed.topo));
         // Decoding takes the content hash the stage took.
         EXPECT_NE(routed.topo_hash, 0u);
         EXPECT_EQ(back->topo_hash, routed.topo_hash);
-        EXPECT_TRUE(back->topo.same_content(routed.topo));
+        EXPECT_TRUE(back->topo->same_content(*routed.topo));
     }
     {
         // The failure side of a routing artifact round-trips too.
@@ -471,6 +472,33 @@ TEST(CasCodec, MalformedBlobsDecodeToNullopt) {
             EXPECT_FALSE(cas::decode_evaluation(inflated, spec).has_value());
         }
     }
+
+    // A flow path naming a link id the topology does not have, or links
+    // that do not chain, is corrupt too: set_flow_path rejects it while
+    // the decoder replays the paths. Paths follow the links (19 bytes
+    // each) and the flow count, one length-prefixed id list per flow;
+    // take the first with three or more links.
+    std::size_t path_at =
+        1 + links_at + 4 + 19 * static_cast<std::size_t>(topo.num_links()) + 4;
+    int flow = 0;
+    for (; flow < topo.num_flows() && topo.flow_path(flow).size() < 3; ++flow)
+        path_at += 4 + 4 * topo.flow_path(flow).size();
+    ASSERT_LT(flow, topo.num_flows());
+    const std::span<const int> path = topo.flow_path(flow);
+    ASSERT_EQ(cas::Dec(std::string_view(blobs[1]).substr(path_at, 4)).i32(),
+              static_cast<int>(path.size()));
+    const auto with_link = [&](std::size_t hop, int id) {
+        cas::Enc e;
+        e.i32(id);
+        std::string blob = blobs[1];
+        blob.replace(path_at + 4 + 4 * hop, 4, e.take());
+        return blob;
+    };
+    EXPECT_TRUE(cas::decode_routing(with_link(1, path[1]), spec).has_value());
+    EXPECT_FALSE(cas::decode_routing(with_link(1, topo.num_links()), spec)
+                     .has_value());  // out of range
+    EXPECT_FALSE(cas::decode_routing(with_link(1, path[0]), spec)
+                     .has_value());  // not contiguous: a core link twice
 }
 
 // ------------------------------------------------------ session + store
@@ -606,8 +634,10 @@ TEST(CasSession, PlacementsOfAnotherSolverAreNeverServed) {
         }
         auto placed = cas::decode_placement(payload, spec);
         ASSERT_TRUE(placed.has_value());
-        for (int s = 0; s < placed->topo.num_switches(); ++s)
-            placed->topo.switch_at(s).position.x += 1.0;
+        Topology moved = *placed->topo;
+        for (int s = 0; s < moved.num_switches(); ++s)
+            moved.switch_at(s).position.x += 1.0;
+        placed->topo = SharedTopology(std::move(moved));
         const std::string old_key =
             key.substr(0, at) + "pl|" + key.substr(at + tagged.size());
         ASSERT_TRUE(old.put(old_key, cas::encode_placement(*placed)));

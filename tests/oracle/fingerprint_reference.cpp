@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <vector>
+#include <span>
 
 #include "sunfloor/util/strings.h"
 
@@ -11,7 +11,7 @@ namespace sunfloor::oracle {
 
 namespace {
 
-std::string int_list_key(const std::vector<int>& v) {
+std::string int_list_key(std::span<const int> v) {
     std::string out;
     out.reserve(v.size() * 3);
     for (int x : v) {

@@ -20,6 +20,7 @@
 //     higher frequency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -102,7 +103,7 @@ Outcome check_case(const Case& c) {
         }
     }
     for (int f = 0; f < got.num_flows(); ++f) {
-        if (got.flow_path(f) != ref.flow_path(f)) {
+        if (!std::ranges::equal(got.flow_path(f), ref.flow_path(f))) {
             d << "flow " << f << " path differs; ";
             break;
         }

@@ -50,7 +50,7 @@ void expect_same_results(const SynthesisResult& a, const SynthesisResult& b) {
         EXPECT_EQ(da.phase, db.phase);
         EXPECT_TRUE(bitwise_equal(da.theta, db.theta));
         EXPECT_EQ(da.fail_reason, db.fail_reason);
-        EXPECT_EQ(da.topo.num_links(), db.topo.num_links());
+        EXPECT_EQ(da.topo->num_links(), db.topo->num_links());
         EXPECT_TRUE(bitwise_equal(da.report.power.total_mw(),
                                   db.report.power.total_mw()));
         EXPECT_TRUE(bitwise_equal(da.report.avg_latency_cycles,

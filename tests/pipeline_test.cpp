@@ -3,11 +3,13 @@
 // stateless entry points.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <latch>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -41,7 +43,7 @@ void expect_same_points(const std::vector<DesignPoint>& a,
         EXPECT_TRUE(bitwise_equal(a[i].theta, b[i].theta));
         EXPECT_EQ(a[i].valid, b[i].valid);
         EXPECT_EQ(a[i].fail_reason, b[i].fail_reason);
-        EXPECT_EQ(a[i].topo.num_links(), b[i].topo.num_links());
+        EXPECT_EQ(a[i].topo->num_links(), b[i].topo->num_links());
         EXPECT_TRUE(bitwise_equal(a[i].report.power.total_mw(),
                                   b[i].report.power.total_mw()));
         EXPECT_TRUE(bitwise_equal(a[i].report.avg_latency_cycles,
@@ -294,6 +296,81 @@ TEST(Pipeline, RoutingOutcomesPartitionTheMisses) {
     }
 }
 
+/// Evaluation counts by outcome, in EvaluationOutcome order.
+using EvaluationSplit = std::array<long long, 6>;
+
+EvaluationSplit evaluation_split(pipeline::SynthesisSession& s) {
+    obs::Registry& r = s.registry();
+    return {r.counter("pipeline.evaluation.valid").value(),
+            r.counter("pipeline.evaluation.max_ill").value(),
+            r.counter("pipeline.evaluation.latency").value(),
+            r.counter("pipeline.evaluation.routing_deadlock").value(),
+            r.counter("pipeline.evaluation.message_deadlock").value(),
+            r.counter("pipeline.evaluation.shared_channel").value()};
+}
+
+TEST(Pipeline, EvaluationOutcomesPartitionTheMisses) {
+    // Where each computed evaluation's validity chain ended. Routing
+    // already keeps a design within max_ill and deadlock free, so on the
+    // paper specs only latency rejects designs: D_35_bot's Phase 2 at
+    // 600 MHz misses latency constraints on 4 of its 10.
+    struct Case {
+        const char* name;
+        double freq_hz;
+        SynthesisPhase phase;
+        EvaluationSplit want;
+    };
+    const Case cases[] = {
+        {"D_26_media", 400e6, SynthesisPhase::Auto, {23, 0, 0, 0, 0, 0}},
+        {"D_35_bot", 600e6, SynthesisPhase::Phase2, {6, 0, 4, 0, 0, 0}},
+    };
+    for (const Case& c : cases) {
+        SynthesisConfig cfg;
+        cfg.run_floorplan = false;
+        cfg.eval.freq_hz = c.freq_hz;
+        pipeline::SynthesisSession s(make_benchmark(c.name));
+        s.run(cfg, c.phase);
+        const EvaluationSplit split = evaluation_split(s);
+        EXPECT_EQ(split, c.want) << c.name;
+        EXPECT_EQ(std::accumulate(split.begin(), split.end(), 0LL),
+                  s.stats().evaluation.misses)
+            << c.name;
+        // A warm rerun hits every evaluation and counts no outcome.
+        s.run(cfg, c.phase);
+        EXPECT_EQ(evaluation_split(s), split) << c.name;
+    }
+}
+
+TEST(Pipeline, EvaluateDesignReportsWhereTheChainEnded) {
+    const DesignSpec spec = make_benchmark("D_36_4");
+    SynthesisConfig cfg = fast_cfg();
+    pipeline::SynthesisSession session(spec);
+    std::shared_ptr<const pipeline::RoutingArtifact> routed;
+    for (int k = 2; k <= spec.cores.num_cores() && !(routed && routed->ok);
+         ++k) {
+        const auto part =
+            session.partition(pipeline::PartitionGraphId::pg(), k, cfg,
+                              cfg.partition, Rng(cfg.seed).state());
+        routed =
+            session.route(pipeline::phase1_assignment(*part, spec.cores), cfg);
+    }
+    ASSERT_TRUE(routed->ok);
+    const auto placed = session.place(routed, cfg);
+    auto outcome = pipeline::EvaluationOutcome::MaxIll;
+    const DesignPoint ok = pipeline::evaluate_design(*placed, spec, cfg,
+                                                     &outcome);
+    EXPECT_TRUE(ok.valid);
+    EXPECT_EQ(outcome, pipeline::EvaluationOutcome::Valid);
+    // Its core links cross layers, so a max_ill of 0 ends the chain at
+    // its first check.
+    cfg.max_ill = 0;
+    const DesignPoint over = pipeline::evaluate_design(*placed, spec, cfg,
+                                                       &outcome);
+    EXPECT_FALSE(over.valid);
+    EXPECT_EQ(over.fail_reason, "max_ill violated");
+    EXPECT_EQ(outcome, pipeline::EvaluationOutcome::MaxIll);
+}
+
 struct PartitionWork {
     long long starts, passes, moves;
 
@@ -447,7 +524,7 @@ TEST(Pipeline, ContentKeysWithEqualHashesStaySeparate) {
         if (ra->ok) routed.push_back(std::move(ra));
     }
     ASSERT_EQ(routed.size(), 2u);
-    ASSERT_FALSE(routed[0]->topo.same_content(routed[1]->topo));
+    ASSERT_FALSE(routed[0]->topo->same_content(*routed[1]->topo));
     const auto forge_routed = [](const pipeline::RoutingArtifact& r) {
         auto f = std::make_shared<pipeline::RoutingArtifact>(r);
         f->topo_hash = 42;
@@ -462,14 +539,16 @@ TEST(Pipeline, ContentKeysWithEqualHashesStaySeparate) {
     EXPECT_EQ(placed.placement.hits, 1);
     // Each placement equals its own, unforged placement on a cold session.
     pipeline::SynthesisSession cold(spec);
-    EXPECT_TRUE(a->topo.same_content(cold.place(routed[0], cfg)->topo));
-    EXPECT_TRUE(b->topo.same_content(cold.place(routed[1], cfg)->topo));
+    EXPECT_TRUE(a->topo->same_content(*cold.place(routed[0], cfg)->topo));
+    EXPECT_TRUE(b->topo->same_content(*cold.place(routed[1], cfg)->topo));
 
     // Evaluation: two placed topologies that differ only in the sign of
     // a zero switch coordinate, which Point's == would call equal.
     const auto forge_placed = [&](double x) {
-        auto f = std::make_shared<pipeline::PlacementArtifact>(*a);
-        f->topo.switch_at(0).position.x = x;
+        Topology t = *a->topo;
+        t.switch_at(0).position.x = x;
+        auto f = std::make_shared<pipeline::PlacementArtifact>(std::move(t));
+        f->layer_die_area_mm2 = a->layer_die_area_mm2;
         f->topo_hash = 7;
         return f;
     };
@@ -481,6 +560,55 @@ TEST(Pipeline, ContentKeysWithEqualHashesStaySeparate) {
     EXPECT_EQ(evaluated.evaluation.misses, 2);
     EXPECT_EQ(evaluated.evaluation.hits, 1);
     EXPECT_NE(plus, minus);
+}
+
+TEST(Pipeline, WarmRerunsShareOneTopologyPerDesign) {
+    // A design has one immutable topology. Every point a session returns
+    // shares it with the session's artifacts, so two warm reruns return
+    // the very same topology objects, valid and failed points alike, and
+    // copy none.
+    const DesignSpec spec = make_benchmark("D_26_media");
+    SynthesisConfig cfg;
+    cfg.run_floorplan = false;
+    pipeline::SynthesisSession session(spec);
+    const SynthesisResult a = session.run(cfg);
+    const SynthesisResult b = session.run(cfg);
+    ASSERT_EQ(a.points.size(), b.points.size());
+    int valid = 0;
+    for (std::size_t i = 0; i < a.points.size(); ++i) {
+        EXPECT_EQ(&*a.points[i].topo, &*b.points[i].topo) << "point " << i;
+        valid += a.points[i].valid ? 1 : 0;
+    }
+    EXPECT_GT(valid, 0);
+    EXPECT_LT(valid, static_cast<int>(a.points.size()));
+
+    // Stage by stage: a failed point shares its routing artifact's
+    // topology, an evaluated one the cached evaluation's — the
+    // placement's, which copied the routed topology to move switches.
+    bool saw_failed = false;
+    bool saw_evaluated = false;
+    for (int k = 1; k <= spec.cores.num_cores(); ++k) {
+        const auto part =
+            session.partition(pipeline::PartitionGraphId::pg(), k, cfg,
+                              cfg.partition, Rng(cfg.seed).state());
+        const pipeline::AssignmentArtifact assign =
+            pipeline::phase1_assignment(*part, spec.cores);
+        const DesignPoint dp = session.synthesize(assign, cfg, "phase1", 0.0);
+        const auto routed = session.route(assign, cfg);
+        if (!routed->ok) {
+            EXPECT_EQ(&*dp.topo, &*routed->topo) << "k=" << k;
+            saw_failed = true;
+            continue;
+        }
+        const auto placed = session.place(routed, cfg);
+        const auto evaluated = session.evaluate(placed, cfg);
+        EXPECT_EQ(&*dp.topo, &*evaluated->point.topo) << "k=" << k;
+        EXPECT_EQ(&*dp.topo, &*placed->topo) << "k=" << k;
+        EXPECT_NE(&*dp.topo, &*routed->topo) << "k=" << k;
+        saw_evaluated = true;
+    }
+    EXPECT_TRUE(saw_failed);
+    EXPECT_TRUE(saw_evaluated);
 }
 
 TEST(Pipeline, ConcurrentRunsOnOneSessionCountExactlyAsSerial) {
@@ -524,6 +652,13 @@ TEST(Pipeline, ConcurrentRunsOnOneSessionCountExactlyAsSerial) {
                 << "stage " << i << " round " << round;
         }
         EXPECT_EQ(shared.artifact_count(), serial.artifact_count());
+        EXPECT_EQ(evaluation_split(shared), evaluation_split(serial))
+            << "round " << round;
+        // The threads' points share one topology per design.
+        for (const SynthesisResult& r : got)
+            for (std::size_t i = 0; i < r.points.size(); ++i)
+                EXPECT_EQ(&*r.points[i].topo, &*got[0].points[i].topo)
+                    << "point " << i << " round " << round;
     }
 }
 

@@ -3,6 +3,8 @@
 // enlarged (adaptive) route sets on every paper benchmark.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sunfloor/core/path_compute.h"
 #include "sunfloor/core/synthesizer.h"
 #include "sunfloor/graph/algorithms.h"
@@ -188,7 +190,7 @@ TEST(RoutingPolicy, PoliciesProduceDifferentPathsSomewhere) {
         bool differs = t1.num_links() != t2.num_links() ||
                        t1.num_switches() != t2.num_switches();
         for (int f = 0; !differs && f < t1.num_flows(); ++f)
-            differs = t1.flow_path(f) != t2.flow_path(f);
+            differs = !std::ranges::equal(t1.flow_path(f), t2.flow_path(f));
         differing += differs ? 1 : 0;
     }
     EXPECT_GT(differing, 0);

@@ -33,15 +33,15 @@ TEST(SimZeroLoad, AgreesWithAnalyticLatencyOnEveryPaperBenchmark) {
 
         int checked_designs = 0;
         for (const DesignPoint& dp : res.points) {
-            if (!dp.topo.all_flows_routed()) continue;
+            if (!dp.topo->all_flows_routed()) continue;
             if (checked_designs >= 3) break;  // bound the runtime
             ++checked_designs;
             const sim::SimReport rep =
                 sim::simulate_zero_load(dp.topo, spec, cfg.eval, params);
             EXPECT_TRUE(rep.drained);
             ASSERT_EQ(rep.flow_avg_latency_cycles.size(),
-                      static_cast<std::size_t>(dp.topo.num_flows()));
-            for (int f = 0; f < dp.topo.num_flows(); ++f) {
+                      static_cast<std::size_t>(dp.topo->num_flows()));
+            for (int f = 0; f < dp.topo->num_flows(); ++f) {
                 const double analytic = flow_latency(dp.topo, f, cfg.eval);
                 EXPECT_NEAR(rep.flow_avg_latency_cycles[
                                 static_cast<std::size_t>(f)],
@@ -74,7 +74,7 @@ TEST(SimZeroLoad, MultiFlitPacketsAddExactlyThePipelineTail) {
         sim::simulate_zero_load(dp.topo, spec, cfg.eval, one);
     const sim::SimReport r4 =
         sim::simulate_zero_load(dp.topo, spec, cfg.eval, four);
-    for (int f = 0; f < dp.topo.num_flows(); ++f) {
+    for (int f = 0; f < dp.topo->num_flows(); ++f) {
         const auto uf = static_cast<std::size_t>(f);
         ASSERT_GE(r1.flow_avg_latency_cycles[uf], 0.0);
         EXPECT_NEAR(r4.flow_avg_latency_cycles[uf],

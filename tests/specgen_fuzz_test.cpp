@@ -134,7 +134,7 @@ TEST(SpecGenFuzz, SynthesisSimAndRouteSetsHoldOnEveryFamily) {
                         << dp.switch_count << " switches";
                     continue;
                 }
-                if (!dp.topo.all_flows_routed() || checked >= 2) continue;
+                if (!dp.topo->all_flows_routed() || checked >= 2) continue;
                 ++checked;
                 ++synthesized_any;
 
@@ -144,7 +144,7 @@ TEST(SpecGenFuzz, SynthesisSimAndRouteSetsHoldOnEveryFamily) {
                 const sim::SimReport rep =
                     sim::simulate_zero_load(dp.topo, spec, cfg.eval, zl);
                 EXPECT_TRUE(rep.drained);
-                for (int f = 0; f < dp.topo.num_flows(); ++f)
+                for (int f = 0; f < dp.topo->num_flows(); ++f)
                     EXPECT_NEAR(rep.flow_avg_latency_cycles[
                                     static_cast<std::size_t>(f)],
                                 flow_latency(dp.topo, f, cfg.eval), 1e-6)

@@ -145,7 +145,7 @@ TEST(StageKeyEquivalence, FingerprintMatchesReferenceOnPaperDesigns) {
             EXPECT_EQ(pipeline::topology_fingerprint(ra->topo),
                       oracle::topology_fingerprint_reference(ra->topo))
                 << name << " k=" << k;
-            EXPECT_EQ(ra->topo_hash, ra->topo.content_hash());
+            EXPECT_EQ(ra->topo_hash, ra->topo->content_hash());
             routed += ra->ok ? 1 : 0;
             ++compared;
         }

@@ -49,9 +49,9 @@ TEST(Synthesizer, ValidPointsMeetAllConstraints) {
         EXPECT_TRUE(p.report.all_flows_routed);
         EXPECT_LE(p.report.max_ill_used, cfg.max_ill);
         EXPECT_EQ(p.report.latency_violations, 0);
-        for (int s = 0; s < p.topo.num_switches(); ++s) {
-            EXPECT_LE(p.topo.switch_in_degree(s), max_sw);
-            EXPECT_LE(p.topo.switch_out_degree(s), max_sw);
+        for (int s = 0; s < p.topo->num_switches(); ++s) {
+            EXPECT_LE(p.topo->switch_in_degree(s), max_sw);
+            EXPECT_LE(p.topo->switch_out_degree(s), max_sw);
         }
     }
 }
@@ -64,12 +64,12 @@ TEST(Synthesizer, Phase2RestrictsToAdjacentLayersAndSameLayerCores) {
     ASSERT_FALSE(points.empty());
     for (const auto& p : points) {
         if (!p.valid) continue;
-        for (int l = 0; l < p.topo.num_links(); ++l) {
-            EXPECT_LE(p.topo.link_layers_crossed(l), 1);
-            const auto& lk = p.topo.link(l);
+        for (int l = 0; l < p.topo->num_links(); ++l) {
+            EXPECT_LE(p.topo->link_layers_crossed(l), 1);
+            const auto& lk = p.topo->link(l);
             // Core links stay within a layer (Phase 2 rule).
             if (lk.src.is_core() || lk.dst.is_core()) {
-                EXPECT_EQ(p.topo.link_layers_crossed(l), 0);
+                EXPECT_EQ(p.topo->link_layers_crossed(l), 0);
             }
         }
     }

@@ -1,7 +1,13 @@
 // Tests for the NoC topology data model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
+
+#include "sunfloor/cas/codec.h"
 #include "sunfloor/noc/topology.h"
+#include "sunfloor/pipeline/session.h"
 #include "sunfloor/spec/benchmarks.h"
 
 namespace sunfloor {
@@ -135,6 +141,106 @@ TEST(Topology, SwitchThroughBandwidth) {
     t.set_flow_path(1, spec.comm.flow(1), {a, c});
     // Both flows enter via link a: through bandwidth = 300.
     EXPECT_DOUBLE_EQ(t.switch_through_bw(s), 300.0);
+}
+
+/// small_spec()'s topology with two switches and a path for every flow
+/// listed in `order`, set in that order.
+Topology routed_in_order(const DesignSpec& spec,
+                         const std::vector<int>& order) {
+    Topology t(spec.cores, spec.comm.num_flows());
+    const int s0 = t.add_switch("s0", 0, {1, 0});
+    const int s1 = t.add_switch("s1", 1, {1, 0});
+    const FlowType req = FlowType::Request;
+    const FlowType rsp = FlowType::Response;
+    const int c0s0 = t.add_link(NodeRef::core(0), NodeRef::sw(s0), req);
+    const int s0c1 = t.add_link(NodeRef::sw(s0), NodeRef::core(1), req);
+    const int s0s1 = t.add_link(NodeRef::sw(s0), NodeRef::sw(s1), req);
+    const int s1c2 = t.add_link(NodeRef::sw(s1), NodeRef::core(2), req);
+    const int c2s1 = t.add_link(NodeRef::core(2), NodeRef::sw(s1), rsp);
+    const int s1s0 = t.add_link(NodeRef::sw(s1), NodeRef::sw(s0), rsp);
+    const int s0c0 = t.add_link(NodeRef::sw(s0), NodeRef::core(0), rsp);
+    const std::vector<std::vector<int>> paths = {
+        {c0s0, s0c1}, {c0s0, s0s1, s1c2}, {c2s1, s1s0, s0c0}};
+    for (const int f : order)
+        t.set_flow_path(f, spec.comm.flow(f),
+                        paths[static_cast<std::size_t>(f)]);
+    return t;
+}
+
+TEST(Topology, PathsReadByFlowIdWhateverOrderTheyWereSetIn) {
+    // Flow paths share one array in the order they were set: path
+    // computation sets them out of flow order, the CAS decoder in flow
+    // order. Content identity, the hashes, the fingerprint and the codec
+    // read them by flow id, so the order never shows.
+    const auto spec = small_spec();
+    const Topology in_order = routed_in_order(spec, {0, 1, 2});
+    const Topology shuffled = routed_in_order(spec, {2, 0, 1});
+    EXPECT_TRUE(in_order.same_content(shuffled));
+    EXPECT_TRUE(shuffled.same_content(in_order));
+    EXPECT_EQ(in_order.content_hash(), shuffled.content_hash());
+    EXPECT_EQ(pipeline::topology_fingerprint(in_order),
+              pipeline::topology_fingerprint(shuffled));
+    EXPECT_EQ(cas::encode_routing(pipeline::RoutingArtifact(in_order)),
+              cas::encode_routing(pipeline::RoutingArtifact(shuffled)));
+    for (int f = 0; f < spec.comm.num_flows(); ++f)
+        EXPECT_TRUE(
+            std::ranges::equal(in_order.flow_path(f), shuffled.flow_path(f)))
+            << "flow " << f;
+    EXPECT_EQ(shuffled.flow_path(1).size(), 3u);
+    EXPECT_EQ(shuffled.flow_path(1).back(), 3);
+
+    // A flow left unrouted reads as an empty path, and is content.
+    const Topology partial = routed_in_order(spec, {2, 0});
+    EXPECT_FALSE(partial.has_path(1));
+    EXPECT_TRUE(partial.flow_path(1).empty());
+    EXPECT_FALSE(partial.all_flows_routed());
+    EXPECT_FALSE(partial.same_content(in_order));
+    EXPECT_NE(partial.content_hash(), in_order.content_hash());
+
+    // Setting a path twice still throws.
+    Topology twice = routed_in_order(spec, {1, 0, 2});
+    EXPECT_THROW(twice.set_flow_path(0, spec.comm.flow(0), {0, 1}),
+                 std::invalid_argument);
+    EXPECT_TRUE(twice.same_content(in_order));
+}
+
+TEST(Topology, RejectedPathLeavesNoTrace) {
+    // set_flow_path appends only once every check passed: a rejected
+    // path changes no bandwidth and no path, and the flow can still be
+    // routed afterwards.
+    const auto spec = small_spec();
+    Topology t = routed_in_order(spec, {2, 0});
+    const Topology before = t;
+    const Flow& flow = spec.comm.flow(1);
+    EXPECT_THROW(t.set_flow_path(1, flow, {0, 2}),  // ends at a switch
+                 std::invalid_argument);
+    EXPECT_THROW(t.set_flow_path(1, flow, {0, 3}),  // not contiguous
+                 std::invalid_argument);
+    EXPECT_THROW(t.set_flow_path(1, flow, {0, 2, 99}),  // no link 99
+                 std::out_of_range);
+    EXPECT_THROW(t.set_flow_path(9, flow, {0, 2, 3}), std::out_of_range);
+    EXPECT_TRUE(t.same_content(before));
+    EXPECT_TRUE(t.flow_path(1).empty());
+    t.set_flow_path(1, flow, {0, 2, 3});
+    EXPECT_TRUE(t.same_content(routed_in_order(spec, {0, 1, 2})));
+}
+
+TEST(Topology, SharedTopologyIsOneObject) {
+    // Copies of a SharedTopology point at one topology; it converts to
+    // const Topology& wherever one is taken.
+    const auto spec = small_spec();
+    const SharedTopology a(routed_in_order(spec, {0, 1, 2}));
+    const SharedTopology b = a;
+    EXPECT_EQ(&*a, &*b);
+    EXPECT_EQ(a.operator->(), &*b);
+    const Topology& ref = b;
+    EXPECT_EQ(&ref, &*a);
+    EXPECT_TRUE(a->all_flows_routed());
+    // Changing a design means copying its topology out first.
+    Topology copy = *a;
+    copy.switch_at(0).position = {5, 5};
+    EXPECT_FALSE(copy.same_content(*a));
+    EXPECT_EQ(a->switch_at(0).position, (Point{1, 0}));
 }
 
 }  // namespace
