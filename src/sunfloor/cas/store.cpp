@@ -217,13 +217,6 @@ bool Store::get(std::string_view key, std::string& payload_out) {
     return true;
 }
 
-bool Store::contains(std::string_view key) {
-    std::string blob;
-    if (!read_whole_file(object_path(key), blob)) return false;
-    std::size_t off = 0, len = 0;
-    return validate_blob(blob, key, off, len) == 0;
-}
-
 StoreStats Store::stats() const {
     StoreStats s;
     DIR* d = ::opendir(opts_.dir.c_str());

@@ -86,8 +86,6 @@ class Store {
     /// directory.
     explicit Store(StoreOptions opts);
 
-    const StoreOptions& options() const { return opts_; }
-
     /// Store `payload` under `key` (tmp+rename, atomic). Overwrites any
     /// existing object of the same key. Returns false on I/O failure —
     /// callers treat that as "not cached", never as an error.
@@ -98,10 +96,6 @@ class Store {
     /// unlinked, and bumps cas.corrupt. A successful load refreshes the
     /// object's timestamps (the gc() recency order).
     bool get(std::string_view key, std::string& payload_out);
-
-    /// True when an intact object for `key` exists (full validation, no
-    /// payload copy-out, no timestamp refresh, no metric bumps).
-    bool contains(std::string_view key);
 
     StoreStats stats() const;
 

@@ -47,17 +47,6 @@ PlacementResult solve_switch_placement(const PlacementProblem& p,
     return r;
 }
 
-bool place_switches_lp(Topology& topo, const DesignSpec& spec) {
-    const int nsw = topo.num_switches();
-    if (nsw == 0) return true;
-    const PlacementProblem p = build_switch_placement_problem(topo, spec);
-    bool lp_ok = false;
-    const PlacementResult r = solve_switch_placement(p, lp_ok);
-    for (int s = 0; s < nsw; ++s)
-        topo.switch_at(s).position = r.positions[static_cast<std::size_t>(s)];
-    return lp_ok;
-}
-
 namespace {
 
 // Free-standing TSV macros demanded by the vertical links of `topo`.

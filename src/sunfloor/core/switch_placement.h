@@ -41,11 +41,6 @@ PlacementProblem build_switch_placement_problem(const Topology& topo,
 PlacementResult solve_switch_placement(const PlacementProblem& p,
                                        bool& lp_ok);
 
-/// Solve the switch positions and write the coordinates into `topo`.
-/// Returns `lp_ok` of solve_switch_placement. Composes the two functions
-/// above.
-bool place_switches_lp(Topology& topo, const DesignSpec& spec);
-
 /// Per-layer legalization summary.
 struct FloorplanOutcome {
     std::vector<double> layer_area_mm2;      ///< die bounding box per layer

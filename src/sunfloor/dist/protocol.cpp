@@ -459,8 +459,6 @@ std::string make_shard_run_frame(const ShardRequest& req) {
            to_hex(encode_shard_request(req)) + "\"}";
 }
 
-std::string make_ping_frame() { return "{\"op\":\"ping\"}"; }
-
 std::string make_ok_frame(const ShardResponse& resp) {
     return "{\"ok\":true,\"payload\":\"" +
            to_hex(encode_shard_response(resp)) + "\"}";

@@ -97,7 +97,6 @@ bool from_hex(std::string_view hex, std::string& bytes);
 // transport appends it); parsers take one line as read_line returns it.
 
 std::string make_shard_run_frame(const ShardRequest& req);
-std::string make_ping_frame();
 std::string make_ok_frame(const ShardResponse& resp);
 std::string make_pong_frame();
 std::string make_error_frame(const std::string& msg);

@@ -52,9 +52,6 @@ class WorkerServer {
     /// Bind, listen and spawn the accept/handler threads.
     bool start(std::string& error);
 
-    /// The resolved listen address (valid after start()).
-    const service::Address& address() const { return addr_; }
-
     /// Begin shutdown (idempotent, callable from any thread or a signal
     /// handler via shutdown_fd()).
     void request_shutdown();

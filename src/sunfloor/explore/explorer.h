@@ -109,8 +109,8 @@ struct ExploreStats {
     int simulated_designs = 0; ///< simulator runs (Simulated backend only)
     /// Per-stage cache accounting of the shared pipeline session for this
     /// run (hits are artifacts reused across points or earlier runs).
-    /// Counts are exact for serial runs, a close lower bound on reuse
-    /// under concurrency (see pipeline/session.h).
+    /// Misses are single-flight, so the counts are exact at any thread
+    /// count (see pipeline/session.h).
     pipeline::SessionStats stage;
 };
 
@@ -152,10 +152,6 @@ class Explorer {
     Explorer(std::shared_ptr<pipeline::SynthesisSession> session,
              SynthesisConfig base_cfg, ExploreOptions opts = {});
 
-    const DesignSpec& spec() const { return spec_; }
-    const SynthesisConfig& base_config() const { return base_cfg_; }
-    const ExploreOptions& options() const { return opts_; }
-
     /// Evaluate every point of `grid`. Thread-safe; the session's stage
     /// caches are shared across concurrent and successive runs.
     ExploreResult run(const ParamGrid& grid) const;
@@ -166,10 +162,6 @@ class Explorer {
     /// point, designs/seeds/sim reports depend only on that point's key,
     /// which is what makes slice results mergeable bit-exactly.
     ExploreResult run(const std::vector<GridPoint>& points) const;
-
-    /// The shared staged-pipeline session (cumulative stats, artifact
-    /// counts) driving every synthesis.
-    const pipeline::SynthesisSession& session() const { return *session_; }
 
   private:
     DesignSpec spec_;

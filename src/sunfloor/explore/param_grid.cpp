@@ -190,10 +190,6 @@ const ParamAxis& ParamGrid::axis(ParamKind kind) const {
     return axes_[static_cast<std::size_t>(kind)];
 }
 
-void ParamGrid::set_filter(std::function<bool(const GridPoint&)> keep) {
-    keep_ = std::move(keep);
-}
-
 std::size_t ParamGrid::cartesian_size() const {
     std::size_t n = 1;
     for (const auto& a : axes_) n *= a.values.size();
@@ -216,7 +212,6 @@ std::vector<GridPoint> ParamGrid::enumerate() const {
                             p.phase = value_phase(ph);
                             p.theta = th;
                             p.routing = value_routing(rp);
-                            if (keep_ && !keep_(p)) continue;
                             p.index = static_cast<int>(points.size());
                             points.push_back(p);
                         }

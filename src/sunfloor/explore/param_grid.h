@@ -5,11 +5,9 @@
 // design process for each architectural point. ParamGrid names the axes
 // that loop can vary — operating frequency, TSV budget (max inter-layer
 // links), link width, synthesis phase, the PG/SPG theta and the routing
-// policy — and enumerates their cartesian product, optionally pruned by a
-// user predicate (e.g. "skip wide links at low frequency").
+// policy — and enumerates their cartesian product.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,8 +20,8 @@ namespace sunfloor {
 enum class ParamKind {
     FrequencyHz,    ///< operating frequency (Hz)
     /// TSV yield budget expressed in *inter-layer links* (the paper's
-    /// max_ill translation, Section IV), NOT raw TSV counts — use
-    /// TsvModel::max_ill_for_tsv_budget to convert a physical budget.
+    /// max_ill translation, Section IV), NOT raw TSV counts: a budget of
+    /// B TSVs allows B / TsvModel::tsvs_per_link(width) links.
     MaxTsvs,
     LinkWidthBits,  ///< flit/link width in bits
     Phase,          ///< synthesis phase: 0 = auto, 1, 2
@@ -50,7 +48,7 @@ struct ParamAxis {
 
 /// One architectural point of the grid.
 struct GridPoint {
-    int index = 0;  ///< position in the (pruned) enumeration order
+    int index = 0;  ///< position in the enumeration order
     double freq_hz = 400e6;
     int max_tsvs = 25;
     int link_width_bits = 32;
@@ -81,10 +79,9 @@ struct GridPoint {
     std::string label() const;
 };
 
-/// Cartesian grid over the six axes with optional pruning. Axes default
-/// to a single value each (400 MHz, 25 TSVs, 32 bits, auto phase, theta
-/// sweep, up-down routing), so setting one axis yields a classic 1-D
-/// sweep.
+/// Cartesian grid over the six axes. Axes default to a single value each
+/// (400 MHz, 25 TSVs, 32 bits, auto phase, theta sweep, up-down routing),
+/// so setting one axis yields a classic 1-D sweep.
 class ParamGrid {
   public:
     ParamGrid();
@@ -95,20 +92,15 @@ class ParamGrid {
 
     const ParamAxis& axis(ParamKind kind) const;
 
-    /// Keep-predicate applied during enumeration; pruned points get no
-    /// index. Pass nullptr to clear.
-    void set_filter(std::function<bool(const GridPoint&)> keep);
-
-    /// Product of the axis sizes, before pruning.
+    /// Product of the axis sizes: the number of grid points.
     std::size_t cartesian_size() const;
 
-    /// All surviving points in deterministic nested order (frequency
-    /// outermost, routing innermost), with `index` set consecutively.
+    /// All points in deterministic nested order (frequency outermost,
+    /// routing innermost), with `index` set consecutively.
     std::vector<GridPoint> enumerate() const;
 
   private:
     std::vector<ParamAxis> axes_;  ///< indexed by ParamKind
-    std::function<bool(const GridPoint&)> keep_;
 };
 
 }  // namespace sunfloor

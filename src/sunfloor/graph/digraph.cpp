@@ -1,8 +1,5 @@
 #include "sunfloor/graph/digraph.h"
 
-#include <algorithm>
-#include <map>
-
 namespace sunfloor {
 
 Digraph::Digraph(int num_vertices) {
@@ -10,12 +7,6 @@ Digraph::Digraph(int num_vertices) {
         throw std::invalid_argument("Digraph: negative vertex count");
     adj_.resize(static_cast<std::size_t>(num_vertices));
     radj_.resize(static_cast<std::size_t>(num_vertices));
-}
-
-int Digraph::add_vertex() {
-    adj_.emplace_back();
-    radj_.emplace_back();
-    return num_vertices() - 1;
 }
 
 int Digraph::add_edge(int src, int dst, double weight) {
@@ -44,27 +35,35 @@ std::optional<int> Digraph::find_edge(int src, int dst) const {
     return std::nullopt;
 }
 
-double Digraph::total_weight() const {
-    double t = 0.0;
-    for (const auto& e : edges_) t += e.weight;
-    return t;
-}
-
-Digraph Digraph::reversed() const {
-    Digraph r(num_vertices());
-    for (const auto& e : edges_) r.add_edge(e.dst, e.src, e.weight);
-    return r;
-}
-
-Digraph Digraph::undirected() const {
-    std::map<std::pair<int, int>, double> acc;
-    for (const auto& e : edges_) {
-        auto key = std::minmax(e.src, e.dst);
-        acc[{key.first, key.second}] += e.weight;
+// Iterative three-colour DFS: a cycle exists iff it finds a back edge.
+bool has_cycle(const Digraph& g) {
+    const int n = g.num_vertices();
+    enum class Color : unsigned char { White, Grey, Black };
+    std::vector<Color> color(static_cast<std::size_t>(n), Color::White);
+    // Stack of (vertex, next out-edge position).
+    std::vector<std::pair<int, std::size_t>> stack;
+    for (int s = 0; s < n; ++s) {
+        if (color[static_cast<std::size_t>(s)] != Color::White) continue;
+        stack.push_back({s, 0});
+        color[static_cast<std::size_t>(s)] = Color::Grey;
+        while (!stack.empty()) {
+            auto& [v, pos] = stack.back();
+            const auto& out = g.out_edges(v);
+            if (pos < out.size()) {
+                const int w = g.edge(out[pos++]).dst;
+                const Color cw = color[static_cast<std::size_t>(w)];
+                if (cw == Color::Grey) return true;
+                if (cw == Color::White) {
+                    color[static_cast<std::size_t>(w)] = Color::Grey;
+                    stack.push_back({w, 0});
+                }
+            } else {
+                color[static_cast<std::size_t>(v)] = Color::Black;
+                stack.pop_back();
+            }
+        }
     }
-    Digraph u(num_vertices());
-    for (const auto& [key, w] : acc) u.add_edge(key.first, key.second, w);
-    return u;
+    return false;
 }
 
 }  // namespace sunfloor

@@ -1,9 +1,8 @@
 // A small weighted directed-graph container.
 //
-// This is the substrate under the communication graph (Definition 2 of the
-// paper), the partitioning graphs PG/SPG/LPG (Definitions 3-5), the
-// switch-level routing graph of the path computation, and the channel
-// dependency graph used for deadlock checks.
+// It holds the partitioning graphs PG/SPG/LPG (Definitions 3-5 of the
+// paper, core/partition_graphs.h) and the channel dependency graphs of
+// noc/deadlock.h, whose acyclicity has_cycle checks.
 #pragma once
 
 #include <cstddef>
@@ -30,9 +29,6 @@ class Digraph {
     int num_vertices() const { return static_cast<int>(adj_.size()); }
     int num_edges() const { return static_cast<int>(edges_.size()); }
 
-    /// Append a vertex, returning its index.
-    int add_vertex();
-
     /// Append a directed edge; returns the edge index.
     /// Throws std::out_of_range for invalid endpoints.
     int add_edge(int src, int dst, double weight = 1.0);
@@ -42,7 +38,6 @@ class Digraph {
     int merge_edge(int src, int dst, double weight);
 
     const Edge& edge(int e) const { return edges_.at(static_cast<std::size_t>(e)); }
-    Edge& edge(int e) { return edges_.at(static_cast<std::size_t>(e)); }
 
     /// Indices of edges leaving v.
     const std::vector<int>& out_edges(int v) const {
@@ -59,18 +54,7 @@ class Digraph {
     /// Find the first edge src->dst, if any. Linear in out-degree(src).
     std::optional<int> find_edge(int src, int dst) const;
 
-    /// Sum of weights of all edges.
-    double total_weight() const;
-
     const std::vector<Edge>& edges() const { return edges_; }
-
-    /// The same graph with every edge reversed.
-    Digraph reversed() const;
-
-    /// Undirected view: for every ordered pair collapse (u,v) and (v,u) into
-    /// a single u<v edge with summed weight. Used by the partitioner, which
-    /// cuts communication irrespective of direction.
-    Digraph undirected() const;
 
   private:
     void check_vertex(int v) const {
@@ -82,5 +66,9 @@ class Digraph {
     std::vector<std::vector<int>> adj_;   // out-edge indices per vertex
     std::vector<std::vector<int>> radj_;  // in-edge indices per vertex
 };
+
+/// True when the directed graph contains a cycle. An acyclic channel
+/// dependency graph proves routing deadlock freedom (noc/deadlock.h).
+bool has_cycle(const Digraph& g);
 
 }  // namespace sunfloor

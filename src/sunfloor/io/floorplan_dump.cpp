@@ -81,29 +81,4 @@ bool save_layer_svg(const std::string& path, const Topology& topo,
     return static_cast<bool>(f);
 }
 
-void write_floorplan_text(std::ostream& os, const Topology& topo,
-                          const DesignSpec& spec) {
-    const int layers = std::max(1, spec.cores.num_layers());
-    for (int ly = 0; ly < layers; ++ly) {
-        os << format("layer %d\n", ly);
-        for (int c = 0; c < spec.cores.num_cores(); ++c) {
-            const auto& core = spec.cores.core(c);
-            if (core.layer != ly) continue;
-            const Point p = topo.node_position(NodeRef::core(c));
-            os << format("  core   %-12s center=(%.3f, %.3f) size=%.2fx%.2f\n",
-                         core.name.c_str(), p.x, p.y, core.width,
-                         core.height);
-        }
-        for (int s = 0; s < topo.num_switches(); ++s) {
-            const auto& sw = topo.switch_at(s);
-            if (sw.layer != ly) continue;
-            if (topo.switch_in_degree(s) + topo.switch_out_degree(s) == 0)
-                continue;
-            os << format("  switch %-12s center=(%.3f, %.3f) ports=%dx%d\n",
-                         sw.name.c_str(), sw.position.x, sw.position.y,
-                         topo.switch_in_degree(s), topo.switch_out_degree(s));
-        }
-    }
-}
-
 }  // namespace sunfloor

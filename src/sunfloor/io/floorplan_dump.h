@@ -1,5 +1,4 @@
-// Floorplan exports: SVG per layer (the Fig. 15/16-style views) and a
-// plain-text listing.
+// Floorplan export: SVG per layer (the Fig. 15/16-style views).
 #pragma once
 
 #include <iosfwd>
@@ -20,9 +19,5 @@ void write_layer_svg(std::ostream& os, const Topology& topo,
 
 bool save_layer_svg(const std::string& path, const Topology& topo,
                     const DesignSpec& spec, int layer);
-
-/// Text listing of all core and switch positions, layer by layer.
-void write_floorplan_text(std::ostream& os, const Topology& topo,
-                          const DesignSpec& spec);
 
 }  // namespace sunfloor

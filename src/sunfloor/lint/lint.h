@@ -5,9 +5,9 @@
 // string literals masked out first, so prose never trips a rule) for
 // the project's banned constructs and reports file:line diagnostics.
 // The CLI wrapper (tools/sunfloor_lint.cpp) walks directories and is
-// run over `src/ tools/ tests/` by the static-analysis CI job with
-// --error-on-findings; tests/lint_test.cpp pins every rule on
-// purpose-built fixtures.
+// run over `src/ tests/ bench/ examples/ perfbench/` by the
+// static-analysis CI job with --error-on-findings; tests/lint_test.cpp
+// pins every rule on purpose-built fixtures.
 //
 // Rules (ids are what suppressions name):
 //

@@ -10,12 +10,6 @@ double NocLibrary::flits_per_second(double bw_mbps) const {
     return bw_mbps * 1e6 / bytes_per_flit;
 }
 
-double NocLibrary::max_frequency_hz(int in_ports, int out_ports) const {
-    const int radix = std::max(std::max(in_ports, out_ports), 2);
-    const double tcrit_ns = p_.switch_t0_ns + p_.switch_t1_ns_per_port * radix;
-    return 1e9 / tcrit_ns;
-}
-
 int NocLibrary::max_switch_size(double freq_hz) const {
     const double period_ns = 1e9 / freq_hz;
     const int size = static_cast<int>(

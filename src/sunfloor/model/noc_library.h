@@ -61,13 +61,11 @@ class NocLibrary {
     /// Flits per second carried by `bw_mbps` megabytes/second of payload.
     double flits_per_second(double bw_mbps) const;
 
-    /// Maximum clock supported by a switch with the given port count (the
-    /// larger of input/output sides drives the crossbar critical path).
-    double max_frequency_hz(int in_ports, int out_ports) const;
-
     /// Largest switch radix (ports on the bigger side) usable at
-    /// `freq_hz`; this is the paper's max_sw_size input to Algorithm 2.
-    /// Returns at least 2 (a 1x1 "switch" is meaningless).
+    /// `freq_hz`: the largest radix whose crossbar critical path
+    /// t0 + t1 * radix fits in one clock period. This is the paper's
+    /// max_sw_size input to Algorithm 2. Returns at least 2 (a 1x1
+    /// "switch" is meaningless).
     int max_switch_size(double freq_hz) const;
 
     /// Dynamic energy of one flit traversing a switch (pJ).
@@ -85,7 +83,6 @@ class NocLibrary {
     double switch_area_mm2(int in_ports, int out_ports) const;
 
     double ni_area_mm2() const { return p_.ni_area_mm2; }
-    double ni_energy_per_flit_pj() const { return p_.ni_energy_pj; }
     double ni_idle_power_mw(double freq_hz) const;
 
     /// NI power for a core pushing/pulling `bw_mbps` through it.

@@ -15,18 +15,9 @@ double TsvModel::macro_area_mm2(int flit_width_bits) const {
     return tsvs_per_link(flit_width_bits) * pitch_mm * pitch_mm;
 }
 
-double TsvModel::delay_ns(int layers_crossed) const {
-    return p_.delay_ps * 1e-3 * std::max(0, layers_crossed);
-}
-
 double TsvModel::power_mw(double flits_per_s, int layers_crossed) const {
     return flits_per_s * p_.energy_pj_per_flit_layer *
            std::max(0, layers_crossed) * 1e-9;
-}
-
-int TsvModel::max_ill_for_tsv_budget(int tsv_budget,
-                                     int flit_width_bits) const {
-    return tsv_budget / tsvs_per_link(flit_width_bits);
 }
 
 double TsvModel::yield(int tsv_count, double base_yield, int knee,

@@ -16,7 +16,10 @@
 namespace sunfloor {
 
 struct TsvParams {
-    double delay_ps = 17.0;               ///< per layer crossed
+    /// Per layer crossed. No cost term reads it; the evaluation key and
+    /// the shard wire format carry it, and dropping it would move every
+    /// CAS address.
+    double delay_ps = 17.0;
     double energy_pj_per_flit_layer = 0.12;  ///< 32-bit flit, one layer hop
     double tsv_pitch_um = 8.0;
     double tsv_diameter_um = 4.0;
@@ -41,17 +44,10 @@ class TsvModel {
     /// (mm2). Placed on the top layer of each crossing (Section III).
     double macro_area_mm2(int flit_width_bits) const;
 
-    /// Delay of a vertical traversal across `layers_crossed` layers (ns).
-    double delay_ns(int layers_crossed) const;
-
     /// Power of a vertical link carrying `flits_per_s` across
     /// `layers_crossed` layers (mW). Vertical wires are so short that the
     /// idle component is negligible and omitted.
     double power_mw(double flits_per_s, int layers_crossed) const;
-
-    /// Convert a per-layer TSV budget into the paper's max_ill (maximum
-    /// inter-layer NoC links between two adjacent layers).
-    int max_ill_for_tsv_budget(int tsv_budget, int flit_width_bits) const;
 
     /// Synthetic stacked-die yield as a function of total TSV count, shaped
     /// like the curves of Fig. 1 [39]: flat up to a process-dependent knee,

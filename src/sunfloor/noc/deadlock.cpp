@@ -1,7 +1,5 @@
 #include "sunfloor/noc/deadlock.h"
 
-#include "sunfloor/graph/algorithms.h"
-
 namespace sunfloor {
 
 Digraph build_cdg(const Topology& topo) {
@@ -9,19 +7,6 @@ Digraph build_cdg(const Topology& topo) {
     for (int f = 0; f < topo.num_flows(); ++f) {
         if (!topo.has_path(f)) continue;
         const auto& path = topo.flow_path(f);
-        for (std::size_t i = 0; i + 1 < path.size(); ++i)
-            if (!cdg.find_edge(path[i], path[i + 1]))
-                cdg.add_edge(path[i], path[i + 1]);
-    }
-    return cdg;
-}
-
-Digraph build_class_cdg(const Topology& topo, FlowType cls) {
-    Digraph cdg(topo.num_links());
-    for (int f = 0; f < topo.num_flows(); ++f) {
-        if (!topo.has_path(f)) continue;
-        const auto& path = topo.flow_path(f);
-        if (path.empty() || topo.link(path.front()).cls != cls) continue;
         for (std::size_t i = 0; i + 1 < path.size(); ++i)
             if (!cdg.find_edge(path[i], path[i + 1]))
                 cdg.add_edge(path[i], path[i + 1]);

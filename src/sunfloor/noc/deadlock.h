@@ -27,9 +27,6 @@ namespace sunfloor {
 /// CDG over the routed flows only (vertices = link ids).
 Digraph build_cdg(const Topology& topo);
 
-/// CDG restricted to the links of one message class.
-Digraph build_class_cdg(const Topology& topo, FlowType cls);
-
 /// True when every flow is routed only over links of its own message
 /// class — the resource-separation invariant the synthesis flow maintains.
 /// Together with per-class CDG acyclicity this implies the extended CDG is

@@ -1,7 +1,6 @@
 #include "sunfloor/obs/metrics.h"
 
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "sunfloor/util/strings.h"
@@ -71,24 +70,10 @@ Histogram& Registry::histogram(std::string_view name,
     return *it->second;
 }
 
-void Registry::reset() {
-    util::MutexLock lock(mu_);
-    for (auto& [name, c] : counters_)
-        c->v_.store(0, std::memory_order_relaxed);
-    for (auto& [name, g] : gauges_)
-        g->v_.store(0.0, std::memory_order_relaxed);
-    for (auto& [name, h] : histograms_) {
-        for (std::size_t i = 0; i <= h->bounds_.size(); ++i)
-            h->counts_[i].store(0, std::memory_order_relaxed);
-        h->count_.store(0, std::memory_order_relaxed);
-        h->sum_.store(0.0, std::memory_order_relaxed);
-    }
-}
-
 namespace {
 
-/// %.17g keeps every double exact through a parse round-trip; trim the
-/// common integral case to keep the file readable.
+/// %.17g keeps every double exact through a parse round-trip, and it
+/// already prints an integral value without a fraction ("3", not "3.0").
 std::string json_double(double v) {
     const std::string s = format("%.17g", v);
     return s;
@@ -144,12 +129,6 @@ void Registry::write_json(std::ostream& os) const {
         first = false;
     }
     os << (first ? "" : "\n  ") << "}\n}\n";
-}
-
-std::string Registry::to_json() const {
-    std::ostringstream os;
-    write_json(os);
-    return os.str();
 }
 
 }  // namespace sunfloor::obs

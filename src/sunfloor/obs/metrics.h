@@ -125,10 +125,6 @@ class Registry {
     Histogram& histogram(std::string_view name, std::vector<double> bounds)
         SF_EXCLUDES(mu_);
 
-    /// Zero every instrument's state; registrations (and parent wiring)
-    /// survive. Parent registries are untouched.
-    void reset() SF_EXCLUDES(mu_);
-
     /// Render every instrument, sorted by name, as one JSON document:
     ///   {"schema_version": 1,
     ///    "counters":   {"<name>": <int>, ...},
@@ -136,7 +132,6 @@ class Registry {
     ///    "histograms": {"<name>": {"bounds": [...], "counts": [...],
     ///                              "count": <int>, "sum": <double>}, ...}}
     void write_json(std::ostream& os) const SF_EXCLUDES(mu_);
-    std::string to_json() const SF_EXCLUDES(mu_);
 
   private:
     /// When registries nest, a child's `mu_` is held while resolving the

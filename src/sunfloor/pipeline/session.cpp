@@ -909,19 +909,4 @@ std::size_t SynthesisSession::artifact_count() const {
            lp_solutions_.size() + evaluations_.size();
 }
 
-void SynthesisSession::clear() {
-    {
-        util::MutexLock lock(mu_);
-        graphs_.clear();
-    }
-    partitions_.clear();
-    routings_.clear();
-    placements_.clear();
-    lp_solutions_.clear();
-    evaluations_.clear();
-    // Local instruments restart from zero; the global registry keeps its
-    // process-wide totals (reset() never touches the parent).
-    registry_.reset();
-}
-
 }  // namespace sunfloor::pipeline

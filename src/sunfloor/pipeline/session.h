@@ -236,7 +236,6 @@ class SynthesisSession {
     explicit SynthesisSession(DesignSpec spec, SessionOptions opts = {});
 
     const DesignSpec& spec() const { return spec_; }
-    const SessionOptions& options() const { return opts_; }
 
     // Cached stage calls. Artifacts are immutable and shared — callers
     // must not mutate through the pointers.
@@ -295,8 +294,8 @@ class SynthesisSession {
     SynthesisResult run(const SynthesisConfig& cfg,
                         SynthesisPhase phase = SynthesisPhase::Auto);
 
-    /// Cumulative cache accounting since construction (or clear()) — a
-    /// snapshot of this session's registry instruments.
+    /// Cumulative cache accounting since construction, a snapshot of
+    /// this session's registry instruments.
     SessionStats stats() const;
 
     /// This session's metrics registry (parented to Registry::global()).
@@ -305,9 +304,6 @@ class SynthesisSession {
     /// Cached artifacts over all stages, plus keys being computed
     /// (graphs excluded).
     std::size_t artifact_count() const;
-
-    /// Drop every cached artifact and reset the counters.
-    void clear() SF_EXCLUDES(mu_);
 
   private:
     struct GraphEntry;
@@ -451,7 +447,6 @@ class SynthesisSession {
             {
                 util::MutexLock lock(mu_);
                 auto it = map_.find(key);
-                // clear() may have dropped the slot meanwhile.
                 if (it != map_.end() && it->second.flight == claim)
                     it->second = Slot{artifact, nullptr};
             }
@@ -475,11 +470,6 @@ class SynthesisSession {
         std::size_t size() const SF_EXCLUDES(mu_) {
             util::MutexLock lock(mu_);
             return map_.size();
-        }
-
-        void clear() SF_EXCLUDES(mu_) {
-            util::MutexLock lock(mu_);
-            map_.clear();
         }
 
         StageCounters counters() const {

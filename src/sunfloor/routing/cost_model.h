@@ -63,9 +63,6 @@ class LinkCostModel {
     /// Usable link bandwidth (MB/s) of one physical channel.
     double capacity_mbps() const { return capacity_mbps_; }
 
-    /// Largest switch radix usable at the configured frequency.
-    int max_switch_size() const { return max_sw_size_; }
-
     /// Existing (i, j) channel of the class with room for `bw`; -1 when
     /// none (a fresh physical link would have to be opened).
     int usable_link(int i, int j, int cls, double bw) const;

@@ -13,19 +13,16 @@
 // (two-phase disciplines over a strict total order), adaptive packets can
 // never livelock either.
 //
-// Deadlock verification of the *enlarged* set: build_route_set_cdg()
-// projects every admissible consecutive-link pair of every flow into a
-// channel dependency graph over physical links — the generalization of
-// noc/deadlock.h's build_cdg() from baked paths to route sets — and
-// build_extended_route_set_cdg() adds the request->response coupling
-// edges of build_extended_cdg(). Property tests check these stay acyclic
-// on every benchmark for every policy, so adaptive in-network choices are
-// covered by the same Dally/Seitz argument as the baked paths.
+// Deadlock verification of the *enlarged* set lives with the tests
+// (tests/oracle/route_set_cdg.h): property tests project every admissible
+// consecutive-link pair of every flow into a channel dependency graph and
+// check it stays acyclic on every benchmark for every policy, so adaptive
+// in-network choices are covered by the same Dally/Seitz argument as the
+// baked paths.
 #pragma once
 
 #include <vector>
 
-#include "sunfloor/graph/digraph.h"
 #include "sunfloor/noc/topology.h"
 #include "sunfloor/routing/policy.h"
 #include "sunfloor/spec/parser.h"
@@ -59,21 +56,11 @@ class RouteSets {
     int num_states() const { return num_states_; }
     int initial_state() const { return initial_state_; }
 
-    /// Whether the policy that built this set allows per-hop selection in
-    /// the simulator (RoutingPolicy::adaptive_in_sim).
-    bool adaptive() const { return adaptive_; }
-
     /// Admissible outgoing links of `flow` at (switch, state), sorted by
     /// link id. At the flow's destination switch this is exactly the final
     /// ejection link; empty for unrouted flows or unreachable states.
     const std::vector<RouteOption>& options(int flow, int sw,
                                             int state) const;
-
-    /// The baked path's next link out of (switch, state), or -1 when the
-    /// computed path does not pass through that product node. Used as the
-    /// simulator's tie-break so adaptive selection follows the
-    /// power-optimal baked path until contention forces a deviation.
-    int baked_next(int flow, int sw, int state) const;
 
     /// The first (core->switch) link of `flow`; -1 for unrouted flows.
     int first_link(int flow) const {
@@ -100,7 +87,8 @@ class RouteSets {
     bool adaptive_ = false;
     /// options_[flow][sw * num_states_ + state]
     std::vector<std::vector<std::vector<RouteOption>>> options_;
-    /// baked_[flow][sw * num_states_ + state] = link id or -1
+    /// baked_[flow][sw * num_states_ + state] = link id or -1; exported
+    /// as RouteSetsCsr::baked, the simulator's tie-break.
     std::vector<std::vector<int>> baked_;
     std::vector<int> firsts_;
 };
@@ -111,18 +99,5 @@ class RouteSets {
 /// reading mutable switch attributes).
 RouteSets build_route_sets(const Topology& topo, const DesignSpec& spec,
                            const RoutingPolicy& policy);
-
-/// CDG (vertices = physical link ids) over every admissible
-/// consecutive-link pair of every flow's route set — build_cdg() widened
-/// from the baked paths to the full adaptive menu.
-Digraph build_route_set_cdg(const Topology& topo, const DesignSpec& spec,
-                            const RouteSets& routes);
-
-/// build_route_set_cdg plus the request->response coupling edges of
-/// build_extended_cdg (the last link of each request path depends on the
-/// first link of every response path leaving the request's destination).
-Digraph build_extended_route_set_cdg(const Topology& topo,
-                                     const DesignSpec& spec,
-                                     const RouteSets& routes);
 
 }  // namespace sunfloor::routing

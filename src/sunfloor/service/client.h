@@ -21,8 +21,6 @@ class Client {
     /// a named error on failure.
     bool connect(const std::string& address, std::string& error);
 
-    bool connected() const { return fd_ >= 0; }
-
     /// Send one request frame (without the trailing '\n') and block for
     /// the one-line response, parsed into `response`. False — with the
     /// connection dropped — on transport or response-parse failure; a

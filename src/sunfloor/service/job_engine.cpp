@@ -224,11 +224,6 @@ bool JobEngine::result(std::uint64_t id, JobResult& out) const {
     return true;
 }
 
-int JobEngine::queue_depth() const {
-    util::MutexLock lk(mu_);
-    return static_cast<int>(queue_.size());
-}
-
 EngineStats JobEngine::stats() const {
     util::MutexLock lk(mu_);
     EngineStats st;

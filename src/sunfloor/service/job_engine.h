@@ -149,7 +149,6 @@ class JobEngine {
     /// job is still queued/running.
     bool result(std::uint64_t id, JobResult& out) const SF_EXCLUDES(mu_);
 
-    int queue_depth() const SF_EXCLUDES(mu_);
     EngineStats stats() const SF_EXCLUDES(mu_);
 
     /// Reject all future submissions (idempotent).

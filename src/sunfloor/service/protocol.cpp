@@ -447,8 +447,4 @@ std::string make_result_frame(std::uint64_t id, bool wait) {
                   wait ? "true" : "false");
 }
 
-std::string make_stats_frame() { return "{\"op\":\"stats\"}"; }
-
-std::string make_shutdown_frame() { return "{\"op\":\"shutdown\"}"; }
-
 }  // namespace sunfloor::service

@@ -139,7 +139,5 @@ bool build_job_request(const SubmitRequest& submit, JobRequest& out,
 std::string make_submit_frame(const SubmitRequest& submit);
 std::string make_status_frame(std::uint64_t id);
 std::string make_result_frame(std::uint64_t id, bool wait);
-std::string make_stats_frame();
-std::string make_shutdown_frame();
 
 }  // namespace sunfloor::service

@@ -54,9 +54,6 @@ class Server {
     /// named error) when the address cannot be parsed or bound.
     bool start(std::string& error);
 
-    /// The resolved listen address (valid after start()).
-    const Address& address() const { return addr_; }
-
     /// Write end of the shutdown self-pipe. Writing one byte here is
     /// async-signal-safe — it is what a SIGINT/SIGTERM handler should do.
     int shutdown_fd() const { return shutdown_pipe_[1]; }

@@ -904,7 +904,7 @@ SimReport run_phases(Engine& eng, const SimIndex& idx,
     return rep;
 }
 
-/// The per-flow isolation probe of simulate_zero_load over a ready
+/// The per-flow isolation probe of Simulator::run_zero_load over a ready
 /// engine. Always replays the baked paths: at zero load every candidate
 /// link has full credit, so adaptive selection's credit comparison
 /// always ties and its tie-break picks the baked link — the replay is
@@ -996,10 +996,6 @@ Simulator::Simulator(Simulator&&) noexcept = default;
 Simulator& Simulator::operator=(Simulator&&) noexcept = default;
 Simulator::~Simulator() = default;
 
-const std::shared_ptr<const SimIndex>& Simulator::index() const {
-    return impl_->index;
-}
-
 namespace {
 
 void check_routing_matches(const SimIndex& idx,
@@ -1031,27 +1027,6 @@ SimReport Simulator::run_zero_load(SimParams params) {
         throw std::invalid_argument("packet_length_flits must be positive");
     Engine& eng = impl_->engine_for(params.buffer_depth_flits, false);
     return run_zero_load_phases(eng, idx, params);
-}
-
-SimReport simulate(const Topology& topo, const DesignSpec& spec,
-                   const EvalParams& eval, const SimParams& params) {
-    if (!topo.all_flows_routed())
-        throw std::invalid_argument(
-            "simulate: every flow must be routed (topology incomplete)");
-    Simulator sim(topo, spec, eval, params.routing);
-    return sim.run(spec, eval, params);
-}
-
-SimReport simulate_zero_load(const Topology& topo, const DesignSpec& spec,
-                             const EvalParams& eval, SimParams params) {
-    if (params.inject.packet_length_flits < 1)
-        throw std::invalid_argument("packet_length_flits must be positive");
-    // Building the index validates params.routing (adaptive policies get
-    // their route sets enumerated and containment-checked) even though
-    // the probe itself replays the baked paths — see the header note on
-    // the zero-load adaptive == baked equivalence.
-    Simulator sim(topo, spec, eval, params.routing);
-    return sim.run_zero_load(params);
 }
 
 }  // namespace sunfloor::sim

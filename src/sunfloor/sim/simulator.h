@@ -45,8 +45,7 @@
 // allocates nothing), and per-cycle work is driven by active-link
 // bitsets so idle links cost nothing. The Simulator class below keeps
 // the index and the engine arenas warm across runs — a rate sweep pays
-// the setup once. The free functions remain the one-shot convenience
-// wrappers.
+// the setup once.
 //
 // Everything is single-threaded and deterministic: one Rng seeded from
 // SimParams::seed drives all injection processes, so any two runs with
@@ -155,8 +154,6 @@ class Simulator {
     Simulator& operator=(Simulator&&) noexcept;
     ~Simulator();
 
-    const std::shared_ptr<const SimIndex>& index() const;
-
     /// One full warmup -> measure -> drain run. `spec` and `eval` must be
     /// the ones the index was built from (they feed the injection rates;
     /// checked by flow count). params.routing must equal the index's
@@ -165,34 +162,21 @@ class Simulator {
     SimReport run(const DesignSpec& spec, const EvalParams& eval,
                   const SimParams& params);
 
-    /// Zero-load probe over the warm index; see simulate_zero_load for
-    /// semantics. params.routing must equal the index's policy.
+    /// Zero-load probe: one packet per routed flow, injected in
+    /// isolation (flow k starts only after flow k-1 fully drained),
+    /// through the same simulation machinery. With packet_length_flits = 1
+    /// the reported flow_avg_latency_cycles equal the analytic
+    /// flow_latency() exactly. Unrouted flows report -1; injection
+    /// rates/traffic shaping are ignored. The probe replays the *baked*
+    /// paths, which is exact for adaptive policies too: at zero load
+    /// every link has full credit, so adaptive selection degenerates to
+    /// its tie-break — the baked path. params.routing must equal the
+    /// index's policy.
     SimReport run_zero_load(SimParams params);
 
   private:
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
-
-/// Simulate `topo` under the spec's traffic scaled by params.inject.
-/// Every flow must be routed (Topology::all_flows_routed); throws
-/// std::invalid_argument otherwise. One-shot convenience over the
-/// Simulator class: builds a fresh index per call.
-SimReport simulate(const Topology& topo, const DesignSpec& spec,
-                   const EvalParams& eval, const SimParams& params);
-
-/// Zero-load probe: one packet per routed flow, injected in isolation
-/// (flow k starts only after flow k-1 fully drained), through the same
-/// simulation machinery. With packet_length_flits = 1 the reported
-/// flow_avg_latency_cycles equal the analytic flow_latency() exactly.
-/// Unrouted flows report -1; injection rates/traffic shaping are
-/// ignored. The probe replays the *baked* paths, which is exact for
-/// params.routing too: at zero load every link has full credit, so
-/// adaptive selection degenerates to its tie-break — the baked path.
-/// Adaptive policies are still validated (their route sets are built,
-/// so a policy mismatched with the topology's routing throws
-/// std::logic_error rather than being silently ignored).
-SimReport simulate_zero_load(const Topology& topo, const DesignSpec& spec,
-                             const EvalParams& eval, SimParams params);
 
 }  // namespace sunfloor::sim

@@ -45,26 +45,4 @@ double CommSpec::total_bw() const {
     return t;
 }
 
-Digraph CommSpec::communication_graph(int num_cores) const {
-    Digraph g(num_cores);
-    for (const auto& f : flows_) {
-        if (f.src >= num_cores || f.dst >= num_cores)
-            throw std::out_of_range("CommSpec: flow references unknown core");
-        g.merge_edge(f.src, f.dst, f.bw_mbps);
-    }
-    return g;
-}
-
-std::vector<int> CommSpec::inter_layer_flows(
-    const std::vector<int>& layer) const {
-    std::vector<int> out;
-    for (int i = 0; i < num_flows(); ++i) {
-        const auto& f = flows_[static_cast<std::size_t>(i)];
-        if (layer.at(static_cast<std::size_t>(f.src)) !=
-            layer.at(static_cast<std::size_t>(f.dst)))
-            out.push_back(i);
-    }
-    return out;
-}
-
 }  // namespace sunfloor

@@ -6,8 +6,6 @@
 
 #include <vector>
 
-#include "sunfloor/graph/digraph.h"
-
 namespace sunfloor {
 
 enum class FlowType { Request, Response };
@@ -43,15 +41,6 @@ class CommSpec {
 
     /// Sum of all flow bandwidths.
     double total_bw() const;
-
-    /// The communication graph G(V,E) of Definition 2 over `num_cores`
-    /// vertices; parallel flows between the same pair are merged with
-    /// summed bandwidth.
-    Digraph communication_graph(int num_cores) const;
-
-    /// Flow ids whose endpoints sit on different layers, given the per-core
-    /// layer assignment.
-    std::vector<int> inter_layer_flows(const std::vector<int>& layer) const;
 
   private:
     std::vector<Flow> flows_;

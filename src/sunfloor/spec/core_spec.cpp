@@ -49,13 +49,6 @@ std::vector<int> CoreSpec::cores_in_layer(int layer) const {
     return ids;
 }
 
-double CoreSpec::layer_area(int layer) const {
-    double a = 0.0;
-    for (const auto& c : cores_)
-        if (c.layer == layer) a += c.area();
-    return a;
-}
-
 Rect CoreSpec::layer_bounding_box(int layer) const {
     std::vector<Rect> rects;
     for (const auto& c : cores_)
@@ -71,17 +64,6 @@ CoreSpec CoreSpec::flattened_to_2d() const {
         flat.cores_.push_back(std::move(copy));
     }
     return flat;
-}
-
-bool CoreSpec::placement_is_legal() const {
-    for (int i = 0; i < num_cores(); ++i)
-        for (int j = i + 1; j < num_cores(); ++j) {
-            const auto& a = cores_[static_cast<std::size_t>(i)];
-            const auto& b = cores_[static_cast<std::size_t>(j)];
-            if (a.layer == b.layer && a.rect().overlaps(b.rect()))
-                return false;
-        }
-    return true;
 }
 
 }  // namespace sunfloor

@@ -47,18 +47,12 @@ class CoreSpec {
     /// Ids of the cores assigned to `layer`.
     std::vector<int> cores_in_layer(int layer) const;
 
-    /// Sum of core areas on a layer (mm2).
-    double layer_area(int layer) const;
-
     /// Bounding box of the cores on a layer.
     Rect layer_bounding_box(int layer) const;
 
     /// A copy with every core on layer 0 (positions unchanged; callers
     /// re-floorplan). Used to derive the 2-D comparison designs.
     CoreSpec flattened_to_2d() const;
-
-    /// True when no two cores on the same layer overlap.
-    bool placement_is_legal() const;
 
   private:
     std::vector<Core> cores_;

@@ -26,9 +26,6 @@ inline double manhattan(const Point& a, const Point& b) {
     return std::abs(a.x - b.x) + std::abs(a.y - b.y);
 }
 
-/// Euclidean distance; used only for reporting.
-double euclidean(const Point& a, const Point& b);
-
 /// An axis-aligned rectangle, stored as lower-left corner plus size.
 /// Invariant: w >= 0 && h >= 0.
 struct Rect {
@@ -49,12 +46,6 @@ struct Rect {
         return x < o.right() && o.x < right() && y < o.top() && o.y < top();
     }
 
-    /// Area of the intersection (0 when disjoint).
-    double overlap_area(const Rect& o) const;
-
-    /// True when `o` lies entirely inside this rectangle (edges allowed).
-    bool contains(const Rect& o) const;
-
     /// True when point lies inside or on the boundary.
     bool contains(const Point& p) const;
 
@@ -66,10 +57,6 @@ struct Rect {
 
 /// Bounding box of a set of rectangles. Returns a zero rect for empty input.
 Rect bounding_box(const std::vector<Rect>& rects);
-
-/// Total pairwise overlap area of a set of rectangles (0 for a legal
-/// floorplan). Quadratic; used for verification and annealer penalties.
-double total_overlap(const std::vector<Rect>& rects);
 
 /// Clamp v into [lo, hi].
 double clamp(double v, double lo, double hi);

@@ -26,13 +26,11 @@ class JsonValue {
 
     JsonValue() = default;
 
-    Type type() const { return type_; }
     bool is_object() const { return type_ == Type::Object; }
     bool is_array() const { return type_ == Type::Array; }
     bool is_string() const { return type_ == Type::String; }
     bool is_number() const { return type_ == Type::Number; }
     bool is_bool() const { return type_ == Type::Bool; }
-    bool is_null() const { return type_ == Type::Null; }
 
     /// True for a Number whose lexeme was integral and fits a long long.
     bool is_integer() const { return type_ == Type::Number && integral_; }

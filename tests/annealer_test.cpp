@@ -1,6 +1,7 @@
 // Tests for the simulated-annealing floorplanner (Parquet substitute).
 #include <gtest/gtest.h>
 
+#include "oracle/placement_checks.h"
 #include "sunfloor/floorplan/annealer.h"
 #include "sunfloor/spec/benchmarks.h"
 
@@ -86,10 +87,10 @@ TEST(Annealer, FloorplanDesignLayersLegalizes) {
     opts.wirelength_weight = 5e-4;
     Rng rng(10);
     floorplan_design_layers(spec.cores, spec.comm, opts, rng);
-    EXPECT_TRUE(spec.cores.placement_is_legal());
+    EXPECT_TRUE(oracle::placement_is_legal(spec.cores));
     // Area utilization must stay sane (no exploded layout).
     for (int ly = 0; ly < spec.cores.num_layers(); ++ly) {
-        const double core_area = spec.cores.layer_area(ly);
+        const double core_area = oracle::layer_area(spec.cores, ly);
         const double bbox = spec.cores.layer_bounding_box(ly).area();
         EXPECT_LT(bbox, core_area * 1.6) << "layer " << ly;
     }

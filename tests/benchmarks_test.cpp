@@ -1,6 +1,7 @@
 // Tests for the benchmark generators: structure as the paper states it.
 #include <gtest/gtest.h>
 
+#include "oracle/placement_checks.h"
 #include "sunfloor/spec/benchmarks.h"
 
 namespace sunfloor {
@@ -12,7 +13,7 @@ TEST(Benchmarks, AllNamesBuild) {
         EXPECT_EQ(spec.name, name);
         EXPECT_GT(spec.cores.num_cores(), 0) << name;
         EXPECT_GT(spec.comm.num_flows(), 0) << name;
-        EXPECT_TRUE(spec.cores.placement_is_legal()) << name;
+        EXPECT_TRUE(oracle::placement_is_legal(spec.cores)) << name;
     }
     EXPECT_THROW(make_benchmark("nope"), std::invalid_argument);
 }
@@ -136,7 +137,7 @@ TEST(Benchmarks, RowpackIsDeterministicAndLegal) {
     for (int c = 0; c < a.cores.num_cores(); ++c) {
         EXPECT_EQ(a.cores.core(c).position, b.cores.core(c).position);
     }
-    EXPECT_TRUE(a.cores.placement_is_legal());
+    EXPECT_TRUE(oracle::placement_is_legal(a.cores));
 }
 
 TEST(Benchmarks, To2dFlattensAndStaysLegal) {
@@ -144,12 +145,12 @@ TEST(Benchmarks, To2dFlattensAndStaysLegal) {
     const DesignSpec flat = to_2d(spec);
     EXPECT_EQ(flat.cores.num_layers(), 1);
     EXPECT_EQ(flat.comm.num_flows(), spec.comm.num_flows());
-    EXPECT_TRUE(flat.cores.placement_is_legal());
+    EXPECT_TRUE(oracle::placement_is_legal(flat.cores));
     // 2-D die area should be about the sum of the 3-D layers.
     double area3d = 0.0;
     for (int ly = 0; ly < spec.cores.num_layers(); ++ly)
-        area3d += spec.cores.layer_area(ly);
-    EXPECT_NEAR(flat.cores.layer_area(0), area3d, 1e-9);
+        area3d += oracle::layer_area(spec.cores, ly);
+    EXPECT_NEAR(oracle::layer_area(flat.cores, 0), area3d, 1e-9);
 }
 
 }  // namespace

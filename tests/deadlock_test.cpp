@@ -1,7 +1,6 @@
 // Tests for the channel-dependency-graph deadlock analysis.
 #include <gtest/gtest.h>
 
-#include "sunfloor/graph/algorithms.h"
 #include "sunfloor/noc/deadlock.h"
 #include "sunfloor/spec/parser.h"
 
@@ -76,7 +75,7 @@ TEST(Deadlock, TwoHopRingDeadlocks) {
     EXPECT_FALSE(is_routing_deadlock_free(t));
 }
 
-TEST(Deadlock, ClassCdgFiltersByClass) {
+TEST(Deadlock, SeparatedClassesCoupleOnlyAtTheCore) {
     DesignSpec spec;
     for (int i = 0; i < 2; ++i) {
         Core c;
@@ -102,8 +101,9 @@ TEST(Deadlock, ClassCdgFiltersByClass) {
         t.add_link(NodeRef::sw(s0), NodeRef::core(0), FlowType::Response);
     t.set_flow_path(1, spec.comm.flow(1), {d, e, f});
 
-    EXPECT_EQ(build_class_cdg(t, FlowType::Request).num_edges(), 2);
-    EXPECT_EQ(build_class_cdg(t, FlowType::Response).num_edges(), 2);
+    // Each path chains its own class's links: a -> b -> c, d -> e -> f.
+    EXPECT_EQ(build_cdg(t).num_edges(), 4);
+    EXPECT_TRUE(is_routing_deadlock_free(t));
     EXPECT_TRUE(classes_are_separated(t, spec.comm));
 
     // Extended CDG gains the turnaround edge c -> d (request into core 1
@@ -146,16 +146,15 @@ TEST(Deadlock, UnroutedFlowsIgnored) {
 
 TEST(Deadlock, SeededCdgCycleIsCaughtByEveryGraph) {
     // Hand-seed the classic cyclic dependency (each flow holds one ring
-    // link while waiting for the next): the plain CDG, the per-class CDG
-    // and the extended CDG must all contain the cycle, and the
-    // deadlock-freedom predicates must say no.
+    // link while waiting for the next): the plain CDG and the extended
+    // CDG must both contain the cycle, and the deadlock-freedom
+    // predicates must say no.
     DesignSpec spec;
     spec.cores = ring_spec().cores;
     for (int i = 0; i < 4; ++i)
         spec.comm.add_flow({i, (i + 2) % 4, 10, 0, FlowType::Request});
     const auto t = ring_topology(spec, true);
     EXPECT_TRUE(has_cycle(build_cdg(t)));
-    EXPECT_TRUE(has_cycle(build_class_cdg(t, FlowType::Request)));
     EXPECT_TRUE(has_cycle(build_extended_cdg(t, spec.comm)));
     EXPECT_FALSE(is_routing_deadlock_free(t));
     EXPECT_FALSE(is_message_dependent_deadlock_free(t, spec.comm));

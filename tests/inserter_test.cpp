@@ -1,6 +1,7 @@
 // Tests for the custom NoC-insertion routine and the standard baseline.
 #include <gtest/gtest.h>
 
+#include "oracle/placement_checks.h"
 #include "sunfloor/floorplan/inserter.h"
 #include "sunfloor/floorplan/standard_inserter.h"
 
@@ -10,7 +11,7 @@ namespace {
 double overlap_of(const InsertionResult& r) {
     std::vector<Rect> all = r.fixed_rects;
     all.insert(all.end(), r.inserted_rects.begin(), r.inserted_rects.end());
-    return total_overlap(all);
+    return oracle::total_overlap(all);
 }
 
 TEST(Inserter, PlacesIntoFreeSpaceAtIdeal) {

@@ -64,19 +64,6 @@ TEST(IoSvg, LayerSvgWellFormed) {
     EXPECT_NE(svg.find("<rect"), std::string::npos);
 }
 
-TEST(IoText, FloorplanTextListsEverything) {
-    DesignSpec spec = make_d38_tvopd();
-    const auto res = small_result();
-    const auto& topo = res.points[res.best_power_index()].topo;
-    std::ostringstream os;
-    write_floorplan_text(os, topo, spec);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("layer 0"), std::string::npos);
-    EXPECT_NE(text.find("layer 2"), std::string::npos);
-    EXPECT_NE(text.find("vld0"), std::string::npos);
-    EXPECT_NE(text.find("switch"), std::string::npos);
-}
-
 TEST(IoReport, DesignPointsTable) {
     const auto res = small_result();
     const Table t = design_points_table(res.points);

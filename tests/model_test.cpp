@@ -15,14 +15,16 @@ TEST(NocLibrary, FlitsPerSecond) {
     EXPECT_NEAR(lib.flits_per_second(400.0), 1e8, 1.0);
 }
 
-TEST(NocLibrary, MaxFrequencyDecreasesWithPorts) {
+TEST(NocLibrary, MaxSwitchSizeFallsWithFrequency) {
     NocLibrary lib;
-    double prev = 1e18;
-    for (int p = 2; p <= 30; ++p) {
-        const double f = lib.max_frequency_hz(p, p);
-        EXPECT_LT(f, prev);
-        prev = f;
+    int prev = lib.max_switch_size(100e6);
+    for (double f = 200e6; f <= 2e9; f += 100e6) {
+        const int sz = lib.max_switch_size(f);
+        EXPECT_LE(sz, prev) << f;
+        prev = sz;
     }
+    EXPECT_GT(lib.max_switch_size(200e6), lib.max_switch_size(800e6));
+    EXPECT_EQ(lib.max_switch_size(1e12), 2);  // never below a 2x2 switch
 }
 
 TEST(NocLibrary, MaxSwitchSizeCalibration) {
@@ -32,16 +34,19 @@ TEST(NocLibrary, MaxSwitchSizeCalibration) {
     const int sz = lib.max_switch_size(400e6);
     EXPECT_GE(sz, 10);
     EXPECT_LE(sz, 14);
-    EXPECT_LT(lib.max_frequency_hz(26, 26), 400e6);
-    EXPECT_GE(lib.max_frequency_hz(sz, sz), 400e6);
 }
 
-TEST(NocLibrary, MaxSwitchSizeInverseOfMaxFrequency) {
+TEST(NocLibrary, MaxSwitchSizeFitsTheClockPeriod) {
+    // The crossbar critical path t0 + t1 * radix of the largest usable
+    // switch fits in one period; one more port would not.
     NocLibrary lib;
+    const NocTechParams& p = lib.params();
     for (double f : {200e6, 400e6, 600e6, 800e6}) {
         const int sz = lib.max_switch_size(f);
-        EXPECT_GE(lib.max_frequency_hz(sz, sz), f);
-        EXPECT_LT(lib.max_frequency_hz(sz + 1, sz + 1), f);
+        const double period_ns = 1e9 / f;
+        EXPECT_LE(p.switch_t0_ns + p.switch_t1_ns_per_port * sz, period_ns);
+        EXPECT_GT(p.switch_t0_ns + p.switch_t1_ns_per_port * (sz + 1),
+                  period_ns);
     }
 }
 
@@ -127,21 +132,6 @@ TEST(TsvModel, VerticalHopsAreCheap) {
     const double flits = 1e8;
     EXPECT_LT(tsv.power_mw(flits, 1),
               wire.power_mw(0.5, flits, 400e6));
-    EXPECT_LT(tsv.delay_ns(1), wire.delay_ns(0.5));
-}
-
-TEST(TsvModel, DelayMatchesPaperFigure) {
-    // ~17 ps per TSV crossing.
-    TsvModel tsv;
-    EXPECT_NEAR(tsv.delay_ns(1), 0.017, 0.005);
-    EXPECT_NEAR(tsv.delay_ns(3), 3 * tsv.delay_ns(1), 1e-12);
-}
-
-TEST(TsvModel, MaxIllFromBudget) {
-    TsvModel tsv;
-    const int per_link = tsv.tsvs_per_link(32);
-    EXPECT_EQ(tsv.max_ill_for_tsv_budget(25 * per_link, 32), 25);
-    EXPECT_EQ(tsv.max_ill_for_tsv_budget(per_link - 1, 32), 0);
 }
 
 TEST(TsvModel, YieldCurveShape) {

@@ -47,26 +47,6 @@ TEST(ParamGrid, EnumerationOrderIsNestedAndIndexed) {
         EXPECT_EQ(points[i].index, static_cast<int>(i));
 }
 
-TEST(ParamGrid, FilterPrunesAndReindexes) {
-    ParamGrid grid;
-    grid.set_axis(ParamAxis::frequencies_hz({300e6, 400e6, 500e6}));
-    grid.set_axis(ParamAxis::link_widths_bits({32, 64}));
-    grid.set_filter([](const GridPoint& p) {
-        // e.g. wide links only make sense at low frequency
-        return !(p.link_width_bits == 64 && p.freq_hz > 350e6);
-    });
-    const auto points = grid.enumerate();
-    EXPECT_EQ(grid.cartesian_size(), 6u);
-    ASSERT_EQ(points.size(), 4u);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        EXPECT_EQ(points[i].index, static_cast<int>(i));
-        EXPECT_FALSE(points[i].link_width_bits == 64 &&
-                     points[i].freq_hz > 350e6);
-    }
-    grid.set_filter(nullptr);
-    EXPECT_EQ(grid.enumerate().size(), 6u);
-}
-
 TEST(ParamGrid, RejectsInvalidAxes) {
     ParamGrid grid;
     EXPECT_THROW(grid.set_axis(ParamAxis::frequencies_hz({})),

@@ -216,37 +216,19 @@ TEST(Pipeline, FloorplanRunsAreDeterministicAndReusableAcrossSeeds) {
                         run_synthesis(spec, off, SynthesisPhase::Phase1));
 }
 
-TEST(Pipeline, ClearDropsArtifactsAndCounters) {
+TEST(Pipeline, ColdRunPublishesOneArtifactPerMiss) {
     const DesignSpec spec = make_benchmark("D_36_4");
-    const auto stages = [](const pipeline::SessionStats& s) {
-        return std::vector<pipeline::StageCounters>{
-            s.partition, s.routing, s.placement, s.position_lp,
-            s.evaluation};
-    };
     pipeline::SynthesisSession session(spec);
     session.run(fast_cfg());
     // A serial run publishes one artifact per miss, in every stage cache.
-    const pipeline::SessionStats cold = session.stats();
+    const pipeline::SessionStats s = session.stats();
     long long misses = 0;
-    for (const auto& c : stages(cold)) {
+    for (const pipeline::StageCounters& c :
+         {s.partition, s.routing, s.placement, s.position_lp, s.evaluation}) {
         EXPECT_GT(c.misses, 0);
         misses += c.misses;
     }
     EXPECT_EQ(session.artifact_count(), static_cast<std::size_t>(misses));
-
-    session.clear();
-    EXPECT_EQ(session.artifact_count(), 0u);
-    for (const auto& c : stages(session.stats())) EXPECT_EQ(c.calls(), 0);
-
-    // Nothing survived: the rerun recomputes every artifact.
-    const SynthesisResult after = session.run(fast_cfg());
-    expect_same_results(after, run_synthesis(spec, fast_cfg()));
-    const auto again = stages(session.stats());
-    const auto first = stages(cold);
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        EXPECT_EQ(again[i].hits, first[i].hits) << "stage " << i;
-        EXPECT_EQ(again[i].misses, first[i].misses) << "stage " << i;
-    }
 }
 
 struct RoutingSplit {

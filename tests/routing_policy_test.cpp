@@ -5,9 +5,9 @@
 
 #include <algorithm>
 
+#include "oracle/route_set_cdg.h"
 #include "sunfloor/core/path_compute.h"
 #include "sunfloor/core/synthesizer.h"
-#include "sunfloor/graph/algorithms.h"
 #include "sunfloor/noc/deadlock.h"
 #include "sunfloor/routing/policy.h"
 #include "sunfloor/routing/route_sets.h"
@@ -131,10 +131,10 @@ TEST(RoutingPolicy, EveryPolicyRoutesBenchmarksDeadlockFree) {
             const routing::RouteSets rs = routing::build_route_sets(
                 topo, spec, routing::routing_policy(id));
             EXPECT_FALSE(
-                has_cycle(routing::build_route_set_cdg(topo, spec, rs)))
+                has_cycle(oracle::build_route_set_cdg(topo, spec, rs)))
                 << name << " " << routing::routing_to_string(id);
             EXPECT_FALSE(has_cycle(
-                routing::build_extended_route_set_cdg(topo, spec, rs)))
+                oracle::build_extended_route_set_cdg(topo, spec, rs)))
                 << name << " " << routing::routing_to_string(id);
         }
     }

@@ -50,9 +50,11 @@ TEST(RoutingSim, AdaptiveMatchesFixedPathAtZeroLoad) {
     sim::SimParams adaptive = p;
     adaptive.routing = RoutingPolicyId::WestFirst;
 
-    const sim::SimReport a = sim::simulate(dp.topo, spec, cfg.eval, fixed);
+    const sim::SimReport a =
+        sim::Simulator(dp.topo, spec, cfg.eval).run(spec, cfg.eval, fixed);
     const sim::SimReport b =
-        sim::simulate(dp.topo, spec, cfg.eval, adaptive);
+        sim::Simulator(dp.topo, spec, cfg.eval, adaptive.routing)
+            .run(spec, cfg.eval, adaptive);
     EXPECT_EQ(a.received_packets, b.received_packets);
     EXPECT_TRUE(bitwise_equal(a.avg_latency_cycles, b.avg_latency_cycles));
     EXPECT_TRUE(bitwise_equal(a.p99_latency_cycles, b.p99_latency_cycles));
@@ -80,9 +82,10 @@ TEST(RoutingSim, AdaptiveShiftsLatencyUnderContention) {
         adaptive.routing = RoutingPolicyId::OddEven;
 
         const sim::SimReport a =
-            sim::simulate(dp.topo, spec, cfg.eval, fixed);
+            sim::Simulator(dp.topo, spec, cfg.eval).run(spec, cfg.eval, fixed);
         const sim::SimReport b =
-            sim::simulate(dp.topo, spec, cfg.eval, adaptive);
+            sim::Simulator(dp.topo, spec, cfg.eval, adaptive.routing)
+                .run(spec, cfg.eval, adaptive);
         EXPECT_TRUE(a.drained) << name;
         EXPECT_TRUE(b.drained) << name;
         if (!bitwise_equal(a.avg_latency_cycles, b.avg_latency_cycles))
@@ -101,8 +104,10 @@ TEST(RoutingSim, AdaptiveRunsAreBitDeterministic) {
     p.routing = RoutingPolicyId::WestFirst;
     p.inject.injection_scale = 1.0;
     p.measure_cycles = 3000;
-    const sim::SimReport a = sim::simulate(dp.topo, spec, cfg.eval, p);
-    const sim::SimReport b = sim::simulate(dp.topo, spec, cfg.eval, p);
+    const sim::SimReport a = sim::Simulator(dp.topo, spec, cfg.eval, p.routing)
+                                 .run(spec, cfg.eval, p);
+    const sim::SimReport b = sim::Simulator(dp.topo, spec, cfg.eval, p.routing)
+                                 .run(spec, cfg.eval, p);
     EXPECT_EQ(a.received_packets, b.received_packets);
     EXPECT_EQ(a.cycles_run, b.cycles_run);
     EXPECT_TRUE(bitwise_equal(a.avg_latency_cycles, b.avg_latency_cycles));
@@ -130,7 +135,7 @@ TEST(RoutingSim, AdaptivePoliciesDrainUnderStress) {
         p.inject.traffic = sim::Traffic::Bursty;
         p.measure_cycles = 3000;
         const sim::SimReport rep =
-            sim::simulate(dp.topo, spec, cfg.eval, p);
+            sim::Simulator(dp.topo, spec, cfg.eval, id).run(spec, cfg.eval, p);
         EXPECT_TRUE(rep.drained) << routing::routing_to_string(id);
         EXPECT_EQ(rep.in_flight_flits_at_end, 0)
             << routing::routing_to_string(id);
@@ -151,7 +156,8 @@ TEST(RoutingSim, MismatchedAdaptivePolicyIsReported) {
     p.routing = RoutingPolicyId::WestFirst;
     p.measure_cycles = 1000;
     try {
-        (void)sim::simulate(dp.topo, spec, cfg.eval, p);
+        (void)sim::Simulator(dp.topo, spec, cfg.eval, p.routing)
+            .run(spec, cfg.eval, p);
         // Permissible: every baked path of this design happens to lie in
         // west-first's route set too (e.g. all single-hop).
     } catch (const std::logic_error& e) {
@@ -171,7 +177,8 @@ TEST(RoutingSim, MismatchedDeterministicPolicyStillReplaysBakedPaths) {
         best_design(spec, RoutingPolicyId::WestFirst, cfg);
     sim::SimParams p;  // default up-down
     p.measure_cycles = 2000;
-    const sim::SimReport rep = sim::simulate(dp.topo, spec, cfg.eval, p);
+    const sim::SimReport rep =
+        sim::Simulator(dp.topo, spec, cfg.eval).run(spec, cfg.eval, p);
     EXPECT_TRUE(rep.drained);
     EXPECT_GT(rep.received_packets, 0);
 }

@@ -1,6 +1,7 @@
 // Tests for the sequence-pair floorplan representation.
 #include <gtest/gtest.h>
 
+#include "oracle/placement_checks.h"
 #include "sunfloor/floorplan/sequence_pair.h"
 #include "sunfloor/util/rng.h"
 
@@ -11,7 +12,7 @@ bool packing_is_legal(const Packing& p, const std::vector<BlockDim>& dims) {
     std::vector<Rect> rects;
     for (std::size_t i = 0; i < dims.size(); ++i)
         rects.push_back(p.block_rect(static_cast<int>(i), dims));
-    return total_overlap(rects) < 1e-12;
+    return oracle::total_overlap(rects) < 1e-12;
 }
 
 TEST(SequencePair, IdentityPacksInARow) {

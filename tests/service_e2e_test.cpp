@@ -27,6 +27,11 @@
 namespace sunfloor::service {
 namespace {
 
+// Operator frames: no shipped client sends them, but the server answers
+// them.
+std::string make_stats_frame() { return "{\"op\":\"stats\"}"; }
+std::string make_shutdown_frame() { return "{\"op\":\"shutdown\"}"; }
+
 DesignSpec e2e_spec(std::uint64_t seed = 1) {
     specgen::GenParams gp;
     gp.family = specgen::GenFamily::Pipeline;

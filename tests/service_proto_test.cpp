@@ -15,6 +15,11 @@
 namespace sunfloor::service {
 namespace {
 
+// Operator frames: no shipped client sends them, but the server answers
+// them.
+std::string make_stats_frame() { return "{\"op\":\"stats\"}"; }
+std::string make_shutdown_frame() { return "{\"op\":\"shutdown\"}"; }
+
 constexpr long long kNoLimit = 0;
 
 // A minimal valid two-core spec for frames that must get past the spec

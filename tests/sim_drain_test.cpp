@@ -47,7 +47,7 @@ TEST(SimDrain, SynthesizedTopologiesDrainUnderStress) {
             p.measure_cycles = 4000;
             p.drain_max_cycles = 20000;      // the progress bound
             const sim::SimReport rep =
-                sim::simulate(dp.topo, spec, cfg.eval, p);
+                sim::Simulator(dp.topo, spec, cfg.eval).run(spec, cfg.eval, p);
             EXPECT_TRUE(rep.drained)
                 << sim::traffic_to_string(traffic) << ": "
                 << rep.in_flight_flits_at_end << " flits stuck";
@@ -74,7 +74,8 @@ TEST(SimDrain, DrainBoundIsReportedWhenExceeded) {
     p.measure_cycles = 3;  // stop mid-flight
     p.drain_max_cycles = 0;
     p.inject.injection_scale = 1.0;
-    const sim::SimReport rep = sim::simulate(dp.topo, spec, cfg.eval, p);
+    const sim::SimReport rep =
+        sim::Simulator(dp.topo, spec, cfg.eval).run(spec, cfg.eval, p);
     EXPECT_FALSE(rep.drained);
     EXPECT_GT(rep.in_flight_flits_at_end, 0);
     EXPECT_EQ(rep.cycles_run, 3);

@@ -102,9 +102,11 @@ TEST(SimEquivalence, WarmSimulatorReplaysColdRunsBitIdentically) {
             const SimParams p = base_params(policy);
             // Cold: fresh index and engine per call.
             const SimReport cold =
-                sim::simulate(s.point.topo, s.spec, s.cfg.eval, p);
+                sim::Simulator(s.point.topo, s.spec, s.cfg.eval, policy)
+                    .run(s.spec, s.cfg.eval, p);
             const SimReport cold2 =
-                sim::simulate(s.point.topo, s.spec, s.cfg.eval, p);
+                sim::Simulator(s.point.topo, s.spec, s.cfg.eval, policy)
+                    .run(s.spec, s.cfg.eval, p);
             expect_reports_identical(cold, cold2);
             // Warm: one Simulator, three runs over the same arenas. The
             // second and third must not remember the first.
@@ -129,7 +131,8 @@ TEST(SimEquivalence, WarmZeroLoadMatchesColdZeroLoad) {
         SimParams p;
         p.routing = policy;
         const SimReport cold =
-            sim::simulate_zero_load(s.point.topo, s.spec, s.cfg.eval, p);
+            sim::Simulator(s.point.topo, s.spec, s.cfg.eval, policy)
+                .run_zero_load(p);
         sim::Simulator warm(s.point.topo, s.spec, s.cfg.eval, policy);
         warm.run(s.spec, s.cfg.eval, base_params(policy));  // dirty it
         expect_reports_identical(cold, warm.run_zero_load(p));
@@ -192,7 +195,8 @@ TEST(SimEquivalence, DrainsUnderStress) {
         p.buffer_depth_flits = 1;
         p.measure_cycles = 2000;
         const SimReport rep =
-            sim::simulate(s.point.topo, s.spec, s.cfg.eval, p);
+            sim::Simulator(s.point.topo, s.spec, s.cfg.eval, policy)
+                .run(s.spec, s.cfg.eval, p);
         EXPECT_TRUE(rep.drained)
             << routing::routing_to_string(policy);
         EXPECT_EQ(rep.in_flight_flits_at_end, 0);

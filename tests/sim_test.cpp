@@ -13,6 +13,7 @@ namespace {
 
 using sim::SimParams;
 using sim::SimReport;
+using sim::Simulator;
 using sim::Traffic;
 
 Core make_core(const std::string& name, double x, double y, int layer = 0) {
@@ -66,7 +67,7 @@ TEST(Sim, ZeroLoadMatchesAnalyticOnStar) {
     StarFixture fx(2, {{0, 1, kBw, 0.0, FlowType::Request}});
     SimParams p = quick_params();
     const SimReport rep =
-        sim::simulate_zero_load(fx.topo, fx.spec, fx.eval, p);
+        Simulator(fx.topo, fx.spec, fx.eval).run_zero_load(p);
     ASSERT_EQ(rep.flow_avg_latency_cycles.size(), 1u);
     EXPECT_DOUBLE_EQ(rep.flow_avg_latency_cycles[0],
                      flow_latency(fx.topo, 0, fx.eval));
@@ -98,7 +99,7 @@ TEST(Sim, ZeroLoadCountsPipelineStagesOnLongLinks) {
                                         eval.freq_hz),
               1);
     const SimReport rep =
-        sim::simulate_zero_load(topo, spec, eval, quick_params());
+        Simulator(topo, spec, eval).run_zero_load(quick_params());
     EXPECT_DOUBLE_EQ(rep.flow_avg_latency_cycles[0],
                      flow_latency(topo, 0, eval));
 }
@@ -109,7 +110,7 @@ TEST(Sim, WormholeTailFollowsHeadOneFlitPerCycle) {
     p.inject.packet_length_flits = 5;
     p.buffer_depth_flits = 8;
     const SimReport rep =
-        sim::simulate_zero_load(fx.topo, fx.spec, fx.eval, p);
+        Simulator(fx.topo, fx.spec, fx.eval).run_zero_load(p);
     // Head pays the path latency; the tail streams 4 cycles behind.
     EXPECT_DOUBLE_EQ(rep.avg_head_latency_cycles, 1.0);
     EXPECT_DOUBLE_EQ(rep.flow_avg_latency_cycles[0], 5.0);
@@ -127,7 +128,8 @@ TEST(Sim, ConservesAllPacketsUnderLoad) {
     SimParams p = quick_params();
     p.inject.packet_length_flits = 4;
     p.buffer_depth_flits = 2;  // tight buffers: backpressure is exercised
-    const SimReport rep = sim::simulate(fx.topo, fx.spec, fx.eval, p);
+    const SimReport rep =
+        Simulator(fx.topo, fx.spec, fx.eval).run(fx.spec, fx.eval, p);
     EXPECT_TRUE(rep.drained);
     EXPECT_EQ(rep.in_flight_flits_at_end, 0);
     EXPECT_EQ(rep.received_packets, rep.injected_packets);
@@ -143,8 +145,8 @@ TEST(Sim, ContentionRaisesLatencyAboveZeroLoad) {
     for (int s = 0; s < 4; ++s)
         flows.push_back({s, 4, kBw, 0.0, FlowType::Request});
     StarFixture fx(5, flows);
-    const SimReport rep =
-        sim::simulate(fx.topo, fx.spec, fx.eval, quick_params());
+    const SimReport rep = Simulator(fx.topo, fx.spec, fx.eval)
+                              .run(fx.spec, fx.eval, quick_params());
     EXPECT_GT(rep.avg_latency_cycles, 1.0);
     EXPECT_GE(rep.p99_latency_cycles, rep.avg_latency_cycles);
     EXPECT_LE(rep.max_latency_cycles + 1e-9, 1e9);
@@ -161,7 +163,8 @@ TEST(Sim, AcceptedTracksOfferedBelowSaturation) {
     SimParams p = quick_params();
     p.inject.injection_scale = 0.5;  // shared link at 0.25 flits/cycle
     p.measure_cycles = 20000;
-    const SimReport rep = sim::simulate(fx.topo, fx.spec, fx.eval, p);
+    const SimReport rep =
+        Simulator(fx.topo, fx.spec, fx.eval).run(fx.spec, fx.eval, p);
     EXPECT_TRUE(rep.drained);
     EXPECT_NEAR(rep.accepted_flits_per_cycle, rep.offered_flits_per_cycle,
                 0.05 * rep.offered_flits_per_cycle);
@@ -174,8 +177,10 @@ TEST(Sim, DeterministicForEqualSeedsAndSensitiveToSeed) {
     StarFixture fx(4, flows);
     SimParams p = quick_params();
     p.seed = 7;
-    const SimReport a = sim::simulate(fx.topo, fx.spec, fx.eval, p);
-    const SimReport b = sim::simulate(fx.topo, fx.spec, fx.eval, p);
+    const SimReport a =
+        Simulator(fx.topo, fx.spec, fx.eval).run(fx.spec, fx.eval, p);
+    const SimReport b =
+        Simulator(fx.topo, fx.spec, fx.eval).run(fx.spec, fx.eval, p);
     EXPECT_EQ(a.injected_packets, b.injected_packets);
     EXPECT_EQ(a.received_packets, b.received_packets);
     EXPECT_EQ(a.cycles_run, b.cycles_run);
@@ -187,7 +192,8 @@ TEST(Sim, DeterministicForEqualSeedsAndSensitiveToSeed) {
 
     SimParams q = p;
     q.seed = 8;
-    const SimReport c = sim::simulate(fx.topo, fx.spec, fx.eval, q);
+    const SimReport c =
+        Simulator(fx.topo, fx.spec, fx.eval).run(fx.spec, fx.eval, q);
     EXPECT_NE(a.injected_packets, c.injected_packets);
 }
 
@@ -201,8 +207,10 @@ TEST(Sim, BurstyKeepsMeanRateButDegradesLatency) {
     uni.measure_cycles = 30000;
     SimParams bur = uni;
     bur.inject.traffic = Traffic::Bursty;
-    const SimReport ru = sim::simulate(fx.topo, fx.spec, fx.eval, uni);
-    const SimReport rb = sim::simulate(fx.topo, fx.spec, fx.eval, bur);
+    const SimReport ru =
+        Simulator(fx.topo, fx.spec, fx.eval).run(fx.spec, fx.eval, uni);
+    const SimReport rb =
+        Simulator(fx.topo, fx.spec, fx.eval).run(fx.spec, fx.eval, bur);
     // Same long-run offered load...
     EXPECT_DOUBLE_EQ(ru.offered_flits_per_cycle, rb.offered_flits_per_cycle);
     EXPECT_NEAR(static_cast<double>(rb.injected_packets),
@@ -259,7 +267,7 @@ TEST(Sim, RejectsUnroutedTopologies) {
     spec.comm.add_flow({0, 1, kBw, 0.0, FlowType::Request});
     Topology topo(spec.cores, 1);  // no path assigned
     EvalParams eval;
-    EXPECT_THROW(sim::simulate(topo, spec, eval, quick_params()),
+    EXPECT_THROW(Simulator(topo, spec, eval).run(spec, eval, quick_params()),
                  std::invalid_argument);
 }
 
@@ -267,16 +275,19 @@ TEST(Sim, RejectsBadParams) {
     StarFixture fx(2, {{0, 1, kBw, 0.0, FlowType::Request}});
     SimParams p = quick_params();
     p.buffer_depth_flits = 0;
-    EXPECT_THROW(sim::simulate(fx.topo, fx.spec, fx.eval, p),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        Simulator(fx.topo, fx.spec, fx.eval).run(fx.spec, fx.eval, p),
+        std::invalid_argument);
     p = quick_params();
     p.inject.packet_length_flits = 0;
-    EXPECT_THROW(sim::simulate(fx.topo, fx.spec, fx.eval, p),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        Simulator(fx.topo, fx.spec, fx.eval).run(fx.spec, fx.eval, p),
+        std::invalid_argument);
     p = quick_params();
     p.measure_cycles = 0;
-    EXPECT_THROW(sim::simulate(fx.topo, fx.spec, fx.eval, p),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        Simulator(fx.topo, fx.spec, fx.eval).run(fx.spec, fx.eval, p),
+        std::invalid_argument);
 }
 
 TEST(Sim, TrafficStringsRoundTrip) {

@@ -36,8 +36,8 @@ TEST(SimZeroLoad, AgreesWithAnalyticLatencyOnEveryPaperBenchmark) {
             if (!dp.topo->all_flows_routed()) continue;
             if (checked_designs >= 3) break;  // bound the runtime
             ++checked_designs;
-            const sim::SimReport rep =
-                sim::simulate_zero_load(dp.topo, spec, cfg.eval, params);
+            const sim::SimReport rep = sim::Simulator(dp.topo, spec, cfg.eval)
+                                           .run_zero_load(params);
             EXPECT_TRUE(rep.drained);
             ASSERT_EQ(rep.flow_avg_latency_cycles.size(),
                       static_cast<std::size_t>(dp.topo->num_flows()));
@@ -71,9 +71,9 @@ TEST(SimZeroLoad, MultiFlitPacketsAddExactlyThePipelineTail) {
     four.inject.packet_length_flits = 4;
     four.buffer_depth_flits = 16;
     const sim::SimReport r1 =
-        sim::simulate_zero_load(dp.topo, spec, cfg.eval, one);
+        sim::Simulator(dp.topo, spec, cfg.eval).run_zero_load(one);
     const sim::SimReport r4 =
-        sim::simulate_zero_load(dp.topo, spec, cfg.eval, four);
+        sim::Simulator(dp.topo, spec, cfg.eval).run_zero_load(four);
     for (int f = 0; f < dp.topo->num_flows(); ++f) {
         const auto uf = static_cast<std::size_t>(f);
         ASSERT_GE(r1.flow_avg_latency_cycles[uf], 0.0);

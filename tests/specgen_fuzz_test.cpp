@@ -23,8 +23,8 @@
 #include <sstream>
 #include <vector>
 
+#include "oracle/route_set_cdg.h"
 #include "sunfloor/core/synthesizer.h"
-#include "sunfloor/graph/algorithms.h"
 #include "sunfloor/noc/deadlock.h"
 #include "sunfloor/noc/evaluation.h"
 #include "sunfloor/routing/policy.h"
@@ -142,7 +142,7 @@ TEST(SpecGenFuzz, SynthesisSimAndRouteSetsHoldOnEveryFamily) {
                 sim::SimParams zl;
                 zl.inject.packet_length_flits = 1;
                 const sim::SimReport rep =
-                    sim::simulate_zero_load(dp.topo, spec, cfg.eval, zl);
+                    sim::Simulator(dp.topo, spec, cfg.eval).run_zero_load(zl);
                 EXPECT_TRUE(rep.drained);
                 for (int f = 0; f < dp.topo->num_flows(); ++f)
                     EXPECT_NEAR(rep.flow_avg_latency_cycles[
@@ -154,11 +154,11 @@ TEST(SpecGenFuzz, SynthesisSimAndRouteSetsHoldOnEveryFamily) {
                 // deadlock-free, not just the baked paths.
                 const auto routes = routing::build_route_sets(
                     dp.topo, spec, routing::routing_policy(policy));
-                EXPECT_FALSE(has_cycle(routing::build_route_set_cdg(
+                EXPECT_FALSE(has_cycle(oracle::build_route_set_cdg(
                     dp.topo, spec, routes)));
                 EXPECT_FALSE(has_cycle(
-                    routing::build_extended_route_set_cdg(dp.topo, spec,
-                                                          routes)));
+                    oracle::build_extended_route_set_cdg(dp.topo, spec,
+                                                         routes)));
 
                 // Under real injected load the network must go empty
                 // again on statically deadlock-free topologies.
@@ -170,7 +170,8 @@ TEST(SpecGenFuzz, SynthesisSimAndRouteSetsHoldOnEveryFamily) {
                     sp.warmup_cycles = 300;
                     sp.measure_cycles = 1500;
                     const sim::SimReport load =
-                        sim::simulate(dp.topo, spec, cfg.eval, sp);
+                        sim::Simulator(dp.topo, spec, cfg.eval, policy)
+                            .run(spec, cfg.eval, sp);
                     EXPECT_TRUE(load.drained)
                         << load.in_flight_flits_at_end
                         << " flits stuck in flight";

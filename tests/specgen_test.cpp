@@ -9,6 +9,7 @@
 #include <sstream>
 #include <tuple>
 
+#include "oracle/placement_checks.h"
 #include "sunfloor/explore/family_sweep.h"
 #include "sunfloor/spec/parser.h"
 #include "sunfloor/specgen/specgen.h"
@@ -33,7 +34,7 @@ std::string spec_text(const DesignSpec& spec) {
 /// Structural invariants every generated spec must satisfy.
 void check_valid(const DesignSpec& spec, const GenParams& p) {
     ASSERT_EQ(spec.cores.num_cores(), p.num_cores);
-    EXPECT_TRUE(spec.cores.placement_is_legal());
+    EXPECT_TRUE(oracle::placement_is_legal(spec.cores));
     // Gap-free layer assignment: layers 0..num_layers()-1 all populated,
     // within the requested bound.
     const int layers = spec.cores.num_layers();

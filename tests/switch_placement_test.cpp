@@ -1,4 +1,4 @@
-// Tests for the switch-position LP wrapper and floorplan legalization.
+// Tests for the switch-position solve and floorplan legalization.
 #include <gtest/gtest.h>
 
 #include "sunfloor/core/path_compute.h"
@@ -28,6 +28,18 @@ DesignSpec line_spec() {
     return spec;
 }
 
+// The placement stage's position step: solve Eq. 2-5 for `topo`'s
+// switches and write the positions back.
+bool place_switches(Topology& topo, const DesignSpec& spec) {
+    bool lp_ok = false;
+    const PlacementResult r =
+        solve_switch_placement(build_switch_placement_problem(topo, spec),
+                               lp_ok);
+    for (int s = 0; s < topo.num_switches(); ++s)
+        topo.switch_at(s).position = r.positions[static_cast<std::size_t>(s)];
+    return lp_ok;
+}
+
 // A routed (but not yet placed/legalized) D_26_media topology.
 struct RoutedFixture {
     DesignSpec spec = make_d26_media();
@@ -54,7 +66,7 @@ TEST(SwitchPlacement, LpPutsSwitchOnMedianCore) {
     Topology topo = build_initial_topology(spec, assign);
     SynthesisConfig cfg;
     ASSERT_TRUE(compute_paths(topo, spec, cfg).ok);
-    ASSERT_TRUE(place_switches_lp(topo, spec));
+    ASSERT_TRUE(place_switches(topo, spec));
     // The L1 optimum for equal pulls from (0.5), (4.5), (8.5) is the
     // median: x = 4.5.
     EXPECT_NEAR(topo.switch_at(0).position.x, 4.5, 1e-6);
@@ -73,13 +85,13 @@ TEST(SwitchPlacement, LpReducesWeightedWireLength) {
         return total;
     };
     const double before = weighted_length(f.topo);
-    ASSERT_TRUE(place_switches_lp(f.topo, f.spec));
+    ASSERT_TRUE(place_switches(f.topo, f.spec));
     EXPECT_LT(weighted_length(f.topo), before);
 }
 
 TEST(SwitchPlacement, LegalizationRemovesOverlaps) {
     RoutedFixture f;
-    place_switches_lp(f.topo, f.spec);
+    place_switches(f.topo, f.spec);
     Rng rng(3);
     const auto fp = legalize_floorplan(f.topo, f.spec, f.cfg, false, rng);
     EXPECT_EQ(fp.layer_area_mm2.size(), 3u);
@@ -95,7 +107,7 @@ TEST(SwitchPlacement, LegalizationRemovesOverlaps) {
 
 TEST(SwitchPlacement, StandardInserterAlsoWorks) {
     RoutedFixture f;
-    place_switches_lp(f.topo, f.spec);
+    place_switches(f.topo, f.spec);
     Rng rng(4);
     const auto fp = legalize_floorplan(f.topo, f.spec, f.cfg, true, rng);
     EXPECT_TRUE(fp.used_standard_inserter);
@@ -104,7 +116,7 @@ TEST(SwitchPlacement, StandardInserterAlsoWorks) {
 
 TEST(SwitchPlacement, TsvMacrosPlacedForVerticalLinks) {
     RoutedFixture f;
-    place_switches_lp(f.topo, f.spec);
+    place_switches(f.topo, f.spec);
     // Count links spanning two or more layers: each needs free-standing
     // intermediate macros.
     int multi_span = 0;
@@ -118,7 +130,7 @@ TEST(SwitchPlacement, TsvMacrosPlacedForVerticalLinks) {
 TEST(SwitchPlacement, EmptyTopologyIsFine) {
     const auto spec = line_spec();
     Topology topo(spec.cores, spec.comm.num_flows());
-    EXPECT_TRUE(place_switches_lp(topo, spec));
+    EXPECT_TRUE(place_switches(topo, spec));
 }
 
 }  // namespace
