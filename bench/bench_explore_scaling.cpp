@@ -1,14 +1,20 @@
-// Thread-scaling of the parallel design-space exploration engine.
+// Parallel scaling of the design-space exploration engine, two ways.
 //
-// A fixed >=64-point architectural grid (frequency x TSV budget x link
-// width x theta) over D_36_4 is explored with 1/2/4/8 worker threads on a
-// fresh Explorer (and so a fresh session) per iteration; the work is the
-// same in every configuration up to which thread computes a shared
-// partition first, so the ratio of wall times is the parallel speedup.
+// A fixed 64-point architectural grid (frequency x TSV budget x link
+// width x theta) over D_36_4 is explored by 1/2/4/8 pool threads of one
+// Explorer (BM_explore) and by 1/2/4 in-process shard workers of the dist
+// coordinator (BM_dist_shards), each on fresh sessions per iteration. The
+// work is the same in every configuration up to which thread computes a
+// shared partition first, or which shard recomputes one, so the ratios
+// of wall times are the thread and shard-worker speedups.
 // run_benches.sh parses the JSON output into BENCH_explore.json.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "common.h"
+#include "sunfloor/dist/coordinator.h"
 #include "sunfloor/explore/explorer.h"
 
 using namespace sunfloor;
@@ -17,8 +23,7 @@ using namespace sunfloor::bench;
 namespace {
 
 // 4 x 2 x 2 x 4 = 64 architectural points. Kept identical across thread
-// counts; per-point cost is bounded via the switch-count sweep so one
-// exploration stays in benchable territory.
+// and worker counts.
 ParamGrid scaling_grid() {
     ParamGrid grid;
     grid.set_axis(ParamAxis::frequencies_hz({300e6, 400e6, 500e6, 600e6}));
@@ -28,12 +33,33 @@ ParamGrid scaling_grid() {
     return grid;
 }
 
-void BM_explore(benchmark::State& state) {
-    static const DesignSpec spec = prepared_benchmark("D_36_4");
+// Section VIII's setup with the floorplan off and the per-point
+// switch-count sweep bounded, so one exploration stays in benchable
+// territory.
+SynthesisConfig scaling_cfg() {
     SynthesisConfig cfg = paper_cfg();
     cfg.run_floorplan = false;
-    cfg.max_switches = 6;  // bound the per-point switch-count sweep
+    cfg.max_switches = 6;
+    return cfg;
+}
 
+// What both scaling benches count per iteration. Partition misses show
+// how much partitioning the shards repeat: each shard's fresh session
+// computes the partitions its points need, while one Explorer computes
+// each once.
+void report_scaling(benchmark::State& state, std::size_t points,
+                    long long partition_misses) {
+    state.SetItemsProcessed(static_cast<int64_t>(points));
+    state.counters["points"] = static_cast<double>(points / state.iterations());
+    state.counters["points_per_sec"] = benchmark::Counter(
+        static_cast<double>(points), benchmark::Counter::kIsRate);
+    state.counters["partition_misses"] =
+        static_cast<double>(partition_misses / state.iterations());
+}
+
+void BM_explore(benchmark::State& state) {
+    static const DesignSpec spec = prepared_benchmark("D_36_4");
+    const SynthesisConfig cfg = scaling_cfg();
     ExploreOptions opts;
     opts.num_threads = static_cast<int>(state.range(0));
 
@@ -42,21 +68,58 @@ void BM_explore(benchmark::State& state) {
     // production run.
     const ParamGrid grid = scaling_grid();
     std::size_t points = 0;
+    long long partition_misses = 0;
     for (auto _ : state) {
         const ExploreResult res = Explorer(spec, cfg, opts).run(grid);
         points += static_cast<std::size_t>(res.stats.total_points);
+        partition_misses += res.stats.stage.partition.misses;
         benchmark::DoNotOptimize(res.stats.valid_designs);
     }
-    state.SetItemsProcessed(static_cast<int64_t>(points));
-    state.counters["points"] = static_cast<double>(points / state.iterations());
-    state.counters["points_per_sec"] = benchmark::Counter(
-        static_cast<double>(points), benchmark::Counter::kIsRate);
+    report_scaling(state, points, partition_misses);
 }
 BENCHMARK(BM_explore)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime();
+
+// The same grid through the dist coordinator: N in-process workers, one
+// contiguous shard per worker, one thread per shard. Every request and
+// response still makes the codec round trip, and each shard runs on its
+// own fresh session. Results are byte-identical whatever N
+// (tests/dist_test.cpp pins that).
+void BM_dist_shards(benchmark::State& state) {
+    static const DesignSpec spec = prepared_benchmark("D_36_4");
+    const SynthesisConfig cfg = scaling_cfg();
+    ExploreOptions opts;
+    opts.num_threads = 1;  // parallelism comes from the workers only
+
+    const int n = static_cast<int>(state.range(0));
+    std::vector<std::shared_ptr<dist::ShardTransport>> workers;
+    for (int i = 0; i < n; ++i)
+        workers.push_back(std::make_shared<dist::InprocTransport>());
+    dist::DistOptions dopts;
+    dopts.shards = n;
+
+    const std::vector<GridPoint> grid = scaling_grid().enumerate();
+    std::size_t points = 0;
+    long long partition_misses = 0;
+    for (auto _ : state) {
+        const ExploreResult res =
+            dist::distribute_explore(spec, cfg, opts, grid, workers, dopts);
+        points += static_cast<std::size_t>(res.stats.total_points);
+        partition_misses += res.stats.stage.partition.misses;
+        benchmark::DoNotOptimize(res.stats.valid_designs);
+    }
+    report_scaling(state, points, partition_misses);
+}
+BENCHMARK(BM_dist_shards)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
@@ -72,9 +135,7 @@ BENCHMARK(BM_explore)
 // this one.
 void BM_explore_freq_width(benchmark::State& state) {
     static const DesignSpec spec = prepared_benchmark("D_36_4");
-    SynthesisConfig cfg = paper_cfg();
-    cfg.run_floorplan = false;
-    cfg.max_switches = 6;  // bound the per-point switch-count sweep
+    const SynthesisConfig cfg = scaling_cfg();
 
     ExploreOptions opts;
     opts.num_threads = 1;
@@ -128,9 +189,7 @@ BENCHMARK(BM_explore_freq_width)
 // of BENCH_explore.json.
 void BM_explore_routing(benchmark::State& state) {
     static const DesignSpec spec = prepared_benchmark("D_36_4");
-    SynthesisConfig cfg = paper_cfg();
-    cfg.run_floorplan = false;
-    cfg.max_switches = 6;  // bound the per-point switch-count sweep
+    const SynthesisConfig cfg = scaling_cfg();
 
     const auto policy =
         static_cast<routing::RoutingPolicyId>(state.range(0));
@@ -166,10 +225,12 @@ BENCHMARK(BM_explore_routing)
 int main(int argc, char** argv) {
     // Banner on stderr: run_benches.sh parses this bench's stdout as JSON.
     std::fprintf(stderr,
-                 "Parallel exploration thread scaling (64-point grid)\n"
+                 "Parallel exploration scaling (64-point grid): pool "
+                 "threads and in-process shard workers\n"
                  "(the Fig. 3 outer architectural loop of SunFloor 3D)\n"
-                 "expect: real time falls with the thread count (up to the "
-                 "core count of this machine) while CPU time stays flat.\n\n");
+                 "expect: real time falls with the thread and worker count "
+                 "(up to the core count of this machine) while CPU time "
+                 "stays flat.\n\n");
     ::benchmark::Initialize(&argc, argv);
     ::benchmark::RunSpecifiedBenchmarks();
     return 0;

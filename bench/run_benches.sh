@@ -1,38 +1,32 @@
 #!/usr/bin/env bash
-# Run the tracked performance benches and distill their JSON output:
-#   bench_explore_scaling -> BENCH_explore.json (points/sec per thread
-#     count, speedup vs 1 thread, the pipeline stage-reuse win on a
-#     frequency x link-width grid, and the per-routing-policy sweep cost
-#     on a frequency x TSV grid)
-#   bench_specgen         -> the `specgen` section of BENCH_explore.json
-#     (spec-generation throughput per family/core count, and generated-
-#     family sweep throughput at 1 and 4 threads)
-#   bench_sim_throughput  -> BENCH_sim.json (latency-vs-injection-rate
-#     curves per paper benchmark, with engine speed in flits/sec; set
-#     SIM_FLITS_FLOOR=<flits/sec> to fail the run when the peak engine
-#     speed over the sweep falls below the floor — a cheap throughput
-#     regression gate for CI)
-#   bench_obs_overhead    -> BENCH_obs.json (ScopedSpan guard cost with
-#     and without a sink, traced-vs-untraced exploration wall time, and
-#     the estimated no-sink instrumentation overhead vs the < 2% bar)
-#   bench_service         -> BENCH_service.json (sunfloord job-engine
-#     throughput: requests/sec and client p50/p99 latency for a fresh
-#     engine per request vs one persistent warm engine, plus the
-#     warm/cold speedup; set SERVICE_WARM_SPEEDUP_FLOOR=<ratio> to fail
-#     the run when the warm-session win falls below the floor)
-#   bench_dist            -> BENCH_dist.json (distributed exploration:
-#     points/sec per in-process shard-worker count with speedup vs one
-#     worker, plus cold vs warm content-addressed artifact store reruns
-#     and the warm/cold speedup; set DIST_WARM_SPEEDUP_FLOOR=<ratio> to
-#     fail the run when the warm-store win falls below the floor)
-# Extra arguments are passed through to every bench binary
-# (e.g. --benchmark_min_time=2x).
+# Run the benches perfbench does not cover and distill their JSON output
+# into two files:
+#   explore_out (BENCH_explore.json)
+#     bench_explore_scaling: one 64-point grid explored by 1/2/4/8 pool
+#       threads (`threads`) and by 1/2/4 in-process shard workers
+#       (`shard_workers`), each count with its points/sec, speedup over 1
+#       and partition misses; the stage-reuse win on a frequency x
+#       link-width grid (`stage_reuse`); the per-routing-policy sweep cost
+#       on a frequency x TSV grid (`routing`)
+#     bench_specgen: the `specgen` section (spec-generation throughput
+#       per family and core count, and generated-family sweep throughput
+#       at 1 and 4 threads)
+#   sim_out (BENCH_sim.json)
+#     bench_sim_throughput: latency-vs-injection-rate curves per paper
+#       benchmark, with engine speed in flits/sec; set
+#       SIM_FLITS_FLOOR=<flits/sec> to fail the run when the peak engine
+#       speed over the sweep falls below the floor (a cheap throughput
+#       regression gate for CI)
+# Both files carry one `context`: the git sha ("-dirty" for uncommitted
+# changes), the build tree's CMAKE_BUILD_TYPE and C++ compiler (from its
+# CMakeCache.txt), nproc and the date. End-to-end timings of synthesis,
+# exploration, the daemon, sharded runs against a CAS store and the
+# tracing overhead are perfbench's (perfbench/README.md).
 #
-# Usage: bench/run_benches.sh [build_dir] [explore_out.json] [sim_out.json]
-#                             [obs_out.json] [service_out.json]
-#                             [dist_out.json] [bench args...]
-# (the old two-positional form `run_benches.sh build out.json --flag`
-# still works: a leading-dash third argument is a bench flag, not a path)
+# Usage: bench/run_benches.sh [build_dir] [explore_out] [sim_out]
+#                             [bench args...]
+# Extra arguments are passed through to every bench binary
+# (e.g. --benchmark_repetitions=3).
 #
 # Failure behaviour: a bench that exits non-zero stops the script with a
 # message naming the bench, and its exit status is propagated. Output
@@ -42,97 +36,135 @@ set -euo pipefail
 
 BUILD_DIR=${1:-build}
 OUT_EXPLORE=${2:-BENCH_explore.json}
-OUT_SIM=BENCH_sim.json
-OUT_OBS=BENCH_obs.json
-OUT_SERVICE=BENCH_service.json
-OUT_DIST=BENCH_dist.json
-shift $(( $# >= 2 ? 2 : $# ))
-if [[ $# -ge 1 && ${1} != -* ]]; then
-    OUT_SIM=$1
-    shift
-fi
-if [[ $# -ge 1 && ${1} != -* ]]; then
-    OUT_OBS=$1
-    shift
-fi
-if [[ $# -ge 1 && ${1} != -* ]]; then
-    OUT_SERVICE=$1
-    shift
-fi
-if [[ $# -ge 1 && ${1} != -* ]]; then
-    OUT_DIST=$1
-    shift
-fi
+OUT_SIM=${3:-BENCH_sim.json}
+shift $(( $# >= 3 ? 3 : $# ))
+for out in "$OUT_EXPLORE" "$OUT_SIM"; do
+    if [[ $out == -* ]]; then
+        echo "error: output path '$out' looks like a flag; usage:" \
+             "$0 [build_dir] [explore_out] [sim_out] [bench args...]" >&2
+        exit 2
+    fi
+done
 
-RAW=$(mktemp)
-trap 'rm -f "$RAW"' EXIT
+RAW=$(mktemp -d)
+trap 'rm -rf "$RAW"' EXIT
 
-# Run one bench into $RAW; on failure, name it and propagate its status
-# (under `set -e` alone the script would stop, but silently).
+# Run one bench into $RAW/<name>.json; on failure, name it and propagate
+# its status (under `set -e` alone the script would stop, but silently).
+# min_time well below one measurement => one iteration per benchmark
+# (old and new Google Benchmark both accept plain seconds).
 run_bench() {
     local name=$1
     shift
     local rc=0
-    "$BUILD_DIR/$name" "$@" > "$RAW" || rc=$?
+    "$BUILD_DIR/$name" --benchmark_format=json --benchmark_min_time=0.01 \
+        "$@" > "$RAW/$name.json" || rc=$?
     if [[ $rc -ne 0 ]]; then
         echo "error: $BUILD_DIR/$name exited with status $rc" >&2
         exit "$rc"
     fi
 }
 
-# ------------------------------------------------------ explore scaling
-# min_time well below one exploration => exactly one iteration per
-# thread count (old and new Google Benchmark both accept plain seconds)
-run_bench bench_explore_scaling --benchmark_format=json \
-    --benchmark_min_time=0.01 "$@"
+run_bench bench_explore_scaling "$@"
+run_bench bench_specgen "$@"
+run_bench bench_sim_throughput "$@"
 
-python3 - "$RAW" "$OUT_EXPLORE" <<'EOF'
-import json, os, sys
+# The commit the benches were built from, "-dirty" when the tree differs.
+GIT_SHA=$(git -C "$(dirname "$0")" describe --always --dirty --abbrev=40 \
+    --exclude='*' 2>/dev/null || echo unknown)
 
-raw = json.load(open(sys.argv[1]))
-rows = {}
-reuse_rows = {}
-routing_rows = {}
-for b in raw.get("benchmarks", []):
-    # Names look like BM_explore/4/process_time/real_time or
-    # BM_explore_freq_width/1/... . Skip the _mean/_median/_stddev/_cv
-    # rows --benchmark_repetitions adds; average the per-repetition
-    # measurements instead.
-    if "aggregate_name" in b:
-        continue
-    parts = b["name"].split("/")
-    if parts[0] == "BM_explore":
-        rows.setdefault(int(parts[1]), []).append(b)
-    elif parts[0] == "BM_explore_freq_width":
-        reuse_rows.setdefault(int(parts[1]), []).append(b)
-    elif parts[0] == "BM_explore_routing":
-        routing_rows.setdefault(int(parts[1]), []).append(b)
-threads = {}
-for t, bs in rows.items():
-    n = len(bs)
-    threads[t] = {
-        "real_time_ms": round(sum(b["real_time"] for b in bs) / n, 3),
-        "cpu_time_ms": round(sum(b["cpu_time"] for b in bs) / n, 3),
-        "points_per_sec": round(
-            sum(b.get("points_per_sec", 0.0) for b in bs) / n, 3),
-        "grid_points": int(bs[0].get("points", 0)),
-        "repetitions": n,
-    }
-base = threads.get(1, {}).get("real_time_ms")
-for t, r in threads.items():
-    r["speedup_vs_1_thread"] = round(base / r["real_time_ms"], 3) if base else None
+python3 - "$RAW" "$BUILD_DIR" "$GIT_SHA" "$OUT_EXPLORE" "$OUT_SIM" <<'EOF'
+import json, os, subprocess, sys, time
+
+raw_dir, build_dir, git_sha, out_explore, out_sim = sys.argv[1:]
+
+# --------------------------------------------------------------- context
+cache = {}
+for line in open(os.path.join(build_dir, "CMakeCache.txt")):
+    name, sep, value = line.rstrip("\n").partition("=")
+    if sep and not name.startswith(("#", "//")):
+        cache[name.split(":")[0]] = value
+version = subprocess.run([cache["CMAKE_CXX_COMPILER"], "--version"],
+                         capture_output=True, text=True).stdout.splitlines()
+context = {
+    "git_sha": git_sha,
+    "cmake_build_type": cache.get("CMAKE_BUILD_TYPE") or "none",
+    "compiler": version[0] if version else cache["CMAKE_CXX_COMPILER"],
+    "nproc": os.cpu_count(),
+    "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+}
+
+
+def load(bench):
+    """Per-repetition rows of one bench's JSON. Skips the _mean/_median/
+    _stddev/_cv rows --benchmark_repetitions adds (repetitions are
+    averaged instead) and rows from SkipWithError, which carry no
+    counters."""
+    rows = []
+    for b in json.load(open(os.path.join(raw_dir, bench + ".json")))[
+            "benchmarks"]:
+        if b.get("error_occurred"):
+            print(f"skipping {b['name']}: {b.get('error_message', 'error')}",
+                  file=sys.stderr)
+        elif "aggregate_name" not in b:
+            b["parts"] = b["name"].split("/")
+            rows.append(b)
+    return rows
+
+
+def group(rows, family, key=lambda b: b["parts"][1]):
+    """Rows of one benchmark family (names look like BM_x/ARG/...), keyed
+    by their first argument unless `key` says otherwise."""
+    out = {}
+    for b in rows:
+        if b["parts"][0] == family:
+            out.setdefault(key(b), []).append(b)
+    return out
+
+
+def mean(bs, field, digits):
+    return round(sum(b.get(field, 0.0) for b in bs) / len(bs), digits)
+
+
+def write(path, out):
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        json.dump(out, f, indent=2)
+        f.write("\n")
+    os.replace(tmp, path)
+    print(json.dumps(out, indent=2))
+
+
+# ------------------------------------------------------- explore scaling
+def scaling(rows, family):
+    """Per thread or worker count on the 64-point grid, sped up over 1."""
+    out = {}
+    for n, bs in sorted(group(rows, family).items(), key=lambda g: int(g[0])):
+        out[n] = {
+            "real_time_ms": mean(bs, "real_time", 3),
+            "cpu_time_ms": mean(bs, "cpu_time", 3),
+            "points_per_sec": mean(bs, "points_per_sec", 3),
+            "grid_points": int(bs[0].get("points", 0)),
+            "partition_misses": mean(bs, "partition_misses", 1),
+            "repetitions": len(bs),
+        }
+    base = out.get("1", {}).get("real_time_ms")
+    for r in out.values():
+        r["speedup_vs_1"] = round(base / r["real_time_ms"], 3) if base else None
+    return out
+
+
+explore = load("bench_explore_scaling")
 
 # Stage reuse on the frequency x link-width grid: arg 0 = recompute every
 # stage per point, arg 1 = shared-session artifact reuse.
 stage_reuse = {}
-for arg, bs in reuse_rows.items():
-    n = len(bs)
-    stage_reuse["on" if arg else "off"] = {
-        "real_time_ms": round(sum(b["real_time"] for b in bs) / n, 3),
-        "stage_hits": round(sum(b.get("stage_hits", 0.0) for b in bs) / n, 1),
-        "stage_calls": round(
-            sum(b.get("stage_calls", 0.0) for b in bs) / n, 1),
-        "repetitions": n,
+for arg, bs in group(explore, "BM_explore_freq_width").items():
+    stage_reuse["on" if arg == "1" else "off"] = {
+        "real_time_ms": mean(bs, "real_time", 3),
+        "stage_hits": mean(bs, "stage_hits", 1),
+        "stage_calls": mean(bs, "stage_calls", 1),
+        "repetitions": len(bs),
     }
 if "off" in stage_reuse and "on" in stage_reuse:
     stage_reuse["speedup_vs_no_reuse"] = round(
@@ -141,140 +173,79 @@ if "off" in stage_reuse and "on" in stage_reuse:
 
 # Routing-policy sweep (same frequency x TSV grid per policy). The bench
 # labels each row with the policy's canonical name.
-policy_names = {0: "up-down", 1: "west-first", 2: "odd-even"}
 routing = {}
-for arg, bs in routing_rows.items():
-    n = len(bs)
-    routing[bs[0].get("label") or policy_names.get(arg, str(arg))] = {
-        "real_time_ms": round(sum(b["real_time"] for b in bs) / n, 3),
-        "valid_designs": round(
-            sum(b.get("valid_designs", 0.0) for b in bs) / n, 1),
-        "repetitions": n,
+for arg, bs in group(explore, "BM_explore_routing").items():
+    routing[bs[0].get("label") or arg] = {
+        "real_time_ms": mean(bs, "real_time", 3),
+        "valid_designs": mean(bs, "valid_designs", 1),
+        "repetitions": len(bs),
     }
 
-out = {
-    "bench": "bench_explore_scaling",
-    "context": {k: raw["context"].get(k) for k in ("num_cpus", "date", "library_build_type")},
-    "threads": {str(t): threads[t] for t in sorted(threads)},
-    "stage_reuse": stage_reuse,
-    "routing": routing,
-}
-tmp = sys.argv[2] + ".tmp"
-with open(tmp, "w") as f:
-    json.dump(out, f, indent=2)
-    f.write("\n")
-os.replace(tmp, sys.argv[2])
-print(json.dumps(out, indent=2))
-EOF
-
 # ------------------------------------------------------ specgen scaling
-# Merged into the explore JSON as its `specgen` section (one file tracks
-# the whole exploration trajectory).
-run_bench bench_specgen --benchmark_format=json \
-    --benchmark_min_time=0.01 "$@"
+# BM_specgen/FAMILY/CORES (the label carries the family name) and
+# BM_specgen_family_sweep/THREADS. real_time keeps the bench's declared
+# unit: us for BM_specgen, ms for the sweep.
+specgen = load("bench_specgen")
 
-python3 - "$RAW" "$OUT_EXPLORE" <<'EOF'
-import json, os, sys
 
-raw = json.load(open(sys.argv[1]))
-generate = {}
-sweep = {}
-for b in raw.get("benchmarks", []):
-    # Names look like BM_specgen/0/64 (family, cores; label carries the
-    # family name) and BM_specgen_family_sweep/4/... . Skip aggregate
-    # rows, average repetitions, as the other parsers do.
-    if "aggregate_name" in b:
-        continue
-    parts = b["name"].split("/")
-    if parts[0] == "BM_specgen":
-        key = f'{b.get("label", parts[1])}_{parts[2]}_cores'
-        generate.setdefault(key, []).append(b)
-    elif parts[0] == "BM_specgen_family_sweep":
-        sweep.setdefault(f"{parts[1]}_threads", []).append(b)
-
-def distill(rows, fields):
-    # fields: {json_key: bench_counter}; real_time keeps the bench's
-    # declared unit (us for BM_specgen, ms for the sweep).
+def distill(groups, fields):
     out = {}
-    for key, bs in sorted(rows.items()):
-        n = len(bs)
-        out[key] = {dst: round(sum(b.get(src, 0.0) for b in bs) / n, 4)
-                    for dst, src in fields.items()}
-        out[key]["repetitions"] = n
+    for key, bs in sorted(groups.items()):
+        out[key] = {dst: mean(bs, src, 4) for dst, src in fields.items()}
+        out[key]["repetitions"] = len(bs)
     return out
 
-section = {
-    "generate": distill(generate, {"real_time_us": "real_time",
-                                   "specs_per_sec": "specs_per_sec",
-                                   "flows": "flows"}),
-    "family_sweep": distill(sweep, {"real_time_ms": "real_time",
-                                    "members_per_sec": "members_per_sec",
-                                    "valid_designs": "valid_designs"}),
-}
-out = json.load(open(sys.argv[2]))
-out["specgen"] = section
-tmp = sys.argv[2] + ".tmp"
-with open(tmp, "w") as f:
-    json.dump(out, f, indent=2)
-    f.write("\n")
-os.replace(tmp, sys.argv[2])
-print(json.dumps({"specgen": section}, indent=2))
-EOF
 
-# ------------------------------------------------------ sim throughput
-run_bench bench_sim_throughput --benchmark_format=json \
-    --benchmark_min_time=0.01 "$@"
+write(out_explore, {
+    "bench": "bench_explore_scaling",
+    "context": context,
+    "threads": scaling(explore, "BM_explore"),
+    "shard_workers": scaling(explore, "BM_dist_shards"),
+    "stage_reuse": stage_reuse,
+    "routing": routing,
+    "specgen": {
+        "generate": distill(
+            group(specgen, "BM_specgen",
+                  lambda b: f'{b.get("label", b["parts"][1])}_'
+                            f'{b["parts"][2]}_cores'),
+            {"real_time_us": "real_time", "specs_per_sec": "specs_per_sec",
+             "flows": "flows"}),
+        "family_sweep": distill(
+            group(specgen, "BM_specgen_family_sweep",
+                  lambda b: f'{b["parts"][1]}_threads'),
+            {"real_time_ms": "real_time", "members_per_sec": "members_per_sec",
+             "valid_designs": "valid_designs"}),
+    },
+})
 
-python3 - "$RAW" "$OUT_SIM" <<'EOF'
-import json, os, sys
-
-raw = json.load(open(sys.argv[1]))
-rows = {}
-for b in raw.get("benchmarks", []):
-    # Names look like BM_sim/D_36_4/r0.25 (plus a /repeats:N suffix when
-    # --benchmark_repetitions is passed through); skip the aggregate rows
-    # and average per-repetition measurements, as the explore parser does.
-    # Rows from SkipWithError carry no counters — report and skip them.
-    if "aggregate_name" in b:
-        continue
-    if b.get("error_occurred"):
-        print(f"skipping {b['name']}: {b.get('error_message', 'error')}",
-              file=sys.stderr)
-        continue
-    design = b["name"].split("/")[1]
-    rows.setdefault((design, round(b["rate"], 4)), []).append(b)
+# ------------------------------------------------------- sim throughput
+# BM_sim/DESIGN/rRATE, one curve point per (design, rate).
 curves = {}
 peak_flits_per_sec = 0.0
-for (design, rate), bs in sorted(rows.items()):
-    n = len(bs)
-    avg = lambda key: sum(b[key] for b in bs) / n
-    flits_per_sec = avg("flits_per_sec")
+for (design, rate), bs in sorted(group(
+        load("bench_sim_throughput"), "BM_sim",
+        lambda b: (b["parts"][1], round(b["rate"], 4))).items()):
+    flits_per_sec = mean(bs, "flits_per_sec", 1)
     peak_flits_per_sec = max(peak_flits_per_sec, flits_per_sec)
     curves.setdefault(design, []).append({
         "rate": rate,
-        "offered_flits_per_cycle": round(avg("offered_fpc"), 4),
-        "accepted_flits_per_cycle": round(avg("accepted_fpc"), 4),
-        "avg_latency_cycles": round(avg("avg_latency_cycles"), 4),
-        "p99_latency_cycles": round(avg("p99_latency_cycles"), 4),
-        "zero_load_cycles": round(avg("zero_load_cycles"), 4),
+        "offered_flits_per_cycle": mean(bs, "offered_fpc", 4),
+        "accepted_flits_per_cycle": mean(bs, "accepted_fpc", 4),
+        "avg_latency_cycles": mean(bs, "avg_latency_cycles", 4),
+        "p99_latency_cycles": mean(bs, "p99_latency_cycles", 4),
+        "zero_load_cycles": mean(bs, "zero_load_cycles", 4),
         "drained": int(min(b["drained"] for b in bs)),
-        "repetitions": n,
-        "sim_wall_ms": round(avg("real_time"), 3),
-        "flits_per_sec": round(flits_per_sec, 1),
+        "repetitions": len(bs),
+        "sim_wall_ms": mean(bs, "real_time", 3),
+        "flits_per_sec": flits_per_sec,
     })
 
-out = {
+write(out_sim, {
     "bench": "bench_sim_throughput",
-    "context": {k: raw["context"].get(k) for k in ("num_cpus", "date", "library_build_type")},
+    "context": context,
     "curves": curves,
-    "peak_flits_per_sec": round(peak_flits_per_sec, 1),
-}
-tmp = sys.argv[2] + ".tmp"
-with open(tmp, "w") as f:
-    json.dump(out, f, indent=2)
-    f.write("\n")
-os.replace(tmp, sys.argv[2])
-print(json.dumps(out, indent=2))
+    "peak_flits_per_sec": peak_flits_per_sec,
+})
 
 # Throughput sanity floor: the *peak* over the sweep is the engine's
 # speed free of saturation effects, so it is the stable regression
@@ -286,237 +257,4 @@ if floor > 0 and peak_flits_per_sec < floor:
     print(f"error: peak sim throughput {peak_flits_per_sec:.0f} flits/sec "
           f"is below SIM_FLITS_FLOOR={floor:.0f}", file=sys.stderr)
     sys.exit(1)
-EOF
-
-# ------------------------------------------------------ obs overhead
-run_bench bench_obs_overhead --benchmark_format=json \
-    --benchmark_min_time=0.01 "$@"
-
-python3 - "$RAW" "$OUT_OBS" <<'EOF'
-import json, os, sys
-
-raw = json.load(open(sys.argv[1]))
-rows = {}
-for b in raw.get("benchmarks", []):
-    # Names: BM_span_disabled, BM_span_enabled, BM_explore/0 (untraced),
-    # BM_explore/1 (traced). Skip aggregates, average repetitions.
-    if "aggregate_name" in b:
-        continue
-    rows.setdefault("/".join(b["name"].split("/")[:2]), []).append(b)
-
-def avg(key, field):
-    bs = rows.get(key, [])
-    return sum(b.get(field, 0.0) for b in bs) / len(bs) if bs else None
-
-SPAN_BATCH = 1024  # kSpanBatch in bench_obs_overhead.cpp
-span = {}
-for name, key in (("disabled", "BM_span_disabled"),
-                  ("enabled", "BM_span_enabled")):
-    t = avg(key, "real_time")  # us per batch
-    if t is not None:
-        span[name] = {"ns_per_span": round(t * 1000.0 / SPAN_BATCH, 3),
-                      "repetitions": len(rows[key])}
-
-explore = {}
-for name, key in (("untraced", "BM_explore/0"), ("traced", "BM_explore/1")):
-    t = avg(key, "real_time")
-    if t is not None:
-        explore[name] = {"real_time_ms": round(t, 3),
-                         "repetitions": len(rows[key])}
-spans_per_run = avg("BM_explore/1", "spans_per_run")
-if spans_per_run:
-    explore["traced"]["spans_per_run"] = int(spans_per_run)
-
-overhead = {}
-if "untraced" in explore and "traced" in explore:
-    base = explore["untraced"]["real_time_ms"]
-    overhead["traced_pct"] = round(
-        (explore["traced"]["real_time_ms"] - base) / base * 100.0, 3)
-    # No-sink tax: every span an exploration would emit costs one
-    # disabled-guard check. The acceptance bar is < 2%.
-    if spans_per_run and "disabled" in span:
-        overhead["no_sink_pct"] = round(
-            spans_per_run * span["disabled"]["ns_per_span"] /
-            (base * 1e6) * 100.0, 6)
-        overhead["no_sink_bar_pct"] = 2.0
-
-out = {
-    "bench": "bench_obs_overhead",
-    "context": {k: raw["context"].get(k) for k in ("num_cpus", "date", "library_build_type")},
-    "span": span,
-    "explore": explore,
-    "overhead": overhead,
-}
-tmp = sys.argv[2] + ".tmp"
-with open(tmp, "w") as f:
-    json.dump(out, f, indent=2)
-    f.write("\n")
-os.replace(tmp, sys.argv[2])
-print(json.dumps(out, indent=2))
-EOF
-
-# ----------------------------------------------------- service throughput
-run_bench bench_service --benchmark_format=json \
-    --benchmark_min_time=0.01 "$@"
-
-python3 - "$RAW" "$OUT_SERVICE" <<'EOF'
-import json, os, sys
-
-raw = json.load(open(sys.argv[1]))
-rows = {}
-for b in raw.get("benchmarks", []):
-    # Names look like BM_service_cold/real_time (plus /repeats:N when
-    # --benchmark_repetitions is passed through); skip the aggregate
-    # rows and average per-repetition measurements, as the other
-    # parsers do.
-    if "aggregate_name" in b:
-        continue
-    if b.get("error_occurred"):
-        print(f"skipping {b['name']}: {b.get('error_message', 'error')}",
-              file=sys.stderr)
-        continue
-    rows.setdefault(b["name"].split("/")[0], []).append(b)
-
-modes = {}
-for name, key in (("cold", "BM_service_cold"), ("warm", "BM_service_warm")):
-    bs = rows.get(key, [])
-    if not bs:
-        continue
-    n = len(bs)
-    avg = lambda field: sum(b.get(field, 0.0) for b in bs) / n
-    modes[name] = {
-        "requests_per_sec": round(avg("requests_per_sec"), 3),
-        "p50_ms": round(avg("p50_ms"), 3),
-        "p99_ms": round(avg("p99_ms"), 3),
-        "requests_per_iteration": int(avg("requests")),
-        "repetitions": n,
-    }
-
-speedup = None
-if "cold" in modes and "warm" in modes and \
-        modes["cold"]["requests_per_sec"] > 0:
-    speedup = round(modes["warm"]["requests_per_sec"] /
-                    modes["cold"]["requests_per_sec"], 3)
-
-out = {
-    "bench": "bench_service",
-    "context": {k: raw["context"].get(k) for k in ("num_cpus", "date", "library_build_type")},
-    "modes": modes,
-    "warm_speedup_vs_cold": speedup,
-}
-tmp = sys.argv[2] + ".tmp"
-with open(tmp, "w") as f:
-    json.dump(out, f, indent=2)
-    f.write("\n")
-os.replace(tmp, sys.argv[2])
-print(json.dumps(out, indent=2))
-
-# Warm-cache sanity floor: results are byte-identical warm or cold
-# (tests/service_test.cpp), so the speedup is the whole point of the
-# daemon. The floor should sit far below the typical ratio (see ci.yml)
-# so only a broken session cache trips it, not machine variance.
-floor = float(os.environ.get("SERVICE_WARM_SPEEDUP_FLOOR", "0") or "0")
-if floor > 0:
-    if speedup is None:
-        print("error: SERVICE_WARM_SPEEDUP_FLOOR set but the speedup "
-              "could not be computed", file=sys.stderr)
-        sys.exit(1)
-    if speedup < floor:
-        print(f"error: warm/cold speedup {speedup} is below "
-              f"SERVICE_WARM_SPEEDUP_FLOOR={floor}", file=sys.stderr)
-        sys.exit(1)
-EOF
-
-# --------------------------------------------------- distributed explore
-run_bench bench_dist --benchmark_format=json \
-    --benchmark_min_time=0.01 "$@"
-
-python3 - "$RAW" "$OUT_DIST" <<'EOF'
-import json, os, sys
-
-raw = json.load(open(sys.argv[1]))
-shard_rows = {}
-cas_rows = {}
-for b in raw.get("benchmarks", []):
-    # Names look like BM_dist_shards/2/process_time/real_time and
-    # BM_dist_cas_cold/real_time (plus /repeats:N when
-    # --benchmark_repetitions is passed through); skip the aggregate
-    # rows and average per-repetition measurements, as the other
-    # parsers do.
-    if "aggregate_name" in b:
-        continue
-    if b.get("error_occurred"):
-        print(f"skipping {b['name']}: {b.get('error_message', 'error')}",
-              file=sys.stderr)
-        continue
-    parts = b["name"].split("/")
-    if parts[0] == "BM_dist_shards":
-        shard_rows.setdefault(int(parts[1]), []).append(b)
-    elif parts[0] in ("BM_dist_cas_cold", "BM_dist_cas_warm"):
-        cas_rows.setdefault(parts[0], []).append(b)
-
-workers = {}
-for w, bs in shard_rows.items():
-    n = len(bs)
-    workers[w] = {
-        "real_time_ms": round(sum(b["real_time"] for b in bs) / n, 3),
-        "points_per_sec": round(
-            sum(b.get("points_per_sec", 0.0) for b in bs) / n, 3),
-        "grid_points": int(bs[0].get("points", 0)),
-        "repetitions": n,
-    }
-base = workers.get(1, {}).get("real_time_ms")
-for w, r in workers.items():
-    r["speedup_vs_1_worker"] = \
-        round(base / r["real_time_ms"], 3) if base else None
-
-cas = {}
-for name, key in (("cold", "BM_dist_cas_cold"), ("warm", "BM_dist_cas_warm")):
-    bs = cas_rows.get(key, [])
-    if not bs:
-        continue
-    n = len(bs)
-    cas[name] = {
-        "real_time_ms": round(sum(b["real_time"] for b in bs) / n, 3),
-        "repetitions": n,
-    }
-if cas.get("warm"):
-    bs = cas_rows["BM_dist_cas_warm"]
-    cas["warm"]["cas_hits_per_run"] = int(
-        sum(b.get("cas_hits", 0.0) for b in bs) / len(bs))
-
-speedup = None
-if "cold" in cas and "warm" in cas and cas["warm"]["real_time_ms"] > 0:
-    speedup = round(cas["cold"]["real_time_ms"] /
-                    cas["warm"]["real_time_ms"], 3)
-
-out = {
-    "bench": "bench_dist",
-    "context": {k: raw["context"].get(k) for k in ("num_cpus", "date", "library_build_type")},
-    "workers": {str(w): workers[w] for w in sorted(workers)},
-    "cas": cas,
-    "warm_speedup_vs_cold": speedup,
-}
-tmp = sys.argv[2] + ".tmp"
-with open(tmp, "w") as f:
-    json.dump(out, f, indent=2)
-    f.write("\n")
-os.replace(tmp, sys.argv[2])
-print(json.dumps(out, indent=2))
-
-# Warm-store sanity floor: sharded results are byte-identical warm or
-# cold (tests/dist_test.cpp), so a rerun against a populated store must
-# win by skipping the stage recomputation. The floor should sit far
-# below the typical ratio (see ci.yml) so only a broken CAS read path —
-# every get a miss — trips it, not machine variance.
-floor = float(os.environ.get("DIST_WARM_SPEEDUP_FLOOR", "0") or "0")
-if floor > 0:
-    if speedup is None:
-        print("error: DIST_WARM_SPEEDUP_FLOOR set but the speedup "
-              "could not be computed", file=sys.stderr)
-        sys.exit(1)
-    if speedup < floor:
-        print(f"error: warm/cold speedup {speedup} is below "
-              f"DIST_WARM_SPEEDUP_FLOOR={floor}", file=sys.stderr)
-        sys.exit(1)
 EOF

@@ -2,8 +2,8 @@
 //
 // Instrumentation sites construct a ScopedSpan around a unit of work
 // (a pipeline stage, an explored grid point, a simulator phase). While no
-// sink is installed the guard is one relaxed atomic load and a branch —
-// near-zero cost, quantified by bench_obs_overhead. With a sink installed
+// sink is installed the guard is one relaxed atomic load and a branch, a
+// cost every untraced perfbench timing includes. With a sink installed
 // (start_tracing), each span appends a begin and an end event to a
 // per-thread buffer: only the owning thread ever writes its buffer, so
 // recording takes no lock and imposes no cross-thread ordering — which is
@@ -80,8 +80,8 @@ bool stop_tracing(std::ostream& os);
 /// Stop recording and drop everything buffered (tests, error paths).
 void discard_trace();
 
-/// Events currently buffered over all threads (diagnostics and the
-/// overhead bench's spans-per-run estimate).
+/// Events currently buffered over all threads (diagnostics: what a trace
+/// has recorded so far, and that nothing records without a sink).
 std::size_t trace_buffered_events();
 
 }  // namespace sunfloor::obs

@@ -4,9 +4,9 @@
 // how many workers run, in which order jobs were submitted, or how warm
 // the shared sessions are. Also covers typed admission control
 // (queue-full / quota / shutting-down), the drain contract, the
-// warm-session LRU bound, and failed-job reporting. Runs under TSan in
-// CI — the multi-worker identity sweep doubles as a race probe on the
-// engine's publish/read discipline.
+// warm-session LRU bound, the warm path's stage hits, and failed-job
+// reporting. Runs under TSan in CI — the multi-worker identity sweep
+// doubles as a race probe on the engine's publish/read discipline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 #include "sunfloor/explore/explorer.h"
 #include "sunfloor/explore/export.h"
 #include "sunfloor/io/report.h"
+#include "sunfloor/obs/metrics.h"
 #include "sunfloor/obs/trace.h"
 #include "sunfloor/pipeline/session.h"
 #include "sunfloor/service/job_engine.h"
@@ -389,6 +390,83 @@ TEST(ServiceEngine, WarmSessionCacheIsLruBounded) {
     }
     EXPECT_LE(engine.stats().sessions, 2);
     EXPECT_GE(engine.stats().sessions, 1);
+}
+
+// ------------------------------------------------------------ warm path
+
+// pipeline.<stage>.{hits,misses} summed over every session: each
+// session's registry feeds obs::Registry::global().
+struct StageCounts {
+    long long hits = 0;
+    long long misses = 0;
+};
+using StageSnapshot = std::map<std::string, StageCounts>;
+
+const std::vector<std::string> kStages = {"partition", "routing", "placement",
+                                          "position_lp", "evaluation"};
+
+StageSnapshot stage_snapshot() {
+    StageSnapshot out;
+    for (const std::string& stage : kStages) {
+        const std::string name = "pipeline." + stage;
+        out[stage] = {obs::Registry::global().counter(name + ".hits").value(),
+                      obs::Registry::global().counter(name + ".misses").value()};
+    }
+    return out;
+}
+
+StageCounts delta(const StageSnapshot& from, const StageSnapshot& to,
+                  const std::string& stage) {
+    return {to.at(stage).hits - from.at(stage).hits,
+            to.at(stage).misses - from.at(stage).misses};
+}
+
+// What the daemon is for, checked by counts rather than timings: after
+// one synth job, the same request from another client computes nothing
+// and hits every stage the first run called, and the same spec at a new
+// frequency computes fewer partitions than a cold run of that request.
+TEST(ServiceEngine, WarmSessionServesRepeatsFromItsStageCaches) {
+    const DesignSpec spec = small_spec(specgen::GenFamily::Pipeline, 8, 4);
+    JobEngine engine(EngineOptions{.workers = 1});
+    JobParams p = fast_params();
+    p.freq_mhz = {400.0};
+
+    const StageSnapshot start = stage_snapshot();
+    const JobResult first =
+        run_to_result(engine, make_request(spec, JobKind::Synth, p, "ann"));
+    ASSERT_FALSE(first.failed) << first.error;
+    const StageSnapshot after_first = stage_snapshot();
+    const JobResult repeat =
+        run_to_result(engine, make_request(spec, JobKind::Synth, p, "bob"));
+    ASSERT_FALSE(repeat.failed) << repeat.error;
+    EXPECT_EQ(repeat.csv, first.csv);
+    const StageSnapshot after_repeat = stage_snapshot();
+
+    for (const std::string& stage : kStages) {
+        const StageCounts cold = delta(start, after_first, stage);
+        const StageCounts warm = delta(after_first, after_repeat, stage);
+        EXPECT_EQ(warm.misses, 0) << stage;
+        // The position LP is solved inside a placement miss, so a run
+        // whose placements all hit calls it not at all.
+        if (stage == "position_lp") {
+            EXPECT_EQ(warm.hits, 0);
+            continue;
+        }
+        EXPECT_GT(cold.hits + cold.misses, 0) << stage;
+        EXPECT_EQ(warm.hits, cold.hits + cold.misses) << stage;
+    }
+
+    p.freq_mhz = {500.0};
+    const JobResult reuse =
+        run_to_result(engine, make_request(spec, JobKind::Synth, p, "cy"));
+    ASSERT_FALSE(reuse.failed) << reuse.error;
+    const StageSnapshot after_reuse = stage_snapshot();
+    EXPECT_EQ(reuse.csv, reference_synth_csv(spec, p));  // a cold session
+    const StageSnapshot after_cold = stage_snapshot();
+    const StageCounts warm = delta(after_repeat, after_reuse, "partition");
+    EXPECT_GT(warm.hits, 0);
+    EXPECT_LT(warm.misses,
+              delta(after_reuse, after_cold, "partition").misses);
 }
 
 // ----------------------------------------------------------- coalescing
