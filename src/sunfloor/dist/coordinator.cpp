@@ -71,14 +71,13 @@ ShardResponse SocketTransport::run(const ShardRequest& req) {
     if (fd < 0)
         throw DistError(DistErrorKind::Transport, address_ + ": " + err);
     FdGuard guard{fd};
-    if (!service::write_all(fd, make_shard_run_frame(req) + "\n"))
+    if (!service::write_all(fd, make_shard_run_frame(req)))
         throw DistError(DistErrorKind::Transport,
                         address_ + ": connection lost while sending");
-    std::string buf;
-    std::string line;
+    // No size cap: shard responses carry whole design sets.
+    FrameReader reader(fd, 0);
     for (;;) {
-        // No size cap: shard responses carry whole design sets.
-        const int r = service::read_line(fd, buf, line, 0, err);
+        const int r = reader.next(err);
         if (r == 1) break;
         if (r == -2) continue;  // receive-timeout pacing while it computes
         throw DistError(DistErrorKind::Transport,
@@ -86,7 +85,7 @@ ShardResponse SocketTransport::run(const ShardRequest& req) {
                                            : ": " + err));
     }
     std::string payload;
-    if (!parse_response_frame(line, payload, err))
+    if (!parse_response_frame(reader.frame(), payload, err))
         throw DistError(DistErrorKind::Transport, address_ + ": " + err);
     ShardResponse resp;
     if (!decode_shard_response(payload, resp, err))

@@ -6,6 +6,7 @@
 #include "sunfloor/cas/bincode.h"
 #include "sunfloor/explore/export.h"
 #include "sunfloor/util/json.h"
+#include "sunfloor/util/strings.h"
 
 namespace sunfloor::dist {
 
@@ -299,13 +300,74 @@ pipeline::StageCounters dec_counters(Dec& d) {
     return c;
 }
 
-constexpr char kHexDigits[] = "0123456789abcdef";
+/// The complete frame: `head` + the payload length + "}\n", then the
+/// payload. Inserting the header moves the blob within its own buffer,
+/// whose growth slack almost always has room, instead of copying it into
+/// a second multi-MB one.
+std::string with_payload(std::string_view head, std::string payload) {
+    std::string header(head);
+    header += std::to_string(payload.size());
+    header += "}\n";
+    payload.insert(0, header);
+    return payload;
+}
 
-int hex_value(char c) {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
+/// A complete frame's parsed header line and the payload after it.
+struct Frame {
+    JsonValue header;
+    std::string_view payload;
+    bool has_payload = false;  ///< the header announced "bytes"
+};
+
+/// Read "bytes" from a parsed header: absent is 0 with `present` false.
+bool bytes_member(const JsonValue& header, bool& present,
+                  std::size_t& bytes, std::string& error) {
+    const JsonValue* b = header.find("bytes");
+    present = b != nullptr;
+    bytes = 0;
+    if (b == nullptr) return true;
+    if (!b->is_integer() || b->as_int64() < 0) {
+        error = "frame header: \"bytes\" is not a non-negative integer";
+        return false;
+    }
+    bytes = static_cast<std::size_t>(b->as_int64());
+    return true;
+}
+
+/// Split a complete frame into its header and a payload of exactly the
+/// announced length. `what` names the direction in errors.
+bool split_frame(const std::string& frame, const char* what, Frame& out,
+                 std::string& error) {
+    const std::size_t nl = frame.find('\n');
+    if (nl == std::string::npos) {
+        error = format("malformed %s frame: no header line", what);
+        return false;
+    }
+    JsonParseResult parsed = parse_json(std::string_view(frame).substr(0, nl));
+    if (!parsed.ok) {
+        error = format("malformed %s frame: %s", what, parsed.error.c_str());
+        return false;
+    }
+    out.header = std::move(parsed.value);
+    std::size_t bytes = 0;
+    if (!bytes_member(out.header, out.has_payload, bytes, error))
+        return false;
+    out.payload = std::string_view(frame).substr(nl + 1);
+    if (out.payload.size() != bytes) {
+        error = format("%s frame announces %zu payload bytes but carries %zu",
+                       what, bytes, out.payload.size());
+        return false;
+    }
+    return true;
+}
+
+/// A wire-version-2 frame carried its payload as "payload":"<hex>".
+bool is_v2_frame(const Frame& f, const char* what, std::string& error) {
+    if (f.header.find("payload") == nullptr) return false;
+    error = format("%s frame carries a hex \"payload\" (wire version 2); "
+                   "this build speaks wire version %u",
+                   what, static_cast<unsigned>(kWireVersion));
+    return true;
 }
 
 }  // namespace
@@ -428,56 +490,37 @@ bool decode_shard_response(std::string_view payload, ShardResponse& out,
     return true;
 }
 
-std::string to_hex(std::string_view bytes) {
-    std::string out;
-    out.reserve(bytes.size() * 2);
-    for (char c : bytes) {
-        const auto b = static_cast<unsigned char>(c);
-        out.push_back(kHexDigits[b >> 4]);
-        out.push_back(kHexDigits[b & 0xf]);
-    }
-    return out;
-}
-
-bool from_hex(std::string_view hex, std::string& bytes) {
-    if (hex.size() % 2 != 0) return false;
-    bytes.clear();
-    bytes.reserve(hex.size() / 2);
-    for (std::size_t i = 0; i < hex.size(); i += 2) {
-        const int hi = hex_value(hex[i]);
-        const int lo = hex_value(hex[i + 1]);
-        if (hi < 0 || lo < 0) return false;
-        bytes.push_back(static_cast<char>((hi << 4) | lo));
-    }
-    return true;
-}
-
 // ------------------------------------------------------------- framing
 
 std::string make_shard_run_frame(const ShardRequest& req) {
-    return "{\"op\":\"shard_run\",\"payload\":\"" +
-           to_hex(encode_shard_request(req)) + "\"}";
+    return with_payload("{\"op\":\"shard_run\",\"bytes\":",
+                        encode_shard_request(req));
 }
 
 std::string make_ok_frame(const ShardResponse& resp) {
-    return "{\"ok\":true,\"payload\":\"" +
-           to_hex(encode_shard_response(resp)) + "\"}";
+    return with_payload("{\"ok\":true,\"bytes\":",
+                        encode_shard_response(resp));
 }
 
-std::string make_pong_frame() { return "{\"ok\":true}"; }
+std::string make_pong_frame() { return "{\"ok\":true}\n"; }
 
 std::string make_error_frame(const std::string& msg) {
-    return "{\"ok\":false,\"error\":" + json_quote(msg) + "}";
+    return "{\"ok\":false,\"error\":" + json_quote(msg) + "}\n";
 }
 
-bool parse_worker_frame(const std::string& line, WorkerRequest& out,
+bool frame_payload_size(std::string_view header, std::size_t& bytes,
                         std::string& error) {
-    const JsonParseResult parsed = parse_json(line);
-    if (!parsed.ok) {
-        error = "malformed request frame: " + parsed.error;
-        return false;
-    }
-    const JsonValue* op = parsed.value.find("op");
+    bytes = 0;
+    const JsonParseResult parsed = parse_json(header);
+    bool present = false;
+    return !parsed.ok || bytes_member(parsed.value, present, bytes, error);
+}
+
+bool parse_worker_frame(const std::string& frame, WorkerRequest& out,
+                        std::string& error) {
+    Frame f;
+    if (!split_frame(frame, "request", f, error)) return false;
+    const JsonValue* op = f.header.find("op");
     if (op == nullptr || !op->is_string()) {
         error = "request frame has no op";
         return false;
@@ -491,44 +534,32 @@ bool parse_worker_frame(const std::string& line, WorkerRequest& out,
         return false;
     }
     out.op = WorkerRequest::Op::ShardRun;
-    const JsonValue* payload = parsed.value.find("payload");
-    if (payload == nullptr || !payload->is_string()) {
-        error = "shard_run frame has no payload";
+    if (is_v2_frame(f, "shard_run", error)) return false;
+    if (!f.has_payload) {
+        error = "shard_run frame has no bytes";
         return false;
     }
-    std::string bytes;
-    if (!from_hex(payload->as_string(), bytes)) {
-        error = "shard_run payload is not valid hex";
-        return false;
-    }
-    return decode_shard_request(bytes, out.run, error);
+    return decode_shard_request(f.payload, out.run, error);
 }
 
-bool parse_response_frame(const std::string& line, std::string& payload,
+bool parse_response_frame(const std::string& frame, std::string& payload,
                           std::string& error) {
     payload.clear();
-    const JsonParseResult parsed = parse_json(line);
-    if (!parsed.ok) {
-        error = "malformed response frame: " + parsed.error;
-        return false;
-    }
-    const JsonValue* ok = parsed.value.find("ok");
+    Frame f;
+    if (!split_frame(frame, "response", f, error)) return false;
+    const JsonValue* ok = f.header.find("ok");
     if (ok == nullptr || !ok->is_bool()) {
         error = "response frame has no ok field";
         return false;
     }
     if (!ok->as_bool()) {
-        const JsonValue* err = parsed.value.find("error");
+        const JsonValue* err = f.header.find("error");
         error = err != nullptr && err->is_string() ? err->as_string()
                                                    : "unnamed worker error";
         return false;
     }
-    const JsonValue* p = parsed.value.find("payload");
-    if (p == nullptr) return true;  // ping response
-    if (!p->is_string() || !from_hex(p->as_string(), payload)) {
-        error = "response payload is not valid hex";
-        return false;
-    }
+    if (is_v2_frame(f, "response", error)) return false;
+    payload.assign(f.payload);  // empty for a pong
     return true;
 }
 

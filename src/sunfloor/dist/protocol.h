@@ -11,18 +11,23 @@
 // an N-shard run's merged exports byte-identical to the single-process
 // run's (property-tested in dist_test.cpp).
 //
-// Framing reuses the service transport's line discipline: one
-// newline-free JSON object per line,
+// A frame is one newline-terminated JSON header line, followed by exactly
+// the number of raw payload bytes its "bytes" member announces:
 //
-//   request:  {"op":"shard_run","payload":"<hex>"}
-//             {"op":"ping"}
-//   response: {"ok":true,"payload":"<hex>"}          (ping: no payload)
-//             {"ok":false,"error":"..."}
+//   request:  {"op":"shard_run","bytes":N}\n<N payload bytes>
+//             {"op":"ping"}\n
+//   response: {"ok":true,"bytes":N}\n<N payload bytes>
+//             {"ok":true}\n                       (pong)
+//             {"ok":false,"error":"..."}\n
 //
-// where the payload is the hex rendering of a little-endian binary blob
-// (cas/bincode.h primitives, doubles as raw bit patterns) carrying a
-// versioned, tagged ShardRequest or ShardResponse. Binary-in-hex keeps
-// the frame free of escaping concerns while preserving every double bit.
+// where the payload is a little-endian binary blob (cas/bincode.h
+// primitives, doubles as raw bit patterns) carrying a versioned, tagged
+// ShardRequest or ShardResponse. The header names the length, so the
+// payload travels as is: no escaping, no text rendering, every double
+// bit preserved. A reader takes the header line, then exactly N bytes
+// (dist/shard.h's FrameReader); the count is untrusted and sizes no
+// allocation. Wire version 2 carried the payload hex-encoded inside the
+// JSON line ("payload":"<hex>"); such frames are rejected by name.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +41,11 @@
 
 namespace sunfloor::dist {
 
-/// Protocol version; bumped on any payload layout change. A version
-/// mismatch is a decode error (the coordinator retries elsewhere rather
-/// than mis-reading bytes).
-inline constexpr std::uint32_t kWireVersion = 2;
+/// Protocol version; bumped on any payload layout or framing change (3:
+/// raw payloads after a header line). A version mismatch is a decode
+/// error (the coordinator retries elsewhere rather than mis-reading
+/// bytes).
+inline constexpr std::uint32_t kWireVersion = 3;
 
 /// Everything a worker needs to run one slice — self-contained, so a
 /// worker holds no per-coordinator state and any worker can take any job.
@@ -86,20 +92,24 @@ std::string encode_shard_response(const ShardResponse& resp);
 bool decode_shard_response(std::string_view payload, ShardResponse& out,
                            std::string& error);
 
-/// Lowercase hex rendering of arbitrary bytes (and its inverse; from_hex
-/// rejects odd length and non-hex characters).
-std::string to_hex(std::string_view bytes);
-bool from_hex(std::string_view hex, std::string& bytes);
-
 // ------------------------------------------------------------- framing
 //
-// Frame builders return one JSON object with no trailing newline (the
-// transport appends it); parsers take one line as read_line returns it.
+// Frame builders return the complete frame — header line, its '\n' and
+// the payload — ready to write as is; parsers take one complete frame as
+// FrameReader returns it and check that the payload is exactly as long
+// as the header announces.
 
 std::string make_shard_run_frame(const ShardRequest& req);
 std::string make_ok_frame(const ShardResponse& resp);
 std::string make_pong_frame();
 std::string make_error_frame(const std::string& msg);
+
+/// The payload length a frame's header line (without its '\n')
+/// announces: 0 for a header-only frame, which includes a line that is
+/// not a JSON object (the frame parsers name that problem). False with
+/// `error` set when "bytes" is not a non-negative integer.
+bool frame_payload_size(std::string_view header, std::size_t& bytes,
+                        std::string& error);
 
 /// A parsed request frame as the worker sees it.
 struct WorkerRequest {
@@ -108,13 +118,14 @@ struct WorkerRequest {
     ShardRequest run;  ///< filled for Op::ShardRun
 };
 
-bool parse_worker_frame(const std::string& line, WorkerRequest& out,
+bool parse_worker_frame(const std::string& frame, WorkerRequest& out,
                         std::string& error);
 
-/// Parse a response line into its decoded (binary) payload. Returns false
-/// with `error` set on malformed JSON, a remote {"ok":false} error, or a
-/// bad hex payload. Ping responses yield an empty payload.
-bool parse_response_frame(const std::string& line, std::string& payload,
+/// Parse a response frame into its (binary) payload. Returns false with
+/// `error` set on a malformed header, a payload of another length than
+/// announced, a wire-version-2 frame or a remote {"ok":false} error.
+/// Ping responses yield an empty payload.
+bool parse_response_frame(const std::string& frame, std::string& payload,
                           std::string& error);
 
 }  // namespace sunfloor::dist

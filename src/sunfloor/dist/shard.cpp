@@ -13,6 +13,7 @@
 #include "sunfloor/cas/codec.h"
 #include "sunfloor/cas/store.h"
 #include "sunfloor/obs/trace.h"
+#include "sunfloor/util/strings.h"
 
 namespace sunfloor::dist {
 
@@ -51,6 +52,27 @@ ShardResponse run_shard(const ShardRequest& req) {
     resp.stage = res.stats.stage;
     obs::Registry::global().counter("dist.shards.run").add();
     return resp;
+}
+
+int FrameReader::next(std::string& error) {
+    if (want_ == 0) {
+        std::string header;
+        const int r =
+            service::read_line(fd_, buf_, header, max_bytes_, error);
+        if (r != 1) return r;
+        std::size_t bytes = 0;
+        if (!frame_payload_size(header, bytes, error)) return -1;
+        if (max_bytes_ > 0 && bytes > max_bytes_) {
+            error = format("frame exceeds %zu bytes", max_bytes_);
+            return -1;
+        }
+        frame_ = std::move(header);
+        frame_ += '\n';
+        want_ = frame_.size() + bytes;  // bytes < 2^63: no wrap
+    }
+    const int r = service::read_exact(fd_, buf_, frame_, want_, error);
+    if (r == 1) want_ = 0;  // the next call starts a new frame
+    return r;
 }
 
 WorkerServer::WorkerServer(WorkerOptions opts)
@@ -114,10 +136,9 @@ void WorkerServer::accept_loop() {
         tv.tv_usec = 500 * 1000;
         ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
         if (pending_.try_send(conn) != TrySend::Ok) {
-            service::write_all(
-                conn, make_error_frame("worker busy: too many pending "
-                                       "connections") +
-                          "\n");
+            service::write_all(conn,
+                               make_error_frame("worker busy: too many "
+                                                "pending connections"));
             service::close_fd(conn);
         }
     }
@@ -133,28 +154,26 @@ void WorkerServer::handler_loop() {
 }
 
 void WorkerServer::serve_connection(int fd) {
-    std::string buf;
-    std::string line;
+    FrameReader reader(fd, static_cast<std::size_t>(
+                               opts_.max_frame_bytes > 0
+                                   ? opts_.max_frame_bytes
+                                   : 0));
     std::string err;
     for (;;) {
-        const int r = service::read_line(
-            fd, buf, line,
-            static_cast<std::size_t>(
-                opts_.max_frame_bytes > 0 ? opts_.max_frame_bytes : 0),
-            err);
+        const int r = reader.next(err);
         if (r == 0) break;  // clean EOF
-        if (r == -2) {      // receive timeout: idle connection
+        if (r == -2) {      // receive timeout: idle or mid-frame
             if (shutting_down_.load(std::memory_order_relaxed)) break;
             continue;
         }
         if (r < 0) {
-            service::write_all(fd, make_error_frame(err) + "\n");
+            service::write_all(fd, make_error_frame(err));
             break;
         }
         std::string resp;
         WorkerRequest req;
         std::string perr;
-        if (!parse_worker_frame(line, req, perr)) {
+        if (!parse_worker_frame(reader.frame(), req, perr)) {
             resp = make_error_frame(perr);
         } else if (req.op == WorkerRequest::Op::Ping) {
             resp = make_pong_frame();
@@ -165,7 +184,7 @@ void WorkerServer::serve_connection(int fd) {
                 resp = make_error_frame(e.what());
             }
         }
-        if (!service::write_all(fd, resp + "\n")) break;
+        if (!service::write_all(fd, resp)) break;
     }
     service::close_fd(fd);
 }

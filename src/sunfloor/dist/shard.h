@@ -5,8 +5,9 @@
 // explorer over the slice and render the complete results back into a
 // ShardResponse. The in-process transport calls it directly (after a full
 // encode/decode round trip, so both transports exercise identical codec
-// paths); WorkerServer serves it over a socket with the service
-// transport's line framing.
+// paths); WorkerServer serves it over a socket, reading each frame — a
+// header line, then the raw payload it announces (protocol.h) — with
+// FrameReader, which the socket coordinator uses for responses too.
 #pragma once
 
 #include <atomic>
@@ -25,13 +26,42 @@ namespace sunfloor::dist {
 /// that into an {"ok":false} frame.
 ShardResponse run_shard(const ShardRequest& req);
 
+/// Reads complete frames (protocol.h's grammar) from one connection: the
+/// header line through service::read_line, then exactly the payload
+/// bytes it announces through service::read_exact. The frame grows only
+/// as bytes arrive; the announced count sizes no allocation.
+class FrameReader {
+  public:
+    /// `max_bytes` bounds the header line and the announced payload
+    /// ("frame exceeds N bytes"); 0 means unlimited.
+    FrameReader(int fd, std::size_t max_bytes)
+        : fd_(fd), max_bytes_(max_bytes) {}
+
+    /// 1: frame() holds a complete frame. 0: clean EOF before any byte.
+    /// -2: a receive timeout expired; a partial frame is kept and the
+    /// next call continues it. -1: error (`error` set), after which the
+    /// stream cannot be resynchronized — close the connection.
+    int next(std::string& error);
+
+    /// The last complete frame (valid until the next call to next()).
+    const std::string& frame() const { return frame_; }
+
+  private:
+    int fd_;
+    std::size_t max_bytes_;
+    std::string buf_;       ///< read-ahead carried between calls
+    std::string frame_;     ///< the frame being assembled
+    std::size_t want_ = 0;  ///< complete frame size; 0 = header not read
+};
+
 struct WorkerOptions {
     /// Listen address: unix socket path (contains '/') or host:port.
     std::string listen;
     /// Connection-handler threads (concurrent coordinators served).
     int conn_threads = 2;
-    /// Request-frame size limit; shard payloads carry whole grids, so the
-    /// default is generous. <= 0 means unlimited.
+    /// Request-frame limit on the header line and on the announced
+    /// payload; shard payloads carry whole grids, so the default is
+    /// generous. <= 0 means unlimited.
     long long max_frame_bytes = 256LL << 20;
 };
 

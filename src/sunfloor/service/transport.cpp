@@ -7,6 +7,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -149,8 +150,9 @@ int dial(const Address& addr, std::string& error) {
 
 int read_line(int fd, std::string& buf, std::string& line,
               std::size_t max_bytes, std::string& error) {
+    std::size_t scanned = 0;  // buf[0, scanned) holds no '\n'
     for (;;) {
-        const std::size_t nl = buf.find('\n');
+        const std::size_t nl = buf.find('\n', scanned);
         if (nl != std::string::npos) {
             if (max_bytes > 0 && nl > max_bytes) {
                 error = format("frame exceeds %zu bytes", max_bytes);
@@ -160,6 +162,7 @@ int read_line(int fd, std::string& buf, std::string& line,
             buf.erase(0, nl + 1);
             return 1;
         }
+        scanned = buf.size();
         // Bound the read-ahead too: a line with no terminator must not
         // grow the buffer without limit.
         if (max_bytes > 0 && buf.size() > max_bytes) {
@@ -182,6 +185,35 @@ int read_line(int fd, std::string& buf, std::string& line,
         error = format("read: %s", std::strerror(errno));
         return -1;
     }
+}
+
+int read_exact(int fd, std::string& buf, std::string& out, std::size_t size,
+               std::string& error) {
+    if (out.size() < size && !buf.empty()) {
+        const std::size_t take = std::min(buf.size(), size - out.size());
+        out.append(buf, 0, take);
+        buf.erase(0, take);
+    }
+    while (out.size() < size) {
+        // Never more than `size` in all: what follows belongs to the next
+        // frame and stays in the kernel.
+        char chunk[64 * 1024];
+        const ssize_t n = ::read(
+            fd, chunk, std::min(sizeof(chunk), size - out.size()));
+        if (n > 0) {
+            out.append(chunk, static_cast<std::size_t>(n));
+            continue;
+        }
+        if (n == 0) {
+            error = "connection closed mid-frame";
+            return -1;
+        }
+        if (errno == EINTR) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) return -2;
+        error = format("read: %s", std::strerror(errno));
+        return -1;
+    }
+    return 1;
 }
 
 bool write_all(int fd, std::string_view data) {

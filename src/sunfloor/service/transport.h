@@ -1,9 +1,11 @@
 // Socket plumbing shared by the server and client: address parsing,
-// listening, dialing, and length-bounded line framing.
+// listening, dialing, length-bounded line framing and exact-length reads.
 //
 // Addresses: a string containing '/' (or starting with '.') names a
-// Unix-domain socket path; anything else is "host:port" TCP. The wire
-// unit is one '\n'-terminated line in both directions (see protocol.h).
+// Unix-domain socket path; anything else is "host:port" TCP. The service
+// wire unit is one '\n'-terminated line in both directions (see
+// protocol.h); the shard protocol follows a header line with a raw
+// payload of announced length (dist/protocol.h), read with read_exact.
 #pragma once
 
 #include <string>
@@ -36,11 +38,23 @@ int dial(const Address& addr, std::string& error);
 /// when a receive timeout (SO_RCVTIMEO) expired with no complete line —
 /// the caller decides whether to keep waiting — and -1 on error,
 /// including a line longer than `max_bytes` ("frame exceeds N bytes").
-/// `buf` carries read-ahead between calls on the same fd.
+/// `buf` carries read-ahead between calls on the same fd. A call scans
+/// the carry buffer once, then only the bytes each read appends, so a
+/// line costs time linear in its length however the kernel splits it.
 int read_line(int fd, std::string& buf, std::string& line,
               std::size_t max_bytes, std::string& error);
 
-/// Write all of `data` (callers append the '\n' themselves). False on
+/// Append to `out` until it holds `size` bytes, from the carry buffer
+/// `buf` first and then from the fd, never reading past `size`. `out`
+/// grows only as bytes arrive, never by `size` up front, so an untrusted
+/// announced length costs nothing until its bytes exist. Returns 1 once
+/// `out.size() >= size`, -2 when a receive timeout expired first (the
+/// bytes so far stay in `out`; call again to continue) and -1 on error,
+/// including EOF ("connection closed mid-frame").
+int read_exact(int fd, std::string& buf, std::string& out, std::size_t size,
+               std::string& error);
+
+/// Write all of `data` (callers append any '\n' themselves). False on
 /// error.
 bool write_all(int fd, std::string_view data);
 

@@ -1,17 +1,25 @@
 // Distributed exploration: byte-identity of sharded runs against the
 // single-process explorer over {inproc, socket} transports x {1, 2, 4}
 // workers x {analytic, sim} backends x {cold, warm} CAS, the associative
-// Pareto merge, slice boundaries, the wire codec and fault tolerance
-// (retry, worker retirement, typed failures).
+// Pareto merge, slice boundaries, the wire codec, binary framing on real
+// sockets (fragmented delivery, untrusted lengths, EOF and timeouts mid-
+// payload) and fault tolerance (retry, worker retirement, typed failures).
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <future>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sunfloor/cas/bincode.h"
@@ -20,6 +28,7 @@
 #include "sunfloor/dist/shard.h"
 #include "sunfloor/explore/export.h"
 #include "sunfloor/obs/metrics.h"
+#include "sunfloor/service/transport.h"
 #include "sunfloor/spec/benchmarks.h"
 
 namespace sunfloor {
@@ -108,6 +117,36 @@ void patch_u32(std::string& bytes, std::size_t at, std::uint32_t v) {
     bytes.replace(at, 4, e.take());
 }
 
+/// A one-point D_36_4 request, small enough to build in every test.
+dist::ShardRequest small_request() {
+    dist::ShardRequest req;
+    req.spec = make_benchmark("D_36_4");
+    req.base_cfg = fast_cfg();
+    req.opts = backend_opts(EvalBackend::Analytic);
+    req.points = ParamGrid().enumerate();
+    return req;
+}
+
+/// A response whose design blob holds a newline, a NUL and a 0xff byte.
+dist::ShardResponse small_response() {
+    dist::ShardResponse resp;
+    resp.points.resize(1);
+    resp.points[0].phase_used = "phase1";
+    resp.points[0].designs.push_back(std::string("a\n\0\xff", 4));
+    resp.stage.partition = {3, 2, 1.5};
+    return resp;
+}
+
+/// A connected AF_UNIX stream pair.
+struct SocketPair {
+    int fd[2] = {-1, -1};
+    SocketPair() { EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fd), 0); }
+    ~SocketPair() {
+        service::close_fd(fd[0]);
+        service::close_fd(fd[1]);
+    }
+};
+
 /// Throws a Transport DistError for the first `fail_first` run() calls,
 /// then behaves like an inproc worker.
 class FlakyTransport : public dist::ShardTransport {
@@ -172,20 +211,6 @@ TEST(DistBoundaries, ContiguousBalancedAndExhaustive) {
 }
 
 // ------------------------------------------------------------ wire codec
-
-TEST(DistProtocol, HexRoundTripsAndRejectsGarbage) {
-    std::string bytes;
-    for (int i = 0; i < 256; ++i) bytes.push_back(static_cast<char>(i));
-    const std::string hex = dist::to_hex(bytes);
-    EXPECT_EQ(hex.size(), 512u);
-    std::string back;
-    ASSERT_TRUE(dist::from_hex(hex, back));
-    EXPECT_EQ(back, bytes);
-    EXPECT_FALSE(dist::from_hex("abc", back));   // odd length
-    EXPECT_FALSE(dist::from_hex("zz", back));    // non-hex
-    ASSERT_TRUE(dist::from_hex("", back));
-    EXPECT_TRUE(back.empty());
-}
 
 TEST(DistProtocol, ShardRequestRoundTripsCompletely) {
     dist::ShardRequest req;
@@ -268,23 +293,140 @@ TEST(DistProtocol, ShardResponseRejectsVersionOneAndInflatedCounts) {
 
 TEST(DistProtocol, FramesParseBothDirections) {
     // No shipped coordinator pings; the worker answers the op anyway.
-    const std::string ping = "{\"op\":\"ping\"}";
+    const std::string ping = "{\"op\":\"ping\"}\n";
     std::string err;
     dist::WorkerRequest wreq;
-    ASSERT_TRUE(dist::parse_worker_frame(ping, wreq, err));
+    ASSERT_TRUE(dist::parse_worker_frame(ping, wreq, err)) << err;
     EXPECT_EQ(wreq.op, dist::WorkerRequest::Op::Ping);
 
+    // A shard_run frame is its header line, then the raw payload.
+    const dist::ShardRequest req = small_request();
+    const std::string q = dist::encode_shard_request(req);
+    const std::string run = dist::make_shard_run_frame(req);
+    EXPECT_EQ(run, "{\"op\":\"shard_run\",\"bytes\":" +
+                       std::to_string(q.size()) + "}\n" + q);
+    ASSERT_TRUE(dist::parse_worker_frame(run, wreq, err)) << err;
+    EXPECT_EQ(wreq.op, dist::WorkerRequest::Op::ShardRun);
+    EXPECT_EQ(dist::encode_shard_request(wreq.run), q);
+
+    // Payload bytes travel as they are, newlines and NULs included.
+    const dist::ShardResponse resp = small_response();
+    const std::string s = dist::encode_shard_response(resp);
+    const std::string ok = dist::make_ok_frame(resp);
+    EXPECT_EQ(ok, "{\"ok\":true,\"bytes\":" + std::to_string(s.size()) +
+                      "}\n" + s);
     std::string payload;
+    ASSERT_TRUE(dist::parse_response_frame(ok, payload, err)) << err;
+    EXPECT_EQ(payload, s);
+
+    EXPECT_EQ(dist::make_pong_frame(), "{\"ok\":true}\n");
     ASSERT_TRUE(
         dist::parse_response_frame(dist::make_pong_frame(), payload, err));
     EXPECT_TRUE(payload.empty());
 
-    EXPECT_FALSE(dist::parse_response_frame(
-        dist::make_error_frame("worker exploded"), payload, err));
-    EXPECT_NE(err.find("worker exploded"), std::string::npos);
+    // The message's newline is escaped: the error stays one header line.
+    const std::string error_frame =
+        dist::make_error_frame("worker exploded\nbadly");
+    EXPECT_EQ(error_frame.find('\n'), error_frame.size() - 1);
+    EXPECT_FALSE(dist::parse_response_frame(error_frame, payload, err));
+    EXPECT_EQ(err, "worker exploded\nbadly");
 
-    EXPECT_FALSE(dist::parse_worker_frame("not json", wreq, err));
-    EXPECT_FALSE(dist::parse_response_frame("not json", payload, err));
+    EXPECT_FALSE(dist::parse_worker_frame("not json\n", wreq, err));
+    EXPECT_FALSE(dist::parse_response_frame("not json\n", payload, err));
+    // A header line needs its terminator.
+    EXPECT_FALSE(dist::parse_worker_frame("{\"op\":\"ping\"}", wreq, err));
+    EXPECT_NE(err.find("no header line"), std::string::npos) << err;
+    EXPECT_FALSE(dist::parse_response_frame("{\"ok\":true}", payload, err));
+}
+
+TEST(DistProtocol, WireVersionTwoFramesAndPayloadsAreRejectedByName) {
+    EXPECT_EQ(dist::kWireVersion, 3u);
+    // Version 2 carried the payload hex-encoded inside the JSON line.
+    std::string err;
+    dist::WorkerRequest wreq;
+    EXPECT_FALSE(dist::parse_worker_frame(
+        "{\"op\":\"shard_run\",\"payload\":\"0200000051\"}\n", wreq, err));
+    EXPECT_NE(err.find("wire version 2"), std::string::npos) << err;
+    std::string payload;
+    EXPECT_FALSE(dist::parse_response_frame(
+        "{\"ok\":true,\"payload\":\"0200000053\"}\n", payload, err));
+    EXPECT_NE(err.find("wire version 2"), std::string::npos) << err;
+
+    // A version-2 payload inside a well-formed frame fails its decode.
+    std::string q = dist::encode_shard_request(small_request());
+    patch_u32(q, 0, 2);
+    EXPECT_FALSE(dist::parse_worker_frame(
+        "{\"op\":\"shard_run\",\"bytes\":" + std::to_string(q.size()) +
+            "}\n" + q,
+        wreq, err));
+    EXPECT_NE(err.find("bad version"), std::string::npos) << err;
+    std::string s = dist::encode_shard_response(small_response());
+    patch_u32(s, 0, 2);
+    ASSERT_TRUE(dist::parse_response_frame(
+        "{\"ok\":true,\"bytes\":" + std::to_string(s.size()) + "}\n" + s,
+        payload, err))
+        << err;
+    dist::ShardResponse out;
+    EXPECT_FALSE(dist::decode_shard_response(payload, out, err));
+    EXPECT_NE(err.find("bad version"), std::string::npos) << err;
+}
+
+TEST(DistProtocol, AnnouncedLengthMustBeACountMatchingThePayload) {
+    const std::string q = dist::encode_shard_request(small_request());
+    const std::string s = dist::encode_shard_response(small_response());
+    const std::vector<std::string> not_counts = {
+        "-1",   "-0.5", "1.5", "1e3", "\"12\"", "true",
+        "null", "99999999999999999999"};  // the last: not a 64-bit integer
+    std::string err;
+    dist::WorkerRequest wreq;
+    std::string payload;
+    for (const std::string& n : not_counts) {
+        EXPECT_FALSE(dist::parse_worker_frame(
+            "{\"op\":\"shard_run\",\"bytes\":" + n + "}\n" + q, wreq, err))
+            << n;
+        EXPECT_NE(err.find("non-negative integer"), std::string::npos)
+            << err;
+        EXPECT_FALSE(dist::parse_response_frame(
+            "{\"ok\":true,\"bytes\":" + n + "}\n" + s, payload, err))
+            << n;
+    }
+    // Counts off by one either way, and 0, against the payload present.
+    for (const std::size_t d : {q.size() + 1, q.size() - 1, std::size_t{0}}) {
+        EXPECT_FALSE(dist::parse_worker_frame(
+            "{\"op\":\"shard_run\",\"bytes\":" + std::to_string(d) +
+                "}\n" + q,
+            wreq, err))
+            << d;
+        EXPECT_NE(err.find("announces"), std::string::npos) << err;
+    }
+    for (const std::size_t d : {s.size() + 1, s.size() - 1, std::size_t{0}})
+        EXPECT_FALSE(dist::parse_response_frame(
+            "{\"ok\":true,\"bytes\":" + std::to_string(d) + "}\n" + s,
+            payload, err))
+            << d;
+    // Bytes after a header-only line, and a shard_run without a count.
+    EXPECT_FALSE(dist::parse_worker_frame("{\"op\":\"ping\"}\nx", wreq, err));
+    EXPECT_FALSE(dist::parse_response_frame("{\"ok\":true}\nx", payload, err));
+    EXPECT_FALSE(
+        dist::parse_worker_frame("{\"op\":\"shard_run\"}\n", wreq, err));
+    EXPECT_NE(err.find("no bytes"), std::string::npos) << err;
+
+    // The readers' view of a header: a count, 0 for a header-only line,
+    // an error for a count that is not one.
+    std::size_t n = 7;
+    ASSERT_TRUE(dist::frame_payload_size("{\"ok\":true,\"bytes\":12}", n,
+                                         err));
+    EXPECT_EQ(n, 12u);
+    ASSERT_TRUE(dist::frame_payload_size("{\"op\":\"ping\"}", n, err));
+    EXPECT_EQ(n, 0u);
+    ASSERT_TRUE(dist::frame_payload_size("not json", n, err));
+    EXPECT_EQ(n, 0u);
+    for (const char* header :
+         {"{\"bytes\":-1}", "{\"bytes\":1.5}", "{\"bytes\":\"3\"}"}) {
+        EXPECT_FALSE(dist::frame_payload_size(header, n, err)) << header;
+        EXPECT_NE(err.find("non-negative integer"), std::string::npos)
+            << err;
+    }
 }
 
 // ----------------------------------------------------------- Pareto merge
@@ -645,6 +787,211 @@ TEST(DistFaults, UnreachableSocketWorkerFailsAsTransport) {
     } catch (const dist::DistError& e) {
         EXPECT_EQ(e.kind(), dist::DistErrorKind::Transport);
     }
+}
+
+// ------------------------------------------------------- frames on sockets
+
+/// A worker on a fresh unix socket with a small request-frame limit.
+struct SmallWorker {
+    TempDir dir;
+    dist::WorkerOptions wopts;
+    std::unique_ptr<dist::WorkerServer> server;
+
+    explicit SmallWorker(long long max_frame_bytes) {
+        wopts.listen = dir.path + "/worker.sock";
+        wopts.max_frame_bytes = max_frame_bytes;
+        server = std::make_unique<dist::WorkerServer>(wopts);
+        std::string err;
+        EXPECT_TRUE(server->start(err)) << err;
+    }
+
+    int dial() const {
+        service::Address addr;
+        std::string err;
+        EXPECT_TRUE(service::parse_address(wopts.listen, addr, err)) << err;
+        const int fd = service::dial(addr, err);
+        EXPECT_GE(fd, 0) << err;
+        return fd;
+    }
+};
+
+/// Read one response frame and return parse_response_frame's error
+/// ("" when it parsed).
+std::string response_error(dist::FrameReader& reader) {
+    std::string err;
+    if (reader.next(err) != 1) return "no frame: " + err;
+    std::string payload;
+    return dist::parse_response_frame(reader.frame(), payload, err) ? ""
+                                                                    : err;
+}
+
+TEST(DistFrames, ReaderAssemblesFramesFromOddPieces) {
+    SocketPair sp;
+    const std::string stream = dist::make_ok_frame(small_response()) +
+                               dist::make_pong_frame() +
+                               dist::make_error_frame("late");
+    std::thread writer([&] {
+        for (std::size_t at = 0; at < stream.size(); at += 7)
+            if (!service::write_all(sp.fd[1], stream.substr(at, 7))) return;
+        ::shutdown(sp.fd[1], SHUT_WR);
+    });
+    dist::FrameReader reader(sp.fd[0], 0);
+    std::string err;
+    std::vector<std::string> got;
+    int r = 0;
+    while ((r = reader.next(err)) == 1) got.push_back(reader.frame());
+    writer.join();
+    EXPECT_EQ(r, 0) << err;  // clean EOF after the last frame
+    ASSERT_EQ(got.size(), 3u);
+    EXPECT_EQ(got[0], dist::make_ok_frame(small_response()));
+    EXPECT_EQ(got[1], dist::make_pong_frame());
+    EXPECT_EQ(got[2], dist::make_error_frame("late"));
+}
+
+TEST(DistFrames, EofMidPayloadIsConnectionClosedMidFrame) {
+    {
+        SocketPair sp;
+        ASSERT_TRUE(service::write_all(
+            sp.fd[1], "{\"ok\":true,\"bytes\":100}\n0123456789"));
+        ::shutdown(sp.fd[1], SHUT_WR);
+        dist::FrameReader reader(sp.fd[0], 0);
+        std::string err;
+        EXPECT_EQ(reader.next(err), -1);
+        EXPECT_EQ(err, "connection closed mid-frame");
+    }
+    // The worker names it in an error frame before it hangs up.
+    SmallWorker w(1024);
+    const int fd = w.dial();
+    ASSERT_TRUE(service::write_all(
+        fd, "{\"op\":\"shard_run\",\"bytes\":100}\n0123456789"));
+    ::shutdown(fd, SHUT_WR);
+    dist::FrameReader reader(fd, 0);
+    EXPECT_EQ(response_error(reader), "connection closed mid-frame");
+    std::string err;
+    EXPECT_EQ(reader.next(err), 0);
+    service::close_fd(fd);
+}
+
+TEST(DistFrames, WorkerRejectsAnOversizedAnnouncementAndCloses) {
+    SmallWorker w(1024);
+    {
+        // At the limit: read whole, rejected by the payload decode, and
+        // the connection stays up for the next frame.
+        const int fd = w.dial();
+        ASSERT_TRUE(service::write_all(
+            fd, "{\"op\":\"shard_run\",\"bytes\":1024}\n" +
+                    std::string(1024, 'x')));
+        dist::FrameReader reader(fd, 0);
+        EXPECT_NE(response_error(reader).find("bad version"),
+                  std::string::npos);
+        // So does a wire-version-2 frame, refused by name.
+        ASSERT_TRUE(service::write_all(
+            fd, "{\"op\":\"shard_run\",\"payload\":\"00\"}\n"));
+        EXPECT_NE(response_error(reader).find("wire version 2"),
+                  std::string::npos);
+        ASSERT_TRUE(service::write_all(fd, "{\"op\":\"ping\"}\n"));
+        EXPECT_EQ(response_error(reader), "");
+        service::close_fd(fd);
+    }
+    // One byte over: an error frame, then EOF; the payload is never read.
+    const int fd = w.dial();
+    ASSERT_TRUE(service::write_all(
+        fd, "{\"op\":\"shard_run\",\"bytes\":1025}\n"));
+    dist::FrameReader reader(fd, 0);
+    EXPECT_EQ(response_error(reader), "frame exceeds 1024 bytes");
+    std::string err;
+    EXPECT_EQ(reader.next(err), 0);
+    service::close_fd(fd);
+    // A malformed count cannot be skipped either: error frame, then EOF.
+    const int fd2 = w.dial();
+    ASSERT_TRUE(service::write_all(
+        fd2, "{\"op\":\"shard_run\",\"bytes\":-5}\nxxxxx"));
+    dist::FrameReader reader2(fd2, 0);
+    EXPECT_NE(response_error(reader2).find("non-negative integer"),
+              std::string::npos);
+    EXPECT_EQ(reader2.next(err), 0);
+    service::close_fd(fd2);
+}
+
+TEST(DistFrames, HugeAnnouncedResponseFailsAsTransportNotBadAlloc) {
+    // A fake worker reads the request, announces 2^62 payload bytes,
+    // sends three and hangs up. The coordinator must fail the job as a
+    // transport error; a buffer sized by the announcement would throw
+    // std::length_error or std::bad_alloc instead.
+    TempDir dir;
+    service::Address addr;
+    std::string err;
+    const std::string path = dir.path + "/fake.sock";
+    ASSERT_TRUE(service::parse_address(path, addr, err)) << err;
+    const int lfd = service::listen_on(addr, err);
+    ASSERT_GE(lfd, 0) << err;
+    std::thread fake([lfd] {
+        const int conn = ::accept(lfd, nullptr, nullptr);
+        if (conn < 0) return;
+        dist::FrameReader reader(conn, 0);
+        std::string e;
+        if (reader.next(e) == 1)
+            service::write_all(
+                conn, "{\"ok\":true,\"bytes\":4611686018427387904}\nabc");
+        service::close_fd(conn);
+    });
+    dist::SocketTransport transport(path);
+    std::string wrong;
+    try {
+        transport.run(small_request());
+        wrong = "no error";
+    } catch (const dist::DistError& e) {
+        EXPECT_EQ(e.kind(), dist::DistErrorKind::Transport);
+        EXPECT_NE(std::string(e.what()).find("closed mid-frame"),
+                  std::string::npos)
+            << e.what();
+    } catch (const std::exception& e) {
+        wrong = e.what();
+    }
+    fake.join();
+    service::close_fd(lfd);
+    EXPECT_EQ(wrong, "") << "expected a transport DistError";
+}
+
+TEST(DistFrames, ReceiveTimeoutMidPayloadKeepsThePartialFrame) {
+    SocketPair sp;
+    timeval tv{0, 50 * 1000};  // 50 ms
+    ASSERT_EQ(::setsockopt(sp.fd[0], SOL_SOCKET, SO_RCVTIMEO, &tv,
+                           sizeof(tv)),
+              0);
+    const std::string header = "{\"ok\":true,\"bytes\":10}\n";
+    ASSERT_TRUE(service::write_all(sp.fd[1], header + "0123"));
+    dist::FrameReader reader(sp.fd[0], 0);
+    std::string err;
+    EXPECT_EQ(reader.next(err), -2);
+    EXPECT_EQ(reader.frame(), header + "0123");
+    EXPECT_EQ(reader.next(err), -2);  // still waiting, nothing lost
+    ASSERT_TRUE(service::write_all(sp.fd[1], "456789" +
+                                                 dist::make_pong_frame()));
+    ASSERT_EQ(reader.next(err), 1) << err;
+    EXPECT_EQ(reader.frame(), header + "0123456789");
+    ASSERT_EQ(reader.next(err), 1) << err;
+    EXPECT_EQ(reader.frame(), dist::make_pong_frame());
+}
+
+TEST(DistFrames, WorkerNoticesShutdownMidPayload) {
+    SmallWorker w(1024);
+    const int fd = w.dial();
+    dist::FrameReader reader(fd, 0);
+    // A round trip first, so a handler is serving this connection ...
+    ASSERT_TRUE(service::write_all(fd, "{\"op\":\"ping\"}\n"));
+    ASSERT_EQ(response_error(reader), "");
+    // ... and is left waiting inside a payload when shutdown comes.
+    ASSERT_TRUE(service::write_all(
+        fd, "{\"op\":\"shard_run\",\"bytes\":1000}\n0123456789"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    w.server->request_shutdown();
+    auto waited = std::async(std::launch::async, [&] { w.server->wait(); });
+    const bool stopped = waited.wait_for(std::chrono::seconds(10)) ==
+                         std::future_status::ready;
+    service::close_fd(fd);  // frees a handler stuck in read(2), if any
+    waited.wait();
+    EXPECT_TRUE(stopped) << "worker kept waiting for the payload";
 }
 
 }  // namespace

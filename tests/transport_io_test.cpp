@@ -1,9 +1,10 @@
-// Byte-level robustness of the service transport's line framing:
-// one-byte-at-a-time delivery, read-ahead across calls, EINTR on both the
-// read and write sides, partial send()s under a tiny socket buffer,
-// mid-frame EOF, frame-size bounds and receive-timeout pacing. Regression
-// suite: a frame must never be dropped, duplicated or torn no matter how
-// the kernel fragments the stream.
+// Byte-level robustness of the service transport's line framing and
+// exact-length reads: one-byte-at-a-time delivery, read-ahead across
+// calls, a 16 MiB line in 4 KiB pieces, EINTR on both the read and write
+// sides, partial send()s under a tiny socket buffer, mid-frame EOF,
+// frame-size bounds and receive-timeout pacing. Regression suite: a frame
+// must never be dropped, duplicated or torn no matter how the kernel
+// fragments the stream.
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <signal.h>
@@ -14,6 +15,7 @@
 #include <atomic>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -91,6 +93,75 @@ TEST(TransportIo, ReadAheadCarriesBetweenCallsWithoutLoss) {
     EXPECT_EQ(line, "ccc");
     ::shutdown(sp.fd[1], SHUT_WR);
     EXPECT_EQ(read_line(sp.fd[0], buf, line, 0, err), 0);
+}
+
+TEST(TransportIo, SixteenMibLineInFourKibPiecesReadsIntact) {
+    SocketPair sp;
+    constexpr std::size_t kSize = std::size_t{16} << 20;
+    // Position-dependent bytes: a dropped, repeated or reordered piece
+    // changes the line.
+    std::string big(kSize, '\0');
+    for (std::size_t i = 0; i < kSize; ++i)
+        big[i] = static_cast<char>('a' + (i * 7 + i / 4096) % 26);
+    std::thread writer([&] {
+        for (std::size_t at = 0; at < kSize; at += 4096)
+            if (!write_all(sp.fd[1], std::string_view(big).substr(at, 4096)))
+                return;
+        write_all(sp.fd[1], "\nnext\n");
+    });
+    std::string buf, line, err;
+    const int rc = read_line(sp.fd[0], buf, line, 0, err);
+    if (rc != 1) ::shutdown(sp.fd[0], SHUT_RDWR);  // unblock the writer
+    writer.join();
+    ASSERT_EQ(rc, 1) << err;
+    ASSERT_EQ(line.size(), kSize);
+    EXPECT_TRUE(line == big);
+    ASSERT_EQ(read_line(sp.fd[0], buf, line, 0, err), 1) << err;
+    EXPECT_EQ(line, "next");
+}
+
+TEST(TransportIo, ReadExactTakesTheCarryFirstAndStopsAtTheCount) {
+    SocketPair sp;
+    const std::string rest = "defgh\nnext\n";
+    ASSERT_EQ(::write(sp.fd[1], rest.data(), rest.size()),
+              static_cast<ssize_t>(rest.size()));
+    std::string buf = "abc";  // read-ahead an earlier read_line left
+    std::string out, err;
+    ASSERT_EQ(read_exact(sp.fd[0], buf, out, 5, err), 1) << err;
+    EXPECT_EQ(out, "abcde");
+    EXPECT_TRUE(buf.empty());
+    // Nothing past the count was taken: the next line is intact.
+    std::string line;
+    ASSERT_EQ(read_line(sp.fd[0], buf, line, 0, err), 1) << err;
+    EXPECT_EQ(line, "fgh");
+    // A carry longer than the count keeps its tail.
+    buf = "123456";
+    out = "x";
+    ASSERT_EQ(read_exact(sp.fd[0], buf, out, 4, err), 1) << err;
+    EXPECT_EQ(out, "x123");
+    EXPECT_EQ(buf, "456");
+}
+
+TEST(TransportIo, ReadExactKeepsBytesAcrossTimeoutsAndNamesEof) {
+    SocketPair sp;
+    timeval tv{0, 50 * 1000};  // 50 ms
+    ASSERT_EQ(::setsockopt(sp.fd[0], SOL_SOCKET, SO_RCVTIMEO, &tv,
+                           sizeof(tv)),
+              0);
+    std::string buf, out, err;
+    ASSERT_EQ(::write(sp.fd[1], "12", 2), 2);
+    EXPECT_EQ(read_exact(sp.fd[0], buf, out, 5, err), -2);
+    EXPECT_EQ(out, "12");
+    ASSERT_EQ(::write(sp.fd[1], "345", 3), 3);
+    ASSERT_EQ(read_exact(sp.fd[0], buf, out, 5, err), 1) << err;
+    EXPECT_EQ(out, "12345");
+
+    ASSERT_EQ(::write(sp.fd[1], "6", 1), 1);
+    ::shutdown(sp.fd[1], SHUT_WR);
+    out.clear();
+    EXPECT_EQ(read_exact(sp.fd[0], buf, out, 3, err), -1);
+    EXPECT_EQ(err, "connection closed mid-frame");
+    EXPECT_EQ(out, "6");
 }
 
 TEST(TransportIo, ReaderSurvivesEintrMidFrame) {
