@@ -46,7 +46,7 @@ ALLOWED = {
         "sim_zero_load_test cross-checks simulated against analytic "
         "flow_latency; the probe needs the engine's internals",
     "sunfloor::pipeline::SynthesisSession::route("
-    "sunfloor::pipeline::AssignmentArtifact const&, "
+    "sunfloor::CoreAssignment const&, "
     "sunfloor::SynthesisConfig const&)":
         "the cache-key tests forge routing artifacts through it",
     "sunfloor::pipeline::SynthesisSession::place(std::shared_ptr<"

@@ -26,7 +26,7 @@ void BM_one_topology(benchmark::State& state) {
         const auto part =
             session.partition(pipeline::PartitionGraphId::pg(), k, cfg,
                               cfg.partition, Rng(cfg.seed).state());
-        const pipeline::AssignmentArtifact assign =
+        const CoreAssignment assign =
             pipeline::phase1_assignment(*part, spec.cores);
         auto dp = session.synthesize(assign, cfg, "bench", 0.0);
         benchmark::DoNotOptimize(dp.valid);

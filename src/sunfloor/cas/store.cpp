@@ -18,14 +18,6 @@
 
 namespace sunfloor::cas {
 
-std::uint64_t fnv1a64(std::string_view s, std::uint64_t h) {
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 namespace {
 
 // Object file layout (all integers little-endian):

@@ -43,16 +43,17 @@
 #include <string>
 #include <string_view>
 
+#include "sunfloor/util/strings.h"
+
 namespace sunfloor::obs {
 class Counter;
 }
 
 namespace sunfloor::cas {
 
-/// FNV-1a over `s`, continuing from `h`. The store's one hash: object
-/// names, payload checksums and key fingerprints all use it.
-std::uint64_t fnv1a64(std::string_view s,
-                      std::uint64_t h = 0xcbf29ce484222325ULL);
+/// The store's one hash (util/strings.h): object names, payload
+/// checksums and key fingerprints all use it.
+using sunfloor::fnv1a64;
 
 struct StoreOptions {
     /// Object directory; created (one level) if missing.

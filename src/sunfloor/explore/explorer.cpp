@@ -11,22 +11,10 @@
 #include "sunfloor/obs/trace.h"
 #include "sunfloor/util/enum_names.h"
 #include "sunfloor/util/mutex.h"
+#include "sunfloor/util/strings.h"
 #include "sunfloor/util/thread_pool.h"
 
 namespace sunfloor {
-
-namespace {
-
-std::uint64_t fnv1a(const std::string& s) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-}  // namespace
 
 namespace {
 
@@ -52,7 +40,7 @@ std::string backend_choices() {
 
 std::uint64_t explore_point_seed(std::uint64_t base_seed,
                                  const std::string& point_key) {
-    return splitmix64(base_seed ^ splitmix64(fnv1a(point_key)));
+    return splitmix64(base_seed ^ splitmix64(fnv1a64(point_key)));
 }
 
 std::uint64_t explore_sim_seed(std::uint64_t point_seed,

@@ -5,16 +5,20 @@
 //   core partitioning -> switch-layer assignment -> path computation
 //     -> position LP + floorplan -> evaluation
 //
-// Each stage's output is one of the value types below. A SynthesisSession
-// caches every one but the assignment (rebuilt on each call from its
-// cached partitions) under a key that holds *exactly* the (spec, cfg,
-// RNG) inputs the stage consumed (see session.h): a string serializing
-// them for partitions and routings, and for placements and evaluations
-// the input artifact itself plus a config string, compared by content.
-// Two stage calls with equal keys produce bit-identical artifacts, which
-// is what lets the session reuse them across architectural points that
-// agree on the consumed fields — e.g. partition artifacts across points
-// that differ only in frequency or link width.
+// Each stage's output is one of the value types below, except the
+// assignment's, which is a plain CoreAssignment (core/design_point.h):
+// the drivers rebuild it on each call from the cached partitions, and it
+// is never cached or stored. A SynthesisSession caches every other
+// output under a key that holds *exactly* the (spec, cfg, RNG) inputs
+// the stage consumed (see session.h): a struct of those inputs for
+// partitions, the assignment vectors plus a config string for routings,
+// and for placements and evaluations the input artifact itself plus a
+// config string. Every key compares by content, and its text form is
+// rendered only as a CAS address. Two stage calls with equal keys
+// produce bit-identical artifacts, which is what lets the session reuse
+// them across architectural points that agree on the consumed fields —
+// e.g. partition artifacts across points that differ only in frequency
+// or link width.
 //
 // Topologies are immutable and shared (SharedTopology). The routing
 // artifact publishes the routed topology and the placement artifact a
@@ -74,17 +78,6 @@ struct PartitionArtifact {
     double cut_weight = 0.0;
     int k = 0;
     RngState rng_after;  ///< generator state after the multi-start cut
-};
-
-/// Output of the switch-layer assignment stage: a full core-to-switch and
-/// switch-to-layer mapping (phase 1: Step 7 of Algorithm 1 over one
-/// partition; phase 2: the per-layer composition of Algorithm 2). Never
-/// cached or stored: the drivers rebuild it from the partitions.
-struct AssignmentArtifact {
-    CoreAssignment assign;
-    /// Content key over the assignment vectors (assignment_key), computed
-    /// once here and consumed by the routing stage's cache key.
-    std::string key;
 };
 
 /// Output of the path-computation stage: the initial topology of an

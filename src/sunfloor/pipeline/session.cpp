@@ -1,6 +1,7 @@
 #include "sunfloor/pipeline/session.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <functional>
@@ -30,6 +31,20 @@ void append_int_list(std::string& out, std::span<const int> v) {
         if (i > 0) out += ',';
         out += std::to_string(v[i]);
     }
+}
+
+/// One step of the stage keys' hashes: fold `v` into `h`.
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+    h = (h ^ v) * 0x9e3779b97f4a7c15ULL;
+    return h ^ (h >> 32);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+std::uint64_t mix_ints(std::uint64_t h, std::span<const int> v) {
+    h = mix(h, v.size());
+    for (const int x : v) h = mix(h, static_cast<std::uint64_t>(x));
+    return h;
 }
 
 /// The full cfg.eval model — frequency plus every NoC-library, wire and
@@ -101,10 +116,9 @@ std::string PartitionGraphId::key() const {
     return "pg";
 }
 
-std::string partition_cfg_key(const SynthesisConfig& cfg,
-                              const PartitionOptions& opts) {
+std::string partition_cfg_key(double alpha, const PartitionOptions& opts) {
     std::string key = "a=";
-    append_double_bits(key, cfg.alpha);
+    append_double_bits(key, alpha);
     key += ";ns=" + std::to_string(opts.num_starts);
     key += opts.refine ? ";rf=1" : ";rf=0";
     key += ";mb=" + std::to_string(opts.max_block_size);
@@ -205,6 +219,68 @@ std::string topology_fingerprint(const Topology& topo) {
         s += ';';
     }
     return s;
+}
+
+StageConfig::StageConfig(std::string head_text, std::string tail_text)
+    : head(std::move(head_text)), tail(std::move(tail_text)),
+      hash(splitmix64(std::hash<std::string>{}(head) ^
+                      std::hash<std::string>{}(tail))) {}
+
+std::string PartitionKey::text() const {
+    return "pt|" + graph.key() + "|" + partition_cfg_key(alpha, opts) +
+           "|k=" + std::to_string(k) + "|r=" + rng.key();
+}
+
+std::size_t PartitionKey::Hash::operator()(
+    const PartitionKey& key) const noexcept {
+    using Kind = PartitionGraphId::Kind;
+    std::uint64_t h = mix(0, static_cast<std::uint64_t>(key.graph.kind));
+    if (key.graph.kind == Kind::SPG)
+        h = mix(mix(h, bits(key.graph.theta)), bits(key.graph.theta_max));
+    if (key.graph.kind == Kind::LPG)
+        h = mix(h, static_cast<std::uint64_t>(key.graph.layer));
+    h = mix(h, bits(key.alpha));
+    h = mix(h, static_cast<std::uint64_t>(key.opts.num_starts));
+    h = mix(h, key.opts.refine ? 1 : 0);
+    h = mix(h, static_cast<std::uint64_t>(key.opts.max_block_size));
+    h = mix(h, static_cast<std::uint64_t>(key.opts.max_passes));
+    h = mix(h, static_cast<std::uint64_t>(key.k));
+    for (const std::uint64_t w : key.rng.s) h = mix(h, w);
+    return static_cast<std::size_t>(h);
+}
+
+bool operator==(const PartitionKey& a, const PartitionKey& b) {
+    using Kind = PartitionGraphId::Kind;
+    const PartitionGraphId& ga = a.graph;
+    const PartitionGraphId& gb = b.graph;
+    const bool same_graph =
+        ga.kind == gb.kind &&
+        (ga.kind != Kind::SPG || (bits(ga.theta) == bits(gb.theta) &&
+                                  bits(ga.theta_max) == bits(gb.theta_max))) &&
+        (ga.kind != Kind::LPG || ga.layer == gb.layer);
+    return same_graph && a.k == b.k && a.rng == b.rng &&
+           bits(a.alpha) == bits(b.alpha) &&
+           a.opts.num_starts == b.opts.num_starts &&
+           a.opts.refine == b.opts.refine &&
+           a.opts.max_block_size == b.opts.max_block_size &&
+           a.opts.max_passes == b.opts.max_passes;
+}
+
+std::string RoutingKey::text() const {
+    return cfg->head + assignment_key(assign) + cfg->tail;
+}
+
+std::size_t RoutingKey::Hash::operator()(
+    const RoutingKey& key) const noexcept {
+    return static_cast<std::size_t>(mix_ints(
+        mix_ints(key.cfg->hash, key.assign.core_switch),
+        key.assign.switch_layer));
+}
+
+bool operator==(const RoutingKey& a, const RoutingKey& b) {
+    return a.assign.core_switch == b.assign.core_switch &&
+           a.assign.switch_layer == b.assign.switch_layer &&
+           (a.cfg == b.cfg || *a.cfg == *b.cfg);
 }
 
 std::string placement_problem_key(const PlacementProblem& p) {
@@ -342,13 +418,13 @@ DesignPoint failed_design(const RoutingArtifact& routed) {
     return dp;
 }
 
-AssignmentArtifact phase1_assignment(const PartitionArtifact& part,
-                                     const CoreSpec& cores) {
+CoreAssignment phase1_assignment(const PartitionArtifact& part,
+                                 const CoreSpec& cores) {
     // Step 7 of Algorithm 1: a switch is assigned to the rounded average
     // of the layers of the cores in its block.
-    AssignmentArtifact aa;
-    aa.assign.core_switch = part.block;
-    aa.assign.switch_layer.assign(static_cast<std::size_t>(part.k), 0);
+    CoreAssignment assign;
+    assign.core_switch = part.block;
+    assign.switch_layer.assign(static_cast<std::size_t>(part.k), 0);
     std::vector<double> layer_sum(static_cast<std::size_t>(part.k), 0.0);
     std::vector<int> count(static_cast<std::size_t>(part.k), 0);
     for (int c = 0; c < cores.num_cores(); ++c) {
@@ -357,14 +433,13 @@ AssignmentArtifact phase1_assignment(const PartitionArtifact& part,
         ++count[static_cast<std::size_t>(b)];
     }
     for (int s = 0; s < part.k; ++s)
-        aa.assign.switch_layer[static_cast<std::size_t>(s)] =
+        assign.switch_layer[static_cast<std::size_t>(s)] =
             count[static_cast<std::size_t>(s)] > 0
                 ? static_cast<int>(std::lround(
                       layer_sum[static_cast<std::size_t>(s)] /
                       count[static_cast<std::size_t>(s)]))
                 : 0;
-    aa.key = assignment_key(aa.assign);
-    return aa;
+    return assign;
 }
 
 SessionStats operator-(const SessionStats& a, const SessionStats& b) {
@@ -461,14 +536,9 @@ struct SynthesisSession::StageCodec {
     std::optional<Artifact> (*decode)(std::string_view, const DesignSpec&);
 };
 
-SynthesisSession::StageConfig::StageConfig(std::string head_text,
-                                           std::string tail_text)
-    : head(std::move(head_text)), tail(std::move(tail_text)),
-      hash(splitmix64(std::hash<std::string>{}(head) ^
-                      std::hash<std::string>{}(tail))) {}
-
 SynthesisSession::RunKeys::RunKeys(const SynthesisConfig& cfg)
-    : routing("|" + routing_cfg_key(cfg)) {
+    : routing(std::make_shared<const StageConfig>(
+          "rt|", "|" + routing_cfg_key(cfg))) {
     const std::string fp = "|" + placement_cfg_key(cfg);
     placement = std::make_shared<const StageConfig>(
         "pl|" + std::string(kPlacementSolverTag) + "|", fp);
@@ -537,11 +607,8 @@ std::shared_ptr<const PartitionArtifact> SynthesisSession::partition(
         cas::encode_partition, [](std::string_view blob, const DesignSpec&) {
             return cas::decode_partition(blob);
         }};
-    const std::string key = "pt|" + graph.key() + "|" +
-                            partition_cfg_key(cfg, opts) + "|k=" +
-                            std::to_string(k) + "|r=" + rng_in.key();
     return cached(
-        partitions_, key, &kCodec,
+        partitions_, PartitionKey{graph, cfg.alpha, opts, k, rng_in}, &kCodec,
         [&] {
             const auto entry = graph_for(graph, cfg.alpha);
             const Digraph& g = graph.kind == PartitionGraphId::Kind::LPG
@@ -556,7 +623,7 @@ std::shared_ptr<const PartitionArtifact> SynthesisSession::partition(
 }
 
 std::shared_ptr<const RoutingArtifact> SynthesisSession::route(
-    const AssignmentArtifact& assign, const SynthesisConfig& cfg) {
+    const CoreAssignment& assign, const SynthesisConfig& cfg) {
     return route(assign, cfg, RunKeys(cfg));
 }
 
@@ -572,7 +639,7 @@ std::shared_ptr<const EvaluatedDesign> SynthesisSession::evaluate(
     return evaluate(std::move(placed), cfg, RunKeys(cfg));
 }
 
-DesignPoint SynthesisSession::synthesize(const AssignmentArtifact& assign,
+DesignPoint SynthesisSession::synthesize(const CoreAssignment& assign,
                                          const SynthesisConfig& cfg,
                                          const std::string& phase,
                                          double theta, StageTiming* timing) {
@@ -580,18 +647,16 @@ DesignPoint SynthesisSession::synthesize(const AssignmentArtifact& assign,
 }
 
 std::shared_ptr<const RoutingArtifact> SynthesisSession::route(
-    const AssignmentArtifact& assign, const SynthesisConfig& cfg,
+    const CoreAssignment& assign, const SynthesisConfig& cfg,
     const RunKeys& keys) {
     static constexpr StageCodec<RoutingArtifact> kCodec{cas::encode_routing,
                                                         cas::decode_routing};
-    return cached(routings_, "rt|" + assign.key + keys.routing, &kCodec,
-                  [&] {
-                      RoutingOutcome outcome{};
-                      RoutingArtifact ra = route_assignment(
-                          spec_, cfg, assign.assign, &outcome);
-                      routing_outcomes_[static_cast<int>(outcome)]->add();
-                      return ra;
-                  });
+    return cached(routings_, RoutingKey{assign, keys.routing}, &kCodec, [&] {
+        RoutingOutcome outcome{};
+        RoutingArtifact ra = route_assignment(spec_, cfg, assign, &outcome);
+        routing_outcomes_[static_cast<int>(outcome)]->add();
+        return ra;
+    });
 }
 
 std::shared_ptr<const PlacementArtifact> SynthesisSession::place(
@@ -676,7 +741,7 @@ std::shared_ptr<const EvaluatedDesign> SynthesisSession::evaluate(
                   });
 }
 
-DesignPoint SynthesisSession::synthesize(const AssignmentArtifact& assign,
+DesignPoint SynthesisSession::synthesize(const CoreAssignment& assign,
                                          const SynthesisConfig& cfg,
                                          const RunKeys& keys,
                                          const std::string& phase,
@@ -698,7 +763,7 @@ DesignPoint SynthesisSession::synthesize(const AssignmentArtifact& assign,
     }();
     dp.phase = phase;
     dp.theta = theta;
-    dp.switch_count = assign.assign.num_switches();
+    dp.switch_count = assign.num_switches();
     return dp;
 }
 
@@ -723,7 +788,7 @@ std::vector<DesignPoint> SynthesisSession::phase1(const SynthesisConfig& cfg,
     // Steps 4-10: sweep the switch count over min-cut partitions of PG.
     for (int i = lo; i <= hi; ++i) {
         const auto part = cut(PartitionGraphId::pg(), i);
-        const AssignmentArtifact assign = [&] {
+        const CoreAssignment assign = [&] {
             obs::ScopedSpan span("pipeline.assignment");
             return phase1_assignment(*part, spec_.cores);
         }();
@@ -741,7 +806,7 @@ std::vector<DesignPoint> SynthesisSession::phase1(const SynthesisConfig& cfg,
         for (auto it = unmet.begin(); it != unmet.end();) {
             const int i = *it;
             const auto part = cut(spg, i);
-            const AssignmentArtifact assign = [&] {
+            const CoreAssignment assign = [&] {
                 obs::ScopedSpan span("pipeline.assignment");
                 return phase1_assignment(*part, spec_.cores);
             }();
@@ -799,8 +864,8 @@ std::vector<DesignPoint> SynthesisSession::phase2(const SynthesisConfig& cfg,
     // Step 6: increment every layer's switch count together until each
     // layer has one switch per core.
     for (int i = 0; i <= sweep_len; ++i) {
-        AssignmentArtifact aa;
-        aa.assign.core_switch.assign(
+        CoreAssignment assign;
+        assign.core_switch.assign(
             static_cast<std::size_t>(spec_.cores.num_cores()), -1);
         {
             obs::ScopedSpan assign_span("pipeline.assignment", "sweep", i);
@@ -823,17 +888,17 @@ std::vector<DesignPoint> SynthesisSession::phase2(const SynthesisConfig& cfg,
                                      popts, rng);
                     rng = part->rng_after;
                 }
-                const int base = aa.assign.num_switches();
+                const int base = assign.num_switches();
                 for (int s = 0; s < np; ++s)
-                    aa.assign.switch_layer.push_back(ly);
+                    assign.switch_layer.push_back(ly);
                 for (int v = 0; v < cores_in_layer; ++v)
-                    aa.assign.core_switch[static_cast<std::size_t>(
+                    assign.core_switch[static_cast<std::size_t>(
                         lg.core_ids[static_cast<std::size_t>(v)])] =
                         base + part->block[static_cast<std::size_t>(v)];
             }
-            aa.key = assignment_key(aa.assign);
         }
-        DesignPoint dp = synthesize(aa, cfg2, keys, "phase2", 0.0, timing);
+        DesignPoint dp =
+            synthesize(assign, cfg2, keys, "phase2", 0.0, timing);
         points.push_back(std::move(dp));
     }
     return points;

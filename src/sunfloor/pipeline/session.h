@@ -14,8 +14,9 @@
 //   partition   graph identity (PG / SPG(theta, theta_max) / LPG(layer)),
 //               cfg.alpha, k, the effective PartitionOptions, RNG state in
 //   assignment  a partition + the cores' layer map (pure; phase 2 composes
-//               several per-layer partitions). Rebuilt on every call
-//               from the cached partitions; never cached or stored
+//               several per-layer partitions). Its output is a plain
+//               CoreAssignment, rebuilt on every call from the cached
+//               partitions; never cached or stored
 //   routing     the assignment, cfg.eval (frequency + NoC library, wire
 //               and TSV parameters — link width lives in the library's
 //               flit width), cfg.max_ill, cfg.allow_multilayer_links, the
@@ -37,18 +38,21 @@
 //               placement config (the artifact's per-layer die areas come
 //               from the floorplan side, not the topology content)
 //
-// How the caches hold those inputs. Partition and routing keys are
-// strings that serialize them (doubles as the hex of their bits). The
-// placement and evaluation caches key on their input artifact itself —
-// the routed or placed topology, shared with the cache upstream — plus
-// the stage's config string (a ContentKey): a probe hashes the
-// artifact's stored topo_hash, and a hit is verified by bitwise content
-// equality (Topology::same_content), so a warm lookup is one hash probe
-// and one equality check, and a hash collision can never serve another
-// topology's artifact. The config strings are built once per phase1 /
-// phase2 call. The text form of a placement or evaluation key, with the
-// topology_fingerprint in it, is rendered only as a CAS address, when a
-// store is attached.
+// How the caches hold those inputs. Every key holds them as content and
+// compares them field by field, doubles by bit pattern; no cache builds
+// key text on a lookup. The partition key is a struct of its inputs
+// (PartitionKey). The routing key is the assignment vectors plus the
+// run's routing config string (RoutingKey). The placement and evaluation
+// caches key on their input artifact itself — the routed or placed
+// topology, shared with the cache upstream — plus the stage's config
+// string (a ContentKey): a probe hashes the artifact's stored topo_hash,
+// and a hit is verified by bitwise content equality
+// (Topology::same_content). So a warm lookup is one hash probe and one
+// equality check, and a hash collision can never serve another input's
+// artifact. The config strings are built once per phase1 / phase2 call.
+// Each key's text form — for placements and evaluations with the
+// topology_fingerprint in it — is rendered only as a CAS address, when a
+// store is attached and the memory cache missed.
 //
 // Misses are single-flight: a thread that misses on a key another thread
 // is computing waits for that computation and counts a hit, and a
@@ -84,10 +88,10 @@ namespace sunfloor::pipeline {
 
 // ------------------------------------------------------------ stage keys
 
-/// Partition-stage fields of `cfg`: alpha plus the effective partitioner
-/// options (the graph identity and RNG state are keyed separately).
-std::string partition_cfg_key(const SynthesisConfig& cfg,
-                              const PartitionOptions& opts);
+/// Partition-stage fields of a config: cfg.alpha plus the effective
+/// partitioner options (the graph identity and RNG state are keyed
+/// separately).
+std::string partition_cfg_key(double alpha, const PartitionOptions& opts);
 
 /// Routing-stage fields of `cfg` (see the header comment).
 std::string routing_cfg_key(const SynthesisConfig& cfg);
@@ -101,7 +105,8 @@ std::string placement_cfg_key(const SynthesisConfig& cfg);
 /// NoC library, wire, TSV) plus cfg.max_ill for the validity chain.
 std::string eval_cfg_key(const SynthesisConfig& cfg);
 
-/// Content key of an assignment (the vectors themselves).
+/// Text form of an assignment (the vectors themselves), the middle of a
+/// routing key's CAS address.
 std::string assignment_key(const CoreAssignment& assign);
 
 /// Exact content serialization of a topology — core geometry snapshots,
@@ -114,6 +119,61 @@ std::string topology_fingerprint(const Topology& topo);
 /// Exact content serialization of a switch-placement instance — the
 /// position-LP solution cache keys on this.
 std::string placement_problem_key(const PlacementProblem& p);
+
+/// The config half of a routing, placement or evaluation key, built once
+/// per run and shared by every key the run makes: the CAS key text that
+/// goes before and after the input's text, and its hash.
+struct StageConfig {
+    StageConfig(std::string head, std::string tail);
+
+    std::string head;  ///< "rt|", "pl|<solver tag>|" or "ev|"
+    std::string tail;  ///< "|" + the stage's config key(s)
+    std::uint64_t hash;
+
+    friend bool operator==(const StageConfig& a, const StageConfig& b) {
+        return a.hash == b.hash && a.tail == b.tail && a.head == b.head;
+    }
+};
+
+/// The partition stage's key: every input the stage consumes. Two keys
+/// are equal exactly when their text() is: doubles compare by bit
+/// pattern (so +0.0 and -0.0 are distinct keys, and so are NaNs with
+/// different payloads), and the graph compares only the fields
+/// PartitionGraphId::key() renders — PG none, SPG theta and theta_max,
+/// LPG the layer.
+struct PartitionKey {
+    PartitionGraphId graph;
+    double alpha = 0.0;  ///< cfg.alpha
+    PartitionOptions opts;
+    int k = 0;
+    RngState rng;  ///< the generator state handed to the stage
+
+    /// The CAS address (after the spec prefix): "pt|" + graph.key() + "|"
+    /// + partition_cfg_key + "|k=<k>|r=" + rng.key().
+    std::string text() const;
+
+    struct Hash {
+        std::size_t operator()(const PartitionKey& key) const noexcept;
+    };
+    friend bool operator==(const PartitionKey& a, const PartitionKey& b);
+};
+
+/// The routing stage's key: the assignment vectors (a copy) plus the
+/// run's routing StageConfig (head "rt|", tail "|" + routing_cfg_key).
+/// Equal exactly when their text() is.
+struct RoutingKey {
+    CoreAssignment assign;
+    std::shared_ptr<const StageConfig> cfg;
+
+    /// The CAS address (after the spec prefix): "rt|" +
+    /// assignment_key(assign) + "|" + routing_cfg_key.
+    std::string text() const;
+
+    struct Hash {
+        std::size_t operator()(const RoutingKey& key) const noexcept;
+    };
+    friend bool operator==(const RoutingKey& a, const RoutingKey& b);
+};
 
 // ----------------------------------------------------- stage computation
 //
@@ -171,8 +231,8 @@ DesignPoint failed_design(const RoutingArtifact& routed);
 
 /// Assignment stage, phase 1: a switch per block at the rounded average
 /// layer of its cores (Step 7 of Algorithm 1).
-AssignmentArtifact phase1_assignment(const PartitionArtifact& part,
-                                     const CoreSpec& cores);
+CoreAssignment phase1_assignment(const PartitionArtifact& part,
+                                 const CoreSpec& cores);
 
 // ---------------------------------------------------------------- session
 
@@ -250,7 +310,7 @@ class SynthesisSession {
 
     /// Path-computation stage for one assignment.
     std::shared_ptr<const RoutingArtifact> route(
-        const AssignmentArtifact& assign, const SynthesisConfig& cfg);
+        const CoreAssignment& assign, const SynthesisConfig& cfg);
 
     /// Position stage for a routed design: the switch-position LP
     /// (Eq. 2-5), then floorplan legalization when `cfg.run_floorplan`.
@@ -269,7 +329,7 @@ class SynthesisSession {
     /// The composed routing -> placement -> evaluation flow of one
     /// assignment (none of these stages consumes the generator). Stamps
     /// the sweep labels and accumulates into `timing` when given.
-    DesignPoint synthesize(const AssignmentArtifact& assign,
+    DesignPoint synthesize(const CoreAssignment& assign,
                            const SynthesisConfig& cfg,
                            const std::string& phase, double theta,
                            StageTiming* timing = nullptr);
@@ -308,21 +368,6 @@ class SynthesisSession {
   private:
     struct GraphEntry;
 
-    /// The config half of a placement or evaluation key, built once per
-    /// run and shared by every key the run makes: the CAS key text that
-    /// goes before and after the topology fingerprint, and its hash.
-    struct StageConfig {
-        StageConfig(std::string head, std::string tail);
-
-        std::string head;  ///< "pl|<solver tag>|" or "ev|"
-        std::string tail;  ///< "|" + placement_cfg_key [+ "|" + eval_cfg_key]
-        std::uint64_t hash;
-
-        friend bool operator==(const StageConfig& a, const StageConfig& b) {
-            return a.hash == b.hash && a.tail == b.tail && a.head == b.head;
-        }
-    };
-
     /// A placement or evaluation key: the stage's input artifact (a
     /// RoutingArtifact or a PlacementArtifact) plus the run's StageConfig,
     /// both held by shared_ptr, so a key owns no copy of the topology. It
@@ -359,7 +404,7 @@ class SynthesisSession {
     struct RunKeys {
         explicit RunKeys(const SynthesisConfig& cfg);
 
-        std::string routing;  ///< "|" + routing_cfg_key(cfg)
+        std::shared_ptr<const StageConfig> routing;
         std::shared_ptr<const StageConfig> placement;
         std::shared_ptr<const StageConfig> evaluation;
     };
@@ -511,12 +556,12 @@ class SynthesisSession {
         long long span_value = 0);
 
     // The stage calls above, on a run's prebuilt config keys.
-    DesignPoint synthesize(const AssignmentArtifact& assign,
+    DesignPoint synthesize(const CoreAssignment& assign,
                            const SynthesisConfig& cfg, const RunKeys& keys,
                            const std::string& phase, double theta,
                            StageTiming* timing);
     std::shared_ptr<const RoutingArtifact> route(
-        const AssignmentArtifact& assign, const SynthesisConfig& cfg,
+        const CoreAssignment& assign, const SynthesisConfig& cfg,
         const RunKeys& keys);
     std::shared_ptr<const PlacementArtifact> place(
         std::shared_ptr<const RoutingArtifact> routed,
@@ -543,10 +588,10 @@ class SynthesisSession {
         obs::Registry::global().counter("cas.undecodable")};
 
     obs::Registry registry_{&obs::Registry::global()};
-    StageCache<std::string, PartitionArtifact> partitions_{
-        registry_, "pipeline.partition"};
-    StageCache<std::string, RoutingArtifact> routings_{registry_,
-                                                       "pipeline.routing"};
+    StageCache<PartitionKey, PartitionArtifact, PartitionKey::Hash>
+        partitions_{registry_, "pipeline.partition"};
+    StageCache<RoutingKey, RoutingArtifact, RoutingKey::Hash> routings_{
+        registry_, "pipeline.routing"};
     StageCache<PlacementKey, PlacementArtifact, PlacementKey::Hash>
         placements_{registry_, "pipeline.placement"};
     StageCache<std::string, PlacementResult> lp_solutions_{

@@ -70,6 +70,14 @@ void append_double_bits(std::string& out, double v) {
     append_hex64(out, std::bit_cast<std::uint64_t>(v));
 }
 
+std::uint64_t fnv1a64(std::string_view s, std::uint64_t h) {
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
 bool iequals(std::string_view a, std::string_view b) {
     if (a.size() != b.size()) return false;
     for (std::size_t i = 0; i < a.size(); ++i) {

@@ -38,6 +38,12 @@ void append_hex64(std::string& out, std::uint64_t v);
 /// Append double_bits(v) to `out`.
 void append_double_bits(std::string& out, double v);
 
+/// FNV-1a over `s`, continuing from `h`. Its values are pinned: CAS object
+/// names and payload checksums, spec fingerprints and the explorer's
+/// per-point seeds all come from it.
+std::uint64_t fnv1a64(std::string_view s,
+                      std::uint64_t h = 0xcbf29ce484222325ULL);
+
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

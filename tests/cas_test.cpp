@@ -408,10 +408,10 @@ TEST(CasCodec, MalformedBlobsDecodeToNullopt) {
     const auto part =
         session.partition(pipeline::PartitionGraphId::pg(), 4, cfg,
                           cfg.partition, Rng(cfg.seed).state());
-    const pipeline::AssignmentArtifact assign =
+    const CoreAssignment assign =
         pipeline::phase1_assignment(*part, spec.cores);
     const pipeline::RoutingArtifact routed =
-        pipeline::route_assignment(spec, cfg, assign.assign);
+        pipeline::route_assignment(spec, cfg, assign);
     const pipeline::EvaluatedDesign evaluated(
         pipeline::evaluate_design(pipeline::PlacementArtifact(routed.topo),
                                   spec, cfg));
@@ -712,14 +712,15 @@ TEST(CasSession, UndecodableObjectsAreCountedAndReplaced) {
     const auto part = probe.partition(pipeline::PartitionGraphId::pg(), k,
                                       cfg, cfg.partition,
                                       Rng(cfg.seed).state());
-    const pipeline::AssignmentArtifact assign =
+    const CoreAssignment assign =
         pipeline::phase1_assignment(*part, spec.cores);
     std::ostringstream design;
     write_design(design, spec);
     char prefix[32];
     std::snprintf(prefix, sizeof prefix, "s%016llx|",
                   static_cast<unsigned long long>(cas::fnv1a64(design.str())));
-    const std::string key = std::string(prefix) + "rt|" + assign.key + "|" +
+    const std::string key = std::string(prefix) + "rt|" +
+                            pipeline::assignment_key(assign) + "|" +
                             pipeline::routing_cfg_key(cfg);
     cas::Store store = open_store(dir.path);
     ASSERT_TRUE(store.put(key, cas::encode_partition(*part)));
@@ -737,7 +738,7 @@ TEST(CasSession, UndecodableObjectsAreCountedAndReplaced) {
     const auto replaced = cas::decode_routing(blob, spec);
     ASSERT_TRUE(replaced.has_value());
     EXPECT_EQ(blob, cas::encode_routing(pipeline::route_assignment(
-                        spec, cfg, assign.assign)));
+                        spec, cfg, assign)));
 }
 
 TEST(CasSession, CorruptedObjectsAreRecomputedNeverServed) {

@@ -202,9 +202,10 @@ TEST(DistBoundaries, ContiguousBalancedAndExhaustive) {
                 EXPECT_LE(max_len - min_len, 1u);         // balanced
                 // Never more slices than points, never more than asked.
                 EXPECT_LE(bounds.size() - 1, n);
-                if (k >= 1)
+                if (k >= 1) {
                     EXPECT_LE(bounds.size() - 1,
                               static_cast<std::size_t>(k));
+                }
             }
         }
     }

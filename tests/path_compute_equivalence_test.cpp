@@ -230,7 +230,7 @@ void add_phase1_cases(const DesignSpec& spec, const SynthesisConfig& cfg,
             rng = part->rng_after;
             Case c;
             c.spec = &spec;
-            c.assign = pipeline::phase1_assignment(*part, spec.cores).assign;
+            c.assign = pipeline::phase1_assignment(*part, spec.cores);
             c.cfg = cfg;
             c.label = spec.name + " " + graph.key() + " k=" +
                       std::to_string(k) + " " + policy_name(cfg.routing);

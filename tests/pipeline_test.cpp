@@ -411,34 +411,34 @@ TEST(Pipeline, StageKeysSeparateConsumedFields) {
     SynthesisConfig b = a;
     // Routing consumes the frequency; partitioning does not.
     b.eval.freq_hz = a.eval.freq_hz * 2;
-    EXPECT_EQ(pipeline::partition_cfg_key(a, a.partition),
-              pipeline::partition_cfg_key(b, b.partition));
+    EXPECT_EQ(pipeline::partition_cfg_key(a.alpha, a.partition),
+              pipeline::partition_cfg_key(b.alpha, b.partition));
     EXPECT_NE(pipeline::routing_cfg_key(a), pipeline::routing_cfg_key(b));
     EXPECT_NE(pipeline::eval_cfg_key(a), pipeline::eval_cfg_key(b));
     // Neither stage consumes the seed.
     b = a;
     b.seed = a.seed + 1;
-    EXPECT_EQ(pipeline::partition_cfg_key(a, a.partition),
-              pipeline::partition_cfg_key(b, b.partition));
+    EXPECT_EQ(pipeline::partition_cfg_key(a.alpha, a.partition),
+              pipeline::partition_cfg_key(b.alpha, b.partition));
     EXPECT_EQ(pipeline::routing_cfg_key(a), pipeline::routing_cfg_key(b));
     // Partitioning consumes alpha; the soft thresholds are routing-only.
     b = a;
     b.alpha = 0.5;
-    EXPECT_NE(pipeline::partition_cfg_key(a, a.partition),
-              pipeline::partition_cfg_key(b, b.partition));
+    EXPECT_NE(pipeline::partition_cfg_key(a.alpha, a.partition),
+              pipeline::partition_cfg_key(b.alpha, b.partition));
     b = a;
     b.soft_ill_margin = a.soft_ill_margin + 1;
     EXPECT_NE(pipeline::routing_cfg_key(a), pipeline::routing_cfg_key(b));
-    EXPECT_EQ(pipeline::partition_cfg_key(a, a.partition),
-              pipeline::partition_cfg_key(b, b.partition));
+    EXPECT_EQ(pipeline::partition_cfg_key(a.alpha, a.partition),
+              pipeline::partition_cfg_key(b.alpha, b.partition));
     // The routing policy is a routing-stage field only: a session caches
     // one routing artifact per discipline, while partition artifacts are
     // shared across the routing axis.
     b = a;
     b.routing = routing::RoutingPolicyId::OddEven;
     EXPECT_NE(pipeline::routing_cfg_key(a), pipeline::routing_cfg_key(b));
-    EXPECT_EQ(pipeline::partition_cfg_key(a, a.partition),
-              pipeline::partition_cfg_key(b, b.partition));
+    EXPECT_EQ(pipeline::partition_cfg_key(a.alpha, a.partition),
+              pipeline::partition_cfg_key(b.alpha, b.partition));
     EXPECT_EQ(pipeline::eval_cfg_key(a), pipeline::eval_cfg_key(b));
     EXPECT_EQ(pipeline::placement_cfg_key(a), pipeline::placement_cfg_key(b));
     // The placement key only sees the floorplan side of the config.
@@ -544,6 +544,64 @@ TEST(Pipeline, ContentKeysWithEqualHashesStaySeparate) {
     EXPECT_NE(plus, minus);
 }
 
+TEST(Pipeline, PartitionAndRoutingKeysCompareContent) {
+    // The partition and routing caches key on their inputs as content: a
+    // double by its bit pattern, a graph by the fields its kind consumes,
+    // an assignment entry by entry.
+    const DesignSpec spec = make_benchmark("D_36_4");
+    const SynthesisConfig cfg = fast_cfg();
+    const RngState rng = Rng(cfg.seed).state();
+    const auto pg = pipeline::PartitionGraphId::pg();
+    const int k = 4;
+    pipeline::SynthesisSession session(spec);
+
+    // alpha +0.0 and -0.0 are two partition keys.
+    SynthesisConfig plus = cfg;
+    plus.alpha = 0.0;
+    SynthesisConfig minus = cfg;
+    minus.alpha = -0.0;
+    session.partition(pg, k, plus, cfg.partition, rng);
+    session.partition(pg, k, minus, cfg.partition, rng);
+    EXPECT_EQ(session.stats().partition.misses, 2);
+    EXPECT_EQ(session.stats().partition.hits, 0);
+
+    // A PG consumes no theta or layer, so a PG id carrying them hits; a
+    // generator state one bit apart is another key.
+    const auto part = session.partition(pg, k, cfg, cfg.partition, rng);
+    pipeline::PartitionGraphId pg_with_fields = pg;
+    pg_with_fields.theta = 2.5;
+    pg_with_fields.theta_max = 7.0;
+    pg_with_fields.layer = 1;
+    const auto before = session.stats();
+    EXPECT_EQ(session.partition(pg_with_fields, k, cfg, cfg.partition, rng),
+              part);
+    RngState other = rng;
+    other.s[3] ^= 1;
+    EXPECT_NE(session.partition(pg, k, cfg, cfg.partition, other), part);
+    const auto cut = session.stats() - before;
+    EXPECT_EQ(cut.partition.hits, 1);
+    EXPECT_EQ(cut.partition.misses, 1);
+
+    // An identical assignment built again hits the routing cache; one
+    // entry different, in either vector, misses.
+    const CoreAssignment assign = pipeline::phase1_assignment(*part,
+                                                              spec.cores);
+    const auto routed = session.route(assign, cfg);
+    const auto mid = session.stats();
+    EXPECT_EQ(session.route(pipeline::phase1_assignment(*part, spec.cores),
+                            cfg),
+              routed);
+    CoreAssignment moved = assign;
+    moved.core_switch[0] = (moved.core_switch[0] + 1) % k;
+    EXPECT_NE(session.route(moved, cfg), routed);
+    CoreAssignment relayered = assign;
+    relayered.switch_layer[0] = assign.switch_layer[0] == 0 ? 1 : 0;
+    EXPECT_NE(session.route(relayered, cfg), routed);
+    const auto route_delta = session.stats() - mid;
+    EXPECT_EQ(route_delta.routing.hits, 1);
+    EXPECT_EQ(route_delta.routing.misses, 2);
+}
+
 TEST(Pipeline, WarmRerunsShareOneTopologyPerDesign) {
     // A design has one immutable topology. Every point a session returns
     // shares it with the session's artifacts, so two warm reruns return
@@ -573,7 +631,7 @@ TEST(Pipeline, WarmRerunsShareOneTopologyPerDesign) {
         const auto part =
             session.partition(pipeline::PartitionGraphId::pg(), k, cfg,
                               cfg.partition, Rng(cfg.seed).state());
-        const pipeline::AssignmentArtifact assign =
+        const CoreAssignment assign =
             pipeline::phase1_assignment(*part, spec.cores);
         const DesignPoint dp = session.synthesize(assign, cfg, "phase1", 0.0);
         const auto routed = session.route(assign, cfg);
