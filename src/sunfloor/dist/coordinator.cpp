@@ -3,7 +3,6 @@
 #include <chrono>
 #include <exception>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "sunfloor/cas/codec.h"
@@ -14,7 +13,6 @@
 #include "sunfloor/util/enum_names.h"
 #include "sunfloor/util/mutex.h"
 #include "sunfloor/util/strings.h"
-#include "sunfloor/util/thread_pool.h"
 
 namespace sunfloor::dist {
 
@@ -221,23 +219,12 @@ ExploreResult distribute_explore(
 
     // ------------------------------------------------ exact reassembly
     //
-    // Everything below replays single-process bookkeeping over the
-    // shipped results; nothing is recomputed, so the merged result is the
-    // run(points) result bit for bit (see the header comment).
-    ExploreResult out;
-    const std::size_t n = points.size();
-    out.points.resize(n);
-    std::vector<std::string> keys(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        auto& pr = out.points[i];
-        pr.point = points[i];
-        keys[i] = points[i].key();
-        pr.seed = explore_point_seed(opts.base_seed, keys[i]);
-        pr.synth_seed =
-            explore_point_seed(opts.base_seed, points[i].partition_key());
-    }
-
-    std::vector<std::vector<ParetoEntry>> fronts(njobs);
+    // The shipped designs and sim reports land in a result seeded and
+    // summarized by the explorer's own steps, so the front and the stats
+    // come from the same code a single-process run uses, over the
+    // decoded points alone: nothing a worker sends besides its designs,
+    // reports and stage counters reaches the result.
+    ExploreResult out = seeded_explore_result(points, opts.base_seed);
     for (std::size_t j = 0; j < njobs; ++j) {
         for (std::size_t li = 0; li < results[j].points.size(); ++li) {
             const std::size_t i = bounds[j] + li;
@@ -256,46 +243,12 @@ ExploreResult distribute_explore(
             }
             pr.sim_reports = std::move(sp.sim_reports);
         }
-        fronts[j] = std::move(results[j].pareto);
-        for (ParetoEntry& e : fronts[j])
-            e.point_index += static_cast<int>(bounds[j]);
         out.stats.stage = out.stats.stage + results[j].stage;
     }
-
-    out.pareto = merge_pareto_fronts(
-        out.points, fronts, opts.backend == EvalBackend::Simulated);
-    for (const ParetoEntry& e : out.pareto)
-        ++out.points[static_cast<std::size_t>(e.point_index)]
-              .pareto_survivors;
-
-    auto& st = out.stats;
-    st.total_points = static_cast<int>(n);
-    std::unordered_map<std::string, char> counted;
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto& pr = out.points[i];
-        st.total_designs += static_cast<int>(pr.result.points.size());
-        st.valid_designs += pr.result.num_valid();
-        if (counted.emplace(keys[i], 1).second) {
-            st.unique_valid_designs += pr.result.num_valid();
-            if (opts.backend == EvalBackend::Simulated)
-                for (const DesignPoint& dp : pr.result.points)
-                    if (dp.valid && dp.topo->all_flows_routed())
-                        ++st.simulated_designs;
-        }
-    }
-    st.pareto_size = static_cast<int>(out.pareto.size());
-    st.dominated_designs = st.unique_valid_designs - st.pareto_size;
-    // The thread clamp the single-process run reports: never more workers
-    // than points, 1 when the work ran inline, 0 for an empty grid.
-    int threads_stat = opts.num_threads;
-    if (threads_stat <= 0) threads_stat = ThreadPool::default_thread_count();
-    if (threads_stat > st.total_points) threads_stat = st.total_points;
-    if (threads_stat <= 1) threads_stat = st.total_points > 0 ? 1 : 0;
-    st.num_threads = threads_stat;
-    st.backend = opts.backend;
-    st.elapsed_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
+    summarize_explore(out, opts);
+    out.stats.elapsed_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
     return out;
 }
 

@@ -2,19 +2,18 @@
 //
 // distribute_explore() partitions a grid enumeration into contiguous
 // subgrids, ships each as a self-contained ShardRequest over a pluggable
-// ShardTransport, and merges the per-shard results back into the exact
+// ShardTransport, and reassembles the shipped designs into the exact
 // ExploreResult a single-process Explorer::run() would have produced —
 // byte-identical CSV/JSON exports (property-tested in dist_test.cpp over
 // {inproc, socket} x {1, 2, 4} workers x {analytic, sim} backends x
-// {cold, warm} CAS). Exactness rests on two properties the explorer
-// already guarantees:
-//
-//   * per-point determinism: every design, seed and simulator report
-//     depends only on that point's key (never a thread or worker id), so
-//     a slice computes the same bits the full run computes;
-//   * associative Pareto merging: strict dominance is transitive, so
-//     re-filtering the union of slice fronts (deduplicated to
-//     globally-first key occurrences) equals the global front.
+// {cold, warm} CAS). Exactness rests on per-point determinism: every
+// design, seed and simulator report depends only on that point's key
+// (never a thread or worker id), so a slice computes the same bits the
+// full run computes. The coordinator seeds and summarizes the
+// reassembled points with the explorer's own steps
+// (seeded_explore_result, summarize_explore): the global Pareto front
+// and the stats are computed here from the decoded designs, never taken
+// from a worker.
 //
 // Fault tolerance: a failed shard job (worker crash, dropped connection,
 // malformed response) is re-queued and retried — on any worker — up to
@@ -107,8 +106,8 @@ struct DistOptions {
 /// Consecutive failures after which one worker thread retires.
 inline constexpr int kMaxConsecutiveFailures = 3;
 
-/// Run `points` (a full grid enumeration) across `workers` and merge the
-/// shard results into the exact single-process ExploreResult. Throws
+/// Run `points` (a full grid enumeration) across `workers` and reassemble
+/// the shard results into the exact single-process ExploreResult. Throws
 /// DistError; `spec`/`base_cfg`/`opts` mean what they mean to Explorer.
 ExploreResult distribute_explore(
     const DesignSpec& spec, const SynthesisConfig& base_cfg,

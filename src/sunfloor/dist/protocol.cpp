@@ -436,11 +436,6 @@ std::string encode_shard_response(const ShardResponse& resp) {
         e.u32(static_cast<std::uint32_t>(pr.sim_reports.size()));
         for (const sim::SimReport& r : pr.sim_reports) enc_sim_report(e, r);
     }
-    e.u32(static_cast<std::uint32_t>(resp.pareto.size()));
-    for (const ParetoEntry& pe : resp.pareto) {
-        e.i32(pe.point_index);
-        e.i32(pe.design_index);
-    }
     enc_counters(e, resp.stage.partition);
     enc_counters(e, resp.stage.routing);
     enc_counters(e, resp.stage.placement);
@@ -469,14 +464,6 @@ bool decode_shard_response(std::string_view payload, ShardResponse& out,
         for (std::uint32_t k = 0; k < ns && d.ok(); ++k)
             pr.sim_reports.push_back(dec_sim_report(d));
         out.points.push_back(std::move(pr));
-    }
-    const std::uint32_t np = d.u32();
-    out.pareto.clear();
-    for (std::uint32_t i = 0; i < np && d.ok(); ++i) {
-        ParetoEntry pe;
-        pe.point_index = d.i32();
-        pe.design_index = d.i32();
-        out.pareto.push_back(pe);
     }
     out.stage.partition = dec_counters(d);
     out.stage.routing = dec_counters(d);

@@ -6,10 +6,13 @@
 // SynthesisConfig and ExploreOptions, the explicit GridPoint list (global
 // indices preserved) and the CAS directory — and the worker ships back the
 // complete outputs: per point, the phase used, every DesignPoint as a
-// cas::encode_evaluation blob (bit-exact by construction) and the full
-// simulator reports. Nothing is summarized in flight, which is what makes
-// an N-shard run's merged exports byte-identical to the single-process
-// run's (property-tested in dist_test.cpp).
+// cas::encode_evaluation blob (bit-exact by construction), the full
+// simulator reports and its session's stage counters. Nothing is
+// summarized in flight: the coordinator computes the Pareto front and the
+// stats from the shipped designs with the explorer's own summary step, so
+// an N-shard run's exports are byte-identical to the single-process
+// run's (property-tested in dist_test.cpp) and no worker byte can choose
+// the front.
 //
 // A frame is one newline-terminated JSON header line, followed by exactly
 // the number of raw payload bytes its "bytes" member announces:
@@ -42,10 +45,10 @@
 namespace sunfloor::dist {
 
 /// Protocol version; bumped on any payload layout or framing change (3:
-/// raw payloads after a header line). A version mismatch is a decode
-/// error (the coordinator retries elsewhere rather than mis-reading
-/// bytes).
-inline constexpr std::uint32_t kWireVersion = 3;
+/// raw payloads after a header line; 4: responses carry no Pareto front).
+/// A version mismatch is a decode error (the coordinator retries
+/// elsewhere rather than mis-reading bytes).
+inline constexpr std::uint32_t kWireVersion = 4;
 
 /// Everything a worker needs to run one slice — self-contained, so a
 /// worker holds no per-coordinator state and any worker can take any job.
@@ -73,12 +76,8 @@ struct ShardPointResult {
 
 struct ShardResponse {
     std::vector<ShardPointResult> points;  ///< parallel to request.points
-    /// The slice's own Pareto front, with *slice-local* point indices.
-    /// The coordinator remaps them to global indices and feeds every
-    /// slice's front to merge_pareto_fronts().
-    std::vector<ParetoEntry> pareto;
     /// The worker session's stage-counter delta for this slice (summed by
-    /// the coordinator into the merged ExploreStats).
+    /// the coordinator into the reassembled ExploreStats).
     pipeline::SessionStats stage;
 };
 

@@ -1,10 +1,5 @@
 #include "sunfloor/dist/shard.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <exception>
 #include <memory>
 #include <stdexcept>
@@ -13,6 +8,7 @@
 #include "sunfloor/cas/codec.h"
 #include "sunfloor/cas/store.h"
 #include "sunfloor/obs/trace.h"
+#include "sunfloor/service/transport.h"
 #include "sunfloor/util/strings.h"
 
 namespace sunfloor::dist {
@@ -48,7 +44,6 @@ ShardResponse run_shard(const ShardRequest& req) {
         out.sim_reports = std::move(pr.sim_reports);
         resp.points.push_back(std::move(out));
     }
-    resp.pareto = res.pareto;
     resp.stage = res.stats.stage;
     obs::Registry::global().counter("dist.shards.run").add();
     return resp;
@@ -76,81 +71,12 @@ int FrameReader::next(std::string& error) {
 }
 
 WorkerServer::WorkerServer(WorkerOptions opts)
-    : opts_(std::move(opts)), pending_(8) {
-    if (opts_.conn_threads < 1) opts_.conn_threads = 1;
-}
-
-WorkerServer::~WorkerServer() {
-    request_shutdown();
-    wait();
-    service::close_fd(shutdown_pipe_[0]);
-    service::close_fd(shutdown_pipe_[1]);
-    shutdown_pipe_[0] = shutdown_pipe_[1] = -1;
-}
+    : opts_(std::move(opts)),
+      loop_([this](int fd) { serve_connection(fd); },
+            make_error_frame("worker busy: too many pending connections")) {}
 
 bool WorkerServer::start(std::string& error) {
-    if (!service::parse_address(opts_.listen, addr_, error)) return false;
-    if (::pipe(shutdown_pipe_) != 0) {
-        error = "cannot create shutdown pipe";
-        return false;
-    }
-    listen_fd_ = service::listen_on(addr_, error);
-    if (listen_fd_ < 0) return false;
-    started_ = true;
-    accept_thread_ = std::thread([this] { accept_loop(); });
-    handlers_.reserve(static_cast<std::size_t>(opts_.conn_threads));
-    for (int i = 0; i < opts_.conn_threads; ++i)
-        handlers_.emplace_back([this] { handler_loop(); });
-    return true;
-}
-
-void WorkerServer::request_shutdown() {
-    if (shutdown_pipe_[1] < 0) return;
-    const char b = 1;
-    [[maybe_unused]] const ssize_t n = ::write(shutdown_pipe_[1], &b, 1);
-}
-
-void WorkerServer::wait() {
-    if (!started_) return;
-    if (accept_thread_.joinable()) accept_thread_.join();
-    for (std::thread& t : handlers_)
-        if (t.joinable()) t.join();
-}
-
-void WorkerServer::accept_loop() {
-    for (;;) {
-        pollfd fds[2] = {{listen_fd_, POLLIN, 0},
-                         {shutdown_pipe_[0], POLLIN, 0}};
-        const int pr = ::poll(fds, 2, -1);
-        if (pr < 0) {
-            if (errno == EINTR) continue;
-            break;
-        }
-        if (fds[1].revents != 0) break;  // shutdown byte
-        if ((fds[0].revents & POLLIN) == 0) continue;
-        const int conn = ::accept(listen_fd_, nullptr, nullptr);
-        if (conn < 0) continue;
-        // Receive timeout so an idle connection's handler notices a
-        // shutdown within ~half a second instead of blocking in read().
-        timeval tv{};
-        tv.tv_usec = 500 * 1000;
-        ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-        if (pending_.try_send(conn) != TrySend::Ok) {
-            service::write_all(conn,
-                               make_error_frame("worker busy: too many "
-                                                "pending connections"));
-            service::close_fd(conn);
-        }
-    }
-    shutting_down_.store(true, std::memory_order_relaxed);
-    pending_.close();
-    service::close_fd(listen_fd_);
-    listen_fd_ = -1;
-}
-
-void WorkerServer::handler_loop() {
-    int fd = -1;
-    while (pending_.recv(fd)) serve_connection(fd);
+    return loop_.start(opts_.listen, opts_.conn_threads, error);
 }
 
 void WorkerServer::serve_connection(int fd) {
@@ -163,7 +89,7 @@ void WorkerServer::serve_connection(int fd) {
         const int r = reader.next(err);
         if (r == 0) break;  // clean EOF
         if (r == -2) {      // receive timeout: idle or mid-frame
-            if (shutting_down_.load(std::memory_order_relaxed)) break;
+            if (loop_.stopping()) break;
             continue;
         }
         if (r < 0) {
@@ -186,7 +112,6 @@ void WorkerServer::serve_connection(int fd) {
         }
         if (!service::write_all(fd, resp)) break;
     }
-    service::close_fd(fd);
 }
 
 }  // namespace sunfloor::dist

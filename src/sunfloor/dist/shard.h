@@ -3,21 +3,19 @@
 // run_shard() is what a worker does with a decoded ShardRequest — rebuild
 // the spec, open the shared CAS store when one is configured, run the
 // explorer over the slice and render the complete results back into a
-// ShardResponse. The in-process transport calls it directly (after a full
-// encode/decode round trip, so both transports exercise identical codec
-// paths); WorkerServer serves it over a socket, reading each frame — a
-// header line, then the raw payload it announces (protocol.h) — with
-// FrameReader, which the socket coordinator uses for responses too.
+// ShardResponse (designs, sim reports and stage counters; the explorer's
+// Pareto front stays on the worker). The in-process transport calls it
+// directly (after a full encode/decode round trip, so both transports
+// exercise identical codec paths); WorkerServer serves it over a socket,
+// reading each frame — a header line, then the raw payload it announces
+// (protocol.h) — with FrameReader, which the socket coordinator uses for
+// responses too.
 #pragma once
 
-#include <atomic>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "sunfloor/dist/protocol.h"
-#include "sunfloor/service/transport.h"
-#include "sunfloor/util/channel.h"
+#include "sunfloor/service/accept_loop.h"
 
 namespace sunfloor::dist {
 
@@ -65,16 +63,15 @@ struct WorkerOptions {
     long long max_frame_bytes = 256LL << 20;
 };
 
-/// A shard worker: accepts connections and serves shard_run/ping frames
-/// until stopped. The accept loop mirrors service::Server (self-pipe
-/// wake-up, bounded hand-off channel), minus the job engine — shard jobs
-/// run synchronously on the connection's handler thread, which is the
-/// back-pressure: a worker busy with a slice makes the coordinator's call
-/// wait, it never queues slices invisibly.
+/// A shard worker: serves shard_run/ping frames until stopped. Its
+/// connections come from the shared accept loop (service/accept_loop.h),
+/// whose busy reply is an {"ok":false,"error":"worker busy: ..."} frame.
+/// Shard jobs run synchronously on the connection's handler thread,
+/// which is the back-pressure: a worker busy with a slice makes the
+/// coordinator's call wait, it never queues slices invisibly.
 class WorkerServer {
   public:
     explicit WorkerServer(WorkerOptions opts);
-    ~WorkerServer();
 
     WorkerServer(const WorkerServer&) = delete;
     WorkerServer& operator=(const WorkerServer&) = delete;
@@ -84,28 +81,21 @@ class WorkerServer {
 
     /// Begin shutdown (idempotent, callable from any thread or a signal
     /// handler via shutdown_fd()).
-    void request_shutdown();
+    void request_shutdown() { loop_.request_stop(); }
 
     /// Write end of the shutdown self-pipe (async-signal-safe wake-up).
-    int shutdown_fd() const { return shutdown_pipe_[1]; }
+    int shutdown_fd() const { return loop_.stop_fd(); }
 
     /// Block until shutdown was requested and all threads joined.
-    void wait();
+    void wait() { loop_.wait(); }
 
   private:
-    void accept_loop();
-    void handler_loop();
     void serve_connection(int fd);
 
     WorkerOptions opts_;
-    service::Address addr_;
-    Channel<int> pending_;
-    int listen_fd_ = -1;
-    int shutdown_pipe_[2] = {-1, -1};
-    std::atomic<bool> shutting_down_{false};
-    std::thread accept_thread_;
-    std::vector<std::thread> handlers_;
-    bool started_ = false;
+    /// Last, so it is destroyed first: its destructor stops and joins the
+    /// handler threads before the options they read go.
+    service::AcceptLoop loop_;
 };
 
 }  // namespace sunfloor::dist

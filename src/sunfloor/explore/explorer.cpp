@@ -99,6 +99,16 @@ std::vector<ParetoEntry> dominance_filter(
     return front;
 }
 
+/// Workers a pool over `work` items runs: `requested` (0 = the hardware
+/// concurrency), but never more than there are items, so 1 means the work
+/// runs inline on the caller and 0 that there is none.
+int clamp_threads(int requested, std::size_t work) {
+    const int threads =
+        requested > 0 ? requested : ThreadPool::default_thread_count();
+    return static_cast<int>(
+        std::min(static_cast<std::size_t>(threads), work));
+}
+
 }  // namespace
 
 std::vector<ParetoEntry> global_pareto(
@@ -153,60 +163,49 @@ std::vector<ParetoEntry> global_pareto_measured(
     return dominance_filter(cands);
 }
 
-std::vector<ParetoEntry> merge_pareto_fronts(
-    const std::vector<ExplorePointResult>& points,
-    const std::vector<std::vector<ParetoEntry>>& fronts, bool measured) {
-    // Globally-first occurrence of every key: duplicate-key points carry
-    // identical designs, so a slice front computed on a later duplicate
-    // names the same design the global front names at the first.
-    std::unordered_map<std::string, int> first_of_key;
-    std::vector<int> remap(points.size());
-    for (int pi = 0; pi < static_cast<int>(points.size()); ++pi)
-        remap[static_cast<std::size_t>(pi)] =
-            first_of_key
-                .emplace(points[static_cast<std::size_t>(pi)].point.key(), pi)
-                .first->second;
-
-    // Union of the slice fronts, remapped and deduplicated. Without the
-    // dedup, identical copies of one design would all survive the strict
-    // dominance scan below and inflate the front.
-    std::vector<ParetoEntry> entries;
-    std::unordered_set<std::uint64_t> seen;
-    for (const auto& front : fronts)
-        for (const ParetoEntry& e : front) {
-            const int pi = remap[static_cast<std::size_t>(e.point_index)];
-            const std::uint64_t id =
-                (static_cast<std::uint64_t>(static_cast<std::uint32_t>(pi))
-                 << 32) |
-                static_cast<std::uint32_t>(e.design_index);
-            if (seen.insert(id).second)
-                entries.push_back({pi, e.design_index});
-        }
-    std::sort(entries.begin(), entries.end(),
-              [](const ParetoEntry& a, const ParetoEntry& b) {
-                  return a.point_index != b.point_index
-                             ? a.point_index < b.point_index
-                             : a.design_index < b.design_index;
-              });
-
-    std::deque<EvalReport> overridden;
-    std::vector<Candidate> cands;
-    cands.reserve(entries.size());
-    for (const ParetoEntry& e : entries) {
-        const auto& pr = points[static_cast<std::size_t>(e.point_index)];
-        const auto& dp =
-            pr.result.points[static_cast<std::size_t>(e.design_index)];
-        const sim::SimReport* sr =
-            measured ? pr.sim_report(e.design_index) : nullptr;
-        if (sr != nullptr) {
-            overridden.push_back(dp.report);
-            overridden.back().avg_latency_cycles = sr->avg_latency_cycles;
-            cands.push_back({e, &overridden.back()});
-        } else {
-            cands.push_back({e, &dp.report});
-        }
+ExploreResult seeded_explore_result(const std::vector<GridPoint>& points,
+                                    std::uint64_t base_seed) {
+    ExploreResult out;
+    out.points.resize(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        auto& pr = out.points[i];
+        pr.point = points[i];
+        pr.seed = explore_point_seed(base_seed, points[i].key());
+        // The synthesis seed mixes only the partition-stage fields, so
+        // points differing in frequency / TSV budget / link width share
+        // their partition RNG streams — the precondition for stage reuse.
+        pr.synth_seed =
+            explore_point_seed(base_seed, points[i].partition_key());
     }
-    return dominance_filter(cands);
+    return out;
+}
+
+void summarize_explore(ExploreResult& res, const ExploreOptions& opts) {
+    const bool measured = opts.backend == EvalBackend::Simulated;
+    res.pareto = measured ? global_pareto_measured(res.points)
+                          : global_pareto(res.points);
+    for (const auto& e : res.pareto)
+        ++res.points[static_cast<std::size_t>(e.point_index)].pareto_survivors;
+
+    auto& st = res.stats;
+    st.total_points = static_cast<int>(res.points.size());
+    std::unordered_set<std::string> counted_keys;
+    for (const auto& pr : res.points) {
+        st.total_designs += static_cast<int>(pr.result.points.size());
+        st.valid_designs += pr.result.num_valid();
+        if (!counted_keys.insert(pr.point.key()).second) continue;
+        st.unique_valid_designs += pr.result.num_valid();
+        // The simulated backend runs every valid, fully routed design of
+        // each distinct point once (Explorer::run's simulation jobs).
+        if (measured)
+            for (const DesignPoint& dp : pr.result.points)
+                if (dp.valid && dp.topo->all_flows_routed())
+                    ++st.simulated_designs;
+    }
+    st.pareto_size = static_cast<int>(res.pareto.size());
+    st.dominated_designs = st.unique_valid_designs - st.pareto_size;
+    st.num_threads = clamp_threads(opts.num_threads, res.points.size());
+    st.backend = opts.backend;
 }
 
 Explorer::Explorer(DesignSpec spec, SynthesisConfig base_cfg,
@@ -226,20 +225,8 @@ ExploreResult Explorer::run(const ParamGrid& grid) const {
 ExploreResult Explorer::run(const std::vector<GridPoint>& points) const {
     const auto t0 = std::chrono::steady_clock::now();
 
-    ExploreResult out;
-    out.points.resize(points.size());
-    std::vector<std::string> keys(points.size());
     const pipeline::SessionStats stage_before = session_->stats();
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        out.points[i].point = points[i];
-        keys[i] = points[i].key();
-        out.points[i].seed = explore_point_seed(opts_.base_seed, keys[i]);
-        // The synthesis seed mixes only the partition-stage fields, so
-        // points differing in frequency / TSV budget / link width share
-        // their partition RNG streams — the precondition for stage reuse.
-        out.points[i].synth_seed =
-            explore_point_seed(opts_.base_seed, points[i].partition_key());
-    }
+    ExploreResult out = seeded_explore_result(points, opts_.base_seed);
 
     // Every point runs through the shared session. A repeated point (same
     // key, so same seed) is served from its stage caches, bit-identical
@@ -253,22 +240,16 @@ ExploreResult Explorer::run(const std::vector<GridPoint>& points) const {
         out.points[i].result = session_->run(cfg, p.phase);
     };
 
-    int threads = opts_.num_threads;
-    if (threads <= 0) threads = ThreadPool::default_thread_count();
-    // Never spawn more workers than there are points; num_threads in the
-    // stats reports what actually ran.
-    if (threads > static_cast<int>(points.size()))
-        threads = static_cast<int>(points.size());  // 0 for an empty grid
+    // Never more workers than points; summarize_explore reports the same
+    // clamp as num_threads.
+    const int threads = clamp_threads(opts_.num_threads, points.size());
     if (threads <= 1) {
         for (std::size_t i = 0; i < points.size(); ++i) evaluate(i);
-        threads = points.empty() ? 0 : 1;
     } else {
         ThreadPool pool(threads);
         pool.parallel_for(points.size(), evaluate);
-        threads = pool.num_threads();
     }
 
-    int simulated_designs = 0;
     if (opts_.backend == EvalBackend::Simulated) {
         // Simulate every valid design of every *distinct* architectural
         // point; repeated keys copy the first occurrence's reports (the
@@ -280,10 +261,12 @@ ExploreResult Explorer::run(const std::vector<GridPoint>& points) const {
             int design;
         };
         std::vector<SimJob> jobs;
-        std::unordered_map<std::string, std::size_t> first_sim_of_key;
+        std::vector<std::size_t> first(out.points.size());
+        std::unordered_map<std::string, std::size_t> first_of_key;
         for (std::size_t i = 0; i < out.points.size(); ++i) {
             auto& pr = out.points[i];
-            if (!first_sim_of_key.emplace(keys[i], i).second) continue;
+            first[i] = first_of_key.emplace(pr.point.key(), i).first->second;
+            if (first[i] != i) continue;
             pr.sim_reports.assign(pr.result.points.size(), sim::SimReport{});
             for (int d = 0;
                  d < static_cast<int>(pr.result.points.size()); ++d) {
@@ -336,45 +319,20 @@ ExploreResult Explorer::run(const std::vector<GridPoint>& points) const {
             pr.sim_reports[static_cast<std::size_t>(job.design)] =
                 sim::Simulator(index).run(spec_, cfg.eval, sp);
         };
-        int sim_threads = opts_.num_threads;
-        if (sim_threads <= 0) sim_threads = ThreadPool::default_thread_count();
-        if (sim_threads > static_cast<int>(jobs.size()))
-            sim_threads = static_cast<int>(jobs.size());
+        const int sim_threads = clamp_threads(opts_.num_threads, jobs.size());
         if (sim_threads <= 1) {
             for (std::size_t j = 0; j < jobs.size(); ++j) simulate_job(j);
         } else {
             ThreadPool pool(sim_threads);
             pool.parallel_for(jobs.size(), simulate_job);
         }
-        for (std::size_t i = 0; i < out.points.size(); ++i) {
-            const std::size_t first = first_sim_of_key.at(keys[i]);
-            if (first != i)
-                out.points[i].sim_reports = out.points[first].sim_reports;
-        }
-        simulated_designs = static_cast<int>(jobs.size());
+        for (std::size_t i = 0; i < out.points.size(); ++i)
+            if (first[i] != i)
+                out.points[i].sim_reports = out.points[first[i]].sim_reports;
     }
 
-    out.pareto = opts_.backend == EvalBackend::Simulated
-                     ? global_pareto_measured(out.points)
-                     : global_pareto(out.points);
-    for (const auto& e : out.pareto)
-        ++out.points[static_cast<std::size_t>(e.point_index)].pareto_survivors;
-
+    summarize_explore(out, opts_);
     auto& st = out.stats;
-    st.total_points = static_cast<int>(points.size());
-    std::unordered_set<std::string> counted_keys;
-    for (std::size_t i = 0; i < out.points.size(); ++i) {
-        const auto& pr = out.points[i];
-        st.total_designs += static_cast<int>(pr.result.points.size());
-        st.valid_designs += pr.result.num_valid();
-        if (counted_keys.insert(keys[i]).second)
-            st.unique_valid_designs += pr.result.num_valid();
-    }
-    st.pareto_size = static_cast<int>(out.pareto.size());
-    st.dominated_designs = st.unique_valid_designs - st.pareto_size;
-    st.num_threads = threads;
-    st.backend = opts_.backend;
-    st.simulated_designs = simulated_designs;
     st.stage = session_->stats() - stage_before;
 
     auto& reg = obs::Registry::global();

@@ -25,7 +25,7 @@
 
 namespace sunfloor {
 
-/// How a synthesized design point is priced for the Pareto merge.
+/// How a synthesized design point is priced for the global Pareto front.
 enum class EvalBackend {
     Analytic,   ///< zero-load closed form (noc/evaluation.cpp)
     Simulated,  ///< measured latency from the flit-level simulator
@@ -160,7 +160,7 @@ class Explorer {
     /// contiguous slice of some grid's enumeration, indices preserved).
     /// Identical to run(grid) when `points` is the full enumeration; per
     /// point, designs/seeds/sim reports depend only on that point's key,
-    /// which is what makes slice results mergeable bit-exactly.
+    /// which is what lets a coordinator reassemble slices bit-exactly.
     ExploreResult run(const std::vector<GridPoint>& points) const;
 
   private:
@@ -185,17 +185,17 @@ std::vector<ParetoEntry> global_pareto(
 std::vector<ParetoEntry> global_pareto_measured(
     const std::vector<ExplorePointResult>& points);
 
-/// Associative merge of per-slice Pareto fronts into the global front.
-/// `points` is the full reconstructed point list (grid order); each front
-/// holds entries whose point_index is already *global* (the coordinator
-/// remaps slice-local indices before calling). Exact: because strict
-/// dominance is transitive and every globally undominated design is
-/// undominated within its own slice (so present in that slice's front),
-/// deduplicating the union to globally-first key occurrences and
-/// re-filtering equals global_pareto(points) — or the measured variant
-/// when `measured` — entry for entry (property-tested in dist_test.cpp).
-std::vector<ParetoEntry> merge_pareto_fronts(
-    const std::vector<ExplorePointResult>& points,
-    const std::vector<std::vector<ParetoEntry>>& fronts, bool measured);
+/// The seeding step Explorer::run and dist::distribute_explore share: one
+/// result entry per point, in order, with its point, `seed` and
+/// `synth_seed` set from `base_seed` (everything else still empty).
+ExploreResult seeded_explore_result(const std::vector<GridPoint>& points,
+                                    std::uint64_t base_seed);
+
+/// The summary step Explorer::run and dist::distribute_explore share,
+/// over a seeded result whose points hold their designs (and, under the
+/// simulated backend, their sim reports): the global front of
+/// global_pareto / global_pareto_measured, each point's pareto_survivors
+/// and every ExploreStats field but `stage` and `elapsed_ms`.
+void summarize_explore(ExploreResult& res, const ExploreOptions& opts);
 
 }  // namespace sunfloor

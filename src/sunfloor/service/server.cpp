@@ -1,14 +1,10 @@
 #include "sunfloor/service/server.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <utility>
 
 #include "sunfloor/explore/export.h"
 #include "sunfloor/obs/trace.h"
+#include "sunfloor/service/transport.h"
 #include "sunfloor/util/strings.h"
 
 namespace sunfloor::service {
@@ -70,88 +66,17 @@ const char kBusyResponse[] =
 Server::Server(ServerOptions opts)
     : opts_(std::move(opts)),
       engine_(std::make_unique<JobEngine>(opts_.engine)),
-      pending_(static_cast<std::size_t>(
-          opts_.max_pending_conns > 0 ? opts_.max_pending_conns : 1)) {
-    if (opts_.conn_threads < 1) opts_.conn_threads = 1;
-}
-
-Server::~Server() {
-    request_shutdown();
-    wait();
-    close_fd(shutdown_pipe_[0]);
-    close_fd(shutdown_pipe_[1]);
-    shutdown_pipe_[0] = shutdown_pipe_[1] = -1;
-}
+      loop_([this](int fd) { serve_connection(fd); }, kBusyResponse,
+            // Submissions now get "shutting-down"; wait() drains the rest.
+            [this] { engine_->begin_drain(); }) {}
 
 bool Server::start(std::string& error) {
-    if (!parse_address(opts_.listen, addr_, error)) return false;
-    if (::pipe(shutdown_pipe_) != 0) {
-        error = "cannot create shutdown pipe";
-        return false;
-    }
-    listen_fd_ = listen_on(addr_, error);
-    if (listen_fd_ < 0) return false;
-    started_ = true;
-    accept_thread_ = std::thread([this] { accept_loop(); });
-    handlers_.reserve(static_cast<std::size_t>(opts_.conn_threads));
-    for (int i = 0; i < opts_.conn_threads; ++i)
-        handlers_.emplace_back([this] { handler_loop(); });
-    return true;
-}
-
-void Server::request_shutdown() {
-    if (shutdown_pipe_[1] < 0) return;
-    const char b = 1;
-    // The pipe only ever carries this wake-up byte; a full pipe already
-    // guarantees the accept loop will wake.
-    [[maybe_unused]] const ssize_t n =
-        ::write(shutdown_pipe_[1], &b, 1);
+    return loop_.start(opts_.listen, opts_.conn_threads, error);
 }
 
 void Server::wait() {
-    if (!started_) return;
-    if (accept_thread_.joinable()) accept_thread_.join();
-    for (std::thread& t : handlers_)
-        if (t.joinable()) t.join();
+    loop_.wait();
     engine_->drain();
-}
-
-void Server::accept_loop() {
-    for (;;) {
-        pollfd fds[2] = {{listen_fd_, POLLIN, 0},
-                         {shutdown_pipe_[0], POLLIN, 0}};
-        const int pr = ::poll(fds, 2, -1);
-        if (pr < 0) {
-            if (errno == EINTR) continue;
-            break;
-        }
-        if (fds[1].revents != 0) break;  // shutdown byte
-        if ((fds[0].revents & POLLIN) == 0) continue;
-        const int conn = ::accept(listen_fd_, nullptr, nullptr);
-        if (conn < 0) continue;
-        // Receive timeout so an idle connection's handler notices a
-        // shutdown within ~half a second instead of blocking in read().
-        timeval tv{};
-        tv.tv_usec = 500 * 1000;
-        ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-        if (pending_.try_send(conn) != TrySend::Ok) {
-            write_all(conn, kBusyResponse);
-            close_fd(conn);
-        }
-    }
-    // Graceful shutdown: stop accepting, let the handlers drain the
-    // already-accepted connections (submissions now get "shutting-down"),
-    // and put the engine into drain mode so wait() can finish the rest.
-    shutting_down_.store(true, std::memory_order_relaxed);
-    engine_->begin_drain();
-    pending_.close();
-    close_fd(listen_fd_);
-    listen_fd_ = -1;
-}
-
-void Server::handler_loop() {
-    int fd = -1;
-    while (pending_.recv(fd)) serve_connection(fd);
 }
 
 void Server::serve_connection(int fd) {
@@ -166,7 +91,7 @@ void Server::serve_connection(int fd) {
             err);
         if (r == 0) break;  // clean EOF
         if (r == -2) {      // receive timeout: idle connection
-            if (shutting_down_.load(std::memory_order_relaxed)) break;
+            if (loop_.stopping()) break;
             continue;
         }
         if (r < 0) {
@@ -189,7 +114,6 @@ void Server::serve_connection(int fd) {
         }
         if (!write_all(fd, resp + "\n")) break;
     }
-    close_fd(fd);
 }
 
 std::string Server::handle(const Request& req) {

@@ -4,7 +4,7 @@
 // TCP socket: a coordinator (sunfloor_cli explore --shards N
 // --shard-transport socket) ships contiguous grid slices, the worker runs
 // each through the ordinary explorer and ships complete results back.
-// N workers merged by the coordinator are byte-identical to one
+// N workers reassembled by the coordinator are byte-identical to one
 // single-process run.
 //
 // Usage:

@@ -14,9 +14,10 @@
 //
 // Lock-order contract with service::JobEngine
 // -------------------------------------------
-// The service::Server hands accepted sockets to handler threads through
-// a Channel<int>, and each handler then calls into the JobEngine
-// (submit/status/wait), which takes the engine's own mutex. The channel
+// The shared accept loop (service/accept_loop.h) hands accepted sockets
+// to handler threads through a Channel<int>; under service::Server each
+// handler then calls into the JobEngine (submit/status/wait), which takes
+// the engine's own mutex. The channel
 // lock `mu_` is a *leaf*: every Channel method fully releases it before
 // returning (including before notifying a condition variable), and the
 // channel never invokes user code, so no thread can hold `mu_` while

@@ -1,9 +1,10 @@
 // Distributed exploration: byte-identity of sharded runs against the
 // single-process explorer over {inproc, socket} transports x {1, 2, 4}
-// workers x {analytic, sim} backends x {cold, warm} CAS, the associative
-// Pareto merge, slice boundaries, the wire codec, binary framing on real
-// sockets (fragmented delivery, untrusted lengths, EOF and timeouts mid-
-// payload) and fault tolerance (retry, worker retirement, typed failures).
+// workers x {analytic, sim} backends x {cold, warm} CAS, slicings that
+// split duplicate keys, slice boundaries, the wire codec, binary framing
+// on real sockets (fragmented delivery, untrusted lengths, EOF and
+// timeouts mid-payload, the busy reply) and fault tolerance (retry,
+// worker retirement, typed failures).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -28,6 +29,7 @@
 #include "sunfloor/dist/shard.h"
 #include "sunfloor/explore/export.h"
 #include "sunfloor/obs/metrics.h"
+#include "sunfloor/service/accept_loop.h"
 #include "sunfloor/service/transport.h"
 #include "sunfloor/spec/benchmarks.h"
 
@@ -269,12 +271,12 @@ TEST(DistProtocol, ShardRequestRoundTripsCompletely) {
 }
 
 TEST(DistProtocol, ShardResponseRejectsVersionOneAndInflatedCounts) {
-    // An empty response: version, tag, the point and front counts, and
-    // five stage-counter triples.
+    // An empty response: version, tag, the point count and five
+    // stage-counter triples.
     dist::ShardResponse resp;
     resp.stage.partition = {3, 2, 1.5};
     const std::string payload = dist::encode_shard_response(resp);
-    ASSERT_EQ(payload.size(), 133u);
+    ASSERT_EQ(payload.size(), 129u);
     dist::ShardResponse out;
     std::string err;
     ASSERT_TRUE(dist::decode_shard_response(payload, out, err)) << err;
@@ -284,12 +286,10 @@ TEST(DistProtocol, ShardResponseRejectsVersionOneAndInflatedCounts) {
     patch_u32(v1, 0, 1);
     EXPECT_FALSE(dist::decode_shard_response(v1, out, err));
     EXPECT_NE(err.find("bad version"), std::string::npos) << err;
-    // The point count (after the 5-byte header), then the front count.
-    for (const std::size_t at : {std::size_t{5}, std::size_t{9}}) {
-        std::string inflated = payload;
-        patch_u32(inflated, at, 0xFFFFFFFFu);
-        EXPECT_FALSE(dist::decode_shard_response(inflated, out, err)) << at;
-    }
+    // The point count, after the 5-byte header.
+    std::string inflated = payload;
+    patch_u32(inflated, 5, 0xFFFFFFFFu);
+    EXPECT_FALSE(dist::decode_shard_response(inflated, out, err));
 }
 
 TEST(DistProtocol, FramesParseBothDirections) {
@@ -341,7 +341,7 @@ TEST(DistProtocol, FramesParseBothDirections) {
 }
 
 TEST(DistProtocol, WireVersionTwoFramesAndPayloadsAreRejectedByName) {
-    EXPECT_EQ(dist::kWireVersion, 3u);
+    EXPECT_EQ(dist::kWireVersion, 4u);
     // Version 2 carried the payload hex-encoded inside the JSON line.
     std::string err;
     dist::WorkerRequest wreq;
@@ -369,6 +369,19 @@ TEST(DistProtocol, WireVersionTwoFramesAndPayloadsAreRejectedByName) {
         << err;
     dist::ShardResponse out;
     EXPECT_FALSE(dist::decode_shard_response(payload, out, err));
+    EXPECT_NE(err.find("bad version"), std::string::npos) << err;
+
+    // Version 3 shipped the slice's Pareto front after the points (a
+    // count, then point and design indices): such a payload fails by its
+    // version, never as a misread front.
+    const std::string v4 = dist::encode_shard_response(dist::ShardResponse{});
+    cas::Enc front;
+    front.u32(1);
+    front.i32(0);
+    front.i32(0);
+    std::string v3 = v4.substr(0, 9) + front.take() + v4.substr(9);
+    patch_u32(v3, 0, 3);
+    EXPECT_FALSE(dist::decode_shard_response(v3, out, err));
     EXPECT_NE(err.find("bad version"), std::string::npos) << err;
 }
 
@@ -427,56 +440,6 @@ TEST(DistProtocol, AnnouncedLengthMustBeACountMatchingThePayload) {
         EXPECT_FALSE(dist::frame_payload_size(header, n, err)) << header;
         EXPECT_NE(err.find("non-negative integer"), std::string::npos)
             << err;
-    }
-}
-
-// ----------------------------------------------------------- Pareto merge
-
-TEST(DistMerge, SliceFrontMergeEqualsGlobalPareto) {
-    // Duplicate axis values on purpose: slicings that separate duplicate
-    // keys are exactly where a naive merge (dedup against the confirmed
-    // front instead of all seen keys) would diverge.
-    const DesignSpec spec = make_benchmark("D_36_4");
-    ParamGrid grid;
-    grid.set_axis(ParamAxis::frequencies_hz({350e6, 450e6}));
-    grid.set_axis(ParamAxis::max_tsvs({25, 25, 15}));
-    grid.set_axis(ParamAxis::thetas({4.0}));
-
-    for (const EvalBackend backend :
-         {EvalBackend::Analytic, EvalBackend::Simulated}) {
-        const Explorer explorer(spec, fast_cfg(), backend_opts(backend));
-        const ExploreResult res = explorer.run(grid);
-        const bool measured = backend == EvalBackend::Simulated;
-        const std::vector<ParetoEntry> want =
-            measured ? global_pareto_measured(res.points)
-                     : global_pareto(res.points);
-        ASSERT_GT(want.size(), 0u);
-
-        for (const int shards : {1, 2, 3, 5, 6}) {
-            const std::vector<std::size_t> bounds =
-                dist::shard_boundaries(res.points.size(), shards);
-            std::vector<std::vector<ParetoEntry>> fronts;
-            for (std::size_t s = 0; s + 1 < bounds.size(); ++s) {
-                const std::vector<ExplorePointResult> slice(
-                    res.points.begin() +
-                        static_cast<std::ptrdiff_t>(bounds[s]),
-                    res.points.begin() +
-                        static_cast<std::ptrdiff_t>(bounds[s + 1]));
-                std::vector<ParetoEntry> front =
-                    measured ? global_pareto_measured(slice)
-                             : global_pareto(slice);
-                for (ParetoEntry& e : front)
-                    e.point_index += static_cast<int>(bounds[s]);
-                fronts.push_back(std::move(front));
-            }
-            const std::vector<ParetoEntry> got =
-                merge_pareto_fronts(res.points, fronts, measured);
-            ASSERT_EQ(got.size(), want.size()) << "shards=" << shards;
-            for (std::size_t i = 0; i < got.size(); ++i) {
-                EXPECT_EQ(got[i].point_index, want[i].point_index);
-                EXPECT_EQ(got[i].design_index, want[i].design_index);
-            }
-        }
     }
 }
 
@@ -567,27 +530,38 @@ TEST(Dist, ShardedSimulatedExploreIsByteIdenticalToSingleProcess) {
 }
 
 TEST(Dist, MoreShardsThanPointsAndOddCountsStayExact) {
+    // Duplicate axis values on purpose: 3 and 6 shards put the two copies
+    // of a key in different slices, where a front or stats assembled per
+    // slice would count the copies twice. 7 shards is more than the 6
+    // points.
     const DesignSpec spec = make_benchmark("D_36_4");
     const SynthesisConfig cfg = fast_cfg();
-    const ExploreOptions opts = backend_opts(EvalBackend::Analytic);
     ParamGrid grid;
-    grid.set_axis(ParamAxis::max_tsvs({15, 20, 25}));
+    grid.set_axis(ParamAxis::frequencies_hz({350e6, 450e6}));
+    grid.set_axis(ParamAxis::max_tsvs({25, 25, 15}));
     grid.set_axis(ParamAxis::thetas({4.0}));
-    const ExploreResult ref = Explorer(spec, cfg, opts).run(grid);
 
     std::vector<std::shared_ptr<dist::ShardTransport>> transports = {
         std::make_shared<dist::InprocTransport>(),
         std::make_shared<dist::InprocTransport>(),
     };
-    for (const int shards : {1, 2, 3, 7}) {
-        dist::DistOptions dopts;
-        dopts.shards = shards;
-        const ExploreResult got = dist::distribute_explore(
-            spec, cfg, opts, grid.enumerate(), transports, dopts);
-        EXPECT_EQ(csv_of(got), csv_of(ref)) << "shards=" << shards;
-        EXPECT_EQ(normalized_json(got, spec.name),
-                  normalized_json(ref, spec.name))
-            << "shards=" << shards;
+    for (const EvalBackend backend :
+         {EvalBackend::Analytic, EvalBackend::Simulated}) {
+        const ExploreOptions opts = backend_opts(backend);
+        const ExploreResult ref = Explorer(spec, cfg, opts).run(grid);
+        ASSERT_GT(ref.pareto.size(), 0u);
+        for (const int shards : {3, 6, 7}) {
+            dist::DistOptions dopts;
+            dopts.shards = shards;
+            const ExploreResult got = dist::distribute_explore(
+                spec, cfg, opts, grid.enumerate(), transports, dopts);
+            const std::string label = std::string(backend_to_string(backend)) +
+                                      " shards=" + std::to_string(shards);
+            EXPECT_EQ(csv_of(got), csv_of(ref)) << label;
+            EXPECT_EQ(normalized_json(got, spec.name),
+                      normalized_json(ref, spec.name))
+                << label;
+        }
     }
 }
 
@@ -798,9 +772,10 @@ struct SmallWorker {
     dist::WorkerOptions wopts;
     std::unique_ptr<dist::WorkerServer> server;
 
-    explicit SmallWorker(long long max_frame_bytes) {
+    explicit SmallWorker(long long max_frame_bytes, int conn_threads = 2) {
         wopts.listen = dir.path + "/worker.sock";
         wopts.max_frame_bytes = max_frame_bytes;
+        wopts.conn_threads = conn_threads;
         server = std::make_unique<dist::WorkerServer>(wopts);
         std::string err;
         EXPECT_TRUE(server->start(err)) << err;
@@ -973,6 +948,34 @@ TEST(DistFrames, ReceiveTimeoutMidPayloadKeepsThePartialFrame) {
     EXPECT_EQ(reader.frame(), header + "0123456789");
     ASSERT_EQ(reader.next(err), 1) << err;
     EXPECT_EQ(reader.frame(), dist::make_pong_frame());
+}
+
+TEST(DistFrames, FullHandOffAnswersWorkerBusyAndServesTheHeldConnections) {
+    SmallWorker w(1024, 1);
+    // The only handler serves this connection while it stays open ...
+    const int held = w.dial();
+    dist::FrameReader held_reader(held, 0);
+    ASSERT_TRUE(service::write_all(held, "{\"op\":\"ping\"}\n"));
+    ASSERT_EQ(response_error(held_reader), "");
+    // ... so these fill the hand-off, and the next one is refused.
+    std::vector<int> queued;
+    for (std::size_t i = 0; i < service::kMaxPendingConns; ++i)
+        queued.push_back(w.dial());
+    const int refused = w.dial();
+    dist::FrameReader refused_reader(refused, 0);
+    EXPECT_EQ(response_error(refused_reader),
+              "worker busy: too many pending connections");
+    std::string err;
+    EXPECT_EQ(refused_reader.next(err), 0);
+    service::close_fd(refused);
+    service::close_fd(held);
+    // Every held connection is still served, in turn.
+    for (const int fd : queued) {
+        dist::FrameReader reader(fd, 0);
+        ASSERT_TRUE(service::write_all(fd, "{\"op\":\"ping\"}\n"));
+        EXPECT_EQ(response_error(reader), "");
+        service::close_fd(fd);
+    }
 }
 
 TEST(DistFrames, WorkerNoticesShutdownMidPayload) {

@@ -2,20 +2,31 @@
 // through the Client over the line-delimited JSON protocol. Covers the
 // submit/status/result/stats lifecycle, byte-identity of a served
 // result against the one-shot path, the named wire errors (malformed
-// frames, oversized frames, unknown ids), and graceful shutdown — the
+// frames, oversized frames, unknown ids), graceful shutdown — the
 // shutdown op drains the in-flight work and wait() returns with every
-// accepted job finished.
+// accepted job finished — and the accept loop under pressure: the busy
+// reply of a full hand-off, and a descriptor limit that must not make
+// the loop spin.
+#include <fcntl.h>
 #include <gtest/gtest.h>
-
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <ctime>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "sunfloor/core/synthesizer.h"
 #include "sunfloor/io/report.h"
+#include "sunfloor/service/accept_loop.h"
 #include "sunfloor/service/client.h"
 #include "sunfloor/service/protocol.h"
 #include "sunfloor/service/server.h"
@@ -266,6 +277,154 @@ TEST_F(ServiceE2E, ShutdownOpDrainsInFlightJobsBeforeWaitReturns) {
     Client late;
     std::string error;
     EXPECT_FALSE(late.connect(socket_path_, error));
+}
+
+// ------------------------------------------------- the shared accept loop
+
+/// A daemon with one connection handler on a fresh unix socket path.
+struct OneHandlerServer {
+    std::string path;
+    std::unique_ptr<Server> server;
+
+    explicit OneHandlerServer(const char* tag)
+        : path(format("/tmp/sunfloor_e2e_%s_%d.sock", tag,
+                      static_cast<int>(::getpid()))) {
+        ServerOptions opts;
+        opts.listen = path;
+        opts.engine.workers = 1;
+        opts.conn_threads = 1;
+        server = std::make_unique<Server>(opts);
+        std::string error;
+        EXPECT_TRUE(server->start(error)) << error;
+    }
+    ~OneHandlerServer() {
+        server.reset();
+        std::remove(path.c_str());
+    }
+};
+
+/// A unix stream socket whose reads give up after 10 s, so a reply that
+/// never comes fails the test instead of hanging it.
+int client_socket() {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0) << std::strerror(errno);
+    timeval tv{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    return fd;
+}
+
+/// Connect an existing socket: unlike dialing, this needs no descriptor.
+bool connect_unix(int fd, const std::string& path) {
+    sockaddr_un sun{};
+    sun.sun_family = AF_UNIX;
+    std::strncpy(sun.sun_path, path.c_str(), sizeof(sun.sun_path) - 1);
+    return ::connect(fd, reinterpret_cast<sockaddr*>(&sun), sizeof(sun)) ==
+           0;
+}
+
+int dial_unix(const std::string& path) {
+    const int fd = client_socket();
+    EXPECT_TRUE(connect_unix(fd, path)) << std::strerror(errno);
+    return fd;
+}
+
+/// One request line and the response line ("" when none came).
+std::string round_trip(int fd, const std::string& frame) {
+    std::string buf, line, err;
+    if (!write_all(fd, frame + "\n")) return "";
+    return read_line(fd, buf, line, 0, err) == 1 ? line : "";
+}
+
+bool is_ok_line(const std::string& line) {
+    return line.rfind("{\"ok\":true", 0) == 0;
+}
+
+TEST(ServiceAccept, FullHandOffAnswersBusyAndServesTheHeldConnections) {
+    OneHandlerServer s("busy");
+    // The only handler serves this connection while it stays open ...
+    const int held = dial_unix(s.path);
+    ASSERT_TRUE(is_ok_line(round_trip(held, make_stats_frame())));
+    // ... so these fill the hand-off, and the next one is refused.
+    std::vector<int> queued;
+    for (std::size_t i = 0; i < kMaxPendingConns; ++i)
+        queued.push_back(dial_unix(s.path));
+    const int refused = dial_unix(s.path);
+    std::string buf, line, err;
+    ASSERT_EQ(read_line(refused, buf, line, 0, err), 1) << err;
+    EXPECT_EQ(line,
+              "{\"ok\":false,\"rejected\":\"busy\","
+              "\"error\":\"too many pending connections\"}");
+    EXPECT_EQ(read_line(refused, buf, line, 0, err), 0);  // then EOF
+    close_fd(refused);
+    close_fd(held);
+    // Every held connection is still served, in turn.
+    for (const int fd : queued) {
+        EXPECT_TRUE(is_ok_line(round_trip(fd, make_stats_frame())));
+        close_fd(fd);
+    }
+}
+
+/// CPU time of the whole process (every thread), in seconds.
+double process_cpu_s() {
+    timespec ts{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// Caps RLIMIT_NOFILE at the lowest free descriptor, so the next one the
+/// process asks for fails with EMFILE. The destructor restores the limit
+/// on every way out of a test.
+class DescriptorCap {
+  public:
+    DescriptorCap() { ::getrlimit(RLIMIT_NOFILE, &saved_); }
+    ~DescriptorCap() { restore(); }
+
+    /// `probe` is any open descriptor.
+    bool cap(int probe) {
+        const int lowest = ::fcntl(probe, F_DUPFD, 0);
+        if (lowest < 0) return false;
+        close_fd(lowest);
+        rlimit capped = saved_;
+        capped.rlim_cur = static_cast<rlim_t>(lowest);
+        return ::setrlimit(RLIMIT_NOFILE, &capped) == 0;
+    }
+    void restore() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+  private:
+    rlimit saved_{};
+};
+
+TEST(ServiceAccept, OutOfDescriptorsBacksOffThenServesTheWaitingConnection) {
+    OneHandlerServer s("emfile");
+    // Both clients exist before the cap: connecting takes no descriptor,
+    // so only the server's accept() runs out.
+    const int waiting = client_socket();
+    const int late = client_socket();
+    DescriptorCap limit;
+    ASSERT_TRUE(limit.cap(late));
+    ASSERT_TRUE(connect_unix(waiting, s.path)) << std::strerror(errno);
+    const double cpu0 = process_cpu_s();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    const double busy_s = process_cpu_s() - cpu0;
+    limit.restore();
+    EXPECT_LT(busy_s, 0.1) << "the accept loop spun at the descriptor limit";
+    // With descriptors back, the waiting connection is served.
+    EXPECT_TRUE(is_ok_line(round_trip(waiting, make_stats_frame())));
+    close_fd(waiting);
+
+    // A shutdown that comes during the backoff still ends wait() at once.
+    ASSERT_TRUE(limit.cap(late));
+    ASSERT_TRUE(connect_unix(late, s.path)) << std::strerror(errno);
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    const auto t0 = std::chrono::steady_clock::now();
+    s.server->request_shutdown();
+    s.server->wait();
+    const std::chrono::duration<double> waited =
+        std::chrono::steady_clock::now() - t0;
+    limit.restore();
+    close_fd(late);
+    EXPECT_LT(waited.count(), 1.0);
 }
 
 }  // namespace
