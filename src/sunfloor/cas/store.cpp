@@ -30,6 +30,10 @@ namespace {
 constexpr char kMagic[8] = {'S', 'F', 'C', 'A', 'S', '0', '0', '1'};
 constexpr std::size_t kHeaderSize = 28;
 
+// gc() reaps `.tmp` debris older than this: a live writer's tmp file is
+// seconds old, anything older is a crashed writer's leftovers.
+constexpr double kTmpMinAgeSec = 60.0;
+
 void put_u32(std::string& out, std::uint32_t v) {
     for (int i = 0; i < 4; ++i)
         out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -231,7 +235,7 @@ StoreStats Store::stats() const {
     return s;
 }
 
-GcResult Store::gc() {
+GcResult Store::gc(std::uint64_t max_bytes) {
     GcResult r;
     struct Entry {
         std::string name;
@@ -255,7 +259,7 @@ GcResult Store::gc() {
             const double age =
                 static_cast<double>(now.tv_sec - st.st_mtim.tv_sec) +
                 1e-9 * static_cast<double>(now.tv_nsec - st.st_mtim.tv_nsec);
-            if (age >= opts_.tmp_min_age_sec && ::unlink(path.c_str()) == 0)
+            if (age >= kTmpMinAgeSec && ::unlink(path.c_str()) == 0)
                 ++r.removed_tmp;
         } else if (is_object_file_name(name)) {
             objects.push_back(
@@ -264,10 +268,10 @@ GcResult Store::gc() {
     }
     ::closedir(d);
 
-    if (opts_.max_bytes == 0) return r;
+    if (max_bytes == 0) return r;
     std::uint64_t total = 0;
     for (const Entry& o : objects) total += o.bytes;
-    if (total <= opts_.max_bytes) return r;
+    if (total <= max_bytes) return r;
 
     // Oldest first; the name tiebreak makes eviction order deterministic
     // on filesystems with coarse timestamps.
@@ -280,7 +284,7 @@ GcResult Store::gc() {
         return a.name < b.name;
     });
     for (const Entry& o : objects) {
-        if (total <= opts_.max_bytes) break;
+        if (total <= max_bytes) break;
         // unlink only removes the name: a reader holding the object open
         // (or one that already read it) is unaffected.
         if (::unlink((opts_.dir + "/" + o.name).c_str()) != 0) continue;

@@ -30,10 +30,12 @@
 // annotate (audited for the static-analysis pass; see
 // util/annotations.h).
 //
-// Eviction (gc) is size-bounded and age-ordered: successful loads bump the
-// object's timestamps, and when the store exceeds max_bytes the
-// least-recently-used objects go first. Stale `.tmp` debris older than
-// tmp_min_age_sec is reaped on the way.
+// Eviction is gc(max_bytes)'s alone, and only `sunfloor_cli cas gc
+// --max-bytes` calls it: put() never evicts, so a store grows until an
+// operator bounds it. gc is size-bounded and age-ordered: successful
+// loads bump the object's timestamps, and when the store exceeds the
+// bound the least-recently-used objects go first. Stale `.tmp` debris
+// (older than a minute) is reaped on the way.
 //
 // Metrics land in obs::Registry::global() under cas.{hits,misses,stores,
 // evictions,corrupt}; `sunfloor_cli cas stats|gc` is the operator surface.
@@ -58,11 +60,6 @@ using sunfloor::fnv1a64;
 struct StoreOptions {
     /// Object directory; created (one level) if missing.
     std::string dir;
-    /// Soft size bound enforced by gc(); 0 = unbounded.
-    std::uint64_t max_bytes = 0;
-    /// gc() reaps `.tmp` debris older than this (a live writer's tmp file
-    /// is seconds old; anything older is a crashed writer's leftovers).
-    double tmp_min_age_sec = 60.0;
 };
 
 /// Directory census (stats subcommand); computed by scanning, so it is
@@ -101,8 +98,8 @@ class Store {
     StoreStats stats() const;
 
     /// Reap stale `.tmp` debris, then evict least-recently-used objects
-    /// until the store fits max_bytes (no-op when max_bytes == 0).
-    GcResult gc();
+    /// until the store fits `max_bytes` (0 = unbounded: reap only).
+    GcResult gc(std::uint64_t max_bytes);
 
     /// Object file name for a key: 16 hex digits of fnv1a64(key).
     static std::string object_name(std::string_view key);

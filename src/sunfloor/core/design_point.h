@@ -1,6 +1,11 @@
 // Shared synthesis types: configuration, core-to-switch assignment, design
 // points and Pareto filtering.
 //
+// SynthesisConfig holds only settings that a tool, bench or example sets.
+// The fixed parameters of the flow are constants beside the code that
+// reads them: Algorithm 3's soft-threshold margins and SOFT_INF factor in
+// routing/cost_model.h, the FM pass limit in graph/partition.h.
+//
 // The synthesis procedure outputs "a set of tradeoff points of topologies
 // that meet the constraints, with different values of power, latency, and
 // design area" (Section IV); DesignPoint is one such point.
@@ -41,27 +46,14 @@ struct SynthesisConfig {
     double theta_max = 15.0;
     double theta_step = 3.0;
 
-    /// Algorithm 3 soft thresholds: soft_max_ill = max_ill - soft_ill_margin,
-    /// soft_max_switch_size = max_switch_size - soft_switch_margin, and
-    /// SOFT_INF = soft_inf_factor * (max cost of any flow).
-    int soft_ill_margin = 2;
-    int soft_switch_margin = 1;
-    double soft_inf_factor = 10.0;
-    /// Ablation switch: disable the soft thresholds entirely.
+    /// Ablation switch: disable Algorithm 3's soft thresholds entirely.
     bool use_soft_thresholds = true;
-
-    /// Path-cost latency weight: cost = marginal power (mW) +
-    /// latency_weight * cycles. 0 = pure power objective.
-    double latency_weight = 0.0;
 
     /// Routing discipline: the admissible route set of the path
     /// computation and (for adaptive policies) of the simulator's per-hop
     /// output selection. The default reproduces the paper's up*/down*
     /// order bit for bit (see routing/policy.h).
     routing::RoutingPolicyId routing = routing::RoutingPolicyId::UpDown;
-
-    /// Fraction of raw link bandwidth usable by traffic.
-    double link_capacity_utilization = 1.0;
 
     /// Partitioner settings and determinism.
     PartitionOptions partition{};
@@ -71,9 +63,8 @@ struct SynthesisConfig {
     /// speeds up sweeps that only need topology-level numbers.
     bool run_floorplan = true;
 
-    /// Switch-count sweep range; <= 0 means automatic (Phase 1: 1..|cores|,
-    /// Phase 2: Algorithm 2's schedule).
-    int min_switches = 0;
+    /// Phase 1 sweeps 1..max_switches switches; <= 0 means 1..|cores|.
+    /// Phase 2 follows Algorithm 2's schedule.
     int max_switches = 0;
 };
 

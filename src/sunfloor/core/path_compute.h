@@ -6,10 +6,10 @@
 // over the switch graph. Every ordered switch pair is a candidate
 // physical link; candidate hops are priced by the shared
 // routing::LinkCostModel (marginal power, Algorithm 3's INF/SOFT_INF
-// thresholds, optional latency weighting) and searched with Dijkstra over
-// the policy's (switch, state) product graph, so only paths inside the
-// policy's admissible route set are ever considered. With the default
-// `up-down` policy this is the paper's flow, bit for bit.
+// thresholds) and searched with Dijkstra over the policy's (switch,
+// state) product graph, so only paths inside the policy's admissible
+// route set are ever considered. With the default `up-down` policy
+// this is the paper's flow, bit for bit.
 //
 // The search kernel. Each flow runs one binary-heap Dijkstra, and a cold
 // synthesis of the seven paper specs runs ~1.4 x 10^5 of them, so

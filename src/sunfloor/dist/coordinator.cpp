@@ -163,7 +163,6 @@ ExploreResult distribute_explore(
                 points.begin() +
                     static_cast<std::ptrdiff_t>(bounds[job + 1]));
             req.cas_dir = dopts.cas_dir;
-            req.cas_max_bytes = dopts.cas_max_bytes;
             try {
                 ShardResponse resp = transport.run(req);
                 if (resp.points.size() != req.points.size())

@@ -100,7 +100,6 @@ struct DistOptions {
     int max_retries = 2;
     /// Shared content-addressed store for the workers; empty = none.
     std::string cas_dir;
-    std::uint64_t cas_max_bytes = 0;
 };
 
 /// Consecutive failures after which one worker thread retires.

@@ -114,20 +114,13 @@ void enc_config(Enc& e, const SynthesisConfig& c) {
     e.f64(c.theta_min);
     e.f64(c.theta_max);
     e.f64(c.theta_step);
-    e.i32(c.soft_ill_margin);
-    e.i32(c.soft_switch_margin);
-    e.f64(c.soft_inf_factor);
     e.u8(c.use_soft_thresholds ? 1 : 0);
-    e.f64(c.latency_weight);
     e.str(routing::routing_to_string(c.routing));
-    e.f64(c.link_capacity_utilization);
     e.i32(c.partition.num_starts);
     e.u8(c.partition.refine ? 1 : 0);
     e.i32(c.partition.max_block_size);
-    e.i32(c.partition.max_passes);
     e.u64(c.seed);
     e.u8(c.run_floorplan ? 1 : 0);
-    e.i32(c.min_switches);
     e.i32(c.max_switches);
 }
 
@@ -168,20 +161,13 @@ bool dec_config(Dec& d, SynthesisConfig& c) {
     c.theta_min = d.f64();
     c.theta_max = d.f64();
     c.theta_step = d.f64();
-    c.soft_ill_margin = d.i32();
-    c.soft_switch_margin = d.i32();
-    c.soft_inf_factor = d.f64();
     c.use_soft_thresholds = d.u8() != 0;
-    c.latency_weight = d.f64();
     if (!routing::routing_from_string(d.str(), c.routing)) return false;
-    c.link_capacity_utilization = d.f64();
     c.partition.num_starts = d.i32();
     c.partition.refine = d.u8() != 0;
     c.partition.max_block_size = d.i32();
-    c.partition.max_passes = d.i32();
     c.seed = d.u64();
     c.run_floorplan = d.u8() != 0;
-    c.min_switches = d.i32();
     c.max_switches = d.i32();
     return d.ok();
 }
@@ -384,7 +370,6 @@ std::string encode_shard_request(const ShardRequest& req) {
     e.u32(static_cast<std::uint32_t>(req.points.size()));
     for (const GridPoint& p : req.points) enc_point(e, p);
     e.str(req.cas_dir);
-    e.u64(req.cas_max_bytes);
     return e.take();
 }
 
@@ -416,7 +401,6 @@ bool decode_shard_request(std::string_view payload, ShardRequest& out,
         out.points.push_back(p);
     }
     out.cas_dir = d.str();
-    out.cas_max_bytes = d.u64();
     if (!d.done()) {
         error = "shard request: truncated or trailing bytes";
         return false;

@@ -4,7 +4,8 @@
 // coordinator ships the *complete* inputs — the spec (binary, bit-exact:
 // the text format rounds doubles through %.6g), every field of the
 // SynthesisConfig and ExploreOptions, the explicit GridPoint list (global
-// indices preserved) and the CAS directory — and the worker ships back the
+// indices preserved) and the CAS directory, but no store size bound (only
+// `sunfloor_cli cas gc --max-bytes` evicts) — and the worker ships back the
 // complete outputs: per point, the phase used, every DesignPoint as a
 // cas::encode_evaluation blob (bit-exact by construction), the full
 // simulator reports and its session's stage counters. Nothing is
@@ -45,10 +46,11 @@
 namespace sunfloor::dist {
 
 /// Protocol version; bumped on any payload layout or framing change (3:
-/// raw payloads after a header line; 4: responses carry no Pareto front).
-/// A version mismatch is a decode error (the coordinator retries
-/// elsewhere rather than mis-reading bytes).
-inline constexpr std::uint32_t kWireVersion = 4;
+/// raw payloads after a header line; 4: responses carry no Pareto front;
+/// 5: requests carry no store bound and none of the synthesis settings
+/// that became constants). A version mismatch is a decode error (the
+/// coordinator retries elsewhere rather than mis-reading bytes).
+inline constexpr std::uint32_t kWireVersion = 5;
 
 /// Everything a worker needs to run one slice — self-contained, so a
 /// worker holds no per-coordinator state and any worker can take any job.
@@ -60,7 +62,6 @@ struct ShardRequest {
     /// Content-addressed store directory shared by the shards; empty runs
     /// the slice without a store.
     std::string cas_dir;
-    std::uint64_t cas_max_bytes = 0;  ///< store GC bound (0 = unbounded)
 };
 
 /// One explored point of the slice, in slice order.

@@ -18,14 +18,12 @@ ShardResponse run_shard(const ShardRequest& req) {
                          static_cast<long long>(req.points.size()));
     pipeline::SessionOptions sopts;
     if (!req.cas_dir.empty()) {
-        cas::StoreOptions copts;
-        copts.dir = req.cas_dir;
-        copts.max_bytes = req.cas_max_bytes;
         // Throws std::runtime_error on an unusable directory; the serving
         // layer reports it instead of computing without the shared store
         // (a silent fallback would hide misconfiguration, not results —
         // the store is bit-transparent — but the operator asked for it).
-        sopts.cas = std::make_shared<cas::Store>(copts);
+        sopts.cas =
+            std::make_shared<cas::Store>(cas::StoreOptions{req.cas_dir});
     }
     auto session =
         std::make_shared<pipeline::SynthesisSession>(req.spec, sopts);

@@ -325,7 +325,7 @@ PartitionResult partition_kway(const Digraph& g, int k, Rng& rng,
         grow_initial(rows, k, max_block, rng, ws, block);
         double cut = cut_weight(g, block);
         if (opts.refine) {
-            for (int pass = 0; pass < opts.max_passes; ++pass) {
+            for (int pass = 0; pass < kMaxPasses; ++pass) {
                 ++passes;
                 if (!fm_pass(rows, k, max_block, ws, block, cut, steps))
                     break;

@@ -41,9 +41,10 @@ struct PartitionOptions {
     /// Maximum vertices per block; <=0 means ceil(n/k) (the paper's "about
     /// equal number of cores" balance rule).
     int max_block_size = 0;
-    /// Maximum FM passes per start.
-    int max_passes = 16;
 };
+
+/// Maximum FM passes per start.
+inline constexpr int kMaxPasses = 16;
 
 struct PartitionResult {
     /// block[v] in [0, k) for every vertex v.

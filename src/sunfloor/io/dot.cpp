@@ -8,14 +8,12 @@
 namespace sunfloor {
 
 void write_topology_dot(std::ostream& os, const Topology& topo,
-                        const DesignSpec& spec, const DotOptions& opts) {
+                        const DesignSpec& spec) {
     os << "digraph noc {\n  rankdir=LR;\n  node [fontsize=10];\n";
     const int layers = std::max(1, spec.cores.num_layers());
     for (int ly = 0; ly < layers; ++ly) {
-        if (opts.cluster_by_layer) {
-            os << format("  subgraph cluster_layer%d {\n", ly);
-            os << format("    label=\"layer %d\";\n", ly);
-        }
+        os << format("  subgraph cluster_layer%d {\n", ly);
+        os << format("    label=\"layer %d\";\n", ly);
         for (int c = 0; c < spec.cores.num_cores(); ++c)
             if (spec.cores.core(c).layer == ly)
                 os << format("    core%d [shape=box, label=\"%s\"];\n", c,
@@ -30,17 +28,15 @@ void write_topology_dot(std::ostream& os, const Topology& topo,
                 s, topo.switch_at(s).name.c_str(), topo.switch_in_degree(s),
                 topo.switch_out_degree(s));
         }
-        if (opts.cluster_by_layer) os << "  }\n";
+        os << "  }\n";
     }
     auto node_id = [](NodeRef n) {
         return format("%s%d", n.is_core() ? "core" : "sw", n.index);
     };
     for (int l = 0; l < topo.num_links(); ++l) {
         const auto& lk = topo.link(l);
-        if (!opts.include_unused && lk.bw_mbps <= 0.0) continue;
-        std::string attrs;
-        if (opts.show_bandwidth)
-            attrs += format("label=\"%.0f\", ", lk.bw_mbps);
+        if (lk.bw_mbps <= 0.0) continue;
+        std::string attrs = format("label=\"%.0f\", ", lk.bw_mbps);
         if (topo.link_layers_crossed(l) > 0)
             attrs += "style=bold, color=red, ";
         if (lk.cls == FlowType::Response) attrs += "style=dashed, ";
@@ -52,10 +48,10 @@ void write_topology_dot(std::ostream& os, const Topology& topo,
 }
 
 bool save_topology_dot(const std::string& path, const Topology& topo,
-                       const DesignSpec& spec, const DotOptions& opts) {
+                       const DesignSpec& spec) {
     std::ofstream f(path);
     if (!f) return false;
-    write_topology_dot(f, topo, spec, opts);
+    write_topology_dot(f, topo, spec);
     return static_cast<bool>(f);
 }
 

@@ -9,19 +9,15 @@
 
 namespace sunfloor {
 
-struct DotOptions {
-    bool cluster_by_layer = true;   ///< one subgraph cluster per 3-D layer
-    bool show_bandwidth = true;     ///< label links with accumulated MB/s
-    bool include_unused = false;    ///< emit links with zero traffic
-};
-
-/// Write the topology as a DOT digraph. Cores are boxes, switches are
-/// ellipses, vertical (inter-layer) links are drawn bold.
+/// Write the topology as a DOT digraph: one subgraph cluster per 3-D
+/// layer, cores as boxes, switches as ellipses, and every link that
+/// carries traffic labelled with its MB/s; vertical (inter-layer) links
+/// are drawn bold. Links with zero traffic are left out.
 void write_topology_dot(std::ostream& os, const Topology& topo,
-                        const DesignSpec& spec, const DotOptions& opts = {});
+                        const DesignSpec& spec);
 
 /// Convenience: write to file; returns false on I/O failure.
 bool save_topology_dot(const std::string& path, const Topology& topo,
-                       const DesignSpec& spec, const DotOptions& opts = {});
+                       const DesignSpec& spec);
 
 }  // namespace sunfloor

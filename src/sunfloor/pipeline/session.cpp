@@ -19,6 +19,7 @@
 #include "sunfloor/core/switch_placement.h"
 #include "sunfloor/noc/deadlock.h"
 #include "sunfloor/obs/trace.h"
+#include "sunfloor/routing/cost_model.h"
 #include "sunfloor/util/rng.h"
 #include "sunfloor/util/strings.h"
 
@@ -122,22 +123,24 @@ std::string partition_cfg_key(double alpha, const PartitionOptions& opts) {
     key += ";ns=" + std::to_string(opts.num_starts);
     key += opts.refine ? ";rf=1" : ";rf=0";
     key += ";mb=" + std::to_string(opts.max_block_size);
-    key += ";mp=" + std::to_string(opts.max_passes);
+    key += ";mp=" + std::to_string(kMaxPasses);
     return key;
 }
 
 std::string routing_cfg_key(const SynthesisConfig& cfg) {
     // The full model (link capacity, marginal-power costs, pruning rules)
     // plus the path-computation knobs — including the routing policy, so
-    // a session caches one routing artifact per discipline.
+    // a session caches one routing artifact per discipline. lw and lu
+    // render the cost model's fixed latency weight (0) and link
+    // utilization (1): the key keeps their bytes, so CAS addresses do
+    // not move.
     return eval_params_key(cfg.eval) +
            format(";ill=%d;ml=%d;sm=%d,%d;sf=%s;st=%d;lw=%s;lu=%s;rp=%s",
                   cfg.max_ill, cfg.allow_multilayer_links ? 1 : 0,
-                  cfg.soft_ill_margin, cfg.soft_switch_margin,
-                  double_bits(cfg.soft_inf_factor).c_str(),
-                  cfg.use_soft_thresholds ? 1 : 0,
-                  double_bits(cfg.latency_weight).c_str(),
-                  double_bits(cfg.link_capacity_utilization).c_str(),
+                  routing::kSoftIllMargin, routing::kSoftSwitchMargin,
+                  double_bits(routing::kSoftInfFactor).c_str(),
+                  cfg.use_soft_thresholds ? 1 : 0, double_bits(0.0).c_str(),
+                  double_bits(1.0).c_str(),
                   routing::routing_to_string(cfg.routing));
 }
 
@@ -243,7 +246,6 @@ std::size_t PartitionKey::Hash::operator()(
     h = mix(h, static_cast<std::uint64_t>(key.opts.num_starts));
     h = mix(h, key.opts.refine ? 1 : 0);
     h = mix(h, static_cast<std::uint64_t>(key.opts.max_block_size));
-    h = mix(h, static_cast<std::uint64_t>(key.opts.max_passes));
     h = mix(h, static_cast<std::uint64_t>(key.k));
     for (const std::uint64_t w : key.rng.s) h = mix(h, w);
     return static_cast<std::size_t>(h);
@@ -262,8 +264,7 @@ bool operator==(const PartitionKey& a, const PartitionKey& b) {
            bits(a.alpha) == bits(b.alpha) &&
            a.opts.num_starts == b.opts.num_starts &&
            a.opts.refine == b.opts.refine &&
-           a.opts.max_block_size == b.opts.max_block_size &&
-           a.opts.max_passes == b.opts.max_passes;
+           a.opts.max_block_size == b.opts.max_block_size;
 }
 
 std::string RoutingKey::text() const {
@@ -771,7 +772,6 @@ std::vector<DesignPoint> SynthesisSession::phase1(const SynthesisConfig& cfg,
                                                   RngState& rng,
                                                   StageTiming* timing) {
     const int n = spec_.cores.num_cores();
-    const int lo = cfg.min_switches > 0 ? cfg.min_switches : 1;
     const int hi = cfg.max_switches > 0 ? std::min(cfg.max_switches, n) : n;
     const RunKeys keys(cfg);
 
@@ -786,7 +786,7 @@ std::vector<DesignPoint> SynthesisSession::phase1(const SynthesisConfig& cfg,
     std::set<int> unmet;
 
     // Steps 4-10: sweep the switch count over min-cut partitions of PG.
-    for (int i = lo; i <= hi; ++i) {
+    for (int i = 1; i <= hi; ++i) {
         const auto part = cut(PartitionGraphId::pg(), i);
         const CoreAssignment assign = [&] {
             obs::ScopedSpan span("pipeline.assignment");
@@ -920,19 +920,13 @@ SynthesisResult SynthesisSession::run(const SynthesisConfig& cfg,
     if (!(cfg.alpha >= 0.0 && cfg.alpha <= 1.0))
         throw std::invalid_argument("SynthesisConfig.alpha must be in [0, 1]");
     // The switch-size bound divides by the frequency and converts the
-    // quotient to int, and the hop cost subtracts the soft margins from
-    // the hard limits: values outside these ranges are undefined there.
+    // quotient to int, which is undefined outside this range; a link
+    // budget below zero has no meaning.
     if (!std::isfinite(cfg.eval.freq_hz) || cfg.eval.freq_hz <= 0.0)
         throw std::invalid_argument(
             "SynthesisConfig.eval.freq_hz must be finite and positive");
     if (cfg.max_ill < 0)
         throw std::invalid_argument("SynthesisConfig.max_ill must be >= 0");
-    if (cfg.soft_ill_margin < 0)
-        throw std::invalid_argument(
-            "SynthesisConfig.soft_ill_margin must be >= 0");
-    if (cfg.soft_switch_margin < 0)
-        throw std::invalid_argument(
-            "SynthesisConfig.soft_switch_margin must be >= 0");
     RngState rng = Rng(cfg.seed).state();
     SynthesisResult result;
     switch (phase) {

@@ -19,9 +19,8 @@
 //               partitions; never cached or stored
 //   routing     the assignment, cfg.eval (frequency + NoC library, wire
 //               and TSV parameters — link width lives in the library's
-//               flit width), cfg.max_ill, cfg.allow_multilayer_links, the
-//               soft-threshold knobs, cfg.latency_weight,
-//               cfg.link_capacity_utilization, and cfg.routing (the
+//               flit width), cfg.max_ill, cfg.allow_multilayer_links,
+//               cfg.use_soft_thresholds and cfg.routing (the
 //               RoutingPolicy discipline), so one session caches a
 //               routing artifact per policy per assignment
 //   placement   the routed topology's full content — not the routing
@@ -350,7 +349,7 @@ class SynthesisSession {
     /// sweep cannot advance (a theta_step that is not finite and
     /// positive, or a non-finite theta_min or theta_max) or when a hop
     /// cost input is out of range: an eval.freq_hz that is not finite
-    /// and positive, a negative max_ill, or a negative soft margin.
+    /// and positive, or a negative max_ill.
     SynthesisResult run(const SynthesisConfig& cfg,
                         SynthesisPhase phase = SynthesisPhase::Auto);
 

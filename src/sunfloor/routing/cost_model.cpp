@@ -9,14 +9,12 @@ LinkCostModel::LinkCostModel(const Topology& topo, const DesignSpec& spec,
                              const SynthesisConfig& cfg)
     : topo_(topo), spec_(spec), cfg_(cfg) {
     capacity_mbps_ = cfg.eval.freq_hz *
-                     (cfg.eval.lib.params().flit_width_bits / 8.0) * 1e-6 *
-                     cfg.link_capacity_utilization;
+                     (cfg.eval.lib.params().flit_width_bits / 8.0) * 1e-6;
     max_sw_size_ = cfg.eval.lib.max_switch_size(cfg.eval.freq_hz);
     soft_inf_ = compute_soft_inf();
     num_layers_ = std::max(1, spec.cores.num_layers());
-    soft_max_ill_ = static_cast<long long>(cfg.max_ill) - cfg.soft_ill_margin;
-    soft_max_sw_ =
-        static_cast<long long>(max_sw_size_) - cfg.soft_switch_margin;
+    soft_max_ill_ = static_cast<long long>(cfg.max_ill) - kSoftIllMargin;
+    soft_max_sw_ = static_cast<long long>(max_sw_size_) - kSoftSwitchMargin;
     switch_idle_mw_ = cfg.eval.lib.switch_idle_power_mw(1, 1, cfg.eval.freq_hz);
     rebuild();
 }
@@ -56,10 +54,6 @@ void LinkCostModel::rebuild() {
             PairTerms& p = pairs_[cell(i, j)];
             p.len = manhattan(si.position, sj.position);
             p.idle_mw = idle_per_mm * p.len * freq / 1e9;
-            if (cfg_.latency_weight > 0.0) {
-                const int stages = cfg_.eval.wire.pipeline_stages(p.len, freq);
-                p.latency = cfg_.latency_weight * (1.0 + (stages - 1));
-            }
             p.lo = std::min(si.layer, sj.layer);
             p.span = std::abs(si.layer - sj.layer);
             p.forbidden = p.span >= 2 && !cfg_.allow_multilayer_links;
@@ -88,7 +82,7 @@ double LinkCostModel::compute_soft_inf() const {
             1e-9 +
         cfg_.eval.wire.params().idle_mw_per_mm_ghz * diag *
             cfg_.eval.freq_hz / 1e9;
-    return cfg_.soft_inf_factor * std::max(worst_hop_mw, 1e-6);
+    return kSoftInfFactor * std::max(worst_hop_mw, 1e-6);
 }
 
 int LinkCostModel::usable_link(int i, int j, int cls, double bw) const {

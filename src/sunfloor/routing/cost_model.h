@@ -4,22 +4,22 @@
 // The cost of routing a flow across the ordered switch pair (i, j) is the
 // *marginal* power of carrying it there — dynamic wire + TSV energy,
 // destination-switch traversal energy, plus the idle cost of opening the
-// physical link when no existing parallel channel has spare capacity —
-// optionally weighted with latency. Algorithm 3's hard (INF) and soft
-// (SOFT_INF) thresholds gate:
+// physical link when no existing parallel channel has spare capacity.
+// Algorithm 3's hard (INF) and soft (SOFT_INF) thresholds gate:
 //   * vertical adjacency  — links across >= 2 layers are forbidden unless
 //     the technology allows them (Phase 1 freedom);
 //   * max_ill             — a new link may not push any crossed adjacent
-//     boundary past the budget; close to the budget costs SOFT_INF;
+//     boundary past the budget; within kSoftIllMargin of it costs
+//     SOFT_INF;
 //   * max_switch_size     — ports on either endpoint may not exceed the
-//     largest switch usable at the target frequency.
+//     largest switch usable at the target frequency; within
+//     kSoftSwitchMargin of it costs SOFT_INF.
 //
 // A routing prices millions of hops, so the cost is split by how long
 // each part stays fixed, and each part is computed once:
 //   * per pair, for the whole routing (rebuild(), again after indirect
 //     switches are added): Manhattan length, layer span, whether the span
-//     is forbidden, the wire idle power of a new link and the latency
-//     term;
+//     is forbidden and the wire idle power of a new link;
 //   * per flow, for one search (prepare_flow()): flit rate x wire energy,
 //     TSV power per span, and every switch's destination energy at the
 //     port degrees the search starts from (degrees change only when a
@@ -29,7 +29,7 @@
 //
 // Bit-equality rule: hop_cost() adds the parts in the order of Algorithm
 // 3's single expression (soft surcharges, wire, TSV, destination switch,
-// wire idle, switch idle, latency), and each precomputed part is a prefix
+// wire idle, switch idle), and each precomputed part is a prefix
 // of its product's operand order (flits * e_wire is precomputed, never
 // e_wire * len). So every cost is bit-equal to the unsplit evaluation the
 // test oracle (tests/oracle/path_compute_reference.h) keeps. The checks
@@ -47,6 +47,13 @@
 #include "sunfloor/core/design_point.h"
 
 namespace sunfloor::routing {
+
+/// Algorithm 3's soft thresholds: soft_max_ill = max_ill - kSoftIllMargin,
+/// soft_max_switch_size = max_switch_size - kSoftSwitchMargin, and
+/// SOFT_INF = kSoftInfFactor * (max cost of any hop).
+inline constexpr int kSoftIllMargin = 2;
+inline constexpr int kSoftSwitchMargin = 1;
+inline constexpr double kSoftInfFactor = 10.0;
 
 class LinkCostModel {
   public:
@@ -73,7 +80,7 @@ class LinkCostModel {
     void prepare_flow(const Flow& f);
 
     /// CHECK_CONSTRAINTS(i, j) of Algorithm 3 combined with the marginal
-    /// power/latency cost of moving the prepared flow over switch link
+    /// power cost of moving the prepared flow over switch link
     /// (i, j); kInfCost when a hard constraint forbids the hop.
     double hop_cost(int i, int j) const;
 
@@ -86,7 +93,6 @@ class LinkCostModel {
     struct PairTerms {
         double len = 0.0;      ///< Manhattan length (mm)
         double idle_mw = 0.0;  ///< wire idle power of a new link
-        double latency = 0.0;  ///< latency_weight * pipeline stages
         int lo = 0;            ///< lowest adjacent boundary crossed
         int span = 0;          ///< layers crossed
         bool forbidden = false;  ///< a new link may not span this pair
@@ -106,7 +112,8 @@ class LinkCostModel {
     int max_sw_size_ = 0;
     double soft_inf_ = 0.0;
     int num_layers_ = 1;
-    // Soft thresholds, widened so extreme margins cannot overflow.
+    // Soft thresholds, widened so max_ill - kSoftIllMargin cannot
+    // overflow.
     long long soft_max_ill_ = 0;
     long long soft_max_sw_ = 0;
     double switch_idle_mw_ = 0.0;  ///< idle power of the two grown ports
@@ -170,7 +177,6 @@ inline double LinkCostModel::hop_cost(int i, int j) const {
         cost += p.idle_mw;
         cost += switch_idle_mw_;
     }
-    if (cfg_.latency_weight > 0.0) cost += p.latency;
     return cost;
 }
 

@@ -14,8 +14,8 @@
 //      which state does it continue?". The path computation searches only
 //      admissible transitions; the simulator's adaptive output selection
 //      chooses per hop among them (routing/route_sets.h);
-//   2. the link cost model — marginal power + latency weighting, shared by
-//      every policy (routing/cost_model.h);
+//   2. the link cost model — marginal power, shared by every policy
+//      (routing/cost_model.h);
 //   3. flow-order scheduling — which flow routes first (schedule_flows).
 //
 // The three shipped policies are turn-restriction disciplines over strict

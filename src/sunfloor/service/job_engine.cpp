@@ -9,28 +9,35 @@
 #include "sunfloor/explore/export.h"
 #include "sunfloor/io/report.h"
 #include "sunfloor/obs/trace.h"
+#include "sunfloor/util/enum_names.h"
 #include "sunfloor/util/strings.h"
 
 namespace sunfloor::service {
 
+namespace {
+
+constexpr EnumName<JobState> kStateNames[] = {
+    {JobState::Queued, "queued"},
+    {JobState::Running, "running"},
+    {JobState::Done, "done"},
+    {JobState::Failed, "failed"},
+};
+
+constexpr EnumName<RejectReason> kRejectNames[] = {
+    {RejectReason::None, "none"},
+    {RejectReason::QueueFull, "queue-full"},
+    {RejectReason::QuotaExceeded, "quota-exceeded"},
+    {RejectReason::ShuttingDown, "shutting-down"},
+};
+
+}  // namespace
+
 const char* state_to_string(JobState s) {
-    switch (s) {
-        case JobState::Queued: return "queued";
-        case JobState::Running: return "running";
-        case JobState::Done: return "done";
-        case JobState::Failed: return "failed";
-    }
-    return "queued";
+    return enum_to_string<JobState>(kStateNames, s, "queued");
 }
 
 const char* reject_to_string(RejectReason r) {
-    switch (r) {
-        case RejectReason::None: return "none";
-        case RejectReason::QueueFull: return "queue-full";
-        case RejectReason::QuotaExceeded: return "quota-exceeded";
-        case RejectReason::ShuttingDown: return "shutting-down";
-    }
-    return "none";
+    return enum_to_string<RejectReason>(kRejectNames, r, "none");
 }
 
 namespace {
@@ -76,20 +83,19 @@ JobEngine::JobEngine(EngineOptions opts) : opts_(opts) {
     opts_.max_sessions = std::max(1, opts_.max_sessions);
     if (opts_.explore_threads < 1) opts_.explore_threads = 1;
 
-    auto& reg = obs::Registry::global();
-    m_submitted_ = &reg.counter("service.submitted.total");
-    m_coalesced_ = &reg.counter("service.coalesced.total");
-    m_completed_ = &reg.counter("service.completed.total");
-    m_failed_ = &reg.counter("service.failed.total");
-    m_rej_queue_full_ = &reg.counter("service.rejected.queue_full");
-    m_rej_quota_ = &reg.counter("service.rejected.quota");
-    m_rej_shutdown_ = &reg.counter("service.rejected.shutdown");
-    m_queue_depth_ = &reg.histogram(
+    m_submitted_ = &registry_.counter("service.submitted.total");
+    m_coalesced_ = &registry_.counter("service.coalesced.total");
+    m_completed_ = &registry_.counter("service.completed.total");
+    m_failed_ = &registry_.counter("service.failed.total");
+    m_rej_queue_full_ = &registry_.counter("service.rejected.queue_full");
+    m_rej_quota_ = &registry_.counter("service.rejected.quota");
+    m_rej_shutdown_ = &registry_.counter("service.rejected.shutdown");
+    m_queue_depth_ = &registry_.histogram(
         "service.queue_depth", {0, 1, 2, 4, 8, 16, 32, 64, 128, 256});
-    m_wait_ms_ = &reg.histogram(
+    m_wait_ms_ = &registry_.histogram(
         "service.job.wait_ms",
         {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000});
-    m_run_ms_ = &reg.histogram(
+    m_run_ms_ = &registry_.histogram(
         "service.job.run_ms",
         {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000});
 
@@ -115,7 +121,6 @@ Submission JobEngine::submit(JobRequest req) {
     if (draining_) {
         out.reason = RejectReason::ShuttingDown;
         out.error = "server is shutting down";
-        ++n_rejected_;
         m_rej_shutdown_->add();
         return out;
     }
@@ -127,7 +132,6 @@ Submission JobEngine::submit(JobRequest req) {
         // fresh computations are bounced on capacity.
         out.reason = RejectReason::QueueFull;
         out.error = format("queue is full (%d jobs queued)", queued);
-        ++n_rejected_;
         m_rej_queue_full_->add();
         return out;
     }
@@ -136,7 +140,6 @@ Submission JobEngine::submit(JobRequest req) {
         out.reason = RejectReason::QuotaExceeded;
         out.error = format("client \"%s\" already has %d active job(s)",
                            req.client.c_str(), active);
-        ++n_rejected_;
         m_rej_quota_->add();
         return out;
     }
@@ -147,7 +150,6 @@ Submission JobEngine::submit(JobRequest req) {
     job->submitted_at = std::chrono::steady_clock::now();
     ++active_per_client_[job->req.client];
     jobs_.emplace(job->id, job);
-    ++n_submitted_;
     m_submitted_->add();
     out.accepted = true;
     out.id = job->id;
@@ -157,7 +159,6 @@ Submission JobEngine::submit(JobRequest req) {
         // primary's bytes to every follower is indistinguishable from
         // having run this job itself — minus the compute.
         inflight->second->followers.push_back(std::move(job));
-        ++n_coalesced_;
         m_coalesced_->add();
         return out;
     }
@@ -227,11 +228,12 @@ bool JobEngine::result(std::uint64_t id, JobResult& out) const {
 EngineStats JobEngine::stats() const {
     util::MutexLock lk(mu_);
     EngineStats st;
-    st.submitted = n_submitted_;
-    st.completed = n_completed_;
-    st.failed = n_failed_;
-    st.rejected = n_rejected_;
-    st.coalesced = n_coalesced_;
+    st.submitted = m_submitted_->value();
+    st.completed = m_completed_->value();
+    st.failed = m_failed_->value();
+    st.rejected = m_rej_queue_full_->value() + m_rej_quota_->value() +
+                  m_rej_shutdown_->value();
+    st.coalesced = m_coalesced_->value();
     st.queued = static_cast<int>(queue_.size());
     st.running = running_;
     st.workers = opts_.workers;
@@ -303,11 +305,6 @@ void JobEngine::worker_loop() {
         }
         const double run_ms = ms_since(started);
         m_run_ms_->observe(run_ms);
-        if (result.failed) {
-            m_failed_->add();
-        } else {
-            m_completed_->add();
-        }
 
         {
             util::MutexLock lk(mu_);
@@ -315,11 +312,7 @@ void JobEngine::worker_loop() {
             job->result = std::move(result);
             job->state = job->result.failed ? JobState::Failed
                                             : JobState::Done;
-            if (job->result.failed) {
-                ++n_failed_;
-            } else {
-                ++n_completed_;
-            }
+            (job->result.failed ? m_failed_ : m_completed_)->add();
             --running_;
             release_client(job->req.client);
             // Publish the same bytes to every coalesced duplicate, in the
@@ -332,13 +325,7 @@ void JobEngine::worker_loop() {
                 f->wait_ms = ms_since(f->submitted_at);
                 f->run_ms = job->run_ms;
                 f->state = job->state;
-                if (f->result.failed) {
-                    ++n_failed_;
-                    m_failed_->add();
-                } else {
-                    ++n_completed_;
-                    m_completed_->add();
-                }
+                (f->result.failed ? m_failed_ : m_completed_)->add();
                 release_client(f->req.client);
             }
             job->followers.clear();

@@ -237,14 +237,12 @@ class JobEngine {
         SF_GUARDED_BY(mu_);
     std::uint64_t session_clock_ SF_GUARDED_BY(mu_) = 0;
 
-    // Engine-local totals for stats(); the registry counters below are
-    // process-wide and would mix engines in one process (tests, benches).
-    long long n_submitted_ SF_GUARDED_BY(mu_) = 0;
-    long long n_completed_ SF_GUARDED_BY(mu_) = 0;
-    long long n_failed_ SF_GUARDED_BY(mu_) = 0;
-    long long n_rejected_ SF_GUARDED_BY(mu_) = 0;
-    long long n_coalesced_ SF_GUARDED_BY(mu_) = 0;
-
+    /// This engine's instruments, parented to Registry::global(): the
+    /// global ones are process-wide and would mix engines in one process
+    /// (tests, benches), so stats() reads these. Every counter is added
+    /// to under mu_, in the critical section that changes the job's
+    /// state, so a stats() snapshot is consistent.
+    obs::Registry registry_{&obs::Registry::global()};
     obs::Counter* m_submitted_;
     obs::Counter* m_coalesced_;
     obs::Counter* m_completed_;

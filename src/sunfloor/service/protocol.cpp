@@ -4,28 +4,30 @@
 #include <utility>
 
 #include "sunfloor/explore/export.h"
+#include "sunfloor/util/enum_names.h"
 #include "sunfloor/util/json.h"
 #include "sunfloor/util/strings.h"
 
 namespace sunfloor::service {
 
+namespace {
+
+constexpr EnumName<JobKind> kKindNames[] = {
+    {JobKind::Synth, "synth"},
+    {JobKind::Explore, "explore"},
+};
+
+}  // namespace
+
 const char* kind_to_string(JobKind k) {
-    return k == JobKind::Explore ? "explore" : "synth";
+    return enum_to_string<JobKind>(kKindNames, k, "synth");
 }
 
 bool kind_from_string(const std::string& s, JobKind& out) {
-    if (iequals(s, "synth")) {
-        out = JobKind::Synth;
-        return true;
-    }
-    if (iequals(s, "explore")) {
-        out = JobKind::Explore;
-        return true;
-    }
-    return false;
+    return enum_from_string<JobKind>(kKindNames, s, out);
 }
 
-std::string kind_choices() { return "synth|explore"; }
+std::string kind_choices() { return enum_choices<JobKind>(kKindNames); }
 
 SynthSetup synth_setup(const JobParams& p) {
     SynthSetup s;

@@ -51,28 +51,27 @@
 //
 // Distributed exploration (explore; results are byte-identical to the
 // single-process run of the same grid):
-//   --shards <n>              split the grid into n contiguous shard jobs
-//   --shard-transport <t>     inproc|socket (default inproc; socket ships
-//                             jobs to sunfloor_shard_worker processes)
-//   --shard-addrs <a>[,...]   worker addresses (socket transport, which
-//                             they imply); one transport per address,
+//   --shards <n>              split the grid into n contiguous shard jobs,
+//                             run by in-process workers
+//   --shard-addrs <a>[,...]   ship the jobs to sunfloor_shard_worker
+//                             processes instead, one transport per
+//                             address (--shards defaults to their count);
 //                             jobs re-queue on worker failure
 //   --cas <dir>               content-addressed artifact store shared by
 //                             all shards (also usable without --shards);
-//                             warm stages are loaded instead of recomputed
-//   --cas-max-bytes <n>       size bound handed to the store(s)
+//                             warm stages are loaded instead of recomputed.
+//                             Nothing bounds it but `cas gc --max-bytes`
 //
 // Explore's dependent flags are checked after the parse, on the parsed
 // values: exactly one of --design, --benchmark and --family; --rate,
 // --traffic and --packet-len need --backend sim; generator knobs,
-// --instances and --gen-seed need --family; --shard-transport needs
-// --shards (or --shard-addrs); --cas-max-bytes needs --cas; --shards
-// and --cas do not apply to --family; --shard-addrs needs the socket
-// transport and the socket transport needs --shard-addrs.
+// --instances and --gen-seed need --family; --shards, --shard-addrs and
+// --cas do not apply to --family.
 //
 // CAS maintenance (cas stats | cas gc):
 //   --cas <dir>               the store directory      (required)
 //   --max-bytes <n>           gc: evict LRU objects down to this bound
+//                             (the only bound a store has)
 //
 // Generator options (generate, and explore --family; specgen families):
 //   --family <f>              pipeline|hub|layered-dag
@@ -154,7 +153,6 @@
 #include "sunfloor/specgen/specgen.h"
 #include "sunfloor/tools/flags.h"
 #include "sunfloor/tools/obs_sinks.h"
-#include "sunfloor/util/enum_names.h"
 #include "sunfloor/util/json.h"
 #include "sunfloor/util/strings.h"
 
@@ -262,18 +260,6 @@ std::vector<Flag> gen_flags(specgen::GenParams& gp) {
             flag("--hotspot", gp.hotspot_fraction, a_number("F")),
             flag("--stages", gp.stages, an_int()),
             flag("--fanout", gp.max_fanout, an_int())};
-}
-
-/// How `explore --shards` reaches its workers.
-enum class ShardTransport { Inproc, Socket };
-
-constexpr EnumName<ShardTransport> kShardTransportNames[] = {
-    {ShardTransport::Inproc, "inproc"},
-    {ShardTransport::Socket, "socket"},
-};
-
-bool shard_transport_from_string(const std::string& s, ShardTransport& out) {
-    return enum_from_string<ShardTransport>(kShardTransportNames, s, out);
 }
 
 int run_generate(int argc, char** argv) {
@@ -417,10 +403,8 @@ int run_explore(int argc, char** argv) {
     int instances = 4;
     long long gen_seed = 1;
     int shards = 0;  // 0 = single-process explore
-    ShardTransport transport = ShardTransport::Inproc;
     std::vector<std::string> shard_addrs;
     std::string cas_dir;
-    long long cas_max_bytes = 0;
     ObsSinks sinks;
 
     // Rows that only take effect together with another flag.
@@ -444,13 +428,8 @@ int run_explore(int argc, char** argv) {
         .add(sim_only)
         .add(family_only)
         .add({flag("--shards", shards, an_int(1)),
-              flag("--shard-transport", transport,
-                   a_choice(shard_transport_from_string,
-                            enum_choices<ShardTransport>(
-                                kShardTransportNames))),
               list_flag("--shard-addrs", shard_addrs, a_string("A")),
               flag("--cas", cas_dir, a_string("dir")),
-              flag("--cas-max-bytes", cas_max_bytes, an_int64(0)),
               flag("--out", out_prefix, a_string("prefix"))})
         .add(sinks.flags());
     if (!flags.parse(argc, argv, 2)) return 2;
@@ -469,22 +448,10 @@ int run_explore(int argc, char** argv) {
         return flags.error(gen_flag +
                            " only affects generated families; add --family");
     if (shards == 0) shards = static_cast<int>(shard_addrs.size());
-    if (shards == 0 && flags.seen("--shard-transport"))
-        return flags.error(
-            "--shard-transport only affects distributed runs; add --shards");
-    if (cas_dir.empty() && flags.seen("--cas-max-bytes"))
-        return flags.error(
-            "--cas-max-bytes only affects the artifact store; add --cas");
     if (have_family && (shards > 0 || !cas_dir.empty()))
         return flags.error(
             "--shards/--cas do not apply to generated families");
-    if (transport == ShardTransport::Socket && shard_addrs.empty())
-        return flags.error("--shard-transport socket requires --shard-addrs");
-    if (transport == ShardTransport::Inproc &&
-        flags.seen("--shard-transport") && !shard_addrs.empty())
-        return flags.error(
-            "--shard-addrs only applies to --shard-transport socket");
-    const bool shard_socket = !shard_addrs.empty();  // addresses imply it
+    const bool shard_socket = !shard_addrs.empty();
 
     auto [cfg, grid, base_seed] = service::explore_setup(params);
     opts.base_seed = base_seed;
@@ -520,7 +487,6 @@ int run_explore(int argc, char** argv) {
         dist::DistOptions dopts;
         dopts.shards = shards;
         dopts.cas_dir = cas_dir;
-        dopts.cas_max_bytes = static_cast<std::uint64_t>(cas_max_bytes);
         std::fprintf(out,
                      "distributing %d shard job(s) over %zu %s worker(s)\n",
                      shards, workers.size(),
@@ -537,8 +503,8 @@ int run_explore(int argc, char** argv) {
     } else if (!cas_dir.empty()) {
         pipeline::SessionOptions sopts;
         try {
-            sopts.cas = std::make_shared<cas::Store>(cas::StoreOptions{
-                cas_dir, static_cast<std::uint64_t>(cas_max_bytes), 60.0});
+            sopts.cas =
+                std::make_shared<cas::Store>(cas::StoreOptions{cas_dir});
         } catch (const std::exception& e) {
             std::fprintf(stderr, "%s\n", e.what());
             return 1;
@@ -942,10 +908,10 @@ int run_cas(int argc, char** argv) {
     if (dir.empty())
         return flags.error(format("cas %s requires --cas <dir>", op.c_str()));
     try {
-        cas::Store store(cas::StoreOptions{
-            dir, static_cast<std::uint64_t>(max_bytes), 60.0});
+        cas::Store store(cas::StoreOptions{dir});
         if (op == "gc") {
-            const cas::GcResult g = store.gc();
+            const cas::GcResult g =
+                store.gc(static_cast<std::uint64_t>(max_bytes));
             std::printf("gc %s: evicted %llu object(s) (%.2f MB), "
                         "removed %llu stale tmp file(s)\n",
                         dir.c_str(),

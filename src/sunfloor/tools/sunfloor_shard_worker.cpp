@@ -1,9 +1,9 @@
 // sunfloor_shard_worker — a distributed-exploration shard worker.
 //
 // Serves the dist frame protocol (dist/protocol.h) over a Unix-domain or
-// TCP socket: a coordinator (sunfloor_cli explore --shards N
-// --shard-transport socket) ships contiguous grid slices, the worker runs
-// each through the ordinary explorer and ships complete results back.
+// TCP socket: a coordinator (sunfloor_cli explore --shard-addrs A,B,...)
+// ships contiguous grid slices, the worker runs each through the
+// ordinary explorer and ships complete results back.
 // N workers reassembled by the coordinator are byte-identical to one
 // single-process run.
 //

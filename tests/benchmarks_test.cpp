@@ -3,6 +3,7 @@
 
 #include "oracle/placement_checks.h"
 #include "sunfloor/spec/benchmarks.h"
+#include "sunfloor/util/strings.h"
 
 namespace sunfloor {
 namespace {
@@ -58,7 +59,7 @@ TEST(Benchmarks, D36FlowCountsAndConstantBandwidth) {
 TEST(Benchmarks, D36EveryProcessorReachesDistinctMemories) {
     const DesignSpec spec = make_d36(6);
     for (int p = 0; p < 18; ++p) {
-        const int pid = spec.cores.find("p" + std::to_string(p));
+        const int pid = spec.cores.find(format("p%d", p));
         std::set<int> dests;
         for (const auto& f : spec.comm.flows())
             if (f.src == pid && f.type == FlowType::Request)
@@ -71,7 +72,7 @@ TEST(Benchmarks, D35BottleneckStructure) {
     const DesignSpec spec = make_d35_bot();
     // Every processor hits its private memory and all three shared ones.
     for (int i = 0; i < 16; ++i) {
-        const int p = spec.cores.find("p" + std::to_string(i));
+        const int p = spec.cores.find(format("p%d", i));
         const int pm = spec.cores.find("pm" + std::to_string(i));
         ASSERT_GE(p, 0);
         ASSERT_GE(pm, 0);

@@ -47,8 +47,8 @@ struct TempDir {
     }
 };
 
-cas::Store open_store(const std::string& dir, std::uint64_t max_bytes = 0) {
-    return cas::Store(cas::StoreOptions{dir, max_bytes, 60.0});
+cas::Store open_store(const std::string& dir) {
+    return cas::Store(cas::StoreOptions{dir});
 }
 
 long long counter(const char* name) {
@@ -249,7 +249,7 @@ TEST(CasStore, GcReapsStaleTmpDebrisButSparesLiveWriters) {
     EXPECT_EQ(st.tmp_files, 2u);
     EXPECT_GT(st.tmp_bytes, 0u);
 
-    const cas::GcResult r = store.gc();
+    const cas::GcResult r = store.gc(0);
     EXPECT_EQ(r.removed_tmp, 1u);
     EXPECT_EQ(r.evicted_objects, 0u);
     EXPECT_FALSE(file_exists(stale));
@@ -261,12 +261,9 @@ TEST(CasStore, GcEvictsLeastRecentlyUsedUntilUnderTheBound) {
     TempDir dir;
     const std::string payload(1000, 'z');
     std::vector<std::string> keys = {"a", "b", "c", "d"};
-    std::uint64_t per_object = 0;
-    {
-        cas::Store store = open_store(dir.path);
-        for (const std::string& k : keys) ASSERT_TRUE(store.put(k, payload));
-        per_object = store.stats().object_bytes / keys.size();
-    }
+    cas::Store store = open_store(dir.path);
+    for (const std::string& k : keys) ASSERT_TRUE(store.put(k, payload));
+    const std::uint64_t per_object = store.stats().object_bytes / keys.size();
     // Pin the recency order explicitly (mtime drives eviction): "a" oldest,
     // "d" newest.
     // lint:allow(nondet-time) back-dating file mtimes to pin GC recency
@@ -276,9 +273,8 @@ TEST(CasStore, GcEvictsLeastRecentlyUsedUntilUnderTheBound) {
                   now - 1000 + static_cast<std::time_t>(100 * i));
 
     // Bound to two objects: the two oldest must go, newest survive.
-    cas::Store bounded = open_store(dir.path, 2 * per_object);
     const long long evictions = counter("cas.evictions");
-    const cas::GcResult r = bounded.gc();
+    const cas::GcResult r = store.gc(2 * per_object);
     EXPECT_EQ(r.evicted_objects, 2u);
     EXPECT_EQ(r.evicted_bytes, 2 * per_object);
     EXPECT_EQ(counter("cas.evictions"), evictions + 2);
@@ -287,7 +283,7 @@ TEST(CasStore, GcEvictsLeastRecentlyUsedUntilUnderTheBound) {
     EXPECT_TRUE(has_object(dir.path, "c"));
     EXPECT_TRUE(has_object(dir.path, "d"));
     // Already under the bound: a second gc is a no-op.
-    EXPECT_EQ(bounded.gc().evicted_objects, 0u);
+    EXPECT_EQ(store.gc(2 * per_object).evicted_objects, 0u);
 }
 
 TEST(CasStore, SuccessfulLoadRefreshesTheEvictionOrder) {
@@ -304,9 +300,7 @@ TEST(CasStore, SuccessfulLoadRefreshesTheEvictionOrder) {
     std::string got;
     ASSERT_TRUE(store.get("old", got));
 
-    cas::Store bounded =
-        open_store(dir.path, store.stats().object_bytes / 2);
-    ASSERT_EQ(bounded.gc().evicted_objects, 1u);
+    ASSERT_EQ(store.gc(store.stats().object_bytes / 2).evicted_objects, 1u);
     EXPECT_TRUE(has_object(dir.path, "old"));
     EXPECT_FALSE(has_object(dir.path, "new"));
 }
@@ -511,8 +505,7 @@ TEST(CasSession, AttachingAStoreIsUnobservableInTheResults) {
     const SynthesisConfig cfg = fast_cfg();
 
     pipeline::SessionOptions so;
-    so.cas = std::make_shared<cas::Store>(
-        cas::StoreOptions{dir.path, 0, 60.0});
+    so.cas = std::make_shared<cas::Store>(cas::StoreOptions{dir.path});
     pipeline::SynthesisSession session(spec, so);
     const SynthesisResult got = session.run(cfg);
     expect_same_results(got, run_synthesis(spec, cfg));
@@ -532,8 +525,7 @@ TEST(CasSession, WarmStoreServesAFreshSessionBitIdentically) {
     long long written = 0;
     {
         pipeline::SessionOptions so;
-        so.cas = std::make_shared<cas::Store>(
-            cas::StoreOptions{dir.path, 0, 60.0});
+        so.cas = std::make_shared<cas::Store>(cas::StoreOptions{dir.path});
         const long long stores_before = counter("cas.stores");
         pipeline::SynthesisSession warmup(spec, so);
         expect_same_results(warmup.run(cfg), ref);
@@ -550,8 +542,7 @@ TEST(CasSession, WarmStoreServesAFreshSessionBitIdentically) {
     // position LP never runs and nothing is written back — and the
     // results must be bit-identical to the cold flow.
     pipeline::SessionOptions so;
-    so.cas = std::make_shared<cas::Store>(
-        cas::StoreOptions{dir.path, 0, 60.0});
+    so.cas = std::make_shared<cas::Store>(cas::StoreOptions{dir.path});
     const long long hits_before = counter("cas.hits");
     const long long stores_before = counter("cas.stores");
     pipeline::SynthesisSession fresh(spec, so);
@@ -616,8 +607,7 @@ TEST(CasSession, PlacementsOfAnotherSolverAreNeverServed) {
     const SynthesisResult ref = run_synthesis(spec, cfg);
     {
         pipeline::SessionOptions so;
-        so.cas = std::make_shared<cas::Store>(
-            cas::StoreOptions{cold_dir.path, 0, 60.0});
+        so.cas = std::make_shared<cas::Store>(cas::StoreOptions{cold_dir.path});
         pipeline::SynthesisSession warmup(spec, so);
         expect_same_results(warmup.run(cfg), ref);
     }
@@ -648,8 +638,7 @@ TEST(CasSession, PlacementsOfAnotherSolverAreNeverServed) {
     ASSERT_GT(planted, 0);
 
     pipeline::SessionOptions so;
-    so.cas = std::make_shared<cas::Store>(
-        cas::StoreOptions{old_dir.path, 0, 60.0});
+    so.cas = std::make_shared<cas::Store>(cas::StoreOptions{old_dir.path});
     pipeline::SynthesisSession fresh(spec, so);
     expect_same_results(fresh.run(cfg), ref);
     const pipeline::SessionStats st = fresh.stats();
@@ -671,8 +660,7 @@ TEST(CasSession, StageKeyBytesArePinned) {
     SynthesisConfig cfg;
     cfg.run_floorplan = false;
     pipeline::SessionOptions so;
-    so.cas = std::make_shared<cas::Store>(
-        cas::StoreOptions{dir.path, 0, 60.0});
+    so.cas = std::make_shared<cas::Store>(cas::StoreOptions{dir.path});
     pipeline::SynthesisSession session(spec, so);
     for (const auto policy : {routing::RoutingPolicyId::UpDown,
                               routing::RoutingPolicyId::WestFirst,
@@ -706,10 +694,9 @@ TEST(CasSession, UndecodableObjectsAreCountedAndReplaced) {
     const SynthesisResult ref = run_synthesis(spec, cfg);
 
     // The first routing key a run looks up: phase 1's first switch count
-    // cut from the seed's generator state.
+    // (one) cut from the seed's generator state.
     pipeline::SynthesisSession probe(spec);
-    const int k = cfg.min_switches > 0 ? cfg.min_switches : 1;
-    const auto part = probe.partition(pipeline::PartitionGraphId::pg(), k,
+    const auto part = probe.partition(pipeline::PartitionGraphId::pg(), 1,
                                       cfg, cfg.partition,
                                       Rng(cfg.seed).state());
     const CoreAssignment assign =
@@ -727,8 +714,7 @@ TEST(CasSession, UndecodableObjectsAreCountedAndReplaced) {
 
     const long long undecodable_before = counter("cas.undecodable");
     pipeline::SessionOptions so;
-    so.cas = std::make_shared<cas::Store>(
-        cas::StoreOptions{dir.path, 0, 60.0});
+    so.cas = std::make_shared<cas::Store>(cas::StoreOptions{dir.path});
     pipeline::SynthesisSession session(spec, so);
     expect_same_results(session.run(cfg), ref);
     EXPECT_EQ(counter("cas.undecodable") - undecodable_before, 1);
@@ -749,8 +735,7 @@ TEST(CasSession, CorruptedObjectsAreRecomputedNeverServed) {
 
     {
         pipeline::SessionOptions so;
-        so.cas = std::make_shared<cas::Store>(
-            cas::StoreOptions{dir.path, 0, 60.0});
+        so.cas = std::make_shared<cas::Store>(cas::StoreOptions{dir.path});
         pipeline::SynthesisSession warmup(spec, so);
         warmup.run(cfg);
     }
@@ -780,8 +765,7 @@ TEST(CasSession, CorruptedObjectsAreRecomputedNeverServed) {
 
     const long long corrupt_before = counter("cas.corrupt");
     pipeline::SessionOptions so;
-    so.cas = std::make_shared<cas::Store>(
-        cas::StoreOptions{dir.path, 0, 60.0});
+    so.cas = std::make_shared<cas::Store>(cas::StoreOptions{dir.path});
     pipeline::SynthesisSession fresh(spec, so);
     const SynthesisResult got = fresh.run(cfg);
     expect_same_results(got, ref);
@@ -816,7 +800,7 @@ TEST(CasStore, ConcurrentProcessesShareOneDirectorySafely) {
         if (pid == 0) {
             // Child: no gtest machinery — report through the exit code.
             try {
-                cas::Store store(cas::StoreOptions{dir.path, 0, 60.0});
+                cas::Store store(cas::StoreOptions{dir.path});
                 for (int round = 0; round < 5; ++round) {
                     for (int i = 0; i < kKeys; ++i) {
                         if ((i + round + p) % 2 == 0) {
@@ -831,7 +815,7 @@ TEST(CasStore, ConcurrentProcessesShareOneDirectorySafely) {
                                 ::_exit(3);
                         }
                     }
-                    store.gc();
+                    store.gc(0);
                 }
             } catch (...) {
                 ::_exit(4);

@@ -92,10 +92,8 @@ std::vector<Command> commands() {
                      {"--traffic", "x"},
                      {"--packet-len", "0"},
                      {"--shards", "0"},
-                     {"--shard-transport", "ssh"},
                      {"--shard-addrs", ""},
                      {"--cas", ""},
-                     {"--cas-max-bytes", "-1"},
                      {"--out", ""},
                      {"--instances", "0"},
                      {"--gen-seed", "-1"},
@@ -270,19 +268,26 @@ TEST(CliFlags, ExploreFamilyOnlyFlagsNeedFamily) {
                         " only affects generated families; add --family");
 }
 
-TEST(CliFlags, ExploreDistOnlyFlagsNeedShards) {
-    expect_rule("--design " + tiny() + " --shard-transport inproc",
-                "--shard-transport only affects distributed runs; add "
-                "--shards");
+TEST(CliFlags, ExploreShardsAndCasDoNotApplyToFamilies) {
     expect_rule("--family hub --shards 2",
                 "--shards/--cas do not apply to generated families");
     expect_rule("--family hub --cas " + (scratch() / "cas").string(),
                 "--shards/--cas do not apply to generated families");
 }
 
-TEST(CliFlags, ExploreSocketTransportNeedsAddresses) {
-    expect_rule("--design " + tiny() + " --shards 2 --shard-transport socket",
-                "--shard-transport socket requires --shard-addrs");
+// The transport follows from --shard-addrs, and only `cas gc
+// --max-bytes` bounds a store: the two flags that restated those are
+// gone, and naming one is a parse error like any unknown option.
+TEST(CliFlags, ExploreNoLongerTakesShardTransportOrCasMaxBytes) {
+    for (const std::string f : {"--shard-transport", "--cas-max-bytes"}) {
+        const CliRun run =
+            cli_run("explore --design " + tiny() + " --shards 2 " + f + " 1");
+        EXPECT_EQ(run.exit_code, 2) << f << "\n" << run.err;
+        EXPECT_NE(run.err.find("unknown option '" + f + "'"),
+                  std::string::npos)
+            << f << "\n"
+            << run.err;
+    }
 }
 
 // The rules read parsed values: a dependent flag before the flag it
@@ -306,20 +311,6 @@ TEST(CliFlags, ExploreRulesIgnoreFlagOrder) {
 TEST(CliFlags, ExploreRejectsThetaMinusOne) {
     expect_rule("--design " + tiny() + " --theta -1 --no-floorplan",
                 "--theta");
-}
-
-TEST(CliFlags, ExploreRejectsShardAddrsWithTheInprocTransport) {
-    for (const char* order :
-         {"--shard-addrs a.sock,b.sock --shard-transport inproc",
-          "--shard-transport inproc --shard-addrs a.sock,b.sock"})
-        expect_rule("--design " + tiny() + " --no-floorplan " + order,
-                    "--shard-addrs");
-}
-
-TEST(CliFlags, ExploreCasMaxBytesNeedsCas) {
-    expect_rule("--design " + tiny() + " --no-floorplan --cas-max-bytes 5",
-                "--cas-max-bytes only affects the artifact store; add "
-                "--cas");
 }
 
 TEST(CliFlags, ExploreRejectsNegativeThreads) {

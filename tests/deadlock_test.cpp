@@ -3,6 +3,7 @@
 
 #include "sunfloor/noc/deadlock.h"
 #include "sunfloor/spec/parser.h"
+#include "sunfloor/util/strings.h"
 
 namespace sunfloor {
 namespace {
@@ -12,7 +13,7 @@ DesignSpec ring_spec() {
     DesignSpec spec;
     for (int i = 0; i < 4; ++i) {
         Core c;
-        c.name = "c" + std::to_string(i);
+        c.name = format("c%d", i);
         c.width = 1;
         c.height = 1;
         c.layer = 0;
@@ -29,7 +30,7 @@ DesignSpec ring_spec() {
 Topology ring_topology(const DesignSpec& spec, bool cyclic) {
     Topology t(spec.cores, spec.comm.num_flows());
     for (int i = 0; i < 4; ++i)
-        t.add_switch("s" + std::to_string(i), 0, {0, 0});
+        t.add_switch(format("s%d", i), 0, {0, 0});
     std::vector<int> c2s;
     std::vector<int> s2c;
     std::vector<int> ring;
@@ -79,7 +80,7 @@ TEST(Deadlock, SeparatedClassesCoupleOnlyAtTheCore) {
     DesignSpec spec;
     for (int i = 0; i < 2; ++i) {
         Core c;
-        c.name = "c" + std::to_string(i);
+        c.name = format("c%d", i);
         c.width = 1;
         c.height = 1;
         spec.cores.add_core(c);
@@ -117,7 +118,7 @@ TEST(Deadlock, SharedChannelDetected) {
     DesignSpec spec;
     for (int i = 0; i < 2; ++i) {
         Core c;
-        c.name = "x" + std::to_string(i);
+        c.name = format("x%d", i);
         c.width = 1;
         c.height = 1;
         spec.cores.add_core(c);
@@ -171,7 +172,7 @@ TEST(Deadlock, MixedClassLinksCoupleRequestsAndResponses) {
     DesignSpec spec;
     for (int i = 0; i < 2; ++i) {
         Core c;
-        c.name = "m" + std::to_string(i);
+        c.name = format("m%d", i);
         c.width = 1;
         c.height = 1;
         spec.cores.add_core(c);

@@ -223,7 +223,6 @@ TEST(DistProtocol, ShardRequestRoundTripsCompletely) {
     req.opts = backend_opts(EvalBackend::Simulated);
     req.points = analytic_grid().enumerate();
     req.cas_dir = "/some/cas/dir";
-    req.cas_max_bytes = 1234567;
 
     const std::string payload = dist::encode_shard_request(req);
     dist::ShardRequest out;
@@ -235,7 +234,6 @@ TEST(DistProtocol, ShardRequestRoundTripsCompletely) {
     for (std::size_t i = 0; i < out.points.size(); ++i)
         EXPECT_EQ(out.points[i].key(), req.points[i].key());
     EXPECT_EQ(out.cas_dir, req.cas_dir);
-    EXPECT_EQ(out.cas_max_bytes, req.cas_max_bytes);
     EXPECT_EQ(out.opts.backend, req.opts.backend);
     EXPECT_EQ(out.opts.sim.measure_cycles, req.opts.sim.measure_cycles);
     const double fa = out.base_cfg.eval.freq_hz;
@@ -260,11 +258,11 @@ TEST(DistProtocol, ShardRequestRoundTripsCompletely) {
 
     // An inflated point count fails in the point loop, never on an
     // allocation sized by the untrusted count. With no points encoded the
-    // count sits just before the cas_dir string and cas_max_bytes.
+    // count sits just before the cas_dir string.
     dist::ShardRequest no_points = req;
     no_points.points.clear();
     std::string inflated = dist::encode_shard_request(no_points);
-    patch_u32(inflated, inflated.size() - 8 - (4 + req.cas_dir.size()) - 4,
+    patch_u32(inflated, inflated.size() - (4 + req.cas_dir.size()) - 4,
               0xFFFFFFFFu);
     EXPECT_FALSE(dist::decode_shard_request(inflated, out, err));
     EXPECT_NE(err.find("grid point"), std::string::npos) << err;
@@ -341,7 +339,7 @@ TEST(DistProtocol, FramesParseBothDirections) {
 }
 
 TEST(DistProtocol, WireVersionTwoFramesAndPayloadsAreRejectedByName) {
-    EXPECT_EQ(dist::kWireVersion, 4u);
+    EXPECT_EQ(dist::kWireVersion, 5u);
     // Version 2 carried the payload hex-encoded inside the JSON line.
     std::string err;
     dist::WorkerRequest wreq;
@@ -374,14 +372,24 @@ TEST(DistProtocol, WireVersionTwoFramesAndPayloadsAreRejectedByName) {
     // Version 3 shipped the slice's Pareto front after the points (a
     // count, then point and design indices): such a payload fails by its
     // version, never as a misread front.
-    const std::string v4 = dist::encode_shard_response(dist::ShardResponse{});
+    const std::string current =
+        dist::encode_shard_response(dist::ShardResponse{});
     cas::Enc front;
     front.u32(1);
     front.i32(0);
     front.i32(0);
-    std::string v3 = v4.substr(0, 9) + front.take() + v4.substr(9);
+    std::string v3 = current.substr(0, 9) + front.take() + current.substr(9);
     patch_u32(v3, 0, 3);
     EXPECT_FALSE(dist::decode_shard_response(v3, out, err));
+    EXPECT_NE(err.find("bad version"), std::string::npos) << err;
+
+    // Version 4 requests carried seven synthesis settings that are now
+    // constants, and the store bound: such a payload fails by its
+    // version, never as a misread config.
+    std::string q4 = dist::encode_shard_request(small_request());
+    patch_u32(q4, 0, 4);
+    dist::ShardRequest req_out;
+    EXPECT_FALSE(dist::decode_shard_request(q4, req_out, err));
     EXPECT_NE(err.find("bad version"), std::string::npos) << err;
 }
 
@@ -705,22 +713,22 @@ TEST(DistFaults, ThetaSweepThatCannotAdvanceFailsTheShard) {
 }
 
 TEST(DistFaults, HopCostInputOutOfRangeFailsTheShard) {
-    // Shard frames decode the soft margins without range checks; the
-    // session must reject one that would overflow the hop cost's
-    // threshold arithmetic, and the shard fail with it.
+    // Shard frames decode a grid point's TSV budget without a range
+    // check, and the point overwrites the base config's max_ill; the
+    // session must reject a negative budget, and the shard fail with it.
     dist::ShardRequest req;
     req.spec = make_benchmark("D_36_4");
     req.base_cfg = fast_cfg();
-    req.base_cfg.soft_switch_margin = std::numeric_limits<int>::min();
     req.opts = backend_opts(EvalBackend::Analytic);
     req.points = ParamGrid().enumerate();
+    ASSERT_EQ(req.points.size(), 1u);
+    req.points[0].max_tsvs = std::numeric_limits<int>::min();
     dist::InprocTransport transport;
     try {
         transport.run(req);
         FAIL() << "expected DistError";
     } catch (const dist::DistError& e) {
-        EXPECT_NE(std::string(e.what()).find("soft_switch_margin"),
-                  std::string::npos)
+        EXPECT_NE(std::string(e.what()).find("max_ill"), std::string::npos)
             << e.what();
     }
 }

@@ -18,6 +18,7 @@
 
 #include "sunfloor/noc/evaluation.h"
 #include "sunfloor/sim/injection.h"
+#include "sunfloor/util/strings.h"
 
 namespace sunfloor {
 namespace {
@@ -34,7 +35,7 @@ DesignSpec small_spec() {
     DesignSpec spec;
     for (int c = 0; c < 4; ++c) {
         Core core;
-        core.name = "c" + std::to_string(c);
+        core.name = format("c%d", c);
         core.position = {1.1 * c, 0.0};
         spec.cores.add_core(core);
     }

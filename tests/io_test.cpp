@@ -39,19 +39,6 @@ TEST(IoDot, TopologyDotWellFormed) {
               std::count(dot.begin(), dot.end(), '}'));
 }
 
-TEST(IoDot, OptionsRespected) {
-    DesignSpec spec = make_d38_tvopd();
-    const auto res = small_result();
-    const auto& topo = res.points[res.best_power_index()].topo;
-    DotOptions opts;
-    opts.cluster_by_layer = false;
-    opts.show_bandwidth = false;
-    std::ostringstream os;
-    write_topology_dot(os, topo, spec, opts);
-    EXPECT_EQ(os.str().find("cluster_layer"), std::string::npos);
-    EXPECT_EQ(os.str().find("label=\"4"), std::string::npos);
-}
-
 TEST(IoSvg, LayerSvgWellFormed) {
     DesignSpec spec = make_d38_tvopd();
     const auto res = small_result();

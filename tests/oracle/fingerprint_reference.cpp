@@ -96,7 +96,7 @@ std::string partition_key_reference(const pipeline::PartitionGraphId& graph,
     return "pt|" + g +
            format("|a=%s;ns=%d;rf=%d;mb=%d;mp=%d|k=%d|r=%s",
                   double_bits_reference(alpha).c_str(), opts.num_starts,
-                  opts.refine ? 1 : 0, opts.max_block_size, opts.max_passes,
+                  opts.refine ? 1 : 0, opts.max_block_size, kMaxPasses,
                   k, rng_key_reference(rng).c_str());
 }
 

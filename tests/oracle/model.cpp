@@ -3,11 +3,13 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "sunfloor/util/strings.h"
+
 namespace sunfloor::oracle {
 
 int LpProblem::add_variable(double objective_coeff, std::string name) {
     obj_.push_back(objective_coeff);
-    if (name.empty()) name = "x" + std::to_string(obj_.size() - 1);
+    if (name.empty()) name = format("x%zu", obj_.size() - 1);
     names_.push_back(std::move(name));
     return num_variables() - 1;
 }

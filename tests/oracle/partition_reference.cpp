@@ -168,7 +168,7 @@ PartitionResult partition_kway_reference(const Digraph& g, int k, Rng& rng,
         std::vector<int> block = grow_initial(w, k, max_block, rng);
         double cut = cut_weight(g, block);
         if (opts.refine) {
-            for (int pass = 0; pass < opts.max_passes; ++pass)
+            for (int pass = 0; pass < kMaxPasses; ++pass)
                 if (!fm_pass(w, k, max_block, block, cut)) break;
             // fm_pass tracks cut incrementally on the symmetric weights;
             // recompute exactly on the directed graph to avoid drift.

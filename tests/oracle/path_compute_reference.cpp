@@ -5,6 +5,7 @@
 #include <limits>
 #include <queue>
 
+#include "sunfloor/routing/cost_model.h"
 #include "sunfloor/routing/policy.h"
 #include "sunfloor/util/strings.h"
 
@@ -21,8 +22,7 @@ ReferenceCostModel::ReferenceCostModel(const Topology& topo,
                                        const SynthesisConfig& cfg)
     : topo_(topo), spec_(spec), cfg_(cfg) {
     capacity_mbps_ = cfg.eval.freq_hz *
-                     (cfg.eval.lib.params().flit_width_bits / 8.0) * 1e-6 *
-                     cfg.link_capacity_utilization;
+                     (cfg.eval.lib.params().flit_width_bits / 8.0) * 1e-6;
     max_sw_size_ = cfg.eval.lib.max_switch_size(cfg.eval.freq_hz);
     soft_inf_ = compute_soft_inf();
     num_layers_ = std::max(1, spec.cores.num_layers());
@@ -73,15 +73,15 @@ double ReferenceCostModel::edge_cost(int i, int j, const Flow& f) const {
             const int used = ill_[static_cast<std::size_t>(b)];
             if (used + 1 > cfg_.max_ill) return kInf;
             if (cfg_.use_soft_thresholds &&
-                used + 1 > cfg_.max_ill - cfg_.soft_ill_margin)
+                used + 1 > cfg_.max_ill - routing::kSoftIllMargin)
                 cost += soft_inf_;
         }
         const int out_i = out_deg_[static_cast<std::size_t>(i)];
         const int in_j = in_deg_[static_cast<std::size_t>(j)];
         if (out_i + 1 > max_sw_size_ || in_j + 1 > max_sw_size_) return kInf;
         if (cfg_.use_soft_thresholds &&
-            (out_i + 1 > max_sw_size_ - cfg_.soft_switch_margin ||
-             in_j + 1 > max_sw_size_ - cfg_.soft_switch_margin))
+            (out_i + 1 > max_sw_size_ - routing::kSoftSwitchMargin ||
+             in_j + 1 > max_sw_size_ - routing::kSoftSwitchMargin))
             cost += soft_inf_;
     }
 
@@ -100,11 +100,6 @@ double ReferenceCostModel::edge_cost(int i, int j, const Flow& f) const {
         cost += cfg_.eval.wire.params().idle_mw_per_mm_ghz * len *
                 cfg_.eval.freq_hz / 1e9;
         cost += cfg_.eval.lib.switch_idle_power_mw(1, 1, cfg_.eval.freq_hz);
-    }
-    if (cfg_.latency_weight > 0.0) {
-        const int stages =
-            cfg_.eval.wire.pipeline_stages(len, cfg_.eval.freq_hz);
-        cost += cfg_.latency_weight * (1.0 + (stages - 1));
     }
     return cost;
 }
@@ -137,7 +132,7 @@ double ReferenceCostModel::compute_soft_inf() const {
             1e-9 +
         cfg_.eval.wire.params().idle_mw_per_mm_ghz * diag *
             cfg_.eval.freq_hz / 1e9;
-    return cfg_.soft_inf_factor * std::max(worst_hop_mw, 1e-6);
+    return routing::kSoftInfFactor * std::max(worst_hop_mw, 1e-6);
 }
 
 namespace {

@@ -175,7 +175,7 @@ TEST(OutputDigest, CasStoreObjects) {
         SynthesisConfig cfg;
         cfg.run_floorplan = false;
         pipeline::SessionOptions so;
-        so.cas = std::make_shared<cas::Store>(cas::StoreOptions{dir, 0, 60.0});
+        so.cas = std::make_shared<cas::Store>(cas::StoreOptions{dir});
         pipeline::SynthesisSession session(make_benchmark("D_26_media"), so);
         for (const auto policy : {routing::RoutingPolicyId::UpDown,
                                   routing::RoutingPolicyId::WestFirst,

@@ -205,7 +205,6 @@ TEST(PartitionEquivalence, RandomGraphs) {
         }
         c.opts.num_starts = gen.next_int(1, 3);
         c.opts.refine = !gen.next_bool(0.25);
-        c.opts.max_passes = gen.next_bool(0.2) ? gen.next_int(0, 1) : 16;
         const int even = (n + c.k - 1) / c.k;
         if (gen.next_bool(0.3))
             c.opts.max_block_size = even + gen.next_int(0, 3);

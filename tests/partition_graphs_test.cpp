@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "sunfloor/core/partition_graphs.h"
+#include "sunfloor/util/strings.h"
 
 namespace sunfloor {
 namespace {
@@ -107,7 +108,7 @@ TEST(Lpg, IsolatedVerticesGetTinyEdges) {
     CoreSpec cores;
     for (int i = 0; i < 3; ++i) {
         Core c;
-        c.name = "c" + std::to_string(i);
+        c.name = format("c%d", i);
         c.width = 1;
         c.height = 1;
         c.layer = 0;

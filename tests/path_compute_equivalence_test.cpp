@@ -353,7 +353,6 @@ struct Variant {
 
 const Variant kVariants[] = {
     {"paper", [](SynthesisConfig&) {}},
-    {"latency-weighted", [](SynthesisConfig& c) { c.latency_weight = 0.37; }},
     {"hard thresholds only",
      [](SynthesisConfig& c) { c.use_soft_thresholds = false; }},
     {"tight max_ill at 600 MHz",

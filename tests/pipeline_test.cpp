@@ -427,7 +427,7 @@ TEST(Pipeline, StageKeysSeparateConsumedFields) {
     EXPECT_NE(pipeline::partition_cfg_key(a.alpha, a.partition),
               pipeline::partition_cfg_key(b.alpha, b.partition));
     b = a;
-    b.soft_ill_margin = a.soft_ill_margin + 1;
+    b.use_soft_thresholds = !a.use_soft_thresholds;
     EXPECT_NE(pipeline::routing_cfg_key(a), pipeline::routing_cfg_key(b));
     EXPECT_EQ(pipeline::partition_cfg_key(a.alpha, a.partition),
               pipeline::partition_cfg_key(b.alpha, b.partition));

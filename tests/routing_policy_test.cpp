@@ -12,6 +12,7 @@
 #include "sunfloor/routing/policy.h"
 #include "sunfloor/routing/route_sets.h"
 #include "sunfloor/spec/benchmarks.h"
+#include "sunfloor/util/strings.h"
 
 namespace sunfloor {
 namespace {
@@ -203,7 +204,7 @@ TEST(RoutingPolicy, OversubscribedSpecReportsCapacityViolations) {
     DesignSpec spec;
     for (int i = 0; i < 2; ++i) {
         Core c;
-        c.name = "c" + std::to_string(i);
+        c.name = format("c%d", i);
         c.width = 1;
         c.height = 1;
         spec.cores.add_core(c);

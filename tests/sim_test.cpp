@@ -7,6 +7,7 @@
 
 #include "sunfloor/noc/evaluation.h"
 #include "sunfloor/sim/simulator.h"
+#include "sunfloor/util/strings.h"
 
 namespace sunfloor {
 namespace {
@@ -37,7 +38,7 @@ struct StarFixture {
     StarFixture(int num_cores, const std::vector<Flow>& flows) {
         for (int c = 0; c < num_cores; ++c)
             spec.cores.add_core(
-                make_core("c" + std::to_string(c), 1.1 * c, 0.0));
+                make_core(format("c%d", c), 1.1 * c, 0.0));
         for (const Flow& f : flows) spec.comm.add_flow(f);
         topo = Topology(spec.cores, spec.comm.num_flows());
         const int sw = topo.add_switch("sw0", 0, {0.5, 1.0});
@@ -223,7 +224,7 @@ TEST(Sim, BurstyKeepsMeanRateButDegradesLatency) {
 TEST(Sim, HotspotBoostsRatesIntoTheHotCore) {
     DesignSpec spec;
     for (int c = 0; c < 4; ++c)
-        spec.cores.add_core(make_core("c" + std::to_string(c), 1.1 * c, 0.0));
+        spec.cores.add_core(make_core(format("c%d", c), 1.1 * c, 0.0));
     spec.comm.add_flow({0, 3, kBw, 0.0, FlowType::Request});
     spec.comm.add_flow({1, 3, kBw, 0.0, FlowType::Request});
     spec.comm.add_flow({1, 2, kBw, 0.0, FlowType::Request});

@@ -219,11 +219,10 @@ class KeyReplay {
 
     bool phase1(const SynthesisConfig& cfg, RngState& rng) {
         const int n = spec_.cores.num_cores();
-        const int lo = cfg.min_switches > 0 ? cfg.min_switches : 1;
         const int hi =
             cfg.max_switches > 0 ? std::min(cfg.max_switches, n) : n;
         std::set<int> unmet;
-        for (int i = lo; i <= hi; ++i) {
+        for (int i = 1; i <= hi; ++i) {
             const auto part =
                 cut(pipeline::PartitionGraphId::pg(), i, cfg, cfg.partition,
                     rng);
@@ -247,7 +246,7 @@ class KeyReplay {
             if (!(next > theta)) break;
             theta = next;
         }
-        return static_cast<int>(unmet.size()) < hi - lo + 1;
+        return static_cast<int>(unmet.size()) < hi;
     }
 
     void phase2(const SynthesisConfig& cfg, RngState& rng) {
@@ -453,7 +452,6 @@ TEST(StageKeyEquivalence, PartitionKeyEdgeCases) {
         [](pipeline::PartitionKey& k) { k.opts.num_starts += 1; },
         [](pipeline::PartitionKey& k) { k.opts.refine = !k.opts.refine; },
         [](pipeline::PartitionKey& k) { k.opts.max_block_size = 3; },
-        [](pipeline::PartitionKey& k) { k.opts.max_passes -= 1; },
         [](pipeline::PartitionKey& k) { k.k = 40; },
         [](pipeline::PartitionKey& k) { k.rng.s[2] ^= 1ULL << 63; },
     };

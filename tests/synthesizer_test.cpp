@@ -165,9 +165,9 @@ TEST(Synthesizer, PartitionGraphInputsOutOfRangeAreRejected) {
 }
 
 TEST(Synthesizer, HopCostInputsOutOfRangeAreRejected) {
-    // Each of these reaches undefined behaviour in the path computation:
-    // a float-to-int conversion of inf or NaN in the switch-size bound,
-    // or a signed overflow subtracting a soft margin from a hard limit.
+    // A frequency that reaches undefined behaviour in the path
+    // computation (a float-to-int conversion of inf or NaN in the
+    // switch-size bound), and a negative link budget.
     const DesignSpec spec = make_d38_tvopd();
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
@@ -182,30 +182,10 @@ TEST(Synthesizer, HopCostInputsOutOfRangeAreRejected) {
         ill.max_ill = bad;
         EXPECT_THROW(run_synthesis(spec, ill), std::invalid_argument)
             << "max_ill " << bad;
-        SynthesisConfig ill_margin = fast_cfg();
-        ill_margin.soft_ill_margin = bad;
-        EXPECT_THROW(run_synthesis(spec, ill_margin), std::invalid_argument)
-            << "soft_ill_margin " << bad;
-        SynthesisConfig sw_margin = fast_cfg();
-        sw_margin.soft_switch_margin = bad;
-        EXPECT_THROW(run_synthesis(spec, sw_margin), std::invalid_argument)
-            << "soft_switch_margin " << bad;
     }
-    try {
-        SynthesisConfig cfg = fast_cfg();
-        cfg.soft_switch_margin = -1;
-        run_synthesis(spec, cfg);
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find("soft_switch_margin"),
-                  std::string::npos)
-            << e.what();
-    }
-    // The bounds themselves are fine: no budget and no soft band.
+    // The bound itself is fine: no budget.
     SynthesisConfig edge = fast_cfg();
     edge.max_ill = 0;
-    edge.soft_ill_margin = 0;
-    edge.soft_switch_margin = 0;
     edge.max_switches = 3;
     EXPECT_NO_THROW(run_synthesis(spec, edge, SynthesisPhase::Phase1));
 }
