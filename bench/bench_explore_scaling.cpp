@@ -1,4 +1,4 @@
-// Parallel scaling of the design-space exploration engine, two ways.
+// Parallel scaling of the design-space exploration engine, three ways.
 //
 // A fixed 64-point architectural grid (frequency x TSV budget x link
 // width x theta) over D_36_4 is explored by 1/2/4/8 pool threads of one
@@ -6,7 +6,10 @@
 // coordinator (BM_dist_shards), each on fresh sessions per iteration. The
 // work is the same in every configuration up to which thread computes a
 // shared partition first, or which shard recomputes one, so the ratios
-// of wall times are the thread and shard-worker speedups.
+// of wall times are the thread and shard-worker speedups. BM_explore_warm
+// reruns the grid on one session warmed before timing, at 1/2/4 pool
+// threads: every stage call hits, so its speedup is what concurrent
+// cache hits allow.
 // run_benches.sh parses the JSON output into BENCH_explore.json.
 #include <benchmark/benchmark.h>
 
@@ -16,6 +19,7 @@
 #include "common.h"
 #include "sunfloor/dist/coordinator.h"
 #include "sunfloor/explore/explorer.h"
+#include "sunfloor/pipeline/session.h"
 
 using namespace sunfloor;
 using namespace sunfloor::bench;
@@ -82,6 +86,42 @@ BENCHMARK(BM_explore)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime();
+
+// The same grid rerun on one warm session: the session runs the grid
+// once before timing, so every stage call of a timed run is a cache hit
+// (stage_misses reads 0) and the wall time is the warm path alone.
+void BM_explore_warm(benchmark::State& state) {
+    static const DesignSpec spec = prepared_benchmark("D_36_4");
+    const SynthesisConfig cfg = scaling_cfg();
+    ExploreOptions opts;
+    opts.num_threads = static_cast<int>(state.range(0));
+
+    const ParamGrid grid = scaling_grid();
+    const auto session = std::make_shared<pipeline::SynthesisSession>(spec);
+    Explorer(session, cfg, opts).run(grid);
+    std::size_t points = 0;
+    long long partition_misses = 0;
+    long long misses = 0;
+    for (auto _ : state) {
+        const ExploreResult res = Explorer(session, cfg, opts).run(grid);
+        const pipeline::SessionStats& sg = res.stats.stage;
+        points += static_cast<std::size_t>(res.stats.total_points);
+        partition_misses += sg.partition.misses;
+        misses += sg.partition.misses + sg.routing.misses +
+                  sg.placement.misses + sg.evaluation.misses;
+        benchmark::DoNotOptimize(res.stats.valid_designs);
+    }
+    report_scaling(state, points, partition_misses);
+    state.counters["stage_misses"] =
+        static_cast<double>(misses / state.iterations());
+}
+BENCHMARK(BM_explore_warm)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();

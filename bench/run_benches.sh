@@ -5,7 +5,9 @@
 #     bench_explore_scaling: one 64-point grid explored by 1/2/4/8 pool
 #       threads (`threads`) and by 1/2/4 in-process shard workers
 #       (`shard_workers`), each count with its points/sec, speedup over 1
-#       and partition misses; the stage-reuse win on a frequency x
+#       and partition misses; the same grid rerun on one warm session by
+#       1/2/4 pool threads (`warm`: ms per run, speedup over 1 thread,
+#       stage misses, which read 0); the stage-reuse win on a frequency x
 #       link-width grid (`stage_reuse`); the per-routing-policy sweep cost
 #       on a frequency x TSV grid (`routing`)
 #     bench_specgen: the `specgen` section (spec-generation throughput
@@ -156,6 +158,11 @@ def scaling(rows, family):
 
 explore = load("bench_explore_scaling")
 
+# Reruns of the grid on one warm session: every stage call hits.
+warm = scaling(explore, "BM_explore_warm")
+for n, bs in group(explore, "BM_explore_warm").items():
+    warm[n]["stage_misses"] = mean(bs, "stage_misses", 1)
+
 # Stage reuse on the frequency x link-width grid: arg 0 = recompute every
 # stage per point, arg 1 = shared-session artifact reuse.
 stage_reuse = {}
@@ -201,6 +208,7 @@ write(out_explore, {
     "context": context,
     "threads": scaling(explore, "BM_explore"),
     "shard_workers": scaling(explore, "BM_dist_shards"),
+    "warm": warm,
     "stage_reuse": stage_reuse,
     "routing": routing,
     "specgen": {

@@ -199,7 +199,7 @@ std::string encode_partition(const pipeline::PartitionArtifact& a) {
 }
 
 std::optional<pipeline::PartitionArtifact> decode_partition(
-    std::string_view blob) {
+    std::string_view blob, int k, int num_vertices) {
     Dec d(blob);
     if (d.u8() != kTagPartition) return std::nullopt;
     pipeline::PartitionArtifact a;
@@ -208,6 +208,12 @@ std::optional<pipeline::PartitionArtifact> decode_partition(
     a.k = d.i32();
     a.rng_after = dec_rng(d);
     if (!d.done()) return std::nullopt;
+    // Phase 1 and phase 2 index switch tables with every block entry and
+    // cores with every position: a cut of another size is corrupt.
+    if (a.k != k || a.block.size() != static_cast<std::size_t>(num_vertices))
+        return std::nullopt;
+    for (const int b : a.block)
+        if (b < 0 || b >= k) return std::nullopt;
     return a;
 }
 

@@ -24,9 +24,14 @@
 
 namespace sunfloor::cas {
 
+/// The blocks, cut weight, k and RNG state; not the carried assignment,
+/// which the session derives again from the blocks.
 std::string encode_partition(const pipeline::PartitionArtifact& a);
+/// A cut of a `num_vertices`-vertex graph into `k` blocks, or nullopt —
+/// also when the blob's k, block count or any block entry (outside
+/// [0, k)) disagrees with the call's. Carries no assignment.
 std::optional<pipeline::PartitionArtifact> decode_partition(
-    std::string_view blob);
+    std::string_view blob, int k, int num_vertices);
 
 std::string encode_routing(const pipeline::RoutingArtifact& a);
 std::optional<pipeline::RoutingArtifact> decode_routing(

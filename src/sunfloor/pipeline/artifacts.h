@@ -6,15 +6,18 @@
 //     -> position LP + floorplan -> evaluation
 //
 // Each stage's output is one of the value types below, except the
-// assignment's, which is a plain CoreAssignment (core/design_point.h):
-// the drivers rebuild it on each call from the cached partitions, and it
-// is never cached or stored. A SynthesisSession caches every other
-// output under a key that holds *exactly* the (spec, cfg, RNG) inputs
-// the stage consumed (see session.h): a struct of those inputs for
-// partitions, the assignment vectors plus a config string for routings,
-// and for placements and evaluations the input artifact itself plus a
-// config string. Every key compares by content, and its text form is
-// rendered only as a CAS address. Two stage calls with equal keys
+// assignment's, which is a plain CoreAssignment (core/design_point.h).
+// Phase 1's assignment is a pure function of one PG or SPG partition, so
+// that partition artifact carries it, derived once when the artifact is
+// computed or decoded (never serialized: the store holds the blocks);
+// phase 2 composes one from several per-layer partitions on each call.
+// A SynthesisSession caches every other output under a key that holds
+// *exactly* the (spec, cfg, RNG) inputs the stage consumed (see
+// session.h): a struct of those inputs for partitions, the assignment
+// vectors plus a config string for routings, and for placements and
+// evaluations the input artifact itself plus a config string. Every key
+// compares by content, and its text form is rendered only as a CAS
+// address. Two stage calls with equal keys
 // produce bit-identical artifacts, which is what lets the session reuse
 // them across architectural points that agree on the consumed fields —
 // e.g. partition artifacts across points that differ only in frequency
@@ -78,6 +81,10 @@ struct PartitionArtifact {
     double cut_weight = 0.0;
     int k = 0;
     RngState rng_after;  ///< generator state after the multi-start cut
+    /// phase1_assignment of this cut for a PG or SPG cut (whose vertices
+    /// are the spec's cores); empty for an LPG cut. Set by the session
+    /// when it computes or decodes the artifact.
+    CoreAssignment assign;
 };
 
 /// Output of the path-computation stage: the initial topology of an

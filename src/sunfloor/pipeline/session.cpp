@@ -273,12 +273,21 @@ std::string RoutingKey::text() const {
 
 std::size_t RoutingKey::Hash::operator()(
     const RoutingKey& key) const noexcept {
+    return (*this)(RoutingProbe{key.assign, key.cfg});
+}
+
+std::size_t RoutingKey::Hash::operator()(
+    const RoutingProbe& probe) const noexcept {
     return static_cast<std::size_t>(mix_ints(
-        mix_ints(key.cfg->hash, key.assign.core_switch),
-        key.assign.switch_layer));
+        mix_ints(probe.cfg->hash, probe.assign.core_switch),
+        probe.assign.switch_layer));
 }
 
 bool operator==(const RoutingKey& a, const RoutingKey& b) {
+    return a == RoutingProbe{b.assign, b.cfg};
+}
+
+bool operator==(const RoutingKey& a, const RoutingProbe& b) {
     return a.assign.core_switch == b.assign.core_switch &&
            a.assign.switch_layer == b.assign.switch_layer &&
            (a.cfg == b.cfg || *a.cfg == *b.cfg);
@@ -531,10 +540,11 @@ SynthesisSession::graph_for(const PartitionGraphId& graph, double alpha) {
     return graphs_.emplace(key, std::move(entry)).first->second;
 }
 
-template <typename Artifact>
+template <typename Probe, typename Artifact>
 struct SynthesisSession::StageCodec {
     std::string (*encode)(const Artifact&);
-    std::optional<Artifact> (*decode)(std::string_view, const DesignSpec&);
+    std::optional<Artifact> (*decode)(std::string_view, const DesignSpec&,
+                                      const Probe&);
 };
 
 SynthesisSession::RunKeys::RunKeys(const SynthesisConfig& cfg)
@@ -557,12 +567,17 @@ std::string cas_text(const Key& key) {
     return key.text();
 }
 
+std::string cas_text(const RoutingProbe& probe) {
+    return RoutingKey(probe).text();
+}
+
 }  // namespace
 
-template <typename Key, typename Artifact, typename Hash, typename Compute>
+template <typename Key, typename Artifact, typename Hash, typename Probe,
+          typename Compute>
 std::shared_ptr<const Artifact> SynthesisSession::cached(
-    StageCache<Key, Artifact, Hash>& cache, const Key& key,
-    const std::type_identity_t<StageCodec<Artifact>>* codec,
+    StageCache<Key, Artifact, Hash>& cache, const Probe& key,
+    const std::type_identity_t<StageCodec<Probe, Artifact>>* codec,
     Compute&& compute, const char* span_arg, long long span_value) {
     std::shared_ptr<typename StageCache<Key, Artifact, Hash>::Flight> claim;
     if (auto hit = cache.find_or_claim(key, claim)) {
@@ -576,7 +591,7 @@ std::shared_ptr<const Artifact> SynthesisSession::cached(
             cas_key = cas_prefix_ + cas_text(key);
             std::string blob;
             if (opts_.cas->get(cas_key, blob)) {
-                if (auto art = codec->decode(blob, spec_)) {
+                if (auto art = codec->decode(blob, spec_, key)) {
                     cache.hits.add();
                     return cache.publish(
                         key, claim,
@@ -601,12 +616,40 @@ std::shared_ptr<const Artifact> SynthesisSession::cached(
     }
 }
 
+namespace {
+
+/// `part` carrying its phase-1 assignment when it cuts the PG or an SPG
+/// (Step 7 of Algorithm 1 is then a pure function of the artifact).
+PartitionArtifact with_assignment(PartitionArtifact part,
+                                  const PartitionGraphId& graph,
+                                  const CoreSpec& cores) {
+    if (graph.kind != PartitionGraphId::Kind::LPG) {
+        obs::ScopedSpan span("pipeline.assignment");
+        part.assign = phase1_assignment(part, cores);
+    }
+    return part;
+}
+
+}  // namespace
+
 std::shared_ptr<const PartitionArtifact> SynthesisSession::partition(
     const PartitionGraphId& graph, int k, const SynthesisConfig& cfg,
     const PartitionOptions& opts, const RngState& rng_in) {
-    static constexpr StageCodec<PartitionArtifact> kCodec{
-        cas::encode_partition, [](std::string_view blob, const DesignSpec&) {
-            return cas::decode_partition(blob);
+    // A stored cut is served only when it cuts this graph (every core for
+    // PG and SPG, the layer's cores for LPG) into this k, checked before
+    // anything reads its blocks.
+    static constexpr StageCodec<PartitionKey, PartitionArtifact> kCodec{
+        cas::encode_partition,
+        [](std::string_view blob, const DesignSpec& spec,
+           const PartitionKey& key) -> std::optional<PartitionArtifact> {
+            const int n =
+                key.graph.kind == PartitionGraphId::Kind::LPG
+                    ? static_cast<int>(
+                          spec.cores.cores_in_layer(key.graph.layer).size())
+                    : spec.cores.num_cores();
+            auto part = cas::decode_partition(blob, key.k, n);
+            if (!part) return std::nullopt;
+            return with_assignment(std::move(*part), key.graph, spec.cores);
         }};
     return cached(
         partitions_, PartitionKey{graph, cfg.alpha, opts, k, rng_in}, &kCodec,
@@ -617,8 +660,10 @@ std::shared_ptr<const PartitionArtifact> SynthesisSession::partition(
                                    : entry->g;
             Rng rng(rng_in);
             const PartitionResult res = partition_kway(g, k, rng, opts);
-            return PartitionArtifact{res.block, res.cut_weight, k,
-                                     rng.state()};
+            return with_assignment(PartitionArtifact{res.block,
+                                                     res.cut_weight, k,
+                                                     rng.state(), {}},
+                                   graph, spec_.cores);
         },
         "k", k);
 }
@@ -650,9 +695,11 @@ DesignPoint SynthesisSession::synthesize(const CoreAssignment& assign,
 std::shared_ptr<const RoutingArtifact> SynthesisSession::route(
     const CoreAssignment& assign, const SynthesisConfig& cfg,
     const RunKeys& keys) {
-    static constexpr StageCodec<RoutingArtifact> kCodec{cas::encode_routing,
-                                                        cas::decode_routing};
-    return cached(routings_, RoutingKey{assign, keys.routing}, &kCodec, [&] {
+    static constexpr StageCodec<RoutingProbe, RoutingArtifact> kCodec{
+        cas::encode_routing,
+        [](std::string_view blob, const DesignSpec& spec,
+           const RoutingProbe&) { return cas::decode_routing(blob, spec); }};
+    return cached(routings_, RoutingProbe{assign, keys.routing}, &kCodec, [&] {
         RoutingOutcome outcome{};
         RoutingArtifact ra = route_assignment(spec_, cfg, assign, &outcome);
         routing_outcomes_[static_cast<int>(outcome)]->add();
@@ -670,8 +717,10 @@ std::shared_ptr<const PlacementArtifact> SynthesisSession::place(
     // diverged generators still share artifacts. The solver tag keeps a
     // store written by a build whose solver picked other optima from
     // serving those placements.
-    static constexpr StageCodec<PlacementArtifact> kCodec{
-        cas::encode_placement, cas::decode_placement};
+    static constexpr StageCodec<PlacementKey, PlacementArtifact> kCodec{
+        cas::encode_placement,
+        [](std::string_view blob, const DesignSpec& spec,
+           const PlacementKey&) { return cas::decode_placement(blob, spec); }};
     const Topology& routed_topo = *routed->topo;
     return cached(placements_, PlacementKey{std::move(routed), keys.placement},
                   &kCodec, [&] {
@@ -728,8 +777,12 @@ std::shared_ptr<const EvaluatedDesign> SynthesisSession::evaluate(
     // along because the artifact's die-area vector (copied into the
     // design point) comes from the floorplan side, not the topology
     // content.
-    static constexpr StageCodec<EvaluatedDesign> kCodec{
-        cas::encode_evaluation, cas::decode_evaluation};
+    static constexpr StageCodec<EvaluationKey, EvaluatedDesign> kCodec{
+        cas::encode_evaluation,
+        [](std::string_view blob, const DesignSpec& spec,
+           const EvaluationKey&) {
+            return cas::decode_evaluation(blob, spec);
+        }};
     const PlacementArtifact& input = *placed;
     return cached(evaluations_,
                   EvaluationKey{std::move(placed), keys.evaluation}, &kCodec,
@@ -788,12 +841,8 @@ std::vector<DesignPoint> SynthesisSession::phase1(const SynthesisConfig& cfg,
     // Steps 4-10: sweep the switch count over min-cut partitions of PG.
     for (int i = 1; i <= hi; ++i) {
         const auto part = cut(PartitionGraphId::pg(), i);
-        const CoreAssignment assign = [&] {
-            obs::ScopedSpan span("pipeline.assignment");
-            return phase1_assignment(*part, spec_.cores);
-        }();
         DesignPoint dp =
-            synthesize(assign, cfg, keys, "phase1", 0.0, timing);
+            synthesize(part->assign, cfg, keys, "phase1", 0.0, timing);
         if (!dp.valid) unmet.insert(i);
         points.push_back(std::move(dp));
     }
@@ -806,12 +855,8 @@ std::vector<DesignPoint> SynthesisSession::phase1(const SynthesisConfig& cfg,
         for (auto it = unmet.begin(); it != unmet.end();) {
             const int i = *it;
             const auto part = cut(spg, i);
-            const CoreAssignment assign = [&] {
-                obs::ScopedSpan span("pipeline.assignment");
-                return phase1_assignment(*part, spec_.cores);
-            }();
             DesignPoint dp =
-                synthesize(assign, cfg, keys, "phase1", theta, timing);
+                synthesize(part->assign, cfg, keys, "phase1", theta, timing);
             if (dp.valid) {
                 // Replace the failed entry for this switch count.
                 for (auto& existing : points)

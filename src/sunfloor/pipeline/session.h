@@ -13,10 +13,11 @@
 //
 //   partition   graph identity (PG / SPG(theta, theta_max) / LPG(layer)),
 //               cfg.alpha, k, the effective PartitionOptions, RNG state in
-//   assignment  a partition + the cores' layer map (pure; phase 2 composes
-//               several per-layer partitions). Its output is a plain
-//               CoreAssignment, rebuilt on every call from the cached
-//               partitions; never cached or stored
+//   assignment  a partition + the cores' layer map (pure). Phase 1's
+//               travels with its PG or SPG partition artifact, derived
+//               once when the partition is computed or decoded; phase 2
+//               composes one from several per-layer partitions per call.
+//               Never stored: a store holds the partition's blocks
 //   routing     the assignment, cfg.eval (frequency + NoC library, wire
 //               and TSV parameters — link width lives in the library's
 //               flit width), cfg.max_ill, cfg.allow_multilayer_links,
@@ -41,17 +42,24 @@
 // compares them field by field, doubles by bit pattern; no cache builds
 // key text on a lookup. The partition key is a struct of its inputs
 // (PartitionKey). The routing key is the assignment vectors plus the
-// run's routing config string (RoutingKey). The placement and evaluation
-// caches key on their input artifact itself — the routed or placed
-// topology, shared with the cache upstream — plus the stage's config
-// string (a ContentKey): a probe hashes the artifact's stored topo_hash,
-// and a hit is verified by bitwise content equality
-// (Topology::same_content). So a warm lookup is one hash probe and one
-// equality check, and a hash collision can never serve another input's
-// artifact. The config strings are built once per phase1 / phase2 call.
+// run's routing config string (RoutingKey); a lookup borrows the
+// caller's assignment (RoutingProbe) and copies it into a key only when
+// it claims a miss. The placement and evaluation caches key on their
+// input artifact itself — the routed or placed topology, shared with
+// the cache upstream — plus the stage's config string (a ContentKey): a
+// probe hashes the artifact's stored topo_hash, and a hit is verified by
+// bitwise content equality (Topology::same_content). So a warm lookup is
+// one hash probe and one equality check, and a hash collision can never
+// serve another input's artifact. The config strings are built once per
+// phase1 / phase2 call.
 // Each key's text form — for placements and evaluations with the
 // topology_fingerprint in it — is rendered only as a CAS address, when a
 // store is attached and the memory cache missed.
+//
+// Locking: each stage cache has one shared lock. A lookup holds it
+// shared, so hits from many threads run side by side and a warm hit
+// allocates nothing; claiming a missing key (after looking again under
+// the exclusive hold), publishing and abandoning hold it exclusively.
 //
 // Misses are single-flight: a thread that misses on a key another thread
 // is computing waits for that computation and counts a hit, and a
@@ -61,12 +69,13 @@
 //
 // Frequency and link width first appear in the *routing* stage, so
 // architectural points that differ only there share partition artifacts
-// (and so rebuild the same assignments) — the redundancy the explorer
+// (and the phase-1 assignments they carry) — the redundancy the explorer
 // exploits.
 #pragma once
 
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -157,6 +166,8 @@ struct PartitionKey {
     friend bool operator==(const PartitionKey& a, const PartitionKey& b);
 };
 
+struct RoutingProbe;
+
 /// The routing stage's key: the assignment vectors (a copy) plus the
 /// run's routing StageConfig (head "rt|", tail "|" + routing_cfg_key).
 /// Equal exactly when their text() is.
@@ -168,10 +179,25 @@ struct RoutingKey {
     /// assignment_key(assign) + "|" + routing_cfg_key.
     std::string text() const;
 
+    /// Transparent: a RoutingProbe hashes as the key it names.
     struct Hash {
+        using is_transparent = void;
         std::size_t operator()(const RoutingKey& key) const noexcept;
+        std::size_t operator()(const RoutingProbe& probe) const noexcept;
     };
     friend bool operator==(const RoutingKey& a, const RoutingKey& b);
+    friend bool operator==(const RoutingKey& a, const RoutingProbe& b);
+};
+
+/// A routing lookup that borrows the caller's assignment and config: it
+/// hashes and compares exactly as the RoutingKey it names, so a hit
+/// copies nothing, and the routing cache builds that key
+/// (RoutingKey(probe)) only when it claims a miss.
+struct RoutingProbe {
+    const CoreAssignment& assign;
+    const std::shared_ptr<const StageConfig>& cfg;
+
+    explicit operator RoutingKey() const { return {assign, cfg}; }
 };
 
 // ----------------------------------------------------- stage computation
@@ -408,15 +434,19 @@ class SynthesisSession {
         std::shared_ptr<const StageConfig> evaluation;
     };
 
-    /// One stage's artifact cache: a key -> slot map under its own lock,
-    /// plus the stage's "<name>.hits" / ".misses" / ".compute_ms"
-    /// instruments. A slot holds the published artifact, or the Flight
-    /// of the one thread computing it. The lock is held only to find or
-    /// change a slot, never across a stage computation or a CAS round
-    /// trip. Artifacts are immutable once published, which is why handing
-    /// out shared_ptrs of them needs no further guarding. Only the stage
-    /// routine cached() looks up and fills one, so it is the one place a
-    /// memory bound would evict.
+    /// One stage's artifact cache: a key -> slot map under its own
+    /// shared lock, plus the stage's "<name>.hits" / ".misses" /
+    /// ".compute_ms" instruments. A slot holds the published artifact, or
+    /// the Flight of the one thread computing it. A lookup holds the lock
+    /// shared, so hits on one stage from many threads run side by side;
+    /// claiming a missing key, publishing and abandoning hold it
+    /// exclusively. The lock is never held across a stage computation or
+    /// a CAS round trip. Artifacts are immutable once published, which is
+    /// why handing out shared_ptrs of them needs no further guarding.
+    /// Lookups take a Key, or a probe type the Hash and Key's == accept
+    /// (transparently) and that converts to a Key (RoutingProbe). Only
+    /// the stage routine cached() looks up and fills one, so it is the
+    /// one place a memory bound would evict.
     template <typename Key, typename Artifact,
               typename Hash = std::hash<Key>>
     class StageCache {
@@ -463,20 +493,31 @@ class SynthesisSession {
               misses(registry.counter(std::string(name) + ".misses")),
               compute_ms(registry.gauge(std::string(name) + ".compute_ms")) {}
 
-        /// The artifact published under `key`, or — when another thread
-        /// is computing it — that thread's result (its exception is
-        /// rethrown here). Otherwise registers `claim` as the key's
-        /// flight and returns nullptr: the caller computes, then calls
-        /// publish() or abandon().
-        Ptr find_or_claim(const Key& key, std::shared_ptr<Flight>& claim)
+        /// The artifact published under the key `probe` names, or — when
+        /// another thread is computing it — that thread's result (its
+        /// exception is rethrown here). Otherwise registers `claim` as
+        /// the flight of Key(probe) and returns nullptr: the caller
+        /// computes, then calls publish() or abandon().
+        template <typename Probe>
+        Ptr find_or_claim(const Probe& probe, std::shared_ptr<Flight>& claim)
             SF_EXCLUDES(mu_) {
             std::shared_ptr<Flight> running;
             {
-                util::MutexLock lock(mu_);
-                auto it = map_.find(key);
+                util::ReaderLock lock(mu_);
+                const auto it = map_.find(probe);
+                if (it != map_.end()) {
+                    if (it->second.artifact) return it->second.artifact;
+                    running = it->second.flight;
+                }
+            }
+            if (!running) {
+                util::WriterLock lock(mu_);
+                // Another thread may have claimed or published the key
+                // between the two locks.
+                const auto it = map_.find(probe);
                 if (it == map_.end()) {
                     claim = std::make_shared<Flight>();
-                    map_.emplace(key, Slot{nullptr, claim});
+                    map_.emplace(Key(probe), Slot{nullptr, claim});
                     return nullptr;
                 }
                 if (it->second.artifact) return it->second.artifact;
@@ -486,11 +527,12 @@ class SynthesisSession {
         }
 
         /// Publish the claimed key's artifact and wake its waiters.
-        Ptr publish(const Key& key, const std::shared_ptr<Flight>& claim,
+        template <typename Probe>
+        Ptr publish(const Probe& probe, const std::shared_ptr<Flight>& claim,
                     Ptr artifact) SF_EXCLUDES(mu_) {
             {
-                util::MutexLock lock(mu_);
-                auto it = map_.find(key);
+                util::WriterLock lock(mu_);
+                const auto it = map_.find(probe);
                 if (it != map_.end() && it->second.flight == claim)
                     it->second = Slot{artifact, nullptr};
             }
@@ -499,11 +541,12 @@ class SynthesisSession {
         }
 
         /// Drop the claimed key's slot and hand `error` to its waiters.
-        void abandon(const Key& key, const std::shared_ptr<Flight>& claim,
+        template <typename Probe>
+        void abandon(const Probe& probe, const std::shared_ptr<Flight>& claim,
                      std::exception_ptr error) SF_EXCLUDES(mu_) {
             {
-                util::MutexLock lock(mu_);
-                auto it = map_.find(key);
+                util::WriterLock lock(mu_);
+                const auto it = map_.find(probe);
                 if (it != map_.end() && it->second.flight == claim)
                     map_.erase(it);
             }
@@ -512,7 +555,7 @@ class SynthesisSession {
 
         /// Published artifacts plus keys in flight.
         std::size_t size() const SF_EXCLUDES(mu_) {
-            util::MutexLock lock(mu_);
+            util::ReaderLock lock(mu_);
             return map_.size();
         }
 
@@ -531,12 +574,14 @@ class SynthesisSession {
             std::shared_ptr<Flight> flight;  ///< null once published
         };
 
-        mutable util::Mutex mu_;
-        std::unordered_map<Key, Slot, Hash> map_ SF_GUARDED_BY(mu_);
+        mutable util::SharedMutex mu_;
+        std::unordered_map<Key, Slot, Hash, std::equal_to<>> map_
+            SF_GUARDED_BY(mu_);
     };
 
-    /// The CAS codec of an artifact kind the store spills (session.cpp).
-    template <typename Artifact>
+    /// The CAS codec of an artifact kind the store spills (session.cpp):
+    /// a decode sees the spec and the lookup (`Probe`) it serves.
+    template <typename Probe, typename Artifact>
     struct StageCodec;
 
     /// The stage routine every cached stage call runs: memory lookup
@@ -547,10 +592,10 @@ class SynthesisSession {
     /// compute that throws leaves no entry and reaches every waiter.
     /// `span_arg` names an integer arg of the span (nullptr: none).
     template <typename Key, typename Artifact, typename Hash,
-              typename Compute>
+              typename Probe, typename Compute>
     std::shared_ptr<const Artifact> cached(
-        StageCache<Key, Artifact, Hash>& cache, const Key& key,
-        const std::type_identity_t<StageCodec<Artifact>>* codec,
+        StageCache<Key, Artifact, Hash>& cache, const Probe& key,
+        const std::type_identity_t<StageCodec<Probe, Artifact>>* codec,
         Compute&& compute, const char* span_arg = nullptr,
         long long span_value = 0);
 

@@ -1,13 +1,21 @@
 // Annotated mutex / condition-variable shim for the capability analysis.
 //
-// Thin wrappers over std::mutex / std::condition_variable that carry the
-// clang thread-safety attributes from util/annotations.h. All code in
-// src/ uses these instead of the std types directly (enforced by the
-// `raw-mutex` rule in sunfloor_lint) so that `-Werror=thread-safety`
-// can prove lock discipline on every path at compile time.
+// Thin wrappers over std::mutex / std::shared_mutex /
+// std::condition_variable that carry the clang thread-safety attributes
+// from util/annotations.h. All code in src/ uses these instead of the
+// std types directly (enforced by the `raw-mutex` rule in sunfloor_lint)
+// so that `-Werror=thread-safety` can prove lock discipline on every
+// path at compile time.
 //
 //   util::Mutex     — exclusive capability; lock()/unlock()/try_lock().
 //   util::MutexLock — RAII guard for a whole scope (std::lock_guard).
+//   util::SharedMutex — shared/exclusive capability (std::shared_mutex):
+//                     any number of readers, or one writer.
+//   util::ReaderLock / util::WriterLock — whole-scope RAII guards that
+//                     hold a SharedMutex shared (std::shared_lock) or
+//                     exclusively (std::lock_guard). Data guarded by a
+//                     SharedMutex reads under either guard; a write
+//                     under a ReaderLock fails the analysis.
 //   util::UniqueLock— RAII guard that can be dropped and re-taken inside
 //                     the scope, and is the handle CondVar waits on
 //                     (std::unique_lock).
@@ -23,6 +31,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <shared_mutex>
 
 #include "sunfloor/util/annotations.h"
 
@@ -72,6 +81,52 @@ class SF_SCOPED_CAPABILITY MutexLock {
 
   private:
     Mutex& mu_;
+};
+
+/// Shared/exclusive-capability mutex (wraps std::shared_mutex).
+class SF_CAPABILITY("mutex") SharedMutex {
+  public:
+    SharedMutex() = default;
+    SharedMutex(const SharedMutex&) = delete;
+    SharedMutex& operator=(const SharedMutex&) = delete;
+
+    void lock() SF_ACQUIRE() { mu_.lock(); }
+    void unlock() SF_RELEASE() { mu_.unlock(); }
+    void lock_shared() SF_ACQUIRE_SHARED() { mu_.lock_shared(); }
+    void unlock_shared() SF_RELEASE_SHARED() { mu_.unlock_shared(); }
+
+  private:
+    std::shared_mutex mu_;
+};
+
+/// Whole-scope guard holding a SharedMutex shared.
+class SF_SCOPED_CAPABILITY ReaderLock {
+  public:
+    explicit ReaderLock(SharedMutex& mu) SF_ACQUIRE_SHARED(mu) : mu_(mu) {
+        mu_.lock_shared();
+    }
+    ~ReaderLock() SF_RELEASE() { mu_.unlock_shared(); }
+
+    ReaderLock(const ReaderLock&) = delete;
+    ReaderLock& operator=(const ReaderLock&) = delete;
+
+  private:
+    SharedMutex& mu_;
+};
+
+/// Whole-scope guard holding a SharedMutex exclusively.
+class SF_SCOPED_CAPABILITY WriterLock {
+  public:
+    explicit WriterLock(SharedMutex& mu) SF_ACQUIRE(mu) : mu_(mu) {
+        mu_.lock();
+    }
+    ~WriterLock() SF_RELEASE() { mu_.unlock(); }
+
+    WriterLock(const WriterLock&) = delete;
+    WriterLock& operator=(const WriterLock&) = delete;
+
+  private:
+    SharedMutex& mu_;
 };
 
 /// Droppable / re-takable RAII guard; the handle CondVar waits on.

@@ -7,6 +7,8 @@
 //     REQUIRES call without the capability) must FAIL it — the
 //     negative test that proves the analysis is wired up rather than
 //     silently compiled out,
+//   * fixtures/annotations/bad_shared.cpp (a guarded write holding a
+//     util::SharedMutex only through a ReaderLock) must FAIL it too,
 //   * representative migrated sources (thread_pool, metrics) must pass
 //     the same flags, pinning the tree-wide zero-warning state CI
 //     enforces with SUNFLOOR_WERROR_THREAD_SAFETY=ON.
@@ -63,6 +65,17 @@ TEST(AnnotationsCompileTest, BadDisciplineFailsToCompile) {
     const int rc = syntax_check("tests/fixtures/annotations/bad.cpp");
     EXPECT_GT(rc, 0) << "bad.cpp compiled clean: the thread-safety "
                         "analysis is not actually running";
+}
+
+TEST(AnnotationsCompileTest, WriteUnderReaderLockFailsToCompile) {
+    if (!compiler_is_clang())
+        GTEST_SKIP() << "thread-safety analysis is clang-only (compiler: "
+                     << SUNFLOOR_CXX_COMPILER_ID << ")";
+    // A shared hold must not license a write: what keeps a cache's
+    // lookups under a ReaderLock from mutating the map they share.
+    const int rc = syntax_check("tests/fixtures/annotations/bad_shared.cpp");
+    EXPECT_GT(rc, 0) << "bad_shared.cpp compiled clean: a ReaderLock "
+                        "grants writes";
 }
 
 TEST(AnnotationsCompileTest, MigratedSourcesStayWarningFree) {

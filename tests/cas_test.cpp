@@ -337,7 +337,8 @@ TEST(CasCodec, ArtifactsRoundTripBitExactly) {
     {
         const std::string blob = cas::encode_partition(*part);
         EXPECT_EQ(blob, cas::encode_partition(*part));  // deterministic
-        const auto back = cas::decode_partition(blob);
+        const auto back =
+            cas::decode_partition(blob, part->k, spec.cores.num_cores());
         ASSERT_TRUE(back.has_value());
         EXPECT_EQ(cas::encode_partition(*back), blob);
         EXPECT_EQ(back->block, part->block);
@@ -409,6 +410,7 @@ TEST(CasCodec, MalformedBlobsDecodeToNullopt) {
     const pipeline::EvaluatedDesign evaluated(
         pipeline::evaluate_design(pipeline::PlacementArtifact(routed.topo),
                                   spec, cfg));
+    const int n = spec.cores.num_cores();
 
     const std::string blobs[] = {
         cas::encode_partition(*part),
@@ -422,13 +424,13 @@ TEST(CasCodec, MalformedBlobsDecodeToNullopt) {
         const std::size_t cuts[] = {0, 1, blob.size() / 2, blob.size() - 1};
         for (const std::size_t cut : cuts) {
             const std::string t = blob.substr(0, cut);
-            EXPECT_FALSE(cas::decode_partition(t).has_value());
+            EXPECT_FALSE(cas::decode_partition(t, part->k, n).has_value());
             EXPECT_FALSE(cas::decode_routing(t, spec).has_value());
             EXPECT_FALSE(cas::decode_placement(t, spec).has_value());
             EXPECT_FALSE(cas::decode_evaluation(t, spec).has_value());
         }
         const std::string noisy = blob + "x";
-        EXPECT_FALSE(cas::decode_partition(noisy).has_value());
+        EXPECT_FALSE(cas::decode_partition(noisy, part->k, n).has_value());
         EXPECT_FALSE(cas::decode_routing(noisy, spec).has_value());
         EXPECT_FALSE(cas::decode_placement(noisy, spec).has_value());
         EXPECT_FALSE(cas::decode_evaluation(noisy, spec).has_value());
@@ -725,6 +727,100 @@ TEST(CasSession, UndecodableObjectsAreCountedAndReplaced) {
     ASSERT_TRUE(replaced.has_value());
     EXPECT_EQ(blob, cas::encode_routing(pipeline::route_assignment(
                         spec, cfg, assign)));
+}
+
+TEST(CasSession, PartitionsThatDoNotFitTheCallAreUndecodable) {
+    // A partition object whose checksum and key echo hold but whose cut
+    // does not fit the call — another k, a block vector of another
+    // length, an entry outside [0, k) — would have phase 1 or phase 2
+    // index their switch and core tables out of range. Each is undecodable: the
+    // session counts it once, recomputes the cut and replaces the object,
+    // and the results equal a run without a store. Phase 1 reads a PG
+    // cut (here k = 3), phase 2 the first cut of layer 0's LPG.
+    const DesignSpec spec = make_benchmark("D_26_media");
+    ASSERT_GT(spec.cores.num_layers(), 1);
+    const SynthesisConfig cfg = fast_cfg();
+    std::ostringstream design;
+    write_design(design, spec);
+    char prefix[32];
+    std::snprintf(prefix, sizeof prefix, "s%016llx|",
+                  static_cast<unsigned long long>(cas::fnv1a64(design.str())));
+
+    pipeline::SynthesisSession probe(spec);
+    RngState rng = Rng(cfg.seed).state();
+    pipeline::PartitionKey pg_key;
+    std::shared_ptr<const pipeline::PartitionArtifact> pg;
+    for (int k = 1; k <= 3; ++k) {
+        pg_key = {pipeline::PartitionGraphId::pg(), cfg.alpha, cfg.partition,
+                  k, rng};
+        pg = probe.partition(pg_key.graph, k, cfg, cfg.partition, rng);
+        rng = pg->rng_after;
+    }
+    // Phase 2's first cut, sized as SynthesisSession::phase2 sizes it.
+    const int max_block =
+        std::max(1, cfg.eval.lib.max_switch_size(cfg.eval.freq_hz) - 2);
+    const int layer0 = static_cast<int>(spec.cores.cores_in_layer(0).size());
+    const int np = (layer0 + max_block - 1) / max_block;
+    PartitionOptions popts = cfg.partition;
+    popts.max_block_size = std::min(max_block, (layer0 + np - 1) / np);
+    const pipeline::PartitionKey lpg_key{pipeline::PartitionGraphId::lpg(0),
+                                         cfg.alpha, popts, np,
+                                         Rng(cfg.seed).state()};
+    const auto lpg = probe.partition(lpg_key.graph, np, cfg, popts,
+                                     lpg_key.rng);
+
+    using Edit = void (*)(pipeline::PartitionArtifact&);
+    const struct {
+        const char* what;
+        SynthesisPhase phase;
+        const pipeline::PartitionKey* key;
+        const pipeline::PartitionArtifact* good;
+        Edit edit;
+    } cases[] = {
+        {"pg k+1", SynthesisPhase::Phase1, &pg_key, pg.get(),
+         [](pipeline::PartitionArtifact& a) { ++a.k; }},
+        {"pg one entry short", SynthesisPhase::Phase1, &pg_key, pg.get(),
+         [](pipeline::PartitionArtifact& a) { a.block.pop_back(); }},
+        {"pg one entry long", SynthesisPhase::Phase1, &pg_key, pg.get(),
+         [](pipeline::PartitionArtifact& a) { a.block.push_back(0); }},
+        {"pg entry 1000000", SynthesisPhase::Phase1, &pg_key, pg.get(),
+         [](pipeline::PartitionArtifact& a) { a.block[0] = 1000000; }},
+        {"pg entry k", SynthesisPhase::Phase1, &pg_key, pg.get(),
+         [](pipeline::PartitionArtifact& a) { a.block[0] = a.k; }},
+        {"pg entry -1", SynthesisPhase::Phase1, &pg_key, pg.get(),
+         [](pipeline::PartitionArtifact& a) { a.block[0] = -1; }},
+        {"lpg k+1", SynthesisPhase::Phase2, &lpg_key, lpg.get(),
+         [](pipeline::PartitionArtifact& a) { ++a.k; }},
+        {"lpg one entry short", SynthesisPhase::Phase2, &lpg_key, lpg.get(),
+         [](pipeline::PartitionArtifact& a) { a.block.pop_back(); }},
+        {"lpg entry k", SynthesisPhase::Phase2, &lpg_key, lpg.get(),
+         [](pipeline::PartitionArtifact& a) { a.block[0] = a.k; }},
+    };
+    const SynthesisResult ref1 =
+        run_synthesis(spec, cfg, SynthesisPhase::Phase1);
+    const SynthesisResult ref2 =
+        run_synthesis(spec, cfg, SynthesisPhase::Phase2);
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.what);
+        TempDir dir;
+        const std::string key = prefix + c.key->text();
+        pipeline::PartitionArtifact bad = *c.good;
+        c.edit(bad);
+        cas::Store store = open_store(dir.path);
+        ASSERT_TRUE(store.put(key, cas::encode_partition(bad)));
+
+        const long long undecodable_before = counter("cas.undecodable");
+        pipeline::SessionOptions so;
+        so.cas = std::make_shared<cas::Store>(cas::StoreOptions{dir.path});
+        pipeline::SynthesisSession session(spec, so);
+        expect_same_results(session.run(cfg, c.phase),
+                            c.phase == SynthesisPhase::Phase1 ? ref1 : ref2);
+        EXPECT_EQ(counter("cas.undecodable") - undecodable_before, 1);
+
+        std::string blob;
+        ASSERT_TRUE(store.get(key, blob));
+        EXPECT_EQ(blob, cas::encode_partition(*c.good));
+    }
 }
 
 TEST(CasSession, CorruptedObjectsAreRecomputedNeverServed) {

@@ -32,11 +32,31 @@ private:
     int n_ SF_GUARDED_BY(mu_) = 0;
 };
 
+// Readers share the lock; a writer holds it exclusively.
+class Table {
+public:
+    int load() const SF_EXCLUDES(mu_) {
+        sunfloor::util::ReaderLock lock(mu_);
+        return n_;
+    }
+
+    void store(int v) SF_EXCLUDES(mu_) {
+        sunfloor::util::WriterLock lock(mu_);
+        n_ = v;
+    }
+
+private:
+    mutable sunfloor::util::SharedMutex mu_;
+    int n_ SF_GUARDED_BY(mu_) = 0;
+};
+
 }  // namespace
 
 int main() {
     Counter c;
     c.add(1);
     c.bump();
-    return c.wait_nonzero();
+    Table t;
+    t.store(c.wait_nonzero());
+    return t.load();
 }

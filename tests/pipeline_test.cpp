@@ -3,9 +3,13 @@
 // stateless entry points.
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <latch>
 #include <limits>
@@ -15,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "sunfloor/cas/store.h"
 #include "sunfloor/core/synthesizer.h"
 #include "sunfloor/pipeline/session.h"
 #include "sunfloor/spec/benchmarks.h"
@@ -699,6 +704,125 @@ TEST(Pipeline, ConcurrentRunsOnOneSessionCountExactlyAsSerial) {
             for (std::size_t i = 0; i < r.points.size(); ++i)
                 EXPECT_EQ(&*r.points[i].topo, &*got[0].points[i].topo)
                     << "point " << i << " round " << round;
+    }
+
+    // Warm round: hits hold a stage lock shared while claims take it
+    // exclusively. Four threads rerun the warmed config — every stage
+    // call a hit — while two run a frequency the session has not seen,
+    // whose misses must still be claimed once each, not starve behind
+    // the stream of hits.
+    SynthesisConfig fresh = cfg;
+    fresh.eval.freq_hz = cfg.eval.freq_hz * 1.125;
+    pipeline::SynthesisSession serial_warm(spec);
+    serial_warm.run(cfg);
+    const auto before_fresh = serial_warm.stats();
+    const SynthesisResult want_fresh = serial_warm.run(fresh);
+    const auto fresh_stages = stages(serial_warm.stats() - before_fresh);
+    ASSERT_GT(fresh_stages[1].misses, 0);  // the new frequency reroutes
+
+    pipeline::SynthesisSession warm(spec);
+    const SynthesisResult first = warm.run(cfg);
+    const auto warm_before = stages(warm.stats());
+    constexpr int kWarm = 4;
+    constexpr int kFresh = 2;
+    std::vector<SynthesisResult> got(kWarm + kFresh);
+    std::latch start(kWarm + kFresh);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kWarm + kFresh; ++t)
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            got[static_cast<std::size_t>(t)] =
+                warm.run(t < kWarm ? cfg : fresh);
+        });
+    for (auto& th : threads) th.join();
+    for (int t = 0; t < kWarm + kFresh; ++t)
+        expect_same_results(got[static_cast<std::size_t>(t)],
+                            t < kWarm ? want : want_fresh);
+    for (int t = 0; t < kWarm; ++t) {
+        const SynthesisResult& r = got[static_cast<std::size_t>(t)];
+        ASSERT_EQ(r.points.size(), first.points.size());
+        for (std::size_t i = 0; i < r.points.size(); ++i)
+            EXPECT_EQ(&*r.points[i].topo, &*first.points[i].topo)
+                << "warm thread " << t << " point " << i;
+    }
+    const auto warm_after = stages(warm.stats());
+    for (std::size_t i = 0; i < serial_stages.size(); ++i) {
+        const long long misses = warm_after[i].misses - warm_before[i].misses;
+        EXPECT_EQ(misses, fresh_stages[i].misses) << "stage " << i;
+        if (i == 3) continue;  // position LP: consulted by misses only
+        const long long calls = kWarm * serial_stages[i].calls() +
+                                kFresh * fresh_stages[i].calls();
+        EXPECT_EQ(warm_after[i].hits - warm_before[i].hits, calls - misses)
+            << "stage " << i;
+    }
+}
+
+TEST(Pipeline, PhaseOneCutsCarryTheirAssignment) {
+    // A PG or SPG cut carries phase1_assignment of itself, computed or
+    // loaded from a store alike; an LPG cut (phase 2 composes several)
+    // carries none (an empty assignment).
+    const SynthesisConfig cfg = fast_cfg();
+    struct StoreDir {
+        std::string path;
+        ~StoreDir() { std::system(("rm -rf " + path).c_str()); }
+    } dir{[] {
+        char buf[] = "/tmp/sunfloor_assign_XXXXXX";
+        const char* p = ::mkdtemp(buf);
+        return std::string(p ? p : "");
+    }()};
+    ASSERT_FALSE(dir.path.empty());
+    for (const std::string& name : benchmark_names()) {
+        const DesignSpec spec = make_benchmark(name);
+        pipeline::SessionOptions so;
+        so.cas = std::make_shared<cas::Store>(cas::StoreOptions{dir.path});
+        pipeline::SynthesisSession computed(spec, so);
+        pipeline::SynthesisSession loaded(spec, so);
+        const RngState rng = Rng(cfg.seed).state();
+        const double theta_max = cfg.theta_max;
+        std::vector<pipeline::PartitionGraphId> graphs = {
+            pipeline::PartitionGraphId::pg(),
+            pipeline::PartitionGraphId::spg(cfg.theta_min, theta_max)};
+        for (int ly = 0; ly < spec.cores.num_layers(); ++ly)
+            graphs.push_back(pipeline::PartitionGraphId::lpg(ly));
+        for (const auto& graph : graphs) {
+            const bool lpg = graph.kind == pipeline::PartitionGraphId::Kind::LPG;
+            const int n =
+                lpg ? static_cast<int>(
+                          spec.cores.cores_in_layer(graph.layer).size())
+                    : spec.cores.num_cores();
+            for (int k = 1; k <= std::min(n, cfg.max_switches); ++k) {
+                const auto a =
+                    computed.partition(graph, k, cfg, cfg.partition, rng);
+                const auto b =
+                    loaded.partition(graph, k, cfg, cfg.partition, rng);
+                const std::string where = name + " " + graph.key() +
+                                          " k=" + std::to_string(k);
+                ASSERT_NE(a, b) << where;  // two sessions, two artifacts
+                EXPECT_EQ(a->block, b->block) << where;
+                if (lpg) {
+                    if (spec.cores.num_layers() > 1)
+                        for (const auto& part : {a, b}) {
+                            EXPECT_TRUE(part->assign.core_switch.empty())
+                                << where;
+                            EXPECT_TRUE(part->assign.switch_layer.empty())
+                                << where;
+                        }
+                    continue;
+                }
+                const CoreAssignment want =
+                    pipeline::phase1_assignment(*a, spec.cores);
+                for (const auto& part : {a, b}) {
+                    EXPECT_EQ(part->assign.core_switch, want.core_switch)
+                        << where;
+                    EXPECT_EQ(part->assign.switch_layer, want.switch_layer)
+                        << where;
+                }
+            }
+        }
+        // The second session computed nothing: every cut came from the
+        // store.
+        EXPECT_EQ(loaded.stats().partition.misses, 0) << name;
+        EXPECT_GT(loaded.stats().partition.hits, 0) << name;
     }
 }
 
