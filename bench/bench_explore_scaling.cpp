@@ -9,16 +9,22 @@
 // of wall times are the thread and shard-worker speedups. BM_explore_warm
 // reruns the grid on one session warmed before timing, at 1/2/4 pool
 // threads: every stage call hits, so its speedup is what concurrent
-// cache hits allow.
+// cache hits allow. BM_dist_store runs BM_dist_shards' grid through 1 and
+// 4 in-process shard workers against a content-addressed store written
+// before timing: every stage call of a timed run is a store read, so its
+// time per hit is the store read path (read, verify, decode).
 // run_benches.sh parses the JSON output into BENCH_explore.json.
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <vector>
 
 #include "common.h"
 #include "sunfloor/dist/coordinator.h"
 #include "sunfloor/explore/explorer.h"
+#include "sunfloor/obs/metrics.h"
 #include "sunfloor/pipeline/session.h"
 
 using namespace sunfloor;
@@ -159,6 +165,53 @@ void BM_dist_shards(benchmark::State& state) {
 BENCHMARK(BM_dist_shards)
     ->Arg(1)
     ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime();
+
+// BM_dist_shards' grid against a warm store: the store is written by one
+// untimed run into a temp directory (removed afterwards), so every stage
+// call of a timed run is a store read. cas_hits counts them per run and
+// cas_misses reads 0; run_benches.sh divides the run time by the hits.
+void BM_dist_store(benchmark::State& state) {
+    static const DesignSpec spec = prepared_benchmark("D_36_4");
+    const SynthesisConfig cfg = scaling_cfg();
+    ExploreOptions opts;
+    opts.num_threads = 1;
+
+    const int n = static_cast<int>(state.range(0));
+    std::vector<std::shared_ptr<dist::ShardTransport>> workers;
+    for (int i = 0; i < n; ++i)
+        workers.push_back(std::make_shared<dist::InprocTransport>());
+    char dir[] = "/tmp/sunfloor_bench_cas_XXXXXX";
+    if (::mkdtemp(dir) == nullptr) {
+        state.SkipWithError("cannot create a store directory");
+        return;
+    }
+    dist::DistOptions dopts;
+    dopts.shards = n;
+    dopts.cas_dir = dir;
+
+    const std::vector<GridPoint> grid = scaling_grid().enumerate();
+    dist::distribute_explore(spec, cfg, opts, grid, workers, dopts);
+    obs::Counter& hits = obs::Registry::global().counter("cas.hits");
+    obs::Counter& misses = obs::Registry::global().counter("cas.misses");
+    const long long hits_before = hits.value();
+    const long long misses_before = misses.value();
+    for (auto _ : state) {
+        const ExploreResult res =
+            dist::distribute_explore(spec, cfg, opts, grid, workers, dopts);
+        benchmark::DoNotOptimize(res.stats.valid_designs);
+    }
+    std::filesystem::remove_all(dir);
+    state.counters["cas_hits"] = static_cast<double>(
+        (hits.value() - hits_before) / state.iterations());
+    state.counters["cas_misses"] = static_cast<double>(
+        (misses.value() - misses_before) / state.iterations());
+}
+BENCHMARK(BM_dist_store)
+    ->Arg(1)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()

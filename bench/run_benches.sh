@@ -7,7 +7,10 @@
 #       (`shard_workers`), each count with its points/sec, speedup over 1
 #       and partition misses; the same grid rerun on one warm session by
 #       1/2/4 pool threads (`warm`: ms per run, speedup over 1 thread,
-#       stage misses, which read 0); the stage-reuse win on a frequency x
+#       stage misses, which read 0); the same grid through 1/4 in-process
+#       shard workers against a CAS store written before timing (`store`:
+#       ms per run, store hits per run, misses, which read 0, and us per
+#       hit in wall and CPU time); the stage-reuse win on a frequency x
 #       link-width grid (`stage_reuse`); the per-routing-policy sweep cost
 #       on a frequency x TSV grid (`routing`)
 #     bench_specgen: the `specgen` section (spec-generation throughput
@@ -163,6 +166,24 @@ warm = scaling(explore, "BM_explore_warm")
 for n, bs in group(explore, "BM_explore_warm").items():
     warm[n]["stage_misses"] = mean(bs, "stage_misses", 1)
 
+# The grid through 1/4 shard workers against a warm CAS store: every stage
+# call is a store read, so the time per hit is the store read path.
+store = {}
+for n, bs in sorted(group(explore, "BM_dist_store").items(),
+                    key=lambda g: int(g[0])):
+    hits = mean(bs, "cas_hits", 1)
+    store[n] = {
+        "real_time_ms": mean(bs, "real_time", 3),
+        "cpu_time_ms": mean(bs, "cpu_time", 3),
+        "cas_hits": hits,
+        "cas_misses": mean(bs, "cas_misses", 1),
+        "us_per_hit": round(1e3 * mean(bs, "real_time", 6) / hits, 3)
+        if hits else None,
+        "cpu_us_per_hit": round(1e3 * mean(bs, "cpu_time", 6) / hits, 3)
+        if hits else None,
+        "repetitions": len(bs),
+    }
+
 # Stage reuse on the frequency x link-width grid: arg 0 = recompute every
 # stage per point, arg 1 = shared-session artifact reuse.
 stage_reuse = {}
@@ -209,6 +230,7 @@ write(out_explore, {
     "threads": scaling(explore, "BM_explore"),
     "shard_workers": scaling(explore, "BM_dist_shards"),
     "warm": warm,
+    "store": store,
     "stage_reuse": stage_reuse,
     "routing": routing,
     "specgen": {

@@ -58,87 +58,68 @@ void enc_topology(Enc& e, const Topology& t) {
     for (int f = 0; f < t.num_flows(); ++f) e.ints(t.flow_path(f));
 }
 
-/// Rebuild a Topology through its public mutators: construct from the
-/// spec's cores, restore per-core geometry snapshots, append switches and
-/// links *in serialized order* (add_parallel_link never dedups, so ids are
-/// preserved), replay the flow paths in flow order (which re-runs
+/// Rebuild a Topology through its public mutators as its bytes are read:
+/// construct it from the spec's cores, restore each core's geometry
+/// snapshot, append switches and links *in serialized order*
+/// (add_parallel_link never dedups, so ids are preserved), replay the flow
+/// paths in flow order through one reused buffer (which re-runs
 /// set_flow_path's id/contiguity/class invariants), then patch each
-/// link's accumulated bandwidth to the exact serialized bits. The caller
-/// publishes the result as its artifact's shared topology.
+/// link's accumulated bandwidth to the exact serialized bits. A short read
+/// or a mutator that rejects the data makes the whole topology corrupt.
+/// The caller publishes the result as its artifact's shared topology.
 std::optional<Topology> dec_topology(Dec& d, const DesignSpec& spec) {
     const int num_cores = d.i32();
     if (!d.ok() || num_cores != spec.cores.num_cores()) return std::nullopt;
-    struct CoreGeom {
-        Point center;
-        int layer;
-    };
-    std::vector<CoreGeom> cores(static_cast<std::size_t>(num_cores));
-    for (auto& c : cores) {
-        c.center.x = d.f64();
-        c.center.y = d.f64();
-        c.layer = d.i32();
-    }
-    const int num_switches = d.i32();
-    if (!d.ok() || num_switches < 0) return std::nullopt;
-    struct SwitchRec {
-        std::string name;
-        int layer;
-        Point pos;
-    };
-    // Untrusted counts: grow with the decoded records, never reserve them.
-    std::vector<SwitchRec> switches;
-    for (int s = 0; s < num_switches; ++s) {
-        SwitchRec r;
-        r.name = d.str();
-        r.layer = d.i32();
-        r.pos.x = d.f64();
-        r.pos.y = d.f64();
-        if (!d.ok()) return std::nullopt;
-        switches.push_back(std::move(r));
-    }
-    const int num_links = d.i32();
-    if (!d.ok() || num_links < 0) return std::nullopt;
-    struct LinkRec {
-        NodeRef src, dst;
-        FlowType cls;
-        double bw;
-    };
-    std::vector<LinkRec> links;
-    for (int l = 0; l < num_links; ++l) {
-        LinkRec r;
-        const std::uint8_t sk = d.u8();
-        r.src = sk == 0 ? NodeRef::core(d.i32()) : NodeRef::sw(d.i32());
-        const std::uint8_t dk = d.u8();
-        r.dst = dk == 0 ? NodeRef::core(d.i32()) : NodeRef::sw(d.i32());
-        const std::uint8_t cls = d.u8();
-        if (cls > 1 || sk > 1 || dk > 1) return std::nullopt;
-        r.cls = static_cast<FlowType>(cls);
-        r.bw = d.f64();
-        if (!d.ok()) return std::nullopt;
-        links.push_back(r);
-    }
-    const int num_flows = d.i32();
-    if (!d.ok() || num_flows != spec.comm.num_flows()) return std::nullopt;
-    std::vector<std::vector<int>> paths(static_cast<std::size_t>(num_flows));
-    for (auto& p : paths) {
-        p = d.ints();
-        if (!d.ok()) return std::nullopt;
-    }
-
     try {
-        Topology topo(spec.cores, num_flows);
-        for (int c = 0; c < num_cores; ++c)
-            topo.set_core_geometry(c, cores[static_cast<std::size_t>(c)].center,
-                                   cores[static_cast<std::size_t>(c)].layer);
-        for (auto& s : switches)
-            topo.add_switch(std::move(s.name), s.layer, s.pos);
-        for (const auto& l : links) topo.add_parallel_link(l.src, l.dst, l.cls);
-        for (int f = 0; f < num_flows; ++f)
-            if (!paths[static_cast<std::size_t>(f)].empty())
-                topo.set_flow_path(f, spec.comm.flow(f),
-                                   paths[static_cast<std::size_t>(f)]);
+        Topology topo(spec.cores, spec.comm.num_flows());
+        for (int c = 0; c < num_cores; ++c) {
+            Point center;
+            center.x = d.f64();
+            center.y = d.f64();
+            const int layer = d.i32();
+            topo.set_core_geometry(c, center, layer);
+        }
+        // Untrusted counts: the loops stop at the first short read, and
+        // nothing is reserved by them.
+        const int num_switches = d.i32();
+        if (!d.ok() || num_switches < 0) return std::nullopt;
+        for (int s = 0; s < num_switches; ++s) {
+            std::string name = d.str();
+            const int layer = d.i32();
+            Point pos;
+            pos.x = d.f64();
+            pos.y = d.f64();
+            if (!d.ok()) return std::nullopt;
+            topo.add_switch(std::move(name), layer, pos);
+        }
+        const int num_links = d.i32();
+        if (!d.ok() || num_links < 0) return std::nullopt;
+        // set_flow_path accumulates onto the links, so the serialized
+        // bandwidths wait here until the paths are replayed.
+        std::vector<double> bw;
+        for (int l = 0; l < num_links; ++l) {
+            const std::uint8_t sk = d.u8();
+            const int src = d.i32();
+            const std::uint8_t dk = d.u8();
+            const int dst = d.i32();
+            const std::uint8_t cls = d.u8();
+            bw.push_back(d.f64());
+            if (!d.ok() || cls > 1 || sk > 1 || dk > 1) return std::nullopt;
+            topo.add_parallel_link(
+                sk == 0 ? NodeRef::core(src) : NodeRef::sw(src),
+                dk == 0 ? NodeRef::core(dst) : NodeRef::sw(dst),
+                static_cast<FlowType>(cls));
+        }
+        const int num_flows = d.i32();
+        if (!d.ok() || num_flows != spec.comm.num_flows()) return std::nullopt;
+        std::vector<int> path;
+        for (int f = 0; f < num_flows; ++f) {
+            d.ints(path);
+            if (!d.ok()) return std::nullopt;
+            if (!path.empty()) topo.set_flow_path(f, spec.comm.flow(f), path);
+        }
         for (int l = 0; l < num_links; ++l)
-            topo.link(l).bw_mbps = links[static_cast<std::size_t>(l)].bw;
+            topo.link(l).bw_mbps = bw[static_cast<std::size_t>(l)];
         return topo;
     } catch (const std::exception&) {
         // A mutator rejected the data (bad index, broken path): corrupt.
@@ -287,25 +268,36 @@ std::string encode_evaluation(const pipeline::EvaluatedDesign& a) {
 }
 
 std::optional<pipeline::EvaluatedDesign> decode_evaluation(
-    std::string_view blob, const DesignSpec& spec) {
+    std::string_view blob, const DesignSpec& spec,
+    const SharedTopology* placed) {
     Dec d(blob);
     if (d.u8() != kTagEvaluation) return std::nullopt;
-    const std::string phase = d.str();
+    std::string phase = d.str();
     const int switch_count = d.i32();
     const double theta = d.f64();
-    auto topo = dec_topology(d, spec);
-    if (!topo) return std::nullopt;
-    DesignPoint p(std::move(*topo));
-    p.phase = phase;
-    p.switch_count = switch_count;
-    p.theta = theta;
-    p.report = dec_report(d);
-    p.layer_die_area_mm2 = d.doubles();
-    p.valid = d.u8() != 0;
-    p.fail_reason = d.str();
-    p.capacity_violations = d.i32();
+    std::optional<DesignPoint> p;
+    if (placed != nullptr) {
+        // The design shares the caller's topology, so the blob must hold
+        // exactly its bytes: any other topology is corrupt.
+        Enc e;
+        enc_topology(e, **placed);
+        if (!d.expect(e.view())) return std::nullopt;
+        p.emplace(*placed);
+    } else {
+        auto topo = dec_topology(d, spec);
+        if (!topo) return std::nullopt;
+        p.emplace(std::move(*topo));
+    }
+    p->phase = std::move(phase);
+    p->switch_count = switch_count;
+    p->theta = theta;
+    p->report = dec_report(d);
+    p->layer_die_area_mm2 = d.doubles();
+    p->valid = d.u8() != 0;
+    p->fail_reason = d.str();
+    p->capacity_violations = d.i32();
     if (!d.done()) return std::nullopt;
-    return pipeline::EvaluatedDesign(std::move(p));
+    return pipeline::EvaluatedDesign(std::move(*p));
 }
 
 }  // namespace sunfloor::cas

@@ -8,11 +8,22 @@
 // default constructor and its mutators validate paths against the spec's
 // flows, so decoding re-runs the same invariants construction did.
 //
+// A topology decodes in one pass: each switch and link goes straight
+// into the Topology as it is read, and every flow path is read into one
+// reused buffer and handed to set_flow_path, so nothing is staged before
+// the first mutator runs. An evaluation served from the store names the
+// placed topology its stage key already holds (decode_evaluation's
+// `placed`): its topology section must then equal that topology's
+// encoding byte for byte, and the design shares it instead of decoding a
+// copy, as a computed evaluation does. The dist coordinator, which holds
+// no placed topology, decodes the section in full.
+//
 // decode_* returns nullopt on any malformed input (truncation, trailing
-// garbage, out-of-range indices, invariant violations) — the session
-// treats that like a store miss: it recomputes, replaces the object and
-// counts it in cas.undecodable. The routing and placement decoders set
-// the artifact's topo_hash, as the stages that create them do.
+// garbage, out-of-range indices, invariant violations, a topology section
+// other than `placed`'s) — the session treats that like a store miss: it
+// recomputes, replaces the object and counts it in cas.undecodable. The
+// routing and placement decoders set the artifact's topo_hash, as the
+// stages that create them do.
 #pragma once
 
 #include <optional>
@@ -42,7 +53,10 @@ std::optional<pipeline::PlacementArtifact> decode_placement(
     std::string_view blob, const DesignSpec& spec);
 
 std::string encode_evaluation(const pipeline::EvaluatedDesign& a);
+/// With `placed`, the design shares that topology, and a blob whose
+/// topology section is not exactly its encoding is malformed.
 std::optional<pipeline::EvaluatedDesign> decode_evaluation(
-    std::string_view blob, const DesignSpec& spec);
+    std::string_view blob, const DesignSpec& spec,
+    const SharedTopology* placed = nullptr);
 
 }  // namespace sunfloor::cas

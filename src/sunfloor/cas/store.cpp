@@ -56,9 +56,8 @@ std::uint64_t get_u64(const unsigned char* p) {
     return v;
 }
 
-bool read_whole_file(const std::string& path, std::string& out) {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) return false;
+/// Read `fd` to its end into `out`.
+bool read_all_fd(int fd, std::string& out) {
     out.clear();
     char buf[65536];
     for (;;) {
@@ -67,13 +66,9 @@ bool read_whole_file(const std::string& path, std::string& out) {
             out.append(buf, static_cast<std::size_t>(n));
             continue;
         }
-        if (n == 0) break;
-        if (errno == EINTR) continue;
-        ::close(fd);
-        return false;
+        if (n == 0) return true;
+        if (errno != EINTR) return false;
     }
-    ::close(fd);
-    return true;
 }
 
 bool write_all_fd(int fd, const char* p, std::size_t n) {
@@ -188,13 +183,22 @@ bool Store::put(std::string_view key, std::string_view payload) {
 
 bool Store::get(std::string_view key, std::string& payload_out) {
     const std::string path = object_path(key);
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     std::string blob;
-    if (!read_whole_file(path, blob)) {
+    if (fd < 0 || !read_all_fd(fd, blob)) {
+        if (fd >= 0) ::close(fd);
         misses_->add();
         return false;
     }
     std::size_t off = 0, len = 0;
     const int v = validate_blob(blob, key, off, len);
+    // Refresh both timestamps of the file just validated, through its
+    // descriptor: gc()'s LRU order keys on mtime so it works on
+    // noatime/relatime mounts too, and a newer object renamed over the
+    // name meanwhile keeps its own. A concurrent eviction racing this is
+    // benign (the object is already fully read).
+    if (v == 0) ::futimens(fd, nullptr);
+    ::close(fd);
     if (v != 0) {
         if (v == 1) {
             // Truncated or bit-flipped: debris, recompute and replace.
@@ -205,10 +209,6 @@ bool Store::get(std::string_view key, std::string& payload_out) {
         return false;
     }
     payload_out.assign(blob, off, len);
-    // Refresh both timestamps: gc()'s LRU order keys on mtime so it works
-    // on noatime/relatime mounts too. A concurrent eviction racing this is
-    // benign (the object is already fully read).
-    ::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
     hits_->add();
     return true;
 }

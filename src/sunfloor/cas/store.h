@@ -34,8 +34,11 @@
 // --max-bytes` calls it: put() never evicts, so a store grows until an
 // operator bounds it. gc is size-bounded and age-ordered: successful
 // loads bump the object's timestamps, and when the store exceeds the
-// bound the least-recently-used objects go first. Stale `.tmp` debris
-// (older than a minute) is reaped on the way.
+// bound the least-recently-used objects go first. A load bumps them with
+// futimens on the descriptor it read, once the bytes have validated, so
+// the refresh lands on the object served: a newer object renamed over
+// the name meanwhile keeps its own timestamps. Stale `.tmp` debris (older
+// than a minute) is reaped on the way.
 //
 // Metrics land in obs::Registry::global() under cas.{hits,misses,stores,
 // evictions,corrupt}; `sunfloor_cli cas stats|gc` is the operator surface.
@@ -92,7 +95,8 @@ class Store {
     /// Load the payload stored under `key`. Returns false on miss; a
     /// corrupt object (bad magic/lengths/checksum) counts as a miss, is
     /// unlinked, and bumps cas.corrupt. A successful load refreshes the
-    /// object's timestamps (the gc() recency order).
+    /// timestamps of the file it read (the gc() recency order), through
+    /// its descriptor and after validation.
     bool get(std::string_view key, std::string& payload_out);
 
     StoreStats stats() const;

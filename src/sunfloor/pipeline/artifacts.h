@@ -25,9 +25,10 @@
 //
 // Topologies are immutable and shared (SharedTopology). The routing
 // artifact publishes the routed topology and the placement artifact a
-// copy with the switches moved; the evaluated design and every
-// DesignPoint returned for it share the placed one, and a failed design
-// shares the routed one. A warm rerun therefore copies no topology.
+// copy with the switches moved; the evaluated design (computed, or read
+// from a store by the placement it was keyed on) and every DesignPoint
+// returned for it share the placed one, and a failed design shares the
+// routed one. A warm rerun therefore copies no topology.
 //
 // The routing and placement artifacts carry their topology's content
 // hash (Topology::content_hash), taken once when the artifact is created

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <set>
@@ -27,12 +29,46 @@ namespace sunfloor::pipeline {
 
 namespace {
 
-void append_int_list(std::string& out, std::span<const int> v) {
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i > 0) out += ',';
-        out += std::to_string(v[i]);
+/// Key text written straight into the string it builds: the string is
+/// sized once for the longest text the caller will write, each put
+/// renders in place (integers through std::to_chars, doubles as the
+/// write_hex64 digits of their bits), and done() trims the string to what
+/// was written.
+class KeyWriter {
+  public:
+    /// The most bytes one put_int writes ("-2147483648").
+    static constexpr std::size_t kMaxInt = 11;
+    /// The bytes one put_bits writes.
+    static constexpr std::size_t kBits = 16;
+
+    KeyWriter(std::string& out, std::size_t most) : out_(out) {
+        const std::size_t at = out_.size();
+        out_.resize(at + most);
+        p_ = out_.data() + at;
     }
-}
+
+    void put(char c) { *p_++ = c; }
+    void put(std::string_view s) {
+        std::memcpy(p_, s.data(), s.size());
+        p_ += s.size();
+    }
+    void put_int(int v) { p_ = std::to_chars(p_, p_ + kMaxInt, v).ptr; }
+    void put_bits(double v) {
+        p_ = write_hex64(p_, std::bit_cast<std::uint64_t>(v));
+    }
+    /// Comma-separated, at most v.size() * (kMaxInt + 1) bytes.
+    void put_ints(std::span<const int> v) {
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            if (i > 0) put(',');
+            put_int(v[i]);
+        }
+    }
+    void done() { out_.resize(static_cast<std::size_t>(p_ - out_.data())); }
+
+  private:
+    std::string& out_;
+    char* p_;
+};
 
 /// One step of the stage keys' hashes: fold `v` into `h`.
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
@@ -164,63 +200,78 @@ std::string eval_cfg_key(const SynthesisConfig& cfg) {
 }
 
 std::string assignment_key(const CoreAssignment& assign) {
-    std::string key = "cs=";
-    append_int_list(key, assign.core_switch);
-    key += ";sl=";
-    append_int_list(key, assign.switch_layer);
+    constexpr std::size_t kInt = KeyWriter::kMaxInt + 1;
+    std::string key;
+    KeyWriter w(key, 7 + kInt * (assign.core_switch.size() +
+                                 assign.switch_layer.size()));
+    w.put("cs=");
+    w.put_ints(assign.core_switch);
+    w.put(";sl=");
+    w.put_ints(assign.switch_layer);
+    w.done();
     return key;
 }
 
 std::string topology_fingerprint(const Topology& topo) {
+    constexpr std::size_t kInt = KeyWriter::kMaxInt;
+    constexpr std::size_t kBits = KeyWriter::kBits;
+    // The section tags, then each record's separators and widest fields.
+    std::size_t most =
+        12 +
+        static_cast<std::size_t>(topo.num_cores()) * (kInt + 3 + 2 * kBits) +
+        static_cast<std::size_t>(topo.num_links()) * (3 * kInt + 6 + kBits);
+    for (int i = 0; i < topo.num_switches(); ++i)
+        most += topo.switch_at(i).name.size() + kInt + 4 + 2 * kBits;
+    for (int f = 0; f < topo.num_flows(); ++f)
+        most += topo.flow_path(f).size() * (kInt + 1) + 1;
+
     std::string s;
-    s.reserve(static_cast<std::size_t>(40 * topo.num_cores() +
-                                       48 * topo.num_switches() +
-                                       40 * topo.num_links() +
-                                       8 * topo.num_flows()));
+    KeyWriter w(s, most);
     auto add_point = [&](const Point& p) {
-        append_double_bits(s, p.x);
-        s += ',';
-        append_double_bits(s, p.y);
+        w.put_bits(p.x);
+        w.put(',');
+        w.put_bits(p.y);
     };
     auto add_node = [&](NodeRef n) {
-        s += n.is_core() ? 'c' : 's';
-        s += std::to_string(n.index);
+        w.put(n.is_core() ? 'c' : 's');
+        w.put_int(n.index);
     };
-    s += "co:";
+    w.put("co:");
     for (int c = 0; c < topo.num_cores(); ++c) {
         const NodeRef n = NodeRef::core(c);
-        s += std::to_string(topo.node_layer(n));
-        s += '@';
+        w.put_int(topo.node_layer(n));
+        w.put('@');
         add_point(topo.node_position(n));
-        s += ';';
+        w.put(';');
     }
-    s += "sw:";
+    w.put("sw:");
     for (int i = 0; i < topo.num_switches(); ++i) {
         const NocSwitch& sw = topo.switch_at(i);
-        s += sw.name;
-        s += '/';
-        s += std::to_string(sw.layer);
-        s += '@';
+        w.put(sw.name);
+        w.put('/');
+        w.put_int(sw.layer);
+        w.put('@');
         add_point(sw.position);
-        s += ';';
+        w.put(';');
     }
-    s += "lk:";
+    w.put("lk:");
     for (int l = 0; l < topo.num_links(); ++l) {
         const NocLink& lk = topo.link(l);
         add_node(lk.src);
-        s += '>';
+        w.put('>');
         add_node(lk.dst);
-        s += '/';
-        s += std::to_string(static_cast<int>(lk.cls));
-        s += '=';
-        append_double_bits(s, lk.bw_mbps);
-        s += ';';
+        w.put('/');
+        w.put_int(static_cast<int>(lk.cls));
+        w.put('=');
+        w.put_bits(lk.bw_mbps);
+        w.put(';');
     }
-    s += "fl:";
+    w.put("fl:");
     for (int f = 0; f < topo.num_flows(); ++f) {
-        append_int_list(s, topo.flow_path(f));
-        s += ';';
+        w.put_ints(topo.flow_path(f));
+        w.put(';');
     }
+    w.done();
     return s;
 }
 
@@ -776,12 +827,14 @@ std::shared_ptr<const EvaluatedDesign> SynthesisSession::evaluate(
     // evaluation whatever path produced them. The placement config rides
     // along because the artifact's die-area vector (copied into the
     // design point) comes from the floorplan side, not the topology
-    // content.
+    // content. A stored evaluation shares the placed topology its key
+    // holds, as a computed one does, once its topology bytes prove to be
+    // that topology's.
     static constexpr StageCodec<EvaluationKey, EvaluatedDesign> kCodec{
         cas::encode_evaluation,
         [](std::string_view blob, const DesignSpec& spec,
-           const EvaluationKey&) {
-            return cas::decode_evaluation(blob, spec);
+           const EvaluationKey& key) {
+            return cas::decode_evaluation(blob, spec, &key.input->topo);
         }};
     const PlacementArtifact& input = *placed;
     return cached(evaluations_,

@@ -56,13 +56,18 @@ std::string double_bits(double v) {
     return out;
 }
 
-void append_hex64(std::string& out, std::uint64_t v) {
+char* write_hex64(char* out, std::uint64_t v) {
     static constexpr char kDigits[] = "0123456789abcdef";
-    char buf[16];
     for (int i = 15; i >= 0; --i) {
-        buf[i] = kDigits[v & 0xf];
+        out[i] = kDigits[v & 0xf];
         v >>= 4;
     }
+    return out + 16;
+}
+
+void append_hex64(std::string& out, std::uint64_t v) {
+    char buf[16];
+    write_hex64(buf, v);
     out.append(buf, sizeof buf);
 }
 

@@ -30,9 +30,13 @@ bool iequals(std::string_view a, std::string_view b);
 /// distinct.
 std::string double_bits(double v);
 
-/// Append the 16 lowercase hex digits of `v`, zero-padded (the bytes
-/// "%016llx" prints), written directly rather than through vsnprintf:
-/// the stage keys render thousands of these per synthesis.
+/// Write the 16 lowercase hex digits of `v`, zero-padded (the bytes
+/// "%016llx" prints), at `out`; returns the end of what it wrote. Direct
+/// rather than through vsnprintf: the stage keys render thousands of
+/// these per synthesis.
+char* write_hex64(char* out, std::uint64_t v);
+
+/// Append write_hex64's 16 digits of `v` to `out`.
 void append_hex64(std::string& out, std::uint64_t v);
 
 /// Append double_bits(v) to `out`.

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -396,6 +397,114 @@ TEST(CasCodec, ArtifactsRoundTripBitExactly) {
     }
 }
 
+/// Bytes from a hex string ("0a ff" style, spaces ignored).
+std::string from_hex(std::string_view hex) {
+    std::string out;
+    int hi = -1;
+    for (const char c : hex) {
+        if (c == ' ') continue;
+        const int v = c <= '9' ? c - '0' : c - 'a' + 10;
+        if (hi < 0) {
+            hi = v;
+        } else {
+            out.push_back(static_cast<char>(hi * 16 + v));
+            hi = -1;
+        }
+    }
+    return out;
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(CasCodec, ByteLayoutIsPinned) {
+    // Enc and Dec move words and arrays with memcpy; the layout they
+    // write is the little-endian one stage keys, CAS objects and the
+    // shard wire were pinned with, whatever the host.
+    const double nan_payload = std::bit_cast<double>(0x7ff4000000000abcULL);
+    const int ints[] = {1, -2, INT_MAX};
+    const double doubles[] = {0.5, -3.25};
+    cas::Enc e;
+    e.u8(0xab);
+    e.u32(0x01020304u);
+    e.u64(0x0102030405060708ULL);
+    e.i32(-1);
+    e.i32(INT_MIN);
+    e.f64(-0.0);
+    e.f64(1.0);
+    e.f64(nan_payload);
+    e.str("hi");
+    e.str("");
+    e.ints(ints);
+    e.ints({});
+    e.doubles(doubles);
+    e.doubles({});
+    const std::string want = from_hex(
+        "ab"                                             // u8
+        "04030201"                                       // u32
+        "0807060504030201"                               // u64
+        "ffffffff"                                       // i32 -1
+        "00000080"                                       // i32 INT_MIN
+        "0000000000000080"                               // f64 -0.0
+        "000000000000f03f"                               // f64 1.0
+        "bc0a00000000f47f"                               // f64 NaN payload
+        "02000000 6869"                                  // str "hi"
+        "00000000"                                       // str ""
+        "03000000 01000000 feffffff ffffff7f"            // ints
+        "00000000"                                       // ints {}
+        "02000000 000000000000e03f 0000000000000ac0"     // doubles
+        "00000000");                                     // doubles {}
+    const std::string got = e.take();
+    ASSERT_EQ(got, want);
+
+    cas::Dec d(got);
+    EXPECT_EQ(d.u8(), 0xab);
+    EXPECT_EQ(d.u32(), 0x01020304u);
+    EXPECT_EQ(d.u64(), 0x0102030405060708ULL);
+    EXPECT_EQ(d.i32(), -1);
+    EXPECT_EQ(d.i32(), INT_MIN);
+    EXPECT_EQ(bits_of(d.f64()), bits_of(-0.0));
+    EXPECT_EQ(bits_of(d.f64()), bits_of(1.0));
+    EXPECT_EQ(bits_of(d.f64()), 0x7ff4000000000abcULL);
+    EXPECT_EQ(d.str(), "hi");
+    EXPECT_EQ(d.str(), "");
+    EXPECT_EQ(d.ints(), std::vector<int>(std::begin(ints), std::end(ints)));
+    EXPECT_TRUE(d.ints().empty());
+    const std::vector<double> back = d.doubles();
+    ASSERT_EQ(back.size(), 2u);
+    EXPECT_EQ(bits_of(back[0]), bits_of(0.5));
+    EXPECT_EQ(bits_of(back[1]), bits_of(-3.25));
+    EXPECT_TRUE(d.doubles().empty());
+    EXPECT_TRUE(d.done());
+
+    // A length prefix larger than the bytes left poisons the decoder and
+    // sizes nothing: the arrays come back without storage.
+    const std::string huge = from_hex("ffffff7f 010203");
+    {
+        cas::Dec s(huge);
+        EXPECT_TRUE(s.str().empty());
+        EXPECT_FALSE(s.ok());
+    }
+    {
+        cas::Dec s(huge);
+        std::vector<int> reused;
+        s.ints(reused);
+        EXPECT_FALSE(s.ok());
+        EXPECT_EQ(reused.capacity(), 0u);
+    }
+    {
+        cas::Dec s(huge);
+        EXPECT_EQ(s.doubles().capacity(), 0u);
+        EXPECT_FALSE(s.ok());
+    }
+    {
+        // Two ints announced, one present.
+        const std::string short_ints = from_hex("02000000 01000000");
+        cas::Dec s(short_ints);
+        EXPECT_EQ(s.ints().capacity(), 0u);
+        EXPECT_FALSE(s.ok());
+    }
+}
+
 TEST(CasCodec, MalformedBlobsDecodeToNullopt) {
     const DesignSpec spec = make_benchmark("D_36_4");
     const SynthesisConfig cfg = fast_cfg();
@@ -727,6 +836,192 @@ TEST(CasSession, UndecodableObjectsAreCountedAndReplaced) {
     ASSERT_TRUE(replaced.has_value());
     EXPECT_EQ(blob, cas::encode_routing(pipeline::route_assignment(
                         spec, cfg, assign)));
+}
+
+/// Walk phase 1's PG sweep stage by stage, as SynthesisSession::phase1
+/// does, and check that every evaluated design shares its placement
+/// artifact's topology object. Returns the designs checked.
+int expect_evaluations_share_placed_topology(
+    pipeline::SynthesisSession& session, const DesignSpec& spec,
+    const SynthesisConfig& cfg) {
+    int checked = 0;
+    RngState rng = Rng(cfg.seed).state();
+    const int hi = std::min(cfg.max_switches, spec.cores.num_cores());
+    for (int k = 1; k <= hi; ++k) {
+        const auto part = session.partition(pipeline::PartitionGraphId::pg(),
+                                            k, cfg, cfg.partition, rng);
+        rng = part->rng_after;
+        const auto routed = session.route(part->assign, cfg);
+        if (!routed->ok) continue;
+        const auto placed = session.place(routed, cfg);
+        const auto evaluated = session.evaluate(placed, cfg);
+        EXPECT_EQ(&*evaluated->point.topo, &*placed->topo) << "k=" << k;
+        ++checked;
+    }
+    return checked;
+}
+
+TEST(CasSession, StoreServedEvaluationsShareThePlacedTopology) {
+    // A computed evaluation shares its placement's topology object; one
+    // served from the store shares it too (the placed topology its key
+    // holds), so a store-served design holds the same two topologies,
+    // routed and placed, as a memory-served one.
+    TempDir dir;
+    const DesignSpec spec = make_benchmark("D_36_4");
+    const SynthesisConfig cfg = fast_cfg();
+    {
+        pipeline::SynthesisSession memory(spec);
+        EXPECT_GT(expect_evaluations_share_placed_topology(memory, spec, cfg),
+                  0);
+        pipeline::SessionOptions so;
+        so.cas = std::make_shared<cas::Store>(cas::StoreOptions{dir.path});
+        pipeline::SynthesisSession warmup(spec, so);
+        warmup.run(cfg);
+    }
+    pipeline::SessionOptions so;
+    so.cas = std::make_shared<cas::Store>(cas::StoreOptions{dir.path});
+    const long long undecodable_before = counter("cas.undecodable");
+    pipeline::SynthesisSession fresh(spec, so);
+    EXPECT_GT(expect_evaluations_share_placed_topology(fresh, spec, cfg), 0);
+    const pipeline::SessionStats st = fresh.stats();
+    EXPECT_GT(st.evaluation.hits, 0);
+    EXPECT_EQ(st.evaluation.misses, 0);
+    EXPECT_EQ(st.placement.misses, 0);
+    EXPECT_EQ(counter("cas.undecodable"), undecodable_before);
+}
+
+/// Where flow `flow`'s path (its u32 length) starts in enc_topology's
+/// bytes of `t`: cores (20 bytes each), switches (name, layer, position),
+/// links (19 bytes each), then one length-prefixed id list per flow.
+std::size_t flow_path_offset(const Topology& t, int flow) {
+    std::size_t at = 4 + 20 * static_cast<std::size_t>(t.num_cores()) + 4;
+    for (int sw = 0; sw < t.num_switches(); ++sw)
+        at += 4 + t.switch_at(sw).name.size() + 20;
+    at += 4 + 19 * static_cast<std::size_t>(t.num_links()) + 4;
+    for (int f = 0; f < flow; ++f) at += 4 + 4 * t.flow_path(f).size();
+    return at;
+}
+
+TEST(CasSession, EvaluationsOfAnotherTopologyAreUndecodable) {
+    // An evaluation object is filed under its placed topology's
+    // fingerprint, and a store-served design shares the placed topology
+    // its key holds. One whose checksum and key echo hold but whose
+    // topology section is another topology (one switch moved, or one
+    // flow-path hop moved to a parallel link, which still decodes as a
+    // valid topology) is undecodable: counted once, recomputed and
+    // replaced, and the results, topologies included, equal a run
+    // without a store.
+    TempDir cold_dir;
+    const DesignSpec spec = make_benchmark("D_36_4");
+    const SynthesisConfig cfg = fast_cfg();
+    const SynthesisResult ref = run_synthesis(spec, cfg);
+    {
+        pipeline::SessionOptions so;
+        so.cas = std::make_shared<cas::Store>(cas::StoreOptions{cold_dir.path});
+        pipeline::SynthesisSession warmup(spec, so);
+        warmup.run(cfg);
+    }
+    cas::Store cold = open_store(cold_dir.path);
+    std::ostringstream design;
+    write_design(design, spec);
+    char prefix[32];
+    std::snprintf(prefix, sizeof prefix, "s%016llx|",
+                  static_cast<unsigned long long>(cas::fnv1a64(design.str())));
+    const std::string ev_prefix = std::string(prefix) + "ev|";
+
+    // One edit per case: the evaluation key it applies to and its bytes.
+    struct Edit {
+        const char* what;
+        std::string key;
+        std::string original;
+        std::string edited;
+    };
+    std::vector<Edit> edits;
+    for (const std::string& key : object_keys(cold_dir.path)) {
+        if (key.compare(0, ev_prefix.size(), ev_prefix) != 0) continue;
+        std::string payload;
+        ASSERT_TRUE(cold.get(key, payload));
+        const auto ev = cas::decode_evaluation(payload, spec);
+        ASSERT_TRUE(ev.has_value());
+        const Topology& t = ev->point.topo;
+        // The topology section follows the tag, the phase string, the
+        // switch count and theta.
+        const std::size_t topo_at = 1 + 4 + ev->point.phase.size() + 4 + 8;
+        if (edits.empty() && t.num_switches() > 0) {
+            pipeline::EvaluatedDesign moved = *ev;
+            Topology m = t;
+            m.switch_at(0).position.x += 1.0;
+            moved.point.topo = SharedTopology(std::move(m));
+            edits.push_back({"switch moved", key, payload,
+                             cas::encode_evaluation(moved)});
+        }
+        if (edits.size() != 1) continue;
+        // A hop whose link has a parallel twin (same ends, same class):
+        // pointing the path at the twin keeps it a valid path.
+        for (int f = 0; f < t.num_flows() && edits.size() == 1; ++f) {
+            const std::span<const int> path = t.flow_path(f);
+            for (std::size_t h = 0; h < path.size() && edits.size() == 1; ++h) {
+                const NocLink& lk = t.link(path[h]);
+                for (int o = 0; o < t.num_links(); ++o) {
+                    const NocLink& twin = t.link(o);
+                    if (o == path[h] || !(twin.src == lk.src) ||
+                        !(twin.dst == lk.dst) || twin.cls != lk.cls)
+                        continue;
+                    cas::Enc id;
+                    id.i32(o);
+                    std::string edited = payload;
+                    edited.replace(topo_at + flow_path_offset(t, f) + 4 + 4 * h,
+                                   4, id.take());
+                    edits.push_back({"flow hop on a parallel link", key,
+                                     payload, std::move(edited)});
+                    break;
+                }
+            }
+        }
+    }
+    ASSERT_EQ(edits.size(), 2u) << "no evaluated design routes a flow over "
+                                   "a link with a parallel twin";
+
+    for (const Edit& edit : edits) {
+        SCOPED_TRACE(edit.what);
+        // Without the placed topology the edited bytes decode as a valid
+        // design of another topology: serving them would be silent.
+        const auto original = cas::decode_evaluation(edit.original, spec);
+        const auto altered = cas::decode_evaluation(edit.edited, spec);
+        ASSERT_TRUE(altered.has_value());
+        EXPECT_FALSE(altered->point.topo->same_content(original->point.topo));
+        EXPECT_FALSE(
+            cas::decode_evaluation(edit.edited, spec, &original->point.topo)
+                .has_value());
+
+        // A store holding every cold object, the edited one in place of
+        // its original, written through put so its checksum holds.
+        TempDir dir;
+        cas::Store store = open_store(dir.path);
+        for (const std::string& key : object_keys(cold_dir.path)) {
+            std::string payload;
+            ASSERT_TRUE(cold.get(key, payload));
+            ASSERT_TRUE(
+                store.put(key, key == edit.key ? edit.edited : payload));
+        }
+        const long long undecodable_before = counter("cas.undecodable");
+        pipeline::SessionOptions so;
+        so.cas = std::make_shared<cas::Store>(cas::StoreOptions{dir.path});
+        pipeline::SynthesisSession session(spec, so);
+        const SynthesisResult got = session.run(cfg);
+        expect_same_results(got, ref);
+        for (std::size_t i = 0; i < got.points.size() && i < ref.points.size();
+             ++i)
+            EXPECT_EQ(pipeline::topology_fingerprint(got.points[i].topo),
+                      pipeline::topology_fingerprint(ref.points[i].topo))
+                << "point " << i;
+        EXPECT_EQ(counter("cas.undecodable") - undecodable_before, 1);
+        EXPECT_EQ(session.stats().evaluation.misses, 1);
+
+        std::string replaced;
+        ASSERT_TRUE(store.get(edit.key, replaced));
+        EXPECT_EQ(replaced, edit.original);
+    }
 }
 
 TEST(CasSession, PartitionsThatDoNotFitTheCallAreUndecodable) {
