@@ -1,5 +1,6 @@
 // Little-endian binary encode/decode primitives shared by the CAS artifact
-// codec (cas/codec.cpp) and the distributed-shard wire format
+// codec (cas/codec.cpp), the pipeline's stage-key store addresses
+// (pipeline/session.cpp) and the distributed-shard wire format
 // (dist/protocol.cpp).
 //
 // Enc appends bytes to a string; Dec consumes a string_view with sticky
@@ -60,6 +61,9 @@ class Enc {
     }
     void ints(std::span<const int> v) { words<std::uint32_t>(v); }
     void doubles(std::span<const double> v) { words<std::uint64_t>(v); }
+    /// Bytes another Enc wrote, as they are (no length prefix; Dec::expect
+    /// reads them back).
+    void raw(std::string_view bytes) { out_.append(bytes); }
 
     /// The bytes written so far.
     std::string_view view() const { return out_; }

@@ -11,12 +11,6 @@ namespace sunfloor::cas {
 
 namespace {
 
-// One-byte artifact tags so a blob can never be decoded as the wrong kind.
-constexpr std::uint8_t kTagPartition = 'P';
-constexpr std::uint8_t kTagRouting = 'R';
-constexpr std::uint8_t kTagPlacement = 'L';
-constexpr std::uint8_t kTagEvaluation = 'E';
-
 void enc_rng(Enc& e, const RngState& s) {
     for (int i = 0; i < 4; ++i) e.u64(s.s[i]);
 }
@@ -25,6 +19,170 @@ RngState dec_rng(Dec& d) {
     RngState s;
     for (int i = 0; i < 4; ++i) s.s[i] = d.u64();
     return s;
+}
+
+void enc_report(Enc& e, const EvalReport& r) {
+    e.f64(r.power.switch_mw);
+    e.f64(r.power.s2s_link_mw);
+    e.f64(r.power.c2s_link_mw);
+    e.f64(r.power.ni_mw);
+    e.f64(r.avg_latency_cycles);
+    e.f64(r.max_latency_cycles);
+    e.i32(r.latency_violations);
+    e.u8(r.all_flows_routed ? 1 : 0);
+    e.f64(r.switch_area_mm2);
+    e.f64(r.ni_area_mm2);
+    e.f64(r.tsv_macro_area_mm2);
+    e.i32(r.total_tsvs);
+    e.i32(r.max_ill_used);
+    e.doubles(r.wire_lengths_mm);
+    e.doubles(r.flow_latency_cycles);
+}
+
+EvalReport dec_report(Dec& d) {
+    EvalReport r;
+    r.power.switch_mw = d.f64();
+    r.power.s2s_link_mw = d.f64();
+    r.power.c2s_link_mw = d.f64();
+    r.power.ni_mw = d.f64();
+    r.avg_latency_cycles = d.f64();
+    r.max_latency_cycles = d.f64();
+    r.latency_violations = d.i32();
+    r.all_flows_routed = d.u8() != 0;
+    r.switch_area_mm2 = d.f64();
+    r.ni_area_mm2 = d.f64();
+    r.tsv_macro_area_mm2 = d.f64();
+    r.total_tsvs = d.i32();
+    r.max_ill_used = d.i32();
+    r.wire_lengths_mm = d.doubles();
+    r.flow_latency_cycles = d.doubles();
+    return r;
+}
+
+}  // namespace
+
+// -------------------------------------------------------- shared encoders
+
+void enc_spec(Enc& e, const DesignSpec& s) {
+    e.str(s.name);
+    e.u32(static_cast<std::uint32_t>(s.cores.cores().size()));
+    for (const Core& c : s.cores.cores()) {
+        e.str(c.name);
+        e.f64(c.width);
+        e.f64(c.height);
+        e.f64(c.position.x);
+        e.f64(c.position.y);
+        e.i32(c.layer);
+    }
+    e.u32(static_cast<std::uint32_t>(s.comm.flows().size()));
+    for (const Flow& f : s.comm.flows()) {
+        e.i32(f.src);
+        e.i32(f.dst);
+        e.f64(f.bw_mbps);
+        e.f64(f.max_latency_cycles);
+        e.u8(f.type == FlowType::Request ? 0 : 1);
+    }
+}
+
+bool dec_spec(Dec& d, DesignSpec& s) {
+    s.name = d.str();
+    const std::uint32_t nc = d.u32();
+    try {
+        for (std::uint32_t i = 0; i < nc && d.ok(); ++i) {
+            Core c;
+            c.name = d.str();
+            c.width = d.f64();
+            c.height = d.f64();
+            c.position.x = d.f64();
+            c.position.y = d.f64();
+            c.layer = d.i32();
+            s.cores.add_core(std::move(c));
+        }
+        const std::uint32_t nf = d.u32();
+        for (std::uint32_t i = 0; i < nf && d.ok(); ++i) {
+            Flow f;
+            f.src = d.i32();
+            f.dst = d.i32();
+            f.bw_mbps = d.f64();
+            f.max_latency_cycles = d.f64();
+            const std::uint8_t t = d.u8();
+            if (t > 1) return false;
+            f.type = t == 0 ? FlowType::Request : FlowType::Response;
+            if (f.src >= s.cores.num_cores() || f.dst >= s.cores.num_cores())
+                return false;
+            s.comm.add_flow(f);
+        }
+    } catch (const std::exception&) {
+        // add_core/add_flow validation (duplicate names, non-finite
+        // geometry, src == dst): malformed bytes, not a crash.
+        return false;
+    }
+    return d.ok();
+}
+
+void enc_eval_params(Enc& e, const EvalParams& p) {
+    e.f64(p.freq_hz);
+    const NocTechParams& lp = p.lib.params();
+    e.i32(lp.flit_width_bits);
+    e.f64(lp.switch_t0_ns);
+    e.f64(lp.switch_t1_ns_per_port);
+    e.f64(lp.switch_e0_pj);
+    e.f64(lp.switch_e1_pj_per_port);
+    e.f64(lp.switch_idle_c0_mw);
+    e.f64(lp.switch_idle_c1_mw_per_port);
+    e.f64(lp.switch_area_a0_mm2);
+    e.f64(lp.switch_area_a1_mm2);
+    e.f64(lp.switch_area_a2_mm2);
+    e.f64(lp.ni_area_mm2);
+    e.f64(lp.ni_energy_pj);
+    e.f64(lp.ni_idle_mw_per_ghz);
+    const WireParams& wp = p.wire.params();
+    e.f64(wp.delay_ns_per_mm);
+    e.f64(wp.energy_pj_per_flit_mm);
+    e.f64(wp.idle_mw_per_mm_ghz);
+    e.f64(wp.max_unrepeated_mm);
+    const TsvParams& tp = p.tsv.params();
+    e.f64(tp.delay_ps);
+    e.f64(tp.energy_pj_per_flit_layer);
+    e.f64(tp.tsv_pitch_um);
+    e.f64(tp.tsv_diameter_um);
+    e.i32(tp.overhead_wires_per_link);
+    e.i32(tp.redundant_tsvs_per_link);
+}
+
+EvalParams dec_eval_params(Dec& d) {
+    EvalParams p;
+    p.freq_hz = d.f64();
+    NocTechParams lp;
+    lp.flit_width_bits = d.i32();
+    lp.switch_t0_ns = d.f64();
+    lp.switch_t1_ns_per_port = d.f64();
+    lp.switch_e0_pj = d.f64();
+    lp.switch_e1_pj_per_port = d.f64();
+    lp.switch_idle_c0_mw = d.f64();
+    lp.switch_idle_c1_mw_per_port = d.f64();
+    lp.switch_area_a0_mm2 = d.f64();
+    lp.switch_area_a1_mm2 = d.f64();
+    lp.switch_area_a2_mm2 = d.f64();
+    lp.ni_area_mm2 = d.f64();
+    lp.ni_energy_pj = d.f64();
+    lp.ni_idle_mw_per_ghz = d.f64();
+    p.lib = NocLibrary(lp);
+    WireParams wp;
+    wp.delay_ns_per_mm = d.f64();
+    wp.energy_pj_per_flit_mm = d.f64();
+    wp.idle_mw_per_mm_ghz = d.f64();
+    wp.max_unrepeated_mm = d.f64();
+    p.wire = WireModel(wp);
+    TsvParams tp;
+    tp.delay_ps = d.f64();
+    tp.energy_pj_per_flit_layer = d.f64();
+    tp.tsv_pitch_um = d.f64();
+    tp.tsv_diameter_um = d.f64();
+    tp.overhead_wires_per_link = d.i32();
+    tp.redundant_tsvs_per_link = d.i32();
+    p.tsv = TsvModel(tp);
+    return p;
 }
 
 void enc_topology(Enc& e, const Topology& t) {
@@ -58,15 +216,14 @@ void enc_topology(Enc& e, const Topology& t) {
     for (int f = 0; f < t.num_flows(); ++f) e.ints(t.flow_path(f));
 }
 
-/// Rebuild a Topology through its public mutators as its bytes are read:
-/// construct it from the spec's cores, restore each core's geometry
-/// snapshot, append switches and links *in serialized order*
-/// (add_parallel_link never dedups, so ids are preserved), replay the flow
-/// paths in flow order through one reused buffer (which re-runs
-/// set_flow_path's id/contiguity/class invariants), then patch each
-/// link's accumulated bandwidth to the exact serialized bits. A short read
-/// or a mutator that rejects the data makes the whole topology corrupt.
-/// The caller publishes the result as its artifact's shared topology.
+// Construct the topology from the spec's cores, restore each core's
+// geometry snapshot, append switches and links *in serialized order*
+// (add_parallel_link never dedups, so ids are preserved), replay the flow
+// paths in flow order through one reused buffer (which re-runs
+// set_flow_path's id/contiguity/class invariants), then patch each link's
+// accumulated bandwidth to the exact serialized bits. A short read or a
+// mutator that rejects the data makes the whole topology corrupt. The
+// caller publishes the result as its artifact's shared topology.
 std::optional<Topology> dec_topology(Dec& d, const DesignSpec& spec) {
     const int num_cores = d.i32();
     if (!d.ok() || num_cores != spec.cores.num_cores()) return std::nullopt;
@@ -126,46 +283,6 @@ std::optional<Topology> dec_topology(Dec& d, const DesignSpec& spec) {
         return std::nullopt;
     }
 }
-
-void enc_report(Enc& e, const EvalReport& r) {
-    e.f64(r.power.switch_mw);
-    e.f64(r.power.s2s_link_mw);
-    e.f64(r.power.c2s_link_mw);
-    e.f64(r.power.ni_mw);
-    e.f64(r.avg_latency_cycles);
-    e.f64(r.max_latency_cycles);
-    e.i32(r.latency_violations);
-    e.u8(r.all_flows_routed ? 1 : 0);
-    e.f64(r.switch_area_mm2);
-    e.f64(r.ni_area_mm2);
-    e.f64(r.tsv_macro_area_mm2);
-    e.i32(r.total_tsvs);
-    e.i32(r.max_ill_used);
-    e.doubles(r.wire_lengths_mm);
-    e.doubles(r.flow_latency_cycles);
-}
-
-EvalReport dec_report(Dec& d) {
-    EvalReport r;
-    r.power.switch_mw = d.f64();
-    r.power.s2s_link_mw = d.f64();
-    r.power.c2s_link_mw = d.f64();
-    r.power.ni_mw = d.f64();
-    r.avg_latency_cycles = d.f64();
-    r.max_latency_cycles = d.f64();
-    r.latency_violations = d.i32();
-    r.all_flows_routed = d.u8() != 0;
-    r.switch_area_mm2 = d.f64();
-    r.ni_area_mm2 = d.f64();
-    r.tsv_macro_area_mm2 = d.f64();
-    r.total_tsvs = d.i32();
-    r.max_ill_used = d.i32();
-    r.wire_lengths_mm = d.doubles();
-    r.flow_latency_cycles = d.doubles();
-    return r;
-}
-
-}  // namespace
 
 // -------------------------------------------------------------- partition
 

@@ -1,4 +1,12 @@
-// Bit-exact binary serialization of pipeline artifacts for the CAS.
+// Bit-exact binary serialization of the pipeline's inputs and artifacts.
+//
+// This is the one place that serializes what a stage consumes or makes.
+// The shared encoders below write a spec, the evaluation model and a
+// topology; the shard wire (dist/protocol.cpp) ships specs and configs
+// through them, and every CAS store address is built from their bytes: a
+// spec prefix (fnv1a64 of enc_spec's bytes), then the stage key's own
+// bytes (pipeline/session.h), which start with the stage's tag below and
+// carry the topology as enc_topology writes it.
 //
 // Every encode_* renders the artifact's complete content — doubles as
 // their raw bit patterns, vectors length-prefixed, all integers
@@ -26,14 +34,49 @@
 // stages that create them do.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 
+#include "sunfloor/cas/bincode.h"
+#include "sunfloor/noc/evaluation.h"
 #include "sunfloor/pipeline/artifacts.h"
 #include "sunfloor/spec/parser.h"
 
 namespace sunfloor::cas {
+
+/// Stage tags: the first byte of an artifact's payload, and of its stage
+/// key's bytes in a store address, so no blob decodes as another stage's
+/// and no two stages' keys share bytes.
+inline constexpr std::uint8_t kTagPartition = 'P';
+inline constexpr std::uint8_t kTagRouting = 'R';
+inline constexpr std::uint8_t kTagPlacement = 'L';
+inline constexpr std::uint8_t kTagEvaluation = 'E';
+
+// -------------------------------------------------------- shared encoders
+
+/// The spec's name, every core (name, size, position, layer) and every
+/// flow (ends, bandwidth, latency bound, class), doubles as their bits.
+void enc_spec(Enc& e, const DesignSpec& s);
+/// Appends the decoded cores and flows to `s`; false on a short read or
+/// on data add_core/add_flow reject.
+bool dec_spec(Dec& d, DesignSpec& s);
+
+/// The evaluation model's 24 fields: the frequency, then the NoC
+/// library's, the wire model's and the TSV model's parameters.
+void enc_eval_params(Enc& e, const EvalParams& p);
+EvalParams dec_eval_params(Dec& d);
+
+/// Everything Topology::same_content compares: the core snapshots, the
+/// switches, the links and the flow paths by flow id. Two topologies
+/// have equal bytes exactly when they have the same content.
+void enc_topology(Enc& e, const Topology& t);
+/// Rebuilds the topology through its mutators; nullopt when the bytes
+/// are short or a mutator rejects them.
+std::optional<Topology> dec_topology(Dec& d, const DesignSpec& spec);
+
+// -------------------------------------------------------------- artifacts
 
 /// The blocks, cut weight, k and RNG state; not the carried assignment,
 /// which the session derives again from the blocks.

@@ -1,9 +1,10 @@
 // Content-addressed on-disk artifact store.
 //
-// Objects are keyed by strings — in practice the text form of the
-// pipeline's stage keys (which serialize *exactly* the inputs a stage
-// consumed; see pipeline/session.h) prefixed with a fingerprint of the
-// owning spec — and live as single files under one directory:
+// Objects are keyed by byte strings — in practice a pipeline stage key's
+// bytes (cas::Enc bytes of *exactly* the inputs a stage consumed; see
+// pipeline/session.h) after a spec prefix, the fnv1a64 of the owning
+// spec's cas::enc_spec bytes — and live as single files under one
+// directory:
 //
 //   <dir>/<16-hex fnv1a64 of key>
 //
@@ -57,7 +58,7 @@ class Counter;
 namespace sunfloor::cas {
 
 /// The store's one hash (util/strings.h): object names, payload
-/// checksums and key fingerprints all use it.
+/// checksums and the spec prefix of every address all use it.
 using sunfloor::fnv1a64;
 
 struct StoreOptions {

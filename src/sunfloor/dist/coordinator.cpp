@@ -22,7 +22,6 @@ constexpr EnumName<DistErrorKind> kKindNames[] = {
     {DistErrorKind::Config, "config"},
     {DistErrorKind::Transport, "transport"},
     {DistErrorKind::Protocol, "protocol"},
-    {DistErrorKind::WorkerLost, "worker-lost"},
 };
 
 /// Close-on-every-path guard for a dialed socket.
@@ -143,7 +142,6 @@ ExploreResult distribute_explore(
 
     const auto worker_fn = [&](std::size_t wi) {
         ShardTransport& transport = *workers[wi];
-        int consecutive = 0;
         for (;;) {
             std::size_t job = 0;
             {
@@ -172,39 +170,34 @@ ExploreResult distribute_explore(
                             ": shard returned wrong point count");
                 util::MutexLock lk(mu);
                 results[job] = std::move(resp);
-                consecutive = 0;
                 if (--remaining == 0) cv.notify_all();
             } catch (const DistError& e) {
                 util::MutexLock lk(mu);
                 if (failed) return;
-                if (++attempts[job] > dopts.max_retries) {
+                // While another worker is live, this one hands the job
+                // over and retires, so a dead worker cannot spend the
+                // job's budget on itself; the last live worker retries
+                // the job itself, within the budget.
+                const bool last = active == 1;
+                if (last && ++attempts[job] > kMaxRetries) {
                     failed = true;
                     fail_kind = e.kind();
-                    fail_error =
-                        format("shard job %zu failed after %d attempts "
-                               "(last worker %s): %s",
-                               job, attempts[job],
-                               transport.describe().c_str(), e.what());
+                    fail_error = format(
+                        "shard job %zu failed %d times on the last live "
+                        "worker %s: %s",
+                        job, attempts[job], transport.describe().c_str(),
+                        e.what());
                     cv.notify_all();
                     return;
                 }
-                // Back on the queue — any worker may take it.
                 queue.push_back(job);
                 reg.counter("dist.jobs.retried").add();
-                if (++consecutive >= kMaxConsecutiveFailures) {
+                if (!last) {
+                    --active;
                     reg.counter("dist.workers.retired").add();
-                    if (--active == 0) {
-                        failed = true;
-                        fail_kind = DistErrorKind::WorkerLost;
-                        fail_error =
-                            format("all %zu shard workers retired with %zu "
-                                   "jobs outstanding (last error: %s)",
-                                   workers.size(), remaining, e.what());
-                    }
                     cv.notify_all();
                     return;
                 }
-                cv.notify_all();
             }
         }
     };

@@ -16,11 +16,11 @@
 // from a worker.
 //
 // Fault tolerance: a failed shard job (worker crash, dropped connection,
-// malformed response) is re-queued and retried — on any worker — up to
-// DistOptions::max_retries times before the run fails with a typed
-// DistError. A worker whose transport keeps failing retires after
-// kMaxConsecutiveFailures so one dead address cannot spin forever; the
-// run fails with WorkerLost when every worker has retired.
+// malformed response) goes back on the queue. While another worker is
+// live, the worker that failed it retires, so the job goes to the others
+// and one dead address cannot spend its retries. The last live worker
+// retries the job itself, up to kMaxRetries times, before the run fails
+// with a typed DistError of the last failure's kind.
 #pragma once
 
 #include <memory>
@@ -33,10 +33,9 @@
 namespace sunfloor::dist {
 
 enum class DistErrorKind {
-    Config,      ///< unusable options (no workers, bad address)
-    Transport,   ///< connect/send/receive failure
-    Protocol,    ///< malformed frame or payload, version mismatch
-    WorkerLost,  ///< every worker retired with jobs outstanding
+    Config,     ///< unusable options (no workers, bad address)
+    Transport,  ///< connect/send/receive failure
+    Protocol,   ///< malformed frame or payload, version mismatch
 };
 
 const char* dist_error_kind_to_string(DistErrorKind kind);
@@ -96,14 +95,12 @@ struct DistOptions {
     /// than workers means a job queue; more shards than points collapses
     /// to one point per shard.
     int shards = 1;
-    /// Re-queue attempts per shard job beyond the first try.
-    int max_retries = 2;
     /// Shared content-addressed store for the workers; empty = none.
     std::string cas_dir;
 };
 
-/// Consecutive failures after which one worker thread retires.
-inline constexpr int kMaxConsecutiveFailures = 3;
+/// Tries of a shard job on the last live worker beyond its first there.
+inline constexpr int kMaxRetries = 2;
 
 /// Run `points` (a full grid enumeration) across `workers` and reassemble
 /// the shard results into the exact single-process ExploreResult. Throws

@@ -1,9 +1,9 @@
 #include "sunfloor/dist/protocol.h"
 
-#include <exception>
 #include <utility>
 
 #include "sunfloor/cas/bincode.h"
+#include "sunfloor/cas/codec.h"
 #include "sunfloor/explore/export.h"
 #include "sunfloor/util/json.h"
 #include "sunfloor/util/strings.h"
@@ -19,95 +19,10 @@ using cas::Enc;
 constexpr std::uint8_t kTagRequest = 'Q';
 constexpr std::uint8_t kTagResponse = 'S';
 
-// --------------------------------------------------------------- spec
-
-void enc_spec(Enc& e, const DesignSpec& s) {
-    e.str(s.name);
-    e.u32(static_cast<std::uint32_t>(s.cores.cores().size()));
-    for (const Core& c : s.cores.cores()) {
-        e.str(c.name);
-        e.f64(c.width);
-        e.f64(c.height);
-        e.f64(c.position.x);
-        e.f64(c.position.y);
-        e.i32(c.layer);
-    }
-    e.u32(static_cast<std::uint32_t>(s.comm.flows().size()));
-    for (const Flow& f : s.comm.flows()) {
-        e.i32(f.src);
-        e.i32(f.dst);
-        e.f64(f.bw_mbps);
-        e.f64(f.max_latency_cycles);
-        e.u8(f.type == FlowType::Request ? 0 : 1);
-    }
-}
-
-bool dec_spec(Dec& d, DesignSpec& s) {
-    s.name = d.str();
-    const std::uint32_t nc = d.u32();
-    try {
-        for (std::uint32_t i = 0; i < nc && d.ok(); ++i) {
-            Core c;
-            c.name = d.str();
-            c.width = d.f64();
-            c.height = d.f64();
-            c.position.x = d.f64();
-            c.position.y = d.f64();
-            c.layer = d.i32();
-            s.cores.add_core(std::move(c));
-        }
-        const std::uint32_t nf = d.u32();
-        for (std::uint32_t i = 0; i < nf && d.ok(); ++i) {
-            Flow f;
-            f.src = d.i32();
-            f.dst = d.i32();
-            f.bw_mbps = d.f64();
-            f.max_latency_cycles = d.f64();
-            const std::uint8_t t = d.u8();
-            if (t > 1) return false;
-            f.type = t == 0 ? FlowType::Request : FlowType::Response;
-            if (f.src >= s.cores.num_cores() || f.dst >= s.cores.num_cores())
-                return false;
-            s.comm.add_flow(f);
-        }
-    } catch (const std::exception&) {
-        // add_core/add_flow validation (duplicate names, non-finite
-        // geometry, src == dst) — malformed payload, not a crash.
-        return false;
-    }
-    return d.ok();
-}
-
 // ------------------------------------------------------- config pieces
 
 void enc_config(Enc& e, const SynthesisConfig& c) {
-    e.f64(c.eval.freq_hz);
-    const NocTechParams& lp = c.eval.lib.params();
-    e.i32(lp.flit_width_bits);
-    e.f64(lp.switch_t0_ns);
-    e.f64(lp.switch_t1_ns_per_port);
-    e.f64(lp.switch_e0_pj);
-    e.f64(lp.switch_e1_pj_per_port);
-    e.f64(lp.switch_idle_c0_mw);
-    e.f64(lp.switch_idle_c1_mw_per_port);
-    e.f64(lp.switch_area_a0_mm2);
-    e.f64(lp.switch_area_a1_mm2);
-    e.f64(lp.switch_area_a2_mm2);
-    e.f64(lp.ni_area_mm2);
-    e.f64(lp.ni_energy_pj);
-    e.f64(lp.ni_idle_mw_per_ghz);
-    const WireParams& wp = c.eval.wire.params();
-    e.f64(wp.delay_ns_per_mm);
-    e.f64(wp.energy_pj_per_flit_mm);
-    e.f64(wp.idle_mw_per_mm_ghz);
-    e.f64(wp.max_unrepeated_mm);
-    const TsvParams& tp = c.eval.tsv.params();
-    e.f64(tp.delay_ps);
-    e.f64(tp.energy_pj_per_flit_layer);
-    e.f64(tp.tsv_pitch_um);
-    e.f64(tp.tsv_diameter_um);
-    e.i32(tp.overhead_wires_per_link);
-    e.i32(tp.redundant_tsvs_per_link);
+    cas::enc_eval_params(e, c.eval);
     e.i32(c.max_ill);
     e.u8(c.allow_multilayer_links ? 1 : 0);
     e.f64(c.alpha);
@@ -125,36 +40,7 @@ void enc_config(Enc& e, const SynthesisConfig& c) {
 }
 
 bool dec_config(Dec& d, SynthesisConfig& c) {
-    c.eval.freq_hz = d.f64();
-    NocTechParams lp;
-    lp.flit_width_bits = d.i32();
-    lp.switch_t0_ns = d.f64();
-    lp.switch_t1_ns_per_port = d.f64();
-    lp.switch_e0_pj = d.f64();
-    lp.switch_e1_pj_per_port = d.f64();
-    lp.switch_idle_c0_mw = d.f64();
-    lp.switch_idle_c1_mw_per_port = d.f64();
-    lp.switch_area_a0_mm2 = d.f64();
-    lp.switch_area_a1_mm2 = d.f64();
-    lp.switch_area_a2_mm2 = d.f64();
-    lp.ni_area_mm2 = d.f64();
-    lp.ni_energy_pj = d.f64();
-    lp.ni_idle_mw_per_ghz = d.f64();
-    c.eval.lib = NocLibrary(lp);
-    WireParams wp;
-    wp.delay_ns_per_mm = d.f64();
-    wp.energy_pj_per_flit_mm = d.f64();
-    wp.idle_mw_per_mm_ghz = d.f64();
-    wp.max_unrepeated_mm = d.f64();
-    c.eval.wire = WireModel(wp);
-    TsvParams tp;
-    tp.delay_ps = d.f64();
-    tp.energy_pj_per_flit_layer = d.f64();
-    tp.tsv_pitch_um = d.f64();
-    tp.tsv_diameter_um = d.f64();
-    tp.overhead_wires_per_link = d.i32();
-    tp.redundant_tsvs_per_link = d.i32();
-    c.eval.tsv = TsvModel(tp);
+    c.eval = cas::dec_eval_params(d);
     c.max_ill = d.i32();
     c.allow_multilayer_links = d.u8() != 0;
     c.alpha = d.f64();
@@ -180,10 +66,6 @@ void enc_explore_opts(Enc& e, const ExploreOptions& o) {
     e.str(sim::traffic_to_string(ip.traffic));
     e.f64(ip.injection_scale);
     e.i32(ip.packet_length_flits);
-    e.f64(ip.burst_on_to_off);
-    e.f64(ip.burst_off_to_on);
-    e.f64(ip.hotspot_factor);
-    e.i32(ip.hotspot_core);
     e.str(routing::routing_to_string(o.sim.routing));
     e.i32(o.sim.buffer_depth_flits);
     e.i64(o.sim.warmup_cycles);
@@ -200,10 +82,6 @@ bool dec_explore_opts(Dec& d, ExploreOptions& o) {
     if (!sim::traffic_from_string(d.str(), ip.traffic)) return false;
     ip.injection_scale = d.f64();
     ip.packet_length_flits = d.i32();
-    ip.burst_on_to_off = d.f64();
-    ip.burst_off_to_on = d.f64();
-    ip.hotspot_factor = d.f64();
-    ip.hotspot_core = d.i32();
     if (!routing::routing_from_string(d.str(), o.sim.routing)) return false;
     o.sim.buffer_depth_flits = d.i32();
     o.sim.warmup_cycles = d.i64();
@@ -364,7 +242,7 @@ std::string encode_shard_request(const ShardRequest& req) {
     Enc e;
     e.u32(kWireVersion);
     e.u8(kTagRequest);
-    enc_spec(e, req.spec);
+    cas::enc_spec(e, req.spec);
     enc_config(e, req.base_cfg);
     enc_explore_opts(e, req.opts);
     e.u32(static_cast<std::uint32_t>(req.points.size()));
@@ -381,7 +259,7 @@ bool decode_shard_request(std::string_view payload, ShardRequest& out,
         return false;
     }
     out.spec = DesignSpec{};
-    if (!dec_spec(d, out.spec)) {
+    if (!cas::dec_spec(d, out.spec)) {
         error = "shard request: malformed spec";
         return false;
     }

@@ -2,8 +2,10 @@
 //
 // A shard job is one contiguous slice of a ParamGrid enumeration. The
 // coordinator ships the *complete* inputs — the spec (binary, bit-exact:
-// the text format rounds doubles through %.6g), every field of the
-// SynthesisConfig and ExploreOptions, the explicit GridPoint list (global
+// the text format rounds doubles through %.6g; cas::enc_spec, whose bytes
+// also name the spec in every store address), every field of the
+// SynthesisConfig (its evaluation model through cas::enc_eval_params)
+// and ExploreOptions, the explicit GridPoint list (global
 // indices preserved) and the CAS directory, but no store size bound (only
 // `sunfloor_cli cas gc --max-bytes` evicts) — and the worker ships back the
 // complete outputs: per point, the phase used, every DesignPoint as a
@@ -48,9 +50,11 @@ namespace sunfloor::dist {
 /// Protocol version; bumped on any payload layout or framing change (3:
 /// raw payloads after a header line; 4: responses carry no Pareto front;
 /// 5: requests carry no store bound and none of the synthesis settings
-/// that became constants). A version mismatch is a decode error (the
-/// coordinator retries elsewhere rather than mis-reading bytes).
-inline constexpr std::uint32_t kWireVersion = 5;
+/// that became constants; 6: requests carry none of the simulator's
+/// traffic-shaping settings, which became constants). A version mismatch
+/// is a decode error (the coordinator retries elsewhere rather than
+/// mis-reading bytes).
+inline constexpr std::uint32_t kWireVersion = 6;
 
 /// Everything a worker needs to run one slice — self-contained, so a
 /// worker holds no per-coordinator state and any worker can take any job.

@@ -149,8 +149,8 @@ class Topology {
     /// Bitwise content equality over everything a topology holds: the core
     /// snapshots, the switches (name, layer, position), the links (ends,
     /// class, bandwidth) and the flow paths by flow id (the order they
-    /// were set in does not matter) — exactly the fields
-    /// pipeline::topology_fingerprint renders. Doubles compare by bit
+    /// were set in does not matter) — exactly the fields cas::enc_topology
+    /// writes into a store address. Doubles compare by bit
     /// pattern, so -0.0 and +0.0 differ (Point's == calls them equal) and
     /// a NaN equals only the same payload. The pipeline's placement and
     /// evaluation caches verify every hit with this.

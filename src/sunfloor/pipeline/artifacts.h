@@ -14,9 +14,9 @@
 // A SynthesisSession caches every other output under a key that holds
 // *exactly* the (spec, cfg, RNG) inputs the stage consumed (see
 // session.h): a struct of those inputs for partitions, the assignment
-// vectors plus a config string for routings, and for placements and
-// evaluations the input artifact itself plus a config string. Every key
-// compares by content, and its text form is rendered only as a CAS
+// vectors plus the run's routing config for routings, and for placements
+// and evaluations the input artifact itself plus the stage's config.
+// Every key compares by content, and its bytes are written only as a CAS
 // address. Two stage calls with equal keys
 // produce bit-identical artifacts, which is what lets the session reuse
 // them across architectural points that agree on the consumed fields —
@@ -70,9 +70,6 @@ struct PartitionGraphId {
     static PartitionGraphId lpg(int layer) {
         return {Kind::LPG, 0.0, 0.0, layer};
     }
-
-    /// Stable textual identity (doubles rendered from their bit patterns).
-    std::string key() const;
 };
 
 /// Output of the core-partitioning stage: one balanced k-way min-cut of

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <optional>
 #include <set>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 
@@ -21,54 +18,12 @@
 #include "sunfloor/core/switch_placement.h"
 #include "sunfloor/noc/deadlock.h"
 #include "sunfloor/obs/trace.h"
-#include "sunfloor/routing/cost_model.h"
 #include "sunfloor/util/rng.h"
 #include "sunfloor/util/strings.h"
 
 namespace sunfloor::pipeline {
 
 namespace {
-
-/// Key text written straight into the string it builds: the string is
-/// sized once for the longest text the caller will write, each put
-/// renders in place (integers through std::to_chars, doubles as the
-/// write_hex64 digits of their bits), and done() trims the string to what
-/// was written.
-class KeyWriter {
-  public:
-    /// The most bytes one put_int writes ("-2147483648").
-    static constexpr std::size_t kMaxInt = 11;
-    /// The bytes one put_bits writes.
-    static constexpr std::size_t kBits = 16;
-
-    KeyWriter(std::string& out, std::size_t most) : out_(out) {
-        const std::size_t at = out_.size();
-        out_.resize(at + most);
-        p_ = out_.data() + at;
-    }
-
-    void put(char c) { *p_++ = c; }
-    void put(std::string_view s) {
-        std::memcpy(p_, s.data(), s.size());
-        p_ += s.size();
-    }
-    void put_int(int v) { p_ = std::to_chars(p_, p_ + kMaxInt, v).ptr; }
-    void put_bits(double v) {
-        p_ = write_hex64(p_, std::bit_cast<std::uint64_t>(v));
-    }
-    /// Comma-separated, at most v.size() * (kMaxInt + 1) bytes.
-    void put_ints(std::span<const int> v) {
-        for (std::size_t i = 0; i < v.size(); ++i) {
-            if (i > 0) put(',');
-            put_int(v[i]);
-        }
-    }
-    void done() { out_.resize(static_cast<std::size_t>(p_ - out_.data())); }
-
-  private:
-    std::string& out_;
-    char* p_;
-};
 
 /// One step of the stage keys' hashes: fold `v` into `h`.
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
@@ -84,32 +39,61 @@ std::uint64_t mix_ints(std::uint64_t h, std::span<const int> v) {
     return h;
 }
 
-/// The full cfg.eval model — frequency plus every NoC-library, wire and
-/// TSV parameter. One shared tail for the routing and evaluation keys so
-/// the two cannot drift apart when a model parameter is added.
-std::string eval_params_key(const EvalParams& p) {
-    const NocTechParams& lp = p.lib.params();
-    const WireParams& wp = p.wire.params();
-    const TsvParams& tp = p.tsv.params();
-    std::string key = "f=";
-    append_double_bits(key, p.freq_hz);
-    key += ";w=";
-    key += std::to_string(lp.flit_width_bits);
-    for (double v :
-         {lp.switch_t0_ns, lp.switch_t1_ns_per_port, lp.switch_e0_pj,
-          lp.switch_e1_pj_per_port, lp.switch_idle_c0_mw,
-          lp.switch_idle_c1_mw_per_port, lp.switch_area_a0_mm2,
-          lp.switch_area_a1_mm2, lp.switch_area_a2_mm2, lp.ni_area_mm2,
-          lp.ni_energy_pj, lp.ni_idle_mw_per_ghz, wp.delay_ns_per_mm,
-          wp.energy_pj_per_flit_mm, wp.idle_mw_per_mm_ghz,
-          wp.max_unrepeated_mm, tp.delay_ps, tp.energy_pj_per_flit_layer,
-          tp.tsv_pitch_um, tp.tsv_diameter_um}) {
-        key += ';';
-        append_double_bits(key, v);
+/// A partition graph's kind and the fields that kind consumes.
+void encode_graph(cas::Enc& e, const PartitionGraphId& g) {
+    e.u8(static_cast<std::uint8_t>(g.kind));
+    if (g.kind == PartitionGraphId::Kind::SPG) {
+        e.f64(g.theta);
+        e.f64(g.theta_max);
     }
-    key += format(";ow=%d;rd=%d", tp.overhead_wires_per_link,
-                  tp.redundant_tsvs_per_link);
-    return key;
+    if (g.kind == PartitionGraphId::Kind::LPG) e.i32(g.layer);
+}
+
+/// The placement stage's config fields: run_floorplan and, when it is
+/// on, the switch-area and TSV-macro parameters the legalizer reads (it
+/// sizes switches from the area model and TSV macros from the TSV model,
+/// at the library's flit width).
+void encode_placement_cfg(cas::Enc& e, const SynthesisConfig& cfg) {
+    e.u8(cfg.run_floorplan ? 1 : 0);
+    if (!cfg.run_floorplan) return;
+    const NocTechParams& lp = cfg.eval.lib.params();
+    const TsvParams& tp = cfg.eval.tsv.params();
+    e.i32(lp.flit_width_bits);
+    e.f64(lp.switch_area_a0_mm2);
+    e.f64(lp.switch_area_a1_mm2);
+    e.f64(lp.switch_area_a2_mm2);
+    e.f64(tp.tsv_pitch_um);
+    e.f64(tp.tsv_diameter_um);
+    e.i32(tp.overhead_wires_per_link);
+    e.i32(tp.redundant_tsvs_per_link);
+}
+
+/// The exact Eq. 2-5 instance, the position-LP cache's key.
+std::string problem_bytes(const PlacementProblem& p) {
+    cas::Enc e;
+    e.i32(p.num_movable);
+    e.f64(p.bounds.x);
+    e.f64(p.bounds.y);
+    e.f64(p.bounds.w);
+    e.f64(p.bounds.h);
+    e.u32(static_cast<std::uint32_t>(p.fixed_points.size()));
+    for (const Point& pt : p.fixed_points) {
+        e.f64(pt.x);
+        e.f64(pt.y);
+    }
+    e.u32(static_cast<std::uint32_t>(p.fixed_conns.size()));
+    for (const auto& c : p.fixed_conns) {
+        e.i32(c.movable);
+        e.i32(c.fixed);
+        e.f64(c.weight);
+    }
+    e.u32(static_cast<std::uint32_t>(p.movable_conns.size()));
+    for (const auto& c : p.movable_conns) {
+        e.i32(c.a);
+        e.i32(c.b);
+        e.f64(c.weight);
+    }
+    return e.take();
 }
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
@@ -138,151 +122,46 @@ class ScopedStageTime {
 
 }  // namespace
 
-std::string PartitionGraphId::key() const {
-    switch (kind) {
-        case Kind::PG: return "pg";
-        case Kind::SPG: {
-            std::string key = "spg;th=";
-            append_double_bits(key, theta);
-            key += ";tm=";
-            append_double_bits(key, theta_max);
-            return key;
-        }
-        case Kind::LPG: return "lpg;ly=" + std::to_string(layer);
-    }
-    return "pg";
+StageConfig::StageConfig(std::string config_bytes)
+    : bytes(std::move(config_bytes)),
+      hash(splitmix64(std::hash<std::string>{}(bytes))) {}
+
+RunKeys::RunKeys(const SynthesisConfig& cfg) {
+    // Routing: the full model (link capacity, marginal-power costs,
+    // pruning rules) plus the path-computation knobs, including the
+    // policy, so a session caches one routing artifact per discipline.
+    cas::Enc r;
+    r.u8(cas::kTagRouting);
+    cas::enc_eval_params(r, cfg.eval);
+    r.i32(cfg.max_ill);
+    r.u8(cfg.allow_multilayer_links ? 1 : 0);
+    r.u8(cfg.use_soft_thresholds ? 1 : 0);
+    r.str(routing::routing_to_string(cfg.routing));
+    routing = std::make_shared<const StageConfig>(r.take());
+
+    cas::Enc p;
+    p.u8(cas::kTagPlacement);
+    p.str(kPlacementSolverTag);
+    encode_placement_cfg(p, cfg);
+    placement = std::make_shared<const StageConfig>(p.take());
+
+    cas::Enc v;
+    v.u8(cas::kTagEvaluation);
+    encode_placement_cfg(v, cfg);
+    cas::enc_eval_params(v, cfg.eval);
+    v.i32(cfg.max_ill);
+    evaluation = std::make_shared<const StageConfig>(v.take());
 }
 
-std::string partition_cfg_key(double alpha, const PartitionOptions& opts) {
-    std::string key = "a=";
-    append_double_bits(key, alpha);
-    key += ";ns=" + std::to_string(opts.num_starts);
-    key += opts.refine ? ";rf=1" : ";rf=0";
-    key += ";mb=" + std::to_string(opts.max_block_size);
-    key += ";mp=" + std::to_string(kMaxPasses);
-    return key;
-}
-
-std::string routing_cfg_key(const SynthesisConfig& cfg) {
-    // The full model (link capacity, marginal-power costs, pruning rules)
-    // plus the path-computation knobs — including the routing policy, so
-    // a session caches one routing artifact per discipline. lw and lu
-    // render the cost model's fixed latency weight (0) and link
-    // utilization (1): the key keeps their bytes, so CAS addresses do
-    // not move.
-    return eval_params_key(cfg.eval) +
-           format(";ill=%d;ml=%d;sm=%d,%d;sf=%s;st=%d;lw=%s;lu=%s;rp=%s",
-                  cfg.max_ill, cfg.allow_multilayer_links ? 1 : 0,
-                  routing::kSoftIllMargin, routing::kSoftSwitchMargin,
-                  double_bits(routing::kSoftInfFactor).c_str(),
-                  cfg.use_soft_thresholds ? 1 : 0, double_bits(0.0).c_str(),
-                  double_bits(1.0).c_str(),
-                  routing::routing_to_string(cfg.routing));
-}
-
-std::string placement_cfg_key(const SynthesisConfig& cfg) {
-    if (!cfg.run_floorplan) return "fp=0";
-    const NocTechParams& lp = cfg.eval.lib.params();
-    const TsvParams& tp = cfg.eval.tsv.params();
-    // The legalizer sizes switches from the area model and TSV macros from
-    // the TSV model at the library's flit width.
-    return format("fp=1;w=%d;sa=%s,%s,%s;tv=%s,%s,%d,%d",
-                  lp.flit_width_bits, double_bits(lp.switch_area_a0_mm2).c_str(),
-                  double_bits(lp.switch_area_a1_mm2).c_str(),
-                  double_bits(lp.switch_area_a2_mm2).c_str(),
-                  double_bits(tp.tsv_pitch_um).c_str(),
-                  double_bits(tp.tsv_diameter_um).c_str(),
-                  tp.overhead_wires_per_link, tp.redundant_tsvs_per_link);
-}
-
-std::string eval_cfg_key(const SynthesisConfig& cfg) {
-    return eval_params_key(cfg.eval) + ";ill=" + std::to_string(cfg.max_ill);
-}
-
-std::string assignment_key(const CoreAssignment& assign) {
-    constexpr std::size_t kInt = KeyWriter::kMaxInt + 1;
-    std::string key;
-    KeyWriter w(key, 7 + kInt * (assign.core_switch.size() +
-                                 assign.switch_layer.size()));
-    w.put("cs=");
-    w.put_ints(assign.core_switch);
-    w.put(";sl=");
-    w.put_ints(assign.switch_layer);
-    w.done();
-    return key;
-}
-
-std::string topology_fingerprint(const Topology& topo) {
-    constexpr std::size_t kInt = KeyWriter::kMaxInt;
-    constexpr std::size_t kBits = KeyWriter::kBits;
-    // The section tags, then each record's separators and widest fields.
-    std::size_t most =
-        12 +
-        static_cast<std::size_t>(topo.num_cores()) * (kInt + 3 + 2 * kBits) +
-        static_cast<std::size_t>(topo.num_links()) * (3 * kInt + 6 + kBits);
-    for (int i = 0; i < topo.num_switches(); ++i)
-        most += topo.switch_at(i).name.size() + kInt + 4 + 2 * kBits;
-    for (int f = 0; f < topo.num_flows(); ++f)
-        most += topo.flow_path(f).size() * (kInt + 1) + 1;
-
-    std::string s;
-    KeyWriter w(s, most);
-    auto add_point = [&](const Point& p) {
-        w.put_bits(p.x);
-        w.put(',');
-        w.put_bits(p.y);
-    };
-    auto add_node = [&](NodeRef n) {
-        w.put(n.is_core() ? 'c' : 's');
-        w.put_int(n.index);
-    };
-    w.put("co:");
-    for (int c = 0; c < topo.num_cores(); ++c) {
-        const NodeRef n = NodeRef::core(c);
-        w.put_int(topo.node_layer(n));
-        w.put('@');
-        add_point(topo.node_position(n));
-        w.put(';');
-    }
-    w.put("sw:");
-    for (int i = 0; i < topo.num_switches(); ++i) {
-        const NocSwitch& sw = topo.switch_at(i);
-        w.put(sw.name);
-        w.put('/');
-        w.put_int(sw.layer);
-        w.put('@');
-        add_point(sw.position);
-        w.put(';');
-    }
-    w.put("lk:");
-    for (int l = 0; l < topo.num_links(); ++l) {
-        const NocLink& lk = topo.link(l);
-        add_node(lk.src);
-        w.put('>');
-        add_node(lk.dst);
-        w.put('/');
-        w.put_int(static_cast<int>(lk.cls));
-        w.put('=');
-        w.put_bits(lk.bw_mbps);
-        w.put(';');
-    }
-    w.put("fl:");
-    for (int f = 0; f < topo.num_flows(); ++f) {
-        w.put_ints(topo.flow_path(f));
-        w.put(';');
-    }
-    w.done();
-    return s;
-}
-
-StageConfig::StageConfig(std::string head_text, std::string tail_text)
-    : head(std::move(head_text)), tail(std::move(tail_text)),
-      hash(splitmix64(std::hash<std::string>{}(head) ^
-                      std::hash<std::string>{}(tail))) {}
-
-std::string PartitionKey::text() const {
-    return "pt|" + graph.key() + "|" + partition_cfg_key(alpha, opts) +
-           "|k=" + std::to_string(k) + "|r=" + rng.key();
+void PartitionKey::encode(cas::Enc& e) const {
+    e.u8(cas::kTagPartition);
+    encode_graph(e, graph);
+    e.f64(alpha);
+    e.i32(opts.num_starts);
+    e.u8(opts.refine ? 1 : 0);
+    e.i32(opts.max_block_size);
+    e.i32(k);
+    for (const std::uint64_t w : rng.s) e.u64(w);
 }
 
 std::size_t PartitionKey::Hash::operator()(
@@ -318,8 +197,10 @@ bool operator==(const PartitionKey& a, const PartitionKey& b) {
            a.opts.max_block_size == b.opts.max_block_size;
 }
 
-std::string RoutingKey::text() const {
-    return cfg->head + assignment_key(assign) + cfg->tail;
+void RoutingProbe::encode(cas::Enc& e) const {
+    e.raw(cfg->bytes);
+    e.ints(assign.core_switch);
+    e.ints(assign.switch_layer);
 }
 
 std::size_t RoutingKey::Hash::operator()(
@@ -344,36 +225,14 @@ bool operator==(const RoutingKey& a, const RoutingProbe& b) {
            (a.cfg == b.cfg || *a.cfg == *b.cfg);
 }
 
-std::string placement_problem_key(const PlacementProblem& p) {
-    std::string s = "n=" + std::to_string(p.num_movable) + ";b=";
-    append_double_bits(s, p.bounds.x);
-    s += ',';
-    append_double_bits(s, p.bounds.y);
-    s += ',';
-    append_double_bits(s, p.bounds.w);
-    s += ',';
-    append_double_bits(s, p.bounds.h);
-    s += ";fp:";
-    for (const Point& pt : p.fixed_points) {
-        append_double_bits(s, pt.x);
-        s += ',';
-        append_double_bits(s, pt.y);
-        s += ';';
-    }
-    s += "fc:";
-    for (const auto& c : p.fixed_conns) {
-        s += std::to_string(c.movable) + '>' + std::to_string(c.fixed) + '=';
-        append_double_bits(s, c.weight);
-        s += ';';
-    }
-    s += "mc:";
-    for (const auto& c : p.movable_conns) {
-        s += std::to_string(c.a) + '-' + std::to_string(c.b) + '=';
-        append_double_bits(s, c.weight);
-        s += ';';
-    }
-    return s;
+template <typename Input>
+void ContentKey<Input>::encode(cas::Enc& e) const {
+    e.raw(cfg->bytes);
+    cas::enc_topology(e, *input->topo);
 }
+
+template struct ContentKey<RoutingArtifact>;
+template struct ContentKey<PlacementArtifact>;
 
 RoutingArtifact route_assignment(const DesignSpec& spec,
                                  const SynthesisConfig& cfg,
@@ -545,20 +404,22 @@ struct SynthesisSession::GraphEntry {
 SynthesisSession::SynthesisSession(DesignSpec spec, SessionOptions opts)
     : spec_(std::move(spec)), opts_(std::move(opts)) {
     if (opts_.cas) {
-        // Stage keys serialize everything a stage consumed *except* the
-        // spec (the in-memory caches are per-spec already); an on-disk
-        // store shared across runs needs the spec in the key too.
-        std::ostringstream ss;
-        write_design(ss, spec_);
-        cas_prefix_ = format(
-            "s%016llx|",
-            static_cast<unsigned long long>(cas::fnv1a64(ss.str())));
+        // Stage keys hold everything a stage consumed *except* the spec
+        // (the in-memory caches are per-spec already); an on-disk store
+        // shared across runs needs the spec in the address too, bit for
+        // bit.
+        cas::Enc e;
+        cas::enc_spec(e, spec_);
+        cas_spec_hash_ = cas::fnv1a64(e.view());
     }
 }
 
 std::shared_ptr<const SynthesisSession::GraphEntry>
 SynthesisSession::graph_for(const PartitionGraphId& graph, double alpha) {
-    const std::string key = "g|" + graph.key() + "|a=" + double_bits(alpha);
+    cas::Enc e;
+    encode_graph(e, graph);
+    e.f64(alpha);
+    const std::string key = e.take();
     {
         util::MutexLock lock(mu_);
         auto it = graphs_.find(key);
@@ -598,29 +459,17 @@ struct SynthesisSession::StageCodec {
                                       const Probe&);
 };
 
-SynthesisSession::RunKeys::RunKeys(const SynthesisConfig& cfg)
-    : routing(std::make_shared<const StageConfig>(
-          "rt|", "|" + routing_cfg_key(cfg))) {
-    const std::string fp = "|" + placement_cfg_key(cfg);
-    placement = std::make_shared<const StageConfig>(
-        "pl|" + std::string(kPlacementSolverTag) + "|", fp);
-    evaluation = std::make_shared<const StageConfig>(
-        "ev|", fp + "|" + eval_cfg_key(cfg));
-}
-
 namespace {
 
-/// The text a stage key is stored under in a CAS (after the spec prefix).
-const std::string& cas_text(const std::string& key) { return key; }
-
+/// A stage key's store address, after the spec prefix.
 template <typename Key>
-std::string cas_text(const Key& key) {
-    return key.text();
+void encode_key(cas::Enc& e, const Key& key) {
+    key.encode(e);
 }
 
-std::string cas_text(const RoutingProbe& probe) {
-    return RoutingKey(probe).text();
-}
+/// The position-LP cache keys on its instance's bytes already (and has no
+/// codec, so it never spills).
+void encode_key(cas::Enc& e, const std::string& bytes) { e.raw(bytes); }
 
 }  // namespace
 
@@ -639,7 +488,10 @@ std::shared_ptr<const Artifact> SynthesisSession::cached(
         const bool spill = codec != nullptr && opts_.cas != nullptr;
         std::string cas_key;
         if (spill) {
-            cas_key = cas_prefix_ + cas_text(key);
+            cas::Enc address;
+            address.u64(cas_spec_hash_);
+            encode_key(address, key);
+            cas_key = address.take();
             std::string blob;
             if (opts_.cas->get(cas_key, blob)) {
                 if (auto art = codec->decode(blob, spec_, key)) {
@@ -789,7 +641,7 @@ std::shared_ptr<const PlacementArtifact> SynthesisSession::place(
             const PlacementProblem problem =
                 build_switch_placement_problem(topo, spec_);
             const auto solution = cached(
-                lp_solutions_, placement_problem_key(problem), nullptr, [&] {
+                lp_solutions_, problem_bytes(problem), nullptr, [&] {
                     bool lp_ok = false;
                     return solve_switch_placement(problem, lp_ok);
                 });

@@ -40,21 +40,26 @@
 //
 // How the caches hold those inputs. Every key holds them as content and
 // compares them field by field, doubles by bit pattern; no cache builds
-// key text on a lookup. The partition key is a struct of its inputs
-// (PartitionKey). The routing key is the assignment vectors plus the
-// run's routing config string (RoutingKey); a lookup borrows the
+// its key's bytes on a lookup. The partition key is a struct of its
+// inputs (PartitionKey). The routing key is the assignment vectors plus
+// the run's routing StageConfig (RoutingKey); a lookup borrows the
 // caller's assignment (RoutingProbe) and copies it into a key only when
 // it claims a miss. The placement and evaluation caches key on their
-// input artifact itself — the routed or placed topology, shared with
-// the cache upstream — plus the stage's config string (a ContentKey): a
-// probe hashes the artifact's stored topo_hash, and a hit is verified by
+// input artifact itself — the routed or placed topology, shared with the
+// cache upstream — plus the stage's StageConfig (a ContentKey): a probe
+// hashes the artifact's stored topo_hash, and a hit is verified by
 // bitwise content equality (Topology::same_content). So a warm lookup is
 // one hash probe and one equality check, and a hash collision can never
-// serve another input's artifact. The config strings are built once per
-// phase1 / phase2 call.
-// Each key's text form — for placements and evaluations with the
-// topology_fingerprint in it — is rendered only as a CAS address, when a
-// store is attached and the memory cache missed.
+// serve another input's artifact. The StageConfigs are built once per
+// phase1 / phase2 call (RunKeys).
+// A key's bytes are its store address, written with the cas codec
+// (cas/codec.h) only when a store is attached and the memory cache
+// missed: the stage's tag, then exactly the fields the key's == compares
+// — the routing and evaluation configs through cas::enc_eval_params, a
+// topology through cas::enc_topology — after a spec prefix, the fnv1a64
+// of cas::enc_spec's bytes. So two keys are equal exactly when their
+// bytes are, and two specs share store objects only when they are equal
+// bit for bit.
 //
 // Locking: each stage cache has one shared lock. A lookup holds it
 // shared, so hits from many threads run side by side and a warm hit
@@ -89,66 +94,52 @@
 #include "sunfloor/pipeline/artifacts.h"
 
 namespace sunfloor::cas {
+class Enc;
 class Store;
 }
 
 namespace sunfloor::pipeline {
 
 // ------------------------------------------------------------ stage keys
-
-/// Partition-stage fields of a config: cfg.alpha plus the effective
-/// partitioner options (the graph identity and RNG state are keyed
-/// separately).
-std::string partition_cfg_key(double alpha, const PartitionOptions& opts);
-
-/// Routing-stage fields of `cfg` (see the header comment).
-std::string routing_cfg_key(const SynthesisConfig& cfg);
-
-/// Placement-stage fields of `cfg`: run_floorplan and, when it is on, the
-/// switch-area / TSV-macro model parameters the legalizer reads. The
-/// position LP itself consumes no config at all.
-std::string placement_cfg_key(const SynthesisConfig& cfg);
-
-/// Evaluation-stage fields of `cfg`: the full cfg.eval model (frequency,
-/// NoC library, wire, TSV) plus cfg.max_ill for the validity chain.
-std::string eval_cfg_key(const SynthesisConfig& cfg);
-
-/// Text form of an assignment (the vectors themselves), the middle of a
-/// routing key's CAS address.
-std::string assignment_key(const CoreAssignment& assign);
-
-/// Exact content serialization of a topology — core geometry snapshots,
-/// switches, links and flow paths, with doubles rendered from their bit
-/// patterns. The CAS addresses of placement and evaluation artifacts
-/// embed it; the in-memory caches compare the same fields directly
-/// (Topology::same_content), so it is rendered only for a store.
-std::string topology_fingerprint(const Topology& topo);
-
-/// Exact content serialization of a switch-placement instance — the
-/// position-LP solution cache keys on this.
-std::string placement_problem_key(const PlacementProblem& p);
+//
+// Each key's encode() appends its store address (after the spec prefix)
+// to a cas::Enc: the stage's tag, then exactly the fields its == compares.
 
 /// The config half of a routing, placement or evaluation key, built once
-/// per run and shared by every key the run makes: the CAS key text that
-/// goes before and after the input's text, and its hash.
+/// per run and shared by every key the run makes: the start of the key's
+/// bytes — the stage's tag, then the config fields the stage consumes —
+/// and their hash.
 struct StageConfig {
-    StageConfig(std::string head, std::string tail);
+    explicit StageConfig(std::string bytes);
 
-    std::string head;  ///< "rt|", "pl|<solver tag>|" or "ev|"
-    std::string tail;  ///< "|" + the stage's config key(s)
+    std::string bytes;
     std::uint64_t hash;
 
     friend bool operator==(const StageConfig& a, const StageConfig& b) {
-        return a.hash == b.hash && a.tail == b.tail && a.head == b.head;
+        return a.hash == b.hash && a.bytes == b.bytes;
     }
 };
 
-/// The partition stage's key: every input the stage consumes. Two keys
-/// are equal exactly when their text() is: doubles compare by bit
-/// pattern (so +0.0 and -0.0 are distinct keys, and so are NaNs with
-/// different payloads), and the graph compares only the fields
-/// PartitionGraphId::key() renders — PG none, SPG theta and theta_max,
-/// LPG the layer.
+/// The routing, placement and evaluation StageConfigs of one run.
+///   routing     tag R, cfg.eval, max_ill, allow_multilayer_links,
+///               use_soft_thresholds, the routing policy
+///   placement   tag L, kPlacementSolverTag, run_floorplan and, when it
+///               is on, the switch-area and TSV-macro parameters the
+///               legalizer reads (the position LP consumes no config)
+///   evaluation  tag E, the placement config's fields, cfg.eval, max_ill
+struct RunKeys {
+    explicit RunKeys(const SynthesisConfig& cfg);
+
+    std::shared_ptr<const StageConfig> routing;
+    std::shared_ptr<const StageConfig> placement;
+    std::shared_ptr<const StageConfig> evaluation;
+};
+
+/// The partition stage's key: every input the stage consumes. Doubles
+/// compare by bit pattern (so +0.0 and -0.0 are distinct keys, and so
+/// are NaNs with different payloads), and the graph compares only the
+/// fields its kind consumes — PG none, SPG theta and theta_max, LPG the
+/// layer.
 struct PartitionKey {
     PartitionGraphId graph;
     double alpha = 0.0;  ///< cfg.alpha
@@ -156,9 +147,9 @@ struct PartitionKey {
     int k = 0;
     RngState rng;  ///< the generator state handed to the stage
 
-    /// The CAS address (after the spec prefix): "pt|" + graph.key() + "|"
-    /// + partition_cfg_key + "|k=<k>|r=" + rng.key().
-    std::string text() const;
+    /// Tag P, the graph's kind and consumed fields, alpha, the options,
+    /// k and the four RNG words.
+    void encode(cas::Enc& e) const;
 
     struct Hash {
         std::size_t operator()(const PartitionKey& key) const noexcept;
@@ -169,15 +160,10 @@ struct PartitionKey {
 struct RoutingProbe;
 
 /// The routing stage's key: the assignment vectors (a copy) plus the
-/// run's routing StageConfig (head "rt|", tail "|" + routing_cfg_key).
-/// Equal exactly when their text() is.
+/// run's routing StageConfig. Its bytes are RoutingProbe's.
 struct RoutingKey {
     CoreAssignment assign;
     std::shared_ptr<const StageConfig> cfg;
-
-    /// The CAS address (after the spec prefix): "rt|" +
-    /// assignment_key(assign) + "|" + routing_cfg_key.
-    std::string text() const;
 
     /// Transparent: a RoutingProbe hashes as the key it names.
     struct Hash {
@@ -190,15 +176,49 @@ struct RoutingKey {
 };
 
 /// A routing lookup that borrows the caller's assignment and config: it
-/// hashes and compares exactly as the RoutingKey it names, so a hit
-/// copies nothing, and the routing cache builds that key
+/// hashes, compares and encodes exactly as the RoutingKey it names, so a
+/// hit copies nothing, and the routing cache builds that key
 /// (RoutingKey(probe)) only when it claims a miss.
 struct RoutingProbe {
     const CoreAssignment& assign;
     const std::shared_ptr<const StageConfig>& cfg;
 
+    /// The config's bytes, then core_switch and switch_layer.
+    void encode(cas::Enc& e) const;
+
     explicit operator RoutingKey() const { return {assign, cfg}; }
 };
+
+/// A placement or evaluation key: the stage's input artifact (a
+/// RoutingArtifact or a PlacementArtifact) plus the run's StageConfig,
+/// both held by shared_ptr, so a key owns no copy of the topology. It
+/// hashes the input's stored topo_hash with the config's hash; two keys
+/// are equal when their configs are and their topologies have
+/// Topology::same_content — the same artifact object, as on every warm
+/// rerun, short-cuts both.
+template <typename Input>
+struct ContentKey {
+    std::shared_ptr<const Input> input;
+    std::shared_ptr<const StageConfig> cfg;
+
+    /// The config's bytes, then the topology as cas::enc_topology writes
+    /// it.
+    void encode(cas::Enc& e) const;
+
+    struct Hash {
+        std::size_t operator()(const ContentKey& k) const {
+            return static_cast<std::size_t>(k.input->topo_hash ^
+                                            k.cfg->hash);
+        }
+    };
+    friend bool operator==(const ContentKey& a, const ContentKey& b) {
+        return (a.cfg == b.cfg || *a.cfg == *b.cfg) &&
+               (a.input == b.input ||
+                a.input->topo->same_content(*b.input->topo));
+    }
+};
+using PlacementKey = ContentKey<RoutingArtifact>;
+using EvaluationKey = ContentKey<PlacementArtifact>;
 
 // ----------------------------------------------------- stage computation
 //
@@ -263,8 +283,8 @@ CoreAssignment phase1_assignment(const PartitionArtifact& part,
 
 struct SessionOptions {
     /// Optional content-addressed spill store behind the in-memory caches:
-    /// a stage miss consults the store (keyed on the stage key's text
-    /// form prefixed with a spec fingerprint) before computing, and every
+    /// a stage miss consults the store (keyed on the stage key's bytes
+    /// after the spec prefix) before computing, and every
     /// computed artifact is written back — so warm artifacts survive
     /// restarts and are shared across processes. A store hit counts as a
     /// stage hit in the pipeline.<stage>.* instruments (plus cas.hits in
@@ -392,47 +412,6 @@ class SynthesisSession {
 
   private:
     struct GraphEntry;
-
-    /// A placement or evaluation key: the stage's input artifact (a
-    /// RoutingArtifact or a PlacementArtifact) plus the run's StageConfig,
-    /// both held by shared_ptr, so a key owns no copy of the topology. It
-    /// hashes the input's stored topo_hash with the config's hash; two
-    /// keys are equal when their configs are and their topologies have
-    /// Topology::same_content — the same artifact object, as on every
-    /// warm rerun, short-cuts both. text() is the CAS address, with the
-    /// topology_fingerprint in it.
-    template <typename Input>
-    struct ContentKey {
-        std::shared_ptr<const Input> input;
-        std::shared_ptr<const StageConfig> cfg;
-
-        struct Hash {
-            std::size_t operator()(const ContentKey& k) const {
-                return static_cast<std::size_t>(k.input->topo_hash ^
-                                                k.cfg->hash);
-            }
-        };
-        friend bool operator==(const ContentKey& a, const ContentKey& b) {
-            return (a.cfg == b.cfg || *a.cfg == *b.cfg) &&
-                   (a.input == b.input ||
-                    a.input->topo->same_content(*b.input->topo));
-        }
-        std::string text() const {
-            return cfg->head + topology_fingerprint(*input->topo) + cfg->tail;
-        }
-    };
-    using PlacementKey = ContentKey<RoutingArtifact>;
-    using EvaluationKey = ContentKey<PlacementArtifact>;
-
-    /// The routing, placement and evaluation config keys of one run,
-    /// built once per phase1 / phase2 call rather than per assignment.
-    struct RunKeys {
-        explicit RunKeys(const SynthesisConfig& cfg);
-
-        std::shared_ptr<const StageConfig> routing;
-        std::shared_ptr<const StageConfig> placement;
-        std::shared_ptr<const StageConfig> evaluation;
-    };
 
     /// One stage's artifact cache: a key -> slot map under its own
     /// shared lock, plus the stage's "<name>.hits" / ".misses" /
@@ -623,9 +602,9 @@ class SynthesisSession {
 
     DesignSpec spec_;
     SessionOptions opts_;
-    /// CAS key namespace for this spec ("s<16-hex of spec text>|"); empty
-    /// when no store is attached.
-    std::string cas_prefix_;
+    /// The spec prefix of this session's store addresses: fnv1a64 of
+    /// cas::enc_spec's bytes (0 when no store is attached).
+    std::uint64_t cas_spec_hash_ = 0;
     /// Store objects whose checksum held but whose payload the stage
     /// codec rejected (global "cas.undecodable"; recomputed and replaced).
     obs::Counter& cas_undecodable_{
@@ -638,6 +617,7 @@ class SynthesisSession {
         registry_, "pipeline.routing"};
     StageCache<PlacementKey, PlacementArtifact, PlacementKey::Hash>
         placements_{registry_, "pipeline.placement"};
+    /// Keyed on the bytes of the exact Eq. 2-5 instance.
     StageCache<std::string, PlacementResult> lp_solutions_{
         registry_, "pipeline.position_lp"};
     StageCache<EvaluationKey, EvaluatedDesign, EvaluationKey::Hash>

@@ -33,6 +33,15 @@ std::string traffic_choices() {
 
 namespace {
 
+// Bursty traffic's per-cycle Markov transition probabilities. The
+// stationary ON fraction (duty cycle) is off_to_on / (off_to_on +
+// on_to_off) = 0.2, i.e. 5x peak-to-mean bursts.
+constexpr double kBurstOnToOff = 0.05;
+constexpr double kBurstOffToOn = 0.0125;
+
+/// Hotspot traffic's rate multiplier for the flows into the busiest sink.
+constexpr double kHotspotFactor = 4.0;
+
 /// Core receiving the most aggregate spec bandwidth (lowest id on ties).
 int busiest_sink(const DesignSpec& spec) {
     std::vector<double> rx(static_cast<std::size_t>(spec.cores.num_cores()),
@@ -54,30 +63,15 @@ std::vector<double> flow_packet_rates(const DesignSpec& spec,
                                       const EvalParams& eval) {
     if (inj.packet_length_flits <= 0)
         throw std::invalid_argument("packet_length_flits must be positive");
-    // Require finiteness explicitly: a NaN scale/factor passes every
-    // ordering check (NaN comparisons are false) and would poison all
-    // rates through std::min(1.0, rate).
+    // Require finiteness explicitly: a NaN scale passes every ordering
+    // check (NaN comparisons are false) and would poison all rates
+    // through std::min(1.0, rate).
     if (!(std::isfinite(inj.injection_scale) && inj.injection_scale >= 0.0))
         throw std::invalid_argument(
             "injection_scale must be a finite value >= 0 (got " +
             std::to_string(inj.injection_scale) + ")");
-    int hotspot = -1;
-    if (inj.traffic == Traffic::Hotspot) {
-        if (!(std::isfinite(inj.hotspot_factor) &&
-              inj.hotspot_factor >= 0.0))
-            throw std::invalid_argument(
-                "hotspot_factor must be a finite value >= 0 (got " +
-                std::to_string(inj.hotspot_factor) + ")");
-        if (inj.hotspot_core < -1 ||
-            inj.hotspot_core >= spec.cores.num_cores())
-            throw std::invalid_argument(
-                "hotspot_core " + std::to_string(inj.hotspot_core) +
-                " out of range: spec has " +
-                std::to_string(spec.cores.num_cores()) +
-                " cores (use -1 for the busiest sink)");
-        hotspot = inj.hotspot_core >= 0 ? inj.hotspot_core
-                                        : busiest_sink(spec);
-    }
+    const int hotspot =
+        inj.traffic == Traffic::Hotspot ? busiest_sink(spec) : -1;
     std::vector<double> rates;
     rates.reserve(static_cast<std::size_t>(spec.comm.num_flows()));
     for (const auto& f : spec.comm.flows()) {
@@ -85,7 +79,7 @@ std::vector<double> flow_packet_rates(const DesignSpec& spec,
             eval.lib.flits_per_second(f.bw_mbps) / eval.freq_hz;
         double rate = inj.injection_scale * flits_per_cycle /
                       inj.packet_length_flits;
-        if (f.dst == hotspot) rate *= inj.hotspot_factor;
+        if (f.dst == hotspot) rate *= kHotspotFactor;
         rates.push_back(std::min(1.0, rate));
     }
     return rates;
@@ -96,18 +90,7 @@ InjectionState::InjectionState(const DesignSpec& spec,
                                const EvalParams& eval)
     : inj_(inj), rates_(flow_packet_rates(spec, inj, eval)) {
     if (inj_.traffic == Traffic::Bursty) {
-        // The negated-range form !(p > 0 && p <= 1) rejects NaN too,
-        // which a pair of ordering checks would silently accept.
-        if (!(inj_.burst_on_to_off > 0.0 && inj_.burst_on_to_off <= 1.0))
-            throw std::invalid_argument(
-                "burst_on_to_off must be in (0, 1] (got " +
-                std::to_string(inj_.burst_on_to_off) + ")");
-        if (!(inj_.burst_off_to_on > 0.0 && inj_.burst_off_to_on <= 1.0))
-            throw std::invalid_argument(
-                "burst_off_to_on must be in (0, 1] (got " +
-                std::to_string(inj_.burst_off_to_on) + ")");
-        const double duty = inj_.burst_off_to_on /
-                            (inj_.burst_off_to_on + inj_.burst_on_to_off);
+        const double duty = kBurstOffToOn / (kBurstOffToOn + kBurstOnToOff);
         on_rate_.reserve(rates_.size());
         for (double& r : rates_) {
             on_rate_.push_back(std::min(1.0, r / duty));
@@ -121,8 +104,8 @@ InjectionState::InjectionState(const DesignSpec& spec,
         burst_on_.assign(rates_.size(), 0);
         on_thr_.reserve(on_rate_.size());
         for (double r : on_rate_) on_thr_.push_back(bool_threshold(r));
-        on_to_off_thr_ = bool_threshold(inj_.burst_on_to_off);
-        off_to_on_thr_ = bool_threshold(inj_.burst_off_to_on);
+        on_to_off_thr_ = bool_threshold(kBurstOnToOff);
+        off_to_on_thr_ = bool_threshold(kBurstOffToOn);
     }
     thr_.reserve(rates_.size());
     for (double r : rates_) thr_.push_back(bool_threshold(r));

@@ -10,15 +10,18 @@
 //
 //  * Uniform — independent Bernoulli generation each cycle; the
 //    memoryless baseline.
-//  * Bursty — a two-state (ON/OFF) Markov-modulated process per flow.
+//  * Bursty — a two-state (ON/OFF) Markov-modulated process per flow,
+//    with fixed transition probabilities (ON->OFF 0.05, OFF->ON 0.0125
+//    per cycle: a duty cycle of 0.2, i.e. 5x peak-to-mean bursts).
 //    Packets are only generated in ON; the ON-state rate is raised so
 //    the long-run mean matches the uniform case, making latency
 //    differences attributable to burstiness alone. A flow demanding
 //    more than the duty cycle in packets/cycle saturates at one packet
 //    per ON cycle — packet_rate() reports the clamped, achievable mean.
-//  * Hotspot — uniform generation, but flows sinking at the hotspot
-//    core have their rate multiplied by hotspot_factor (the classic
-//    shared-memory controller overload).
+//  * Hotspot — uniform generation, but flows sinking at the core that
+//    receives the most spec bandwidth (lowest id on ties) have their
+//    rate multiplied by 4 (the classic shared-memory controller
+//    overload).
 //
 // All randomness flows through the caller-provided sunfloor::util Rng,
 // so a (topology, params, seed) triple replays bit-identically.
@@ -61,19 +64,6 @@ struct InjectionParams {
     /// Flits per packet (wormhole packets occupy a path until the tail
     /// passes, so longer packets couple links more strongly).
     int packet_length_flits = 4;
-
-    // Bursty: per-cycle Markov transition probabilities. The stationary
-    // ON fraction (duty cycle) is off_to_on / (off_to_on + on_to_off);
-    // the defaults give duty 0.2, i.e. 5x peak-to-mean bursts.
-    double burst_on_to_off = 0.05;
-    double burst_off_to_on = 0.0125;
-
-    /// Hotspot: rate multiplier for flows whose destination is the
-    /// hotspot core.
-    double hotspot_factor = 4.0;
-    /// Hotspot core id; -1 picks the core receiving the most spec
-    /// bandwidth (deterministic: lowest id on ties).
-    int hotspot_core = -1;
 };
 
 /// Mean packet-generation rates per flow (packets/cycle) implied by the
@@ -82,12 +72,9 @@ struct InjectionParams {
 /// 1.0 — the source can start at most one packet per cycle.
 ///
 /// Input validation (std::invalid_argument naming the offending
-/// parameter): injection_scale must be finite and >= 0 (a NaN scale
-/// would sail past a bare sign check — NaN comparisons are false — and
-/// poison every rate through the clamp); under hotspot traffic,
-/// hotspot_factor must be finite and >= 0 and hotspot_core must be -1
-/// or a valid core id of `spec` (an out-of-range id would silently
-/// degrade to uniform traffic because no flow ever sinks there).
+/// parameter): packet_length_flits must be positive, and injection_scale
+/// finite and >= 0 (a NaN scale would sail past a bare sign check — NaN
+/// comparisons are false — and poison every rate through the clamp).
 std::vector<double> flow_packet_rates(const DesignSpec& spec,
                                       const InjectionParams& inj,
                                       const EvalParams& eval);
@@ -185,8 +172,8 @@ class InjectionState {
     // bool_threshold() forms of the rates above (see its comment).
     std::vector<std::uint64_t> thr_;     ///< of rates_ (uniform/hotspot)
     std::vector<std::uint64_t> on_thr_;  ///< of on_rate_ (bursty)
-    std::uint64_t on_to_off_thr_ = 0;    ///< of burst_on_to_off
-    std::uint64_t off_to_on_thr_ = 0;    ///< of burst_off_to_on
+    std::uint64_t on_to_off_thr_ = 0;    ///< of the ON->OFF probability
+    std::uint64_t off_to_on_thr_ = 0;    ///< of the OFF->ON probability
 };
 
 }  // namespace sunfloor::sim

@@ -1,7 +1,5 @@
 #include "sunfloor/util/rng.h"
 
-#include "sunfloor/util/strings.h"
-
 namespace sunfloor {
 
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -9,13 +7,6 @@ std::uint64_t splitmix64(std::uint64_t x) {
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
-}
-
-std::string RngState::key() const {
-    std::string out;
-    out.reserve(4 * 16);
-    for (const std::uint64_t w : s) append_hex64(out, w);
-    return out;
 }
 
 Rng::Rng(const RngState& state) { set_state(state); }

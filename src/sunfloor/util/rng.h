@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace sunfloor {
@@ -24,10 +23,6 @@ struct RngState {
     std::uint64_t s[4] = {0, 0, 0, 0};
 
     friend bool operator==(const RngState&, const RngState&) = default;
-
-    /// Stable 64-hex-digit rendering for cache keys (the four words in
-    /// order, each as "%016llx" prints it).
-    std::string key() const;
 };
 
 /// xoshiro256** generator. Small, fast, and with a well-understood state

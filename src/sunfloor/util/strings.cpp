@@ -52,27 +52,18 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 
 std::string double_bits(double v) {
     std::string out;
-    append_double_bits(out, v);
+    append_hex64(out, std::bit_cast<std::uint64_t>(v));
     return out;
 }
 
-char* write_hex64(char* out, std::uint64_t v) {
+void append_hex64(std::string& out, std::uint64_t v) {
     static constexpr char kDigits[] = "0123456789abcdef";
+    char buf[16];
     for (int i = 15; i >= 0; --i) {
-        out[i] = kDigits[v & 0xf];
+        buf[i] = kDigits[v & 0xf];
         v >>= 4;
     }
-    return out + 16;
-}
-
-void append_hex64(std::string& out, std::uint64_t v) {
-    char buf[16];
-    write_hex64(buf, v);
     out.append(buf, sizeof buf);
-}
-
-void append_double_bits(std::string& out, double v) {
-    append_hex64(out, std::bit_cast<std::uint64_t>(v));
 }
 
 std::uint64_t fnv1a64(std::string_view s, std::uint64_t h) {

@@ -25,26 +25,18 @@ bool starts_with(std::string_view s, std::string_view prefix);
 /// "auto" alike; no locale involved).
 bool iequals(std::string_view a, std::string_view b);
 
-/// Exact textual form of a double: the hex of its bit pattern. Grid and
-/// pipeline cache keys use this so values differing in the last ulp stay
+/// Exact textual form of a double: the hex of its bit pattern. Grid
+/// point and job keys use this so values differing in the last ulp stay
 /// distinct.
 std::string double_bits(double v);
 
-/// Write the 16 lowercase hex digits of `v`, zero-padded (the bytes
-/// "%016llx" prints), at `out`; returns the end of what it wrote. Direct
-/// rather than through vsnprintf: the stage keys render thousands of
-/// these per synthesis.
-char* write_hex64(char* out, std::uint64_t v);
-
-/// Append write_hex64's 16 digits of `v` to `out`.
+/// Append the 16 lowercase hex digits of `v`, zero-padded (the bytes
+/// "%016llx" prints), to `out`.
 void append_hex64(std::string& out, std::uint64_t v);
 
-/// Append double_bits(v) to `out`.
-void append_double_bits(std::string& out, double v);
-
 /// FNV-1a over `s`, continuing from `h`. Its values are pinned: CAS object
-/// names and payload checksums, spec fingerprints and the explorer's
-/// per-point seeds all come from it.
+/// names and payload checksums, the spec prefix of every CAS address and
+/// the explorer's per-point seeds all come from it.
 std::uint64_t fnv1a64(std::string_view s,
                       std::uint64_t h = 0xcbf29ce484222325ULL);
 

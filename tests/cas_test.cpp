@@ -28,6 +28,7 @@
 #include "sunfloor/cas/codec.h"
 #include "sunfloor/cas/store.h"
 #include "sunfloor/core/synthesizer.h"
+#include "sunfloor/floorplan/annealer.h"
 #include "sunfloor/obs/metrics.h"
 #include "sunfloor/pipeline/session.h"
 #include "sunfloor/spec/benchmarks.h"
@@ -353,8 +354,6 @@ TEST(CasCodec, ArtifactsRoundTripBitExactly) {
         EXPECT_EQ(cas::encode_routing(*back), blob);
         EXPECT_EQ(back->ok, routed.ok);
         EXPECT_EQ(back->topo->num_links(), routed.topo->num_links());
-        EXPECT_EQ(pipeline::topology_fingerprint(back->topo),
-                  pipeline::topology_fingerprint(routed.topo));
         // Decoding takes the content hash the stage took.
         EXPECT_NE(routed.topo_hash, 0u);
         EXPECT_EQ(back->topo_hash, routed.topo_hash);
@@ -380,8 +379,7 @@ TEST(CasCodec, ArtifactsRoundTripBitExactly) {
         EXPECT_EQ(cas::encode_placement(*back), blob);
         EXPECT_EQ(back->layer_die_area_mm2.size(),
                   placed.layer_die_area_mm2.size());
-        EXPECT_EQ(pipeline::topology_fingerprint(back->topo),
-                  pipeline::topology_fingerprint(placed.topo));
+        EXPECT_TRUE(back->topo->same_content(*placed.topo));
         EXPECT_NE(placed.topo_hash, 0u);
         EXPECT_EQ(back->topo_hash, placed.topo_hash);
     }
@@ -704,9 +702,24 @@ std::vector<std::string> object_keys(const std::string& dir) {
     return keys;
 }
 
+/// The store address a session of `spec` files `key` under: the spec
+/// prefix (fnv1a64 of cas::enc_spec's bytes), then the key's bytes.
+template <typename Key>
+std::string address_of(const DesignSpec& spec, const Key& key) {
+    cas::Enc spec_bytes;
+    cas::enc_spec(spec_bytes, spec);
+    cas::Enc e;
+    e.u64(cas::fnv1a64(spec_bytes.view()));
+    key.encode(e);
+    return e.take();
+}
+
+/// The 8-byte spec prefix every address starts with.
+constexpr std::size_t kSpecPrefix = 8;
+
 TEST(CasSession, PlacementsOfAnotherSolverAreNeverServed) {
-    // A store written before the position solver changed holds placements
-    // under "pl|<topology>|<cfg>", without the solver tag. Plant such
+    // A store written by a build whose position solver picked other
+    // optima holds placements under that solver's tag. Plant such
     // objects, with positions the current solver never returns, beside the
     // cold run's partition, routing and evaluation objects: a fresh
     // session must recompute every placement, still reuse the other
@@ -725,13 +738,20 @@ TEST(CasSession, PlacementsOfAnotherSolverAreNeverServed) {
 
     cas::Store cold = open_store(cold_dir.path);
     cas::Store old = open_store(old_dir.path);
-    const std::string tagged = std::string("pl|") + kPlacementSolverTag + "|";
+    // A placement key starts with its stage tag and the solver tag.
+    const auto tags = [](std::string_view solver) {
+        cas::Enc e;
+        e.u8(cas::kTagPlacement);
+        e.str(solver);
+        return e.take();
+    };
+    const std::string tagged = tags(kPlacementSolverTag);
+    const std::string other = tags("another-solver");
     int planted = 0;
     for (const std::string& key : object_keys(cold_dir.path)) {
         std::string payload;
-        ASSERT_TRUE(cold.get(key, payload)) << key.substr(0, 40);
-        const std::size_t at = key.find(tagged);
-        if (at == std::string::npos) {
+        ASSERT_TRUE(cold.get(key, payload));
+        if (key.compare(kSpecPrefix, tagged.size(), tagged) != 0) {
             ASSERT_TRUE(old.put(key, payload));
             continue;
         }
@@ -741,8 +761,8 @@ TEST(CasSession, PlacementsOfAnotherSolverAreNeverServed) {
         for (int s = 0; s < moved.num_switches(); ++s)
             moved.switch_at(s).position.x += 1.0;
         placed->topo = SharedTopology(std::move(moved));
-        const std::string old_key =
-            key.substr(0, at) + "pl|" + key.substr(at + tagged.size());
+        const std::string old_key = key.substr(0, kSpecPrefix) + other +
+                                    key.substr(kSpecPrefix + tagged.size());
         ASSERT_TRUE(old.put(old_key, cas::encode_placement(*placed)));
         ++planted;
     }
@@ -760,12 +780,12 @@ TEST(CasSession, PlacementsOfAnotherSolverAreNeverServed) {
 }
 
 TEST(CasSession, StageKeyBytesArePinned) {
-    // A CAS address is the fnv1a64 of the stage key text, so a byte moved
-    // in any stage key orphans every store written before it. This fixed
-    // synthesis must write exactly the objects the format-based key
-    // renderers wrote: the count and a hash of the sorted object names
-    // were taken from that build and must only change with a stated
-    // reason, like a CAS format bump.
+    // An object's name is the fnv1a64 of its address — the spec prefix
+    // and the stage key's codec bytes — so a byte moved in any stage key
+    // orphans every store written before it. This fixed synthesis must
+    // write exactly the objects it wrote when the addresses became codec
+    // bytes: the count and a hash of the sorted object names must only
+    // change with a stated reason, like a CAS format bump.
     TempDir dir;
     const DesignSpec spec = make_benchmark("D_26_media");
     SynthesisConfig cfg;
@@ -791,7 +811,67 @@ TEST(CasSession, StageKeyBytesArePinned) {
     std::string joined;
     for (const std::string& name : names) joined += name + '\n';
     EXPECT_EQ(names.size(), 267u);
-    EXPECT_EQ(cas::fnv1a64(joined), 0x3c49c8cbec287d9eULL);
+    EXPECT_EQ(cas::fnv1a64(joined), 0x405f1471b1dfb155ULL);
+}
+
+TEST(CasSession, SpecsThatPrintAlikeShareNoObjects) {
+    // write_design prints coordinates through %.6g, so two specs whose
+    // cores sit a billionth apart print alike though their designs
+    // differ. An address names its spec by the bits of cas::enc_spec, so
+    // a run of one spec reads no object a run of the other wrote, and
+    // returns exactly what it returns without a store. Spec A is
+    // D_26_media with the placement `--benchmark` anneals; spec B is A
+    // with every core's x scaled by 1 + 1e-9.
+    DesignSpec a = make_benchmark("D_26_media");
+    AnnealOptions fopts;
+    fopts.wirelength_weight = 5e-4;
+    Rng rng(42);
+    floorplan_design_layers(a.cores, a.comm, fopts, rng);
+    DesignSpec b = a;
+    for (int c = 0; c < b.cores.num_cores(); ++c)
+        b.cores.core(c).position.x *= 1 + 1e-9;
+    std::ostringstream text_a;
+    std::ostringstream text_b;
+    write_design(text_a, a);
+    write_design(text_b, b);
+    ASSERT_EQ(text_a.str(), text_b.str());
+
+    SynthesisConfig cfg;
+    cfg.run_floorplan = false;
+    TempDir dir;
+    {
+        pipeline::SessionOptions so;
+        so.cas = std::make_shared<cas::Store>(cas::StoreOptions{dir.path});
+        pipeline::SynthesisSession fill(a, so);
+        fill.run(cfg);
+        ASSERT_GT(so.cas->stats().objects, 0u);
+    }
+    // The number of designs of `x` whose blobs differ from `y`'s.
+    const auto differing = [](const SynthesisResult& x,
+                              const SynthesisResult& y) {
+        EXPECT_EQ(x.points.size(), y.points.size());
+        std::size_t n = 0;
+        for (std::size_t i = 0; i < x.points.size() && i < y.points.size();
+             ++i)
+            n += cas::encode_evaluation(
+                     pipeline::EvaluatedDesign(x.points[i])) !=
+                 cas::encode_evaluation(
+                     pipeline::EvaluatedDesign(y.points[i]));
+        return n;
+    };
+    const SynthesisResult ref = run_synthesis(b, cfg);
+    ASSERT_GT(differing(run_synthesis(a, cfg), ref), 0u);
+
+    pipeline::SessionOptions so;
+    so.cas = std::make_shared<cas::Store>(cas::StoreOptions{dir.path});
+    const long long hits_before = counter("cas.hits");
+    pipeline::SynthesisSession session(b, so);
+    const SynthesisResult got = session.run(cfg);
+    EXPECT_EQ(counter("cas.hits"), hits_before);
+    EXPECT_EQ(got.phase_used, ref.phase_used);
+    const std::size_t differ = differing(got, ref);
+    EXPECT_EQ(differ, 0u) << differ << " of " << ref.points.size()
+                          << " designs differ from the run without a store";
 }
 
 TEST(CasSession, UndecodableObjectsAreCountedAndReplaced) {
@@ -812,14 +892,9 @@ TEST(CasSession, UndecodableObjectsAreCountedAndReplaced) {
                                       Rng(cfg.seed).state());
     const CoreAssignment assign =
         pipeline::phase1_assignment(*part, spec.cores);
-    std::ostringstream design;
-    write_design(design, spec);
-    char prefix[32];
-    std::snprintf(prefix, sizeof prefix, "s%016llx|",
-                  static_cast<unsigned long long>(cas::fnv1a64(design.str())));
-    const std::string key = std::string(prefix) + "rt|" +
-                            pipeline::assignment_key(assign) + "|" +
-                            pipeline::routing_cfg_key(cfg);
+    const pipeline::RunKeys keys(cfg);
+    const std::string key =
+        address_of(spec, pipeline::RoutingProbe{assign, keys.routing});
     cas::Store store = open_store(dir.path);
     ASSERT_TRUE(store.put(key, cas::encode_partition(*part)));
 
@@ -903,9 +978,9 @@ std::size_t flow_path_offset(const Topology& t, int flow) {
 }
 
 TEST(CasSession, EvaluationsOfAnotherTopologyAreUndecodable) {
-    // An evaluation object is filed under its placed topology's
-    // fingerprint, and a store-served design shares the placed topology
-    // its key holds. One whose checksum and key echo hold but whose
+    // An evaluation object is filed under its placed topology's bytes,
+    // and a store-served design shares the placed topology its key
+    // holds. One whose checksum and key echo hold but whose
     // topology section is another topology (one switch moved, or one
     // flow-path hop moved to a parallel link, which still decodes as a
     // valid topology) is undecodable: counted once, recomputed and
@@ -922,12 +997,6 @@ TEST(CasSession, EvaluationsOfAnotherTopologyAreUndecodable) {
         warmup.run(cfg);
     }
     cas::Store cold = open_store(cold_dir.path);
-    std::ostringstream design;
-    write_design(design, spec);
-    char prefix[32];
-    std::snprintf(prefix, sizeof prefix, "s%016llx|",
-                  static_cast<unsigned long long>(cas::fnv1a64(design.str())));
-    const std::string ev_prefix = std::string(prefix) + "ev|";
 
     // One edit per case: the evaluation key it applies to and its bytes.
     struct Edit {
@@ -938,7 +1007,8 @@ TEST(CasSession, EvaluationsOfAnotherTopologyAreUndecodable) {
     };
     std::vector<Edit> edits;
     for (const std::string& key : object_keys(cold_dir.path)) {
-        if (key.compare(0, ev_prefix.size(), ev_prefix) != 0) continue;
+        if (key[kSpecPrefix] != static_cast<char>(cas::kTagEvaluation))
+            continue;
         std::string payload;
         ASSERT_TRUE(cold.get(key, payload));
         const auto ev = cas::decode_evaluation(payload, spec);
@@ -1012,8 +1082,7 @@ TEST(CasSession, EvaluationsOfAnotherTopologyAreUndecodable) {
         expect_same_results(got, ref);
         for (std::size_t i = 0; i < got.points.size() && i < ref.points.size();
              ++i)
-            EXPECT_EQ(pipeline::topology_fingerprint(got.points[i].topo),
-                      pipeline::topology_fingerprint(ref.points[i].topo))
+            EXPECT_TRUE(got.points[i].topo->same_content(ref.points[i].topo))
                 << "point " << i;
         EXPECT_EQ(counter("cas.undecodable") - undecodable_before, 1);
         EXPECT_EQ(session.stats().evaluation.misses, 1);
@@ -1035,11 +1104,6 @@ TEST(CasSession, PartitionsThatDoNotFitTheCallAreUndecodable) {
     const DesignSpec spec = make_benchmark("D_26_media");
     ASSERT_GT(spec.cores.num_layers(), 1);
     const SynthesisConfig cfg = fast_cfg();
-    std::ostringstream design;
-    write_design(design, spec);
-    char prefix[32];
-    std::snprintf(prefix, sizeof prefix, "s%016llx|",
-                  static_cast<unsigned long long>(cas::fnv1a64(design.str())));
 
     pipeline::SynthesisSession probe(spec);
     RngState rng = Rng(cfg.seed).state();
@@ -1098,7 +1162,7 @@ TEST(CasSession, PartitionsThatDoNotFitTheCallAreUndecodable) {
     for (const auto& c : cases) {
         SCOPED_TRACE(c.what);
         TempDir dir;
-        const std::string key = prefix + c.key->text();
+        const std::string key = address_of(spec, *c.key);
         pipeline::PartitionArtifact bad = *c.good;
         c.edit(bad);
         cas::Store store = open_store(dir.path);

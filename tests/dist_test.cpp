@@ -339,7 +339,7 @@ TEST(DistProtocol, FramesParseBothDirections) {
 }
 
 TEST(DistProtocol, WireVersionTwoFramesAndPayloadsAreRejectedByName) {
-    EXPECT_EQ(dist::kWireVersion, 5u);
+    EXPECT_EQ(dist::kWireVersion, 6u);
     // Version 2 carried the payload hex-encoded inside the JSON line.
     std::string err;
     dist::WorkerRequest wreq;
@@ -596,13 +596,14 @@ TEST(DistFaults, FlakyTransportIsRetriedToAnExactResult) {
     grid.set_axis(ParamAxis::thetas({4.0}));
     const ExploreResult ref = Explorer(spec, cfg, opts).run(grid);
 
-    // The only worker fails twice (below the retirement threshold), then
-    // recovers; with max_retries=2 the job survives both failures.
+    // The only worker fails twice, then recovers: as the last live
+    // worker it retries the job itself, and kMaxRetries covers both
+    // failures.
+    static_assert(dist::kMaxRetries >= 2);
     std::vector<std::shared_ptr<dist::ShardTransport>> transports = {
         std::make_shared<FlakyTransport>(2)};
     dist::DistOptions dopts;
     dopts.shards = 1;
-    dopts.max_retries = 2;
     const long long retried = counter("dist.jobs.retried");
     const ExploreResult got = dist::distribute_explore(
         spec, cfg, opts, grid.enumerate(), transports, dopts);
@@ -623,10 +624,36 @@ TEST(DistFaults, MixedHealthyAndDeadWorkersStillFinishExactly) {
     };
     dist::DistOptions dopts;
     dopts.shards = 4;
-    dopts.max_retries = 16;  // failures re-queue onto the healthy worker
     const ExploreResult got = dist::distribute_explore(
         spec, cfg, opts, grid.enumerate(), transports, dopts);
     EXPECT_EQ(csv_of(got), csv_of(ref));
+}
+
+TEST(DistFaults, OneDeadWorkerAmongHealthyOnesFinishesExactly) {
+    // A dead worker that takes a job hands it to the healthy ones and
+    // retires, wherever it sits in the worker list, instead of retrying
+    // the job until its budget is gone.
+    const DesignSpec spec = make_benchmark("D_36_4");
+    const SynthesisConfig cfg = fast_cfg();
+    const ExploreOptions opts = backend_opts(EvalBackend::Analytic);
+    const ParamGrid grid = analytic_grid();
+    const std::string ref = csv_of(Explorer(spec, cfg, opts).run(grid));
+    dist::DistOptions dopts;
+    dopts.shards = 4;
+    for (const bool dead_first : {true, false}) {
+        std::vector<std::shared_ptr<dist::ShardTransport>> transports = {
+            std::make_shared<dist::InprocTransport>(),
+            std::make_shared<dist::InprocTransport>(),
+        };
+        transports.insert(dead_first ? transports.begin() : transports.end(),
+                          std::make_shared<AlwaysFailTransport>());
+        const long long retired = counter("dist.workers.retired");
+        const ExploreResult got = dist::distribute_explore(
+            spec, cfg, opts, grid.enumerate(), transports, dopts);
+        EXPECT_EQ(csv_of(got), ref) << "dead first " << dead_first;
+        EXPECT_LE(counter("dist.workers.retired"), retired + 1)
+            << "dead first " << dead_first;
+    }
 }
 
 TEST(DistFaults, RetriesExceededThrowsTheLastErrorKind) {
@@ -635,37 +662,19 @@ TEST(DistFaults, RetriesExceededThrowsTheLastErrorKind) {
     grid.set_axis(ParamAxis::thetas({4.0}));
     std::vector<std::shared_ptr<dist::ShardTransport>> transports = {
         std::make_shared<AlwaysFailTransport>()};
-    dist::DistOptions dopts;
-    dopts.max_retries = 1;
+    const long long retried = counter("dist.jobs.retried");
     try {
         dist::distribute_explore(spec, fast_cfg(),
                                  backend_opts(EvalBackend::Analytic),
-                                 grid.enumerate(), transports, dopts);
+                                 grid.enumerate(), transports,
+                                 dist::DistOptions{});
         FAIL() << "expected DistError";
     } catch (const dist::DistError& e) {
         EXPECT_EQ(e.kind(), dist::DistErrorKind::Transport);
         EXPECT_NE(std::string(e.what()).find("injected"), std::string::npos);
     }
-}
-
-TEST(DistFaults, AllWorkersRetiredThrowsWorkerLost) {
-    const DesignSpec spec = make_benchmark("D_36_4");
-    ParamGrid grid;
-    grid.set_axis(ParamAxis::thetas({4.0}));
-    std::vector<std::shared_ptr<dist::ShardTransport>> transports = {
-        std::make_shared<AlwaysFailTransport>()};
-    dist::DistOptions dopts;
-    dopts.max_retries = 100;  // retirement bites before the retry budget
-    const long long retired = counter("dist.workers.retired");
-    try {
-        dist::distribute_explore(spec, fast_cfg(),
-                                 backend_opts(EvalBackend::Analytic),
-                                 grid.enumerate(), transports, dopts);
-        FAIL() << "expected DistError";
-    } catch (const dist::DistError& e) {
-        EXPECT_EQ(e.kind(), dist::DistErrorKind::WorkerLost);
-    }
-    EXPECT_EQ(counter("dist.workers.retired"), retired + 1);
+    // The lone worker is the last live one: it retried the job itself.
+    EXPECT_EQ(counter("dist.jobs.retried"), retried + dist::kMaxRetries);
 }
 
 TEST(DistFaults, ConfigErrorsAreTyped) {
@@ -760,12 +769,11 @@ TEST(DistFaults, UnreachableSocketWorkerFailsAsTransport) {
     std::vector<std::shared_ptr<dist::ShardTransport>> transports = {
         std::make_shared<dist::SocketTransport>(
             "/nonexistent/sunfloor/worker.sock")};
-    dist::DistOptions dopts;
-    dopts.max_retries = 0;
     try {
         dist::distribute_explore(spec, fast_cfg(),
                                  backend_opts(EvalBackend::Analytic),
-                                 grid.enumerate(), transports, dopts);
+                                 grid.enumerate(), transports,
+                                 dist::DistOptions{});
         FAIL() << "expected DistError";
     } catch (const dist::DistError& e) {
         EXPECT_EQ(e.kind(), dist::DistErrorKind::Transport);

@@ -1,7 +1,6 @@
 #include "oracle/fingerprint_reference.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <span>
 
@@ -28,16 +27,6 @@ std::string double_bits_reference(double v) {
     static_assert(sizeof(bits) == sizeof(v));
     std::memcpy(&bits, &v, sizeof(bits));
     return format("%016llx", static_cast<unsigned long long>(bits));
-}
-
-std::string rng_key_reference(const RngState& state) {
-    char buf[4 * 16 + 1];
-    std::snprintf(buf, sizeof(buf), "%016llx%016llx%016llx%016llx",
-                  static_cast<unsigned long long>(state.s[0]),
-                  static_cast<unsigned long long>(state.s[1]),
-                  static_cast<unsigned long long>(state.s[2]),
-                  static_cast<unsigned long long>(state.s[3]));
-    return buf;
 }
 
 std::string topology_fingerprint_reference(const Topology& topo) {
@@ -82,28 +71,6 @@ std::string topology_fingerprint_reference(const Topology& topo) {
         s += ';';
     }
     return s;
-}
-
-std::string partition_key_reference(const pipeline::PartitionGraphId& graph,
-                                    double alpha, const PartitionOptions& opts,
-                                    int k, const RngState& rng) {
-    using Kind = pipeline::PartitionGraphId::Kind;
-    std::string g = "pg";
-    if (graph.kind == Kind::SPG)
-        g = "spg;th=" + double_bits_reference(graph.theta) +
-            ";tm=" + double_bits_reference(graph.theta_max);
-    if (graph.kind == Kind::LPG) g = format("lpg;ly=%d", graph.layer);
-    return "pt|" + g +
-           format("|a=%s;ns=%d;rf=%d;mb=%d;mp=%d|k=%d|r=%s",
-                  double_bits_reference(alpha).c_str(), opts.num_starts,
-                  opts.refine ? 1 : 0, opts.max_block_size, kMaxPasses,
-                  k, rng_key_reference(rng).c_str());
-}
-
-std::string routing_key_reference(const CoreAssignment& assign,
-                                  const std::string& routing_cfg) {
-    return "rt|cs=" + int_list_key(assign.core_switch) +
-           ";sl=" + int_list_key(assign.switch_layer) + "|" + routing_cfg;
 }
 
 }  // namespace sunfloor::oracle

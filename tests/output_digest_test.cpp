@@ -2,12 +2,14 @@
 //
 // Each run below renders what `sunfloor_cli --benchmark <spec>` writes —
 // the `_points.csv` table, the best-power design's DOT and layer SVGs —
-// plus the topology_fingerprint of every returned design point, and
-// hashes it all into one fnv1a64 digest. The CAS run hashes the name and
-// bytes of every object a D_26_media session spills to its store. The
-// digests were taken from the build before the shared-topology refactor;
-// a kernel or pipeline change that claims byte-identical outputs proves
-// it by leaving them alone. Re-pin a digest only with a written argument
+// plus a text fingerprint of every returned design point's topology
+// (oracle::topology_fingerprint_reference), and hashes it all into one
+// fnv1a64 digest. The CAS run hashes the name and bytes of every object
+// a D_26_media session spills to its store. The digests were taken from
+// the build before the shared-topology refactor, the CAS digest again
+// when store addresses became codec bytes (the same payloads under new
+// names and key echoes); a kernel or pipeline change that claims
+// byte-identical outputs proves it by leaving them alone. Re-pin a digest only with a written argument
 // (an intended output change), as for export_golden_test.
 //
 // The digests hold for builds that do not contract floating-point
@@ -26,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "oracle/fingerprint_reference.h"
 #include "sunfloor/cas/store.h"
 #include "sunfloor/core/synthesizer.h"
 #include "sunfloor/floorplan/annealer.h"
@@ -82,7 +85,7 @@ std::string render_run(const DesignSpec& spec, const service::JobParams& params,
     }
     out << "fingerprints\n";
     for (const DesignPoint& p : points)
-        out << pipeline::topology_fingerprint(p.topo) << '\n';
+        out << oracle::topology_fingerprint_reference(p.topo) << '\n';
     return out.str();
 }
 
@@ -199,7 +202,7 @@ TEST(OutputDigest, CasStoreObjects) {
     std::filesystem::remove_all(dir);
     EXPECT_EQ(names.size(), 267u);
     expect_digests({{"D_26_media/cas", store}},
-                   {{"D_26_media/cas", 0xe08fdc38abd41054ULL}});
+                   {{"D_26_media/cas", 0xcc3785222081a78cULL}});
 }
 
 }  // namespace

@@ -232,8 +232,12 @@ void add_phase1_cases(const DesignSpec& spec, const SynthesisConfig& cfg,
             c.spec = &spec;
             c.assign = pipeline::phase1_assignment(*part, spec.cores);
             c.cfg = cfg;
-            c.label = spec.name + " " + graph.key() + " k=" +
-                      std::to_string(k) + " " + policy_name(cfg.routing);
+            c.label = spec.name +
+                      (graph.kind == pipeline::PartitionGraphId::Kind::SPG
+                           ? " spg theta=" + std::to_string(graph.theta)
+                           : " pg") +
+                      " k=" + std::to_string(k) + " " +
+                      policy_name(cfg.routing);
             out.push_back(std::move(c));
         }
     }

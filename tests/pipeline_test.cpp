@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "sunfloor/cas/codec.h"
 #include "sunfloor/cas/store.h"
 #include "sunfloor/core/synthesizer.h"
 #include "sunfloor/pipeline/session.h"
@@ -75,8 +76,7 @@ TEST(RngState, SnapshotResumesTheExactStream) {
     Rng b(st);
     for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
     EXPECT_EQ(a.state(), b.state());
-    EXPECT_EQ(st.key().size(), 64u);
-    EXPECT_NE(st.key(), a.state().key());
+    EXPECT_NE(st, a.state());
 }
 
 TEST(Pipeline, WarmPhase1RerunMatchesColdIncludingRngThreading) {
@@ -411,61 +411,84 @@ TEST(Pipeline, RunReportsStageTiming) {
     EXPECT_GE(res.timing.evaluation_ms, 0.0);
 }
 
+/// The bytes of the stage keys a config makes: a PG partition key (at a
+/// fixed k and generator state) and the run's three StageConfigs.
+struct ConfigBytes {
+    explicit ConfigBytes(const SynthesisConfig& cfg) {
+        cas::Enc e;
+        pipeline::PartitionKey{pipeline::PartitionGraphId::pg(), cfg.alpha,
+                               cfg.partition, 4, Rng(1).state()}
+            .encode(e);
+        partition = e.take();
+        const pipeline::RunKeys keys(cfg);
+        routing = keys.routing->bytes;
+        placement = keys.placement->bytes;
+        evaluation = keys.evaluation->bytes;
+    }
+
+    std::string partition;
+    std::string routing;
+    std::string placement;
+    std::string evaluation;
+};
+
 TEST(Pipeline, StageKeysSeparateConsumedFields) {
     SynthesisConfig a = fast_cfg();
     SynthesisConfig b = a;
     // Routing consumes the frequency; partitioning does not.
     b.eval.freq_hz = a.eval.freq_hz * 2;
-    EXPECT_EQ(pipeline::partition_cfg_key(a.alpha, a.partition),
-              pipeline::partition_cfg_key(b.alpha, b.partition));
-    EXPECT_NE(pipeline::routing_cfg_key(a), pipeline::routing_cfg_key(b));
-    EXPECT_NE(pipeline::eval_cfg_key(a), pipeline::eval_cfg_key(b));
+    EXPECT_EQ(ConfigBytes(a).partition, ConfigBytes(b).partition);
+    EXPECT_NE(ConfigBytes(a).routing, ConfigBytes(b).routing);
+    EXPECT_NE(ConfigBytes(a).evaluation, ConfigBytes(b).evaluation);
     // Neither stage consumes the seed.
     b = a;
     b.seed = a.seed + 1;
-    EXPECT_EQ(pipeline::partition_cfg_key(a.alpha, a.partition),
-              pipeline::partition_cfg_key(b.alpha, b.partition));
-    EXPECT_EQ(pipeline::routing_cfg_key(a), pipeline::routing_cfg_key(b));
+    EXPECT_EQ(ConfigBytes(a).partition, ConfigBytes(b).partition);
+    EXPECT_EQ(ConfigBytes(a).routing, ConfigBytes(b).routing);
     // Partitioning consumes alpha; the soft thresholds are routing-only.
     b = a;
     b.alpha = 0.5;
-    EXPECT_NE(pipeline::partition_cfg_key(a.alpha, a.partition),
-              pipeline::partition_cfg_key(b.alpha, b.partition));
+    EXPECT_NE(ConfigBytes(a).partition, ConfigBytes(b).partition);
     b = a;
     b.use_soft_thresholds = !a.use_soft_thresholds;
-    EXPECT_NE(pipeline::routing_cfg_key(a), pipeline::routing_cfg_key(b));
-    EXPECT_EQ(pipeline::partition_cfg_key(a.alpha, a.partition),
-              pipeline::partition_cfg_key(b.alpha, b.partition));
+    EXPECT_NE(ConfigBytes(a).routing, ConfigBytes(b).routing);
+    EXPECT_EQ(ConfigBytes(a).partition, ConfigBytes(b).partition);
     // The routing policy is a routing-stage field only: a session caches
     // one routing artifact per discipline, while partition artifacts are
     // shared across the routing axis.
     b = a;
     b.routing = routing::RoutingPolicyId::OddEven;
-    EXPECT_NE(pipeline::routing_cfg_key(a), pipeline::routing_cfg_key(b));
-    EXPECT_EQ(pipeline::partition_cfg_key(a.alpha, a.partition),
-              pipeline::partition_cfg_key(b.alpha, b.partition));
-    EXPECT_EQ(pipeline::eval_cfg_key(a), pipeline::eval_cfg_key(b));
-    EXPECT_EQ(pipeline::placement_cfg_key(a), pipeline::placement_cfg_key(b));
+    EXPECT_NE(ConfigBytes(a).routing, ConfigBytes(b).routing);
+    EXPECT_EQ(ConfigBytes(a).partition, ConfigBytes(b).partition);
+    EXPECT_EQ(ConfigBytes(a).evaluation, ConfigBytes(b).evaluation);
+    EXPECT_EQ(ConfigBytes(a).placement, ConfigBytes(b).placement);
     // The placement key only sees the floorplan side of the config.
     b = a;
     b.run_floorplan = !a.run_floorplan;
-    EXPECT_NE(pipeline::placement_cfg_key(a), pipeline::placement_cfg_key(b));
+    EXPECT_NE(ConfigBytes(a).placement, ConfigBytes(b).placement);
 }
 
-TEST(Pipeline, TopologyFingerprintTracksContent) {
+/// A topology's bytes, as its placement and evaluation keys carry them.
+std::string topology_bytes(const Topology& t) {
+    cas::Enc e;
+    cas::enc_topology(e, t);
+    return e.take();
+}
+
+TEST(Pipeline, TopologyBytesTrackContent) {
     const DesignSpec spec = make_benchmark("D_36_4");
     Topology t(spec.cores, spec.comm.num_flows());
-    const std::string empty = pipeline::topology_fingerprint(t);
+    const std::string empty = topology_bytes(t);
     t.add_switch("sw0", 0, {1.0, 2.0});
-    const std::string one = pipeline::topology_fingerprint(t);
+    const std::string one = topology_bytes(t);
     EXPECT_NE(empty, one);
     t.add_link(NodeRef::core(0), NodeRef::sw(0));
-    const std::string linked = pipeline::topology_fingerprint(t);
+    const std::string linked = topology_bytes(t);
     EXPECT_NE(one, linked);
     Topology u(spec.cores, spec.comm.num_flows());
     u.add_switch("sw0", 0, {1.0, 2.0});
     u.add_link(NodeRef::core(0), NodeRef::sw(0));
-    EXPECT_EQ(linked, pipeline::topology_fingerprint(u));
+    EXPECT_EQ(linked, topology_bytes(u));
 }
 
 TEST(Pipeline, TopologyContentEqualityIsBitwise) {
@@ -475,11 +498,11 @@ TEST(Pipeline, TopologyContentEqualityIsBitwise) {
     plus.add_link(NodeRef::core(0), NodeRef::sw(0));
     Topology minus = plus;
     minus.switch_at(0).position.x = -0.0;
-    // Point's defaulted == calls the coordinates equal; the fingerprint
-    // (the CAS address) does not, and neither does content equality.
+    // Point's defaulted == calls the coordinates equal; the topology's
+    // bytes (part of the CAS address) do not, and neither does content
+    // equality.
     EXPECT_TRUE(plus.switch_at(0).position == minus.switch_at(0).position);
-    EXPECT_NE(pipeline::topology_fingerprint(plus),
-              pipeline::topology_fingerprint(minus));
+    EXPECT_NE(topology_bytes(plus), topology_bytes(minus));
     EXPECT_FALSE(plus.same_content(minus));
     EXPECT_FALSE(minus.same_content(plus));
     // A copy is the same content with the same hash; a NaN bandwidth
@@ -795,8 +818,13 @@ TEST(Pipeline, PhaseOneCutsCarryTheirAssignment) {
                     computed.partition(graph, k, cfg, cfg.partition, rng);
                 const auto b =
                     loaded.partition(graph, k, cfg, cfg.partition, rng);
-                const std::string where = name + " " + graph.key() +
-                                          " k=" + std::to_string(k);
+                const std::string where =
+                    name + (lpg ? " lpg " + std::to_string(graph.layer)
+                                : graph.kind == pipeline::PartitionGraphId::
+                                                   Kind::SPG
+                                      ? std::string(" spg")
+                                      : std::string(" pg")) +
+                    " k=" + std::to_string(k);
                 ASSERT_NE(a, b) << where;  // two sessions, two artifacts
                 EXPECT_EQ(a->block, b->block) << where;
                 if (lpg) {

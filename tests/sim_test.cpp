@@ -229,15 +229,14 @@ TEST(Sim, HotspotBoostsRatesIntoTheHotCore) {
     spec.comm.add_flow({1, 3, kBw, 0.0, FlowType::Request});
     spec.comm.add_flow({1, 2, kBw, 0.0, FlowType::Request});
     sim::InjectionParams inj;
-    inj.traffic = Traffic::Hotspot;
-    inj.packet_length_flits = 1;
-    inj.hotspot_factor = 3.0;  // auto hotspot = core 3 (most inbound bw)
+    inj.traffic = Traffic::Hotspot;  // hotspot = core 3 (most inbound bw)
+    inj.packet_length_flits = 2;
     EvalParams eval;
     const auto rates = sim::flow_packet_rates(spec, inj, eval);
     ASSERT_EQ(rates.size(), 3u);
-    EXPECT_DOUBLE_EQ(rates[0], 0.75);  // 0.25 * 3
-    EXPECT_DOUBLE_EQ(rates[1], 0.75);
-    EXPECT_DOUBLE_EQ(rates[2], 0.25);  // not into the hotspot
+    EXPECT_DOUBLE_EQ(rates[0], 0.5);  // 0.125 * 4
+    EXPECT_DOUBLE_EQ(rates[1], 0.5);
+    EXPECT_DOUBLE_EQ(rates[2], 0.125);  // not into the hotspot
 }
 
 TEST(Sim, BurstyRateClampIsReportedHonestly) {

@@ -1,27 +1,28 @@
-// The stage-key text renderers write their hex digits directly. Their
-// output is a CAS address, so it must stay byte-equal to the format-based
-// renderers in tests/oracle/fingerprint_reference.* on every topology the
-// pipeline produces for the seven paper specs, and on the values a
-// printf path handles specially: signed zeros, NaN payloads, infinities,
-// subnormals, and multi-digit or negative integers.
-//
-// The partition and routing caches key on structs (PartitionKey,
-// RoutingKey) and render text only for a store. On every such key a cold
-// run of the seven specs makes, and on edge cases, two keys must be equal
-// exactly when their text is, equal keys must hash equal, and the text
-// must be the bytes the session once built inline as the key.
+// A stage key's bytes are its store address (after the spec prefix): the
+// stage's tag, then exactly the fields the key's == compares, written
+// with the cas codec. The caches key on content (PartitionKey,
+// RoutingKey, the placement and evaluation ContentKeys) and write those
+// bytes only for a store, so the two must agree: on every key a cold run
+// of the seven paper specs makes, and on keys holding the values a
+// bitwise comparison treats specially (signed zeros, NaN payloads,
+// infinities, subnormals), two keys are equal exactly when their bytes
+// are, equal keys hash equal, and keys of different stages never share
+// bytes.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "oracle/fingerprint_reference.h"
+#include "sunfloor/cas/codec.h"
 #include "sunfloor/core/partition_graphs.h"
 #include "sunfloor/pipeline/session.h"
 #include "sunfloor/spec/benchmarks.h"
@@ -36,8 +37,9 @@ const char* const kPaperSpecs[] = {"D_26_media", "D_36_4",   "D_36_6",
 
 double from_bits(std::uint64_t bits) { return std::bit_cast<double>(bits); }
 
-/// Doubles a "%016llx" rendering has no special case for but a hand
-/// encoder could get wrong, plus values that exercise every hex digit.
+/// Doubles an encoder or a bitwise comparison could get wrong (signed
+/// zeros, NaN payloads, infinities, subnormals), plus values that
+/// exercise every hex digit.
 std::vector<double> special_doubles() {
     using lim = std::numeric_limits<double>;
     return {0.0,
@@ -65,123 +67,81 @@ TEST(StageKeyEquivalence, DoubleBitsMatchPrintf) {
     std::vector<double> values = special_doubles();
     Rng rng(2009);
     for (int i = 0; i < 1000; ++i) values.push_back(from_bits(rng.next_u64()));
-    for (const double v : values) {
-        const std::string want = oracle::double_bits_reference(v);
-        EXPECT_EQ(double_bits(v), want);
-        std::string appended = "x";
-        append_double_bits(appended, v);
-        EXPECT_EQ(appended, "x" + want);
-    }
+    for (const double v : values)
+        EXPECT_EQ(double_bits(v), oracle::double_bits_reference(v));
 }
 
-TEST(StageKeyEquivalence, RngKeyMatchesPrintf) {
-    std::vector<RngState> states(3);
-    for (auto& w : states[1].s) w = ~0ULL;
-    states[2].s[0] = 1;
-    states[2].s[3] = 0x8000000000000000ULL;
-    Rng rng(7);
-    for (int i = 0; i < 100; ++i) {
-        states.push_back(rng.state());
-        rng.next_u64();
-    }
-    for (const RngState& st : states)
-        EXPECT_EQ(st.key(), oracle::rng_key_reference(st));
+/// A key's bytes: its store address after the spec prefix.
+template <typename Key>
+std::string bytes_of(const Key& key) {
+    cas::Enc e;
+    key.encode(e);
+    return e.take();
 }
 
-TEST(StageKeyEquivalence, FingerprintMatchesReferenceOnSpecialValues) {
-    const DesignSpec spec = make_benchmark("D_36_4");
-    ASSERT_GE(spec.cores.num_cores(), 12);
-    ASSERT_GE(spec.comm.num_flows(), 3);
-    const std::vector<double> v = special_doubles();
-    const auto at = [&](std::size_t i) { return v[i % v.size()]; };
-
-    Topology t(spec.cores, spec.comm.num_flows());
-    // Core snapshots: special coordinates, multi-digit and negative layers.
-    for (int c = 0; c < t.num_cores(); ++c) {
-        const auto i = static_cast<std::size_t>(c);
-        t.set_core_geometry(c, {at(i), at(i + 7)}, c % 3 == 0 ? -c : c * 11);
-    }
-    // Twelve switches, so indices reach two digits.
-    for (int s = 0; s < 12; ++s) {
-        const auto i = static_cast<std::size_t>(s);
-        t.add_switch("sw" + std::to_string(s) + (s == 11 ? ",;|/@" : ""),
-                     s * 9, {at(i + 3), at(i + 11)});
-    }
-    // Links between high-index cores and switches in both classes; the
-    // flow paths below then use link ids above ten.
-    for (int s = 0; s < 12; ++s) {
-        t.add_link(NodeRef::core(35 - s), NodeRef::sw(s), FlowType::Request);
-        t.add_link(NodeRef::sw(s), NodeRef::core(24 + s % 12),
-                   FlowType::Response);
-    }
-    for (int f = 0; f < 3; ++f) {
-        const Flow& flow = spec.comm.flow(f);
-        const int a = t.add_parallel_link(NodeRef::core(flow.src),
-                                          NodeRef::sw(10), flow.type);
-        const int b =
-            t.add_parallel_link(NodeRef::sw(10), NodeRef::sw(11), flow.type);
-        const int c = t.add_parallel_link(NodeRef::sw(11),
-                                          NodeRef::core(flow.dst), flow.type);
-        t.set_flow_path(f, flow, {a, b, c});
-    }
-    for (int l = 0; l < t.num_links(); ++l)
-        t.link(l).bw_mbps = at(static_cast<std::size_t>(l) + 5);
-
-    EXPECT_EQ(pipeline::topology_fingerprint(t),
-              oracle::topology_fingerprint_reference(t));
+/// A routing key's bytes are those of the probe that names it.
+std::string bytes_of(const pipeline::RoutingKey& key) {
+    return bytes_of(pipeline::RoutingProbe{key.assign, key.cfg});
 }
 
-TEST(StageKeyEquivalence, FingerprintMatchesReferenceOnPaperDesigns) {
-    // Every design point of a default synthesis (floorplan on) and every
-    // routed topology of the phase-1 PG sweep, for each paper spec.
-    int routed = 0;
-    int compared = 0;
-    for (const char* name : kPaperSpecs) {
-        const DesignSpec spec = make_benchmark(name);
-        const SynthesisConfig cfg;
-        pipeline::SynthesisSession session(spec);
-        for (const DesignPoint& dp : session.run(cfg).points) {
-            EXPECT_EQ(pipeline::topology_fingerprint(dp.topo),
-                      oracle::topology_fingerprint_reference(dp.topo))
-                << name;
-            ++compared;
-        }
-        for (int k = 1; k <= spec.cores.num_cores(); ++k) {
-            const auto part =
-                session.partition(pipeline::PartitionGraphId::pg(), k, cfg,
-                                  cfg.partition, Rng(cfg.seed).state());
-            const auto ra = session.route(
-                pipeline::phase1_assignment(*part, spec.cores), cfg);
-            EXPECT_EQ(pipeline::topology_fingerprint(ra->topo),
-                      oracle::topology_fingerprint_reference(ra->topo))
-                << name << " k=" << k;
-            EXPECT_EQ(ra->topo_hash, ra->topo->content_hash());
-            routed += ra->ok ? 1 : 0;
-            ++compared;
+/// Checks, over every pair of `keys`: equal keys <=> equal bytes, equal
+/// keys => equal hashes, and == is symmetric. Returns the number of equal
+/// pairs.
+template <typename Key>
+long long expect_keys_match_bytes(const std::vector<Key>& keys,
+                                  const std::string& what) {
+    std::vector<std::string> bytes;
+    std::vector<std::size_t> hash;
+    for (const Key& key : keys) {
+        bytes.push_back(bytes_of(key));
+        hash.push_back(typename Key::Hash{}(key));
+    }
+    long long equal = 0;
+    int mismatched = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        for (std::size_t j = i + 1; j < keys.size(); ++j) {
+            const bool same = keys[i] == keys[j];
+            equal += same ? 1 : 0;
+            const bool bad = same != (bytes[i] == bytes[j]) ||
+                             (same && hash[i] != hash[j]) ||
+                             same != (keys[j] == keys[i]);
+            if (bad && mismatched++ == 0)
+                ADD_FAILURE() << what << " keys " << i << " and " << j
+                              << ": equal " << same << ", bytes equal "
+                              << (bytes[i] == bytes[j]);
         }
     }
-    EXPECT_GT(routed, 100);
-    EXPECT_GT(compared, 400);
+    EXPECT_EQ(mismatched, 0) << what;
+    return equal;
 }
 
-// --------------------------------------------- partition and routing keys
+/// The stage each key's bytes were seen under: no bytes may belong to two
+/// stages.
+class StageBytes {
+  public:
+    template <typename Key>
+    void add(const std::string& stage, const std::vector<Key>& keys) {
+        for (const Key& key : keys) {
+            const auto [it, fresh] = stage_of_.emplace(bytes_of(key), stage);
+            if (!fresh && it->second != stage && shared_++ == 0)
+                ADD_FAILURE() << "a " << stage << " key has the bytes of a "
+                              << it->second << " key";
+        }
+    }
+    ~StageBytes() { EXPECT_EQ(shared_, 0); }
 
-/// A routing key with the routing_cfg_key text its config was built from.
-struct SeenRouting {
-    pipeline::RoutingKey key;
-    std::string routing_cfg;
+  private:
+    std::map<std::string, std::string> stage_of_;
+    int shared_ = 0;
 };
 
-/// The routing StageConfig of a run, built as the session builds it.
-std::shared_ptr<const pipeline::StageConfig> routing_config(
-    const std::string& routing_cfg) {
-    return std::make_shared<const pipeline::StageConfig>("rt|",
-                                                         "|" + routing_cfg);
-}
+// ------------------------------------------------------ keys of cold runs
 
 /// Replays SynthesisSession::run's drivers (Algorithms 1 and 2) through
-/// the session's public stage calls, recording every partition and
-/// routing key in call order; a call the cache serves repeats its key.
+/// the session's public stage calls, recording every partition, routing,
+/// placement and evaluation key in call order, each built from a fresh
+/// RunKeys as a run builds its own; a call the cache serves repeats its
+/// key.
 class KeyReplay {
   public:
     explicit KeyReplay(pipeline::SynthesisSession& session)
@@ -195,7 +155,9 @@ class KeyReplay {
     }
 
     std::vector<pipeline::PartitionKey> partition;
-    std::vector<SeenRouting> routing;
+    std::vector<pipeline::RoutingKey> routing;
+    std::vector<pipeline::PlacementKey> placement;
+    std::vector<pipeline::EvaluationKey> evaluation;
 
   private:
     std::shared_ptr<const pipeline::PartitionArtifact> cut(
@@ -208,13 +170,17 @@ class KeyReplay {
         return part;
     }
 
-    bool synthesize(const CoreAssignment& assign, const SynthesisConfig& cfg,
-                    const std::string& phase, double theta) {
-        const std::string routing_cfg = pipeline::routing_cfg_key(cfg);
-        routing.push_back(
-            {pipeline::RoutingKey{assign, routing_config(routing_cfg)},
-             routing_cfg});
-        return session_.synthesize(assign, cfg, phase, theta).valid;
+    /// SynthesisSession::synthesize, stage by stage; true when valid.
+    bool synthesize(const CoreAssignment& assign,
+                    const SynthesisConfig& cfg) {
+        const pipeline::RunKeys keys(cfg);
+        routing.push_back({assign, keys.routing});
+        const auto routed = session_.route(assign, cfg);
+        if (!routed->ok) return false;
+        placement.push_back({routed, keys.placement});
+        const auto placed = session_.place(routed, cfg);
+        evaluation.push_back({placed, keys.evaluation});
+        return session_.evaluate(placed, cfg)->point.valid;
     }
 
     bool phase1(const SynthesisConfig& cfg, RngState& rng) {
@@ -227,7 +193,7 @@ class KeyReplay {
                 cut(pipeline::PartitionGraphId::pg(), i, cfg, cfg.partition,
                     rng);
             if (!synthesize(pipeline::phase1_assignment(*part, spec_.cores),
-                            cfg, "phase1", 0.0))
+                            cfg))
                 unmet.insert(i);
         }
         for (double theta = cfg.theta_min;
@@ -238,7 +204,7 @@ class KeyReplay {
                 const auto part = cut(spg, *it, cfg, cfg.partition, rng);
                 it = synthesize(pipeline::phase1_assignment(*part,
                                                             spec_.cores),
-                                cfg, "phase1", theta)
+                                cfg)
                          ? unmet.erase(it)
                          : std::next(it);
             }
@@ -288,7 +254,7 @@ class KeyReplay {
                         lg.core_ids[static_cast<std::size_t>(v)])] =
                         base + part->block[static_cast<std::size_t>(v)];
             }
-            synthesize(assign, cfg2, "phase2", 0.0);
+            synthesize(assign, cfg2);
         }
     }
 
@@ -296,119 +262,97 @@ class KeyReplay {
     const DesignSpec& spec_;
 };
 
-/// Checks, over every pair of `keys`: equal keys <=> equal text(), and
-/// equal keys => equal hashes; and each text() against `want`. Returns
-/// the number of equal pairs.
-template <typename Key>
-long long expect_keys_match_text(const std::vector<Key>& keys,
-                                 const std::vector<std::string>& want,
-                                 const std::string& what) {
-    EXPECT_EQ(keys.size(), want.size()) << what;
-    std::vector<std::string> text;
-    std::vector<std::size_t> hash;
-    int wrong_text = 0;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        text.push_back(keys[i].text());
-        hash.push_back(typename Key::Hash{}(keys[i]));
-        if (i < want.size() && text[i] != want[i] && wrong_text++ == 0)
-            ADD_FAILURE() << what << " key " << i << ": text " << text[i]
-                          << "\n  want " << want[i];
-    }
-    EXPECT_EQ(wrong_text, 0) << what;
-    long long equal = 0;
-    int mismatched = 0;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        for (std::size_t j = i + 1; j < keys.size(); ++j) {
-            const bool same = keys[i] == keys[j];
-            equal += same ? 1 : 0;
-            const bool bad = same != (text[i] == text[j]) ||
-                             (same && hash[i] != hash[j]) ||
-                             same != (keys[j] == keys[i]);
-            if (bad && mismatched++ == 0)
-                ADD_FAILURE() << what << " keys " << i << " and " << j
-                              << ": equal " << same << ", texts\n  "
-                              << text[i] << "\n  " << text[j];
-        }
-    }
-    EXPECT_EQ(mismatched, 0) << what;
-    return equal;
-}
-
-std::vector<std::string> partition_references(
-    const std::vector<pipeline::PartitionKey>& keys) {
-    std::vector<std::string> out;
-    for (const pipeline::PartitionKey& k : keys)
-        out.push_back(oracle::partition_key_reference(k.graph, k.alpha,
-                                                      k.opts, k.k, k.rng));
-    return out;
-}
-
-long long expect_routing_keys_match_text(
-    const std::vector<SeenRouting>& seen, const std::string& what) {
-    std::vector<pipeline::RoutingKey> keys;
-    std::vector<std::string> want;
-    for (const SeenRouting& r : seen) {
-        keys.push_back(r.key);
-        want.push_back(
-            oracle::routing_key_reference(r.key.assign, r.routing_cfg));
-    }
-    return expect_keys_match_text(keys, want, what);
-}
-
-TEST(StageKeyEquivalence, RunKeysMatchTextHashAndReference) {
-    // Every partition and routing key of a cold Auto run and a cold
-    // Phase 2 run (floorplan off) of each paper spec. The replay makes
-    // the run's calls: as many per stage as a cold run, with as many
-    // misses, and the run repeated on the replayed session computes
-    // nothing new.
-    SynthesisConfig cfg;
-    cfg.run_floorplan = false;
-    std::size_t partition_keys = 0;
-    std::size_t routing_keys = 0;
+TEST(StageKeyEquivalence, ColdRunKeysMatchTheirBytes) {
+    // Every key of a cold Auto and a cold Phase 2 run with the floorplan
+    // off, an Auto run at another frequency (whose routings often meet
+    // the first run's topologies in other artifact objects), then an Auto
+    // run with the floorplan on, of each paper spec. The replay makes the
+    // runs' calls: as many per stage as cold runs, with as many misses,
+    // and the runs repeated on the replayed session compute nothing new.
+    SynthesisConfig off;
+    off.run_floorplan = false;
+    SynthesisConfig slower = off;
+    slower.eval.freq_hz = 350e6;
+    const SynthesisConfig on;
+    const std::pair<SynthesisConfig, SynthesisPhase> runs[] = {
+        {off, SynthesisPhase::Auto},
+        {off, SynthesisPhase::Phase2},
+        {slower, SynthesisPhase::Auto},
+        {on, SynthesisPhase::Auto},
+    };
+    std::size_t counts[4] = {0, 0, 0, 0};
+    long long equal_content = 0;
+    StageBytes stages;
     for (const char* name : kPaperSpecs) {
         const DesignSpec spec = make_benchmark(name);
         pipeline::SynthesisSession replayed(spec);
         pipeline::SynthesisSession cold(spec);
         KeyReplay replay(replayed);
-        for (const SynthesisPhase phase :
-             {SynthesisPhase::Auto, SynthesisPhase::Phase2}) {
+        for (const auto& [cfg, phase] : runs) {
             replay.run(cfg, phase);
             cold.run(cfg, phase);
         }
         const pipeline::SessionStats r = replayed.stats();
         const pipeline::SessionStats c = cold.stats();
-        EXPECT_EQ(r.partition.calls(), c.partition.calls()) << name;
-        EXPECT_EQ(r.partition.misses, c.partition.misses) << name;
-        EXPECT_EQ(r.routing.calls(), c.routing.calls()) << name;
-        EXPECT_EQ(r.routing.misses, c.routing.misses) << name;
+        const std::pair<pipeline::StageCounters, pipeline::StageCounters>
+            per_stage[] = {{r.partition, c.partition},
+                           {r.routing, c.routing},
+                           {r.placement, c.placement},
+                           {r.evaluation, c.evaluation}};
+        for (const auto& [got, want] : per_stage) {
+            EXPECT_EQ(got.calls(), want.calls()) << name;
+            EXPECT_EQ(got.misses, want.misses) << name;
+        }
         EXPECT_EQ(static_cast<long long>(replay.partition.size()),
                   r.partition.calls())
             << name;
         EXPECT_EQ(static_cast<long long>(replay.routing.size()),
                   r.routing.calls())
             << name;
-        for (const SynthesisPhase phase :
-             {SynthesisPhase::Auto, SynthesisPhase::Phase2})
-            replayed.run(cfg, phase);
-        EXPECT_EQ(replayed.stats().partition.misses, r.partition.misses)
+        EXPECT_EQ(static_cast<long long>(replay.placement.size()),
+                  r.placement.calls())
             << name;
-        EXPECT_EQ(replayed.stats().routing.misses, r.routing.misses) << name;
+        EXPECT_EQ(static_cast<long long>(replay.evaluation.size()),
+                  r.evaluation.calls())
+            << name;
+        for (const auto& [cfg, phase] : runs) replayed.run(cfg, phase);
+        const pipeline::SessionStats again = replayed.stats();
+        EXPECT_EQ(again.partition.misses, r.partition.misses) << name;
+        EXPECT_EQ(again.routing.misses, r.routing.misses) << name;
+        EXPECT_EQ(again.placement.misses, r.placement.misses) << name;
+        EXPECT_EQ(again.evaluation.misses, r.evaluation.misses) << name;
 
-        // A cold run makes each partition key once, but two partitions
-        // can yield one assignment, so routing keys repeat.
-        expect_keys_match_text(replay.partition,
-                               partition_references(replay.partition),
-                               std::string(name) + " partition");
-        EXPECT_GT(expect_routing_keys_match_text(
-                      replay.routing, std::string(name) + " routing"),
+        // Partition keys repeat across the runs at one seed, and two
+        // partitions can yield one assignment, so routing keys repeat too;
+        // placement and evaluation keys repeat whenever two routings meet
+        // in one topology.
+        expect_keys_match_bytes(replay.partition,
+                                std::string(name) + " partition");
+        EXPECT_GT(expect_keys_match_bytes(replay.routing,
+                                          std::string(name) + " routing"),
                   0)
             << name;
-        partition_keys += replay.partition.size();
-        routing_keys += replay.routing.size();
+        equal_content += expect_keys_match_bytes(
+            replay.placement, std::string(name) + " placement");
+        equal_content += expect_keys_match_bytes(
+            replay.evaluation, std::string(name) + " evaluation");
+        stages.add("partition", replay.partition);
+        stages.add("routing", replay.routing);
+        stages.add("placement", replay.placement);
+        stages.add("evaluation", replay.evaluation);
+        counts[0] += replay.partition.size();
+        counts[1] += replay.routing.size();
+        counts[2] += replay.placement.size();
+        counts[3] += replay.evaluation.size();
     }
-    EXPECT_GT(partition_keys, 1000u);
-    EXPECT_GT(routing_keys, 900u);
+    EXPECT_GT(counts[0], 1500u);
+    EXPECT_GT(counts[1], 1400u);
+    EXPECT_GT(counts[2], 300u);
+    EXPECT_GT(counts[3], 300u);
+    EXPECT_GT(equal_content, 0);
 }
+
+// ----------------------------------------------------------- edge cases
 
 TEST(StageKeyEquivalence, PartitionKeyEdgeCases) {
     using pipeline::PartitionGraphId;
@@ -460,24 +404,31 @@ TEST(StageKeyEquivalence, PartitionKeyEdgeCases) {
         change(k);
         keys.push_back(k);
     }
+    // Every special double as alpha, and as an SPG's theta.
+    for (const double v : special_doubles()) {
+        keys.push_back(key(pg, v));
+        keys.push_back(key(PartitionGraphId::spg(v, 5.0), 0.5));
+    }
     // The equal pairs: the three PG keys at alpha 0.5 (3 pairs), the
     // NaN payload twice, SPG(2, 5) with and without a layer, and LPG(1)
-    // with and without theta fields.
-    EXPECT_EQ(expect_keys_match_text(keys, partition_references(keys),
-                                     "partition edge cases"),
-              6);
+    // with and without theta fields (6); then the special doubles as
+    // alpha meet the earlier keys of their bits (0.0, -0.0 and the quiet
+    // NaN once each, the payload NaN twice: 5), and as theta the SPGs of
+    // theta 0.0 and -0.0 (2).
+    EXPECT_EQ(expect_keys_match_bytes(keys, "partition edge cases"),
+              6 + 5 + 2);
 }
 
 TEST(StageKeyEquivalence, RoutingKeyEdgeCases) {
-    SynthesisConfig fast;
-    SynthesisConfig slow = fast;
-    slow.eval.freq_hz = fast.eval.freq_hz / 2;
-    const std::string fast_cfg = pipeline::routing_cfg_key(fast);
-    const std::string slow_cfg = pipeline::routing_cfg_key(slow);
-    // Two configs built apart with the same text compare equal.
-    const auto fast_a = routing_config(fast_cfg);
-    const auto fast_b = routing_config(fast_cfg);
-    const auto slow_a = routing_config(slow_cfg);
+    // Configs differing only in the frequency's bits, each built twice:
+    // two configs built apart with the same bytes compare equal.
+    std::vector<std::shared_ptr<const pipeline::StageConfig>> configs;
+    for (const double freq : special_doubles()) {
+        SynthesisConfig cfg;
+        cfg.eval.freq_hz = freq;
+        configs.push_back(pipeline::RunKeys(cfg).routing);
+        configs.push_back(pipeline::RunKeys(cfg).routing);
+    }
 
     const CoreAssignment base{{0, 1, 1, 2, 10}, {0, 1, 1}};
     std::vector<CoreAssignment> assigns{base, base};
@@ -498,17 +449,124 @@ TEST(StageKeyEquivalence, RoutingKeyEdgeCases) {
     assigns.push_back({{-1, 123, -1}, {}});
     assigns.push_back({{}, {}});
 
-    std::vector<SeenRouting> seen;
-    for (const CoreAssignment& assign : assigns) {
-        seen.push_back({pipeline::RoutingKey{assign, fast_a}, fast_cfg});
-        seen.push_back({pipeline::RoutingKey{assign, fast_b}, fast_cfg});
-        seen.push_back({pipeline::RoutingKey{assign, slow_a}, slow_cfg});
+    std::vector<pipeline::RoutingKey> keys;
+    for (const CoreAssignment& assign : assigns)
+        for (const auto& cfg : configs) keys.push_back({assign, cfg});
+    // Per config value (2 configs): base twice gives 4 keys (6 pairs),
+    // each other assignment 2 keys (1 pair each, 7 assignments).
+    const long long per_value = 6 + 7;
+    EXPECT_EQ(expect_keys_match_bytes(keys, "routing edge cases"),
+              per_value * static_cast<long long>(special_doubles().size()));
+}
+
+/// A topology of D_36_4's cores holding the special doubles: core
+/// snapshots and switch positions at special coordinates, negative and
+/// multi-digit layers, a switch name with separators, links between
+/// high-index ends in both classes and flow paths over link ids above ten.
+Topology special_topology(const DesignSpec& spec) {
+    const std::vector<double> v = special_doubles();
+    const auto at = [&](std::size_t i) { return v[i % v.size()]; };
+    Topology t(spec.cores, spec.comm.num_flows());
+    for (int c = 0; c < t.num_cores(); ++c) {
+        const auto i = static_cast<std::size_t>(c);
+        t.set_core_geometry(c, {at(i), at(i + 7)}, c % 3 == 0 ? -c : c * 11);
     }
-    // The equal pairs: base twice under the fast configs (4 keys, 6
-    // pairs) and under the slow one (1), and each other assignment under
-    // fast_a and fast_b (7).
-    EXPECT_EQ(expect_routing_keys_match_text(seen, "routing edge cases"),
-              6 + 1 + 7);
+    for (int s = 0; s < 12; ++s) {
+        const auto i = static_cast<std::size_t>(s);
+        t.add_switch("sw" + std::to_string(s) + (s == 11 ? ",;|/@" : ""),
+                     s * 9, {at(i + 3), at(i + 11)});
+    }
+    for (int s = 0; s < 12; ++s) {
+        t.add_link(NodeRef::core(35 - s), NodeRef::sw(s), FlowType::Request);
+        t.add_link(NodeRef::sw(s), NodeRef::core(24 + s % 12),
+                   FlowType::Response);
+    }
+    for (int f = 0; f < 3; ++f) {
+        const Flow& flow = spec.comm.flow(f);
+        const int a = t.add_parallel_link(NodeRef::core(flow.src),
+                                          NodeRef::sw(10), flow.type);
+        const int b =
+            t.add_parallel_link(NodeRef::sw(10), NodeRef::sw(11), flow.type);
+        const int c = t.add_parallel_link(NodeRef::sw(11),
+                                          NodeRef::core(flow.dst), flow.type);
+        t.set_flow_path(f, flow, {a, b, c});
+    }
+    for (int l = 0; l < t.num_links(); ++l)
+        t.link(l).bw_mbps = at(static_cast<std::size_t>(l) + 5);
+    return t;
+}
+
+TEST(StageKeyEquivalence, ContentKeyEdgeCases) {
+    const DesignSpec spec = make_benchmark("D_36_4");
+    ASSERT_GE(spec.cores.num_cores(), 36);
+    ASSERT_GE(spec.comm.num_flows(), 3);
+    const Topology base = special_topology(spec);
+    // The base, a copy of it, and one field at a time changed: a switch
+    // coordinate's sign of zero, a bandwidth to NaNs of two payloads, a
+    // core's layer, a switch's name, and one more link.
+    std::vector<Topology> topos{base, base};
+    const std::function<void(Topology&)> changes[] = {
+        [](Topology& t) {
+            Point p = t.switch_at(0).position;
+            p.x = std::signbit(p.x) ? 0.0 : -0.0;
+            t.switch_at(0).position = p;
+        },
+        [](Topology& t) {
+            t.link(0).bw_mbps = from_bits(0x7ff8000000000456ULL);
+        },
+        [](Topology& t) {
+            t.link(0).bw_mbps = std::numeric_limits<double>::quiet_NaN();
+        },
+        [](Topology& t) {
+            t.set_core_geometry(1, t.node_position(NodeRef::core(1)),
+                                t.node_layer(NodeRef::core(1)) + 1);
+        },
+        [](Topology& t) { t.switch_at(11).name = "sw11"; },
+        [](Topology& t) {
+            t.add_parallel_link(NodeRef::sw(0), NodeRef::sw(1),
+                                FlowType::Request);
+        },
+    };
+    for (const auto& change : changes) {
+        Topology t = base;
+        change(t);
+        topos.push_back(std::move(t));
+    }
+    SynthesisConfig on;
+    SynthesisConfig off;
+    off.run_floorplan = false;
+    const pipeline::RunKeys configs[] = {pipeline::RunKeys(on),
+                                         pipeline::RunKeys(on),
+                                         pipeline::RunKeys(off)};
+    std::vector<pipeline::PlacementKey> placement;
+    std::vector<pipeline::EvaluationKey> evaluation;
+    for (const Topology& t : topos) {
+        pipeline::RoutingArtifact routed(t);
+        routed.topo_hash = t.content_hash();
+        pipeline::PlacementArtifact placed(t);
+        placed.topo_hash = t.content_hash();
+        const auto r =
+            std::make_shared<const pipeline::RoutingArtifact>(routed);
+        const auto p =
+            std::make_shared<const pipeline::PlacementArtifact>(placed);
+        for (const pipeline::RunKeys& keys : configs) {
+            placement.push_back({r, keys.placement});
+            evaluation.push_back({p, keys.evaluation});
+        }
+    }
+    // Equal pairs per stage: the base and its copy under the two
+    // floorplan-on configs (4 keys, 6 pairs) and under the floorplan-off
+    // one (1), each changed topology under the two floorplan-on configs
+    // (1 each). Link 0's changes give two NaNs of other payloads: the
+    // base has no NaN there.
+    const long long want = 6 + 1 + static_cast<long long>(std::size(changes));
+    EXPECT_EQ(expect_keys_match_bytes(placement, "placement edge cases"),
+              want);
+    EXPECT_EQ(expect_keys_match_bytes(evaluation, "evaluation edge cases"),
+              want);
+    StageBytes stages;
+    stages.add("placement", placement);
+    stages.add("evaluation", evaluation);
 }
 
 }  // namespace
