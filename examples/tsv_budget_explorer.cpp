@@ -20,7 +20,6 @@ int main() {
 
     Table t({"max_ill", "tsvs_used", "yield_est", "noc_power_mW",
              "avg_latency_cyc"});
-    const TsvModel tsv;
     for (int ill = 8; ill <= 28; ill += 4) {
         SynthesisConfig cfg;
         cfg.max_ill = ill;

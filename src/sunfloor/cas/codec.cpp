@@ -122,66 +122,13 @@ bool dec_spec(Dec& d, DesignSpec& s) {
 
 void enc_eval_params(Enc& e, const EvalParams& p) {
     e.f64(p.freq_hz);
-    const NocTechParams& lp = p.lib.params();
-    e.i32(lp.flit_width_bits);
-    e.f64(lp.switch_t0_ns);
-    e.f64(lp.switch_t1_ns_per_port);
-    e.f64(lp.switch_e0_pj);
-    e.f64(lp.switch_e1_pj_per_port);
-    e.f64(lp.switch_idle_c0_mw);
-    e.f64(lp.switch_idle_c1_mw_per_port);
-    e.f64(lp.switch_area_a0_mm2);
-    e.f64(lp.switch_area_a1_mm2);
-    e.f64(lp.switch_area_a2_mm2);
-    e.f64(lp.ni_area_mm2);
-    e.f64(lp.ni_energy_pj);
-    e.f64(lp.ni_idle_mw_per_ghz);
-    const WireParams& wp = p.wire.params();
-    e.f64(wp.delay_ns_per_mm);
-    e.f64(wp.energy_pj_per_flit_mm);
-    e.f64(wp.idle_mw_per_mm_ghz);
-    e.f64(wp.max_unrepeated_mm);
-    const TsvParams& tp = p.tsv.params();
-    e.f64(tp.delay_ps);
-    e.f64(tp.energy_pj_per_flit_layer);
-    e.f64(tp.tsv_pitch_um);
-    e.f64(tp.tsv_diameter_um);
-    e.i32(tp.overhead_wires_per_link);
-    e.i32(tp.redundant_tsvs_per_link);
+    e.i32(p.flit_width_bits);
 }
 
 EvalParams dec_eval_params(Dec& d) {
     EvalParams p;
     p.freq_hz = d.f64();
-    NocTechParams lp;
-    lp.flit_width_bits = d.i32();
-    lp.switch_t0_ns = d.f64();
-    lp.switch_t1_ns_per_port = d.f64();
-    lp.switch_e0_pj = d.f64();
-    lp.switch_e1_pj_per_port = d.f64();
-    lp.switch_idle_c0_mw = d.f64();
-    lp.switch_idle_c1_mw_per_port = d.f64();
-    lp.switch_area_a0_mm2 = d.f64();
-    lp.switch_area_a1_mm2 = d.f64();
-    lp.switch_area_a2_mm2 = d.f64();
-    lp.ni_area_mm2 = d.f64();
-    lp.ni_energy_pj = d.f64();
-    lp.ni_idle_mw_per_ghz = d.f64();
-    p.lib = NocLibrary(lp);
-    WireParams wp;
-    wp.delay_ns_per_mm = d.f64();
-    wp.energy_pj_per_flit_mm = d.f64();
-    wp.idle_mw_per_mm_ghz = d.f64();
-    wp.max_unrepeated_mm = d.f64();
-    p.wire = WireModel(wp);
-    TsvParams tp;
-    tp.delay_ps = d.f64();
-    tp.energy_pj_per_flit_layer = d.f64();
-    tp.tsv_pitch_um = d.f64();
-    tp.tsv_diameter_um = d.f64();
-    tp.overhead_wires_per_link = d.i32();
-    tp.redundant_tsvs_per_link = d.i32();
-    p.tsv = TsvModel(tp);
+    p.flit_width_bits = d.i32();
     return p;
 }
 

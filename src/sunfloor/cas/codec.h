@@ -63,8 +63,8 @@ void enc_spec(Enc& e, const DesignSpec& s);
 /// on data add_core/add_flow reject.
 bool dec_spec(Dec& d, DesignSpec& s);
 
-/// The evaluation model's 24 fields: the frequency, then the NoC
-/// library's, the wire model's and the TSV model's parameters.
+/// The evaluation model's two inputs: the frequency, then the flit
+/// width. Its calibration values are constants in model/, in no address.
 void enc_eval_params(Enc& e, const EvalParams& p);
 EvalParams dec_eval_params(Dec& d);
 

@@ -4,7 +4,9 @@
 // SynthesisConfig holds only settings that a tool, bench or example sets.
 // The fixed parameters of the flow are constants beside the code that
 // reads them: Algorithm 3's soft-threshold margins and SOFT_INF factor in
-// routing/cost_model.h, the FM pass limit in graph/partition.h.
+// routing/cost_model.h, the FM pass limit in graph/partition.h, the
+// component models' calibration values in model/ (the evaluation model
+// takes only the frequency and the link width).
 //
 // The synthesis procedure outputs "a set of tradeoff points of topologies
 // that meet the constraints, with different values of power, latency, and
@@ -25,7 +27,7 @@ namespace sunfloor {
 
 /// All knobs of the synthesis flow (Section IV inputs).
 struct SynthesisConfig {
-    /// Operating frequency and component models.
+    /// Operating frequency and link width.
     EvalParams eval{};
 
     /// Maximum NoC links crossing any adjacent layer boundary (the TSV

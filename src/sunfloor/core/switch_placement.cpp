@@ -53,8 +53,7 @@ namespace {
 std::vector<TsvMacro> collect_tsv_macros(const Topology& topo,
                                          const SynthesisConfig& cfg) {
     std::vector<TsvMacro> all;
-    const int flit_bits = cfg.eval.lib.params().flit_width_bits;
-    const double area = cfg.eval.tsv.macro_area_mm2(flit_bits);
+    const double area = TsvModel::macro_area_mm2(cfg.eval.flit_width_bits);
     for (int l = 0; l < topo.num_links(); ++l) {
         const auto& lk = topo.link(l);
         const int la = topo.node_layer(lk.src);
@@ -77,6 +76,7 @@ std::vector<LayerInsertion> layer_insertions(const Topology& topo,
     const int layers = std::max(1, spec.cores.num_layers());
     std::vector<LayerInsertion> out(static_cast<std::size_t>(layers));
     const auto macros = collect_tsv_macros(topo, cfg);
+    const NocLibrary lib(cfg.eval.flit_width_bits);
     for (int ly = 0; ly < layers; ++ly) {
         LayerInsertion& in = out[static_cast<std::size_t>(ly)];
         in.core_ids = spec.cores.cores_in_layer(ly);
@@ -90,7 +90,7 @@ std::vector<LayerInsertion> layer_insertions(const Topology& topo,
             const int deg_in = topo.switch_in_degree(s);
             const int deg_out = topo.switch_out_degree(s);
             if (deg_in + deg_out == 0) continue;
-            const double area = cfg.eval.lib.switch_area_mm2(deg_in, deg_out);
+            const double area = lib.switch_area_mm2(deg_in, deg_out);
             const double side = std::sqrt(std::max(area, 1e-6));
             in.blocks.push_back({side, side, topo.switch_at(s).position});
             in.block_switch.push_back(s);
@@ -127,8 +127,7 @@ FloorplanOutcome legalize_floorplan(Topology& topo, const DesignSpec& spec,
             ins.die_width = bb.right();
             ins.die_height = bb.top();
         } else if (use_standard) {
-            StandardInsertOptions sopts;
-            ins = insert_blocks_standard(in.fixed, in.blocks, sopts, rng);
+            ins = insert_blocks_standard(in.fixed, in.blocks, rng);
         } else {
             ins = insert_blocks_custom(in.fixed, in.blocks);
         }

@@ -4,7 +4,8 @@
 // coordinator ships the *complete* inputs — the spec (binary, bit-exact:
 // the text format rounds doubles through %.6g; cas::enc_spec, whose bytes
 // also name the spec in every store address), every field of the
-// SynthesisConfig (its evaluation model through cas::enc_eval_params)
+// SynthesisConfig (its evaluation model, the frequency and the link
+// width, through cas::enc_eval_params)
 // and ExploreOptions, the explicit GridPoint list (global
 // indices preserved) and the CAS directory, but no store size bound (only
 // `sunfloor_cli cas gc --max-bytes` evicts) — and the worker ships back the
@@ -51,10 +52,12 @@ namespace sunfloor::dist {
 /// raw payloads after a header line; 4: responses carry no Pareto front;
 /// 5: requests carry no store bound and none of the synthesis settings
 /// that became constants; 6: requests carry none of the simulator's
-/// traffic-shaping settings, which became constants). A version mismatch
+/// traffic-shaping settings, which became constants; 7: the evaluation
+/// model travels as its two inputs, frequency and link width, its
+/// calibration values being constants). A version mismatch
 /// is a decode error (the coordinator retries elsewhere rather than
 /// mis-reading bytes).
-inline constexpr std::uint32_t kWireVersion = 6;
+inline constexpr std::uint32_t kWireVersion = 7;
 
 /// Everything a worker needs to run one slice — self-contained, so a
 /// worker holds no per-coordinator state and any worker can take any job.

@@ -75,27 +75,7 @@ SynthesisConfig GridPoint::apply(const SynthesisConfig& base) const {
     SynthesisConfig cfg = base;
     cfg.eval.freq_hz = freq_hz;
     cfg.max_ill = max_tsvs;
-    if (link_width_bits != cfg.eval.lib.params().flit_width_bits) {
-        // The whole datapath widens with the flit: per-flit switch, NI and
-        // wire energy and the crossbar/port area all scale with the bits
-        // per flit, while flits/second shrink — wider links trade area and
-        // idle power for serialization latency rather than winning on
-        // every objective.
-        const double scale =
-            static_cast<double>(link_width_bits) /
-            static_cast<double>(cfg.eval.lib.params().flit_width_bits);
-        NocTechParams lp = cfg.eval.lib.params();
-        lp.flit_width_bits = link_width_bits;
-        lp.switch_e0_pj *= scale;
-        lp.switch_e1_pj_per_port *= scale;
-        lp.switch_area_a1_mm2 *= scale;
-        lp.switch_area_a2_mm2 *= scale;
-        lp.ni_energy_pj *= scale;
-        cfg.eval.lib = NocLibrary(lp);
-        WireParams wp = cfg.eval.wire.params();
-        wp.energy_pj_per_flit_mm *= scale;
-        cfg.eval.wire = WireModel(wp);
-    }
+    cfg.eval.flit_width_bits = link_width_bits;
     if (theta != kSweepTheta) {
         // Pin Algorithm 1's sweep to exactly this theta. theta_max stays
         // the normalization bound of Eq. 1's new-edge weight, so the

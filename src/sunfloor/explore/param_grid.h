@@ -56,8 +56,9 @@ struct GridPoint {
     double theta = kSweepTheta;
     routing::RoutingPolicyId routing = routing::RoutingPolicyId::UpDown;
 
-    /// Copy `base` with this point's parameters applied. Link width scales
-    /// the library flit width and the per-flit wire energy proportionally.
+    /// Copy `base` with this point's parameters applied. The link width
+    /// is the evaluation model's flit width; the models scale their
+    /// per-flit energies and port and crossbar area with it (model/).
     SynthesisConfig apply(const SynthesisConfig& base) const;
 
     /// Stable textual identity of the architectural point (exact — doubles

@@ -6,7 +6,6 @@ namespace sunfloor {
 
 InsertionResult insert_blocks_standard(const std::vector<Rect>& fixed,
                                        const std::vector<InsertBlock>& blocks,
-                                       const StandardInsertOptions& opts,
                                        Rng& rng) {
     const int nf = static_cast<int>(fixed.size());
     const int nb = static_cast<int>(blocks.size());
@@ -38,10 +37,9 @@ InsertionResult insert_blocks_standard(const std::vector<Rect>& fixed,
     for (const auto& r : fixed) targets.push_back(r.center());
     for (const auto& b : blocks) targets.push_back(b.ideal);
 
-    AnnealOptions aopts = opts.anneal;
-    aopts.target_weight = opts.deviation_weight;
-    const AnnealResult ar = anneal_floorplan(dims, /*nets=*/{}, aopts, rng,
-                                             &sp0, &movable, &targets);
+    const AnnealResult ar =
+        anneal_floorplan(dims, /*nets=*/{}, kStandardInsertAnneal, rng, &sp0,
+                         &movable, &targets);
 
     InsertionResult res;
     res.fixed_rects.reserve(fixed.size());

@@ -16,29 +16,26 @@
 
 namespace sunfloor {
 
-struct StandardInsertOptions {
-    /// Default annealing schedule mirrors a standard floorplanner's
-    /// insertion run (short, general-purpose schedule — the tool was built
-    /// for full floorplanning, not incremental insertion, which is where
-    /// the paper observed its "unpredictable" behaviour).
-    AnnealOptions anneal{.moves_per_temp = 0, .t_initial = 0.0,
-                         .t_final_ratio = 1e-3, .cooling = 0.85,
-                         .area_weight = 1.0, .wirelength_weight = 0.05,
-                         .target_weight = 0.0};
-    /// Weight of component deviation from ideal in the cost. The paper's
-    /// constrained Parquet run "minimizes the movement of the switches
-    /// from the optimal positions computed by the LP"; a strong pull makes
-    /// the annealer trade die area for staying near the ideals, which is
-    /// where its unpredictably poor floorplans come from (Section VIII-D).
-    double deviation_weight = 2.0;
-};
+/// The inserter's annealing schedule mirrors a standard floorplanner's
+/// insertion run (short, general-purpose schedule — the tool was built for
+/// full floorplanning, not incremental insertion, which is where the paper
+/// observed its "unpredictable" behaviour). The target weight pulls the
+/// cores toward their input placement and the components toward their LP
+/// ideals: the paper's constrained Parquet run "minimizes the movement of
+/// the switches from the optimal positions computed by the LP"; a strong
+/// pull makes the annealer trade die area for staying near the ideals,
+/// which is where its unpredictably poor floorplans come from (Section
+/// VIII-D).
+inline constexpr AnnealOptions kStandardInsertAnneal{
+    .moves_per_temp = 0, .t_initial = 0.0, .t_final_ratio = 1e-3,
+    .cooling = 0.85, .area_weight = 1.0, .wirelength_weight = 0.05,
+    .target_weight = 2.0};
 
 /// Insert `blocks` into the floorplan `fixed` with the constrained
 /// sequence-pair annealer. Returns the same result type as the custom
 /// routine so the two are directly comparable (Figs. 18-20).
 InsertionResult insert_blocks_standard(const std::vector<Rect>& fixed,
                                        const std::vector<InsertBlock>& blocks,
-                                       const StandardInsertOptions& opts,
                                        Rng& rng);
 
 }  // namespace sunfloor

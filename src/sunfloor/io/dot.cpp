@@ -37,9 +37,13 @@ void write_topology_dot(std::ostream& os, const Topology& topo,
         const auto& lk = topo.link(l);
         if (lk.bw_mbps <= 0.0) continue;
         std::string attrs = format("label=\"%.0f\", ", lk.bw_mbps);
+        // One style per edge: Graphviz keeps only the last one given.
+        const bool response = lk.cls == FlowType::Response;
         if (topo.link_layers_crossed(l) > 0)
-            attrs += "style=bold, color=red, ";
-        if (lk.cls == FlowType::Response) attrs += "style=dashed, ";
+            attrs += response ? "style=\"bold,dashed\", color=red, "
+                              : "style=bold, color=red, ";
+        else if (response)
+            attrs += "style=dashed, ";
         os << format("  %s -> %s [%sfontsize=8];\n",
                      node_id(lk.src).c_str(), node_id(lk.dst).c_str(),
                      attrs.c_str());

@@ -12,7 +12,9 @@ namespace sunfloor {
 /// Write the topology as a DOT digraph: one subgraph cluster per 3-D
 /// layer, cores as boxes, switches as ellipses, and every link that
 /// carries traffic labelled with its MB/s; vertical (inter-layer) links
-/// are drawn bold. Links with zero traffic are left out.
+/// are drawn bold and red, response links dashed (a vertical response
+/// link both, in one style attribute). Links with zero traffic are left
+/// out.
 void write_topology_dot(std::ostream& os, const Topology& topo,
                         const DesignSpec& spec);
 

@@ -5,18 +5,17 @@
 
 namespace sunfloor {
 
-int TsvModel::tsvs_per_link(int flit_width_bits) const {
-    return flit_width_bits + p_.overhead_wires_per_link +
-           p_.redundant_tsvs_per_link;
+int TsvModel::tsvs_per_link(int flit_width_bits) {
+    return flit_width_bits + kTsvOverheadWiresPerLink;
 }
 
-double TsvModel::macro_area_mm2(int flit_width_bits) const {
-    const double pitch_mm = p_.tsv_pitch_um * 1e-3;
+double TsvModel::macro_area_mm2(int flit_width_bits) {
+    const double pitch_mm = kTsvPitchUm * 1e-3;
     return tsvs_per_link(flit_width_bits) * pitch_mm * pitch_mm;
 }
 
-double TsvModel::power_mw(double flits_per_s, int layers_crossed) const {
-    return flits_per_s * p_.energy_pj_per_flit_layer *
+double TsvModel::power_mw(double flits_per_s, int layers_crossed) {
+    return flits_per_s * kTsvEnergyPjPerFlitLayer *
            std::max(0, layers_crossed) * 1e-9;
 }
 

@@ -1,50 +1,46 @@
 // Planar (intra-layer) wire model.
 //
-// Calibrated to the 65 nm figures cited in Section VIII: the maximum
-// unrepeated link length in Metal 2/3 is 1.5 mm; longer links are pipelined
-// to sustain full throughput (Section VII). Energy is linear in length and
-// in flits transported.
+// Calibrated to the 65 nm figures cited in Section VIII: links are
+// pipelined by their propagation delay to sustain full throughput
+// (Section VII). Energy is linear in length and in flits transported.
+// The calibration values are constants (see model/noc_library.h:
+// changing one is a versioned store change).
 #pragma once
 
 namespace sunfloor {
 
-struct WireParams {
-    /// Signal propagation delay of a repeated global wire (ns per mm).
-    double delay_ns_per_mm = 0.55;
-    /// Dynamic energy of moving one 32-bit flit across one mm of link
-    /// (~0.125 pJ/bit/mm: repeated global wire, 65 nm low power, moderate
-    /// switching activity).
-    double energy_pj_per_flit_mm = 4.0;
-    /// Static power of link drivers/repeaters per mm at 1 GHz.
-    double idle_mw_per_mm_ghz = 0.05;
-    /// Longest link that needs no repeater/pipeline stage (mm).
-    double max_unrepeated_mm = 1.5;
-};
+/// Signal propagation delay of a repeated global wire (ns per mm).
+inline constexpr double kWireDelayNsPerMm = 0.55;
+/// Dynamic energy of moving one 32-bit flit across one mm of link
+/// (~0.125 pJ/bit/mm: repeated global wire, 65 nm low power, moderate
+/// switching activity).
+inline constexpr double kWireEnergyPjPerFlitMm = 4.0;
+/// Static power of link drivers/repeaters per mm at 1 GHz.
+inline constexpr double kWireIdleMwPerMmGhz = 0.05;
 
-/// Planar link power/delay model.
+/// Planar link power/delay model of one flit width.
 class WireModel {
   public:
-    WireModel() = default;
-    explicit WireModel(const WireParams& params) : p_(params) {}
+    /// The per-flit energy is the 32-bit constant times width / 32.
+    explicit WireModel(int flit_width_bits);
 
-    const WireParams& params() const { return p_; }
+    /// Dynamic energy of moving one flit across one mm (pJ).
+    double energy_pj_per_flit_mm() const { return energy_pj_per_flit_mm_; }
 
     /// End-to-end propagation delay (ns).
-    double delay_ns(double length_mm) const;
+    static double delay_ns(double length_mm);
 
     /// Number of clocked pipeline stages the link occupies at `freq_hz`,
     /// i.e. the cycles a flit spends on the wire. Always >= 1; the paper
     /// pipelines long links "to support full throughput".
-    int pipeline_stages(double length_mm, double freq_hz) const;
+    static int pipeline_stages(double length_mm, double freq_hz);
 
     /// Power of a link of `length_mm` carrying `flits_per_s` (mW).
-    double power_mw(double length_mm, double flits_per_s, double freq_hz,
-                    double energy_pj_per_flit_mm) const;
     double power_mw(double length_mm, double flits_per_s,
                     double freq_hz) const;
 
   private:
-    WireParams p_{};
+    double energy_pj_per_flit_mm_;
 };
 
 }  // namespace sunfloor

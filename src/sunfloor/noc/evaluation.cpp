@@ -10,7 +10,7 @@ double flow_latency(const Topology& topo, int flow_id, const EvalParams& p) {
     for (int l : path) {
         if (topo.link(l).dst.is_switch()) cycles += 1.0;  // switch traversal
         const int stages =
-            p.wire.pipeline_stages(topo.link_planar_length(l), p.freq_hz);
+            WireModel::pipeline_stages(topo.link_planar_length(l), p.freq_hz);
         cycles += stages - 1;  // extra stages on pipelined long links
     }
     return cycles;
@@ -20,6 +20,8 @@ EvalReport evaluate_topology(const Topology& topo, const DesignSpec& spec,
                              const EvalParams& p) {
     EvalReport rep;
     rep.all_flows_routed = topo.all_flows_routed();
+    const NocLibrary lib(p.flit_width_bits);
+    const WireModel wire(p.flit_width_bits);
 
     // --- switch power and area -------------------------------------------
     for (int s = 0; s < topo.num_switches(); ++s) {
@@ -27,24 +29,23 @@ EvalReport evaluate_topology(const Topology& topo, const DesignSpec& spec,
         const int out = topo.switch_out_degree(s);
         if (in == 0 && out == 0) continue;  // unused switch, pruned
         rep.power.switch_mw +=
-            p.lib.switch_power_mw(in, out, p.freq_hz,
-                                  topo.switch_through_bw(s));
-        rep.switch_area_mm2 += p.lib.switch_area_mm2(in, out);
+            lib.switch_power_mw(in, out, p.freq_hz, topo.switch_through_bw(s));
+        rep.switch_area_mm2 += lib.switch_area_mm2(in, out);
     }
 
     // --- link power, wire lengths, TSVs ------------------------------------
-    const int flit_bits = p.lib.params().flit_width_bits;
     for (int l = 0; l < topo.num_links(); ++l) {
         const auto& lk = topo.link(l);
         const double planar = topo.link_planar_length(l);
         const int crossed = topo.link_layers_crossed(l);
-        const double flits = p.lib.flits_per_second(lk.bw_mbps);
-        double mw = p.wire.power_mw(planar, flits, p.freq_hz);
+        const double flits = lib.flits_per_second(lk.bw_mbps);
+        double mw = wire.power_mw(planar, flits, p.freq_hz);
         if (crossed > 0) {
-            mw += p.tsv.power_mw(flits, crossed);
-            rep.total_tsvs += crossed * p.tsv.tsvs_per_link(flit_bits);
+            mw += TsvModel::power_mw(flits, crossed);
+            rep.total_tsvs +=
+                crossed * TsvModel::tsvs_per_link(p.flit_width_bits);
             rep.tsv_macro_area_mm2 +=
-                crossed * p.tsv.macro_area_mm2(flit_bits);
+                crossed * TsvModel::macro_area_mm2(p.flit_width_bits);
         }
         if (lk.src.is_switch() && lk.dst.is_switch())
             rep.power.s2s_link_mw += mw;
@@ -68,8 +69,8 @@ EvalReport evaluate_topology(const Topology& topo, const DesignSpec& spec,
     for (int c = 0; c < topo.num_cores(); ++c) {
         if (!core_used[static_cast<std::size_t>(c)]) continue;
         rep.power.ni_mw +=
-            p.lib.ni_power_mw(p.freq_hz, core_bw[static_cast<std::size_t>(c)]);
-        rep.ni_area_mm2 += p.lib.ni_area_mm2();
+            lib.ni_power_mw(p.freq_hz, core_bw[static_cast<std::size_t>(c)]);
+        rep.ni_area_mm2 += kNiAreaMm2;
     }
 
     // --- latency -----------------------------------------------------------

@@ -22,12 +22,13 @@
 
 namespace sunfloor {
 
-/// Everything the evaluator needs beside the topology itself.
+/// Everything the evaluator needs beside the topology itself: the
+/// architectural point Fig. 3's outer loop varies. The component models
+/// (model/) are built from the width where a computation needs them;
+/// their calibration values are constants there.
 struct EvalParams {
     double freq_hz = 400e6;
-    NocLibrary lib{};
-    WireModel wire{};
-    TsvModel tsv{};
+    int flit_width_bits = 32;
 };
 
 struct PowerBreakdown {

@@ -50,22 +50,11 @@ void encode_graph(cas::Enc& e, const PartitionGraphId& g) {
 }
 
 /// The placement stage's config fields: run_floorplan and, when it is
-/// on, the switch-area and TSV-macro parameters the legalizer reads (it
-/// sizes switches from the area model and TSV macros from the TSV model,
-/// at the library's flit width).
+/// on, the flit width (the legalizer sizes switches from the area model
+/// and TSV macros from the TSV model, both at that width).
 void encode_placement_cfg(cas::Enc& e, const SynthesisConfig& cfg) {
     e.u8(cfg.run_floorplan ? 1 : 0);
-    if (!cfg.run_floorplan) return;
-    const NocTechParams& lp = cfg.eval.lib.params();
-    const TsvParams& tp = cfg.eval.tsv.params();
-    e.i32(lp.flit_width_bits);
-    e.f64(lp.switch_area_a0_mm2);
-    e.f64(lp.switch_area_a1_mm2);
-    e.f64(lp.switch_area_a2_mm2);
-    e.f64(tp.tsv_pitch_um);
-    e.f64(tp.tsv_diameter_um);
-    e.i32(tp.overhead_wires_per_link);
-    e.i32(tp.redundant_tsvs_per_link);
+    if (cfg.run_floorplan) e.i32(cfg.eval.flit_width_bits);
 }
 
 /// The exact Eq. 2-5 instance, the position-LP cache's key.
@@ -261,7 +250,7 @@ RoutingArtifact route_assignment(const DesignSpec& spec,
                    topo.max_ill_used(layers), cfg.max_ill));
     // Pruning rule 1: cores attached to one switch may not already exceed
     // the size usable at this frequency (ports are one per incident link).
-    const int max_sw = cfg.eval.lib.max_switch_size(cfg.eval.freq_hz);
+    const int max_sw = NocLibrary::max_switch_size(cfg.eval.freq_hz);
     const std::size_t nsw = static_cast<std::size_t>(topo.num_switches());
     std::vector<int> in_deg(nsw, 0);
     std::vector<int> out_deg(nsw, 0);
@@ -789,7 +778,7 @@ std::vector<DesignPoint> SynthesisSession::phase2(const SynthesisConfig& cfg,
     const RunKeys keys(cfg2);
 
     const int layers = std::max(1, spec_.cores.num_layers());
-    const int max_sw_size = cfg.eval.lib.max_switch_size(cfg.eval.freq_hz);
+    const int max_sw_size = NocLibrary::max_switch_size(cfg.eval.freq_hz);
 
     // Steps 2-5: minimum switches per layer and the per-layer LPGs. A block
     // of b cores occupies b input and b output ports, so the largest block
@@ -877,6 +866,11 @@ SynthesisResult SynthesisSession::run(const SynthesisConfig& cfg,
             "SynthesisConfig.eval.freq_hz must be finite and positive");
     if (cfg.max_ill < 0)
         throw std::invalid_argument("SynthesisConfig.max_ill must be >= 0");
+    // A link's TSV count is the width plus its control wires, summed as
+    // int over every crossing; a wider flit overflows it.
+    if (cfg.eval.flit_width_bits < 1 || cfg.eval.flit_width_bits > 65536)
+        throw std::invalid_argument(
+            "SynthesisConfig.eval.flit_width_bits must be in [1, 65536]");
     RngState rng = Rng(cfg.seed).state();
     SynthesisResult result;
     switch (phase) {

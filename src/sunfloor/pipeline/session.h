@@ -18,9 +18,9 @@
 //               once when the partition is computed or decoded; phase 2
 //               composes one from several per-layer partitions per call.
 //               Never stored: a store holds the partition's blocks
-//   routing     the assignment, cfg.eval (frequency + NoC library, wire
-//               and TSV parameters — link width lives in the library's
-//               flit width), cfg.max_ill, cfg.allow_multilayer_links,
+//   routing     the assignment, cfg.eval (the frequency and the flit
+//               width; the models' calibration values are constants in
+//               model/), cfg.max_ill, cfg.allow_multilayer_links,
 //               cfg.use_soft_thresholds and cfg.routing (the
 //               RoutingPolicy discipline), so one session caches a
 //               routing artifact per policy per assignment
@@ -28,13 +28,14 @@
 //               config, so routing configs that produce the same routed
 //               topology (e.g. neighbouring frequencies) share the
 //               position LP — plus cfg.run_floorplan and, when the
-//               floorplan runs, the switch/TSV area models, and the
+//               floorplan runs, the flit width the switch and TSV area
+//               models read, and the
 //               position solver's tag (kPlacementSolverTag), because a
 //               CAS store can outlive a solver that picks other optima.
 //               No RNG: the flow's legalizer (the custom inserter) is
 //               deterministic, and the stage enforces that at run time
-//   evaluation  the placed topology's full content, cfg.eval (frequency +
-//               NoC library, wire and TSV models), cfg.max_ill, and the
+//   evaluation  the placed topology's full content, cfg.eval (frequency
+//               and flit width), cfg.max_ill, and the
 //               placement config (the artifact's per-layer die areas come
 //               from the floorplan side, not the topology content)
 //
@@ -124,8 +125,9 @@ struct StageConfig {
 ///   routing     tag R, cfg.eval, max_ill, allow_multilayer_links,
 ///               use_soft_thresholds, the routing policy
 ///   placement   tag L, kPlacementSolverTag, run_floorplan and, when it
-///               is on, the switch-area and TSV-macro parameters the
-///               legalizer reads (the position LP consumes no config)
+///               is on, the flit width the legalizer's switch-area and
+///               TSV-macro models read (the position LP consumes no
+///               config)
 ///   evaluation  tag E, the placement config's fields, cfg.eval, max_ill
 struct RunKeys {
     explicit RunKeys(const SynthesisConfig& cfg);
@@ -395,7 +397,8 @@ class SynthesisSession {
     /// sweep cannot advance (a theta_step that is not finite and
     /// positive, or a non-finite theta_min or theta_max) or when a hop
     /// cost input is out of range: an eval.freq_hz that is not finite
-    /// and positive, or a negative max_ill.
+    /// and positive, an eval.flit_width_bits outside [1, 65536], or a
+    /// negative max_ill.
     SynthesisResult run(const SynthesisConfig& cfg,
                         SynthesisPhase phase = SynthesisPhase::Auto);
 

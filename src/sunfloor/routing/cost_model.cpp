@@ -7,15 +7,16 @@ namespace sunfloor::routing {
 
 LinkCostModel::LinkCostModel(const Topology& topo, const DesignSpec& spec,
                              const SynthesisConfig& cfg)
-    : topo_(topo), spec_(spec), cfg_(cfg) {
-    capacity_mbps_ = cfg.eval.freq_hz *
-                     (cfg.eval.lib.params().flit_width_bits / 8.0) * 1e-6;
-    max_sw_size_ = cfg.eval.lib.max_switch_size(cfg.eval.freq_hz);
+    : topo_(topo), spec_(spec), cfg_(cfg), lib_(cfg.eval.flit_width_bits),
+      wire_(cfg.eval.flit_width_bits) {
+    capacity_mbps_ =
+        cfg.eval.freq_hz * (cfg.eval.flit_width_bits / 8.0) * 1e-6;
+    max_sw_size_ = NocLibrary::max_switch_size(cfg.eval.freq_hz);
     soft_inf_ = compute_soft_inf();
     num_layers_ = std::max(1, spec.cores.num_layers());
     soft_max_ill_ = static_cast<long long>(cfg.max_ill) - kSoftIllMargin;
     soft_max_sw_ = static_cast<long long>(max_sw_size_) - kSoftSwitchMargin;
-    switch_idle_mw_ = cfg.eval.lib.switch_idle_power_mw(1, 1, cfg.eval.freq_hz);
+    switch_idle_mw_ = NocLibrary::switch_idle_power_mw(1, 1, cfg.eval.freq_hz);
     rebuild();
 }
 
@@ -44,7 +45,6 @@ void LinkCostModel::rebuild() {
     }
 
     const double freq = cfg_.eval.freq_hz;
-    const double idle_per_mm = cfg_.eval.wire.params().idle_mw_per_mm_ghz;
     pairs_.assign(cells, {});
     max_span_ = 0;
     for (int i = 0; i < nsw_; ++i) {
@@ -53,7 +53,7 @@ void LinkCostModel::rebuild() {
             const NocSwitch& sj = topo_.switch_at(j);
             PairTerms& p = pairs_[cell(i, j)];
             p.len = manhattan(si.position, sj.position);
-            p.idle_mw = idle_per_mm * p.len * freq / 1e9;
+            p.idle_mw = kWireIdleMwPerMmGhz * p.len * freq / 1e9;
             p.lo = std::min(si.layer, sj.layer);
             p.span = std::abs(si.layer - sj.layer);
             p.forbidden = p.span >= 2 && !cfg_.allow_multilayer_links;
@@ -72,16 +72,13 @@ double LinkCostModel::compute_soft_inf() const {
         const Rect bb = spec_.cores.layer_bounding_box(ly);
         diag = std::max(diag, bb.w + bb.h + bb.x + bb.y);
     }
-    const double max_flits =
-        cfg_.eval.lib.flits_per_second(spec_.comm.max_bw());
+    const double max_flits = lib_.flits_per_second(spec_.comm.max_bw());
     const double worst_hop_mw =
-        max_flits * cfg_.eval.wire.params().energy_pj_per_flit_mm * diag *
+        max_flits * wire_.energy_pj_per_flit_mm() * diag * 1e-9 +
+        max_flits *
+            lib_.switch_energy_per_flit_pj(max_sw_size_, max_sw_size_) *
             1e-9 +
-        max_flits * cfg_.eval.lib.switch_energy_per_flit_pj(
-                        max_sw_size_, max_sw_size_) *
-            1e-9 +
-        cfg_.eval.wire.params().idle_mw_per_mm_ghz * diag *
-            cfg_.eval.freq_hz / 1e9;
+        kWireIdleMwPerMmGhz * diag * cfg_.eval.freq_hz / 1e9;
     return kSoftInfFactor * std::max(worst_hop_mw, 1e-6);
 }
 
@@ -95,14 +92,14 @@ int LinkCostModel::usable_link(int i, int j, int cls, double bw) const {
 void LinkCostModel::prepare_flow(const Flow& f) {
     cls_ = static_cast<int>(f.type);
     bw_ = f.bw_mbps;
-    const double flits = cfg_.eval.lib.flits_per_second(f.bw_mbps);
-    flit_wire_pj_ = flits * cfg_.eval.wire.params().energy_pj_per_flit_mm;
+    const double flits = lib_.flits_per_second(f.bw_mbps);
+    flit_wire_pj_ = flits * wire_.energy_pj_per_flit_mm();
     for (int s = 0; s <= max_span_; ++s)
-        tsv_mw_[static_cast<std::size_t>(s)] = cfg_.eval.tsv.power_mw(flits, s);
+        tsv_mw_[static_cast<std::size_t>(s)] = TsvModel::power_mw(flits, s);
     for (int j = 0; j < nsw_; ++j)
         dst_mw_[static_cast<std::size_t>(j)] =
             flits *
-            cfg_.eval.lib.switch_energy_per_flit_pj(
+            lib_.switch_energy_per_flit_pj(
                 in_deg_[static_cast<std::size_t>(j)] + 1,
                 out_deg_[static_cast<std::size_t>(j)] + 1) *
             1e-9;

@@ -108,6 +108,8 @@ class LinkCostModel {
     const Topology& topo_;
     const DesignSpec& spec_;
     const SynthesisConfig& cfg_;
+    const NocLibrary lib_;  ///< at cfg_'s flit width
+    const WireModel wire_;
     double capacity_mbps_ = 0.0;
     int max_sw_size_ = 0;
     double soft_inf_ = 0.0;

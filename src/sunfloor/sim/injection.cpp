@@ -74,9 +74,10 @@ std::vector<double> flow_packet_rates(const DesignSpec& spec,
         inj.traffic == Traffic::Hotspot ? busiest_sink(spec) : -1;
     std::vector<double> rates;
     rates.reserve(static_cast<std::size_t>(spec.comm.num_flows()));
+    const NocLibrary lib(eval.flit_width_bits);
     for (const auto& f : spec.comm.flows()) {
         const double flits_per_cycle =
-            eval.lib.flits_per_second(f.bw_mbps) / eval.freq_hz;
+            lib.flits_per_second(f.bw_mbps) / eval.freq_hz;
         double rate = inj.injection_scale * flits_per_cycle /
                       inj.packet_length_flits;
         if (f.dst == hotspot) rate *= kHotspotFactor;

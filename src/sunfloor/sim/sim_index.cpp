@@ -38,8 +38,8 @@ std::string sim_index_key(const Topology& topo, const DesignSpec& spec,
                                            : ~lk.dst.index);
         append_int(key, static_cast<int>(lk.cls));
         append_int(key,
-                   eval.wire.pipeline_stages(topo.link_planar_length(l),
-                                             eval.freq_hz));
+                   WireModel::pipeline_stages(topo.link_planar_length(l),
+                                              eval.freq_hz));
     }
     key += ';';
     for (int f = 0; f < topo.num_flows(); ++f) {
@@ -73,8 +73,8 @@ SimIndex build_sim_index(const Topology& topo, const DesignSpec& spec,
     for (int l = 0; l < L; ++l) {
         const auto ul = static_cast<std::size_t>(l);
         const NocLink& lk = topo.link(l);
-        idx.extra[ul] = eval.wire.pipeline_stages(topo.link_planar_length(l),
-                                                  eval.freq_hz) -
+        idx.extra[ul] = WireModel::pipeline_stages(
+                            topo.link_planar_length(l), eval.freq_hz) -
                         1;
         idx.into_switch[ul] = lk.dst.is_switch() ? 1 : 0;
         idx.src_is_core[ul] = lk.src.is_core() ? 1 : 0;

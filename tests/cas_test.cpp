@@ -783,9 +783,11 @@ TEST(CasSession, StageKeyBytesArePinned) {
     // An object's name is the fnv1a64 of its address — the spec prefix
     // and the stage key's codec bytes — so a byte moved in any stage key
     // orphans every store written before it. This fixed synthesis must
-    // write exactly the objects it wrote when the addresses became codec
-    // bytes: the count and a hash of the sorted object names must only
-    // change with a stated reason, like a CAS format bump.
+    // write exactly the objects it wrote when the evaluation model became
+    // two inputs (routing and evaluation addresses carry the frequency
+    // and the link width, not 24 model values): the count and a hash of
+    // the sorted object names must only change with a stated reason, like
+    // a CAS format bump.
     TempDir dir;
     const DesignSpec spec = make_benchmark("D_26_media");
     SynthesisConfig cfg;
@@ -811,7 +813,7 @@ TEST(CasSession, StageKeyBytesArePinned) {
     std::string joined;
     for (const std::string& name : names) joined += name + '\n';
     EXPECT_EQ(names.size(), 267u);
-    EXPECT_EQ(cas::fnv1a64(joined), 0x405f1471b1dfb155ULL);
+    EXPECT_EQ(cas::fnv1a64(joined), 0xd820957514e9ace8ULL);
 }
 
 TEST(CasSession, SpecsThatPrintAlikeShareNoObjects) {
@@ -1117,7 +1119,7 @@ TEST(CasSession, PartitionsThatDoNotFitTheCallAreUndecodable) {
     }
     // Phase 2's first cut, sized as SynthesisSession::phase2 sizes it.
     const int max_block =
-        std::max(1, cfg.eval.lib.max_switch_size(cfg.eval.freq_hz) - 2);
+        std::max(1, NocLibrary::max_switch_size(cfg.eval.freq_hz) - 2);
     const int layer0 = static_cast<int>(spec.cores.cores_in_layer(0).size());
     const int np = (layer0 + max_block - 1) / max_block;
     PartitionOptions popts = cfg.partition;

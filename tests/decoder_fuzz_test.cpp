@@ -1,14 +1,18 @@
 // Seeded mutation fuzzing of the decoders that read untrusted bytes off a
-// content-addressed store or the shard wire: cas::decode_partition,
-// decode_routing, decode_placement and decode_evaluation (with and
-// without the placed topology a stage key holds), dist::decode_shard_
-// request and decode_shard_response, and the frame parsers
-// parse_worker_frame and parse_response_frame.
+// content-addressed store, the shard wire or the daemon's socket:
+// cas::decode_partition, decode_routing, decode_placement and
+// decode_evaluation (with and without the placed topology a stage key
+// holds), dist::decode_shard_request and decode_shard_response, the frame
+// parsers parse_worker_frame and parse_response_frame, and the daemon's
+// request decoder service::parse_request (parse_json) with the spec
+// parser behind it (service::build_job_request).
 //
 // Every seed is a real encoding: a PG and an LPG partition, a routed and a
 // failed routing artifact, a placement with the floorplan on, an
 // evaluation, one shard request and one shard response payload, and each
-// payload again as a complete frame. A mutant applies one or two of: a
+// payload again as a complete frame; for the daemon, a synth and an
+// explore submit frame (every config field set, D_26_media's spec text),
+// a status and a result frame. A mutant applies one or two of: a
 // bit flip, a byte overwrite, a truncation, a byte insertion or deletion,
 // or a 4-byte window (at any offset, so every field's alignment is
 // covered) set to 0, 1, INT_MAX or 0xffffffff. Mutants equal to their
@@ -22,7 +26,10 @@
 //     it), so no untrusted count sizes one;
 //   * decode_evaluation given the placed topology accepts only mutants
 //     whose topology section is the original's byte for byte, and the
-//     design it returns shares that topology.
+//     design it returns shares that topology;
+//   * a daemon request parses or fails with a non-empty error, and so
+//     does an accepted submit's spec text; an accepted submit, rendered
+//     with make_submit_frame and parsed again, renders to the same bytes.
 //
 // The generator is the in-repo Rng with fixed seeds and a fixed count per
 // seed blob, so every run makes the same mutants.
@@ -35,6 +42,7 @@
 #include <memory>
 #include <new>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,6 +52,7 @@
 #include "sunfloor/dist/protocol.h"
 #include "sunfloor/dist/shard.h"
 #include "sunfloor/pipeline/session.h"
+#include "sunfloor/service/protocol.h"
 #include "sunfloor/spec/benchmarks.h"
 #include "sunfloor/util/rng.h"
 
@@ -429,6 +438,87 @@ TEST(DecoderFuzz, ShardFrameMutantsParseCleanly) {
         });
         if (!payload.empty()) decode_response_mutant(s, payload);
         if (testing::Test::HasFailure()) return;
+    }
+}
+
+/// Real request frames of the daemon: a synth and an explore submit
+/// (every config field set, D_26_media's spec text as `submit` sends
+/// it), a status and a result frame.
+std::vector<std::string> daemon_request_seeds() {
+    const DesignSpec spec = make_benchmark("D_26_media");
+    std::ostringstream text;
+    write_design(text, spec);
+    service::SubmitRequest synth;
+    synth.client = "fuzz";
+    synth.spec_name = spec.name;
+    synth.spec_text = text.str();
+    synth.params.freq_mhz = {400.0};
+    synth.params.max_tsvs = {25};
+    synth.params.phases = {SynthesisPhase::Phase2};
+    synth.params.routings = {routing::RoutingPolicyId::OddEven};
+    synth.params.alpha = 0.75;
+    synth.params.seed = 7;
+    synth.params.floorplan = false;
+    synth.wait = true;
+    service::SubmitRequest explore = synth;
+    explore.kind = service::JobKind::Explore;
+    explore.params.freq_mhz = {350.0, 450.0};
+    explore.params.max_tsvs = {15, 25};
+    explore.params.width_bits = {32, 48};
+    explore.params.thetas = {1.0, 4.5};
+    explore.params.phases = {SynthesisPhase::Phase1, SynthesisPhase::Auto};
+    explore.params.routings = {routing::RoutingPolicyId::UpDown,
+                               routing::RoutingPolicyId::WestFirst};
+    return {service::make_submit_frame(synth),
+            service::make_submit_frame(explore),
+            service::make_status_frame(7),
+            service::make_result_frame(7, true)};
+}
+
+/// The daemon's decoding of one request frame: parse_request and, for an
+/// accepted submit, the spec parser; an accepted submit re-renders to a
+/// frame that parses and renders to the same bytes.
+void decode_daemon_request(const std::string& m) {
+    constexpr long long kMaxFrameBytes = 1 << 20;  // sunfloord's default
+    service::Request req;
+    bool ok = false;
+    bounded("parse_request", m.size(), [&] {
+        std::string error;
+        ok = service::parse_request(m, kMaxFrameBytes, req, error);
+        EXPECT_TRUE(ok || !error.empty()) << "no error for: " << m;
+    });
+    if (!ok || req.op != service::Request::Op::Submit) return;
+    bounded("build_job_request", m.size(), [&] {
+        service::JobRequest job;
+        std::string error;
+        EXPECT_TRUE(service::build_job_request(req.submit, job, error) ||
+                    !error.empty())
+            << "no error for: " << m;
+    });
+    const std::string rendered = service::make_submit_frame(req.submit);
+    service::Request again;
+    std::string error;
+    ASSERT_TRUE(service::parse_request(rendered, 0, again, error))
+        << error << " re-parsing " << rendered;
+    EXPECT_EQ(service::make_submit_frame(again.submit), rendered);
+}
+
+TEST(DecoderFuzz, DaemonRequestMutantsParseCleanly) {
+    const std::vector<std::string> frames = daemon_request_seeds();
+    std::uint64_t rng_seed = 701;
+    for (const std::string& frame : frames) {
+        service::Request req;
+        std::string error;
+        ASSERT_TRUE(service::parse_request(frame, 0, req, error)) << error;
+        if (req.op == service::Request::Op::Submit) {
+            service::JobRequest job;
+            ASSERT_TRUE(service::build_job_request(req.submit, job, error))
+                << error;
+        }
+        for (const std::string& m : mutants(frame, rng_seed++)) {
+            decode_daemon_request(m);
+            if (testing::Test::HasFailure()) return;
+        }
     }
 }
 

@@ -339,7 +339,7 @@ TEST(DistProtocol, FramesParseBothDirections) {
 }
 
 TEST(DistProtocol, WireVersionTwoFramesAndPayloadsAreRejectedByName) {
-    EXPECT_EQ(dist::kWireVersion, 6u);
+    EXPECT_EQ(dist::kWireVersion, 7u);
     // Version 2 carried the payload hex-encoded inside the JSON line.
     std::string err;
     dist::WorkerRequest wreq;
@@ -390,6 +390,14 @@ TEST(DistProtocol, WireVersionTwoFramesAndPayloadsAreRejectedByName) {
     patch_u32(q4, 0, 4);
     dist::ShardRequest req_out;
     EXPECT_FALSE(dist::decode_shard_request(q4, req_out, err));
+    EXPECT_NE(err.find("bad version"), std::string::npos) << err;
+
+    // Version 6 requests carried the evaluation model as 24 values, its
+    // calibration constants beside the frequency and the link width: such
+    // a payload fails by its version, never as a misread config.
+    std::string q6 = dist::encode_shard_request(small_request());
+    patch_u32(q6, 0, 6);
+    EXPECT_FALSE(dist::decode_shard_request(q6, req_out, err));
     EXPECT_NE(err.find("bad version"), std::string::npos) << err;
 }
 

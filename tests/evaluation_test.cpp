@@ -113,7 +113,7 @@ TEST(Evaluation, TsvAccounting) {
     // link... s1 is on layer 1, c1 on layer 1: only s0->s1 crosses.
     EXPECT_EQ(rep.max_ill_used, 1);
     EXPECT_EQ(rep.total_tsvs,
-              f.params.tsv.tsvs_per_link(f.params.lib.params().flit_width_bits));
+              TsvModel::tsvs_per_link(f.params.flit_width_bits));
     EXPECT_GT(rep.tsv_macro_area_mm2, 0.0);
 }
 

@@ -517,7 +517,7 @@ TEST(FloorplanEquivalence, InserterEdgeCases) {
 // insert_blocks_standard's construction on the reference annealer.
 InsertionResult insert_blocks_standard_reference(
     const std::vector<Rect>& fixed, const std::vector<InsertBlock>& blocks,
-    const StandardInsertOptions& opts, Rng& rng) {
+    Rng& rng) {
     const int nf = static_cast<int>(fixed.size());
     const int n = nf + static_cast<int>(blocks.size());
     std::vector<BlockDim> dims;
@@ -537,10 +537,8 @@ InsertionResult insert_blocks_standard_reference(
     const SequencePair sp0 = SequencePair::from_placement(initial);
     std::vector<char> movable(static_cast<std::size_t>(n), 0);
     for (int i = nf; i < n; ++i) movable[static_cast<std::size_t>(i)] = 1;
-    AnnealOptions aopts = opts.anneal;
-    aopts.target_weight = opts.deviation_weight;
     const AnnealResult ar = oracle::anneal_floorplan_reference(
-        dims, {}, aopts, rng, &sp0, &movable, &targets);
+        dims, {}, kStandardInsertAnneal, rng, &sp0, &movable, &targets);
 
     InsertionResult res;
     for (int i = 0; i < nf; ++i)
@@ -572,13 +570,11 @@ TEST(FloorplanEquivalence, ConstrainedModeThroughStandardInserter) {
                 Rng(splitmix64(static_cast<std::uint64_t>(i))).state();
             Rng got_rng(seed);
             Rng ref_rng(seed);
-            const StandardInsertOptions sopts;
             std::ostringstream d;
             diff_insertion(
-                d, insert_blocks_standard(l.in.fixed, l.in.blocks, sopts,
-                                          got_rng),
+                d, insert_blocks_standard(l.in.fixed, l.in.blocks, got_rng),
                 insert_blocks_standard_reference(l.in.fixed, l.in.blocks,
-                                                 sopts, ref_rng));
+                                                 ref_rng));
             if (!(got_rng.state() == ref_rng.state()))
                 d << "rng state differs; ";
             return labelled(l.label() + " (standard)", d);

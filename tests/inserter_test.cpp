@@ -87,9 +87,8 @@ TEST(StandardInserter, ProducesLegalFloorplan) {
             fixed.push_back({i * 2.0, j * 2.0, 2.0, 2.0});
     std::vector<InsertBlock> blocks{{0.5, 0.5, {3.0, 3.0}},
                                     {0.5, 0.5, {1.0, 5.0}}};
-    StandardInsertOptions opts;
     Rng rng(11);
-    const auto r = insert_blocks_standard(fixed, blocks, opts, rng);
+    const auto r = insert_blocks_standard(fixed, blocks, rng);
     EXPECT_DOUBLE_EQ(overlap_of(r), 0.0);
     EXPECT_EQ(r.inserted_rects.size(), 2u);
     EXPECT_GT(r.die_width, 0.0);
@@ -100,9 +99,8 @@ TEST(StandardInserter, CoreRelativeOrderMaintained) {
     // not swap them (the paper's "maintaining the relative positions").
     std::vector<Rect> fixed{{0, 0, 1, 1}, {2, 0, 1, 1}, {4, 0, 1, 1}};
     std::vector<InsertBlock> blocks{{0.4, 0.4, {2.5, 0.5}}};
-    StandardInsertOptions opts;
     Rng rng(12);
-    const auto r = insert_blocks_standard(fixed, blocks, opts, rng);
+    const auto r = insert_blocks_standard(fixed, blocks, rng);
     EXPECT_LT(r.fixed_rects[0].center().x, r.fixed_rects[1].center().x);
     EXPECT_LT(r.fixed_rects[1].center().x, r.fixed_rects[2].center().x);
 }

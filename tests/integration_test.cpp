@@ -27,13 +27,13 @@ void verify_point(const DesignPoint& p, const DesignSpec& spec,
     EXPECT_TRUE(is_routing_deadlock_free(p.topo));
     EXPECT_TRUE(is_message_dependent_deadlock_free(p.topo, spec.comm));
     EXPECT_TRUE(classes_are_separated(p.topo, spec.comm));
-    const int max_sw = cfg.eval.lib.max_switch_size(cfg.eval.freq_hz);
+    const int max_sw = NocLibrary::max_switch_size(cfg.eval.freq_hz);
     for (int s = 0; s < p.topo->num_switches(); ++s) {
         EXPECT_LE(p.topo->switch_in_degree(s), max_sw);
         EXPECT_LE(p.topo->switch_out_degree(s), max_sw);
     }
-    const double cap = cfg.eval.freq_hz *
-                       (cfg.eval.lib.params().flit_width_bits / 8.0) * 1e-6;
+    const double cap =
+        cfg.eval.freq_hz * (cfg.eval.flit_width_bits / 8.0) * 1e-6;
     for (int l = 0; l < p.topo->num_links(); ++l)
         EXPECT_LE(p.topo->link(l).bw_mbps, cap + 1e-6);
 }

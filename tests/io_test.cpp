@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "sunfloor/core/synthesizer.h"
 #include "sunfloor/io/dot.h"
@@ -37,6 +38,33 @@ TEST(IoDot, TopologyDotWellFormed) {
     // Balanced braces.
     EXPECT_EQ(std::count(dot.begin(), dot.end(), '{'),
               std::count(dot.begin(), dot.end(), '}'));
+}
+
+TEST(IoDot, EveryEdgeHasOneStyle) {
+    // Graphviz keeps only the last of repeated attributes, so a vertical
+    // response link needs one style naming both bold and dashed.
+    DesignSpec spec = make_d38_tvopd();
+    const auto res = small_result();
+    int both = 0;
+    int doubled = 0;
+    std::string first_doubled;
+    for (const DesignPoint& p : res.points) {
+        std::ostringstream os;
+        write_topology_dot(os, p.topo, spec);
+        std::istringstream lines(os.str());
+        for (std::string line; std::getline(lines, line);) {
+            if (line.find("->") == std::string::npos) continue;
+            const std::size_t first = line.find("style=");
+            if (first == std::string::npos) continue;
+            if (line.find("style=", first + 1) != std::string::npos &&
+                doubled++ == 0)
+                first_doubled = line;
+            if (line.find("style=\"bold,dashed\"") != std::string::npos)
+                ++both;
+        }
+    }
+    EXPECT_EQ(doubled, 0) << "e.g. " << first_doubled;
+    EXPECT_GT(both, 0);
 }
 
 TEST(IoSvg, LayerSvgWellFormed) {

@@ -20,10 +20,11 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 ReferenceCostModel::ReferenceCostModel(const Topology& topo,
                                        const DesignSpec& spec,
                                        const SynthesisConfig& cfg)
-    : topo_(topo), spec_(spec), cfg_(cfg) {
-    capacity_mbps_ = cfg.eval.freq_hz *
-                     (cfg.eval.lib.params().flit_width_bits / 8.0) * 1e-6;
-    max_sw_size_ = cfg.eval.lib.max_switch_size(cfg.eval.freq_hz);
+    : topo_(topo), spec_(spec), cfg_(cfg), lib_(cfg.eval.flit_width_bits),
+      wire_(cfg.eval.flit_width_bits) {
+    capacity_mbps_ =
+        cfg.eval.freq_hz * (cfg.eval.flit_width_bits / 8.0) * 1e-6;
+    max_sw_size_ = NocLibrary::max_switch_size(cfg.eval.freq_hz);
     soft_inf_ = compute_soft_inf();
     num_layers_ = std::max(1, spec.cores.num_layers());
     rebuild();
@@ -85,21 +86,19 @@ double ReferenceCostModel::edge_cost(int i, int j, const Flow& f) const {
             cost += soft_inf_;
     }
 
-    const double flits = cfg_.eval.lib.flits_per_second(f.bw_mbps);
+    const double flits = lib_.flits_per_second(f.bw_mbps);
     const double len = manhattan(topo_.switch_at(i).position,
                                  topo_.switch_at(j).position);
-    cost += flits * cfg_.eval.wire.params().energy_pj_per_flit_mm * len *
-            1e-9;
-    cost += cfg_.eval.tsv.power_mw(flits, span);
+    cost += flits * wire_.energy_pj_per_flit_mm() * len * 1e-9;
+    cost += TsvModel::power_mw(flits, span);
     cost += flits *
-            cfg_.eval.lib.switch_energy_per_flit_pj(
+            lib_.switch_energy_per_flit_pj(
                 in_deg_[static_cast<std::size_t>(j)] + 1,
                 out_deg_[static_cast<std::size_t>(j)] + 1) *
             1e-9;
     if (existing < 0) {
-        cost += cfg_.eval.wire.params().idle_mw_per_mm_ghz * len *
-                cfg_.eval.freq_hz / 1e9;
-        cost += cfg_.eval.lib.switch_idle_power_mw(1, 1, cfg_.eval.freq_hz);
+        cost += kWireIdleMwPerMmGhz * len * cfg_.eval.freq_hz / 1e9;
+        cost += NocLibrary::switch_idle_power_mw(1, 1, cfg_.eval.freq_hz);
     }
     return cost;
 }
@@ -121,17 +120,13 @@ double ReferenceCostModel::compute_soft_inf() const {
         const Rect bb = spec_.cores.layer_bounding_box(ly);
         diag = std::max(diag, bb.w + bb.h + bb.x + bb.y);
     }
-    const double max_flits =
-        cfg_.eval.lib.flits_per_second(spec_.comm.max_bw());
+    const double max_flits = lib_.flits_per_second(spec_.comm.max_bw());
     const double worst_hop_mw =
-        max_flits * cfg_.eval.wire.params().energy_pj_per_flit_mm * diag *
-            1e-9 +
+        max_flits * wire_.energy_pj_per_flit_mm() * diag * 1e-9 +
         max_flits *
-            cfg_.eval.lib.switch_energy_per_flit_pj(max_sw_size_,
-                                                    max_sw_size_) *
+            lib_.switch_energy_per_flit_pj(max_sw_size_, max_sw_size_) *
             1e-9 +
-        cfg_.eval.wire.params().idle_mw_per_mm_ghz * diag *
-            cfg_.eval.freq_hz / 1e9;
+        kWireIdleMwPerMmGhz * diag * cfg_.eval.freq_hz / 1e9;
     return routing::kSoftInfFactor * std::max(worst_hop_mw, 1e-6);
 }
 

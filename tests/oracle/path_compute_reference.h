@@ -37,6 +37,8 @@ class ReferenceCostModel {
     const Topology& topo_;
     const DesignSpec& spec_;
     const SynthesisConfig& cfg_;
+    const NocLibrary lib_;
+    const WireModel wire_;
     double capacity_mbps_ = 0.0;
     int max_sw_size_ = 0;
     double soft_inf_ = 0.0;

@@ -4,11 +4,15 @@
 // the `_points.csv` table, the best-power design's DOT and layer SVGs —
 // plus a text fingerprint of every returned design point's topology
 // (oracle::topology_fingerprint_reference), and hashes it all into one
-// fnv1a64 digest. The CAS run hashes the name and bytes of every object
-// a D_26_media session spills to its store. The digests were taken from
+// fnv1a64 digest. The link-width run digests an explore over four link
+// widths. The CAS run hashes the name and bytes of every object a
+// D_26_media session spills to its store. The digests were taken from
 // the build before the shared-topology refactor, the CAS digest again
-// when store addresses became codec bytes (the same payloads under new
-// names and key echoes); a kernel or pipeline change that claims
+// when store addresses became codec bytes and when the evaluation model
+// became two inputs (both times the same payloads under new names and
+// key echoes), and the run digests whose DOT holds an inter-layer
+// response link again when such an edge got one style attribute instead
+// of two; a kernel or pipeline change that claims
 // byte-identical outputs proves it by leaving them alone. Re-pin a digest only with a written argument
 // (an intended output change), as for export_golden_test.
 //
@@ -29,8 +33,11 @@
 #include <vector>
 
 #include "oracle/fingerprint_reference.h"
+#include "sunfloor/cas/codec.h"
 #include "sunfloor/cas/store.h"
 #include "sunfloor/core/synthesizer.h"
+#include "sunfloor/explore/explorer.h"
+#include "sunfloor/explore/export.h"
 #include "sunfloor/floorplan/annealer.h"
 #include "sunfloor/io/dot.h"
 #include "sunfloor/io/floorplan_dump.h"
@@ -117,13 +124,13 @@ TEST(OutputDigest, PaperSpecsFloorplanOn) {
     for (const DesignSpec& spec : paper_specs())
         runs.emplace_back(spec.name, render_run(spec, params, /*svg=*/true));
     expect_digests(runs, {
-                             {"D_26_media", 0x3e4e4d6c1bed5559ULL},
-                             {"D_36_4", 0x6fca7d88375b76c4ULL},
-                             {"D_36_6", 0xdcd3fc72ed68fafeULL},
-                             {"D_36_8", 0xdf18144c6f73ec51ULL},
-                             {"D_35_bot", 0xa0289af8a0483f53ULL},
+                             {"D_26_media", 0xbbe4f75b4eddc42bULL},
+                             {"D_36_4", 0x345f4934950a562cULL},
+                             {"D_36_6", 0x625350c9b5a53dc8ULL},
+                             {"D_36_8", 0x91798ce747a47df7ULL},
+                             {"D_35_bot", 0xaf291cffc0c9f24fULL},
                              {"D_65_pipe", 0x1e478434522c3398ULL},
-                             {"D_38_tvopd", 0xa0231e3ec1cdd885ULL},
+                             {"D_38_tvopd", 0xf777721e6bd636cbULL},
                          });
 }
 
@@ -143,27 +150,63 @@ TEST(OutputDigest, PaperSpecsPerPolicyFloorplanOff) {
         }
     }
     expect_digests(runs, {
-                             {"D_26_media/up-down", 0x84a5bc8b11f06d3cULL},
-                             {"D_26_media/west-first", 0xa6a4f83dd3366c36ULL},
-                             {"D_26_media/odd-even", 0x5f40121b57038d73ULL},
-                             {"D_36_4/up-down", 0xc6cf03cc2a84e086ULL},
-                             {"D_36_4/west-first", 0x424b264f2ce2e38aULL},
-                             {"D_36_4/odd-even", 0x6d736b89a819d82bULL},
-                             {"D_36_6/up-down", 0x295fb4c4398e4e0aULL},
-                             {"D_36_6/west-first", 0xf6a60ca6aaa60174ULL},
-                             {"D_36_6/odd-even", 0xc91c41d148da7e2fULL},
-                             {"D_36_8/up-down", 0x0e22c56407d71123ULL},
-                             {"D_36_8/west-first", 0x05807427132457c4ULL},
-                             {"D_36_8/odd-even", 0xe0d6c7cb7fc2c229ULL},
-                             {"D_35_bot/up-down", 0x45676b86d89b200fULL},
-                             {"D_35_bot/west-first", 0x2682a65e2b89b079ULL},
-                             {"D_35_bot/odd-even", 0x8b64f2af0ffefc88ULL},
+                             {"D_26_media/up-down", 0x4c86c6734de33f3aULL},
+                             {"D_26_media/west-first", 0x9470e8b348e27310ULL},
+                             {"D_26_media/odd-even", 0x39b831841380b069ULL},
+                             {"D_36_4/up-down", 0xf4bbde8c1d169f6eULL},
+                             {"D_36_4/west-first", 0x2cb36c4ebdec94faULL},
+                             {"D_36_4/odd-even", 0x1e734cc61238a5f9ULL},
+                             {"D_36_6/up-down", 0x41763cfd38fa6df4ULL},
+                             {"D_36_6/west-first", 0x64058f08778a36c8ULL},
+                             {"D_36_6/odd-even", 0x8b5871318dc0019fULL},
+                             {"D_36_8/up-down", 0xeee3209e2771b961ULL},
+                             {"D_36_8/west-first", 0xc3d24d71288b7d32ULL},
+                             {"D_36_8/odd-even", 0x831ac0937b628b29ULL},
+                             {"D_35_bot/up-down", 0x9079bb9635dae2b7ULL},
+                             {"D_35_bot/west-first", 0x80a09aec76326c59ULL},
+                             {"D_35_bot/odd-even", 0xa5345f6b6f781f0eULL},
                              {"D_65_pipe/up-down", 0xd540c42c7ad20ef0ULL},
                              {"D_65_pipe/west-first", 0x4ef9c8411a654d2dULL},
                              {"D_65_pipe/odd-even", 0xd1b10da977ec0933ULL},
-                             {"D_38_tvopd/up-down", 0xf5283fbc9c923b26ULL},
-                             {"D_38_tvopd/west-first", 0x49064ddf3d01d9c3ULL},
-                             {"D_38_tvopd/odd-even", 0x7f7dc9b66f50bcb1ULL},
+                             {"D_38_tvopd/up-down", 0x7bc8b9f81311c6e6ULL},
+                             {"D_38_tvopd/west-first", 0xe682865225da7629ULL},
+                             {"D_38_tvopd/odd-even", 0x648ffba5413930e7ULL},
+                         });
+}
+
+TEST(OutputDigest, LinkWidthExplore) {
+    // The link-width axis scales the per-flit switch, NI and wire energy
+    // and the port and crossbar area by width / 32. Scale 1.5 (width 48)
+    // is not exact in every operation order, so this run pins where the
+    // scale is applied; widths 16 and 128 pin the other scales. Each run
+    // hashes the explore table and every design's evaluation bytes (the
+    // exact bits of power, latency, area and the topology).
+    const DesignSpec& spec = paper_specs().front();
+    ASSERT_EQ(spec.name, "D_26_media");
+    Runs runs;
+    for (const bool floorplan : {false, true}) {
+        service::JobParams params;
+        params.freq_mhz = {400.0};
+        params.max_tsvs = {25};
+        params.width_bits = {16, 32, 48, 128};
+        params.floorplan = floorplan;
+        const service::ExploreSetup setup = service::explore_setup(params);
+        ExploreOptions opts;
+        opts.base_seed = setup.base_seed;
+        const ExploreResult res =
+            Explorer(spec, setup.cfg, opts).run(setup.grid);
+        std::ostringstream out;
+        explore_table(res).write_csv(out);
+        for (const ExplorePointResult& pr : res.points)
+            for (const DesignPoint& dp : pr.result.points)
+                out << cas::encode_evaluation(pipeline::EvaluatedDesign(dp));
+        runs.emplace_back(floorplan ? "widths/floorplan-on"
+                                    : "widths/floorplan-off",
+                          out.str());
+    }
+    expect_digests(runs, {
+                             {"widths/floorplan-off", 0x797762bf5a211af0ULL},
+                             {"widths/floorplan-on", 0xd136562db4178ceaULL},
                          });
 }
 
@@ -202,7 +245,7 @@ TEST(OutputDigest, CasStoreObjects) {
     std::filesystem::remove_all(dir);
     EXPECT_EQ(names.size(), 267u);
     expect_digests({{"D_26_media/cas", store}},
-                   {{"D_26_media/cas", 0xcc3785222081a78cULL}});
+                   {{"D_26_media/cas", 0x35cd4f8b0891f8a5ULL}});
 }
 
 }  // namespace

@@ -76,17 +76,8 @@ TEST(GridPoint, ApplyMapsParametersIntoConfig) {
     const SynthesisConfig cfg = p.apply(base);
     EXPECT_DOUBLE_EQ(cfg.eval.freq_hz, 500e6);
     EXPECT_EQ(cfg.max_ill, 12);
-    EXPECT_EQ(cfg.eval.lib.params().flit_width_bits, 64);
-    // The whole datapath scales with the flit width: wire energy, switch
-    // per-flit energy, crossbar area, NI energy.
-    EXPECT_DOUBLE_EQ(cfg.eval.wire.params().energy_pj_per_flit_mm,
-                     base.eval.wire.params().energy_pj_per_flit_mm * 2.0);
-    EXPECT_DOUBLE_EQ(cfg.eval.lib.params().switch_e0_pj,
-                     base.eval.lib.params().switch_e0_pj * 2.0);
-    EXPECT_DOUBLE_EQ(cfg.eval.lib.params().switch_area_a2_mm2,
-                     base.eval.lib.params().switch_area_a2_mm2 * 2.0);
-    EXPECT_DOUBLE_EQ(cfg.eval.lib.params().ni_energy_pj,
-                     base.eval.lib.params().ni_energy_pj * 2.0);
+    // The models scale with the width themselves (model_test).
+    EXPECT_EQ(cfg.eval.flit_width_bits, 64);
     // Fixed theta pins the sweep to one iteration but keeps the base
     // theta_max as Eq. 1's normalization bound.
     EXPECT_DOUBLE_EQ(cfg.theta_min, 4.0);

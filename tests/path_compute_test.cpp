@@ -198,7 +198,7 @@ TEST(PathCompute, IndirectSwitchesHelpWhenPortsRunOut) {
     // flow routed and every switch legal.
     EXPECT_TRUE(res.ok);
     EXPECT_GE(res.indirect_switches_added, 0);
-    const int max_sw = cfg.eval.lib.max_switch_size(cfg.eval.freq_hz);
+    const int max_sw = NocLibrary::max_switch_size(cfg.eval.freq_hz);
     for (int s = 0; s < topo.num_switches(); ++s) {
         EXPECT_LE(topo.switch_in_degree(s), max_sw);
         EXPECT_LE(topo.switch_out_degree(s), max_sw);

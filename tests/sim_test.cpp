@@ -96,8 +96,8 @@ TEST(Sim, ZeroLoadCountsPipelineStagesOnLongLinks) {
     topo.set_flow_path(0, f, {l0, l1, l2});
 
     EvalParams eval;
-    ASSERT_GT(eval.wire.pipeline_stages(topo.link_planar_length(l1),
-                                        eval.freq_hz),
+    ASSERT_GT(WireModel::pipeline_stages(topo.link_planar_length(l1),
+                                         eval.freq_hz),
               1);
     const SimReport rep =
         Simulator(topo, spec, eval).run_zero_load(quick_params());

@@ -220,7 +220,7 @@ class KeyReplay {
         cfg2.allow_multilayer_links = false;
         const int layers = std::max(1, spec_.cores.num_layers());
         const int max_block = std::max(
-            1, cfg.eval.lib.max_switch_size(cfg.eval.freq_hz) - 2);
+            1, NocLibrary::max_switch_size(cfg.eval.freq_hz) - 2);
         std::vector<LayerGraph> lpg;
         std::vector<int> ni;
         int sweep_len = 0;

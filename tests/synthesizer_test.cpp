@@ -43,7 +43,7 @@ TEST(Synthesizer, ValidPointsMeetAllConstraints) {
     cfg.max_switches = 8;
     const auto points =
         run_synthesis(spec, cfg, SynthesisPhase::Phase1).points;
-    const int max_sw = cfg.eval.lib.max_switch_size(cfg.eval.freq_hz);
+    const int max_sw = NocLibrary::max_switch_size(cfg.eval.freq_hz);
     for (const auto& p : points) {
         if (!p.valid) continue;
         EXPECT_TRUE(p.report.all_flows_routed);
@@ -167,7 +167,8 @@ TEST(Synthesizer, PartitionGraphInputsOutOfRangeAreRejected) {
 TEST(Synthesizer, HopCostInputsOutOfRangeAreRejected) {
     // A frequency that reaches undefined behaviour in the path
     // computation (a float-to-int conversion of inf or NaN in the
-    // switch-size bound), and a negative link budget.
+    // switch-size bound), a negative link budget, and a flit width whose
+    // TSV count overflows int (or that is not a width at all).
     const DesignSpec spec = make_d38_tvopd();
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
@@ -182,6 +183,12 @@ TEST(Synthesizer, HopCostInputsOutOfRangeAreRejected) {
         ill.max_ill = bad;
         EXPECT_THROW(run_synthesis(spec, ill), std::invalid_argument)
             << "max_ill " << bad;
+    }
+    for (int bad : {0, -32, 65537, std::numeric_limits<int>::max()}) {
+        SynthesisConfig wide = fast_cfg();
+        wide.eval.flit_width_bits = bad;
+        EXPECT_THROW(run_synthesis(spec, wide), std::invalid_argument)
+            << "flit_width_bits " << bad;
     }
     // The bound itself is fine: no budget.
     SynthesisConfig edge = fast_cfg();
