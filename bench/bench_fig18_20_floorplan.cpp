@@ -116,7 +116,8 @@ int main(int argc, char** argv) {
             "constrained annealer moves cores and drifts unpredictably.\n"
             "NOTE: our sequence-pair baseline re-packs whitespace, so unlike "
             "constrained Parquet in the paper it often matches the custom "
-            "routine's die area (see EXPERIMENTS.md).\n");
+            "routine's die area (see ROADMAP.md, \"Where the reproduction "
+            "stands against the paper\").\n");
     }
 
     ::benchmark::Initialize(&argc, argv);

@@ -6,6 +6,7 @@
 
 #include "common.h"
 #include "sunfloor/core/partition_graphs.h"
+#include "sunfloor/graph/partition.h"
 
 using namespace sunfloor;
 using namespace sunfloor::bench;

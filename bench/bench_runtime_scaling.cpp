@@ -25,7 +25,7 @@ void BM_one_topology(benchmark::State& state) {
         pipeline::SynthesisSession session(spec);
         const auto part =
             session.partition(pipeline::PartitionGraphId::pg(), k, cfg,
-                              cfg.partition, Rng(cfg.seed).state());
+                              PartitionOptions{}, Rng(cfg.seed).state());
         const CoreAssignment assign =
             pipeline::phase1_assignment(*part, spec.cores);
         auto dp = session.synthesize(assign, cfg, "bench", 0.0);

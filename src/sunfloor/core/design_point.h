@@ -6,7 +6,9 @@
 // reads them: Algorithm 3's soft-threshold margins and SOFT_INF factor in
 // routing/cost_model.h, the FM pass limit in graph/partition.h, the
 // component models' calibration values in model/ (the evaluation model
-// takes only the frequency and the link width).
+// takes only the frequency and the link width). Partitioning runs with
+// PartitionOptions{} (Phase 2 bounds only its per-layer block size), and
+// the NoC inserter's search constants live in floorplan/inserter.h.
 //
 // The synthesis procedure outputs "a set of tradeoff points of topologies
 // that meet the constraints, with different values of power, latency, and
@@ -16,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "sunfloor/graph/partition.h"
 #include "sunfloor/noc/evaluation.h"
 #include "sunfloor/noc/topology.h"
 #include "sunfloor/routing/policy.h"
@@ -57,8 +58,7 @@ struct SynthesisConfig {
     /// order bit for bit (see routing/policy.h).
     routing::RoutingPolicyId routing = routing::RoutingPolicyId::UpDown;
 
-    /// Partitioner settings and determinism.
-    PartitionOptions partition{};
+    /// Determinism: the seed of every stochastic stage.
     std::uint64_t seed = Rng::kDefaultSeed;
 
     /// Legalize switch/TSV positions into the floorplan (Section VII); off

@@ -31,9 +31,6 @@ void enc_config(Enc& e, const SynthesisConfig& c) {
     e.f64(c.theta_step);
     e.u8(c.use_soft_thresholds ? 1 : 0);
     e.str(routing::routing_to_string(c.routing));
-    e.i32(c.partition.num_starts);
-    e.u8(c.partition.refine ? 1 : 0);
-    e.i32(c.partition.max_block_size);
     e.u64(c.seed);
     e.u8(c.run_floorplan ? 1 : 0);
     e.i32(c.max_switches);
@@ -49,9 +46,6 @@ bool dec_config(Dec& d, SynthesisConfig& c) {
     c.theta_step = d.f64();
     c.use_soft_thresholds = d.u8() != 0;
     if (!routing::routing_from_string(d.str(), c.routing)) return false;
-    c.partition.num_starts = d.i32();
-    c.partition.refine = d.u8() != 0;
-    c.partition.max_block_size = d.i32();
     c.seed = d.u64();
     c.run_floorplan = d.u8() != 0;
     c.max_switches = d.i32();
@@ -70,7 +64,6 @@ void enc_explore_opts(Enc& e, const ExploreOptions& o) {
     e.i32(o.sim.buffer_depth_flits);
     e.i64(o.sim.warmup_cycles);
     e.i64(o.sim.measure_cycles);
-    e.i64(o.sim.drain_max_cycles);
     e.u64(o.sim.seed);
 }
 
@@ -86,7 +79,6 @@ bool dec_explore_opts(Dec& d, ExploreOptions& o) {
     o.sim.buffer_depth_flits = d.i32();
     o.sim.warmup_cycles = d.i64();
     o.sim.measure_cycles = d.i64();
-    o.sim.drain_max_cycles = d.i64();
     o.sim.seed = d.u64();
     return d.ok();
 }

@@ -54,10 +54,11 @@ namespace sunfloor::dist {
 /// that became constants; 6: requests carry none of the simulator's
 /// traffic-shaping settings, which became constants; 7: the evaluation
 /// model travels as its two inputs, frequency and link width, its
-/// calibration values being constants). A version mismatch
-/// is a decode error (the coordinator retries elsewhere rather than
-/// mis-reading bytes).
-inline constexpr std::uint32_t kWireVersion = 7;
+/// calibration values being constants; 8: requests carry neither the
+/// partitioner's options nor the simulator's drain bound, both now
+/// constants). A version mismatch is a decode error (the coordinator
+/// retries elsewhere rather than mis-reading bytes).
+inline constexpr std::uint32_t kWireVersion = 8;
 
 /// Everything a worker needs to run one slice — self-contained, so a
 /// worker holds no per-coordinator state and any worker can take any job.

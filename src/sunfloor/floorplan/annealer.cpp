@@ -45,7 +45,7 @@ double floorplan_cost(const Packing& packing, const std::vector<BlockDim>& dims,
                                .center(),
                            (*targets)[i]);
         }
-    return opts.area_weight * packing.area() + opts.wirelength_weight * wl +
+    return packing.area() + opts.wirelength_weight * wl +
            opts.target_weight * dev;
 }
 
@@ -93,10 +93,9 @@ AnnealResult anneal_floorplan(const std::vector<BlockDim>& dims,
     SequencePair best_sp = sp;
     double best_cost = cost;
 
-    double temp = opts.t_initial > 0.0 ? opts.t_initial : cost * 0.05 + 1e-9;
+    double temp = cost * kAnnealInitialTempRatio + 1e-9;
     const double t_final = temp * opts.t_final_ratio;
-    const int moves_per_temp =
-        opts.moves_per_temp > 0 ? opts.moves_per_temp : 8 * n;
+    const int moves_per_temp = kAnnealMovesPerBlock * n;
 
     const bool constrained = movable != nullptr;
     while (temp > t_final) {

@@ -21,12 +21,19 @@ struct FloorplanNet {
     double weight = 1.0;
 };
 
+/// Moves per temperature step, per block of the anneal.
+inline constexpr int kAnnealMovesPerBlock = 8;
+/// The start temperature is this fraction of the initial cost (plus 1e-9,
+/// so a zero-cost start still anneals).
+inline constexpr double kAnnealInitialTempRatio = 0.05;
+
+/// The schedule and objective weights of one anneal. The two shipped
+/// schedules (the input placements' and kStandardInsertAnneal) differ in
+/// these four; what they share is the constants above and an area weight
+/// of 1.
 struct AnnealOptions {
-    int moves_per_temp = 0;    ///< <=0: 8 * n
-    double t_initial = 0.0;    ///< <=0: auto from initial cost
     double t_final_ratio = 1e-4;
     double cooling = 0.93;
-    double area_weight = 1.0;
     /// Weight of bandwidth-weighted half-perimeter wire length relative to
     /// area. The paper's floorplans minimize area and wire length.
     double wirelength_weight = 0.05;
@@ -44,7 +51,7 @@ struct AnnealResult {
     int total_moves = 0;
 };
 
-/// Objective used by the annealer: area_weight * bounding-box area +
+/// Objective used by the annealer: bounding-box area +
 /// wirelength_weight * sum(weight * manhattan(center_a, center_b)) +
 /// target_weight * sum(manhattan(center_i, targets[i])) when targets are
 /// supplied.

@@ -39,13 +39,12 @@ Rect centered_rect(double cx, double cy, double w, double h) {
 constexpr double kNoCandidate = 1e300;
 
 bool find_free_space(const InsertBlock& b, const std::vector<Rect>& placed,
-                     const InsertionOptions& opts, double die_half_perimeter,
-                     Rect* out) {
+                     double die_half_perimeter, Rect* out) {
     const double step =
-        std::max(1e-3, opts.grid_step_ratio * std::min(b.w, b.h));
+        std::max(1e-3, kInsertGridStepRatio * std::min(b.w, b.h));
     const double rmax =
-        std::max(opts.min_search_radius_ratio * std::max(b.w, b.h),
-                 opts.max_search_radius_die_ratio * die_half_perimeter) +
+        std::max(kInsertMinSearchRadiusRatio * std::max(b.w, b.h),
+                 kInsertMaxSearchRadiusDieRatio * die_half_perimeter) +
         step;
     // The block that stopped each lane's (ring side's) last candidate.
     std::size_t blocker[4] = {kNoBlocker, kNoBlocker, kNoBlocker, kNoBlocker};
@@ -136,8 +135,7 @@ double bbox_area(const std::vector<Rect>& rects) {
 }  // namespace
 
 InsertionResult insert_blocks_custom(const std::vector<Rect>& fixed,
-                                     const std::vector<InsertBlock>& blocks,
-                                     const InsertionOptions& opts) {
+                                     const std::vector<InsertBlock>& blocks) {
     InsertionResult res;
     res.fixed_rects = fixed;
 
@@ -156,13 +154,13 @@ InsertionResult insert_blocks_custom(const std::vector<Rect>& fixed,
         // plus the spot.
         Rect free_spot;
         const bool have_free =
-            find_free_space(b, placed, opts, die_half_perimeter, &free_spot);
+            find_free_space(b, placed, die_half_perimeter, &free_spot);
         const Rect box_before = bounding_box(placed);
         const double area_before = box_before.area();
         double free_cost = kNoCandidate;
         if (have_free) {
             free_cost = (box_before.united(free_spot).area() - area_before) +
-                        opts.deviation_cost_mm2_per_mm *
+                        kInsertDeviationCostMm2PerMm *
                             manhattan(free_spot.center(),
                                       {b.ideal.x, b.ideal.y});
         }
@@ -197,7 +195,7 @@ InsertionResult insert_blocks_custom(const std::vector<Rect>& fixed,
         const Rect at_seam = x_wins ? seam_x : seam_y;
         const double displace_cost =
             ((x_wins ? area_x : area_y) - area_before) +
-            opts.deviation_cost_mm2_per_mm *
+            kInsertDeviationCostMm2PerMm *
                 manhattan(at_seam.center(), {b.ideal.x, b.ideal.y});
 
         Rect where;

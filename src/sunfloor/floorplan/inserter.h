@@ -6,7 +6,8 @@
 // space near its ideal location; if none exists, displace already placed
 // blocks in the x or y direction by the size of the component and
 // iteratively push any block the displacement overlaps, always in the same
-// direction. Later components re-use gaps created by earlier ones.
+// direction. Later components re-use gaps created by earlier ones. The
+// routine runs one configuration, the constants below.
 #pragma once
 
 #include <vector>
@@ -22,24 +23,21 @@ struct InsertBlock {
     Point ideal{};  ///< desired center (from the switch-position LP)
 };
 
-struct InsertionOptions {
-    /// Grid step of the free-space spiral search, as a fraction of the
-    /// component's smaller side.
-    double grid_step_ratio = 0.5;
-    /// Search radius limit as a fraction of the die half-perimeter; large
-    /// enough to re-use gaps created by earlier insertions ("as more
-    /// components are placed, they can re-use the gap created by the
-    /// earlier components").
-    double max_search_radius_die_ratio = 0.35;
-    /// Lower bound on the search radius in multiples of the component's
-    /// larger side (matters for tiny dies).
-    double min_search_radius_ratio = 3.0;
-    /// Trade-off when choosing between the nearest free space (deviation
-    /// from the ideal, no die growth) and displacement at the exact ideal
-    /// (no deviation, die growth): mm2 of die area one mm of deviation is
-    /// worth.
-    double deviation_cost_mm2_per_mm = 2.0;
-};
+/// Grid step of the free-space spiral search, as a fraction of the
+/// component's smaller side.
+inline constexpr double kInsertGridStepRatio = 0.5;
+/// Search radius limit as a fraction of the die half-perimeter; large
+/// enough to re-use gaps created by earlier insertions ("as more
+/// components are placed, they can re-use the gap created by the earlier
+/// components").
+inline constexpr double kInsertMaxSearchRadiusDieRatio = 0.35;
+/// Lower bound on the search radius in multiples of the component's
+/// larger side (matters for tiny dies).
+inline constexpr double kInsertMinSearchRadiusRatio = 3.0;
+/// Trade-off when choosing between the nearest free space (deviation from
+/// the ideal, no die growth) and displacement at the exact ideal (no
+/// deviation, die growth): mm2 of die area one mm of deviation is worth.
+inline constexpr double kInsertDeviationCostMm2PerMm = 2.0;
 
 struct InsertionResult {
     /// Final positions of the pre-existing blocks (same order as input);
@@ -60,7 +58,6 @@ struct InsertionResult {
 /// Legalize `blocks` into the floorplan `fixed`. Always succeeds (the die
 /// grows as needed). All rectangles belong to a single 3-D layer.
 InsertionResult insert_blocks_custom(const std::vector<Rect>& fixed,
-                                     const std::vector<InsertBlock>& blocks,
-                                     const InsertionOptions& opts = {});
+                                     const std::vector<InsertBlock>& blocks);
 
 }  // namespace sunfloor

@@ -27,8 +27,7 @@ namespace sunfloor {
 /// which is where its unpredictably poor floorplans come from (Section
 /// VIII-D).
 inline constexpr AnnealOptions kStandardInsertAnneal{
-    .moves_per_temp = 0, .t_initial = 0.0, .t_final_ratio = 1e-3,
-    .cooling = 0.85, .area_weight = 1.0, .wirelength_weight = 0.05,
+    .t_final_ratio = 1e-3, .cooling = 0.85, .wirelength_weight = 0.05,
     .target_weight = 2.0};
 
 /// Insert `blocks` into the floorplan `fixed` with the constrained

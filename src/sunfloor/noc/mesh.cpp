@@ -42,11 +42,10 @@ struct Mapping {
     }
 };
 
-double mapping_cost(const Mapping& m, const DesignSpec& spec,
-                    const MeshOptions& opts) {
+double mapping_cost(const Mapping& m, const DesignSpec& spec) {
     double cost = 0.0;
     const double penalty_unit =
-        opts.latency_penalty * std::max(spec.comm.total_bw(), 1.0);
+        kMeshLatencyPenalty * std::max(spec.comm.total_bw(), 1.0);
     for (const auto& f : spec.comm.flows()) {
         const Tile a = m.tile_of(m.core_tile[static_cast<std::size_t>(f.src)]);
         const Tile b = m.tile_of(m.core_tile[static_cast<std::size_t>(f.dst)]);
@@ -62,7 +61,7 @@ double mapping_cost(const Mapping& m, const DesignSpec& spec,
 }  // namespace
 
 MeshResult build_mesh_baseline(const DesignSpec& spec, const EvalParams& eval,
-                               Rng& rng, const MeshOptions& opts) {
+                               Rng& rng) {
     const int num_cores = spec.cores.num_cores();
     const int layers = std::max(1, spec.cores.num_layers());
     if (num_cores == 0)
@@ -98,11 +97,10 @@ MeshResult build_mesh_baseline(const DesignSpec& spec, const EvalParams& eval,
     }
 
     // --- SA over per-layer tile assignments --------------------------------
-    double cost = mapping_cost(m, spec, opts);
-    double temp = std::max(cost * opts.t_initial_ratio, 1e-9);
-    const double t_final = temp * opts.t_final_ratio;
-    const int moves_per_temp =
-        opts.moves_per_temp > 0 ? opts.moves_per_temp : 16 * num_cores;
+    double cost = mapping_cost(m, spec);
+    double temp = std::max(cost * kMeshInitialTempRatio, 1e-9);
+    const double t_final = temp * kMeshFinalTempRatio;
+    const int moves_per_temp = kMeshMovesPerCore * num_cores;
     Mapping best = m;
     double best_cost = cost;
     while (temp > t_final) {
@@ -126,7 +124,7 @@ MeshResult build_mesh_baseline(const DesignSpec& spec, const EvalParams& eval,
                     mm.core_tile[static_cast<std::size_t>(other)] = t_old;
             };
             apply(m);
-            const double cand = mapping_cost(m, spec, opts);
+            const double cand = mapping_cost(m, spec);
             const double delta = cand - cost;
             if (delta <= 0.0 || rng.next_double() < std::exp(-delta / temp)) {
                 cost = cand;
@@ -143,7 +141,7 @@ MeshResult build_mesh_baseline(const DesignSpec& spec, const EvalParams& eval,
                     m.core_tile[static_cast<std::size_t>(other)] = t_new;
             }
         }
-        temp *= opts.cooling;
+        temp *= kMeshCooling;
     }
     m = best;
 

@@ -724,7 +724,7 @@ std::vector<DesignPoint> SynthesisSession::phase1(const SynthesisConfig& cfg,
 
     auto cut = [&](const PartitionGraphId& graph, int k) {
         ScopedStageTime st(timing, &StageTiming::partition_ms);
-        auto part = partition(graph, k, cfg, cfg.partition, rng);
+        auto part = partition(graph, k, cfg, PartitionOptions{}, rng);
         rng = part->rng_after;
         return part;
     };
@@ -815,7 +815,7 @@ std::vector<DesignPoint> SynthesisSession::phase2(const SynthesisConfig& cfg,
                 if (cores_in_layer == 0) continue;
                 const int np = std::min(ni[static_cast<std::size_t>(ly)] + i,
                                         cores_in_layer);
-                PartitionOptions popts = cfg.partition;
+                PartitionOptions popts;
                 // "About equal number of cores" per block (Algorithm 2),
                 // and never more than a max-size switch can serve.
                 popts.max_block_size =

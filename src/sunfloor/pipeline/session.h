@@ -90,6 +90,7 @@
 #include "sunfloor/util/mutex.h"
 
 #include "sunfloor/core/synthesizer.h"
+#include "sunfloor/graph/partition.h"
 #include "sunfloor/lp/placement_lp.h"
 #include "sunfloor/obs/metrics.h"
 #include "sunfloor/pipeline/artifacts.h"
@@ -348,8 +349,9 @@ class SynthesisSession {
     // must not mutate through the pointers.
 
     /// Core-partitioning stage: k-way min-cut of `graph` starting from
-    /// `rng_in`. `opts` is the *effective* partitioner configuration
-    /// (phase 2 overrides the block-size bound per call).
+    /// `rng_in`. `opts` is the *effective* partitioner configuration:
+    /// PartitionOptions{} in phase 1, phase 2 bounding the block size per
+    /// call.
     std::shared_ptr<const PartitionArtifact> partition(
         const PartitionGraphId& graph, int k, const SynthesisConfig& cfg,
         const PartitionOptions& opts, const RngState& rng_in)

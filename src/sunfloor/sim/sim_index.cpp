@@ -136,8 +136,6 @@ SimIndex build_sim_index(const Topology& topo, const DesignSpec& spec,
         idx.opt_state = std::move(csr.opt_state);
         idx.baked = std::move(csr.baked);
     }
-
-    idx.key = sim_index_key(topo, spec, eval, routing);
     return idx;
 }
 

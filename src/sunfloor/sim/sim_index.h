@@ -28,7 +28,7 @@
 // the Topology it was built from, so it can be shared freely: across
 // the rate points of a sweep (sunfloor_cli simulate, the throughput
 // bench) and across the parallel simulation jobs of the explore backend
-// (which caches indexes by `key`, see explore/explorer.cpp). The
+// (which caches indexes by sim_index_key, see explore/explorer.cpp). The
 // simulator engine reads only the index.
 #pragma once
 
@@ -81,15 +81,13 @@ struct SimIndex {
     std::vector<int> opt_link;
     std::vector<int> opt_state;
     std::vector<int> baked;      ///< baked next link per node, or -1
-
-    /// Content key: equal keys mean the index (and hence any simulation
-    /// driven through it with equal SimParams) is identical. Computed by
-    /// sim_index_key() over every input the build consumes.
-    std::string key;
 };
 
-/// Content key of the index build_sim_index would produce — cheap enough
-/// to compute for cache lookups without enumerating route sets.
+/// Content key of the index build_sim_index would produce, over every
+/// input the build consumes: equal keys mean the index (and hence any
+/// simulation driven through it with equal SimParams) is identical.
+/// Cheap enough to compute for cache lookups without enumerating route
+/// sets.
 std::string sim_index_key(const Topology& topo, const DesignSpec& spec,
                           const EvalParams& eval,
                           routing::RoutingPolicyId routing);

@@ -771,8 +771,7 @@ void validate_params(const SimIndex& idx, const SimParams& params) {
     if (!idx.all_flows_routed)
         throw std::invalid_argument(
             "simulate: every flow must be routed (topology incomplete)");
-    if (params.warmup_cycles < 0 || params.measure_cycles < 1 ||
-        params.drain_max_cycles < 0)
+    if (params.warmup_cycles < 0 || params.measure_cycles < 1)
         throw std::invalid_argument("simulate: bad phase lengths");
 }
 
@@ -861,7 +860,7 @@ SimReport run_phases(Engine& eng, const SimIndex& idx,
     }
     // Injection stopped; run the network empty. Measured packets still in
     // flight keep being recorded as they land.
-    const long long drain_end = we + params.drain_max_cycles;
+    const long long drain_end = we + kDrainMaxCycles;
     {
         obs::ScopedSpan span("sim.drain");
         while (eng.flits_in_network() > 0 && T < drain_end) {
@@ -917,7 +916,7 @@ SimReport run_zero_load_phases(Engine& eng, const SimIndex& idx,
     rep.drained = true;
     // Each flow probes an otherwise idle network: its packet can never
     // contend, so its latency is the simulator's zero-load number.
-    const long long limit = std::max<long long>(params.drain_max_cycles, 1);
+    const long long limit = kDrainMaxCycles;
     std::vector<double> all_lat;
     double head_sum = 0.0;
     long long head_count = 0;

@@ -34,8 +34,9 @@
 // A run is warmup -> measurement -> drain: statistics cover packets
 // *generated* during the measurement window (the simulation keeps
 // going until they all arrive), and the drain phase then runs the
-// network empty — a runtime cross-check of the static deadlock-freedom
-// analysis of noc/deadlock.h, reported as SimReport::drained.
+// network empty within kDrainMaxCycles — a runtime cross-check of the
+// static deadlock-freedom analysis of noc/deadlock.h, reported as
+// SimReport::drained.
 //
 // Internally the engine is CSR/SoA, not object-per-flit: all static
 // lookups (paths, ports, route sets) are flattened once into a shared
@@ -68,6 +69,12 @@
 
 namespace sunfloor::sim {
 
+/// After injection stops, the network must go empty within this many
+/// additional cycles or the run reports drained = false. Bounded so a
+/// (hypothetical) deadlocked configuration terminates; the zero-load
+/// probe bounds each flow's packet by it too.
+inline constexpr long long kDrainMaxCycles = 200000;
+
 struct SimParams {
     InjectionParams inject{};
 
@@ -87,11 +94,6 @@ struct SimParams {
     /// Length of the measurement window (cycles). Packets generated in
     /// this window are the measured population.
     long long measure_cycles = 10000;
-
-    /// After injection stops, the network must go empty within this many
-    /// additional cycles or the run reports drained = false. Bounded so
-    /// a (hypothetical) deadlocked configuration terminates.
-    long long drain_max_cycles = 200000;
 
     std::uint64_t seed = Rng::kDefaultSeed;
 };

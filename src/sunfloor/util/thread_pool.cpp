@@ -16,11 +16,22 @@ int ThreadPool::default_thread_count() {
 ThreadPool::ThreadPool(int num_threads) {
     if (num_threads <= 0) num_threads = default_thread_count();
     workers_.reserve(static_cast<std::size_t>(num_threads));
-    for (int i = 0; i < num_threads; ++i)
-        workers_.emplace_back([this] { worker_loop(); });
+    try {
+        for (int i = 0; i < num_threads; ++i)
+            workers_.emplace_back([this] { worker_loop(); });
+    } catch (...) {
+        // The OS refused a thread. Unwinding past the running workers
+        // would terminate the process (they are joinable) or hang (the
+        // condition variable they wait on is destroyed), so they stop and
+        // join before the error leaves the constructor.
+        stop_and_join();
+        throw;
+    }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
     {
         util::MutexLock lock(mu_);
         stop_ = true;

@@ -20,6 +20,8 @@ namespace sunfloor {
 class ThreadPool {
   public:
     /// Spawn `num_threads` workers; 0 picks the hardware concurrency.
+    /// Throws std::system_error when the OS refuses a thread, after
+    /// joining the workers already started.
     explicit ThreadPool(int num_threads = 0);
 
     /// Drains the queue (runs every pending task) before joining.
@@ -50,6 +52,8 @@ class ThreadPool {
 
   private:
     void worker_loop() SF_EXCLUDES(mu_);
+    /// Let the workers finish the queue, then join them.
+    void stop_and_join() SF_EXCLUDES(mu_);
 
     std::vector<std::thread> workers_;
     util::Mutex mu_;

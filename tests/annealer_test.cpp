@@ -103,7 +103,6 @@ TEST(Annealer, CostFunctionComponents) {
     p.width = 6;
     p.height = 1;
     AnnealOptions opts;
-    opts.area_weight = 1.0;
     opts.wirelength_weight = 2.0;
     const std::vector<FloorplanNet> nets{{0, 1, 3.0}};
     // area 6 + 2 * 3 * 5 = 36.

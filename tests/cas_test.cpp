@@ -93,7 +93,6 @@ bool has_object(const std::string& dir, const std::string& key) {
 
 SynthesisConfig fast_cfg() {
     SynthesisConfig cfg;
-    cfg.partition.num_starts = 4;
     cfg.run_floorplan = false;
     cfg.max_switches = 6;
     return cfg;
@@ -313,6 +312,7 @@ TEST(CasCodec, ArtifactsRoundTripBitExactly) {
     const DesignSpec spec = make_benchmark("D_36_4");
     SynthesisConfig cfg = fast_cfg();
     cfg.run_floorplan = true;  // exercise the die-area vector too
+    cfg.max_switches = 8;  // the first PG cut from the seed's state that routes
 
     pipeline::SynthesisSession session(spec);
     const RngState rng_in = Rng(cfg.seed).state();
@@ -322,7 +322,7 @@ TEST(CasCodec, ArtifactsRoundTripBitExactly) {
     std::shared_ptr<const pipeline::RoutingArtifact> routed_holder;
     for (int k = 2; k <= cfg.max_switches && !routed_holder; ++k) {
         part = session.partition(pipeline::PartitionGraphId::pg(), k, cfg,
-                                 cfg.partition, rng_in);
+                                 PartitionOptions{}, rng_in);
         auto r = session.route(pipeline::phase1_assignment(*part, spec.cores),
                                cfg);
         if (r->ok) routed_holder = std::move(r);
@@ -509,7 +509,7 @@ TEST(CasCodec, MalformedBlobsDecodeToNullopt) {
     pipeline::SynthesisSession session(spec);
     const auto part =
         session.partition(pipeline::PartitionGraphId::pg(), 4, cfg,
-                          cfg.partition, Rng(cfg.seed).state());
+                          PartitionOptions{}, Rng(cfg.seed).state());
     const CoreAssignment assign =
         pipeline::phase1_assignment(*part, spec.cores);
     const pipeline::RoutingArtifact routed =
@@ -890,7 +890,7 @@ TEST(CasSession, UndecodableObjectsAreCountedAndReplaced) {
     // (one) cut from the seed's generator state.
     pipeline::SynthesisSession probe(spec);
     const auto part = probe.partition(pipeline::PartitionGraphId::pg(), 1,
-                                      cfg, cfg.partition,
+                                      cfg, PartitionOptions{},
                                       Rng(cfg.seed).state());
     const CoreAssignment assign =
         pipeline::phase1_assignment(*part, spec.cores);
@@ -926,7 +926,7 @@ int expect_evaluations_share_placed_topology(
     const int hi = std::min(cfg.max_switches, spec.cores.num_cores());
     for (int k = 1; k <= hi; ++k) {
         const auto part = session.partition(pipeline::PartitionGraphId::pg(),
-                                            k, cfg, cfg.partition, rng);
+                                            k, cfg, PartitionOptions{}, rng);
         rng = part->rng_after;
         const auto routed = session.route(part->assign, cfg);
         if (!routed->ok) continue;
@@ -990,7 +990,10 @@ TEST(CasSession, EvaluationsOfAnotherTopologyAreUndecodable) {
     // without a store.
     TempDir cold_dir;
     const DesignSpec spec = make_benchmark("D_36_4");
-    const SynthesisConfig cfg = fast_cfg();
+    SynthesisConfig cfg = fast_cfg();
+    // Up to ten switches the theta sweep evaluates a design that routes a
+    // flow over a link with a parallel twin.
+    cfg.max_switches = 10;
     const SynthesisResult ref = run_synthesis(spec, cfg);
     {
         pipeline::SessionOptions so;
@@ -1112,9 +1115,9 @@ TEST(CasSession, PartitionsThatDoNotFitTheCallAreUndecodable) {
     pipeline::PartitionKey pg_key;
     std::shared_ptr<const pipeline::PartitionArtifact> pg;
     for (int k = 1; k <= 3; ++k) {
-        pg_key = {pipeline::PartitionGraphId::pg(), cfg.alpha, cfg.partition,
-                  k, rng};
-        pg = probe.partition(pg_key.graph, k, cfg, cfg.partition, rng);
+        pg_key = {pipeline::PartitionGraphId::pg(), cfg.alpha,
+                  PartitionOptions{}, k, rng};
+        pg = probe.partition(pg_key.graph, k, cfg, PartitionOptions{}, rng);
         rng = pg->rng_after;
     }
     // Phase 2's first cut, sized as SynthesisSession::phase2 sizes it.
@@ -1122,7 +1125,7 @@ TEST(CasSession, PartitionsThatDoNotFitTheCallAreUndecodable) {
         std::max(1, NocLibrary::max_switch_size(cfg.eval.freq_hz) - 2);
     const int layer0 = static_cast<int>(spec.cores.cores_in_layer(0).size());
     const int np = (layer0 + max_block - 1) / max_block;
-    PartitionOptions popts = cfg.partition;
+    PartitionOptions popts;
     popts.max_block_size = std::min(max_block, (layer0 + np - 1) / np);
     const pipeline::PartitionKey lpg_key{pipeline::PartitionGraphId::lpg(0),
                                          cfg.alpha, popts, np,

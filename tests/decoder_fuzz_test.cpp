@@ -3,16 +3,18 @@
 // cas::decode_partition, decode_routing, decode_placement and
 // decode_evaluation (with and without the placed topology a stage key
 // holds), dist::decode_shard_request and decode_shard_response, the frame
-// parsers parse_worker_frame and parse_response_frame, and the daemon's
+// parsers parse_worker_frame and parse_response_frame, the daemon's
 // request decoder service::parse_request (parse_json) with the spec
-// parser behind it (service::build_job_request).
+// parser behind it (service::build_job_request), and the spec parser
+// parse_design on its own.
 //
 // Every seed is a real encoding: a PG and an LPG partition, a routed and a
 // failed routing artifact, a placement with the floorplan on, an
 // evaluation, one shard request and one shard response payload, and each
 // payload again as a complete frame; for the daemon, a synth and an
 // explore submit frame (every config field set, D_26_media's spec text),
-// a status and a result frame. A mutant applies one or two of: a
+// a status and a result frame; for the spec parser, write_design's text
+// of the seven paper specs. A mutant applies one or two of: a
 // bit flip, a byte overwrite, a truncation, a byte insertion or deletion,
 // or a 4-byte window (at any offset, so every field's alignment is
 // covered) set to 0, 1, INT_MAX or 0xffffffff. Mutants equal to their
@@ -29,7 +31,10 @@
 //     design it returns shares that topology;
 //   * a daemon request parses or fails with a non-empty error, and so
 //     does an accepted submit's spec text; an accepted submit, rendered
-//     with make_submit_frame and parsed again, renders to the same bytes.
+//     with make_submit_frame and parsed again, renders to the same bytes;
+//   * a spec text parses or fails with an error that names its line; an
+//     accepted spec, written with write_design and parsed again, writes
+//     the same bytes.
 //
 // The generator is the in-repo Rng with fixed seeds and a fixed count per
 // seed blob, so every run makes the same mutants.
@@ -147,10 +152,11 @@ void mutate_once(std::string& m, Rng& rng) {
 /// The mutants of `seed` for one generator seed: one or two mutations
 /// each, never the seed itself.
 std::vector<std::string> mutants(const std::string& seed,
-                                 std::uint64_t rng_seed) {
+                                 std::uint64_t rng_seed,
+                                 int count = kMutantsPerSeed) {
     Rng rng(rng_seed);
     std::vector<std::string> out;
-    while (out.size() < static_cast<std::size_t>(kMutantsPerSeed)) {
+    while (out.size() < static_cast<std::size_t>(count)) {
         std::string m = seed;
         mutate_once(m, rng);
         if (rng.next_bool(0.25)) mutate_once(m, rng);
@@ -189,24 +195,26 @@ struct Seeds {
 
     Seeds() {
         SynthesisConfig cfg;
-        cfg.partition.num_starts = 4;
         cfg.run_floorplan = false;
-        cfg.max_switches = 6;
+        // Cut from the seed's state, the PG routes first at eight switches.
+        cfg.max_switches = 8;
         pipeline::SynthesisSession session(spec);
         const RngState rng = Rng(cfg.seed).state();
-        pg = cas::encode_partition(*session.partition(
-            pipeline::PartitionGraphId::pg(), pg_k, cfg, cfg.partition, rng));
+        pg = cas::encode_partition(
+            *session.partition(pipeline::PartitionGraphId::pg(), pg_k, cfg,
+                               PartitionOptions{}, rng));
 
         lpg_vertices = static_cast<int>(spec.cores.cores_in_layer(0).size());
-        PartitionOptions popts = cfg.partition;
+        PartitionOptions popts;
         popts.max_block_size = (lpg_vertices + lpg_k - 1) / lpg_k;
         lpg = cas::encode_partition(*session.partition(
             pipeline::PartitionGraphId::lpg(0), lpg_k, cfg, popts, rng));
 
         std::shared_ptr<const pipeline::RoutingArtifact> ok_route;
         for (int k = 1; k <= cfg.max_switches; ++k) {
-            const auto part = session.partition(
-                pipeline::PartitionGraphId::pg(), k, cfg, cfg.partition, rng);
+            const auto part =
+                session.partition(pipeline::PartitionGraphId::pg(), k, cfg,
+                                  PartitionOptions{}, rng);
             const auto r = session.route(part->assign, cfg);
             if (r->ok && !ok_route) ok_route = r;
             if (!r->ok && failed.empty()) failed = cas::encode_routing(*r);
@@ -520,6 +528,56 @@ TEST(DecoderFuzz, DaemonRequestMutantsParseCleanly) {
             if (testing::Test::HasFailure()) return;
         }
     }
+}
+
+/// Whether a parse_design error names the line it failed on.
+bool names_a_line(const std::string& error) {
+    std::size_t i = 5;
+    if (error.compare(0, i, "line ") != 0) return false;
+    while (i < error.size() && error[i] >= '0' && error[i] <= '9') ++i;
+    return i > 5 && i < error.size() && error[i] == ':';
+}
+
+TEST(DecoderFuzz, SpecTextMutantsParseCleanly) {
+    // A spec parse costs ~0.1 ms, so each of the seven texts gets 400
+    // mutants, keeping the case near half a second.
+    constexpr int kSpecMutants = 400;
+    std::uint64_t rng_seed = 801;
+    int accepted = 0;
+    for (const char* name : {"D_36_4", "D_36_6", "D_36_8", "D_35_bot",
+                             "D_65_pipe", "D_38_tvopd", "D_26_media"}) {
+        std::ostringstream text;
+        write_design(text, make_benchmark(name));
+        std::istringstream seed_in(text.str());
+        ASSERT_TRUE(parse_design(seed_in, name).ok) << name;
+        for (const std::string& m :
+             mutants(text.str(), rng_seed++, kSpecMutants)) {
+            ParseResult parsed;
+            bounded("parse_design", m.size(), [&] {
+                std::istringstream in(m);
+                parsed = parse_design(in, name);
+            });
+            if (!parsed.ok) {
+                EXPECT_TRUE(names_a_line(parsed.error))
+                    << "error '" << parsed.error << "' for: " << m;
+            } else {
+                ++accepted;
+                std::ostringstream once;
+                write_design(once, parsed.spec);
+                std::istringstream again_in(once.str());
+                const ParseResult again = parse_design(again_in, name);
+                ASSERT_TRUE(again.ok) << again.error << " re-parsing "
+                                      << once.str();
+                std::ostringstream twice;
+                write_design(twice, again.spec);
+                EXPECT_EQ(twice.str(), once.str()) << "from: " << m;
+            }
+            if (testing::Test::HasFailure()) return;
+        }
+    }
+    // Most mutants break a line; some (a changed digit, a renamed core)
+    // still parse.
+    EXPECT_GT(accepted, 0);
 }
 
 }  // namespace

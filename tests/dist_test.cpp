@@ -339,7 +339,7 @@ TEST(DistProtocol, FramesParseBothDirections) {
 }
 
 TEST(DistProtocol, WireVersionTwoFramesAndPayloadsAreRejectedByName) {
-    EXPECT_EQ(dist::kWireVersion, 7u);
+    EXPECT_EQ(dist::kWireVersion, 8u);
     // Version 2 carried the payload hex-encoded inside the JSON line.
     std::string err;
     dist::WorkerRequest wreq;
@@ -398,6 +398,14 @@ TEST(DistProtocol, WireVersionTwoFramesAndPayloadsAreRejectedByName) {
     std::string q6 = dist::encode_shard_request(small_request());
     patch_u32(q6, 0, 6);
     EXPECT_FALSE(dist::decode_shard_request(q6, req_out, err));
+    EXPECT_NE(err.find("bad version"), std::string::npos) << err;
+
+    // Version 7 requests carried the partitioner's options (9 bytes) and
+    // the simulator's drain bound (8), both now constants: such a payload
+    // fails by its version, never as a misread config.
+    std::string q7 = dist::encode_shard_request(small_request());
+    patch_u32(q7, 0, 7);
+    EXPECT_FALSE(dist::decode_shard_request(q7, req_out, err));
     EXPECT_NE(err.find("bad version"), std::string::npos) << err;
 }
 

@@ -294,8 +294,6 @@ TEST(FloorplanEquivalence, RandomAnneals) {
                 c.nets.push_back({a, b, 1.0 + 99.0 * rng.next_double()});
         }
         c.opts.wirelength_weight = (i % 4) * 0.05;
-        if (i % 5 == 1) c.opts.t_initial = 0.5;
-        if (i % 3 == 2) c.opts.moves_per_temp = 7;
         c.opts.cooling = 0.8;
         if (i % 2 == 1 && n > 0) {
             c.opts.target_weight = 0.3;
@@ -435,37 +433,46 @@ TEST(FloorplanEquivalence, InserterOnPaperDesigns) {
 
 std::string check_insertion(const std::vector<Rect>& fixed,
                             const std::vector<InsertBlock>& blocks,
-                            const InsertionOptions& opts,
                             const std::string& label) {
     std::ostringstream d;
-    diff_insertion(d, insert_blocks_custom(fixed, blocks, opts),
-                   oracle::insert_blocks_custom_reference(fixed, blocks, opts));
+    diff_insertion(d, insert_blocks_custom(fixed, blocks),
+                   oracle::insert_blocks_custom_reference(fixed, blocks));
     return labelled(label, d);
+}
+
+/// A die fully tiled by nx x ny abutting w x h rects.
+std::vector<Rect> tiled_die(int nx, int ny, double w, double h) {
+    std::vector<Rect> tiles;
+    for (int i = 0; i < nx; ++i)
+        for (int j = 0; j < ny; ++j) tiles.push_back({i * w, j * h, w, h});
+    return tiles;
 }
 
 TEST(FloorplanEquivalence, InserterEdgeCases) {
     std::vector<Check> checks;
     auto add = [&](std::vector<Rect> fixed, std::vector<InsertBlock> blocks,
-                   InsertionOptions opts, std::string label) {
-        checks.push_back([=] {
-            return check_insertion(fixed, blocks, opts, label);
-        });
+                   std::string label) {
+        checks.push_back(
+            [=] { return check_insertion(fixed, blocks, label); });
     };
-    InsertionOptions tight;
-    tight.max_search_radius_die_ratio = 0.02;
-    tight.min_search_radius_ratio = 0.5;
 
     // Ideals at and near the origin: candidates left of or below it are
-    // clamped, those beyond both axes skipped.
+    // clamped, those beyond both axes skipped. On the 8 mm tiled die the
+    // search radius (0.35 of the half perimeter) ends inside the die, so
+    // the first block finds no free spot and displaces.
     const std::vector<Rect> corner{{0, 0, 2, 2}, {2, 0, 1, 3}};
+    const std::vector<Rect> tiled8 = tiled_die(8, 8, 1.0, 1.0);
     for (const Point ideal : {Point{0, 0}, Point{0.1, 0.05}, Point{1, 0.2},
-                              Point{0.2, 1.9}, Point{-0.3, 0.4}})
-        for (const auto& opts : {InsertionOptions{}, tight})
-            add(corner, {{0.6, 0.4, ideal}, {0.3, 0.3, ideal}}, opts,
-                "near origin");
+                              Point{0.2, 1.9}, Point{-0.3, 0.4}}) {
+        const std::vector<InsertBlock> pair{{0.6, 0.4, ideal},
+                                            {0.3, 0.3, ideal}};
+        add(corner, pair, "near origin");
+        add(tiled8, pair, "near origin, tiled die");
+    }
 
     // Abutting rects on a dyadic grid: candidates land exactly on block
-    // edges, where touching is not overlapping.
+    // edges, where touching is not overlapping. With every tile present
+    // the early blocks find no free spot.
     std::vector<Rect> grid;
     for (int i = 0; i < 4; ++i)
         for (int j = 0; j < 4; ++j)
@@ -474,22 +481,20 @@ TEST(FloorplanEquivalence, InserterEdgeCases) {
     for (int b = 0; b < 6; ++b)
         unit_blocks.push_back({1.0, 0.5 + 0.25 * (b % 3),
                                {0.5 + 0.5 * b, 0.5 + 0.25 * b}});
-    add(grid, unit_blocks, {}, "abutting grid");
-    add(grid, unit_blocks, tight, "abutting grid, tight");
-    std::vector<Rect> full;  // a fully tiled 3x3 die: displacement only
-    for (int i = 0; i < 3; ++i)
-        for (int j = 0; j < 3; ++j)
-            full.push_back({i * 2.0, j * 2.0, 2.0, 2.0});
-    add(full, {{1.0, 1.0, {3.0, 3.0}}, {0.5, 0.5, {2.0, 4.0}}}, tight,
-        "tiled die");
+    add(grid, unit_blocks, "abutting grid");
+    add(tiled8, unit_blocks, "abutting grid, tiled die");
+    // A fully tiled 3x3 die: the free spot beyond its edge costs more than
+    // displacing at the ideal.
+    add(tiled_die(3, 3, 2.0, 2.0),
+        {{1.0, 1.0, {3.0, 3.0}}, {0.5, 0.5, {2.0, 4.0}}}, "tiled die");
 
     // No fixed blocks at all.
     add({}, {{0.5, 0.5, {1.0, 1.0}}, {0.5, 0.5, {1.0, 1.0}},
              {0.25, 0.75, {0.0, 0.0}}},
-        {}, "empty fixed set");
-    add({}, {}, {}, "nothing at all");
+        "empty fixed set");
+    add({}, {}, "nothing at all");
 
-    // Random scenes, some overlapping, under loose and tight searches.
+    // Random scenes, some overlapping.
     Rng rng(2003);
     for (int s = 0; s < 80; ++s) {
         std::vector<Rect> fixed;
@@ -506,8 +511,27 @@ TEST(FloorplanEquivalence, InserterEdgeCases) {
                               {5.0 * rng.next_double(),
                                5.0 * rng.next_double()}});
         }
-        add(fixed, blocks, s % 2 ? tight : InsertionOptions{},
-            "random scene #" + std::to_string(s));
+        add(fixed, blocks, "random scene #" + std::to_string(s));
+    }
+    // Random fully tiled square dies with ideals in their lower-left
+    // quarter. On all but the smallest the search radius ends inside the
+    // die, so the first block finds no free spot; the gaps its
+    // displacement leaves serve some later ones.
+    Rng tiled_rng(2004);
+    for (int s = 0; s < 40; ++s) {
+        const int n = tiled_rng.next_int(3, 10);
+        const double tile = 0.5 + tiled_rng.next_int(0, 3) * 0.5;
+        const double quarter = n * tile / 4.0;
+        std::vector<InsertBlock> blocks;
+        const int nb = tiled_rng.next_int(1, 8);
+        for (int i = 0; i < nb; ++i) {
+            const double side = 0.2 + 0.6 * tiled_rng.next_double();
+            blocks.push_back({side, side * (0.5 + tiled_rng.next_double()),
+                              {quarter * tiled_rng.next_double(),
+                               quarter * tiled_rng.next_double()}});
+        }
+        add(tiled_die(n, n, tile, tile), blocks,
+            "random tiled die #" + std::to_string(s));
     }
     check_all(checks);
 }

@@ -9,7 +9,6 @@ namespace {
 
 SynthesisConfig fast_cfg() {
     SynthesisConfig cfg;
-    cfg.partition.num_starts = 4;
     cfg.run_floorplan = false;
     cfg.max_switches = 10;
     return cfg;

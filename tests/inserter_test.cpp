@@ -37,21 +37,24 @@ TEST(Inserter, FindsNearbyGap) {
 }
 
 TEST(Inserter, DisplacesWhenDenseAndStaysLegal) {
-    // A 3x3 grid of abutting cores with the ideal dead center: no free
-    // space within reach, so blocks must shift.
+    // A 3x3 grid of abutting cores, so blocks must shift. From the corner
+    // core's center the search radius (0.35 of the die's half perimeter)
+    // ends inside the die: no free space within reach. From the center
+    // core's it reaches past the die's edge, but that spot costs more
+    // than displacing at the ideal.
     std::vector<Rect> fixed;
     for (int i = 0; i < 3; ++i)
         for (int j = 0; j < 3; ++j)
             fixed.push_back({i * 2.0, j * 2.0, 2.0, 2.0});
-    const std::vector<InsertBlock> blocks{{1.0, 1.0, {3.0, 3.0}}};
-    InsertionOptions opts;
-    opts.max_search_radius_die_ratio = 0.01;  // force displacement
-    opts.min_search_radius_ratio = 0.1;
-    const auto r = insert_blocks_custom(fixed, blocks, opts);
-    EXPECT_DOUBLE_EQ(overlap_of(r), 0.0);
-    EXPECT_GT(r.total_displacement, 0.0);
-    // Die grows by about the inserted width, not more than a couple mm.
-    EXPECT_LE(r.die_width * r.die_height, 6.0 * 6.0 * 1.4 + 3);
+    for (const Point ideal : {Point{1.0, 1.0}, Point{3.0, 3.0}}) {
+        SCOPED_TRACE(ideal.x);
+        const std::vector<InsertBlock> blocks{{1.0, 1.0, ideal}};
+        const auto r = insert_blocks_custom(fixed, blocks);
+        EXPECT_DOUBLE_EQ(overlap_of(r), 0.0);
+        EXPECT_GT(r.total_displacement, 0.0);
+        // Die grows by about the inserted width, not more than a couple mm.
+        EXPECT_LE(r.die_width * r.die_height, 6.0 * 6.0 * 1.4 + 3);
+    }
 }
 
 TEST(Inserter, ManyInsertionsReuseGaps) {

@@ -14,7 +14,6 @@ namespace {
 
 SynthesisConfig fast_cfg() {
     SynthesisConfig cfg;
-    cfg.partition.num_starts = 4;
     cfg.run_floorplan = false;
     return cfg;
 }
@@ -96,9 +95,7 @@ TEST(Headline, CustomTopologyBeatsOptimizedMesh) {
     const int bp = res.best_power_index();
     ASSERT_GE(bp, 0);
     Rng rng(7);
-    MeshOptions mopts;
-    mopts.moves_per_temp = 64;
-    const auto mesh = build_mesh_baseline(spec, cfg.eval, rng, mopts);
+    const auto mesh = build_mesh_baseline(spec, cfg.eval, rng);
     ASSERT_TRUE(mesh.ok);
     const auto mesh_rep = evaluate_topology(mesh.topo, spec, cfg.eval);
     // Paper: ~51% average power saving, 21% latency. Require >= 20% power.

@@ -16,7 +16,6 @@ namespace {
 SynthesisResult small_result() {
     DesignSpec spec = make_d38_tvopd();
     SynthesisConfig cfg;
-    cfg.partition.num_starts = 2;
     cfg.run_floorplan = false;
     cfg.max_switches = 5;
     return run_synthesis(spec, cfg, SynthesisPhase::Phase1);

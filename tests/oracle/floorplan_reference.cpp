@@ -136,10 +136,9 @@ AnnealResult anneal_floorplan_reference(
     Sequences best_sp = sp;
     double best_cost = cost;
 
-    double temp = opts.t_initial > 0.0 ? opts.t_initial : cost * 0.05 + 1e-9;
+    double temp = cost * kAnnealInitialTempRatio + 1e-9;
     const double t_final = temp * opts.t_final_ratio;
-    const int moves_per_temp =
-        opts.moves_per_temp > 0 ? opts.moves_per_temp : 8 * n;
+    const int moves_per_temp = kAnnealMovesPerBlock * n;
 
     const bool constrained = movable != nullptr;
     while (temp > t_final) {
@@ -277,13 +276,12 @@ Rect centered_rect(double cx, double cy, double w, double h) {
 constexpr double kNoCandidate = 1e300;
 
 bool find_free_space(const InsertBlock& b, const std::vector<Rect>& placed,
-                     const InsertionOptions& opts, double die_half_perimeter,
-                     Rect* out) {
+                     double die_half_perimeter, Rect* out) {
     const double step =
-        std::max(1e-3, opts.grid_step_ratio * std::min(b.w, b.h));
+        std::max(1e-3, kInsertGridStepRatio * std::min(b.w, b.h));
     const double rmax =
-        std::max(opts.min_search_radius_ratio * std::max(b.w, b.h),
-                 opts.max_search_radius_die_ratio * die_half_perimeter) +
+        std::max(kInsertMinSearchRadiusRatio * std::max(b.w, b.h),
+                 kInsertMaxSearchRadiusDieRatio * die_half_perimeter) +
         step;
     for (double r = 0.0; r <= rmax; r += step) {
         if (r == 0.0) {
@@ -363,8 +361,7 @@ double bbox_area(const std::vector<Rect>& rects) {
 }  // namespace
 
 InsertionResult insert_blocks_custom_reference(
-    const std::vector<Rect>& fixed, const std::vector<InsertBlock>& blocks,
-    const InsertionOptions& opts) {
+    const std::vector<Rect>& fixed, const std::vector<InsertBlock>& blocks) {
     InsertionResult res;
     res.fixed_rects = fixed;
 
@@ -374,14 +371,14 @@ InsertionResult insert_blocks_custom_reference(
     for (const auto& b : blocks) {
         Rect free_spot;
         const bool have_free =
-            find_free_space(b, placed, opts, die_half_perimeter, &free_spot);
+            find_free_space(b, placed, die_half_perimeter, &free_spot);
         const double area_before = bbox_area(placed);
         double free_cost = kNoCandidate;
         if (have_free) {
             std::vector<Rect> with_free = placed;
             with_free.push_back(free_spot);
             free_cost = (bbox_area(with_free) - area_before) +
-                        opts.deviation_cost_mm2_per_mm *
+                        kInsertDeviationCostMm2PerMm *
                             manhattan(free_spot.center(),
                                       {b.ideal.x, b.ideal.y});
         }
@@ -407,7 +404,7 @@ InsertionResult insert_blocks_custom_reference(
         const Rect at_seam = x_wins ? seam_x : seam_y;
         const double displace_cost =
             (bbox_area(displaced) - area_before) +
-            opts.deviation_cost_mm2_per_mm *
+            kInsertDeviationCostMm2PerMm *
                 manhattan(at_seam.center(), {b.ideal.x, b.ideal.y});
 
         Rect where;

@@ -49,7 +49,6 @@ void floorplan_design_layers_reference(
 
 /// Same contract as sunfloor::insert_blocks_custom.
 InsertionResult insert_blocks_custom_reference(
-    const std::vector<Rect>& fixed, const std::vector<InsertBlock>& blocks,
-    const InsertionOptions& opts = {});
+    const std::vector<Rect>& fixed, const std::vector<InsertBlock>& blocks);
 
 }  // namespace sunfloor::oracle

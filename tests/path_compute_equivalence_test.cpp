@@ -226,7 +226,7 @@ void add_phase1_cases(const DesignSpec& spec, const SynthesisConfig& cfg,
     for (int k = first; k <= spec.cores.num_cores(); k += stride) {
         for (const auto& graph : graphs) {
             const auto part =
-                session.partition(graph, k, cfg, cfg.partition, rng);
+                session.partition(graph, k, cfg, PartitionOptions{}, rng);
             rng = part->rng_after;
             Case c;
             c.spec = &spec;
@@ -262,7 +262,7 @@ Case layer_local_case(const DesignSpec& spec, const SynthesisConfig& cfg,
         if (n == 0) continue;
         const int np = std::min(per_layer, n);
         Rng r(rng);
-        const PartitionResult part = partition_kway(lg.g, np, r, cfg.partition);
+        const PartitionResult part = partition_kway(lg.g, np, r);
         rng = r.state();
         const int base = c.assign.num_switches();
         for (int s = 0; s < np; ++s) c.assign.switch_layer.push_back(ly);

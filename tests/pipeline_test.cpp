@@ -30,7 +30,6 @@ namespace {
 
 SynthesisConfig fast_cfg() {
     SynthesisConfig cfg;
-    cfg.partition.num_starts = 4;
     cfg.run_floorplan = false;
     cfg.max_switches = 6;
     return cfg;
@@ -337,7 +336,7 @@ TEST(Pipeline, EvaluateDesignReportsWhereTheChainEnded) {
          ++k) {
         const auto part =
             session.partition(pipeline::PartitionGraphId::pg(), k, cfg,
-                              cfg.partition, Rng(cfg.seed).state());
+                              PartitionOptions{}, Rng(cfg.seed).state());
         routed =
             session.route(pipeline::phase1_assignment(*part, spec.cores), cfg);
     }
@@ -387,7 +386,7 @@ TEST(Pipeline, PartitionWorkIsCountedPerComputedPartition) {
                                  after.passes - before.passes,
                                  after.moves - before.moves};
         EXPECT_EQ(work.starts,
-                  s.stats().partition.misses * cfg.partition.num_starts);
+                  s.stats().partition.misses * PartitionOptions{}.num_starts);
         EXPECT_GE(work.passes, work.starts);  // refinement is on
         EXPECT_GT(work.moves, 0);
         cold.push_back(work);
@@ -417,7 +416,7 @@ struct ConfigBytes {
     explicit ConfigBytes(const SynthesisConfig& cfg) {
         cas::Enc e;
         pipeline::PartitionKey{pipeline::PartitionGraphId::pg(), cfg.alpha,
-                               cfg.partition, 4, Rng(1).state()}
+                               PartitionOptions{}, 4, Rng(1).state()}
             .encode(e);
         partition = e.take();
         const pipeline::RunKeys keys(cfg);
@@ -528,7 +527,7 @@ TEST(Pipeline, ContentKeysWithEqualHashesStaySeparate) {
     for (int k = 2; k <= spec.cores.num_cores() && routed.size() < 2; ++k) {
         const auto part =
             session.partition(pipeline::PartitionGraphId::pg(), k, cfg,
-                              cfg.partition, Rng(cfg.seed).state());
+                              PartitionOptions{}, Rng(cfg.seed).state());
         auto ra = session.route(
             pipeline::phase1_assignment(*part, spec.cores), cfg);
         if (ra->ok) routed.push_back(std::move(ra));
@@ -588,24 +587,25 @@ TEST(Pipeline, PartitionAndRoutingKeysCompareContent) {
     plus.alpha = 0.0;
     SynthesisConfig minus = cfg;
     minus.alpha = -0.0;
-    session.partition(pg, k, plus, cfg.partition, rng);
-    session.partition(pg, k, minus, cfg.partition, rng);
+    session.partition(pg, k, plus, PartitionOptions{}, rng);
+    session.partition(pg, k, minus, PartitionOptions{}, rng);
     EXPECT_EQ(session.stats().partition.misses, 2);
     EXPECT_EQ(session.stats().partition.hits, 0);
 
     // A PG consumes no theta or layer, so a PG id carrying them hits; a
     // generator state one bit apart is another key.
-    const auto part = session.partition(pg, k, cfg, cfg.partition, rng);
+    const auto part = session.partition(pg, k, cfg, PartitionOptions{}, rng);
     pipeline::PartitionGraphId pg_with_fields = pg;
     pg_with_fields.theta = 2.5;
     pg_with_fields.theta_max = 7.0;
     pg_with_fields.layer = 1;
     const auto before = session.stats();
-    EXPECT_EQ(session.partition(pg_with_fields, k, cfg, cfg.partition, rng),
-              part);
+    EXPECT_EQ(
+        session.partition(pg_with_fields, k, cfg, PartitionOptions{}, rng),
+        part);
     RngState other = rng;
     other.s[3] ^= 1;
-    EXPECT_NE(session.partition(pg, k, cfg, cfg.partition, other), part);
+    EXPECT_NE(session.partition(pg, k, cfg, PartitionOptions{}, other), part);
     const auto cut = session.stats() - before;
     EXPECT_EQ(cut.partition.hits, 1);
     EXPECT_EQ(cut.partition.misses, 1);
@@ -658,7 +658,7 @@ TEST(Pipeline, WarmRerunsShareOneTopologyPerDesign) {
     for (int k = 1; k <= spec.cores.num_cores(); ++k) {
         const auto part =
             session.partition(pipeline::PartitionGraphId::pg(), k, cfg,
-                              cfg.partition, Rng(cfg.seed).state());
+                              PartitionOptions{}, Rng(cfg.seed).state());
         const CoreAssignment assign =
             pipeline::phase1_assignment(*part, spec.cores);
         const DesignPoint dp = session.synthesize(assign, cfg, "phase1", 0.0);
@@ -815,9 +815,9 @@ TEST(Pipeline, PhaseOneCutsCarryTheirAssignment) {
                     : spec.cores.num_cores();
             for (int k = 1; k <= std::min(n, cfg.max_switches); ++k) {
                 const auto a =
-                    computed.partition(graph, k, cfg, cfg.partition, rng);
+                    computed.partition(graph, k, cfg, PartitionOptions{}, rng);
                 const auto b =
-                    loaded.partition(graph, k, cfg, cfg.partition, rng);
+                    loaded.partition(graph, k, cfg, PartitionOptions{}, rng);
                 const std::string where =
                     name + (lpg ? " lpg " + std::to_string(graph.layer)
                                 : graph.kind == pipeline::PartitionGraphId::
@@ -881,7 +881,7 @@ TEST(Pipeline, ConcurrentFailingComputeReachesEveryThread) {
                     start.arrive_and_wait();
                     try {
                         session.partition(pipeline::PartitionGraphId::pg(),
-                                          c.k, c.cfg, c.cfg.partition,
+                                          c.k, c.cfg, PartitionOptions{},
                                           Rng(c.cfg.seed).state());
                     } catch (const std::invalid_argument&) {
                         threw.fetch_add(1);

@@ -45,7 +45,6 @@ TEST(SimDrain, SynthesizedTopologiesDrainUnderStress) {
             p.buffer_depth_flits = 2;        // stress the credit loop
             p.warmup_cycles = 500;
             p.measure_cycles = 4000;
-            p.drain_max_cycles = 20000;      // the progress bound
             const sim::SimReport rep =
                 sim::Simulator(dp.topo, spec, cfg.eval).run(spec, cfg.eval, p);
             EXPECT_TRUE(rep.drained)
@@ -61,8 +60,10 @@ TEST(SimDrain, SynthesizedTopologiesDrainUnderStress) {
 }
 
 TEST(SimDrain, DrainBoundIsReportedWhenExceeded) {
-    // A zero drain budget with traffic still in flight must come back
-    // drained = false (and not loop forever) — the bound is real.
+    // Fifty times the specified bandwidth queues far more flits at the
+    // sources than the drain bound can deliver: the run must come back
+    // drained = false after exactly kDrainMaxCycles of drain (and not
+    // loop on) — the bound is real.
     const DesignSpec spec = make_benchmark("D_36_4");
     const SynthesisConfig cfg = fast_cfg();
     const SynthesisResult res = run_synthesis(spec, cfg);
@@ -71,14 +72,15 @@ TEST(SimDrain, DrainBoundIsReportedWhenExceeded) {
     const DesignPoint& dp = res.points[static_cast<std::size_t>(best)];
     sim::SimParams p;
     p.warmup_cycles = 0;
-    p.measure_cycles = 3;  // stop mid-flight
-    p.drain_max_cycles = 0;
-    p.inject.injection_scale = 1.0;
+    p.measure_cycles = 10000;
+    p.inject.injection_scale = 50.0;
+    p.inject.packet_length_flits = 8;
     const sim::SimReport rep =
         sim::Simulator(dp.topo, spec, cfg.eval).run(spec, cfg.eval, p);
     EXPECT_FALSE(rep.drained);
     EXPECT_GT(rep.in_flight_flits_at_end, 0);
-    EXPECT_EQ(rep.cycles_run, 3);
+    EXPECT_EQ(rep.cycles_run,
+              p.warmup_cycles + p.measure_cycles + sim::kDrainMaxCycles);
 }
 
 }  // namespace

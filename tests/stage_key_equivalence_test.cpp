@@ -189,9 +189,8 @@ class KeyReplay {
             cfg.max_switches > 0 ? std::min(cfg.max_switches, n) : n;
         std::set<int> unmet;
         for (int i = 1; i <= hi; ++i) {
-            const auto part =
-                cut(pipeline::PartitionGraphId::pg(), i, cfg, cfg.partition,
-                    rng);
+            const auto part = cut(pipeline::PartitionGraphId::pg(), i, cfg,
+                                  PartitionOptions{}, rng);
             if (!synthesize(pipeline::phase1_assignment(*part, spec_.cores),
                             cfg))
                 unmet.insert(i);
@@ -201,7 +200,7 @@ class KeyReplay {
             const auto spg = pipeline::PartitionGraphId::spg(theta,
                                                              cfg.theta_max);
             for (auto it = unmet.begin(); it != unmet.end();) {
-                const auto part = cut(spg, *it, cfg, cfg.partition, rng);
+                const auto part = cut(spg, *it, cfg, PartitionOptions{}, rng);
                 it = synthesize(pipeline::phase1_assignment(*part,
                                                             spec_.cores),
                                 cfg)
@@ -241,7 +240,7 @@ class KeyReplay {
                 if (cores == 0) continue;
                 const int np =
                     std::min(ni[static_cast<std::size_t>(ly)] + i, cores);
-                PartitionOptions popts = cfg.partition;
+                PartitionOptions popts;
                 popts.max_block_size =
                     std::min(max_block, (cores + np - 1) / np);
                 const auto part = cut(pipeline::PartitionGraphId::lpg(ly),

@@ -47,7 +47,6 @@ struct RoutedFixture {
     Topology topo{CoreSpec{}, 0};
 
     RoutedFixture() {
-        cfg.partition.num_starts = 4;
         cfg.run_floorplan = false;
         cfg.max_switches = 8;
         auto points =

@@ -14,7 +14,6 @@ namespace {
 
 SynthesisConfig fast_cfg() {
     SynthesisConfig cfg;
-    cfg.partition.num_starts = 4;
     cfg.run_floorplan = false;  // topology-level checks only
     return cfg;
 }
@@ -257,7 +256,6 @@ TEST(Synthesizer, ParetoFrontFiltersDominatedPoints) {
 TEST(Synthesizer, FloorplanRunUpdatesAreas) {
     DesignSpec spec = make_d38_tvopd();
     SynthesisConfig cfg;
-    cfg.partition.num_starts = 4;
     cfg.run_floorplan = true;
     cfg.max_switches = 6;
     const auto res = run_synthesis(spec, cfg, SynthesisPhase::Phase1);

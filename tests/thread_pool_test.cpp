@@ -1,12 +1,29 @@
 // Unit tests for the worker pool under the exploration engine.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <fstream>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "sunfloor/util/thread_pool.h"
+
+// An address-space limit breaks the sanitizers' shadow mappings.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SUNFLOOR_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SUNFLOOR_SANITIZED 1
+#endif
+#endif
 
 namespace sunfloor {
 namespace {
@@ -87,6 +104,66 @@ TEST(ThreadPool, SubmittedTaskExceptionDoesNotWedgeThePool) {
     pool.submit([&count] { ++count; });
     pool.wait_idle();  // must not hang on the failed task's busy count
     EXPECT_EQ(count.load(), 1);
+}
+
+/// This process's address-space size in bytes (VmSize), or 0.
+rlim_t vm_size_bytes() {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("VmSize:", 0) == 0)
+            return static_cast<rlim_t>(std::stoull(line.substr(7))) * 1024;
+    return 0;
+}
+
+TEST(ThreadPool, RefusedThreadFailsTheConstructorNotTheProcess) {
+#ifdef SUNFLOOR_SANITIZED
+    GTEST_SKIP() << "an address-space limit breaks the sanitizer runtime";
+#endif
+    // A child whose address space holds about two more thread stacks asks
+    // for eight workers: the third start fails, and the constructor must
+    // throw std::system_error with the two running workers joined. Left
+    // running, they make the unwinding either terminate (destroying them
+    // joinable) or hang (destroying the condition variable they wait on).
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        // Child: no gtest machinery, report through the exit code.
+        pthread_attr_t attr;
+        std::size_t stack = 0;
+        if (::pthread_getattr_default_np(&attr) != 0) ::_exit(3);
+        const bool sized = ::pthread_attr_getstacksize(&attr, &stack) == 0;
+        ::pthread_attr_destroy(&attr);
+        if (!sized) ::_exit(3);
+        const rlim_t vm = vm_size_bytes();
+        if (vm == 0) ::_exit(4);
+        const rlim_t limit = vm + static_cast<rlim_t>(stack) * 5 / 2;
+        const rlimit as{limit, limit};
+        if (::setrlimit(RLIMIT_AS, &as) != 0) ::_exit(5);
+        try {
+            ThreadPool pool(8);
+        } catch (const std::system_error&) {
+            ::_exit(0);
+        }
+        ::_exit(2);  // every thread started: the limit did not bite
+    }
+    // The child takes a millisecond; one still running after 20 s hangs.
+    int status = 0;
+    pid_t done = 0;
+    for (int waited_ms = 0; done == 0 && waited_ms < 20000; waited_ms += 10) {
+        done = ::waitpid(pid, &status, WNOHANG);
+        if (done == 0) ::usleep(10000);
+    }
+    if (done == 0) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, &status, 0);
+        FAIL() << "the child hung in ThreadPool's constructor";
+    }
+    ASSERT_EQ(done, pid);
+    ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                   << (WIFSIGNALED(status) ? WTERMSIG(status)
+                                                           : 0);
+    EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 TEST(ThreadPool, DefaultThreadCountPositive) {
