@@ -14,10 +14,9 @@ namespace {
 
 void BM_mesh_mapping_d26(benchmark::State& state) {
     const DesignSpec spec = prepared_benchmark("D_26_media");
-    EvalParams params = paper_cfg().eval;
     for (auto _ : state) {
         Rng rng(1);
-        auto mesh = build_mesh_baseline(spec, params, rng);
+        auto mesh = build_mesh_baseline(spec, rng);
         benchmark::DoNotOptimize(mesh.map_cost);
     }
 }
@@ -39,7 +38,7 @@ int main(int argc, char** argv) {
         const auto* bp = best(res);
         if (!bp) continue;
         Rng rng(1);
-        const auto mesh = build_mesh_baseline(spec, cfg.eval, rng);
+        const auto mesh = build_mesh_baseline(spec, rng);
         const auto mrep = evaluate_topology(mesh.topo, spec, cfg.eval);
         const double psave =
             100.0 * (1.0 - bp->report.power.noc_mw() / mrep.power.noc_mw());

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     const auto& custom = res.points[static_cast<std::size_t>(bp)];
 
     Rng rng(1);
-    const auto mesh = build_mesh_baseline(spec, cfg.eval, rng);
+    const auto mesh = build_mesh_baseline(spec, rng);
     const auto mesh_rep = evaluate_topology(mesh.topo, spec, cfg.eval);
 
     std::cout << name << " (" << spec.cores.num_cores() << " cores, "

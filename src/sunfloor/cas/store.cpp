@@ -10,9 +10,13 @@
 #include <cerrno>
 #include <cstring>
 #include <ctime>
+#include <memory>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "sunfloor/cas/bincode.h"
 #include "sunfloor/obs/metrics.h"
 #include "sunfloor/util/strings.h"
 
@@ -20,54 +24,58 @@ namespace sunfloor::cas {
 
 namespace {
 
-// Object file layout (all integers little-endian):
-//   [0,8)   magic "SFCAS001" (the version is part of the magic — a future
-//           layout change bumps it and old objects become clean misses)
-//   [8,12)  u32 key length
-//   [12,20) u64 payload length
-//   [20,28) u64 fnv1a64(payload)
-//   [28,..) key bytes, then payload bytes
-constexpr char kMagic[8] = {'S', 'F', 'C', 'A', 'S', '0', '0', '1'};
+// The object file layout is in store.h.
+constexpr char kMagic[8] = {'S', 'F', 'C', 'A', 'S', '0', '0', '2'};
 constexpr std::size_t kHeaderSize = 28;
+
+// A load reads into a stack buffer this large: an object smaller than it
+// takes one read() and no allocation but its payload's.
+constexpr std::size_t kFirstRead = 65536;
 
 // gc() reaps `.tmp` debris older than this: a live writer's tmp file is
 // seconds old, anything older is a crashed writer's leftovers.
 constexpr double kTmpMinAgeSec = 60.0;
 
-void put_u32(std::string& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+template <typename U>
+void put_le(std::string& out, U v) {
+    v = little_endian(v);
+    char bytes[sizeof(U)];
+    std::memcpy(bytes, &v, sizeof(U));
+    out.append(bytes, sizeof(U));
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+template <typename U>
+U load_le(const char* p) {
+    U v;
+    std::memcpy(&v, p, sizeof(U));
+    return little_endian(v);
 }
 
-std::uint32_t get_u32(const unsigned char* p) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t get_u64(const unsigned char* p) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-/// Read `fd` to its end into `out`.
-bool read_all_fd(int fd, std::string& out) {
-    out.clear();
-    char buf[65536];
+/// Reads the file behind `fd` to its end: into `stack` with one read()
+/// when the file is smaller, else on into `heap`, which doubles while
+/// reads fill it, so its size follows the bytes read, never a length the
+/// file claims. read() on a regular file returns less than asked only at
+/// the file's end, so a short read ends it (anywhere else it would make
+/// the object look truncated: a miss that recomputes it, never a wrong
+/// payload).
+std::optional<std::string_view> read_file(int fd, std::span<char> stack,
+                                          std::unique_ptr<char[]>& heap) {
+    char* buf = stack.data();
+    std::size_t cap = stack.size();
+    std::size_t size = 0;
     for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof buf);
-        if (n > 0) {
-            out.append(buf, static_cast<std::size_t>(n));
-            continue;
+        const ssize_t n = ::read(fd, buf + size, cap - size);
+        if (n < 0) {
+            if (errno == EINTR) continue;
+            return std::nullopt;
         }
-        if (n == 0) return true;
-        if (errno != EINTR) return false;
+        size += static_cast<std::size_t>(n);
+        if (size < cap) return std::string_view(buf, size);
+        auto grown = std::make_unique_for_overwrite<char[]>(2 * cap);
+        std::memcpy(grown.get(), buf, size);
+        heap = std::move(grown);
+        buf = heap.get();
+        cap *= 2;
     }
 }
 
@@ -96,31 +104,68 @@ bool is_tmp_file_name(std::string_view name) {
     return name.find(".tmp.") != std::string_view::npos;
 }
 
-/// Validate a raw object blob against the key it should hold. 0 = intact
-/// (payload bounds returned), 1 = structurally corrupt, 2 = intact but for
-/// another key (a name collision — not our object, not debris).
-int validate_blob(const std::string& blob, std::string_view key,
-                  std::size_t& payload_off, std::size_t& payload_len) {
-    if (blob.size() < kHeaderSize) return 1;
-    const auto* p = reinterpret_cast<const unsigned char*>(blob.data());
-    if (std::memcmp(blob.data(), kMagic, sizeof kMagic) != 0) return 1;
-    const std::uint64_t key_len = get_u32(p + 8);
-    const std::uint64_t pay_len = get_u64(p + 12);
-    const std::uint64_t pay_hash = get_u64(p + 20);
-    if (key_len + pay_len + kHeaderSize != blob.size()) return 1;
-    const std::string_view stored_key(blob.data() + kHeaderSize,
-                                      static_cast<std::size_t>(key_len));
-    const std::string_view payload(
-        blob.data() + kHeaderSize + static_cast<std::size_t>(key_len),
-        static_cast<std::size_t>(pay_len));
-    if (fnv1a64(payload) != pay_hash) return 1;
-    if (stored_key != key) return 2;
-    payload_off = kHeaderSize + static_cast<std::size_t>(key_len);
-    payload_len = static_cast<std::size_t>(pay_len);
-    return 0;
+enum class Verdict {
+    Intact,
+    Corrupt,  ///< structurally broken: debris
+    Miss,     ///< not debris: another key's intact object (a name
+              ///< collision), or a file that could not be read
+};
+
+/// Validate an object file's bytes against the key it should hold; an
+/// intact object's payload is left in `payload` (a view into `blob`).
+Verdict validate_blob(std::string_view blob, std::string_view key,
+                      std::string_view& payload) {
+    if (blob.size() < kHeaderSize ||
+        std::memcmp(blob.data(), kMagic, sizeof kMagic) != 0)
+        return Verdict::Corrupt;
+    const std::uint64_t key_len = load_le<std::uint32_t>(blob.data() + 8);
+    const std::uint64_t pay_len = load_le<std::uint64_t>(blob.data() + 12);
+    // Both lengths against the bytes read, with no sum that can wrap.
+    const std::uint64_t body = blob.size() - kHeaderSize;
+    if (key_len > body || pay_len != body - key_len) return Verdict::Corrupt;
+    const std::string_view stored_key = blob.substr(kHeaderSize, key_len);
+    payload = blob.substr(kHeaderSize + key_len);
+    if (hash64(payload) != load_le<std::uint64_t>(blob.data() + 20))
+        return Verdict::Corrupt;
+    return stored_key == key ? Verdict::Intact : Verdict::Miss;
 }
 
 }  // namespace
+
+std::uint64_t hash64(std::string_view bytes) {
+    constexpr std::uint64_t kK = 0x9E3779B97F4A7C15ULL;
+    const auto step = [](std::uint64_t h, std::uint64_t w) {
+        h = (h ^ w) * kK;
+        return h ^ (h >> 29);
+    };
+    const char* p = bytes.data();
+    const std::size_t n = bytes.size();
+    std::uint64_t lane[4] = {0x243F6A8885A308D3ULL ^ (n * kK),
+                             0x13198A2E03707344ULL, 0xA4093822299F31D0ULL,
+                             0x082EFA98EC4E6C89ULL};
+    std::size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+        lane[0] = step(lane[0], load_le<std::uint64_t>(p + i));
+        lane[1] = step(lane[1], load_le<std::uint64_t>(p + i + 8));
+        lane[2] = step(lane[2], load_le<std::uint64_t>(p + i + 16));
+        lane[3] = step(lane[3], load_le<std::uint64_t>(p + i + 24));
+    }
+    std::size_t k = 0;  // word i goes to lane i mod 4
+    for (; i + 8 <= n; i += 8, ++k)
+        lane[k] = step(lane[k], load_le<std::uint64_t>(p + i));
+    if (i < n) {
+        char tail[8] = {};
+        std::memcpy(tail, p + i, n - i);
+        lane[k] = step(lane[k], load_le<std::uint64_t>(tail));
+    }
+    std::uint64_t h = lane[0] * 0x9E3779B185EBCA87ULL +
+                      lane[1] * 0xC2B2AE3D27D4EB4FULL +
+                      lane[2] * 0x165667B19E3779F9ULL +
+                      lane[3] * 0x85EBCA77C2B2AE63ULL;
+    h ^= h >> 32;
+    h *= kK;
+    return h ^ (h >> 29);
+}
 
 Store::Store(StoreOptions opts) : opts_(std::move(opts)) {
     if (opts_.dir.empty())
@@ -143,7 +188,7 @@ Store::Store(StoreOptions opts) : opts_(std::move(opts)) {
 
 std::string Store::object_name(std::string_view key) {
     std::string name;
-    append_hex64(name, fnv1a64(key));
+    append_hex64(name, hash64(key));
     return name;
 }
 
@@ -155,9 +200,9 @@ bool Store::put(std::string_view key, std::string_view payload) {
     std::string blob;
     blob.reserve(kHeaderSize + key.size() + payload.size());
     blob.append(kMagic, sizeof kMagic);
-    put_u32(blob, static_cast<std::uint32_t>(key.size()));
-    put_u64(blob, payload.size());
-    put_u64(blob, fnv1a64(payload));
+    put_le(blob, static_cast<std::uint32_t>(key.size()));
+    put_le(blob, static_cast<std::uint64_t>(payload.size()));
+    put_le(blob, hash64(payload));
     blob.append(key);
     blob.append(payload);
 
@@ -184,31 +229,34 @@ bool Store::put(std::string_view key, std::string_view payload) {
 bool Store::get(std::string_view key, std::string& payload_out) {
     const std::string path = object_path(key);
     const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    std::string blob;
-    if (fd < 0 || !read_all_fd(fd, blob)) {
-        if (fd >= 0) ::close(fd);
+    if (fd < 0) {
         misses_->add();
         return false;
     }
-    std::size_t off = 0, len = 0;
-    const int v = validate_blob(blob, key, off, len);
+    char stack[kFirstRead];
+    std::unique_ptr<char[]> heap;
+    const std::optional<std::string_view> blob = read_file(fd, stack, heap);
+    std::string_view payload;
+    const Verdict v =
+        blob ? validate_blob(*blob, key, payload) : Verdict::Miss;
     // Refresh both timestamps of the file just validated, through its
     // descriptor: gc()'s LRU order keys on mtime so it works on
     // noatime/relatime mounts too, and a newer object renamed over the
     // name meanwhile keeps its own. A concurrent eviction racing this is
     // benign (the object is already fully read).
-    if (v == 0) ::futimens(fd, nullptr);
+    if (v == Verdict::Intact) ::futimens(fd, nullptr);
     ::close(fd);
-    if (v != 0) {
-        if (v == 1) {
-            // Truncated or bit-flipped: debris, recompute and replace.
+    if (v != Verdict::Intact) {
+        if (v == Verdict::Corrupt) {
+            // Truncated, bit-flipped or mis-sized: debris, recompute and
+            // replace.
             corrupt_->add();
             ::unlink(path.c_str());
         }
         misses_->add();
         return false;
     }
-    payload_out.assign(blob, off, len);
+    payload_out.assign(payload);
     hits_->add();
     return true;
 }

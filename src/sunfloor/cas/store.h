@@ -1,4 +1,4 @@
-// Content-addressed on-disk artifact store.
+// Content-addressed on-disk artifact store, format 2.
 //
 // Objects are keyed by byte strings — in practice a pipeline stage key's
 // bytes (cas::Enc bytes of *exactly* the inputs a stage consumed; see
@@ -6,13 +6,37 @@
 // spec's cas::enc_spec bytes — and live as single files under one
 // directory:
 //
-//   <dir>/<16-hex fnv1a64 of key>
+//   <dir>/<16 hex digits of hash64(key)>
 //
-// Each object file carries a fixed header (magic + format version, key
-// length, payload length, payload hash) followed by the full key echo and
-// the payload. Every load re-validates all of it: a truncated, bit-flipped
-// or mis-renamed file is a *miss* (and is unlinked as debris), never served
-// — the store trusts nothing it did not just verify.
+// An object file is a 28-byte header, the key echo and the payload
+// (integers little-endian):
+//
+//   [0,8)   magic "SFCAS002" (the format version is part of the magic)
+//   [8,12)  u32 key length
+//   [12,20) u64 payload length
+//   [20,28) u64 hash64(payload)
+//   [28,..) key bytes, then payload bytes
+//
+// Every load re-validates all of it: the lengths against the bytes read
+// (without overflow, before anything is viewed or allocated by them),
+// the checksum, then the key echo byte for byte, which guards against
+// name collisions. A truncated, bit-flipped or mis-sized file is a *miss*
+// (and is unlinked as debris), never served — the store trusts nothing it
+// did not just verify. A load is four syscalls: open, one read (an object
+// larger than that read takes more), futimens and close.
+//
+// hash64 reads its input as little-endian 8-byte words, the last one
+// zero-padded, into four lanes (word i into lane i mod 4), seeding lane 0
+// with the length. Each step h = (h ^ w) * K; h ^= h >> 29 (K odd) is a
+// bijection of its lane for a fixed word and of the word for a fixed lane;
+// the lanes are summed through distinct odd multipliers (a bijection of
+// any one lane while the others stay fixed), then mixed by a bijective
+// xorshift-multiply. So two inputs of one length that differ inside a
+// single word always hash apart (every single-bit flip does), and so do
+// two whose padded words agree but whose lengths differ;
+// any other pair collides about once in 2^64. An older format's objects
+// sit under names no lookup builds: clean misses that `cas gc
+// --max-bytes` reaps by age.
 //
 // Writes are crash-safe by construction: the blob is written to a unique
 // `<name>.tmp.<pid>.<seq>` sibling and rename(2)d into place, so readers
@@ -57,9 +81,12 @@ class Counter;
 
 namespace sunfloor::cas {
 
-/// The store's one hash (util/strings.h): object names, payload
-/// checksums and the spec prefix of every address all use it.
+/// The hash of the spec prefix every address starts with (util/strings.h).
 using sunfloor::fnv1a64;
+
+/// The format-2 hash of object names and payload checksums (see above):
+/// 64 bits, the same on any host.
+std::uint64_t hash64(std::string_view bytes);
 
 struct StoreOptions {
     /// Object directory; created (one level) if missing.
@@ -94,8 +121,9 @@ class Store {
     bool put(std::string_view key, std::string_view payload);
 
     /// Load the payload stored under `key`. Returns false on miss; a
-    /// corrupt object (bad magic/lengths/checksum) counts as a miss, is
-    /// unlinked, and bumps cas.corrupt. A successful load refreshes the
+    /// corrupt object (bad magic, lengths that disagree with the file's
+    /// size, a bad checksum) counts as a miss, is unlinked, and bumps
+    /// cas.corrupt. A successful load refreshes the
     /// timestamps of the file it read (the gc() recency order), through
     /// its descriptor and after validation.
     bool get(std::string_view key, std::string& payload_out);
@@ -106,7 +134,7 @@ class Store {
     /// until the store fits `max_bytes` (0 = unbounded: reap only).
     GcResult gc(std::uint64_t max_bytes);
 
-    /// Object file name for a key: 16 hex digits of fnv1a64(key).
+    /// Object file name for a key: 16 hex digits of hash64(key).
     static std::string object_name(std::string_view key);
 
   private:

@@ -60,8 +60,7 @@ double mapping_cost(const Mapping& m, const DesignSpec& spec) {
 
 }  // namespace
 
-MeshResult build_mesh_baseline(const DesignSpec& spec, const EvalParams& eval,
-                               Rng& rng) {
+MeshResult build_mesh_baseline(const DesignSpec& spec, Rng& rng) {
     const int num_cores = spec.cores.num_cores();
     const int layers = std::max(1, spec.cores.num_layers());
     if (num_cores == 0)
@@ -232,7 +231,6 @@ MeshResult build_mesh_baseline(const DesignSpec& spec, const EvalParams& eval,
         topo.set_flow_path(f, flow, links);
     }
     result.ok = all_ok && topo.all_flows_routed();
-    (void)eval;
     return result;
 }
 

@@ -14,7 +14,6 @@
 //     topology is evaluated.
 #pragma once
 
-#include "sunfloor/noc/evaluation.h"
 #include "sunfloor/noc/topology.h"
 #include "sunfloor/spec/parser.h"
 #include "sunfloor/util/rng.h"
@@ -44,7 +43,6 @@ struct MeshResult {
 };
 
 /// Build, map and route the optimized-mesh baseline for a design.
-MeshResult build_mesh_baseline(const DesignSpec& spec, const EvalParams& eval,
-                               Rng& rng);
+MeshResult build_mesh_baseline(const DesignSpec& spec, Rng& rng);
 
 }  // namespace sunfloor

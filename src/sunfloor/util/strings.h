@@ -34,9 +34,9 @@ std::string double_bits(double v);
 /// "%016llx" prints), to `out`.
 void append_hex64(std::string& out, std::uint64_t v);
 
-/// FNV-1a over `s`, continuing from `h`. Its values are pinned: CAS object
-/// names and payload checksums, the spec prefix of every CAS address and
-/// the explorer's per-point seeds all come from it.
+/// FNV-1a over `s`, continuing from `h`. Its values are pinned: the spec
+/// prefix of every CAS address and the explorer's per-point seeds come
+/// from it (CAS object names and checksums use cas::hash64).
 std::uint64_t fnv1a64(std::string_view s,
                       std::uint64_t h = 0xcbf29ce484222325ULL);
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <bit>
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -128,6 +129,19 @@ TEST(CasStore, PutGetRoundTripsArbitraryBytes) {
     ASSERT_TRUE(store.get("some|stage|key", got));
     EXPECT_EQ(got, payload);
 
+    // Files around 64 KiB, the first read, and a 1 MiB payload load whole.
+    const std::size_t overhead = 28 + std::string("some|stage|key").size();
+    for (const std::size_t file_size :
+         {std::size_t{65535}, std::size_t{65536}, std::size_t{65537},
+          overhead + (std::size_t{1} << 20)}) {
+        std::string big(file_size - overhead, '\0');
+        for (std::size_t i = 0; i < big.size(); ++i)
+            big[i] = static_cast<char>(i * 131 + (i >> 16));
+        ASSERT_TRUE(store.put("some|stage|key", big));
+        ASSERT_TRUE(store.get("some|stage|key", got)) << file_size;
+        EXPECT_TRUE(got == big) << file_size;
+    }
+
     // Overwrite wins; the old payload is gone.
     ASSERT_TRUE(store.put("some|stage|key", "v2"));
     ASSERT_TRUE(store.get("some|stage|key", got));
@@ -155,23 +169,55 @@ TEST(CasStore, ObjectNameIsThe16HexKeyHash) {
     EXPECT_EQ(name, cas::Store::object_name("k"));
 }
 
+TEST(CasStore, HashKnownAnswers) {
+    // Store format 2's hash, pinned: every object name and checksum comes
+    // from it, so a change here renames every object and fails every
+    // checksum of every store written before (a format bump, with a new
+    // magic). The lengths cover no word, a partial word, whole words,
+    // one 32-byte round of the four lanes and the remainders around it.
+    const auto patterned = [](std::size_t n) {
+        std::string s(n, '\0');
+        for (std::size_t i = 0; i < n; ++i)
+            s[i] = static_cast<char>(i * 37 + 11);
+        return s;
+    };
+    const std::pair<std::size_t, std::uint64_t> known[] = {
+        {0, 0x3a8df56493051fc6ULL},    {1, 0xd887ee8c6ebc8661ULL},
+        {7, 0xc04fd60094e6a835ULL},    {8, 0xa82441de479a5ccbULL},
+        {9, 0xc5e37363e33de180ULL},    {31, 0x48cc59e890e85799ULL},
+        {32, 0x2d26d90fc0eea3b7ULL},   {33, 0x5b798688a20ed29cULL},
+        {64, 0xd6da349f819b6338ULL},   {65, 0xe43b00f5992dabb3ULL},
+        {4096, 0x705bbe479f3966b0ULL},
+    };
+    for (const auto& [n, h] : known)
+        EXPECT_EQ(cas::hash64(patterned(n)), h) << "length " << n;
+    EXPECT_EQ(cas::Store::object_name("k"), "2c6fcd0699c8140c");
+}
+
 TEST(CasStore, TruncatedObjectIsAMissAndUnlinked) {
     TempDir dir;
     cas::Store store = open_store(dir.path);
     const std::string key = "trunc-key";
     const std::string payload(500, 'x');
     const std::string path = dir.path + "/" + cas::Store::object_name(key);
+    ASSERT_TRUE(store.put(key, payload));
+    const std::string blob = read_file(path);
 
+    // Cut short at each size, and once with bytes appended after the
+    // payload: the header's lengths must match the file's size exactly.
+    std::vector<std::string> damaged;
     for (const std::size_t keep : {std::size_t{0}, std::size_t{10},
                                    std::size_t{27}, std::size_t{200}}) {
-        ASSERT_TRUE(store.put(key, payload));
-        const std::string blob = read_file(path);
         ASSERT_GT(blob.size(), keep);
-        write_file(path, blob.substr(0, keep));
+        damaged.push_back(blob.substr(0, keep));
+    }
+    damaged.push_back(blob + "appended");
+    for (const std::string& bytes : damaged) {
+        write_file(path, bytes);
 
         const long long corrupt = counter("cas.corrupt");
         std::string got;
-        EXPECT_FALSE(store.get(key, got)) << "keep=" << keep;
+        EXPECT_FALSE(store.get(key, got)) << "size=" << bytes.size();
         EXPECT_EQ(counter("cas.corrupt"), corrupt + 1);
         // Debris is unlinked so the next writer starts clean.
         EXPECT_FALSE(file_exists(path));
@@ -197,6 +243,80 @@ TEST(CasStore, BitFlippedPayloadIsAMissAndUnlinked) {
     EXPECT_FALSE(store.get(key, got));
     EXPECT_EQ(counter("cas.corrupt"), corrupt + 1);
     EXPECT_FALSE(file_exists(path));
+}
+
+TEST(CasStore, LengthsThatWrapAreCorrupt) {
+    // The header's lengths are checked against the file's size with no
+    // sum that can wrap. Each file below has a key length past its end and
+    // a payload length that brings the 64-bit sum of header, key and
+    // payload back to the file's size; a reader that trusted the sum read
+    // far past the bytes it had. Each must be a corrupt miss.
+    TempDir dir;
+    cas::Store store = open_store(dir.path);
+    const std::string key = "wrap-key";
+    const std::string path = dir.path + "/" + cas::Store::object_name(key);
+    const auto object = [](std::uint32_t key_len, std::uint64_t pay_len,
+                           std::string_view body) {
+        cas::Enc e;
+        e.raw("SFCAS002");
+        e.u32(key_len);
+        e.u64(pay_len);
+        e.u64(cas::hash64(""));
+        e.raw(body);
+        return e.take();
+    };
+    const std::string files[] = {
+        // 28 bytes: 4,096 + (2^64 - 4,096) wraps to 0 past the header.
+        object(4096, 0 - std::uint64_t{4096}, ""),
+        // The largest key length, the sum wrapping to the 8 bytes left.
+        object(UINT32_MAX, 0 - std::uint64_t{UINT32_MAX} + 8, key),
+    };
+    for (const std::string& bytes : files) {
+        write_file(path, bytes);
+        const long long corrupt = counter("cas.corrupt");
+        std::string got;
+        EXPECT_FALSE(store.get(key, got)) << "size=" << bytes.size();
+        EXPECT_EQ(counter("cas.corrupt"), corrupt + 1);
+        EXPECT_FALSE(file_exists(path));
+    }
+}
+
+TEST(CasStore, EverySingleBitFlipIsNeverServed) {
+    // hash64 changes whenever one 8-byte word of its input changes, so no
+    // single-bit flip of an object file is served. In the header or the
+    // payload the file is corrupt: counted and unlinked. In the key echo
+    // it reads as another key's intact object: a miss that leaves the
+    // file, as for MisRenamedObjectIsAMissButNotDebris.
+    TempDir dir;
+    cas::Store store = open_store(dir.path);
+    const std::string key = "bits";
+    std::string payload(571, '\0');
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<char>(i * 37 + 11);
+    ASSERT_TRUE(store.put(key, payload));
+    const std::string path = dir.path + "/" + cas::Store::object_name(key);
+    const std::string blob = read_file(path);
+    ASSERT_EQ(blob.size(), 28 + key.size() + payload.size());
+
+    for (std::size_t bit = 0; bit < 8 * blob.size(); ++bit) {
+        std::string flipped = blob;
+        flipped[bit / 8] =
+            static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+        write_file(path, flipped);
+        const bool in_echo = bit / 8 >= 28 && bit / 8 < 28 + key.size();
+        const long long corrupt = counter("cas.corrupt");
+        std::string got;
+        EXPECT_FALSE(store.get(key, got)) << "bit " << bit;
+        EXPECT_EQ(counter("cas.corrupt"), corrupt + (in_echo ? 0 : 1))
+            << "bit " << bit;
+        EXPECT_EQ(file_exists(path), in_echo) << "bit " << bit;
+        if (HasFailure()) return;  // one report is enough
+    }
+    // Put again, the object is served again.
+    ASSERT_TRUE(store.put(key, payload));
+    std::string got;
+    ASSERT_TRUE(store.get(key, got));
+    EXPECT_EQ(got, payload);
 }
 
 TEST(CasStore, BadMagicIsAMissAndUnlinked) {
@@ -780,14 +900,14 @@ TEST(CasSession, PlacementsOfAnotherSolverAreNeverServed) {
 }
 
 TEST(CasSession, StageKeyBytesArePinned) {
-    // An object's name is the fnv1a64 of its address — the spec prefix
+    // An object's name is the hash64 of its address — the spec prefix
     // and the stage key's codec bytes — so a byte moved in any stage key
     // orphans every store written before it. This fixed synthesis must
-    // write exactly the objects it wrote when the evaluation model became
-    // two inputs (routing and evaluation addresses carry the frequency
-    // and the link width, not 24 model values): the count and a hash of
-    // the sorted object names must only change with a stated reason, like
-    // a CAS format bump.
+    // write exactly the objects it wrote when the store moved to format 2
+    // (the same addresses as when the evaluation model became two inputs,
+    // named by hash64 instead of fnv1a64): the count and a hash of the
+    // sorted object names must only change with a stated reason, like a
+    // CAS format bump.
     TempDir dir;
     const DesignSpec spec = make_benchmark("D_26_media");
     SynthesisConfig cfg;
@@ -813,7 +933,7 @@ TEST(CasSession, StageKeyBytesArePinned) {
     std::string joined;
     for (const std::string& name : names) joined += name + '\n';
     EXPECT_EQ(names.size(), 267u);
-    EXPECT_EQ(cas::fnv1a64(joined), 0xd820957514e9ace8ULL);
+    EXPECT_EQ(cas::fnv1a64(joined), 0x026c8b4b4649a9dcULL);
 }
 
 TEST(CasSession, SpecsThatPrintAlikeShareNoObjects) {

@@ -5,8 +5,9 @@
 // holds), dist::decode_shard_request and decode_shard_response, the frame
 // parsers parse_worker_frame and parse_response_frame, the daemon's
 // request decoder service::parse_request (parse_json) with the spec
-// parser behind it (service::build_job_request), and the spec parser
-// parse_design on its own.
+// parser behind it (service::build_job_request), the spec parser
+// parse_design on its own, and cas::Store::get on the object files it
+// reads.
 //
 // Every seed is a real encoding: a PG and an LPG partition, a routed and a
 // failed routing artifact, a placement with the floorplan on, an
@@ -14,7 +15,8 @@
 // payload again as a complete frame; for the daemon, a synth and an
 // explore submit frame (every config field set, D_26_media's spec text),
 // a status and a result frame; for the spec parser, write_design's text
-// of the seven paper specs. A mutant applies one or two of: a
+// of the seven paper specs; for the store, a routing and an evaluation
+// object file as Store::put writes them. A mutant applies one or two of: a
 // bit flip, a byte overwrite, a truncation, a byte insertion or deletion,
 // or a 4-byte window (at any offset, so every field's alignment is
 // covered) set to 0, 1, INT_MAX or 0xffffffff. Mutants equal to their
@@ -34,7 +36,9 @@
 //     with make_submit_frame and parsed again, renders to the same bytes;
 //   * a spec text parses or fails with an error that names its line; an
 //     accepted spec, written with write_design and parsed again, writes
-//     the same bytes.
+//     the same bytes;
+//   * Store::get on an object file misses or returns exactly the payload
+//     put.
 //
 // The generator is the in-repo Rng with fixed seeds and a fixed count per
 // seed blob, so every run makes the same mutants.
@@ -44,6 +48,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <optional>
@@ -54,6 +61,7 @@
 
 #include "sunfloor/cas/bincode.h"
 #include "sunfloor/cas/codec.h"
+#include "sunfloor/cas/store.h"
 #include "sunfloor/dist/protocol.h"
 #include "sunfloor/dist/shard.h"
 #include "sunfloor/pipeline/session.h"
@@ -447,6 +455,63 @@ TEST(DecoderFuzz, ShardFrameMutantsParseCleanly) {
         if (!payload.empty()) decode_response_mutant(s, payload);
         if (testing::Test::HasFailure()) return;
     }
+}
+
+std::string read_bytes(const std::string& path) {
+    std::ifstream f(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(f), {}};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(DecoderFuzz, StoreObjectMutantsAreNeverServed) {
+    // Each mutant of an object file goes under its key's object name, then
+    // Store::get reads it. Beside the generated mutants, each seed gets a
+    // fixed one: a bare header whose key length, 4,096, and payload
+    // length, 2^64 - 4,096, sum to the 28 bytes of the file, so a reader
+    // that trusted the sum would hash far past the bytes it read.
+    const Seeds& s = seeds();
+    ASSERT_FALSE(s.routed.empty());
+    char dir_buf[] = "/tmp/sunfloor_fuzz_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir_buf), nullptr);
+    const std::string dir = dir_buf;
+    cas::Store store(cas::StoreOptions{dir});
+    // Keys of the sizes real addresses have: a routing key carries an
+    // assignment, an evaluation key the placed topology.
+    const std::pair<std::string, const std::string*> objects[] = {
+        {"routing|" + s.pg, &s.routed},
+        {"evaluation|" + s.placed_bytes, &s.evaluation},
+    };
+    cas::Enc wrapped;
+    wrapped.raw("SFCAS002");
+    wrapped.u32(4096);
+    wrapped.u64(0 - std::uint64_t{4096});
+    wrapped.u64(0);
+    std::uint64_t rng_seed = 901;
+    for (const auto& [key, payload] : objects) {
+        const std::string path = dir + "/" + cas::Store::object_name(key);
+        ASSERT_TRUE(store.put(key, *payload));
+        std::vector<std::string> files =
+            mutants(read_bytes(path), rng_seed++);
+        files.emplace_back(wrapped.view());
+        for (const std::string& m : files) {
+            write_bytes(path, m);
+            std::string got;
+            bool hit = false;
+            bounded("Store::get", m.size(),
+                    [&] { hit = store.get(key, got); });
+            // A hit may only serve the payload put, and since every byte
+            // of a file is checked (magic, lengths against its size,
+            // checksum, key echo), no file but the one put is served.
+            EXPECT_FALSE(hit) << (got == *payload ? "served a mutant file"
+                                                  : "served a changed payload");
+            if (testing::Test::HasFailure()) break;
+        }
+    }
+    std::filesystem::remove_all(dir);
 }
 
 /// Real request frames of the daemon: a synth and an explore submit

@@ -95,7 +95,7 @@ TEST(Headline, CustomTopologyBeatsOptimizedMesh) {
     const int bp = res.best_power_index();
     ASSERT_GE(bp, 0);
     Rng rng(7);
-    const auto mesh = build_mesh_baseline(spec, cfg.eval, rng);
+    const auto mesh = build_mesh_baseline(spec, rng);
     ASSERT_TRUE(mesh.ok);
     const auto mesh_rep = evaluate_topology(mesh.topo, spec, cfg.eval);
     // Paper: ~51% average power saving, 21% latency. Require >= 20% power.

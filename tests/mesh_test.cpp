@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sunfloor/noc/deadlock.h"
+#include "sunfloor/noc/evaluation.h"
 #include "sunfloor/noc/mesh.h"
 #include "sunfloor/spec/benchmarks.h"
 
@@ -14,9 +15,8 @@ namespace {
 
 TEST(Mesh, RoutesAllFlowsOnD26) {
     const auto spec = make_d26_media();
-    EvalParams params;
     Rng rng(1);
-    const auto mesh = build_mesh_baseline(spec, params, rng);
+    const auto mesh = build_mesh_baseline(spec, rng);
     EXPECT_TRUE(mesh.ok);
     EXPECT_TRUE(mesh.topo.all_flows_routed());
     EXPECT_GT(mesh.grid_w, 0);
@@ -26,9 +26,8 @@ TEST(Mesh, RoutesAllFlowsOnD26) {
 TEST(Mesh, DimensionOrderedRoutingIsDeadlockFree) {
     for (const char* name : {"D_26_media", "D_35_bot", "D_38_tvopd"}) {
         const auto spec = make_benchmark(name);
-        EvalParams params;
         Rng rng(2);
-        const auto mesh = build_mesh_baseline(spec, params, rng);
+        const auto mesh = build_mesh_baseline(spec, rng);
         EXPECT_TRUE(is_routing_deadlock_free(mesh.topo)) << name;
         EXPECT_TRUE(is_message_dependent_deadlock_free(mesh.topo, spec.comm))
             << name;
@@ -40,9 +39,8 @@ TEST(Mesh, UnusedLinksArePruned) {
     // A pipeline uses only neighbouring tiles; the pruned mesh must have
     // far fewer links than the full mesh (4 directed links per tile pair).
     const auto spec = make_d65_pipe();
-    EvalParams params;
     Rng rng(3);
-    const auto mesh = build_mesh_baseline(spec, params, rng);
+    const auto mesh = build_mesh_baseline(spec, rng);
     int s2s_links = 0;
     for (int l = 0; l < mesh.topo.num_links(); ++l) {
         const auto& lk = mesh.topo.link(l);
@@ -59,7 +57,7 @@ TEST(Mesh, MeshLatencyIsHopCount) {
     const auto spec = make_d35_bot();
     EvalParams params;
     Rng rng(4);
-    const auto mesh = build_mesh_baseline(spec, params, rng);
+    const auto mesh = build_mesh_baseline(spec, rng);
     const auto rep = evaluate_topology(mesh.topo, spec, params);
     EXPECT_GE(rep.avg_latency_cycles, 1.0);
     EXPECT_TRUE(rep.all_flows_routed);
@@ -97,9 +95,8 @@ double row_major_cost(const DesignSpec& spec, int gw) {
 
 TEST(Mesh, AnnealingImprovesMapping) {
     const auto spec = make_d36(4);
-    EvalParams params;
     Rng rng(5);
-    const auto mesh = build_mesh_baseline(spec, params, rng);
+    const auto mesh = build_mesh_baseline(spec, rng);
     EXPECT_LT(mesh.map_cost, row_major_cost(spec, mesh.grid_w));
 }
 
@@ -110,7 +107,7 @@ TEST(Mesh, CustomBeatsMeshOnPower) {
     const auto spec = make_d26_media();
     EvalParams params;
     Rng rng(6);
-    const auto mesh = build_mesh_baseline(spec, params, rng);
+    const auto mesh = build_mesh_baseline(spec, rng);
     const auto rep = evaluate_topology(mesh.topo, spec, params);
     EXPECT_GT(rep.power.noc_mw(), 0.0);
     EXPECT_LT(rep.power.noc_mw(), 5000.0);

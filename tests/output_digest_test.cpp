@@ -10,11 +10,13 @@
 // the build before the shared-topology refactor, the CAS digest again
 // when store addresses became codec bytes and when the evaluation model
 // became two inputs (both times the same payloads under new names and
-// key echoes), and the run digests whose DOT holds an inter-layer
-// response link again when such an edge got one style attribute instead
-// of two; a kernel or pipeline change that claims
-// byte-identical outputs proves it by leaving them alone. Re-pin a digest only with a written argument
-// (an intended output change), as for export_golden_test.
+// key echoes) and when the store moved to format 2 (the same payloads
+// and key echoes under new names, magic and checksums), and the run
+// digests whose DOT holds an inter-layer response link again when such
+// an edge got one style attribute instead of two; a kernel or pipeline
+// change that claims byte-identical outputs proves it by leaving them
+// alone. Re-pin a digest only with a written argument (an intended
+// output change), as for export_golden_test.
 //
 // The digests hold for builds that do not contract floating-point
 // expressions: the root CMakeLists.txt pins -ffp-contract=off.
@@ -245,7 +247,7 @@ TEST(OutputDigest, CasStoreObjects) {
     std::filesystem::remove_all(dir);
     EXPECT_EQ(names.size(), 267u);
     expect_digests({{"D_26_media/cas", store}},
-                   {{"D_26_media/cas", 0x35cd4f8b0891f8a5ULL}});
+                   {{"D_26_media/cas", 0x8f7ffe69e6b25160ULL}});
 }
 
 }  // namespace
