@@ -3,10 +3,14 @@
 // A fixed 64-point architectural grid (frequency x TSV budget x link
 // width x theta) over D_36_4 is explored by 1/2/4/8 pool threads of one
 // Explorer (BM_explore) and by 1/2/4 in-process shard workers of the dist
-// coordinator (BM_dist_shards), each on fresh sessions per iteration. The
-// work is the same in every configuration up to which thread computes a
-// shared partition first, or which shard recomputes one, so the ratios
-// of wall times are the thread and shard-worker speedups. BM_explore_warm
+// coordinator, one shard per worker (BM_dist_shards), each on fresh
+// sessions per iteration. The work is the same in every configuration up
+// to which thread computes a shared partition first, or which worker's
+// session recomputes one, so the ratios of wall times are the thread and
+// shard-worker speedups. BM_dist_shards' over-sharded rows queue 4 jobs
+// per worker (1 x 4 and 4 x 16): a worker's jobs take turns on its
+// pooled session, so their partition misses show what the jobs of one
+// run share. BM_explore_warm
 // reruns the grid on one session warmed before timing, at 1/2/4 pool
 // threads: every stage call hits, so its speedup is what concurrent
 // cache hits allow. BM_dist_store runs BM_dist_shards' grid through 1 and
@@ -54,9 +58,9 @@ SynthesisConfig scaling_cfg() {
 }
 
 // What both scaling benches count per iteration. Partition misses show
-// how much partitioning the shards repeat: each shard's fresh session
-// computes the partitions its points need, while one Explorer computes
-// each once.
+// how much partitioning the shard workers repeat: each worker's session
+// computes the partitions its jobs' points need, while one Explorer
+// computes each once.
 void report_scaling(benchmark::State& state, std::size_t points,
                     long long partition_misses) {
     state.SetItemsProcessed(static_cast<int64_t>(points));
@@ -132,11 +136,12 @@ BENCHMARK(BM_explore_warm)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 
-// The same grid through the dist coordinator: N in-process workers, one
-// contiguous shard per worker, one thread per shard. Every request and
-// response still makes the codec round trip, and each shard runs on its
-// own fresh session. Results are byte-identical whatever N
-// (tests/dist_test.cpp pins that).
+// The same grid through the dist coordinator: N in-process workers
+// (first argument) and S contiguous shards (second), one thread per job.
+// Every request and response still makes the codec round trip, and each
+// run starts on fresh sessions, whose partitions a worker's jobs share.
+// Results are byte-identical whatever N and S (tests/dist_test.cpp pins
+// that).
 void BM_dist_shards(benchmark::State& state) {
     static const DesignSpec spec = prepared_benchmark("D_36_4");
     const SynthesisConfig cfg = scaling_cfg();
@@ -148,7 +153,7 @@ void BM_dist_shards(benchmark::State& state) {
     for (int i = 0; i < n; ++i)
         workers.push_back(std::make_shared<dist::InprocTransport>());
     dist::DistOptions dopts;
-    dopts.shards = n;
+    dopts.shards = static_cast<int>(state.range(1));
 
     const std::vector<GridPoint> grid = scaling_grid().enumerate();
     std::size_t points = 0;
@@ -163,9 +168,11 @@ void BM_dist_shards(benchmark::State& state) {
     report_scaling(state, points, partition_misses);
 }
 BENCHMARK(BM_dist_shards)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
+    ->Args({1, 1})
+    ->Args({2, 2})
+    ->Args({4, 4})
+    ->Args({1, 4})
+    ->Args({4, 16})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();

@@ -3,9 +3,12 @@
 # into two files:
 #   explore_out (BENCH_explore.json)
 #     bench_explore_scaling: one 64-point grid explored by 1/2/4/8 pool
-#       threads (`threads`) and by 1/2/4 in-process shard workers
-#       (`shard_workers`), each count with its points/sec, speedup over 1
-#       and partition misses; the same grid rerun on one warm session by
+#       threads (`threads`) and by 1/2/4 in-process shard workers with one
+#       shard each (`shard_workers`), each count with its points/sec,
+#       speedup over 1 and partition misses; the same grid cut into 4
+#       shards per worker, 1 x 4 and 4 x 16 (`over_sharded`, keyed
+#       WORKERSxSHARDS, speedup over 1 worker with 1 shard); the same grid
+#       rerun on one warm session by
 #       1/2/4 pool threads (`warm`: ms per run, speedup over 1 thread,
 #       stage misses, which read 0); the same grid through 1/4 in-process
 #       shard workers against a CAS store written before timing (`store`:
@@ -23,8 +26,12 @@
 #       speed over the sweep falls below the floor (a cheap throughput
 #       regression gate for CI)
 # Both files carry one `context`: the git sha ("-dirty" for uncommitted
-# changes), the build tree's CMAKE_BUILD_TYPE and C++ compiler (from its
-# CMakeCache.txt), nproc and the date. End-to-end timings of synthesis,
+# changes), `src_tree` (the git tree ids of the working tree's src/ and
+# bench/, which equal `git rev-parse <commit>:src` and `<commit>:bench`
+# of the commit that lands the measured sources, so a record refreshed
+# before its commit still names the code it measured), the build tree's
+# CMAKE_BUILD_TYPE and C++ compiler (from its CMakeCache.txt), nproc and
+# the date. End-to-end timings of synthesis,
 # exploration, the daemon, sharded runs against a CAS store and the
 # tracing overhead are perfbench's (perfbench/README.md).
 #
@@ -78,10 +85,24 @@ run_bench bench_sim_throughput "$@"
 GIT_SHA=$(git -C "$(dirname "$0")" describe --always --dirty --abbrev=40 \
     --exclude='*' 2>/dev/null || echo unknown)
 
-python3 - "$RAW" "$BUILD_DIR" "$GIT_SHA" "$OUT_EXPLORE" "$OUT_SIM" <<'EOF'
+# The tree ids of src/ and bench/ as the working tree holds them, written
+# through a throwaway index so the repository's own index is untouched.
+src_tree() {
+    local top idx="$RAW/index"
+    top=$(git -C "$(dirname "$0")" rev-parse --show-toplevel) || return 1
+    GIT_INDEX_FILE=$idx git -C "$top" read-tree HEAD &&
+        GIT_INDEX_FILE=$idx git -C "$top" add -A src bench &&
+        printf '{"src": "%s", "bench": "%s"}' \
+            "$(GIT_INDEX_FILE=$idx git -C "$top" write-tree --prefix=src/)" \
+            "$(GIT_INDEX_FILE=$idx git -C "$top" write-tree --prefix=bench/)"
+}
+SRC_TREE=$(src_tree 2>/dev/null || echo null)
+
+python3 - "$RAW" "$BUILD_DIR" "$GIT_SHA" "$SRC_TREE" "$OUT_EXPLORE" \
+    "$OUT_SIM" <<'EOF'
 import json, os, subprocess, sys, time
 
-raw_dir, build_dir, git_sha, out_explore, out_sim = sys.argv[1:]
+raw_dir, build_dir, git_sha, src_tree, out_explore, out_sim = sys.argv[1:]
 
 # --------------------------------------------------------------- context
 cache = {}
@@ -93,6 +114,7 @@ version = subprocess.run([cache["CMAKE_CXX_COMPILER"], "--version"],
                          capture_output=True, text=True).stdout.splitlines()
 context = {
     "git_sha": git_sha,
+    "src_tree": json.loads(src_tree),
     "cmake_build_type": cache.get("CMAKE_BUILD_TYPE") or "none",
     "compiler": version[0] if version else cache["CMAKE_CXX_COMPILER"],
     "nproc": os.cpu_count(),
@@ -141,30 +163,48 @@ def write(path, out):
 
 
 # ------------------------------------------------------- explore scaling
-def scaling(rows, family):
-    """Per thread or worker count on the 64-point grid, sped up over 1."""
-    out = {}
-    for n, bs in sorted(group(rows, family).items(), key=lambda g: int(g[0])):
-        out[n] = {
-            "real_time_ms": mean(bs, "real_time", 3),
-            "cpu_time_ms": mean(bs, "cpu_time", 3),
-            "points_per_sec": mean(bs, "points_per_sec", 3),
-            "grid_points": int(bs[0].get("points", 0)),
-            "partition_misses": mean(bs, "partition_misses", 1),
-            "repetitions": len(bs),
-        }
-    base = out.get("1", {}).get("real_time_ms")
-    for r in out.values():
+def scaled(bs):
+    """One thread or worker count's rows on the 64-point grid."""
+    return {
+        "real_time_ms": mean(bs, "real_time", 3),
+        "cpu_time_ms": mean(bs, "cpu_time", 3),
+        "points_per_sec": mean(bs, "points_per_sec", 3),
+        "grid_points": int(bs[0].get("points", 0)),
+        "partition_misses": mean(bs, "partition_misses", 1),
+        "repetitions": len(bs),
+    }
+
+
+def speedup(rows, base):
+    for r in rows.values():
         r["speedup_vs_1"] = round(base / r["real_time_ms"], 3) if base else None
-    return out
+    return rows
+
+
+def scaling(groups):
+    """Per thread or worker count, sped up over 1."""
+    out = {n: scaled(bs)
+           for n, bs in sorted(groups.items(), key=lambda g: int(g[0]))}
+    return speedup(out, out.get("1", {}).get("real_time_ms"))
 
 
 explore = load("bench_explore_scaling")
 
 # Reruns of the grid on one warm session: every stage call hits.
-warm = scaling(explore, "BM_explore_warm")
+warm = scaling(group(explore, "BM_explore_warm"))
 for n, bs in group(explore, "BM_explore_warm").items():
     warm[n]["stage_misses"] = mean(bs, "stage_misses", 1)
+
+# BM_dist_shards/WORKERS/SHARDS: one shard per worker, then the
+# over-sharded rows, whose jobs queue on their workers.
+shards = group(explore, "BM_dist_shards",
+               lambda b: (int(b["parts"][1]), int(b["parts"][2])))
+shard_workers = scaling({str(w): bs for (w, s), bs in shards.items()
+                         if w == s})
+over_sharded = speedup(
+    {f"{w}x{s}": scaled(bs) for (w, s), bs in sorted(shards.items())
+     if w != s},
+    shard_workers.get("1", {}).get("real_time_ms"))
 
 # The grid through 1/4 shard workers against a warm CAS store: every stage
 # call is a store read, so the time per hit is the store read path.
@@ -227,8 +267,9 @@ def distill(groups, fields):
 write(out_explore, {
     "bench": "bench_explore_scaling",
     "context": context,
-    "threads": scaling(explore, "BM_explore"),
-    "shard_workers": scaling(explore, "BM_dist_shards"),
+    "threads": scaling(group(explore, "BM_explore")),
+    "shard_workers": shard_workers,
+    "over_sharded": over_sharded,
     "warm": warm,
     "store": store,
     "stage_reuse": stage_reuse,

@@ -1,11 +1,16 @@
 #include "sunfloor/dist/coordinator.h"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <chrono>
 #include <exception>
 #include <thread>
 #include <utility>
 
+#include "sunfloor/cas/bincode.h"
 #include "sunfloor/cas/codec.h"
+#include "sunfloor/cas/store.h"
 #include "sunfloor/dist/shard.h"
 #include "sunfloor/obs/metrics.h"
 #include "sunfloor/obs/trace.h"
@@ -29,6 +34,19 @@ struct FdGuard {
     int fd;
     ~FdGuard() { service::close_fd(fd); }
 };
+
+/// A fresh run id: the hash of this process's id, a process-wide call
+/// count and a steady_clock reading, so runs of one coordinator never
+/// share an id and runs of two rarely do (and then share only
+/// bit-transparent artifacts of one spec and store).
+std::uint64_t draw_run_id() {
+    static std::atomic<std::uint64_t> calls{0};
+    cas::Enc e;
+    e.i64(::getpid());
+    e.u64(calls.fetch_add(1, std::memory_order_relaxed));
+    e.i64(std::chrono::steady_clock::now().time_since_epoch().count());
+    return cas::hash64(e.view());
+}
 
 }  // namespace
 
@@ -121,6 +139,7 @@ ExploreResult distribute_explore(
             throw DistError(DistErrorKind::Config, "null shard transport");
 
     // ---------------------------------------------------- job scheduling
+    const std::uint64_t run_id = draw_run_id();
     const std::vector<std::size_t> bounds =
         shard_boundaries(points.size(), dopts.shards);
     const std::size_t njobs = points.empty() ? 0 : bounds.size() - 1;
@@ -153,6 +172,7 @@ ExploreResult distribute_explore(
                 queue.pop_back();
             }
             ShardRequest req;
+            req.run_id = run_id;
             req.spec = spec;
             req.base_cfg = base_cfg;
             req.opts = opts;

@@ -13,7 +13,10 @@
 // reassembled points with the explorer's own steps
 // (seeded_explore_result, summarize_explore): the global Pareto front
 // and the stats are computed here from the decoded designs, never taken
-// from a worker.
+// from a worker. Each call draws a run id that all its jobs carry, so a
+// worker runs them on sessions that keep what their points share
+// (dist/shard.h); the summed stage counters therefore depend on which
+// jobs shared a session, the results never.
 //
 // Fault tolerance: a failed shard job (worker crash, dropped connection,
 // malformed response) goes back on the queue. While another worker is

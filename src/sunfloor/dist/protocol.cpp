@@ -234,6 +234,7 @@ std::string encode_shard_request(const ShardRequest& req) {
     Enc e;
     e.u32(kWireVersion);
     e.u8(kTagRequest);
+    e.u64(req.run_id);
     cas::enc_spec(e, req.spec);
     enc_config(e, req.base_cfg);
     enc_explore_opts(e, req.opts);
@@ -250,6 +251,7 @@ bool decode_shard_request(std::string_view payload, ShardRequest& out,
         error = "shard request: bad version or tag";
         return false;
     }
+    out.run_id = d.u64();
     out.spec = DesignSpec{};
     if (!cas::dec_spec(d, out.spec)) {
         error = "shard request: malformed spec";

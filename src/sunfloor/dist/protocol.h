@@ -5,11 +5,11 @@
 // the text format rounds doubles through %.6g; cas::enc_spec, whose bytes
 // also name the spec in every store address), every field of the
 // SynthesisConfig (its evaluation model, the frequency and the link
-// width, through cas::enc_eval_params)
-// and ExploreOptions, the explicit GridPoint list (global
-// indices preserved) and the CAS directory, but no store size bound (only
-// `sunfloor_cli cas gc --max-bytes` evicts) — and the worker ships back the
-// complete outputs: per point, the phase used, every DesignPoint as a
+// width, through cas::enc_eval_params) and ExploreOptions, the explicit
+// GridPoint list (global indices preserved), the CAS directory and the
+// run's id, but no store size bound (only `sunfloor_cli cas gc
+// --max-bytes` evicts) — and the worker ships back the complete
+// outputs: per point, the phase used, every DesignPoint as a
 // cas::encode_evaluation blob (bit-exact by construction), the full
 // simulator reports and its session's stage counters. Nothing is
 // summarized in flight: the coordinator computes the Pareto front and the
@@ -56,13 +56,20 @@ namespace sunfloor::dist {
 /// model travels as its two inputs, frequency and link width, its
 /// calibration values being constants; 8: requests carry neither the
 /// partitioner's options nor the simulator's drain bound, both now
-/// constants). A version mismatch is a decode error (the coordinator
-/// retries elsewhere rather than mis-reading bytes).
-inline constexpr std::uint32_t kWireVersion = 8;
+/// constants; 9: requests carry the coordinator's run id, right after
+/// the version and tag). A version mismatch is a decode error (the
+/// coordinator retries elsewhere rather than mis-reading bytes).
+inline constexpr std::uint32_t kWireVersion = 9;
 
-/// Everything a worker needs to run one slice — self-contained, so a
-/// worker holds no per-coordinator state and any worker can take any job.
+/// Everything a worker needs to run one slice — self-contained, so any
+/// worker can still take any job. The run id only saves work: a worker
+/// runs the jobs of one run on a pooled session that keeps the
+/// partitions and position-LP solutions their points share (run_shard).
 struct ShardRequest {
+    /// Drawn once per distribute_explore call. Results never depend on
+    /// it: two runs whose ids collide share only bit-transparent
+    /// artifacts of the same spec and store.
+    std::uint64_t run_id = 0;
     DesignSpec spec;              ///< bit-exact (binary geometry/bandwidth)
     SynthesisConfig base_cfg;     ///< complete base config (every field)
     ExploreOptions opts;          ///< num_threads = the worker's threads

@@ -1,15 +1,16 @@
 // Shard execution: the one code path every transport funnels into.
 //
-// run_shard() is what a worker does with a decoded ShardRequest — rebuild
-// the spec, open the shared CAS store when one is configured, run the
-// explorer over the slice and render the complete results back into a
-// ShardResponse (designs, sim reports and stage counters; the explorer's
-// Pareto front stays on the worker). The in-process transport calls it
-// directly (after a full encode/decode round trip, so both transports
-// exercise identical codec paths); WorkerServer serves it over a socket,
-// reading each frame — a header line, then the raw payload it announces
-// (protocol.h) — with FrameReader, which the socket coordinator uses for
-// responses too.
+// run_shard() is what a worker does with a decoded ShardRequest — take a
+// session of the request's run (one kept from the run's earlier jobs, or
+// a new one on the spec and, when one is configured, the shared CAS
+// store), run the explorer over the slice and render the complete
+// results back into a ShardResponse (designs, sim reports and stage
+// counters; the explorer's Pareto front stays on the worker). The
+// in-process transport calls it directly (after a full encode/decode
+// round trip, so both transports exercise identical codec paths);
+// WorkerServer serves it over a socket, reading each frame — a header
+// line, then the raw payload it announces (protocol.h) — with
+// FrameReader, which the socket coordinator uses for responses too.
 #pragma once
 
 #include <string>
@@ -22,6 +23,20 @@ namespace sunfloor::dist {
 /// Run one shard job. Throws std::runtime_error on an unusable request
 /// (unparseable spec, unopenable CAS directory) — the serving layer turns
 /// that into an {"ok":false} frame.
+///
+/// The jobs of one run take turns on the process's pooled sessions: a
+/// job borrows an idle session of its run — same run id, same spec bytes,
+/// same store directory — or starts one, and hands it back with only
+/// what every point of the grid shares (partition graphs, partitions,
+/// position-LP solutions; SynthesisSession::drop_point_stages). A session
+/// serves one job at a time, so concurrent jobs of a run hold sessions of
+/// their own and each job's stage counts stay exact. The pool has one
+/// slot: the first job of another run frees the sessions it holds, so no
+/// state outlives a run's pool slot and a worker holds at most one run's
+/// sessions between jobs. (Runs that interleave on one worker take the
+/// slot from each other and share nothing, as if each job ran alone.)
+/// Counted in dist.sessions.started and dist.sessions.reused;
+/// dist.sessions.pooled gauges the idle sessions.
 ShardResponse run_shard(const ShardRequest& req);
 
 /// Reads complete frames (protocol.h's grammar) from one connection: the

@@ -912,4 +912,12 @@ std::size_t SynthesisSession::artifact_count() const {
            lp_solutions_.size() + evaluations_.size();
 }
 
+void SynthesisSession::drop_point_stages() {
+    // Downstream first: an evaluation key holds its placement artifact,
+    // and a placement key its routing artifact.
+    evaluations_.clear();
+    placements_.clear();
+    routings_.clear();
+}
+
 }  // namespace sunfloor::pipeline

@@ -415,6 +415,14 @@ class SynthesisSession {
     /// (graphs excluded).
     std::size_t artifact_count() const;
 
+    /// Drop the per-point stages' artifacts — routing, placement and
+    /// evaluation, which hold the topologies — and keep what every point
+    /// of a grid shares: the partition graphs, the partitions and the
+    /// position-LP solutions. Bit-transparent like every cache: a later
+    /// call recomputes (or reads from the store) what was dropped. The
+    /// stage counters keep counting.
+    void drop_point_stages();
+
   private:
     struct GraphEntry;
 
@@ -430,7 +438,7 @@ class SynthesisSession {
     /// Lookups take a Key, or a probe type the Hash and Key's == accept
     /// (transparently) and that converts to a Key (RoutingProbe). Only
     /// the stage routine cached() looks up and fills one, so it is the
-    /// one place a memory bound would evict.
+    /// one place a memory bound would evict; only clear() empties one.
     template <typename Key, typename Artifact,
               typename Hash = std::hash<Key>>
     class StageCache {
@@ -535,6 +543,15 @@ class SynthesisSession {
                     map_.erase(it);
             }
             claim->land(nullptr, std::move(error));
+        }
+
+        /// Drop every published artifact. A key in flight stays, so its
+        /// waiters still get the one computation of it.
+        void clear() SF_EXCLUDES(mu_) {
+            util::WriterLock lock(mu_);
+            std::erase_if(map_, [](const auto& entry) {
+                return entry.second.artifact != nullptr;
+            });
         }
 
         /// Published artifacts plus keys in flight.

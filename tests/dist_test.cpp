@@ -223,6 +223,7 @@ TEST(DistProtocol, ShardRequestRoundTripsCompletely) {
     req.opts = backend_opts(EvalBackend::Simulated);
     req.points = analytic_grid().enumerate();
     req.cas_dir = "/some/cas/dir";
+    req.run_id = 0xfedcba9876543210ULL;
 
     const std::string payload = dist::encode_shard_request(req);
     dist::ShardRequest out;
@@ -234,6 +235,7 @@ TEST(DistProtocol, ShardRequestRoundTripsCompletely) {
     for (std::size_t i = 0; i < out.points.size(); ++i)
         EXPECT_EQ(out.points[i].key(), req.points[i].key());
     EXPECT_EQ(out.cas_dir, req.cas_dir);
+    EXPECT_EQ(out.run_id, req.run_id);
     EXPECT_EQ(out.opts.backend, req.opts.backend);
     EXPECT_EQ(out.opts.sim.measure_cycles, req.opts.sim.measure_cycles);
     const double fa = out.base_cfg.eval.freq_hz;
@@ -339,7 +341,7 @@ TEST(DistProtocol, FramesParseBothDirections) {
 }
 
 TEST(DistProtocol, WireVersionTwoFramesAndPayloadsAreRejectedByName) {
-    EXPECT_EQ(dist::kWireVersion, 8u);
+    EXPECT_EQ(dist::kWireVersion, 9u);
     // Version 2 carried the payload hex-encoded inside the JSON line.
     std::string err;
     dist::WorkerRequest wreq;
@@ -406,6 +408,22 @@ TEST(DistProtocol, WireVersionTwoFramesAndPayloadsAreRejectedByName) {
     std::string q7 = dist::encode_shard_request(small_request());
     patch_u32(q7, 0, 7);
     EXPECT_FALSE(dist::decode_shard_request(q7, req_out, err));
+    EXPECT_NE(err.find("bad version"), std::string::npos) << err;
+
+    // Version 8 requests had no run id after the version and tag: such a
+    // payload fails by its version, never as a spec misread 8 bytes off.
+    dist::ShardRequest with_id = small_request();
+    with_id.run_id = 0x0123456789abcdefULL;
+    std::string q8 = dist::encode_shard_request(with_id);
+    q8.erase(5, 8);
+    patch_u32(q8, 0, 8);
+    EXPECT_FALSE(dist::decode_shard_request(q8, req_out, err));
+    EXPECT_NE(err.find("bad version"), std::string::npos) << err;
+    // Version 8 responses had this version's layout; the version alone
+    // rejects them.
+    std::string s8 = dist::encode_shard_response(small_response());
+    patch_u32(s8, 0, 8);
+    EXPECT_FALSE(dist::decode_shard_response(s8, out, err));
     EXPECT_NE(err.find("bad version"), std::string::npos) << err;
 }
 
@@ -599,6 +617,174 @@ TEST(Dist, EmptyPointListYieldsAnEmptyResult) {
     EXPECT_TRUE(got.points.empty());
     EXPECT_TRUE(got.pareto.empty());
     EXPECT_EQ(got.stats.total_points, 0);
+}
+
+// ------------------------------------------------- per-run session pool
+
+/// The grid of `sunfloor_cli explore --benchmark D_36_4 --freq 350,450
+/// --max-tsvs 15,25 --no-floorplan`.
+ParamGrid cli_grid() {
+    ParamGrid grid;
+    grid.set_axis(ParamAxis::frequencies_hz({350e6, 450e6}));
+    grid.set_axis(ParamAxis::max_tsvs({15, 25}));
+    return grid;
+}
+
+/// Every stage's hits and misses in the global registry, which the
+/// worker sessions' counters feed (compute_ms left 0).
+pipeline::SessionStats global_stage_counts() {
+    pipeline::SessionStats s;
+    const auto at = [](pipeline::StageCounters& c, const std::string& name) {
+        c.hits = counter(("pipeline." + name + ".hits").c_str());
+        c.misses = counter(("pipeline." + name + ".misses").c_str());
+    };
+    at(s.partition, "partition");
+    at(s.routing, "routing");
+    at(s.placement, "placement");
+    at(s.position_lp, "position_lp");
+    at(s.evaluation, "evaluation");
+    return s;
+}
+
+void expect_same_counts(const pipeline::SessionStats& a,
+                        const pipeline::SessionStats& b,
+                        const std::string& label) {
+    const auto same = [&](const pipeline::StageCounters& x,
+                          const pipeline::StageCounters& y,
+                          const char* stage) {
+        EXPECT_EQ(x.hits, y.hits) << label << " " << stage << " hits";
+        EXPECT_EQ(x.misses, y.misses) << label << " " << stage << " misses";
+    };
+    same(a.partition, b.partition, "partition");
+    same(a.routing, b.routing, "routing");
+    same(a.placement, b.placement, "placement");
+    same(a.position_lp, b.position_lp, "position_lp");
+    same(a.evaluation, b.evaluation, "evaluation");
+}
+
+double pooled_sessions() {
+    return obs::Registry::global().gauge("dist.sessions.pooled").value();
+}
+
+TEST(DistSessions, OneWorkersShardsShareItsPartitionsAndLpSolutions) {
+    // Four one-point jobs on one worker take turns on one session, which
+    // keeps the partitions and position-LP solutions between them: each
+    // is computed once, as in one explorer's session (a fresh session per
+    // job recomputed them: 857 partitions against 523).
+    const DesignSpec spec = make_benchmark("D_36_4");
+    SynthesisConfig cfg;
+    cfg.run_floorplan = false;
+    const ExploreOptions opts;
+    const ParamGrid grid = cli_grid();
+    const ExploreResult ref = Explorer(spec, cfg, opts).run(grid);
+
+    std::vector<std::shared_ptr<dist::ShardTransport>> transports = {
+        std::make_shared<dist::InprocTransport>()};
+    dist::DistOptions dopts;
+    dopts.shards = 4;
+    const long long started = counter("dist.sessions.started");
+    const long long reused = counter("dist.sessions.reused");
+    const ExploreResult got = dist::distribute_explore(
+        spec, cfg, opts, grid.enumerate(), transports, dopts);
+    EXPECT_EQ(csv_of(got), csv_of(ref));
+    EXPECT_EQ(normalized_json(got, spec.name),
+              normalized_json(ref, spec.name));
+    EXPECT_EQ(got.stats.stage.partition.misses,
+              ref.stats.stage.partition.misses);
+    EXPECT_EQ(got.stats.stage.position_lp.misses,
+              ref.stats.stage.position_lp.misses);
+    EXPECT_EQ(counter("dist.sessions.started"), started + 1);
+    EXPECT_EQ(counter("dist.sessions.reused"), reused + 3);
+    EXPECT_GE(pooled_sessions(), 1.0);
+}
+
+TEST(DistSessions, ConsecutiveRunsReuseNothingAndThePoolStaysBounded) {
+    // Every run starts cold: a later run never meets an earlier run's
+    // session, so identical runs count identical misses. The pool keeps
+    // the last run's session only.
+    const DesignSpec spec = make_benchmark("D_36_4");
+    const SynthesisConfig cfg = fast_cfg();
+    const ExploreOptions opts = backend_opts(EvalBackend::Analytic);
+    const std::vector<GridPoint> points = analytic_grid().enumerate();
+    std::vector<std::shared_ptr<dist::ShardTransport>> transports = {
+        std::make_shared<dist::InprocTransport>()};
+    dist::DistOptions dopts;
+    dopts.shards = 2;
+
+    const ExploreResult first = dist::distribute_explore(
+        spec, cfg, opts, points, transports, dopts);
+    EXPECT_GT(first.stats.stage.partition.misses, 0);
+    EXPECT_EQ(pooled_sessions(), 1.0);
+    for (int run = 1; run < 4; ++run) {
+        const long long started = counter("dist.sessions.started");
+        const ExploreResult again = dist::distribute_explore(
+            spec, cfg, opts, points, transports, dopts);
+        EXPECT_EQ(csv_of(again), csv_of(first)) << "run " << run;
+        expect_same_counts(again.stats.stage, first.stats.stage,
+                           "run " + std::to_string(run));
+        EXPECT_EQ(counter("dist.sessions.started"), started + 1)
+            << "run " << run;
+        EXPECT_EQ(pooled_sessions(), 1.0) << "run " << run;
+    }
+}
+
+TEST(DistSessions, ConcurrentShardsOfOneRunNeverShareASessionAtOnce) {
+    // Jobs of one run that run side by side each hold a session of their
+    // own. Were one session lent to two jobs at once, each job's stage
+    // delta would count the other's work too, and the deltas the
+    // coordinator sums would exceed what the sessions counted.
+    const DesignSpec spec = make_benchmark("D_36_4");
+    const SynthesisConfig cfg = fast_cfg();
+    const ExploreOptions opts = backend_opts(EvalBackend::Analytic);
+    ParamGrid grid = analytic_grid();
+    grid.set_axis(ParamAxis::thetas({2.0, 4.0}));
+    const std::vector<GridPoint> points = grid.enumerate();
+    ASSERT_EQ(points.size(), 8u);
+    const ExploreResult ref = Explorer(spec, cfg, opts).run(grid);
+
+    TempDir sock_dir;
+    dist::WorkerOptions wopts;
+    wopts.listen = sock_dir.path + "/worker.sock";
+    wopts.conn_threads = 4;
+    dist::WorkerServer server(wopts);
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+
+    for (const bool socket : {false, true}) {
+        const int workers = socket ? 4 : 2;
+        std::vector<std::shared_ptr<dist::ShardTransport>> transports;
+        for (int w = 0; w < workers; ++w) {
+            if (socket)
+                transports.push_back(
+                    std::make_shared<dist::SocketTransport>(wopts.listen));
+            else
+                transports.push_back(
+                    std::make_shared<dist::InprocTransport>());
+        }
+        dist::DistOptions dopts;
+        dopts.shards = 8;
+        const std::string label = socket ? "socket" : "inproc";
+
+        const pipeline::SessionStats before = global_stage_counts();
+        const long long started = counter("dist.sessions.started");
+        const long long reused = counter("dist.sessions.reused");
+        const ExploreResult got = dist::distribute_explore(
+            spec, cfg, opts, points, transports, dopts);
+        EXPECT_EQ(csv_of(got), csv_of(ref)) << label;
+        EXPECT_EQ(normalized_json(got, spec.name),
+                  normalized_json(ref, spec.name))
+            << label;
+        expect_same_counts(got.stats.stage,
+                           global_stage_counts() - before, label);
+        const long long new_started =
+            counter("dist.sessions.started") - started;
+        EXPECT_EQ(new_started + counter("dist.sessions.reused") - reused, 8)
+            << label;
+        EXPECT_GE(new_started, 1) << label;
+        EXPECT_LE(new_started, workers) << label;
+    }
+    server.request_shutdown();
+    server.wait();
 }
 
 // --------------------------------------------------------- fault handling

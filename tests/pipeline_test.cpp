@@ -144,6 +144,34 @@ TEST(Pipeline, WarmSessionIsBitIdenticalAndServesFromCache) {
     expect_same_results(first, run_synthesis(spec, cfg));
 }
 
+TEST(Pipeline, DroppingPointStagesKeepsSharedWorkAndResults) {
+    const DesignSpec spec = make_benchmark("D_36_4");
+    const SynthesisConfig cfg = fast_cfg();
+    SynthesisConfig other = cfg;
+    other.eval.freq_hz = 450e6;
+
+    pipeline::SynthesisSession session(spec);
+    const SynthesisResult first = session.run(cfg);
+    const auto cold = session.stats();
+    ASSERT_GT(cold.routing.misses, 0);
+    session.drop_point_stages();
+
+    // A trimmed session returns what a fresh one returns...
+    expect_same_results(session.run(other),
+                        pipeline::SynthesisSession(spec).run(other));
+    session.drop_point_stages();
+    const auto before = session.stats();
+    expect_same_results(session.run(cfg), first);
+    const auto after = session.stats() - before;
+    // ... recomputes the per-point stages, and keeps the partitions and
+    // position-LP solutions every run of the spec shares.
+    EXPECT_EQ(after.partition.misses, 0);
+    EXPECT_EQ(after.position_lp.misses, 0);
+    EXPECT_EQ(after.routing.misses, cold.routing.misses);
+    EXPECT_EQ(after.placement.misses, cold.placement.misses);
+    EXPECT_EQ(after.evaluation.misses, cold.evaluation.misses);
+}
+
 TEST(Pipeline, SessionSharedAcrossFrequenciesMatchesColdRuns) {
     const DesignSpec spec = make_benchmark("D_36_4");
     pipeline::SynthesisSession session(spec);
